@@ -1062,8 +1062,7 @@ def registry_names() -> list[str]:
 
 
 def run_check(check_id: str, grid: dict | None = None,
-              target_radius: float | None = None, precision: int = 128,
-              threads: int = 1) -> BoundReport:
+              target_radius: float | None = None, precision: int = 128) -> BoundReport:
     """Run one registered check on its (possibly overridden) grid."""
     if check_id not in REGISTRY:
         raise DomainError(f"unknown check {check_id!r}; known: {sorted(REGISTRY)}")

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: compute | verify | quad | landau | compose | sieve-cache.
+Subcommands: compute | verify | quad | landau | compose.
 Exit codes: 0 all rigorous checks pass; 1 a rigorous check failed; 2 bad
 arguments or domain errors; 3 only heuristic checks failed.
 """
@@ -8,7 +8,6 @@ arguments or domain errors; 3 only heuristic checks failed.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -22,7 +21,6 @@ from .errors import MoebiusError
 from .kernels import KernelSpec
 from .quadrature import integrate_abs_kernel, tail_bound_abs_Q
 from .report import format_snapshot, reports_to_csv, reports_to_json, snapshot_to_dict
-from .sieve import build_cache, read_cache
 from .summatory import summatory
 
 EXIT_OK = 0
@@ -77,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="working precision in bits (>= 53, default 128)")
     common.add_argument("--threads", type=int,
                         help="worker threads for independent checks")
-    common.add_argument("--cache-dir",
-                        help="sieve cache directory (env MOEBIUS_CACHE_DIR)")
     common.add_argument("--format", choices=("json", "csv"))
     common.add_argument("--output", help="write reports here instead of stdout")
     common.add_argument("--config", help="key=value config file; flags win")
@@ -123,11 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--c", type=float, required=True)
     co.add_argument("--x0", type=float, default=1e12)
     co.add_argument("--t0", type=float, default=2.5e11)
-
-    sc = sub.add_parser("sieve-cache", help="build or inspect a sieve cache file", parents=[common])
-    sc.add_argument("--lo", type=int, default=1)
-    sc.add_argument("--hi", type=int, default=None)
-    sc.add_argument("--inspect", default=None, help="print a cache file's header")
     return p
 
 
@@ -218,25 +209,9 @@ def cmd_compose(args) -> int:
     return EXIT_OK
 
 
-def cmd_sieve_cache(args) -> int:
-    if args.inspect:
-        table = read_cache(args.inspect)
-        head = ", ".join(str(int(v)) for v in table.values[:10])
-        _emit(args, f"{args.inspect}: mu({table.lo}..{table.hi}), "
-                    f"{len(table)} values, first: {head}")
-        return EXIT_OK
-    if args.hi is None:
-        raise MoebiusError("sieve-cache needs --hi (or --inspect PATH)")
-    cache_dir = args.cache_dir or ".moebius-cache"
-    path = build_cache(args.lo, args.hi, cache_dir)
-    _emit(args, str(path))
-    return EXIT_OK
-
-
 _GLOBAL_DEFAULTS = {
     "precision": 128,
     "threads": None,  # filled with cpu_count at resolution time
-    "cache_dir": None,  # env fallback at resolution time
     "format": "json",
     "output": None,
     "config": None,
@@ -256,15 +231,10 @@ def main(argv: list[str] | None = None) -> int:
         if key in cfg and key not in explicit:
             setattr(args, key, int(cfg[key]))
             explicit.add(key)
-    if "cache_dir" in cfg and "cache_dir" not in explicit:
-        args.cache_dir = cfg["cache_dir"]
-        explicit.add("cache_dir")
     for key, val in _GLOBAL_DEFAULTS.items():
         if key not in explicit:
             if key == "threads":
                 val = os.cpu_count() or 1
-            elif key == "cache_dir":
-                val = os.environ.get("MOEBIUS_CACHE_DIR")
             setattr(args, key, val)
     if args.precision < 53:
         print("precision must be >= 53 bits", file=sys.stderr)
@@ -274,8 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     mpmath.mp.prec = args.precision + 16
     handlers = {"compute": cmd_compute, "verify": cmd_verify, "quad": cmd_quad,
-                "landau": cmd_landau, "compose": cmd_compose,
-                "sieve-cache": cmd_sieve_cache}
+                "landau": cmd_landau, "compose": cmd_compose}
     try:
         return handlers[args.command](args)
     except (MoebiusError, ValueError) as exc:

@@ -34,14 +34,6 @@ def gamma_const(prec: int | None = None) -> mpf:
     return g
 
 
-def rho1(prec: int | None = None) -> mpmath.mpc:
-    """The first zeta zero 1/2 + i*14.1347... at `prec` bits."""
-    prec = prec if prec is not None else mpmath.mp.prec
-    with mpmath.mp.workprec(prec + 8):
-        z = mpmath.mpc(mpf(1) / 2, mpf(RHO1_IMAG_STR))
-    return z
-
-
 # Explicit bounds imported from the literature; consumed, not re-derived.
 # Each is (coefficient c, threshold t0) for: quantity <= c / log t, t >= t0.
 M_OVER_LOG = (0.013, 97_067.0)            # |M(x)| <= 0.013 x / log x

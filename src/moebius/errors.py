@@ -30,7 +30,3 @@ class CoverageError(MoebiusError, ValueError):
 
 class InapplicabilityError(MoebiusError, ValueError):
     """An imported bound was requested outside its validity range."""
-
-
-class CacheFormatError(MoebiusError, ValueError):
-    """A sieve cache file is malformed."""

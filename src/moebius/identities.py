@@ -46,9 +46,6 @@ class StepPolyFactor:
                 out.add_monomial(c, mpmath.mpmathify(self.power), j)
         return out
 
-    def zeta_sensitivity(self, idx):
-        return None
-
 
 def _mp_prefixes(x: float, prec: int):
     """(m_K, Smlog_K) prefix columns for K = 0..floor(x) at prec+guard."""

@@ -57,8 +57,7 @@ class TruncatedTransform:
     harmonic gap H - log - gamma; each is an exact log-polynomial on [n, n+1).
     """
 
-    def __init__(self, s, x: float, T: float, weight: str, mom_max: int = 0,
-                 segment: int = 1 << 20):
+    def __init__(self, s, x: float, T: float, weight: str, mom_max: int = 0):
         sp = ComplexParam.coerce(s)
         if not (1 <= x <= T):
             raise DomainError("need 1 <= x <= T")
@@ -84,7 +83,7 @@ class TruncatedTransform:
         self.at_x: dict = {}
         self.at_T: dict = {}
         need_mu = weight != WEIGHT_HGAP
-        for seg in iter_segments(1, max(NT, 1), segment):
+        for seg in iter_segments(1, max(NT, 1)):
             ns = np.arange(seg.lo, seg.hi + 1, dtype=np.float64)
             logs = np.log(ns)
             if need_mu:
@@ -244,19 +243,6 @@ def _combine_moment(tt: TruncatedTransform, mom: int) -> ApproxValue:
     return out
 
 
-def _rhs_base(s: ComplexParam, x: float, prec: int, derivative: bool):
-    """(1/zeta - musum + m x^{1-s}, pieces...) shared closed-form data."""
-    z, zp = zeta_em(s, 1e-33, precision=prec)
-    snap = summatory(x, mode="mp", precision=prec) if x <= 20000 else None
-    return z, zp, snap
-
-
-def _resid(lhs: ApproxValue, rhs: ApproxValue):
-    resid = float(mpmath.fabs(lhs.value - rhs.value))
-    tol = radd(lhs.radius, rhs.radius)
-    return resid, tol
-
-
 def mtronq_residual(s, x: float, T: float | None = None, precision: int = 128):
     """(s-1) integral_x^inf m(t) t^(-s) dt = 1/zeta - sum mu/n^s + m(x)/x^{s-1}."""
     sp = ComplexParam.coerce(s)
@@ -269,7 +255,7 @@ def mtronq_residual(s, x: float, T: float | None = None, precision: int = 128):
         smc = sp.as_mpc()
         lhs = (ApproxValue.exact(smc) - 1) * tt.basis[0]
         lhs = lhs.widened(tail)
-        z, _, _ = _rhs_base(sp, x, precision, False)
+        z, _ = zeta_em(sp, 1e-33, precision=precision)
         x1s, _ = _x_pows(sp, x)
         m_x = tt.values_at_x()["m"]
         rhs = ApproxValue.exact(1) / z - tt.mu_power_x + m_x * ApproxValue.exact(x1s)
@@ -286,7 +272,7 @@ def mtronqch_residual(s, x: float, T: float | None = None, precision: int = 128)
     with mpmath.mp.workprec(precision + 32):
         smc = sp.as_mpc()
         lhs = ((ApproxValue.exact(smc) - 1) * (ApproxValue.exact(smc) - 1) * tt.basis[0]).widened(tail)
-        z, _, _ = _rhs_base(sp, x, precision, False)
+        z, _ = zeta_em(sp, 1e-33, precision=precision)
         x1s, _ = _x_pows(sp, x)
         vx = tt.values_at_x()
         rhs = (ApproxValue.exact(1) / z - tt.mu_power_x
@@ -308,7 +294,7 @@ def mtronqchch_residual(s, x: float, T: float | None = None, precision: int = 12
         smc = sp.as_mpc()
         half_cube = ApproxValue.exact((smc - 1) ** 3 / 2)
         lhs = (half_cube * tt.basis[0]).widened(tail)
-        z, _, _ = _rhs_base(sp, x, precision, False)
+        z, _ = zeta_em(sp, 1e-33, precision=precision)
         x1s, _ = _x_pows(sp, x)
         vx = tt.values_at_x()
         rhs = (ApproxValue.exact(1) / z - tt.mu_power_x

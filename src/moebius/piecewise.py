@@ -142,11 +142,6 @@ class PowLogSum:
                     self.add_monomial(c, p, k, ac[k])
         return self
 
-    def scaled(self, factor, abs_factor: float | None = None) -> "PowLogSum":
-        af = abs(complex(factor)) if abs_factor is None else abs_factor
-        return PowLogSum([[p, [c * factor for c in cs], [a * af for a in ac]]
-                          for p, cs, ac in self.terms])
-
     def mul(self, other: "PowLogSum") -> "PowLogSum":
         out = PowLogSum()
         for p1, cs1, ac1 in self.terms:
@@ -211,17 +206,6 @@ class PowLogSum:
             total = total + tp * poly
             scale += tp_abs * poly_abs
         return total, scale
-
-    def abs_bound_on(self, a: float, b: float) -> float:
-        """Crude sup bound of |self| on [a, b] from abs coefficients."""
-        la, lb = abs(math.log(max(a, 1e-300))), abs(math.log(b))
-        lmax = max(la, lb, 1e-30)
-        out = 0.0
-        for p, cs, ac in self.terms:
-            sig = float(mpmath.re(p))
-            tp = max(a ** sig, b ** sig)
-            out += tp * sum(aj * lmax ** j for j, aj in enumerate(ac))
-        return out
 
 
 class EndpointContext:
@@ -320,9 +304,6 @@ class ConstFactor:
     def poly(self, idx: int) -> PowLogSum:
         return self._poly
 
-    def zeta_sensitivity(self, idx: int):
-        return None
-
 
 class SummatoryFactor:
     """S_a omega(x/t) = sum_{n <= x/t} a(n) omega((x/n)/t), indexed by
@@ -375,9 +356,6 @@ class SummatoryFactor:
                              abs(complex(coef)) * self.W_abs[self.k - j][N])
         return out
 
-    def zeta_sensitivity(self, idx: int):
-        return None
-
 
 class InnerSumFactor:
     """S_b phi(t) = sum_{k <= t} b(k) phi(t/k), indexed by K = floor(t).
@@ -421,9 +399,6 @@ class InnerSumFactor:
             out.add_monomial(coef * self.V[self.l - j][K], mpmath.mpmathify(self.p), j,
                              abs(complex(coef)) * self.V_abs[self.l - j][K])
         return out
-
-    def zeta_sensitivity(self, idx: int):
-        return None
 
 
 class QKernelFactor:
@@ -481,9 +456,6 @@ class PowSumFactor:
         return PowLogSum.monomial(self.table.value(K), self.sm, 0,
                                   float(mpmath.fabs(self.table.value(K))))
 
-    def zeta_sensitivity(self, idx: int):
-        return None
-
 
 class HalfMinusFracFactor:
     """1/2 - {t} = 1/2 + K - t."""
@@ -494,9 +466,6 @@ class HalfMinusFracFactor:
         out = PowLogSum.monomial(mpf(1) / 2 + K, mpf(0), 0)
         out.add_monomial(mpf(-1), mpf(1), 0)
         return out
-
-    def zeta_sensitivity(self, idx: int):
-        return None
 
 
 class HarmonicWeightFactor:
@@ -518,9 +487,6 @@ class HarmonicWeightFactor:
         out.add_monomial(mpf(-1), mpf(1), 1)
         return out
 
-    def zeta_sensitivity(self, idx: int):
-        return None
-
 
 class LogMinusHFactor:
     """log t - H(t), the k = 1 right-hand integrand."""
@@ -539,9 +505,6 @@ class LogMinusHFactor:
         out.add_monomial(mpf(1), mpf(0), 1)
         return out
 
-    def zeta_sensitivity(self, idx: int):
-        return None
-
 
 class FactorSum:
     """Pointwise sum of factors (e.g. m-check(x/t) - 1)."""
@@ -557,23 +520,19 @@ class FactorSum:
             out += f.poly(idx) if not isinstance(f, FactorSum) else f.poly(N, K)
         return out
 
-    def zeta_sensitivity(self, idx: int):
-        return None
-
 
 # ---------------------------------------------------------------------------
 # The integrator.
 # ---------------------------------------------------------------------------
 
 def integrate_partition(x: float, factors: list, extra: PowLogSum | None = None,
-                        precision: int | None = None,
-                        partition: Partition | None = None) -> ApproxValue:
+                        precision: int | None = None) -> ApproxValue:
     """Exact piecewise integral over [1, x] of the product of `factors` times
     `extra`, with compensated accumulation and a rigorous rounding radius."""
     prec = precision or mpmath.mp.prec
     eps = eps_for(prec)
     need_inverse = any(getattr(f, "uses", "N") in ("N", "NK") for f in factors)
-    part = partition or Partition(x, need_inverse_points=need_inverse)
+    part = Partition(x, need_inverse_points=need_inverse)
     zeta_factors = [f for f in factors if isinstance(f, QKernelFactor)]
     with mpmath.mp.workprec(prec + _GUARD):
         total = mpf(0)

@@ -8,29 +8,22 @@ numpy on int8/int64 arrays; a full segment of 2^20 values costs a few
 milliseconds.
 
 Tables are immutable after construction and safe to share between threads.
-They can be cached to disk in a 2-bit-packed binary format (see write_cache).
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .errors import CacheFormatError, CapacityError, DomainError
+from .errors import CapacityError, DomainError
 
 DEFAULT_SEGMENT = 1 << 20
 #: refuse to materialize tables larger than this many values (int8 + temporaries)
 MAX_TABLE_VALUES = 1 << 28
-
-_CACHE_MAGIC = b"MOBS"
-_CACHE_VERSION = 1
 
 
 @lru_cache(maxsize=8)
@@ -108,8 +101,7 @@ def sieve_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) -> Mobius
     return MobiusTable(lo, hi, out)
 
 
-def iter_segments(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT,
-                  cache_dir: str | os.PathLike | None = None) -> Iterator[MobiusTable]:
+def iter_segments(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) -> Iterator[MobiusTable]:
     """Stream [lo, hi] as immutable tables of at most segment_size values.
 
     Segments are independent (safe to produce in parallel); this generator
@@ -117,104 +109,7 @@ def iter_segments(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT,
     """
     if not (1 <= lo <= hi):
         raise DomainError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    cached = _cache_lookup(cache_dir, lo, hi) if cache_dir else None
-    if cached is not None:
-        for seg_lo in range(lo, hi + 1, segment_size):
-            seg_hi = min(seg_lo + segment_size - 1, hi)
-            yield MobiusTable(seg_lo, seg_hi,
-                              cached.values[seg_lo - cached.lo: seg_hi - cached.lo + 1])
-        return
     primes = base_primes(isqrt(hi))
     for seg_lo in range(lo, hi + 1, segment_size):
         seg_hi = min(seg_lo + segment_size - 1, hi)
         yield MobiusTable(seg_lo, seg_hi, _sieve_segment(seg_lo, seg_hi, primes))
-
-
-# ---------------------------------------------------------------------------
-# Binary cache: magic "MOBS", version u32, lo u64, hi u64 (little-endian),
-# then 2-bit codes packed 4 per byte, first value in the low-order bits.
-# Codes: 00 -> 0, 01 -> +1, 11 -> -1 (10 is invalid).
-# ---------------------------------------------------------------------------
-
-_HEADER = struct.Struct("<4sIQQ")
-
-
-def write_cache(table: MobiusTable, path: str | os.PathLike) -> None:
-    codes = np.zeros(len(table), dtype=np.uint8)
-    codes[table.values == 1] = 0b01
-    codes[table.values == -1] = 0b11
-    n = len(codes)
-    padded = np.zeros((n + 3) // 4 * 4, dtype=np.uint8)
-    padded[:n] = codes
-    quads = padded.reshape(-1, 4)
-    packed = (quads[:, 0] | (quads[:, 1] << 2) | (quads[:, 2] << 4)
-              | (quads[:, 3] << 6)).astype(np.uint8)
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, table.lo, table.hi))
-        fh.write(packed.tobytes())
-    os.replace(tmp, path)
-
-
-def read_cache(path: str | os.PathLike) -> MobiusTable:
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise CacheFormatError(f"{path}: truncated header")
-        magic, version, lo, hi = _HEADER.unpack(header)
-        if magic != _CACHE_MAGIC:
-            raise CacheFormatError(f"{path}: bad magic {magic!r}")
-        if version != _CACHE_VERSION:
-            raise CacheFormatError(f"{path}: unsupported version {version}")
-        n = hi - lo + 1
-        packed = np.frombuffer(fh.read(), dtype=np.uint8)
-    if len(packed) < (n + 3) // 4:
-        raise CacheFormatError(f"{path}: payload shorter than header claims")
-    quads = np.empty((len(packed), 4), dtype=np.uint8)
-    quads[:, 0] = packed & 0b11
-    quads[:, 1] = (packed >> 2) & 0b11
-    quads[:, 2] = (packed >> 4) & 0b11
-    quads[:, 3] = (packed >> 6) & 0b11
-    codes = quads.reshape(-1)[:n]
-    if np.any(codes == 0b10):
-        raise CacheFormatError(f"{path}: invalid 2-bit code 10")
-    values = np.zeros(n, dtype=np.int8)
-    values[codes == 0b01] = 1
-    values[codes == 0b11] = -1
-    return MobiusTable(int(lo), int(hi), values)
-
-
-def cache_path(cache_dir: str | os.PathLike, lo: int, hi: int) -> Path:
-    return Path(cache_dir) / f"mobs_{lo}_{hi}.bin"
-
-
-def _cache_lookup(cache_dir, lo: int, hi: int) -> MobiusTable | None:
-    """Find a cached table covering [lo, hi] in cache_dir, if any."""
-    d = Path(cache_dir)
-    if not d.is_dir():
-        return None
-    best = None
-    for f in d.glob("mobs_*_*.bin"):
-        try:
-            _, s_lo, s_hi = f.stem.split("_")
-            c_lo, c_hi = int(s_lo), int(s_hi)
-        except ValueError:
-            continue
-        if c_lo <= lo and hi <= c_hi and (best is None or c_hi - c_lo < best[1] - best[0]):
-            best = (c_lo, c_hi, f)
-    if best is None:
-        return None
-    table = read_cache(best[2])
-    return table
-
-
-def build_cache(lo: int, hi: int, cache_dir: str | os.PathLike,
-                segment_size: int = DEFAULT_SEGMENT) -> Path:
-    """Sieve [lo, hi] and persist it; returns the file path."""
-    table = sieve_range(lo, hi, segment_size)
-    d = Path(cache_dir)
-    d.mkdir(parents=True, exist_ok=True)
-    path = cache_path(d, lo, hi)
-    write_cache(table, path)
-    return path

@@ -238,12 +238,12 @@ class PrefixSweep:
     Index convention: entry [n-1] holds the prefix through n.
     """
 
-    def __init__(self, N: int, cache_dir=None):
+    def __init__(self, N: int):
         if N < 1:
             raise DomainError("N >= 1 required")
         self.N = N
         mu = np.empty(N, dtype=np.int8)
-        for seg in iter_segments(1, N, cache_dir=cache_dir):
+        for seg in iter_segments(1, N):
             mu[seg.lo - 1: seg.hi] = seg.values
         self.mu = mu
         ns = np.arange(1, N + 1, dtype=np.float64)
@@ -280,15 +280,6 @@ class PrefixSweep:
              + _EPS * (abs(logx * self.m[n - 1]) * 2 + 2 * abs(v)))
         return ApproxValue(v, radd(r), RIGOROUS, 53)
 
-    def mdcheck_at(self, x: float) -> ApproxValue:
-        n = min(math.floor(x), self.N)
-        logx = math.log(x)
-        v = logx**2 * self.m[n - 1] - 2 * logx * self.Smlog[n - 1] + self.Smlog2[n - 1]
-        r = (logx**2 * self.m_rad[n - 1] + 2 * abs(logx) * self.Smlog_rad[n - 1]
-             + self.Smlog2_rad[n - 1]
-             + _EPS * 8 * (logx**2 * abs(self.m[n - 1]) + abs(logx * self.Smlog[n - 1]) + abs(v)))
-        return ApproxValue(v, radd(r), RIGOROUS, 53)
-
     def I0_at(self, x: float) -> ApproxValue:
         n = min(math.floor(x), self.N)
         v = self.I0[n - 1] + abs(self.m[n - 1]) * (x - n)
@@ -312,8 +303,8 @@ class PrefixSweep:
 
 
 @lru_cache(maxsize=4)
-def prefix_sweep(N: int, cache_dir=None) -> PrefixSweep:
-    return PrefixSweep(N, cache_dir=cache_dir)
+def prefix_sweep(N: int) -> PrefixSweep:
+    return PrefixSweep(N)
 
 
 def abs_m_integrals(x: float, sweep: PrefixSweep | None = None) -> tuple[ApproxValue, ApproxValue]:

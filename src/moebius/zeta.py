@@ -227,11 +227,6 @@ def zeta_em(s, target_radius: float = 1e-30, precision: int | None = None,
     return result
 
 
-def clear_zeta_cache() -> None:
-    with _zeta_lock:
-        _zeta_cache.clear()
-
-
 def partial_power_sum(s, t: float, precision: int | None = None) -> ApproxValue:
     """sum_{k <= t} k^(-s), compensated, with a rounding radius."""
     sp = ComplexParam.coerce(s)

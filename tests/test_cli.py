@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -10,11 +9,8 @@ from moebius.cli import main
 RUN = [sys.executable, "-m", "moebius.cli"]
 
 
-def run_cli(*args, env=None):
-    e = dict(os.environ)
-    if env:
-        e.update(env)
-    return subprocess.run([*RUN, *args], capture_output=True, text=True, env=e)
+def run_cli(*args):
+    return subprocess.run([*RUN, *args], capture_output=True, text=True)
 
 
 def test_compute_x10():
@@ -35,6 +31,7 @@ def test_compute_x1_trivial():
 def test_compute_domain_error_exit2():
     assert run_cli("compute", "--x", "0.5").returncode == 2
     assert run_cli("compute", "--x", "10", "--precision", "20").returncode == 2
+    assert run_cli("compute", "--x", "10", "--cache-dir", "d").returncode == 2
 
 
 def test_compute_large_M_field():
@@ -55,6 +52,7 @@ def test_verify_exit_zero_and_json_schema():
 
 def test_verify_unknown_suite_exit2():
     assert run_cli("verify", "--suite", "not-a-check").returncode == 2
+    assert run_cli("sieve-cache", "--hi", "100").returncode == 2
 
 
 def test_verify_deterministic_bytes():
@@ -95,23 +93,6 @@ def test_quad_output():
     assert r.returncode == 0
     assert "tail <= 0.783" in r.stdout  # 9.4/12
     assert "[rigorous]" in r.stdout
-
-
-def test_sieve_cache_cli(tmp_path):
-    r = run_cli("sieve-cache", "--hi", "50000", "--cache-dir", str(tmp_path))
-    assert r.returncode == 0
-    path = r.stdout.strip()
-    assert path.endswith("mobs_1_50000.bin")
-    r2 = run_cli("sieve-cache", "--inspect", path)
-    assert "mu(1..50000)" in r2.stdout
-    assert "1, -1, -1, 0, -1, 1, -1, 0, 0, 1" in r2.stdout
-
-
-def test_cache_dir_env(tmp_path):
-    r = run_cli("sieve-cache", "--hi", "10000",
-                env={"MOEBIUS_CACHE_DIR": str(tmp_path)})
-    assert r.returncode == 0
-    assert str(tmp_path) in r.stdout
 
 
 def test_config_file(tmp_path):

@@ -23,6 +23,18 @@ def test_transform_identities(fn, sigma):
     assert _agree(lhs, rhs), (fn.__name__, sigma)
 
 
+@pytest.mark.parametrize("fn", [mtronq_residual, mtronqch_residual, mtronqchch_residual])
+def test_m_tail_transforms_need_no_summatory_snapshot(fn, monkeypatch):
+    # the m-tail right-hand sides read m(x) from the streamed transform;
+    # a separate mp summatory snapshot at x would be wasted work
+    def refuse(*args, **kwargs):
+        raise AssertionError("summatory snapshot computed")
+
+    monkeypatch.setattr("moebius.mellin.summatory", refuse)
+    lhs, rhs = fn(2.0, 1000.0, T=100_000)
+    assert _agree(lhs, rhs), fn.__name__
+
+
 def test_transform_rejects_wrong_halfplane():
     with pytest.raises(DomainError):
         mtronq_residual(0.9, 1000.0)

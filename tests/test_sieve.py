@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moebius.errors import CacheFormatError, CapacityError, DomainError
-from moebius.sieve import (MobiusTable, build_cache, iter_segments, read_cache,
-                           sieve_range, write_cache)
+from moebius.errors import CapacityError, DomainError
+from moebius.sieve import MobiusTable, iter_segments, sieve_range
 from oracles import FROZEN, mu_trial_division
 
 
@@ -72,54 +71,3 @@ def test_domain_and_capacity_errors():
         sieve_range(1, 2**28 + 2)
     with pytest.raises(DomainError):
         MobiusTable(1, 2, np.zeros(2, dtype=np.int8)).mu(5)
-
-
-# cache file format ----------------------------------------------------------
-
-def test_cache_roundtrip(tmp_path):
-    table = sieve_range(1, 10_001)  # non-multiple of 4 exercises padding
-    path = tmp_path / "mobs_1_10001.bin"
-    write_cache(table, path)
-    back = read_cache(path)
-    assert back.lo == 1 and back.hi == 10_001
-    assert np.array_equal(back.values, table.values)
-
-
-def test_cache_header_layout(tmp_path):
-    table = sieve_range(5, 12)  # mu: -1, 1, -1, 0, 0, 1, -1, 0
-    path = tmp_path / "c.bin"
-    write_cache(table, path)
-    raw = path.read_bytes()
-    assert raw[:4] == b"MOBS"
-    assert int.from_bytes(raw[4:8], "little") == 1
-    assert int.from_bytes(raw[8:16], "little") == 5
-    assert int.from_bytes(raw[16:24], "little") == 12
-    # first byte packs mu(5..8) = -1,1,-1,0 -> codes 11,01,11,00 low bits first
-    assert raw[24] == 0b00110111
-    assert len(raw) == 24 + 2  # 8 values -> 2 bytes
-
-
-def test_cache_rejects_corruption(tmp_path):
-    table = sieve_range(1, 16)
-    path = tmp_path / "c.bin"
-    write_cache(table, path)
-    raw = bytearray(path.read_bytes())
-    raw[0:4] = b"XOBS"
-    (tmp_path / "bad_magic.bin").write_bytes(raw)
-    with pytest.raises(CacheFormatError):
-        read_cache(tmp_path / "bad_magic.bin")
-    raw = bytearray(path.read_bytes())
-    raw[24] = 0b10  # invalid code
-    (tmp_path / "bad_code.bin").write_bytes(raw)
-    with pytest.raises(CacheFormatError):
-        read_cache(tmp_path / "bad_code.bin")
-    with pytest.raises(CacheFormatError):
-        (tmp_path / "short.bin").write_bytes(path.read_bytes()[:20])
-        read_cache(tmp_path / "short.bin")
-
-
-def test_iter_segments_uses_cache(tmp_path):
-    build_cache(1, 20_000, tmp_path)
-    segs = list(iter_segments(1, 15_000, 4096, cache_dir=tmp_path))
-    direct = sieve_range(1, 15_000)
-    assert np.array_equal(np.concatenate([s.values for s in segs]), direct.values)
