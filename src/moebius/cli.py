@@ -53,22 +53,9 @@ def _parse_grid(text: str) -> dict:
     return grid
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    cfg = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition("=")
-        cfg[key.strip()] = val.strip()
-    return cfg
-
-
-def build_parser() -> argparse.ArgumentParser:
-    # shared options are accepted both before and after the subcommand; the
-    # parent uses SUPPRESS so a subparser never clobbers values parsed earlier
+def _global_options() -> argparse.ArgumentParser:
+    """The options every subcommand takes, before or after its name.  They use
+    SUPPRESS so a subparser never clobbers values parsed earlier."""
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
                                      argument_default=argparse.SUPPRESS)
     common.add_argument("--precision", type=int,
@@ -80,6 +67,56 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value config file; flags win")
     common.add_argument("--stable-output", action="store_true",
                         help="zero timing fields for byte-identical output")
+    return common
+
+
+def _config_value(action: argparse.Action, text: str):
+    """`text` parsed as the flag `action` parses its argument; a switch takes
+    true or false."""
+    if not text:
+        raise ValueError("expected a value")
+    if action.nargs == 0:
+        if text.lower() not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return text.lower() == "true"
+    value = (action.type or str)(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"expected one of {', '.join(action.choices)}")
+    return value
+
+
+def _load_config(path: str) -> dict:
+    """key = value lines (# comments) -> typed global options, keyed and
+    parsed as the global flags but --config.  Raises ValueError with a
+    one-line message on an unreadable file, a line without '=', an unknown
+    key or a malformed value."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
+    actions = {a.dest: a for a in _global_options()._actions if a.dest != "config"}
+    cfg = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        where = f"config file {path}, line {lineno}"
+        if not eq:
+            raise ValueError(f"{where}: expected key = value")
+        if key not in actions:
+            raise ValueError(f"{where}: unknown key {key!r} "
+                             f"(known: {', '.join(actions)})")
+        try:
+            cfg[key] = _config_value(actions[key], val)
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad value {val!r} for {key}: {exc}") from None
+    return cfg
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _global_options()
     p = argparse.ArgumentParser(prog="moebius", allow_abbrev=False, parents=[common],
                                 description="Moebius summatory functions, explicit "
                                             "kernels and verified identity sweeps")
@@ -226,10 +263,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     explicit = {k for k in _GLOBAL_DEFAULTS if hasattr(args, k)}
-    cfg = _load_config(args.config) if "config" in explicit else {}
-    for key in ("precision", "threads"):
-        if key in cfg and key not in explicit:
-            setattr(args, key, int(cfg[key]))
+    try:
+        cfg = _load_config(args.config) if "config" in explicit else {}
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    for key, val in cfg.items():
+        if key not in explicit:
+            setattr(args, key, val)
             explicit.add(key)
     for key, val in _GLOBAL_DEFAULTS.items():
         if key not in explicit:

@@ -22,8 +22,8 @@ from mpmath import mpf
 
 from .approx import ApproxValue, RIGOROUS, eps_for, radd
 from .errors import CoverageError, DomainError
-from .piecewise import (ConstFactor, FunctionSpec, InnerSumFactor, PowLogSum,
-                        SummatoryFactor, integrate_partition)
+from .piecewise import (FunctionSpec, InnerSumFactor, PowLogSum, SummatoryFactor,
+                        integrate_partition)
 from .sieve import sieve_range
 
 _GUARD = 48
@@ -138,7 +138,7 @@ def terre_sides(a: SequenceSpec, b: SequenceSpec, omega: FunctionSpec,
         left = [SummatoryFactor(av, omega, x), InnerSumFactor(bv, phi)]
         lhs = integrate_partition(x, left, over_t, precision=prec)
         conv = _mp_values(dirichlet_convolve(a, b, N), prec)
-        right = [SummatoryFactor(conv, omega, x), ConstFactor.from_spec(phi)]
+        right = [SummatoryFactor(conv, omega, x), PowLogSum.from_spec(phi)]
         rhs = integrate_partition(x, right, over_t, precision=prec)
     return lhs, rhs
 

@@ -30,21 +30,17 @@ _GUARD = 96
 
 class StepPolyFactor:
     """Piecewise log-polynomial in t with coefficients indexed by K = floor(t):
-    poly(K) = t^power * sum_j coeffs[j][K] log^j t."""
+    t^power * sum_j coeffs[j][K] log^j t."""
 
-    uses = "K"
+    index = "K"
 
     def __init__(self, coeff_columns, power=0):
         self.cols = coeff_columns  # list over j of lists indexed by K
-        self.power = power
+        self.shape = [(mpmath.mpmathify(power), j) for j in range(len(coeff_columns))]
 
-    def poly(self, K: int) -> PowLogSum:
-        out = PowLogSum()
-        for j, col in enumerate(self.cols):
-            c = col[min(K, len(col) - 1)]
-            if c != 0:
-                out.add_monomial(c, mpmath.mpmathify(self.power), j)
-        return out
+    def coeffs(self, K: int):
+        vals = [col[min(K, len(col) - 1)] for col in self.cols]
+        return vals, [abs(complex(c)) for c in vals]
 
 
 def _mp_prefixes(x: float, prec: int):

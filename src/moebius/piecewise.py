@@ -11,21 +11,36 @@ points x/n, so floor(t), every truncated power sum in t, and every summatory
 value at x/t are constant in structure between consecutive breakpoints: each
 piece contributes an antiderivative difference, not a quadrature estimate.
 
+Compiled shape: every factor declares its index (N = floor(x/t), K = floor(t),
+or none) and a fixed list of (exponent, log degree) slots; only the slot
+coefficients change from piece to piece.  So `integrate_partition` multiplies
+the shapes out once per call and composes the product with the antiderivative
+(a fixed linear map per (p, j), see `_antiderivative`) into one map from the
+factors' slot tuples to the antiderivative's slots t^q log^i t.  Each
+breakpoint's t^q log^i t values are computed once and shared by the two
+pieces that meet there; a piece then costs its coefficient products and one
+dot product with the difference of its endpoint values.  Coefficient vectors
+are computed once per distinct index value (adjacent pieces share N or K).
+
 Radius accounting: all arithmetic runs at 96 guard bits; each piece adds to a
 condition tracker the absolute-coefficient evaluation of its integrand's
 antiderivative at both endpoints plus the contribution magnitude, and the
 final radius is eps(prec) * 64 * tracker, a generous cover for every rounding
-and cancellation the piece can contain at that operation count.
+and cancellation the piece can contain at that operation count.  A factor
+with imported zeta data (the Q and R kernels) also carries a zeta column, the
+derivative of its coefficients in zeta(s); the same map turns it into the
+integral's sensitivity to zeta, which the zeta radius multiplies.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
-from mpmath import mpf, mpc
+from mpmath import mpf
 
 from .approx import ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
@@ -35,10 +50,6 @@ from .zeta import ComplexParam, power_prefix_table, zeta_em
 
 _GUARD = 96
 MAX_PARTITION_X = 10_000_000
-
-
-def _binom(k: int, j: int) -> int:
-    return math.comb(k, j)
 
 
 # ---------------------------------------------------------------------------
@@ -93,152 +104,51 @@ class FunctionSpec:
 
 
 class PowLogSum:
-    """sum_i t^{p_i} * (poly_i in log t); the closed integrand family.
+    """sum_i c_i t^{p_i} log(t)^{k_i}: a factor that is the same on every piece.
 
-    Each term keeps the coefficient vector and an absolute-coefficient vector
-    used by the radius model (the abs vector dominates |coeff| even through
-    cancellations in how the coefficient was built).
+    abs_values[i] dominates |values[i]| for the radius model, also through
+    cancellations in how the coefficient was built.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("shape", "values", "abs_values")
+    index = None
 
-    def __init__(self, terms=None):
-        # terms: list of [p (mpf/mpc), coeffs list, abs_coeffs list of float]
-        self.terms = terms if terms is not None else []
+    def __init__(self):
+        self.shape, self.values, self.abs_values = [], [], []
 
     @classmethod
     def monomial(cls, c, p, k: int, abs_c: float | None = None) -> "PowLogSum":
-        coeffs = [mpf(0)] * k + [c]
-        absc = [0.0] * k + [abs(complex(c)) if abs_c is None else abs_c]
-        return cls([[mpmath.mpmathify(p), coeffs, absc]])
+        out = cls()
+        out.add_monomial(c, p, k, abs_c)
+        return out
 
-    def copy(self) -> "PowLogSum":
-        return PowLogSum([[p, list(cs), list(ac)] for p, cs, ac in self.terms])
-
-    def _find(self, p):
-        for term in self.terms:
-            if term[0] == p:
-                return term
-        return None
+    @classmethod
+    def from_spec(cls, fs: FunctionSpec) -> "PowLogSum":
+        return cls.monomial(mpmath.mpmathify(fs.c), fs.p, fs.k)
 
     def add_monomial(self, c, p, k: int, abs_c: float | None = None) -> None:
-        p = mpmath.mpmathify(p)
-        absc = abs(complex(c)) if abs_c is None else abs_c
-        term = self._find(p)
-        if term is None:
-            self.terms.append([p, [mpf(0)] * k + [c], [0.0] * k + [absc]])
-            return
-        _, cs, ac = term
-        while len(cs) <= k:
-            cs.append(mpf(0))
-            ac.append(0.0)
-        cs[k] = cs[k] + c
-        ac[k] = ac[k] + absc
+        self.shape.append((mpmath.mpmathify(p), k))
+        self.values.append(c)
+        self.abs_values.append(abs(complex(c)) if abs_c is None else abs_c)
 
-    def __iadd__(self, other: "PowLogSum"):
-        for p, cs, ac in other.terms:
-            for k, c in enumerate(cs):
-                if c != 0 or ac[k] != 0.0:
-                    self.add_monomial(c, p, k, ac[k])
-        return self
-
-    def mul(self, other: "PowLogSum") -> "PowLogSum":
-        out = PowLogSum()
-        for p1, cs1, ac1 in self.terms:
-            for p2, cs2, ac2 in other.terms:
-                p = p1 + p2
-                for k1, c1 in enumerate(cs1):
-                    if c1 == 0 and ac1[k1] == 0.0:
-                        continue
-                    for k2, c2 in enumerate(cs2):
-                        if c2 == 0 and ac2[k2] == 0.0:
-                            continue
-                        out.add_monomial(c1 * c2, p, k1 + k2, ac1[k1] * ac2[k2])
-        return out
-
-    def antiderivative(self) -> "PowLogSum":
-        """Exact antiderivative, term by term.
-
-        p != -1: integral t^p log^j = t^{p+1} G_j(log t) with
-                 G_j = log^j/(p+1) - (j/(p+1)) G_{j-1};
-        p == -1: integral t^-1 log^j = log^{j+1}/(j+1).
-        """
-        out = PowLogSum()
-        for p, cs, ac in self.terms:
-            if p == -1:
-                for j, c in enumerate(cs):
-                    if c == 0 and ac[j] == 0.0:
-                        continue
-                    out.add_monomial(c / (j + 1), mpf(0), j + 1, ac[j] / (j + 1))
-            else:
-                q = p + 1
-                for j, c in enumerate(cs):
-                    if c == 0 and ac[j] == 0.0:
-                        continue
-                    # unrolled recurrence: integral t^p log^j dt =
-                    #   t^{p+1} sum_{i=0}^{j} (-1)^{j-i} (j!/i!) / (p+1)^{j-i+1} log^i
-                    for i in range(j, -1, -1):
-                        coef = (mpf(math.factorial(j)) / math.factorial(i)) / q ** (j - i + 1)
-                        if (j - i) % 2:
-                            coef = -coef
-                        out.add_monomial(c * coef, q, i, ac[j] * abs(complex(coef)))
-        return out
-
-    def eval_with_scale(self, ctx: "EndpointContext"):
-        """(value, abs_scale): the value at ctx.t and the absolute-coefficient
-        magnitude bound used by the radius model."""
-        total = mpf(0)
-        scale = 0.0
-        for p, cs, ac in self.terms:
-            tp = ctx.power(p)
-            tp_abs = ctx.power_abs(p)
-            poly = mpf(0)
-            poly_abs = 0.0
-            lg = mpf(1)
-            lg_abs = 1.0
-            for j, c in enumerate(cs):
-                if c != 0:
-                    poly += c * lg
-                if ac[j]:
-                    poly_abs += ac[j] * lg_abs
-                lg = lg * ctx.logt
-                lg_abs *= ctx.logt_abs
-            total = total + tp * poly
-            scale += tp_abs * poly_abs
-        return total, scale
+    def coeffs(self, idx):
+        return self.values, self.abs_values
 
 
-class EndpointContext:
-    """Caches log t and the needed complex powers of one endpoint."""
+def _antiderivative(p, j: int) -> list:
+    """[(q, i, coef)] with integral t^p log^j t dt = sum coef t^q log^i t.
 
-    __slots__ = ("t", "logt", "logt_abs", "_pows", "_pow_abs")
-
-    def __init__(self, t):
-        self.t = t
-        self.logt = mpmath.log(t)
-        self.logt_abs = abs(float(self.logt))
-        self._pows = {}
-        self._pow_abs = {}
-
-    def power(self, p):
-        key = (float(mpmath.re(p)), float(mpmath.im(p)))
-        v = self._pows.get(key)
-        if v is None:
-            if p == 0:
-                v = mpf(1)
-            elif p == 1:
-                v = self.t
-            else:
-                v = mpmath.exp(p * self.logt)
-            self._pows[key] = v
-            self._pow_abs[key] = float(mpmath.fabs(v))
-        return v
-
-    def power_abs(self, p) -> float:
-        key = (float(mpmath.re(p)), float(mpmath.im(p)))
-        if key not in self._pow_abs:
-            self.power(p)
-        return self._pow_abs[key]
+    p != -1: t^{p+1} sum_{i<=j} (-1)^{j-i} (j!/i!) / (p+1)^{j-i+1} log^i t;
+    p == -1: log^{j+1} t / (j+1).
+    """
+    if p == -1:
+        return [(mpf(0), j + 1, mpf(1) / (j + 1))]
+    q = p + 1
+    out = []
+    for i in range(j, -1, -1):
+        coef = (mpf(math.factorial(j)) / math.factorial(i)) / q ** (j - i + 1)
+        out.append((q, i, -coef if (j - i) % 2 else coef))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +177,9 @@ class Partition:
                 pts.append(xm)
             if need_inverse_points:
                 pts.extend(xm / n for n in range(2, N + 1))
-            pts = sorted(set(pts))
+            # rounding to float is monotone, so the float key orders as the
+            # mpf values do and leaves only float ties to mpf comparisons
+            pts = sorted(set(pts), key=lambda p: (float(p), p))
         self.points = pts
 
     def __len__(self):
@@ -278,50 +190,34 @@ class Partition:
         x = mpf(self.x)
         for a, b in zip(self.points, self.points[1:]):
             mid = (a + b) / 2
-            K = int(mpmath.floor(mid))
-            N = int(mpmath.floor(x / mid))
+            K = int(mid)  # int() truncates: floor, as mid >= 1
+            N = int(x / mid)
             yield a, b, N, K
 
 
 # ---------------------------------------------------------------------------
-# Piece factors.
+# Piece factors: index ("N", "K" or None), shape [(p, k)], and
+# coeffs(idx) -> (values, abs_values) aligned with the shape.
 # ---------------------------------------------------------------------------
-
-class ConstFactor:
-    """A fixed PowLogSum, independent of the piece index."""
-
-    uses = "none"
-
-    def __init__(self, poly: PowLogSum):
-        self._poly = poly
-
-    @classmethod
-    def from_spec(cls, fs: FunctionSpec | None):
-        if fs is None:
-            return cls(PowLogSum.monomial(mpf(1), 0, 0))
-        return cls(PowLogSum.monomial(mpmath.mpmathify(fs.c), fs.p, fs.k))
-
-    def poly(self, idx: int) -> PowLogSum:
-        return self._poly
-
 
 class SummatoryFactor:
     """S_a omega(x/t) = sum_{n <= x/t} a(n) omega((x/n)/t), indexed by
-    N = floor(x/t).
+    N = floor(x/t), plus optional constants `offset[j]` on log^j t (only for
+    omega.p == 0, where they share the shape's t^0 log^j t slots).
 
     omega(u) = c u^p log^k u gives, with L_n = log(x/n) and A_n = (x/n)^p,
     the t-polynomial  c t^{-p} sum_j C(k,j)(-1)^j log^j t * W_{k-j}(N),
     W_i(N) = sum_{n<=N} a(n) A_n L_n^i.  The W_i are prefix tables.
     """
 
-    uses = "N"
+    index = "N"
 
-    def __init__(self, seq_values, omega: FunctionSpec, x: float):
-        self.omega = omega
+    def __init__(self, seq_values, omega: FunctionSpec, x: float, offset=()):
+        if any(offset) and omega.p != 0:
+            raise DomainError("offset needs omega.p == 0")
         k = omega.k
         N_max = len(seq_values)
         xm = mpf(x)
-        cm = mpmath.mpmathify(omega.c)
         self.W = [[mpf(0)] for _ in range(k + 1)]      # prefix sums, index N
         self.W_abs = [[0.0] for _ in range(k + 1)]
         for n in range(1, N_max + 1):
@@ -342,19 +238,20 @@ class SummatoryFactor:
                 if i < k:
                     term = term * Ln
         self.k = k
-        self.c = cm
-        self.p = omega.p
+        cm = mpmath.mpmathify(omega.c)
+        self.coef = [cm * math.comb(k, j) * (-1 if j % 2 else 1) for j in range(k + 1)]
+        self.coef_abs = [abs(complex(c)) for c in self.coef]
+        self.offset = list(offset) + [0] * (k + 1 - len(offset))
+        self.offset_abs = [abs(complex(c)) for c in self.offset]
+        self.shape = [(-mpmath.mpmathify(omega.p), j) for j in range(k + 1)]
 
-    def poly(self, N: int) -> PowLogSum:
+    def coeffs(self, N: int):
         N = min(N, len(self.W[0]) - 1)
-        out = PowLogSum()
-        for j in range(self.k + 1):
-            sign = -1 if j % 2 else 1
-            coef = self.c * _binom(self.k, j) * sign
-            w = self.W[self.k - j][N]
-            out.add_monomial(coef * w, -mpmath.mpmathify(self.p), j,
-                             abs(complex(coef)) * self.W_abs[self.k - j][N])
-        return out
+        k = self.k
+        vals = [self.coef[j] * self.W[k - j][N] + self.offset[j] for j in range(k + 1)]
+        absv = [self.coef_abs[j] * self.W_abs[k - j][N] + self.offset_abs[j]
+                for j in range(k + 1)]
+        return vals, absv
 
 
 class InnerSumFactor:
@@ -364,10 +261,9 @@ class InnerSumFactor:
     V_i(K) = sum_{k<=K} b(k) k^{-p} (-log k)^i.
     """
 
-    uses = "K"
+    index = "K"
 
     def __init__(self, seq_values, phi: FunctionSpec):
-        self.phi = phi
         l = phi.k
         K_max = len(seq_values)
         self.V = [[mpf(0)] for _ in range(l + 1)]
@@ -388,43 +284,40 @@ class InnerSumFactor:
                 if i < l:
                     term = term * mlk
         self.l = l
-        self.c = mpmath.mpmathify(phi.c)
-        self.p = phi.p
+        cm = mpmath.mpmathify(phi.c)
+        self.coef = [cm * math.comb(l, j) for j in range(l + 1)]
+        self.coef_abs = [abs(complex(c)) for c in self.coef]
+        self.shape = [(mpmath.mpmathify(phi.p), j) for j in range(l + 1)]
 
-    def poly(self, K: int) -> PowLogSum:
+    def coeffs(self, K: int):
         K = min(K, len(self.V[0]) - 1)
-        out = PowLogSum()
-        for j in range(self.l + 1):
-            coef = self.c * _binom(self.l, j)
-            out.add_monomial(coef * self.V[self.l - j][K], mpmath.mpmathify(self.p), j,
-                             abs(complex(coef)) * self.V_abs[self.l - j][K])
-        return out
+        l = self.l
+        return ([self.coef[j] * self.V[l - j][K] for j in range(l + 1)],
+                [self.coef_abs[j] * self.V_abs[l - j][K] for j in range(l + 1)])
 
 
 class QKernelFactor:
-    """(s-1)(zeta(s) - P_K) t^s - t on pieces with floor(t) = K."""
+    """(s-1)(zeta(s) - P_K) t^s - t on pieces with floor(t) = K.
 
-    uses = "K"
+    zeta_column is d(coefficients)/d(zeta): (s-1) on the t^s slot.
+    """
+
+    index = "K"
 
     def __init__(self, s: ComplexParam, prec: int, target_radius: float = 1e-35):
         s.require_not_one("Q kernel")
-        self.s = s
-        self.prec = prec
         self.zeta, _ = zeta_em(s, target_radius, precision=prec, want_derivative=False)
         self.table = power_prefix_table(s.sigma, s.tau, prec)
         self.sm = s.as_mpc()
+        self.sm1_abs = abs(complex(self.sm - 1))
+        self.shape = [(self.sm, 0), (mpf(1), 0)]
+        self.zeta_column = [self.sm - 1, 0]
 
-    def poly(self, K: int) -> PowLogSum:
-        c = (self.sm - 1) * (self.zeta.value - self.table.value(K))
-        abs_c = abs(complex(self.sm - 1)) * (float(mpmath.fabs(self.zeta.value))
-                                             + float(mpmath.fabs(self.table.value(K))))
-        out = PowLogSum.monomial(c, self.sm, 0, abs_c)
-        out.add_monomial(mpf(-1), mpf(1), 0, 1.0)
-        return out
-
-    def zeta_sensitivity(self, idx: int) -> PowLogSum:
-        # d(poly)/d(zeta) = (s-1) t^s
-        return PowLogSum.monomial(self.sm - 1, self.sm, 0)
+    def coeffs(self, K: int):
+        P = self.table.value(K)
+        c = (self.sm - 1) * (self.zeta.value - P)
+        abs_c = self.sm1_abs * (float(mpmath.fabs(self.zeta.value)) + float(mpmath.fabs(P)))
+        return [c, mpf(-1)], [abs_c, 1.0]
 
     @property
     def zeta_radius(self) -> float:
@@ -434,96 +327,150 @@ class QKernelFactor:
 class RKernelFactor(QKernelFactor):
     """Q_s(t) + (s-1)(1/2 - {t}) with {t} = t - K on the piece."""
 
-    def poly(self, K: int) -> PowLogSum:
-        out = super().poly(K)
+    def __init__(self, s: ComplexParam, prec: int, target_radius: float = 1e-35):
+        super().__init__(s, prec, target_radius)
+        self.shape.append((mpf(0), 0))
+        self.zeta_column.append(0)
+
+    def coeffs(self, K: int):
+        (c, _), (abs_c, _) = super().coeffs(K)
         sm1 = self.sm - 1
-        out.add_monomial(sm1 * (mpf(1) / 2 + K), mpf(0), 0)
-        out.add_monomial(-sm1, mpf(1), 0)
-        return out
+        half_K = sm1 * (mpf(1) / 2 + K)
+        return [c, mpf(-1) - sm1, half_K], [abs_c, 1.0 + self.sm1_abs, abs(complex(half_K))]
 
 
 class PowSumFactor:
     """sum_{k<=t} (t/k)^s = t^s P_K."""
 
-    uses = "K"
+    index = "K"
 
     def __init__(self, s: ComplexParam, prec: int):
-        self.s = s
         self.table = power_prefix_table(s.sigma, s.tau, prec)
-        self.sm = s.as_mpc()
+        self.shape = [(s.as_mpc(), 0)]
 
-    def poly(self, K: int) -> PowLogSum:
-        return PowLogSum.monomial(self.table.value(K), self.sm, 0,
-                                  float(mpmath.fabs(self.table.value(K))))
+    def coeffs(self, K: int):
+        P = self.table.value(K)
+        return [P], [float(mpmath.fabs(P))]
 
 
 class HalfMinusFracFactor:
     """1/2 - {t} = 1/2 + K - t."""
 
-    uses = "K"
+    index = "K"
+    shape = [(mpf(0), 0), (mpf(1), 0)]
 
-    def poly(self, K: int) -> PowLogSum:
-        out = PowLogSum.monomial(mpf(1) / 2 + K, mpf(0), 0)
-        out.add_monomial(mpf(-1), mpf(1), 0)
-        return out
+    def coeffs(self, K: int):
+        c = mpf(1) / 2 + K
+        return [c, mpf(-1)], [abs(complex(c)), 1.0]
+
+
+def _harmonic_numbers(K_max: int, prec: int) -> list:
+    with mpmath.mp.workprec(prec + _GUARD):
+        H = [mpf(0)]
+        for k in range(1, K_max + 2):
+            H.append(H[-1] + mpf(1) / k)
+    return H
 
 
 class HarmonicWeightFactor:
     """t (H(t) - log t - gamma) with H piecewise constant."""
 
-    uses = "K"
+    index = "K"
+    shape = [(mpf(1), 0), (mpf(1), 1)]
 
     def __init__(self, K_max: int, prec: int):
-        g = gamma_const(prec + _GUARD)
-        with mpmath.mp.workprec(prec + _GUARD):
-            self.H = [mpf(0)]
-            for k in range(1, K_max + 2):
-                self.H.append(self.H[-1] + mpf(1) / k)
-            self.gamma = g
+        self.gamma = gamma_const(prec + _GUARD)
+        self.H = _harmonic_numbers(K_max, prec)
 
-    def poly(self, K: int) -> PowLogSum:
-        K = min(K, len(self.H) - 1)
-        out = PowLogSum.monomial(self.H[K] - self.gamma, mpf(1), 0)
-        out.add_monomial(mpf(-1), mpf(1), 1)
-        return out
+    def coeffs(self, K: int):
+        c = self.H[min(K, len(self.H) - 1)] - self.gamma
+        return [c, mpf(-1)], [abs(complex(c)), 1.0]
 
 
 class LogMinusHFactor:
     """log t - H(t), the k = 1 right-hand integrand."""
 
-    uses = "K"
+    index = "K"
+    shape = [(mpf(0), 0), (mpf(0), 1)]
 
     def __init__(self, K_max: int, prec: int):
-        with mpmath.mp.workprec(prec + _GUARD):
-            self.H = [mpf(0)]
-            for k in range(1, K_max + 2):
-                self.H.append(self.H[-1] + mpf(1) / k)
+        self.H = _harmonic_numbers(K_max, prec)
 
-    def poly(self, K: int) -> PowLogSum:
-        K = min(K, len(self.H) - 1)
-        out = PowLogSum.monomial(-self.H[K], mpf(0), 0, float(self.H[K]))
-        out.add_monomial(mpf(1), mpf(0), 1)
-        return out
-
-
-class FactorSum:
-    """Pointwise sum of factors (e.g. m-check(x/t) - 1)."""
-
-    def __init__(self, *factors):
-        self.factors = factors
-        self.uses = "NK"
-
-    def poly(self, N: int, K: int | None = None) -> PowLogSum:
-        out = PowLogSum()
-        for f in self.factors:
-            idx = N if getattr(f, "uses", "N") in ("N", "none") else K
-            out += f.poly(idx) if not isinstance(f, FactorSum) else f.poly(N, K)
-        return out
+    def coeffs(self, K: int):
+        h = self.H[min(K, len(self.H) - 1)]
+        return [-h, mpf(1)], [float(h), 1.0]
 
 
 # ---------------------------------------------------------------------------
 # The integrator.
 # ---------------------------------------------------------------------------
+
+def _compile(factors: list):
+    """Multiply the factors' shapes out once and compose with the
+    antiderivative map.
+
+    Returns (varying factors, exponents, slots, terms): the antiderivative of
+    the product on a piece is sum_o F[o] t^q log^i t over slots[o] = (g, i)
+    with exponents[g] = (q, q as an int or None, Re q), and F[o] = sum over
+    terms (tuple, outs) with (o, m, m_abs) in outs of
+    m * prod_f coeffs_f[tuple[f]].
+    """
+    varying = [f for f in factors if f.index is not None]
+    const = [(mpf(0), 0, mpf(1), 1.0)]  # the constant factors, multiplied out
+    for f in factors:
+        if f.index is None:
+            vals, absv = f.coeffs(None)
+            const = [(p0 + p, k0 + k, c0 * c, a0 * a)
+                     for p0, k0, c0, a0 in const
+                     for (p, k), c, a in zip(f.shape, vals, absv)]
+    exponents, slots, terms = [], {}, []
+    for tup in itertools.product(*(range(len(f.shape)) for f in varying)):
+        p_v = sum((f.shape[i][0] for f, i in zip(varying, tup)), mpf(0))
+        k_v = sum(f.shape[i][1] for f, i in zip(varying, tup))
+        outs = {}
+        for p0, k0, c0, a0 in const:
+            for q, i, coef in _antiderivative(p_v + p0, k_v + k0):
+                g = next((g for g, e in enumerate(exponents) if e == q), None)
+                if g is None:
+                    g = len(exponents)
+                    exponents.append(q)
+                o = slots.setdefault((g, i), len(slots))
+                m, m_abs = outs.get(o, (0, 0.0))
+                outs[o] = (m + c0 * coef, m_abs + a0 * abs(complex(coef)))
+        terms.append((tup, [(o, m, m_abs) for o, (m, m_abs) in outs.items()]))
+    exponents = [(q, int(q.real) if q == int(q.real) else None, float(q.real))
+                 for q in exponents]
+    return varying, exponents, list(slots), terms
+
+
+def _endpoint(t, exponents, slots):
+    """(t^q log^i t, |t^q| |log t|^i) per antiderivative slot at t."""
+    logt = mpmath.log(t)
+    logt_f = float(logt)
+    tq = [mpmath.exp(q * logt) if n is None else t ** n for q, n, _ in exponents]
+    tq_abs = [math.exp(q_re * logt_f) for _, _, q_re in exponents]
+    logs = [mpf(1)]
+    for _ in range(max((i for _, i in slots), default=0)):
+        logs.append(logs[-1] * logt)
+    vals = [tq[g] * logs[i] if i else tq[g] for g, i in slots]
+    absv = [tq_abs[g] * abs(logt_f) ** i for g, i in slots]
+    return vals, absv
+
+
+def _coefficients(terms, vecs, n: int):
+    """(F, F_abs): the antiderivative's slot coefficients on one piece."""
+    F = [0] * n
+    F_abs = [0.0] * n
+    for tup, outs in terms:
+        c, c_abs = 1, 1.0
+        for (vals, absv), i in zip(vecs, tup):
+            c = c * vals[i]
+            c_abs *= absv[i]
+        for o, m, m_abs in outs:
+            F[o] += c * m
+            F_abs[o] += c_abs * m_abs
+    return F, F_abs
+
 
 def integrate_partition(x: float, factors: list, extra: PowLogSum | None = None,
                         precision: int | None = None) -> ApproxValue:
@@ -531,47 +478,42 @@ def integrate_partition(x: float, factors: list, extra: PowLogSum | None = None,
     `extra`, with compensated accumulation and a rigorous rounding radius."""
     prec = precision or mpmath.mp.prec
     eps = eps_for(prec)
-    need_inverse = any(getattr(f, "uses", "N") in ("N", "NK") for f in factors)
-    part = Partition(x, need_inverse_points=need_inverse)
-    zeta_factors = [f for f in factors if isinstance(f, QKernelFactor)]
+    factors = list(factors) + ([extra] if extra is not None else [])
+    part = Partition(x, need_inverse_points=any(f.index == "N" for f in factors))
     with mpmath.mp.workprec(prec + _GUARD):
+        varying, exponents, slots, terms = _compile(factors)
+        n = len(slots)
+        # per zeta factor: its position and the terms its zeta column reaches
+        zeta = [(pos, [(tup, outs) for tup, outs in terms if f.zeta_column[tup[pos]] != 0])
+                for pos, f in enumerate(varying) if hasattr(f, "zeta_column")]
+        zeta_sens = [0.0] * len(zeta)
+        memo = [(None, None)] * len(varying)
         total = mpf(0)
         cond = 0.0
-        zeta_sens = 0.0
+        b_prev = end_b = None
         for a, b, N, K in part.pieces():
-            poly = None
-            for f in factors:
-                if isinstance(f, FactorSum):
-                    p = f.poly(N, K)
-                else:
-                    p = f.poly(N if f.uses in ("N", "none") else K)
-                poly = p if poly is None else poly.mul(p)
-            if extra is not None:
-                poly = poly.mul(extra) if poly is not None else extra
-            F = poly.antiderivative()
-            ca, cb = EndpointContext(a), EndpointContext(b)
-            va, sa = F.eval_with_scale(ca)
-            vb, sb = F.eval_with_scale(cb)
-            contrib = vb - va
+            end_a = end_b if a is b_prev else _endpoint(a, exponents, slots)
+            end_b, b_prev = _endpoint(b, exponents, slots), b
+            vecs = []
+            for pos, f in enumerate(varying):
+                idx = N if f.index == "N" else K
+                if memo[pos][0] != idx:
+                    memo[pos] = (idx, f.coeffs(idx))
+                vecs.append(memo[pos][1])
+            F, F_abs = _coefficients(terms, vecs, n)
+            diff = [vb - va for va, vb in zip(end_a[0], end_b[0])]
+            contrib = mpmath.fdot(F, diff)
             total += contrib
-            cond += sa + sb + float(mpmath.fabs(contrib))
-            for zf in zeta_factors:
-                sens = zf.zeta_sensitivity(K)
-                rest = extra.copy() if extra is not None else PowLogSum.monomial(mpf(1), 0, 0)
-                for f in factors:
-                    if f is zf:
-                        continue
-                    if isinstance(f, FactorSum):
-                        rest = rest.mul(f.poly(N, K))
-                    else:
-                        rest = rest.mul(f.poly(N if f.uses in ("N", "none") else K))
-                SF = sens.mul(rest).antiderivative()
-                wa, _ = SF.eval_with_scale(ca)
-                wb, _ = SF.eval_with_scale(cb)
-                zeta_sens += float(mpmath.fabs(wb - wa))
+            cond += (sum(fa * (ua + ub) for fa, ua, ub in zip(F_abs, end_a[1], end_b[1]))
+                     + abs(complex(contrib)))
+            for z, (pos, zterms) in enumerate(zeta):
+                zvecs = list(vecs)
+                zvecs[pos] = (varying[pos].zeta_column, vecs[pos][1])
+                Fz, _ = _coefficients(zterms, zvecs, n)
+                zeta_sens[z] += abs(complex(mpmath.fdot(Fz, diff)))
         radius = eps * 64.0 * cond
-        for zf in zeta_factors:
-            radius += zf.zeta_radius * zeta_sens
+        for (pos, _), sens in zip(zeta, zeta_sens):
+            radius += varying[pos].zeta_radius * sens
         return ApproxValue(+total, radd(radius), RIGOROUS, prec)
 
 
@@ -593,21 +535,20 @@ def m_weight_factor(x: float, prec: int) -> SummatoryFactor:
     return SummatoryFactor(mu_over_n_values(math.floor(x), prec), FunctionSpec.const(1.0), x)
 
 
-def mcheck_minus_one_factor(x: float, prec: int) -> FactorSum:
+def mcheck_minus_one_factor(x: float, prec: int) -> SummatoryFactor:
     """m-check(x/t) - 1 as a piece factor."""
-    sf = SummatoryFactor(mu_over_n_values(math.floor(x), prec), FunctionSpec.log(1), x)
-    return FactorSum(sf, ConstFactor(PowLogSum.monomial(mpf(-1), 0, 0)))
+    return SummatoryFactor(mu_over_n_values(math.floor(x), prec), FunctionSpec.log(1), x,
+                           offset=[mpf(-1)])
 
 
-def mdcheck_normalized_factor(x: float, prec: int) -> FactorSum:
+def mdcheck_normalized_factor(x: float, prec: int) -> SummatoryFactor:
     """m-double-check(x/t) - 2 log(x/t) + 2 gamma as a piece factor."""
-    sf = SummatoryFactor(mu_over_n_values(math.floor(x), prec), FunctionSpec.log(2), x)
     with mpmath.mp.workprec(prec + _GUARD):
         logx = mpmath.log(mpf(x))
         g = gamma_const(prec + _GUARD)
-        const = PowLogSum.monomial(-2 * logx + 2 * g, mpf(0), 0)
-        const.add_monomial(mpf(2), mpf(0), 1)  # +2 log t
-    return FactorSum(sf, ConstFactor(const))
+        offset = [-2 * logx + 2 * g, mpf(2)]  # ... + 2 log t
+    return SummatoryFactor(mu_over_n_values(math.floor(x), prec), FunctionSpec.log(2), x,
+                           offset=offset)
 
 
 def integrate_m_kernel(x: float, g, precision: int | None = None,
@@ -631,10 +572,8 @@ def integrate_m_kernel(x: float, g, precision: int | None = None,
     else:
         raise DomainError(f"unknown weight {weight!r}")
     if isinstance(g, FunctionSpec):
-        g = ConstFactor.from_spec(g)
-    elif isinstance(g, PowLogSum):
-        g = ConstFactor(g)
-    elif not hasattr(g, "poly"):
+        g = PowLogSum.from_spec(g)
+    elif not hasattr(g, "coeffs"):
         raise UnsupportedKernelError(
             f"{g!r} is outside the closed-form kernel family")
     extra = PowLogSum.monomial(mpf(1), mpf(-2), 0)

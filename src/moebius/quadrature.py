@@ -14,6 +14,15 @@ with c = (s-1)(zeta(s) - P_K), so all derivative bounds are closed-form:
   - sups of |g| use interval upper bounds max(|g(a)|,|g(b)|) + h^2/8 sup|g''|
     refined until the gap to the best sampled lower bound meets the target.
 
+The L1 norm over [1, inf) adds a tail enclosure beyond an integer T.  Split
+Q_s(t) = (s-1)({t}-1/2) + R_s(t) with |R_s(t)| <= C/t (C the ibp_R bound at
+t = 1, valid for Re s > -1).  Writing |u-1/2| = 1/4 + f(u), f has mean 0 on a
+unit cell and its running integral F vanishes at the integers with
+|F| <= 1/32, so by parts integral_T^inf |{t}-1/2|/t^2 = 1/(4T) +- 1/(32T^2)
+and the tail lies in |s-1|/(4T) +- (|s-1|/32 + C/2)/T^2.  This reaches a
+radius r with T ~ sqrt(C/r) cells, where the one-sided sup|Q|/T bound
+(`tail_bound_abs_Q`, kept for `quad`) needs T ~ sup/r.
+
 Error radii here are computed bounds from these inequalities; nothing is an
 inflated estimate.
 """
@@ -29,7 +38,7 @@ from mpmath import mpf, mpc
 from .approx import ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
 from .errors import DomainError, PrecisionError
-from .kernels import KernelSpec, Q, LITTLE_Q, hel_sup_abs_Q, kernel_bound, SUP_Q
+from .kernels import IBP_R, KernelSpec, Q, LITTLE_Q, hel_sup_abs_Q, kernel_bound, SUP_Q
 from .zeta import ComplexParam, power_prefix_table, zeta_em
 
 _GUARD = 48
@@ -309,28 +318,44 @@ def tail_bound_abs_Q(spec: KernelSpec, T: float, sup: float | None = None) -> fl
     return sup / T
 
 
+def _two_sided_tail(s: ComplexParam, T: int) -> tuple[float, float]:
+    """(centre, half-width) of an enclosure of integral_T^inf |Q_s|/t^2, T an
+    integer: Q_s = (s-1)({t}-1/2) + R_s with |R_s| <= C/t, C = ibp_R at t = 1,
+    and integral_T^inf |{t}-1/2|/t^2 = 1/(4T) +- 1/(32T^2)."""
+    s1_abs = math.hypot(s.sigma - 1.0, s.tau)
+    C = kernel_bound(s, IBP_R, 1.0)
+    return s1_abs / (4.0 * T), (s1_abs / 32.0 + C / 2.0) / T ** 2
+
+
 def integrate_abs_kernel_to_infinity(spec: KernelSpec, target_radius: float = 1e-2,
                                      precision: int | None = None,
                                      T_cap: float = 50_000.0):
     """(value, T): rigorous integral_1^inf |kernel|/t^2 with radius <= target
-    if reachable; the tail beyond the chosen T enters the radius."""
+    if reachable.
+
+    The head [1, T] is `integrate_abs_kernel` at 0.45 * target; the tail
+    beyond the integer T enters by a two-sided enclosure of half-width
+    <= 0.45 * target.  Q_s = (s-1)({t}-1/2) + R_s with |R_s(t)| <= C/t
+    (`kernel_bound(s, IBP_R, 1)`), so the tail is |s-1| I(T) +- C/(2T^2) with
+    I(T) = integral_T^inf |{t}-1/2|/t^2.  Put f(u) = |u-1/2| - 1/4, which has
+    mean 0 on [0, 1]; then I(T) = 1/(4T) + integral_T^inf f({t})/t^2, and the
+    antiderivative F of f({t}) vanishes at the integers with |F| <= 1/32, so
+    integrating by parts bounds the second term by
+    2 integral_T^inf (1/32)/t^3 = 1/(32T^2).  The tail lies in
+    |s-1|/(4T) +- (|s-1|/32 + C/2)/T^2, so T ~ |s|^{3/2}/sqrt(r).
+    """
     s = spec.s
-    sup_candidates = []
-    if s.sigma > 0:
-        sup_candidates.append(kernel_bound(s, SUP_Q))
-    if 0 < s.sigma <= 1:
-        sup_candidates.append(hel_sup_abs_Q(s))
-    if not sup_candidates:
+    if s.sigma <= 0:
         raise DomainError("need Re(s) > 0 for a tail bound")
-    sup = min(sup_candidates)
-    T = min(T_cap, max(2.0, math.ceil(sup / (0.45 * target_radius))))
-    if 0 < s.sigma <= 1 and T < abs(s.tau):
-        T = max(T, math.ceil(abs(s.tau)))
-    head = integrate_abs_kernel(spec, T, 0.45 * target_radius, precision=precision)
-    tail = tail_bound_abs_Q(spec, T)
-    # the true integral lies in [head - r, head + r + tail]
-    value = head.value + tail / 2.0
-    return ApproxValue(value, radd(head.radius, tail / 2.0), RIGOROUS,
+    budget = 0.45 * target_radius
+    T = max(2, math.ceil(math.sqrt(_two_sided_tail(s, 1)[1] / budget)))
+    while _two_sided_tail(s, T)[1] > budget:
+        T += 1
+    T = min(T, int(T_cap))
+    head = integrate_abs_kernel(spec, T, budget, precision=precision)
+    centre, half = _two_sided_tail(s, T)
+    return ApproxValue(head.value + centre,
+                       radd(head.radius, half, eps_for(53) * centre), RIGOROUS,
                        head.precision_bits), T
 
 

@@ -126,3 +126,36 @@ def test_verify_spec_example_invocations():
     assert r.returncode == 0
     r = run_cli("verify", "--suite", "exact-Q-l1", "--s", "2", "--grid", "T=200")
     assert r.returncode == 0
+
+
+def test_config_sets_every_global_key(tmp_path):
+    out = tmp_path / "report.csv"
+    cfg = tmp_path / "moebius.cfg"
+    cfg.write_text("# all five global options\nprecision = 96\nthreads = 1\n"
+                   f"format = csv\noutput = {out}\nstable_output = true\n")
+    r = run_cli("--config", str(cfg), "verify", "--suite", "alpha")
+    assert r.returncode == 0 and r.stdout == ""
+    assert out.read_text().startswith("check,")
+    # flags win over the file
+    r = run_cli("--config", str(cfg), "--format", "json", "--output", str(tmp_path / "r.json"),
+                "verify", "--suite", "alpha")
+    assert r.returncode == 0
+    (obj,) = json.loads((tmp_path / "r.json").read_text())
+    assert obj["elapsed_ms"] == 0.0  # stable_output from the file
+
+
+@pytest.mark.parametrize("text", ["precison = 20\n", "cache_dir = x\n", "precision = lots\n",
+                                  "threads = 1.5\n", "format = xml\n", "stable_output = yes\n",
+                                  "output =\n", "precision 96\n"])
+def test_config_rejects_bad_lines_exit2(tmp_path, capsys, text):
+    cfg = tmp_path / "moebius.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "verify", "--suite", "alpha"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.strip().splitlines()) == 1
+
+
+def test_config_unreadable_exit2(tmp_path, capsys):
+    for path in (tmp_path / "missing.cfg", tmp_path):
+        assert main(["--config", str(path), "compute", "--x", "10"]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -6,21 +7,29 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 from moebius.errors import CapacityError, DomainError, UnsupportedKernelError
-from moebius.identities import mu_power_sum
-from moebius.piecewise import (EndpointContext, FunctionSpec, InnerSumFactor,
-                               Partition, PowLogSum, integrate_m_kernel)
+from moebius.identities import StepPolyFactor, mu_power_sum
+from moebius.piecewise import (FunctionSpec, HalfMinusFracFactor, HarmonicWeightFactor,
+                               InnerSumFactor, LogMinusHFactor, Partition, PowLogSum,
+                               PowSumFactor, QKernelFactor, RKernelFactor,
+                               SummatoryFactor, integrate_m_kernel, integrate_partition,
+                               m_weight_factor, mcheck_minus_one_factor,
+                               mdcheck_normalized_factor)
 from moebius.summatory import summatory
+from moebius.zeta import ComplexParam
+from oracles import mu_trial_division
+
+
+def _integral(f, a, b):
+    # integral over [a, b] as the difference of two partition integrals from 1
+    return integrate_partition(b, [f]).value - integrate_partition(a, [f]).value
 
 
 def test_powlog_antiderivative_vs_quad():
     f = PowLogSum.monomial(mpf(2), mpmath.mpc(0.5, 1.0), 2)
     f.add_monomial(mpf(3), mpf(-1), 1)
-    F = f.antiderivative()
-    va, _ = F.eval_with_scale(EndpointContext(mpf(2)))
-    vb, _ = F.eval_with_scale(EndpointContext(mpf(5)))
     ref = mpmath.quad(lambda t: 2 * t**mpmath.mpc(0.5, 1) * mpmath.log(t) ** 2
                       + 3 * mpmath.log(t) / t, [2, 5])
-    assert abs((vb - va) - ref) < 1e-24
+    assert abs(_integral(f, 2.0, 5.0) - ref) < 1e-24
 
 
 @settings(max_examples=20, deadline=None)
@@ -28,11 +37,8 @@ def test_powlog_antiderivative_vs_quad():
        st.floats(min_value=1.2, max_value=9.0), st.floats(min_value=0.05, max_value=3.0))
 def test_powlog_antiderivative_random(p, k, a, width):
     f = PowLogSum.monomial(mpf(1), mpf(p), k)
-    F = f.antiderivative()
-    va, _ = F.eval_with_scale(EndpointContext(mpf(a)))
-    vb, _ = F.eval_with_scale(EndpointContext(mpf(a + width)))
     ref = mpmath.quad(lambda t: t**mpf(p) * mpmath.log(t) ** k, [a, a + width])
-    assert abs((vb - va) - ref) < 1e-20
+    assert abs(_integral(f, a, a + width) - ref) < 1e-20
 
 
 def test_partition_structure():
@@ -103,6 +109,13 @@ def test_unsupported_kernel_rejected():
         FunctionSpec(1.0, 0.0, -1)
 
 
+def test_summatory_offset_needs_p_zero():
+    # the offset shares the t^0 log^j t slots, so a t^{-p} shape would scale it
+    with pytest.raises(DomainError):
+        SummatoryFactor([1, -1], FunctionSpec.power(1.0), 2.0, offset=[mpf(-1)])
+    SummatoryFactor([1, -1], FunctionSpec.log(1), 2.0, offset=[mpf(-1)])
+
+
 def test_radius_scales_with_precision():
     x = 50.0
     r128 = integrate_m_kernel(x, FunctionSpec.power(1.0), 128)
@@ -116,3 +129,130 @@ def test_function_spec_eval_and_describe():
     v = fs(mpf(4))
     assert abs(v - 2 * mpmath.log(4) / 4) < 1e-30
     assert "log" in fs.describe()
+
+
+# ---------------------------------------------------------------------------
+# Oracle: every factor kind against per-piece mpmath.quad at doubled precision,
+# with each factor evaluated pointwise from its definition.
+# ---------------------------------------------------------------------------
+
+PREC = 128
+S_ORACLE = complex(0.5, 3.0)
+OMEGA = FunctionSpec(1.5, complex(0.5, 1.0), 1)
+PHI = FunctionSpec(0.7, -0.5, 2)
+
+
+def _alt(n):
+    return 1 if n % 2 else -1
+
+
+@functools.lru_cache(maxsize=None)
+def _zeta_at(prec):
+    with mpmath.workprec(prec):
+        return mpmath.zeta(mpmath.mpc(S_ORACLE))
+
+
+def _P(t, sm):
+    return mpmath.fsum(mpf(k) ** -sm for k in range(1, int(t) + 1))
+
+
+def _H(t):
+    return mpmath.fsum(mpf(1) / k for k in range(1, int(t) + 1))
+
+
+def _mcheck(y):
+    return mpmath.fsum(mu_trial_division(n) * mpmath.log(y / n) / n
+                       for n in range(1, int(y) + 1))
+
+
+def _mdcheck(y):
+    return mpmath.fsum(mu_trial_division(n) * mpmath.log(y / n) ** 2 / n
+                       for n in range(1, int(y) + 1))
+
+
+def _Q(t):
+    sm = mpmath.mpc(S_ORACLE)
+    return (sm - 1) * (_zeta_at(mpmath.mp.prec) - _P(t, sm)) * t ** sm - t
+
+
+def _step_cols(N):
+    return [[mpf(K) / 3 for K in range(N + 2)], [mpf(1) / (K + 2) for K in range(N + 2)]]
+
+
+# name -> (factor builder (x), pointwise definition (x, t))
+ORACLE_FACTORS = {
+    "summatory": (lambda x: SummatoryFactor([_alt(n) for n in range(1, int(x) + 1)], OMEGA, x),
+                  lambda x, t: mpmath.fsum(_alt(n) * OMEGA(x / (n * t))
+                                           for n in range(1, int(x / t) + 1))),
+    "inner-sum": (lambda x: InnerSumFactor([_alt(k) for k in range(1, int(x) + 1)], PHI),
+                  lambda x, t: mpmath.fsum(_alt(k) * PHI(t / k) for k in range(1, int(t) + 1))),
+    "Q-kernel": (lambda x: QKernelFactor(ComplexParam.coerce(S_ORACLE), PREC),
+                 lambda x, t: _Q(t)),
+    "R-kernel": (lambda x: RKernelFactor(ComplexParam.coerce(S_ORACLE), PREC),
+                 lambda x, t: _Q(t) + (mpmath.mpc(S_ORACLE) - 1) * (mpf(1) / 2 - (t - int(t)))),
+    "power-sum": (lambda x: PowSumFactor(ComplexParam.coerce(S_ORACLE), PREC),
+                  lambda x, t: mpmath.fsum((t / k) ** mpmath.mpc(S_ORACLE)
+                                           for k in range(1, int(t) + 1))),
+    "step-poly": (lambda x: StepPolyFactor(_step_cols(int(x)), power=complex(0.5, 2.0)),
+                  lambda x, t: t ** mpmath.mpc(0.5, 2.0) * (
+                      _step_cols(int(x))[0][int(t)] + _step_cols(int(x))[1][int(t)] * mpmath.log(t))),
+    "half-minus-frac": (lambda x: HalfMinusFracFactor(),
+                        lambda x, t: mpf(1) / 2 - (t - int(t))),
+    "harmonic-weight": (lambda x: HarmonicWeightFactor(int(x), PREC),
+                        lambda x, t: t * (_H(t) - mpmath.log(t) - mpmath.euler)),
+    "log-minus-H": (lambda x: LogMinusHFactor(int(x), PREC),
+                    lambda x, t: mpmath.log(t) - _H(t)),
+    "m": (lambda x: m_weight_factor(x, PREC),
+          lambda x, t: mpmath.fsum(mpf(mu_trial_division(n)) / n
+                                   for n in range(1, int(x / t) + 1))),
+    "mcheck-minus-one": (lambda x: mcheck_minus_one_factor(x, PREC),
+                         lambda x, t: _mcheck(x / t) - 1),
+    "mdcheck-normalized": (lambda x: mdcheck_normalized_factor(x, PREC),
+                           lambda x, t: _mdcheck(x / t) - 2 * mpmath.log(x / t)
+                           + 2 * mpmath.euler),
+}
+
+
+def _quad_pieces(x, integrand):
+    """(sum over partition pieces of quad(integrand), summed error estimates)."""
+    pts = Partition(x).points
+    total, err = 0, 0
+    for a, b in zip(pts, pts[1:]):
+        v, e = mpmath.quad(integrand, [a, b], error=True, method="gauss-legendre")
+        total += v
+        err += e
+    return total, float(err)
+
+
+@pytest.mark.parametrize("x", [2.5, 7.3, 12.0])
+@pytest.mark.parametrize("name", sorted(ORACLE_FACTORS))
+def test_integrator_matches_pointwise_quadrature(name, x):
+    build, pointwise = ORACLE_FACTORS[name]
+    r = integrate_partition(x, [build(x)], PowLogSum.monomial(mpf(1), mpf(-2), 0),
+                            precision=PREC)
+    with mpmath.workprec(2 * PREC):
+        ref, err = _quad_pieces(x, lambda t: pointwise(x, t) / t ** 2)
+        assert abs(r.value - ref) <= r.radius + err, (name, x)
+
+
+@pytest.mark.parametrize("kernel, name", [(QKernelFactor, "Q-kernel"), (RKernelFactor, "R-kernel")])
+def test_zeta_column_sensitivity(kernel, name):
+    # with zeta(s) known only to ~1e-12 the zeta term dominates the radius:
+    # it must equal zeta_radius * sum over pieces |integral (s-1) t^s w(x/t) / t^2|
+    x = 7.3
+    sp = ComplexParam.coerce(S_ORACLE)
+    kf = kernel(sp, PREC, target_radius=1e-12)
+    w = mcheck_minus_one_factor(x, PREC)
+    r = integrate_partition(x, [w, kf], PowLogSum.monomial(mpf(1), mpf(-2), 0),
+                            precision=PREC)
+    with mpmath.workprec(2 * PREC):
+        sm = mpmath.mpc(S_ORACLE)
+        pts = Partition(x).points
+        sens = mpmath.fsum(abs(mpmath.quad(lambda t: (sm - 1) * t ** sm * (_mcheck(x / t) - 1)
+                                           / t ** 2, [a, b], method="gauss-legendre"))
+                           for a, b in zip(pts, pts[1:]))
+        kernel_at = ORACLE_FACTORS[name][1]
+        ref, err = _quad_pieces(x, lambda t: (_mcheck(x / t) - 1) * kernel_at(x, t) / t ** 2)
+    assert kf.zeta_radius > 1e-20
+    assert r.radius == pytest.approx(kf.zeta_radius * float(sens), rel=1e-6, abs=0)
+    assert abs(r.value - ref) <= r.radius + err

@@ -111,3 +111,30 @@ def test_adjudication_runs_to_target():
     assert T >= 14.13
     # rigorous verdict on the heuristic claim <= 11: the integral exceeds it
     assert float(val.value) - val.radius > 11.0
+
+
+@pytest.mark.parametrize("T", [1, 2, 7, 55, 188])
+def test_frac_tail_enclosure(T):
+    # integral_T^inf |{t}-1/2|/t^2 = 1/(4T) +- 1/(32T^2), the two-sided tail's
+    # core; the oracle sums the unit cells [n, n+1), n >= T, under the integral
+    # as the trigamma function: integral_0^1 |u-1/2| psi'(T+u) du
+    with mpmath.workprec(106):
+        half = mpmath.mpf(1) / 2
+        ref, err = mpmath.quad(lambda u: abs(u - half) * mpmath.psi(1, T + u),
+                               [0, half, 1], error=True)
+    centre, half_width = 1 / (4 * T), 1 / (32 * T ** 2)
+    assert abs(float(ref) - centre) <= half_width + float(err) + 1e-15
+
+
+def test_q_l1_two_sided_tail_agrees_with_sup_tail():
+    spec = KernelSpec.make("Q", 0.5 + 14.13j)
+    val, T = integrate_abs_kernel_to_infinity(spec, 0.12)
+    assert T <= 60 and val.radius <= 0.12
+    # the one-sided route at its own T: sup = (5/6)|s-1|, T = ceil(sup / (0.45 r))
+    T_old = math.ceil((5 / 6) * abs(complex(-0.5, 14.13)) / (0.45 * 0.12))
+    assert T_old == 219
+    head = integrate_abs_kernel(spec, float(T_old), 0.45 * 0.12)
+    lo_old = float(head.value) - head.radius
+    hi_old = float(head.value) + head.radius + tail_bound_abs_Q(spec, float(T_old))
+    lo_new, hi_new = float(val.value) - val.radius, float(val.value) + val.radius
+    assert max(lo_old, lo_new) <= min(hi_old, hi_new)
