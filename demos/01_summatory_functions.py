@@ -8,18 +8,20 @@ agree within their combined radii).
 """
 
 import time
+from fractions import Fraction
 
 from moebius import abs_m_integrals, summatory
 from moebius.report import format_snapshot
-from moebius.summatory import m_exact_fraction, prefix_sweep
+from moebius.sieve import nonzero_mu
+from moebius.summatory import prefix_sweep
 
 print("=" * 72)
 print("Snapshot at x = 10 (every value carries a radius)")
 print("=" * 72)
 print(format_snapshot(summatory(10)))
 print()
-print(f"exact rational check: m(10) = {m_exact_fraction(10)} "
-      f"= {float(m_exact_fraction(10)):.10f}")
+m10 = sum(Fraction(mu, n) for n, mu in nonzero_mu(10))
+print(f"exact rational check: m(10) = {m10} = {float(m10):.10f}")
 print()
 
 print("=" * 72)

@@ -24,7 +24,7 @@ from .approx import ApproxValue, RIGOROUS, eps_for, radd
 from .errors import CoverageError, DomainError
 from .piecewise import (FunctionSpec, InnerSumFactor, PowLogSum, SummatoryFactor,
                         integrate_partition)
-from .sieve import sieve_range
+from .sieve import nonzero_mu
 
 _GUARD = 48
 
@@ -63,8 +63,10 @@ class SequenceSpec:
                     f"sequence table has {len(self.table)} entries, need {N}")
             return list(self.table[:N])
         if self.name == "mobius":
-            t = sieve_range(1, max(N, 1))
-            return [int(t.mu(n)) for n in range(1, N + 1)]
+            out = [0] * N
+            for n, mu in nonzero_mu(N):
+                out[n - 1] = mu
+            return out
         if self.name == "one":
             return [1] * N
         if self.name == "alternating":

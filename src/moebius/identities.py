@@ -9,6 +9,7 @@ residual within combined radii is the correctness statement.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import mpmath
 from mpmath import mpf
@@ -21,7 +22,7 @@ from .piecewise import (FunctionSpec, HalfMinusFracFactor,
                         integrate_partition, integrate_m_kernel,
                         m_weight_factor, mcheck_minus_one_factor,
                         mdcheck_normalized_factor, mu_over_n_values)
-from .sieve import sieve_range
+from .sieve import nonzero_mu
 from .summatory import summatory
 from .zeta import ComplexParam, zeta_em
 
@@ -45,19 +46,11 @@ class StepPolyFactor:
 
 def _mp_prefixes(x: float, prec: int):
     """(m_K, Smlog_K) prefix columns for K = 0..floor(x) at prec+guard."""
-    N = math.floor(x)
-    vals = mu_over_n_values(N, prec)
+    vals = mu_over_n_values(math.floor(x), prec)
     with mpmath.mp.workprec(prec + _GUARD):
-        m_col = [mpf(0)]
-        sl_col = [mpf(0)]
-        for n in range(1, N + 1):
-            v = vals[n - 1]
-            if v == 0:
-                m_col.append(m_col[-1])
-                sl_col.append(sl_col[-1])
-            else:
-                m_col.append(m_col[-1] + v)
-                sl_col.append(sl_col[-1] + v * mpmath.log(n))
+        m_col = list(accumulate(vals, initial=mpf(0)))
+        sl_col = list(accumulate((v * mpmath.log(n) if v else 0
+                                  for n, v in enumerate(vals, 1)), initial=mpf(0)))
     return m_col, sl_col
 
 
@@ -65,19 +58,15 @@ def mu_power_sum(x: float, s, precision: int | None = None) -> ApproxValue:
     """sum_{n<=x} mu(n) n^(-s), compensated at mp precision."""
     sp = ComplexParam.coerce(s)
     prec = precision or mpmath.mp.prec
-    N = math.floor(x)
-    table = sieve_range(1, max(N, 1))
     eps = eps_for(prec)
     with mpmath.mp.workprec(prec + _GUARD):
         sm = sp.as_mpc()
         total = mpf(0) if sp.is_real else mpmath.mpc(0)
         abs_sum = 0.0
-        for n in range(1, N + 1):
-            mu = table.mu(n)
-            if mu:
-                term = mu * mpmath.power(n, -sm)
-                total += term
-                abs_sum += float(mpmath.fabs(term))
+        for n, mu in nonzero_mu(math.floor(x)):
+            term = mu * mpmath.power(n, -sm)
+            total += term
+            abs_sum += float(mpmath.fabs(term))
         return ApproxValue(+total, radd(eps * 8 * abs_sum), RIGOROUS, prec)
 
 
@@ -85,20 +74,16 @@ def mu_log_power_sum(x: float, s, precision: int | None = None) -> ApproxValue:
     """sum_{n<=x} mu(n) n^(-s) log(x/n)."""
     sp = ComplexParam.coerce(s)
     prec = precision or mpmath.mp.prec
-    N = math.floor(x)
-    table = sieve_range(1, max(N, 1))
     eps = eps_for(prec)
     with mpmath.mp.workprec(prec + _GUARD):
         sm = sp.as_mpc()
         xm = mpf(x)
         total = mpf(0) if sp.is_real else mpmath.mpc(0)
         abs_sum = 0.0
-        for n in range(1, N + 1):
-            mu = table.mu(n)
-            if mu:
-                term = mu * mpmath.power(n, -sm) * mpmath.log(xm / n)
-                total += term
-                abs_sum += float(mpmath.fabs(term))
+        for n, mu in nonzero_mu(math.floor(x)):
+            term = mu * mpmath.power(n, -sm) * mpmath.log(xm / n)
+            total += term
+            abs_sum += float(mpmath.fabs(term))
         return ApproxValue(+total, radd(eps * 8 * abs_sum), RIGOROUS, prec)
 
 
@@ -183,7 +168,7 @@ def kgen2_sides(s, x: float, precision: int = 128):
             x, [mdcheck_normalized_factor(x, precision), PowSumFactor(sp, precision)],
             PowLogSum.monomial(mpf(1), mpf(-2), 0), precision=precision)
         lhs = ApproxValue.exact(x1s, precision) * lhs_int
-        # right integrand: log^2 t - 2 H_K log t + 2 SHlog_K + 2 gamma H_K
+        # right integrand: log^2 t - 2 H_K log t + 2 Hlog_K + 2 gamma H_K
         H = [mpf(0)]
         SHl = [mpf(0)]
         for k in range(1, N + 2):

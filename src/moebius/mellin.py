@@ -24,8 +24,7 @@ from .errors import DomainError
 from .identities import mu_power_sum, _x_pows
 from .kernels import frac_tail_integral
 from .piecewise import PowLogSum, QKernelFactor, integrate_partition, mcheck_minus_one_factor
-from .sieve import iter_segments
-from .summatory import compensated_cumsum, summatory
+from .summatory import prefix_columns, summatory
 from .zeta import ComplexParam, partial_power_sum, zeta_em
 
 _EPS = 2.0**-52
@@ -36,6 +35,20 @@ WEIGHT_M = "m"
 WEIGHT_MCHECK1 = "mcheck1"
 WEIGHT_MDNORM = "mdnorm"
 WEIGHT_HGAP = "hgap"
+
+#: weight -> (the prefix columns it reads, its coefficients c_k in
+#: w = sum_k c_k log^k t on [n, n+1) as (values, radii) from the columns at n).
+#: I0 bounds the m-check tail beyond T.
+_WEIGHTS = {
+    WEIGHT_M: (("m",), lambda c: [c["m"]]),
+    WEIGHT_MCHECK1: (("m", "sl", "I0"),
+                     lambda c: [(-c["sl"][0] - 1.0, c["sl"][1]), c["m"]]),
+    WEIGHT_MDNORM: (("m", "sl", "sl2", "I0"),
+                    lambda c: [(c["sl2"][0] + 2.0 * _GAMMA_F, c["sl2"][1]),
+                               (-2.0 * c["sl"][0] - 2.0, 2.0 * c["sl"][1]), c["m"]]),
+    WEIGHT_HGAP: (("H",), lambda c: [(c["H"][0] - _GAMMA_F, c["H"][1]),
+                                     (-np.ones_like(c["H"][0]), np.zeros_like(c["H"][0]))]),
+}
 
 
 def default_T(x: float, cap: float = 1e7) -> int:
@@ -54,7 +67,8 @@ class TruncatedTransform:
     log^j t dt for j = 0..mom_max, plus the prefix point data at x and T.
 
     The weight w is m, m-check - 1, the normalized m-double-check, or the
-    harmonic gap H - log - gamma; each is an exact log-polynomial on [n, n+1).
+    harmonic gap H - log - gamma; each is an exact log-polynomial on [n, n+1)
+    in the prefix columns it reads (_WEIGHTS).
     """
 
     def __init__(self, s, x: float, T: float, weight: str, mom_max: int = 0):
@@ -66,58 +80,34 @@ class TruncatedTransform:
         self.T = float(T)
         self.weight = weight
         sm = complex(sp.sigma, sp.tau)
-        deg = {WEIGHT_M: 0, WEIGHT_MCHECK1: 1, WEIGHT_MDNORM: 2, WEIGHT_HGAP: 1}[weight]
-        jmax = mom_max + deg
+        reads, coefficients = _WEIGHTS[weight]
         B = np.zeros(mom_max + 1, dtype=np.complex128)
         cond = np.zeros(mom_max + 1)
         sens = np.zeros(mom_max + 1)
-        # streaming prefix state (carried across segments)
-        carry = {"m": [], "sl": [], "sl2": [], "H": [], "I0": []}
-        carry_rad = dict.fromkeys(carry, 0.0)
-        musum = 0.0 + 0.0j
-        mulogsum = 0.0 + 0.0j
-        musum_abs = 0.0
-        mulog_abs = 0.0
+        musum = mulogsum = 0.0 + 0.0j
+        musum_abs = mulog_abs = 0.0
         Nx = math.floor(x)
         NT = math.floor(T)
         self.at_x: dict = {}
         self.at_T: dict = {}
         need_mu = weight != WEIGHT_HGAP
-        for seg in iter_segments(1, max(NT, 1)):
-            ns = np.arange(seg.lo, seg.hi + 1, dtype=np.float64)
-            logs = np.log(ns)
-            if need_mu:
-                mus = seg.values.astype(np.float64)
-                mu_over_n = mus / ns
-                m_arr, m_rad = self._carried(carry, carry_rad, "m", mu_over_n, 1)
-                sl_arr, sl_rad = self._carried(carry, carry_rad, "sl", mu_over_n * logs, 4)
-                sl2_arr, sl2_rad = self._carried(carry, carry_rad, "sl2", mu_over_n * logs * logs, 6)
-                absm = np.abs(m_arr)
-                I0_arr, I0_rad = self._carried(carry, carry_rad, "I0", absm, 0,
-                                               extra_rad=m_rad)
-            H_arr, H_rad = self._carried(carry, carry_rad, "H", 1.0 / ns, 1)
+        for seg in prefix_columns(NT, reads):
+            c = seg.cols
             # mu power sums below x
             if need_mu and seg.lo <= Nx:
-                hi = min(Nx, seg.hi)
-                sl_n = slice(0, hi - seg.lo + 1)
-                pw = np.exp(-sm * logs[sl_n]) * seg.values[sl_n]
+                sl_n = slice(0, min(Nx, seg.hi) - seg.lo + 1)
+                logs = seg.logs[sl_n]
+                pw = np.exp(-sm * logs) * seg.mu[sl_n]
                 musum += complex(np.sum(pw))
                 musum_abs += float(np.sum(np.abs(pw)))
-                pwl = pw * logs[sl_n]
+                pwl = pw * logs
                 mulogsum += complex(np.sum(pwl))
                 mulog_abs += float(np.sum(np.abs(pwl)))
             # capture point data
-            for mark, idx in (("x", Nx), ("T", NT)):
+            for store, idx in ((self.at_x, Nx), (self.at_T, NT)):
                 if seg.lo <= idx <= seg.hi:
                     i = idx - seg.lo
-                    store = self.at_x if mark == "x" else self.at_T
-                    if need_mu:
-                        store.update(m=(m_arr[i], m_rad[i]), sl=(sl_arr[i], sl_rad[i]),
-                                     sl2=(sl2_arr[i], sl2_rad[i]),
-                                     I0=(I0_arr[i] - abs(m_arr[i]), I0_rad[i]))
-                        # I0 column here is integral over [1, n+1]; at the mark we
-                        # want [1, n], hence the one-piece correction above
-                    store.update(H=(H_arr[i], H_rad[i]))
+                    store.update({k: (c[k][0][i], c[k][1][i]) for k in reads})
             # pieces of [x, T] covered by this segment
             lo_t = max(self.x, float(seg.lo))
             hi_t = min(self.T, float(seg.hi + 1))
@@ -128,12 +118,13 @@ class TruncatedTransform:
             breaks = np.concatenate(([lo_t], ends))
             if breaks[-1] != hi_t:
                 breaks = np.concatenate((breaks, [hi_t]))
-            npc = len(breaks) - 1
-            if npc <= 0:
+            if len(breaks) < 2:
                 continue
             piece_n = np.floor(breaks[:-1] + 0.0).astype(np.int64)
             piece_n[0] = first_n
             rel = piece_n - seg.lo
+            cols = coefficients({k: (c[k][0][rel], c[k][1][rel]) for k in reads if k != "I0"})
+            jmax = mom_max + len(cols) - 1
             lb = np.log(breaks)
             E = np.exp((1.0 - sm) * lb)  # t^{1-s} at the breakpoints
             # G_j recurrence: F_j = E * G_j,  G_j = (lb^j - j G_{j-1})/(1-s)
@@ -145,18 +136,6 @@ class TruncatedTransform:
                 Fs.append(E * G)
             dF = [f[1:] - f[:-1] for f in Fs]
             aF = [np.abs(f[1:]) + np.abs(f[:-1]) for f in Fs]
-            if weight == WEIGHT_M:
-                cols = [(m_arr[rel], m_rad[rel])]
-            elif weight == WEIGHT_MCHECK1:
-                cols = [(-sl_arr[rel] - 1.0, sl_rad[rel]),
-                        (m_arr[rel], m_rad[rel])]
-            elif weight == WEIGHT_MDNORM:
-                cols = [(sl2_arr[rel] + 2.0 * _GAMMA_F, sl2_rad[rel]),
-                        (-2.0 * sl_arr[rel] - 2.0, 2.0 * sl_rad[rel]),
-                        (m_arr[rel], m_rad[rel])]
-            else:  # hgap
-                cols = [(H_arr[rel] - _GAMMA_F, H_rad[rel]),
-                        (np.full(npc, -1.0), np.zeros(npc))]
             for j in range(mom_max + 1):
                 for k, (w, wrad) in enumerate(cols):
                     B[j] += np.sum(w * dF[j + k])
@@ -173,34 +152,27 @@ class TruncatedTransform:
             self.mu_logpower_x = ApproxValue(
                 v, radd(_EPS * 64 * (abs(logx) * musum_abs + mulog_abs + abs(v))), RIGOROUS, 53)
 
-    @staticmethod
-    def _carried(carry, carry_rad, key, terms, ulps, extra_rad=None):
-        offset = math.fsum(carry[key])
-        arr, rad = compensated_cumsum(terms, ulps)
-        if extra_rad is not None:
-            rad = rad + np.cumsum(extra_rad)
-        arr += offset
-        rad += carry_rad[key] + _EPS * 2 * abs(offset)
-        carry[key].append(float(arr[-1] - offset))
-        carry_rad[key] = float(rad[-1])
-        return arr, rad
-
     # point helpers ---------------------------------------------------------
 
     def _point(self, store: dict, x: float) -> dict[str, ApproxValue]:
+        """The point values the weight's columns define: H for hgap; m, and
+        with sl also mcheck1, and with sl2 also mdnorm for the mu weights."""
+        av = lambda v, r: ApproxValue(v, radd(r), RIGOROUS, 53)
+        if "H" in store:
+            return {"H": av(*store["H"])}
         logx = math.log(x)
         m, m_r = store["m"]
-        sl, sl_r = store["sl"]
-        sl2, sl2_r = store["sl2"]
-        out = {"m": ApproxValue(m, radd(m_r), RIGOROUS, 53)}
-        mc = logx * m - sl - 1.0
-        out["mcheck1"] = ApproxValue(mc, radd(abs(logx) * m_r + sl_r
-                                              + _EPS * 8 * (abs(logx * m) + abs(mc))), RIGOROUS, 53)
-        md = logx ** 2 * m - 2 * logx * sl + sl2 - 2 * logx + 2 * _GAMMA_F
-        out["mdnorm"] = ApproxValue(
-            md, radd(logx ** 2 * m_r + 2 * abs(logx) * sl_r + sl2_r
-                     + _EPS * 16 * (logx ** 2 * abs(m) + abs(logx * sl) + abs(md) + abs(logx))),
-            RIGOROUS, 53)
+        out = {"m": av(m, m_r)}
+        if "sl" in store:
+            sl, sl_r = store["sl"]
+            mc = logx * m - sl - 1.0
+            out["mcheck1"] = av(mc, abs(logx) * m_r + sl_r + _EPS * 8 * (abs(logx * m) + abs(mc)))
+        if "sl2" in store:
+            sl2, sl2_r = store["sl2"]
+            md = logx ** 2 * m - 2 * logx * sl + sl2 - 2 * logx + 2 * _GAMMA_F
+            out["mdnorm"] = av(md, logx ** 2 * m_r + 2 * abs(logx) * sl_r + sl2_r
+                               + _EPS * 16 * (logx ** 2 * abs(m) + abs(logx * sl)
+                                              + abs(md) + abs(logx)))
         return out
 
     def values_at_x(self):
@@ -392,8 +364,7 @@ def har_residual(s, t: float, T: float | None = None, precision: int = 128):
         z, _ = zeta_em(sp, 1e-33, precision=precision, want_derivative=False)
         psum = partial_power_sum(sp, t, precision)
         tm = mpf(t)
-        H_t, H_r = tt.at_x["H"]
-        hgap = ApproxValue(H_t, radd(H_r), RIGOROUS, 53) - ApproxValue.exact(
+        hgap = tt.values_at_x()["H"] - ApproxValue.exact(
             mpmath.log(tm) + gamma_const(precision))
         rhs = (z - psum - ApproxValue.exact(mpmath.power(tm, 1 - smc) / (smc - 1))
                + hgap * ApproxValue.exact(mpmath.power(tm, 1 - smc)))

@@ -45,7 +45,7 @@ from mpmath import mpf
 from .approx import ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
 from .errors import CapacityError, DomainError, UnsupportedKernelError
-from .sieve import sieve_range
+from .sieve import nonzero_mu
 from .zeta import ComplexParam, power_prefix_table, zeta_em
 
 _GUARD = 96
@@ -524,10 +524,11 @@ def integrate_partition(x: float, factors: list, extra: PowLogSum | None = None,
 @lru_cache(maxsize=32)
 def mu_over_n_values(N: int, prec: int) -> tuple:
     """(mu(n)/n) for n = 1..N at prec+guard bits, as an immutable tuple."""
-    table = sieve_range(1, max(N, 1))
+    vals = [0] * N
     with mpmath.mp.workprec(prec + _GUARD):
-        return tuple(mpf(int(table.mu(n))) / n if table.mu(n) else 0
-                     for n in range(1, N + 1))
+        for n, mu in nonzero_mu(N):
+            vals[n - 1] = mpf(mu) / n
+    return tuple(vals)
 
 
 def m_weight_factor(x: float, prec: int) -> SummatoryFactor:

@@ -113,3 +113,13 @@ def iter_segments(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) -> Iter
     for seg_lo in range(lo, hi + 1, segment_size):
         seg_hi = min(seg_lo + segment_size - 1, hi)
         yield MobiusTable(seg_lo, seg_hi, _sieve_segment(seg_lo, seg_hi, primes))
+
+
+def nonzero_mu(N: int) -> Iterator[tuple[int, int]]:
+    """(n, mu(n)) as Python ints for every n <= N with mu(n) != 0, in
+    increasing n: the exact reader of mu for the mpmath code paths."""
+    if N < 1:
+        return iter(())
+    values = sieve_range(1, N).values
+    idx = np.flatnonzero(values)
+    return zip((idx + 1).tolist(), values[idx].tolist())

@@ -1,10 +1,10 @@
 """Summatory functions of mu(n) and the harmonic series, with error radii.
 
 Fast path: float64 numpy sweeps with chunked compensated prefix sums.  Each
-prefix array carries per-element rigorous rounding radii: within a chunk the
-error is bounded by (chunk length) * eps * (sum of |terms| in the chunk), and
-chunk offsets are chained through math.fsum (exactly rounded), so radii stay
-near a few ulp of the running magnitude instead of growing linearly in n.
+prefix array carries per-element rounding radii: within a chunk the error is
+bounded by (chunk length) * eps * (sum of |terms| in the chunk), and chunk
+offsets are chained through math.fsum (exactly rounded).  Every float64
+prefix column is streamed by `prefix_columns` from the one table `TERMS`.
 
 mp path: the same sums accumulated in mpmath at 32 guard bits above the
 requested precision, used by the exact identity checks at modest x.
@@ -15,9 +15,9 @@ M(x) is always exact (int64 cumulative sums of mu).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import Iterator
 
 import mpmath
 import numpy as np
@@ -26,55 +26,123 @@ from mpmath import mpf
 from .approx import ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
 from .errors import DomainError
-from .sieve import iter_segments
+from .sieve import DEFAULT_SEGMENT, MobiusTable, iter_segments, nonzero_mu
 
 _EPS = 2.0**-52  # one-op float64 bound (2 ulp at 0.5-scale, deliberately lax)
 _CHUNK = 4096
+# PrefixSweep keeps every column, so it streams short segments (a multiple of
+# _CHUNK, which keeps the sums bit for bit) to bound its extra peak memory
+_SWEEP_SEGMENT = 16 * _CHUNK
 MP_MODE_LIMIT = 400_000
 
 
-def compensated_cumsum(terms: np.ndarray, term_ulps: float = 1.0,
-                       chunk: int = _CHUNK) -> tuple[np.ndarray, np.ndarray]:
+@dataclass
+class CumsumState:
+    """compensated_cumsum's chunk state, carried from one call to the next."""
+
+    chunk_sums: list[float] = field(default_factory=list)
+    offset: float = 0.0      # math.fsum(chunk_sums)
+    abs_carry: float = 0.0   # running sum of |chunk sums|, for offset-error tracking
+    abs_prefix: float = 0.0  # running sum of |terms|, for term-evaluation error
+
+
+def compensated_cumsum(terms: np.ndarray, term_ulps: float = 1.0, chunk: int = _CHUNK,
+                       state: CumsumState | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Prefix sums of `terms` plus per-element rounding radii.
 
-    The radii cover both the summation error of this routine and up to
-    `term_ulps` ulp of evaluation error in each input term.
+    The radii cover the summation error of this routine, except the in-chunk
+    rounding of earlier chunks (ROADMAP item 5), and up to `term_ulps` ulp of
+    evaluation error in each input term.  With `state` the sums continue from
+    earlier calls, bit for bit when every call's length is a multiple of `chunk`.
     """
+    st = CumsumState() if state is None else state
     n = len(terms)
     out = np.empty(n, dtype=np.float64)
     radii = np.empty(n, dtype=np.float64)
     abs_terms = np.abs(terms)
-    chunk_sums: list[float] = []
-    abs_carry = 0.0   # running sum of |chunk sums|, for offset-error tracking
-    abs_prefix = 0.0  # running sum of |terms|, for term-evaluation error
-    offset = 0.0
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         block = terms[start:stop]
         local = np.cumsum(block)
-        out[start:stop] = offset + local
+        out[start:stop] = st.offset + local
         block_abs = float(np.sum(abs_terms[start:stop]))
-        abs_prefix_end = abs_prefix + block_abs
+        abs_prefix_end = st.abs_prefix + block_abs
         # in-chunk sequential cumsum + one add of the offset, plus offset chain
         # error and term evaluation error over everything summed so far
         bound = _EPS * ((stop - start) * block_abs
-                        + 2.0 * (abs(offset) + block_abs)
-                        + abs_carry
+                        + 2.0 * (abs(st.offset) + block_abs)
+                        + st.abs_carry
                         + term_ulps * abs_prefix_end)
         radii[start:stop] = bound
-        chunk_sums.append(float(local[-1]))
-        abs_carry += abs(chunk_sums[-1])
-        abs_prefix = abs_prefix_end
-        offset = math.fsum(chunk_sums)
+        st.chunk_sums.append(float(local[-1]))
+        st.abs_carry += abs(st.chunk_sums[-1])
+        st.abs_prefix = abs_prefix_end
+        st.offset = math.fsum(st.chunk_sums)
     return out, radii
 
 
-def _segment_sum(values: np.ndarray) -> tuple[float, float]:
-    """Pairwise sum of a segment and a bound on its absolute rounding error."""
+class PrefixSegment:
+    """A sieve segment [lo, hi] of prefix_columns: mu(n), n, log n (computed
+    on first use) and `cols`, the requested prefix columns through each n."""
+
+    def __init__(self, table: MobiusTable):
+        self.lo, self.hi, self.mu = table.lo, table.hi, table.values
+        self.ns = np.arange(self.lo, self.hi + 1, dtype=np.float64)
+        self.cols: dict = {}
+
+    @cached_property
+    def logs(self) -> np.ndarray:
+        return np.log(self.ns)
+
+
+#: The summed prefix columns: name -> (term of n on a PrefixSegment, ulps of
+#: its float64 evaluation error).  m = sum mu/n, sl = sum mu/n log n,
+#: sl2 = sum mu/n log^2 n, H = sum 1/n, Hlog = sum log n / n.  prefix_columns
+#: also yields the exact "M" = sum mu and "I0" = integral of |m| over [1, n].
+TERMS = {
+    "m": (lambda seg: seg.mu / seg.ns, 1),
+    "sl": (lambda seg: seg.mu / seg.ns * seg.logs, 4),
+    "sl2": (lambda seg: seg.mu / seg.ns * seg.logs * seg.logs, 6),
+    "H": (lambda seg: 1.0 / seg.ns, 1),
+    "Hlog": (lambda seg: 1.0 / seg.ns * seg.logs, 4),
+}
+
+
+def prefix_columns(N: int, columns=(), segment_size: int = DEFAULT_SEGMENT
+                   ) -> Iterator[PrefixSegment]:
+    """Stream n = 1..N in sieve segments carrying the requested columns: a
+    summed column as (values, radii) from one compensated_cumsum call per
+    segment, M as the bare int64 array.  I0 is a plain cumsum of |m| (m is
+    constant on [j, j+1)); its radius, the summed m radii plus
+    eps * (n - 1) * I0, bounds every partial sum of the nondecreasing I0.
+    """
+    summed = [k for k in TERMS if k in columns or (k == "m" and "I0" in columns)]
+    states = {k: CumsumState() for k in summed}
+    M_end, I0_end, I0_rad_end = 0, 0.0, 0.0
+    for table in iter_segments(1, N, segment_size):
+        seg = PrefixSegment(table)
+        for k in summed:
+            term, ulps = TERMS[k]
+            seg.cols[k] = compensated_cumsum(term(seg), ulps, state=states[k])
+        if "M" in columns:
+            seg.cols["M"] = M = np.cumsum(seg.mu, dtype=np.int64) + M_end
+            M_end = int(M[-1])
+        if "I0" in columns:
+            m, m_rad = seg.cols["m"]
+            # I0 at n sums |m(j)| for j < n, each cumsum starting from the carry
+            I0 = np.cumsum(np.concatenate(([I0_end], np.abs(m))))
+            rad = np.cumsum(np.concatenate(([I0_rad_end], m_rad)))
+            I0_end, I0_rad_end = I0[-1], rad[-1]
+            seg.cols["I0"] = (I0[:-1], rad[:-1] + _EPS * (seg.ns - 1.0) * I0[:-1])
+        yield seg
+
+
+def _segment_sum(values: np.ndarray, ulps: float) -> tuple[float, float]:
+    """Pairwise sum of a segment and a bound on its error, `ulps` ulp per value included."""
     s = float(np.sum(values))
     a = float(np.sum(np.abs(values)))
     depth = max(1.0, math.log2(max(len(values), 2)))
-    return s, _EPS * (depth + 2.0) * a
+    return s, _EPS * (depth + 2.0) * a + ulps * _EPS * a
 
 
 @dataclass(frozen=True)
@@ -101,40 +169,24 @@ def _snapshot_fast(x: float) -> SummatorySnapshot:
     N = math.floor(x)
     logx = math.log(x)
     M = 0
-    parts = {k: [] for k in ("m", "mlog", "mlog2", "H", "Hlog")}
-    errs = dict.fromkeys(parts, 0.0)
-    abss = dict.fromkeys(parts, 0.0)
-
-    def feed(key, seg_values, ulps):
-        s, e = _segment_sum(seg_values)
-        parts[key].append(s)
-        a = float(np.sum(np.abs(seg_values)))
-        errs[key] += e + ulps * _EPS * a
-        abss[key] += a
-
-    for seg in iter_segments(1, N):
-        ns = np.arange(seg.lo, seg.hi + 1, dtype=np.float64)
-        mus = seg.values.astype(np.float64)
-        M += int(np.sum(seg.values, dtype=np.int64))
-        logs = np.log(ns)
-        mu_over_n = mus / ns
-        feed("m", mu_over_n, 1)
-        feed("mlog", mu_over_n * logs, 4)
-        feed("mlog2", mu_over_n * logs * logs, 6)
-        inv = 1.0 / ns
-        feed("H", inv, 1)
-        feed("Hlog", inv * logs, 4)
+    parts = {k: [] for k in TERMS}
+    errs = dict.fromkeys(TERMS, 0.0)
+    # pairwise segment totals: only the last prefix is needed, and its radius
+    # is tighter than any prefix column's
+    for seg in prefix_columns(N):
+        M += int(np.sum(seg.mu, dtype=np.int64))
+        for key, (term, ulps) in TERMS.items():
+            s, e = _segment_sum(term(seg), ulps)
+            parts[key].append(s)
+            errs[key] += e
 
     def total(key, extra_ulps=2.0):
         v = math.fsum(parts[key])
         r = errs[key] + extra_ulps * _EPS * abs(v)
         return v, r
 
-    m_v, m_r = total("m")
-    mlog_v, mlog_r = total("mlog")
-    mlog2_v, mlog2_r = total("mlog2")
-    H_v, H_r = total("H")
-    Hlog_v, Hlog_r = total("Hlog")
+    ((m_v, m_r), (mlog_v, mlog_r), (mlog2_v, mlog2_r),
+     (H_v, H_r), (Hlog_v, Hlog_r)) = map(total, TERMS)
 
     ulp_logx = _EPS * abs(logx)
     av = lambda v, r: ApproxValue(v, radd(r), RIGOROUS, 53)
@@ -164,28 +216,27 @@ def _snapshot_mp(x: float, prec: int) -> SummatorySnapshot:
         M = 0
         S = {k: mpf(0) for k in ("m", "mlog", "mlog2", "H", "Hlog")}
         A = dict.fromkeys(S, 0.0)
-        for seg in iter_segments(1, N):
-            for i, mu in enumerate(seg.values):
-                n = seg.lo + i
-                mu = int(mu)
-                inv = mpf(1) / n
-                logn = mpmath.log(mpf(n))
-                S["H"] += inv
-                A["H"] += float(inv)
-                hl = inv * logn
-                S["Hlog"] += hl
-                A["Hlog"] += abs(float(hl))
-                if mu:
-                    M += mu
-                    t = mu * inv
-                    S["m"] += t
-                    A["m"] += float(inv)
-                    tl = t * logn
-                    S["mlog"] += tl
-                    A["mlog"] += abs(float(tl))
-                    tl2 = tl * logn
-                    S["mlog2"] += tl2
-                    A["mlog2"] += abs(float(tl2))
+        mus = dict(nonzero_mu(N))
+        for n in range(1, N + 1):
+            inv = mpf(1) / n
+            logn = mpmath.log(mpf(n))
+            S["H"] += inv
+            A["H"] += float(inv)
+            hl = inv * logn
+            S["Hlog"] += hl
+            A["Hlog"] += abs(float(hl))
+            mu = mus.get(n)
+            if mu:
+                M += mu
+                t = mu * inv
+                S["m"] += t
+                A["m"] += float(inv)
+                tl = t * logn
+                S["mlog"] += tl
+                A["mlog"] += abs(float(tl))
+                tl2 = tl * logn
+                S["mlog2"] += tl2
+                A["mlog2"] += abs(float(tl2))
         eps = eps_for(prec)
 
         def av(v, *abskeys, scale=0.0):
@@ -232,7 +283,7 @@ def summatory(x: float, mode: str = "auto", precision: int = 128) -> SummatorySn
 class PrefixSweep:
     """Arrays over n = 1..N of every prefix quantity the sweeps need.
 
-    m, Smlog = sum mu/n log n, Smlog2 = sum mu/n log^2 n, H, SHlog carry
+    m, Smlog = sum mu/n log n, Smlog2 = sum mu/n log^2 n and H carry
     per-element radii; M and the |M|-integral are exact int64; I0 and I1 are
     the exact-piecewise integrals of |m| and |m| t with rounding radii.
     Index convention: entry [n-1] holds the prefix through n.
@@ -242,38 +293,42 @@ class PrefixSweep:
         if N < 1:
             raise DomainError("N >= 1 required")
         self.N = N
-        mu = np.empty(N, dtype=np.int8)
-        for seg in iter_segments(1, N):
-            mu[seg.lo - 1: seg.hi] = seg.values
-        self.mu = mu
-        ns = np.arange(1, N + 1, dtype=np.float64)
-        logs = np.log(ns)
-        self.M = np.cumsum(mu.astype(np.int64))
-        mu_over_n = mu / ns
-        self.m, self.m_rad = compensated_cumsum(mu_over_n, 1)
-        self.Smlog, self.Smlog_rad = compensated_cumsum(mu_over_n * logs, 4)
-        self.Smlog2, self.Smlog2_rad = compensated_cumsum(mu_over_n * logs * logs, 6)
-        self.H, self.H_rad = compensated_cumsum(1.0 / ns, 1)
-        self.SHlog, self.SHlog_rad = compensated_cumsum(logs / ns, 4)
-        # I0[n-1] = integral of |m| over [1, n]: m is constant on [j, j+1)
-        abs_m = np.abs(self.m[:-1]) if N > 1 else np.empty(0)
-        self.I0 = np.concatenate(([0.0], np.cumsum(abs_m)))
-        i0_term_rad = np.cumsum(self.m_rad[:-1]) if N > 1 else np.empty(0)
-        self.I0_rad = np.concatenate(([0.0], i0_term_rad + _EPS * ns[:-1] * np.maximum.accumulate(np.abs(self.I0[1:]))))
-        w = ns[:-1] + 0.5  # integral of t over [j, j+1]
+        self.M = np.empty(N, dtype=np.int64)
+        fill = {col: (np.empty(N), np.empty(N)) for col in ("m", "sl", "sl2", "H", "I0")}
+        for seg in prefix_columns(N, (*fill, "M"), _SWEEP_SEGMENT):
+            sl = slice(seg.lo - 1, seg.hi)
+            self.M[sl] = seg.cols["M"]
+            for col, (values, radii) in fill.items():
+                values[sl], radii[sl] = seg.cols[col]
+        self.m, self.m_rad = fill["m"]
+        self.Smlog, self.Smlog_rad = fill["sl"]
+        self.Smlog2, self.Smlog2_rad = fill["sl2"]
+        self.H, self.H_rad = fill["H"]
+        self.I0, self.I0_rad = fill["I0"]
+        ns = np.arange(1, N, dtype=np.float64)
+        abs_m = np.abs(self.m[:-1])
+        w = ns + 0.5  # integral of t over [j, j+1]
         self.I1 = np.concatenate(([0.0], np.cumsum(abs_m * w)))
-        i1_rad = np.cumsum(self.m_rad[:-1] * w) if N > 1 else np.empty(0)
-        self.I1_rad = np.concatenate(([0.0], i1_rad + _EPS * ns[:-1] * np.maximum.accumulate(np.abs(self.I1[1:]))))
+        i1_rad = np.cumsum(self.m_rad[:-1] * w)
+        self.I1_rad = np.concatenate(([0.0], i1_rad + _EPS * ns * np.maximum.accumulate(np.abs(self.I1[1:]))))
         self.IabsM = np.concatenate(([0], np.cumsum(np.abs(self.M[:-1]))))  # exact
 
-    # point lookups at real x >= 1 -----------------------------------------
+    # point lookups at real x in [1, N + 1) ---------------------------------
+
+    def _index(self, x: float) -> int:
+        n = math.floor(x)
+        if n < 1:
+            raise DomainError(f"x must be >= 1, got {x}")
+        if n > self.N:
+            raise DomainError(f"sweep covers N={self.N} < floor(x)")
+        return n
 
     def m_at(self, x: float) -> ApproxValue:
-        n = min(math.floor(x), self.N)
+        n = self._index(x)
         return ApproxValue(self.m[n - 1], radd(self.m_rad[n - 1]), RIGOROUS, 53)
 
     def mcheck_at(self, x: float) -> ApproxValue:
-        n = min(math.floor(x), self.N)
+        n = self._index(x)
         logx = math.log(x)
         v = logx * self.m[n - 1] - self.Smlog[n - 1]
         r = (abs(logx) * self.m_rad[n - 1] + self.Smlog_rad[n - 1]
@@ -281,20 +336,20 @@ class PrefixSweep:
         return ApproxValue(v, radd(r), RIGOROUS, 53)
 
     def I0_at(self, x: float) -> ApproxValue:
-        n = min(math.floor(x), self.N)
+        n = self._index(x)
         v = self.I0[n - 1] + abs(self.m[n - 1]) * (x - n)
         r = self.I0_rad[n - 1] + self.m_rad[n - 1] * (x - n) + _EPS * 4 * abs(v)
         return ApproxValue(v, radd(r), RIGOROUS, 53)
 
     def I1_at(self, x: float) -> ApproxValue:
-        n = min(math.floor(x), self.N)
+        n = self._index(x)
         v = self.I1[n - 1] + abs(self.m[n - 1]) * (x * x - n * n) / 2.0
         r = self.I1_rad[n - 1] + self.m_rad[n - 1] * (x * x - n * n) / 2.0 + _EPS * 4 * abs(v)
         return ApproxValue(v, radd(r), RIGOROUS, 53)
 
     def int_m_at(self, x: float) -> ApproxValue:
         """Exact-piecewise integral of m (signed) over [1, x]."""
-        n = min(math.floor(x), self.N)
+        n = self._index(x)
         signed = self.m[:n - 1] if n > 1 else np.empty(0)
         v = float(np.sum(signed)) + self.m[n - 1] * (x - n)
         r = (float(np.sum(self.m_rad[:max(n - 1, 0)])) + self.m_rad[n - 1] * (x - n)
@@ -313,28 +368,9 @@ def abs_m_integrals(x: float, sweep: PrefixSweep | None = None) -> tuple[ApproxV
     m is a step function, so both are exact piecewise sums; radii cover only
     rounding.
     """
-    if x < 1:
-        raise DomainError(f"x must be >= 1, got {x}")
     if sweep is None:
         sweep = prefix_sweep(max(math.floor(x), 1))
-    if math.floor(x) > sweep.N:
-        raise DomainError(f"sweep covers N={sweep.N} < floor(x)")
     return sweep.I0_at(x), sweep.I1_at(x)
-
-
-def m_exact_fraction(x: float) -> Fraction:
-    """Exact rational m(x) for modest x; the internal oracle for the fast path."""
-    N = math.floor(x)
-    if N > 100_000:
-        raise DomainError("exact-rational mode is for x <= 1e5")
-    from .sieve import sieve_range
-    table = sieve_range(1, max(N, 1))
-    total = Fraction(0)
-    for n in range(1, N + 1):
-        mu = table.mu(n)
-        if mu:
-            total += Fraction(mu, n)
-    return total
 
 
 def harmonic_gamma_margins(N: int, gamma_f: float | None = None):

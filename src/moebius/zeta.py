@@ -228,22 +228,15 @@ def zeta_em(s, target_radius: float = 1e-30, precision: int | None = None,
 
 
 def partial_power_sum(s, t: float, precision: int | None = None) -> ApproxValue:
-    """sum_{k <= t} k^(-s), compensated, with a rounding radius."""
+    """sum_{k <= t} k^(-s), compensated, with a rounding radius (a reader of
+    power_prefix_table)."""
     sp = ComplexParam.coerce(s)
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
-    prec = precision or mpmath.mp.prec
     K = math.floor(t)
-    eps = eps_for(prec)
-    with mpmath.mp.workprec(prec + _GUARD):
-        sm = sp.as_mpc()
-        total = mpc(0) if sp.tau else mpf(0)
-        abs_sum = 0.0
-        for k in range(1, K + 1):
-            term = mpmath.power(k, -sm)
-            total += term
-            abs_sum += float(mpmath.fabs(term))
-        return ApproxValue(+total, radd(eps * 8 * abs_sum), RIGOROUS, prec)
+    table = power_prefix_table(sp.sigma, sp.tau, precision or mpmath.mp.prec)
+    value = table.value(K)
+    return ApproxValue(value, radd(table.radius(K)), RIGOROUS, table.prec)
 
 
 class PowerPrefixTable:

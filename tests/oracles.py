@@ -43,6 +43,13 @@ def mobius_dirichlet_inverse(N: int) -> np.ndarray:
     return mu
 
 
+def m_exact_fraction(x: float) -> Fraction:
+    """Exact rational m(x) = sum_{n <= x} mu(n)/n, mu from the Dirichlet inverse."""
+    N = math.floor(x)
+    mu = mobius_dirichlet_inverse(max(N, 1))
+    return sum((Fraction(int(mu[n]), n) for n in range(1, N + 1) if mu[n]), Fraction(0))
+
+
 def mu_trial_division(n: int) -> int:
     """mu(n) by naive factorization."""
     if n == 1:

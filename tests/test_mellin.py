@@ -1,3 +1,5 @@
+import sys
+
 import mpmath
 import pytest
 
@@ -83,3 +85,32 @@ def test_har_and_ent():
 def test_transform_bad_range():
     with pytest.raises(DomainError):
         TruncatedTransform(2.0, 100.0, 50.0, "m", 0)
+
+
+def test_transform_streams_past_one_segment_like_the_sweep():
+    # T beyond the sieve segment (2^20): the streamed point data at T equal
+    # the one-shot prefix sweep
+    from moebius.summatory import PrefixSweep
+    T = 1_200_000
+    tt = TruncatedTransform(2.0, 1000.0, T, "mdnorm", 0)
+    sw = PrefixSweep(T)
+    for col, (values, radii) in {"m": (sw.m, sw.m_rad), "sl": (sw.Smlog, sw.Smlog_rad),
+                                 "sl2": (sw.Smlog2, sw.Smlog2_rad),
+                                 "I0": (sw.I0, sw.I0_rad)}.items():
+        assert tt.at_T[col] == (values[T - 1], radii[T - 1]), col
+
+
+@pytest.mark.parametrize("weight,columns", [("m", 1), ("mcheck1", 2), ("hgap", 1)])
+def test_transform_sums_only_the_columns_its_weight_reads(weight, columns, monkeypatch):
+    summatory_module = sys.modules["moebius.summatory"]
+    calls = []
+    real = summatory_module.compensated_cumsum
+
+    def counting(terms, *args, **kwargs):
+        calls.append(len(terms))
+        return real(terms, *args, **kwargs)
+
+    monkeypatch.setattr(summatory_module, "compensated_cumsum", counting)
+    T = 1_200_000  # two sieve segments
+    TruncatedTransform(2.0, 1000.0, T, weight, 0)
+    assert sorted(calls) == sorted([T - 2**20, 2**20] * columns)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moebius.errors import CapacityError, DomainError
-from moebius.sieve import MobiusTable, iter_segments, sieve_range
-from oracles import FROZEN, mu_trial_division
+from moebius.sieve import MobiusTable, iter_segments, nonzero_mu, sieve_range
+from oracles import FROZEN, mobius_dirichlet_inverse, mu_trial_division
 
 
 def test_first_twelve():
@@ -38,6 +38,15 @@ def test_dirichlet_inverse_property_exhaustive():
         acc[d::d] += table.mu(d)
     assert acc[1] == 1
     assert not np.any(acc[2:])
+
+
+def test_nonzero_mu_reader():
+    N = 5_000
+    mu = mobius_dirichlet_inverse(N)
+    pairs = list(nonzero_mu(N))
+    assert pairs == [(n, int(mu[n])) for n in range(1, N + 1) if mu[n]]
+    assert all(type(n) is int and type(v) is int for n, v in pairs)
+    assert list(nonzero_mu(0)) == []
 
 
 @settings(max_examples=25, deadline=None)

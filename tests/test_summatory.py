@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from moebius.constants import M_OVER_LOG
 from moebius.errors import DomainError
-from moebius.summatory import (abs_m_integrals, compensated_cumsum,
-                               harmonic_gamma_margins, m_exact_fraction,
-                               prefix_sweep, summatory)
-from oracles import FROZEN
+from moebius.summatory import (TERMS, CumsumState, abs_m_integrals,
+                               compensated_cumsum, harmonic_gamma_margins,
+                               prefix_columns, prefix_sweep, summatory)
+from oracles import FROZEN, m_exact_fraction
 
 
 def test_snapshot_x1_all_trivial():
@@ -142,6 +142,53 @@ def test_compensated_cumsum_radius_honest(xs):
     out, rad = compensated_cumsum(arr, term_ulps=0, chunk=64)
     exact = [math.fsum(xs[: i + 1]) for i in range(len(xs))]
     assert np.all(np.abs(out - np.asarray(exact)) <= rad + 1e-300)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the radius drops the in-chunk "
+                   "rounding of earlier chunks; an honest carry needs error-free summation")
+def test_compensated_cumsum_radius_carries_earlier_chunks():
+    # the first chunk rounds 4095 terms of 1.1e-16 away against 1.0 (error
+    # 4.5e-13); the next chunk's radius is 8.9e-16
+    terms = np.array([1.0] + [1.1e-16] * 4095 + [0.0] * 10)
+    out, rad = compensated_cumsum(terms)
+    assert abs(out[-1] - math.fsum(terms)) <= rad[-1]
+
+
+def test_streamed_columns_equal_one_shot_cumsum():
+    # segments of k * 4096 chain the chunk state exactly
+    N = 50_000
+    whole = next(prefix_columns(N, (), segment_size=N))
+    segs = list(prefix_columns(N, ("m", "sl", "sl2", "H", "Hlog", "M", "I0"),
+                               segment_size=3 * 4096))
+    assert len(segs) == 5
+    for name, (term, ulps) in TERMS.items():
+        want = compensated_cumsum(term(whole), ulps)
+        for got, ref in zip(zip(*(seg.cols[name] for seg in segs)), want):
+            assert np.array_equal(np.concatenate(got), ref), name
+    sw = prefix_sweep(N)
+    assert np.array_equal(np.concatenate([seg.cols["M"] for seg in segs]), sw.M)
+    for got, ref in zip(zip(*(seg.cols["I0"] for seg in segs)), (sw.I0, sw.I0_rad)):
+        assert np.array_equal(np.concatenate(got), ref)
+
+
+def test_cumsum_state_continues_across_calls():
+    terms = np.random.default_rng(5).normal(size=3 * 64 + 17)
+    state = CumsumState()
+    parts = [compensated_cumsum(terms[i:i + 128], 1, chunk=64, state=state)
+             for i in range(0, len(terms), 128)]
+    one = compensated_cumsum(terms, 1, chunk=64)
+    for k in range(2):
+        assert np.array_equal(np.concatenate([p[k] for p in parts]), one[k])
+
+
+@pytest.mark.parametrize("lookup", ["m_at", "mcheck_at", "I0_at", "I1_at", "int_m_at"])
+def test_sweep_lookups_reject_x_beyond_N(lookup):
+    sw = prefix_sweep(100)
+    getattr(sw, lookup)(100.5)  # floor(x) = N is covered
+    with pytest.raises(DomainError, match="sweep covers N=100"):
+        getattr(sw, lookup)(150.0)
+    with pytest.raises(DomainError):
+        getattr(sw, lookup)(0.5)
 
 
 def test_validate_rejects_bad_snapshot():
