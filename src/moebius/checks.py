@@ -33,9 +33,8 @@ from .identities import (abel_s_sides, double_check_borne_sides, formule_m_value
                          kgen2_sides, mieux1_sides, mu_power_sum, poids_sides)
 from .kernels import (IBP_R, KernelSpec, MID_Q, REAL_R, SUP_Q, hel_remainder_bound,
                       hel_sup_abs_Q, kernel_bound, kernel_eval, kernel_eval_em)
-from .mellin import (derivK1_residual, derivK2_residual, derivK3_residual,
-                     ent_residual, har_residual, mieux2_sides, mtronq_residual,
-                     mtronqch_residual, mtronqchch_residual)
+from .mellin import (DERIVK1, DERIVK2, DERIVK3, HAR, MIEUX2, MTRONQ, MTRONQCH,
+                     MTRONQCHCH, ent_residual, transform_sides)
 from .piecewise import FunctionSpec
 from .quadrature import (exact_Q_l1_reference, exact_Q_l1_tail,
                          integrate_abs_kernel_to_infinity, integrate_signed_kernel,
@@ -151,17 +150,25 @@ def _slist(grid, key, default):
     return list(vals) if isinstance(vals, (list, tuple)) else [vals]
 
 
-def _residual_cells(pairs_fn, grid, s_key="s", x_key="x"):
+def _grid_pairs(grid):
+    return [(s, x) for s in _slist(grid, "s", grid["_s_default"])
+            for x in _slist(grid, "x", grid["_x_default"])]
+
+
+def _residual_cells(pairs_fn, grid):
+    pairs = _grid_pairs(grid)
+    return _identity_cells(pairs, [pairs_fn(s, x) for s, x in pairs])
+
+
+def _identity_cells(pairs, sides):
     cells = []
-    for s in _slist(grid, s_key, grid["_s_default"]):
-        for x in _slist(grid, x_key, grid["_x_default"]):
-            lhs, rhs = pairs_fn(s, x)
-            resid = float(mpmath.fabs(lhs.value - rhs.value))
-            tol = radd(lhs.radius, rhs.radius)
-            cells.append({"s": str(ComplexParam.coerce(s)), "x": x,
-                          "residual": resid, "radius": tol,
-                          "pass": resid <= tol,
-                          "rigor": combine_rigor(lhs.rigor, rhs.rigor)})
+    for (s, x), (lhs, rhs) in zip(pairs, sides):
+        resid = float(mpmath.fabs(lhs.value - rhs.value))
+        tol = radd(lhs.radius, rhs.radius)
+        cells.append({"s": str(ComplexParam.coerce(s)), "x": x,
+                      "residual": resid, "radius": tol,
+                      "pass": resid <= tol,
+                      "rigor": combine_rigor(lhs.rigor, rhs.rigor)})
     return cells
 
 
@@ -197,6 +204,8 @@ def _check_abel(grid, target, prec):
     # s = 0 specialization on a fast sweep: integral_1^x m = x m(x) - M(x)
     sweep = prefix_sweep(int(grid.get("xmax_fast", 1e5)))
     for x in (10.0, 1000.0, 99999.5, float(sweep.N)):
+        if x > sweep.N:  # a fixed point beyond a short sweep (xmax_fast)
+            continue
         im = sweep.int_m_at(x)
         n = math.floor(x)
         rhs = x * sweep.m[n - 1] - sweep.M[n - 1]
@@ -214,12 +223,12 @@ def _check_int_check(grid, target, prec):
     return _finish("int-check", "identity", grid, cells, t0)
 
 
-def _mk_transform_check(name, fn, x_default):
+def _mk_transform_check(name, identity, x_default):
     def run(grid, target, prec):
         t0 = time.perf_counter()
         g = {"_s_default": [1 + 1e-4, 1.04, 1.5, 2.0, 3.0], "_x_default": x_default, **grid}
-        T = g.get("T")
-        cells = _residual_cells(lambda s, x: fn(s, x, T=T, precision=prec), g)
+        pairs = _grid_pairs(g)
+        cells = _identity_cells(pairs, transform_sides(identity, pairs, g.get("T"), prec))
         return _finish(name, "identity", g, cells, t0)
     return run
 
@@ -237,16 +246,14 @@ def _check_mieux2(grid, target, prec):
     g = {"_s_default": [2.0, 0.5 + 3j, 1.04], "_x_default": [10.0, 100.0], **grid}
     cells = []
     sign_report = {}
-    for s in _slist(g, "s", g["_s_default"]):
-        for x in _slist(g, "x", g["_x_default"]):
-            lhs, rhs = mieux2_sides(s, x, precision=prec, gamma_sign=+1)
-            resid = float(mpmath.fabs(lhs.value - rhs.value))
-            tol = radd(lhs.radius, rhs.radius)
-            _, rhs_minus = mieux2_sides(s, x, precision=prec, gamma_sign=-1)
-            resid_minus = float(mpmath.fabs(lhs.value - rhs_minus.value))
-            cells.append({"s": str(ComplexParam.coerce(s)), "x": x, "residual": resid,
-                          "radius": tol, "pass": resid <= tol, "rigor": RIGOROUS})
-            sign_report[f"s={s} x={x}"] = {"plus_gamma": resid, "minus_gamma": resid_minus}
+    pairs = _grid_pairs(g)
+    for (s, x), (lhs, rhs, rhs_minus) in zip(pairs, transform_sides(MIEUX2, pairs, None, prec)):
+        resid = float(mpmath.fabs(lhs.value - rhs.value))
+        tol = radd(lhs.radius, rhs.radius)
+        resid_minus = float(mpmath.fabs(lhs.value - rhs_minus.value))
+        cells.append({"s": str(ComplexParam.coerce(s)), "x": x, "residual": resid,
+                      "radius": tol, "pass": resid <= tol, "rigor": RIGOROUS})
+        sign_report[f"s={s} x={x}"] = {"plus_gamma": resid, "minus_gamma": resid_minus}
     payload = {"printed_sign_adjudication":
                "closing parenthesis +gamma matches (with the vanishing tail "
                "bracket log t - H + gamma); -gamma residuals shown for contrast",
@@ -328,7 +335,8 @@ def _check_exact_Q_l1(grid, target, prec):
 def _check_har(grid, target, prec):
     t0 = time.perf_counter()
     g = {"_s_default": [2.0, 0.5 + 3j], "_x_default": [20.5, 50.0], **grid}
-    cells = _residual_cells(lambda s, t: har_residual(s, t, precision=prec), g)
+    pairs = _grid_pairs(g)
+    cells = _identity_cells(pairs, transform_sides(HAR, pairs, None, prec))
     return _finish("har", "identity", g, cells, t0)
 
 
@@ -502,62 +510,59 @@ def _sup_window(sweep, x: float, kind: str, factor: float = 1000.0):
 def _prop_inequality_cells(which: str, letter: str, grid, prec):
     """prop1/prop2 per-letter: underlying transform identity + the inequality
     with the empirical window sup (heuristic)."""
-    id_fn = {("1", "a"): mtronq_residual, ("1", "b"): mtronqch_residual,
-             ("1", "c"): mtronqchch_residual, ("2", "a"): derivK1_residual,
-             ("2", "b"): derivK2_residual, ("2", "c"): derivK3_residual}[(which, letter)]
-    sigmas = _slist(grid, "s", [1.04, 2.0])
-    xs = _slist(grid, "x", [1000.0])
+    identity = {("1", "a"): MTRONQ, ("1", "b"): MTRONQCH, ("1", "c"): MTRONQCHCH,
+                ("2", "a"): DERIVK1, ("2", "b"): DERIVK2, ("2", "c"): DERIVK3}[(which, letter)]
+    pairs = [(sig, x) for sig in _slist(grid, "s", [1.04, 2.0])
+             for x in _slist(grid, "x", [1000.0])]
     sweep = prefix_sweep(int(grid.get("sweep_N", 1e6)))
     cells = []
-    for sig in sigmas:
-        for x in xs:
-            lhs, rhs = id_fn(sig, x, precision=prec)
-            resid = float(mpmath.fabs(lhs.value - rhs.value))
-            tol = radd(lhs.radius, rhs.radius)
-            cells.append({"form": "identity", "sigma": sig, "x": x,
-                          "residual": resid, "margin": math.inf, "radius": tol,
-                          "pass": resid <= tol, "rigor": RIGOROUS})
-            # inequality with empirical sup
-            z, zp = zeta_em(sig, 1e-30, precision=prec)
-            snap = summatory(x, mode="mp", precision=prec)
-            x1s = float(x) ** (1.0 - sig)
-            if which == "1":
-                sup_kind = {"a": "m", "b": "mcheck1", "c": "mdnorm"}[letter]
-                sup = _sup_window(sweep, x, sup_kind)
-                msum = mu_power_sum(x, sig, prec)
-                inv_z = ApproxValue.exact(1) / z
-                if letter == "a":
-                    lhs_v = abs(complex((inv_z - msum).value))
-                    bound = 2.0 * x1s * sup
-                elif letter == "b":
-                    lhs_v = abs(complex((inv_z - msum + snap.m * ApproxValue.exact(x1s)).value))
-                    bound = 2.0 * (sig - 1.0) * x1s * sup
-                else:
-                    lhs_v = abs(complex((inv_z - msum + snap.m * ApproxValue.exact(x1s)
-                                         + ApproxValue.exact((sig - 1) * x1s) * (snap.m_check - 1)).value))
-                    bound = (sig - 1.0) ** 2 * x1s * sup
+    for (sig, x), (lhs, rhs) in zip(pairs, transform_sides(identity, pairs, None, prec)):
+        resid = float(mpmath.fabs(lhs.value - rhs.value))
+        tol = radd(lhs.radius, rhs.radius)
+        cells.append({"form": "identity", "sigma": sig, "x": x,
+                      "residual": resid, "margin": math.inf, "radius": tol,
+                      "pass": resid <= tol, "rigor": RIGOROUS})
+        # inequality with empirical sup
+        z, zp = zeta_em(sig, 1e-30, precision=prec)
+        snap = summatory(x, mode="mp", precision=prec)
+        x1s = float(x) ** (1.0 - sig)
+        if which == "1":
+            sup_kind = {"a": "m", "b": "mcheck1", "c": "mdnorm"}[letter]
+            sup = _sup_window(sweep, x, sup_kind)
+            msum = mu_power_sum(x, sig, prec)
+            inv_z = ApproxValue.exact(1) / z
+            if letter == "a":
+                lhs_v = abs(complex((inv_z - msum).value))
+                bound = 2.0 * x1s * sup
+            elif letter == "b":
+                lhs_v = abs(complex((inv_z - msum + snap.m * ApproxValue.exact(x1s)).value))
+                bound = 2.0 * (sig - 1.0) * x1s * sup
             else:
-                sup_kind = {"a": "m", "b": "mcheck1", "c": "mdnorm"}[letter]
-                sup = _sup_window(sweep, x, sup_kind)
-                from .identities import mu_log_power_sum
-                mlsum = mu_log_power_sum(x, sig, prec)
-                logx = math.log(x)
-                head = ApproxValue.exact(logx) / z - zp / (z * z) - mlsum
-                if letter == "a":
-                    lhs_v = abs(complex(head.value))
-                    bound = (2.0 / (sig - 1.0)) * x1s * sup
-                elif letter == "b":
-                    lhs_v = abs(complex(head.value))
-                    bound = 4.0 * x1s * sup
-                else:
-                    lhs_v = abs(complex((head + (snap.m_check - 1) * ApproxValue.exact(x1s)).value))
-                    bound = 3.0 * (sig - 1.0) * x1s * sup
-            margin = bound - lhs_v
-            cells.append({"form": "inequality", "sigma": sig, "x": x,
-                          "residual": math.nan, "margin": margin,
-                          "radius": 1e-12 + 1e-9 * abs(bound),
-                          "pass": margin >= -(1e-12 + 1e-9 * abs(bound)),
-                          "rigor": HEURISTIC, "window_sup": sup})
+                lhs_v = abs(complex((inv_z - msum + snap.m * ApproxValue.exact(x1s)
+                                     + ApproxValue.exact((sig - 1) * x1s) * (snap.m_check - 1)).value))
+                bound = (sig - 1.0) ** 2 * x1s * sup
+        else:
+            sup_kind = {"a": "m", "b": "mcheck1", "c": "mdnorm"}[letter]
+            sup = _sup_window(sweep, x, sup_kind)
+            from .identities import mu_log_power_sum
+            mlsum = mu_log_power_sum(x, sig, prec)
+            logx = math.log(x)
+            head = ApproxValue.exact(logx) / z - zp / (z * z) - mlsum
+            if letter == "a":
+                lhs_v = abs(complex(head.value))
+                bound = (2.0 / (sig - 1.0)) * x1s * sup
+            elif letter == "b":
+                lhs_v = abs(complex(head.value))
+                bound = 4.0 * x1s * sup
+            else:
+                lhs_v = abs(complex((head + (snap.m_check - 1) * ApproxValue.exact(x1s)).value))
+                bound = 3.0 * (sig - 1.0) * x1s * sup
+        margin = bound - lhs_v
+        cells.append({"form": "inequality", "sigma": sig, "x": x,
+                      "residual": math.nan, "margin": margin,
+                      "radius": 1e-12 + 1e-9 * abs(bound),
+                      "pass": margin >= -(1e-12 + 1e-9 * abs(bound)),
+                      "rigor": HEURISTIC, "window_sup": sup})
     return cells
 
 
@@ -983,14 +988,14 @@ def _check_headline(grid, target, prec):
     claim = float(grid.get("claim", 3.5e-5))
     cells = [{"C": C, "c": c, "value": value, "margin": claim - value,
               "radius": 1e-20, "pass": value <= claim, "rigor": RIGOROUS}]
-    for sig in _slist(grid, "s", [1.04, 2.0]):
-        for x in _slist(grid, "x", [1000.0, 100000.0]):
-            lhs, rhs = derivK2_residual(sig, x, precision=prec)
-            resid = float(mpmath.fabs(lhs.value - rhs.value))
-            tol = radd(lhs.radius, rhs.radius)
-            cells.append({"form": "derivK2 identity", "sigma": sig, "x": x,
-                          "residual": resid, "margin": math.inf, "radius": tol,
-                          "pass": resid <= tol, "rigor": RIGOROUS})
+    pairs = [(sig, x) for sig in _slist(grid, "s", [1.04, 2.0])
+             for x in _slist(grid, "x", [1000.0, 100000.0])]
+    for (sig, x), (lhs, rhs) in zip(pairs, transform_sides(DERIVK2, pairs, None, prec)):
+        resid = float(mpmath.fabs(lhs.value - rhs.value))
+        tol = radd(lhs.radius, rhs.radius)
+        cells.append({"form": "derivK2 identity", "sigma": sig, "x": x,
+                      "residual": resid, "margin": math.inf, "radius": tol,
+                      "pass": resid <= tol, "rigor": RIGOROUS})
     return _finish("headline", "inequality", grid, cells, t0,
                    {"composed": value, "claim": claim})
 
@@ -1007,12 +1012,12 @@ def _check_landau_lower(grid, target, prec):
 REGISTRY = {
     "abel": _check_abel,
     "int-check": _check_int_check,
-    "mtronq": _mk_transform_check("mtronq", mtronq_residual, [1000.0, 10000.0]),
-    "mtronqch": _mk_transform_check("mtronqch", mtronqch_residual, [1000.0, 10000.0]),
-    "mtronqchch": _mk_transform_check("mtronqchch", mtronqchch_residual, [1000.0, 10000.0]),
-    "derivK1": _mk_transform_check("derivK1", derivK1_residual, [1000.0]),
-    "derivK2": _mk_transform_check("derivK2", derivK2_residual, [1000.0, 100000.0]),
-    "derivK3": _mk_transform_check("derivK3", derivK3_residual, [1000.0]),
+    "mtronq": _mk_transform_check("mtronq", MTRONQ, [1000.0, 10000.0]),
+    "mtronqch": _mk_transform_check("mtronqch", MTRONQCH, [1000.0, 10000.0]),
+    "mtronqchch": _mk_transform_check("mtronqchch", MTRONQCHCH, [1000.0, 10000.0]),
+    "derivK1": _mk_transform_check("derivK1", DERIVK1, [1000.0]),
+    "derivK2": _mk_transform_check("derivK2", DERIVK2, [1000.0, 100000.0]),
+    "derivK3": _mk_transform_check("derivK3", DERIVK3, [1000.0]),
     "mieux-1": _check_mieux1,
     "mieux-2": _check_mieux2,
     "poids": _check_poids,

@@ -13,6 +13,7 @@ the step-function conversion lemma for the smoothed weights).
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import mpmath
 import numpy as np
@@ -63,94 +64,28 @@ def power_log_tail(sigma: float, T: float, j: int) -> float:
 
 
 class TruncatedTransform:
-    """One streaming pass: basis integrals B_j = integral_x^T w(t) t^(-s)
-    log^j t dt for j = 0..mom_max, plus the prefix point data at x and T.
+    """Basis integrals B_j = integral_x^T w(t) t^(-s) log^j t dt for
+    j = 0..mom_max, plus the prefix point data at x and T.
 
     The weight w is m, m-check - 1, the normalized m-double-check, or the
     harmonic gap H - log - gamma; each is an exact log-polynomial on [n, n+1)
-    in the prefix columns it reads (_WEIGHTS).
+    in the prefix columns it reads (_WEIGHTS).  A transform is one stream of
+    [1, floor(T)]; truncated_transforms shares that stream between cells.
     """
 
     def __init__(self, s, x: float, T: float, weight: str, mom_max: int = 0):
-        sp = ComplexParam.coerce(s)
+        self._describe(s, x, T, weight, mom_max)
+        _stream([self])
+
+    def _describe(self, s, x: float, T: float, weight: str, mom_max: int):
         if not (1 <= x <= T):
             raise DomainError("need 1 <= x <= T")
-        self.s = sp
+        self.s = ComplexParam.coerce(s)
         self.x = float(x)
         self.T = float(T)
         self.weight = weight
-        sm = complex(sp.sigma, sp.tau)
-        reads, coefficients = _WEIGHTS[weight]
-        B = np.zeros(mom_max + 1, dtype=np.complex128)
-        cond = np.zeros(mom_max + 1)
-        sens = np.zeros(mom_max + 1)
-        musum = mulogsum = 0.0 + 0.0j
-        musum_abs = mulog_abs = 0.0
-        Nx = math.floor(x)
-        NT = math.floor(T)
-        self.at_x: dict = {}
-        self.at_T: dict = {}
-        need_mu = weight != WEIGHT_HGAP
-        for seg in prefix_columns(NT, reads):
-            c = seg.cols
-            # mu power sums below x
-            if need_mu and seg.lo <= Nx:
-                sl_n = slice(0, min(Nx, seg.hi) - seg.lo + 1)
-                logs = seg.logs[sl_n]
-                pw = np.exp(-sm * logs) * seg.mu[sl_n]
-                musum += complex(np.sum(pw))
-                musum_abs += float(np.sum(np.abs(pw)))
-                pwl = pw * logs
-                mulogsum += complex(np.sum(pwl))
-                mulog_abs += float(np.sum(np.abs(pwl)))
-            # capture point data
-            for store, idx in ((self.at_x, Nx), (self.at_T, NT)):
-                if seg.lo <= idx <= seg.hi:
-                    i = idx - seg.lo
-                    store.update({k: (c[k][0][i], c[k][1][i]) for k in reads})
-            # pieces of [x, T] covered by this segment
-            lo_t = max(self.x, float(seg.lo))
-            hi_t = min(self.T, float(seg.hi + 1))
-            if lo_t >= hi_t:
-                continue
-            first_n = math.floor(lo_t)
-            ends = np.arange(first_n + 1, math.floor(hi_t) + 1, dtype=np.float64)
-            breaks = np.concatenate(([lo_t], ends))
-            if breaks[-1] != hi_t:
-                breaks = np.concatenate((breaks, [hi_t]))
-            if len(breaks) < 2:
-                continue
-            piece_n = np.floor(breaks[:-1] + 0.0).astype(np.int64)
-            piece_n[0] = first_n
-            rel = piece_n - seg.lo
-            cols = coefficients({k: (c[k][0][rel], c[k][1][rel]) for k in reads if k != "I0"})
-            jmax = mom_max + len(cols) - 1
-            lb = np.log(breaks)
-            E = np.exp((1.0 - sm) * lb)  # t^{1-s} at the breakpoints
-            # G_j recurrence: F_j = E * G_j,  G_j = (lb^j - j G_{j-1})/(1-s)
-            Fs = []
-            G = np.full(len(breaks), 1.0 / (1.0 - sm), dtype=np.complex128)
-            Fs.append(E * G)
-            for j in range(1, jmax + 1):
-                G = (lb ** j - j * G) / (1.0 - sm)
-                Fs.append(E * G)
-            dF = [f[1:] - f[:-1] for f in Fs]
-            aF = [np.abs(f[1:]) + np.abs(f[:-1]) for f in Fs]
-            for j in range(mom_max + 1):
-                for k, (w, wrad) in enumerate(cols):
-                    B[j] += np.sum(w * dF[j + k])
-                    cond[j] += float(np.sum(np.abs(w) * aF[j + k]))
-                    sens[j] += float(np.sum(wrad * aF[j + k]))
-        self.basis = []
-        for j in range(mom_max + 1):
-            rad = _EPS * 1024.0 * (cond[j] + abs(B[j])) + sens[j]
-            self.basis.append(ApproxValue(B[j], radd(rad), RIGOROUS, 53))
-        if need_mu:
-            self.mu_power_x = ApproxValue(musum, radd(_EPS * 64 * musum_abs), RIGOROUS, 53)
-            logx = math.log(self.x)
-            v = logx * musum - mulogsum
-            self.mu_logpower_x = ApproxValue(
-                v, radd(_EPS * 64 * (abs(logx) * musum_abs + mulog_abs + abs(v))), RIGOROUS, 53)
+        self.mom_max = mom_max
+        return self
 
     # point helpers ---------------------------------------------------------
 
@@ -201,6 +136,135 @@ class TruncatedTransform:
         return abs(float(vT.value)) + vT.radius, 2.0 * self.sup_mcheck1_beyond_T()
 
 
+def truncated_transforms(weight: str, T: float, cells) -> list[TruncatedTransform]:
+    """TruncatedTransform(s, x, T, weight, mom_max) for each (s, x, mom_max)
+    in `cells`, from one stream of [1, floor(T)]; each equals the transform
+    built alone bit for bit."""
+    tts = [TruncatedTransform.__new__(TruncatedTransform)._describe(s, x, T, weight, mom)
+           for s, x, mom in cells]
+    if tts:
+        _stream(tts)
+    return tts
+
+
+class _Sums:
+    """One transform's accumulators over the stream."""
+
+    def __init__(self, tt: TruncatedTransform):
+        self.tt = tt
+        self.sm = complex(tt.s.sigma, tt.s.tau)
+        self.B = np.zeros(tt.mom_max + 1, dtype=np.complex128)
+        self.cond = np.zeros(tt.mom_max + 1)
+        self.sens = np.zeros(tt.mom_max + 1)
+        self.musum = self.mulogsum = 0.0 + 0.0j
+        self.musum_abs = self.mulog_abs = 0.0
+
+    def finish(self, need_mu: bool) -> None:
+        """Set the transform's basis values and mu power sums, with radii."""
+        tt = self.tt
+        tt.basis = []
+        for j in range(tt.mom_max + 1):
+            rad = _EPS * 1024.0 * (self.cond[j] + abs(self.B[j])) + self.sens[j]
+            tt.basis.append(ApproxValue(self.B[j], radd(rad), RIGOROUS, 53))
+        if need_mu:
+            tt.mu_power_x = ApproxValue(self.musum, radd(_EPS * 64 * self.musum_abs),
+                                        RIGOROUS, 53)
+            logx = math.log(tt.x)
+            v = logx * self.musum - self.mulogsum
+            tt.mu_logpower_x = ApproxValue(
+                v, radd(_EPS * 64 * (abs(logx) * self.musum_abs + self.mulog_abs + abs(v))),
+                RIGOROUS, 53)
+
+
+def _stream(tts: list[TruncatedTransform]) -> None:
+    """Fill transforms that share the weight and T from one prefix_columns
+    stream.  Per segment, the breakpoints, log t and weight coefficients are
+    built once per distinct x; each transform keeps its own sums."""
+    weight, T = tts[0].weight, tts[0].T
+    reads, coefficients = _WEIGHTS[weight]
+    need_mu = weight != WEIGHT_HGAP
+    by_x: dict[float, list[_Sums]] = {}
+    for tt in tts:
+        by_x.setdefault(tt.x, []).append(_Sums(tt))
+    NT = math.floor(T)
+    at_T, at_x = {}, dict.fromkeys(by_x)
+    for seg in prefix_columns(NT, reads):
+        c = seg.cols
+        point = lambda idx: {k: (c[k][0][idx - seg.lo], c[k][1][idx - seg.lo]) for k in reads}
+        if seg.lo <= NT <= seg.hi:
+            at_T = point(NT)
+        for x, group in by_x.items():
+            Nx = math.floor(x)
+            if seg.lo <= Nx <= seg.hi:
+                at_x[x] = point(Nx)
+            if need_mu and seg.lo <= Nx:
+                _mu_power_sums(seg, Nx, group)
+            _pieces(seg, x, T, reads, coefficients, group)
+    for x, group in by_x.items():
+        for acc in group:
+            acc.tt.at_x, acc.tt.at_T = dict(at_x[x]), dict(at_T)
+            acc.finish(need_mu)
+
+
+def _mu_power_sums(seg, Nx: int, group: list[_Sums]) -> None:
+    """sum mu(n) n^(-s) and sum mu(n) n^(-s) log n over this segment's n <= x."""
+    sl_n = slice(0, min(Nx, seg.hi) - seg.lo + 1)
+    logs = seg.logs[sl_n]
+    mu = seg.mu[sl_n]
+    for acc in group:
+        pw = np.exp(-acc.sm * logs) * mu
+        acc.musum += complex(np.sum(pw))
+        acc.musum_abs += float(np.sum(np.abs(pw)))
+        pwl = pw * logs
+        acc.mulogsum += complex(np.sum(pwl))
+        acc.mulog_abs += float(np.sum(np.abs(pwl)))
+
+
+def _pieces(seg, x: float, T: float, reads, coefficients, group: list[_Sums]) -> None:
+    """Add the pieces of [x, T] in this segment to each transform's basis sums."""
+    lo_t = max(x, float(seg.lo))
+    hi_t = min(T, float(seg.hi + 1))
+    if lo_t >= hi_t:
+        return
+    first_n = math.floor(lo_t)
+    ends = np.arange(first_n + 1, math.floor(hi_t) + 1, dtype=np.float64)
+    breaks = np.concatenate(([lo_t], ends))
+    if breaks[-1] != hi_t:
+        breaks = np.concatenate((breaks, [hi_t]))
+    if len(breaks) < 2:
+        return
+    # piece i is [breaks[i], breaks[i+1]) inside [n, n+1) for n = first_n + i
+    rel = slice(first_n - seg.lo, first_n - seg.lo + len(breaks) - 1)
+    c = seg.cols
+    cols = coefficients({k: (c[k][0][rel], c[k][1][rel]) for k in reads if k != "I0"})
+    abs_w = [np.abs(w) for w, _ in cols]
+    lb = np.log(breaks)
+    for acc in group:
+        _add_pieces(acc, lb, cols, abs_w)
+
+
+def _add_pieces(acc: _Sums, lb: np.ndarray, cols: list, abs_w: list) -> None:
+    """B_j += sum over pieces of c_k [F_{j+k}] for the coefficients c_k."""
+    mom_max = acc.tt.mom_max
+    sm = acc.sm
+    E = np.exp((1.0 - sm) * lb)  # t^{1-s} at the breakpoints
+    # F_i = E * G_i is an antiderivative of t^(-s) log^i t, with
+    # G_0 = 1/(1-s) and G_i = (lb^i - i G_{i-1})/(1-s)
+    G = np.full(len(lb), 1.0 / (1.0 - sm), dtype=np.complex128)
+    for i in range(mom_max + len(cols)):
+        if i:
+            G = (lb ** i - i * G) / (1.0 - sm)
+        f = E * G
+        dF = f[1:] - f[:-1]
+        af = np.abs(f)
+        aF = af[1:] + af[:-1]
+        for j in range(max(0, i - len(cols) + 1), min(i, mom_max) + 1):
+            w, wrad = cols[i - j]
+            acc.B[j] += np.sum(w * dF)
+            acc.cond[j] += float(np.sum(abs_w[i - j] * aF))
+            acc.sens[j] += float(np.sum(wrad * aF))
+
+
 # ---------------------------------------------------------------------------
 # Residuals of the truncated transform identities.
 # ---------------------------------------------------------------------------
@@ -215,12 +279,45 @@ def _combine_moment(tt: TruncatedTransform, mom: int) -> ApproxValue:
     return out
 
 
-def mtronq_residual(s, x: float, T: float | None = None, precision: int = 128):
-    """(s-1) integral_x^inf m(t) t^(-s) dt = 1/zeta - sum mu/n^s + m(x)/x^{s-1}."""
-    sp = ComplexParam.coerce(s)
-    sp.require_sigma_gt(1.0, "m-tail transform")
-    T = T or default_T(x)
-    tt = TruncatedTransform(sp, x, T, WEIGHT_M, 0)
+class TransformIdentity:
+    """A truncated transform identity: the transform it reads (weight and
+    moments), the half-plane it holds on (Re s > sigma_gt, and s != 1 with
+    not_one), and `sides(tt, precision)`, which finishes its (lhs, rhs) from
+    the streamed transform."""
+
+    def __init__(self, weight: str, mom_max: int, sigma_gt: float, what: str,
+                 sides: Callable[[TruncatedTransform, int], tuple], not_one: bool = False):
+        self.weight, self.mom_max, self.sigma_gt = weight, mom_max, sigma_gt
+        self.what, self.sides, self.not_one = what, sides, not_one
+
+    def residual(self, s, x: float, T: float | None = None, precision: int = 128):
+        return transform_sides(self, [(s, x)], T, precision)[0]
+
+
+def transform_sides(identity: TransformIdentity, cells, T: float | None = None,
+                    precision: int = 128) -> list[tuple]:
+    """identity.sides for every (s, x) cell, in cell order.  Cells with the
+    same truncation point, T or else default_T(x), share one stream; different
+    points are never merged into one longer stream, which would change the
+    radii of the shorter ones."""
+    groups: dict = {}
+    for i, (s, x) in enumerate(cells):
+        sp = ComplexParam.coerce(s)
+        sp.require_sigma_gt(identity.sigma_gt, identity.what)
+        if identity.not_one:
+            sp.require_not_one(identity.what)
+        groups.setdefault(T or default_T(x), []).append((i, sp, x))
+    out = [None] * len(cells)
+    for T_cell, members in groups.items():
+        tts = truncated_transforms(identity.weight, T_cell,
+                                   [(sp, x, identity.mom_max) for _, sp, x in members])
+        for (i, _, _), tt in zip(members, tts):
+            out[i] = identity.sides(tt, precision)
+    return out
+
+
+def _mtronq_sides(tt: TruncatedTransform, precision: int):
+    sp, x, T = tt.s, tt.x, tt.T
     sm1 = abs(complex(sp.sigma - 1.0, sp.tau))
     tail = sm1 * tt.sup_m_beyond_T() * power_log_tail(sp.sigma, T, 0)
     with mpmath.mp.workprec(precision + 32):
@@ -234,11 +331,8 @@ def mtronq_residual(s, x: float, T: float | None = None, precision: int = 128):
     return lhs, rhs
 
 
-def mtronqch_residual(s, x: float, T: float | None = None, precision: int = 128):
-    sp = ComplexParam.coerce(s)
-    sp.require_sigma_gt(1.0, "m-check tail transform")
-    T = T or default_T(x)
-    tt = TruncatedTransform(sp, x, T, WEIGHT_MCHECK1, 0)
+def _mtronqch_sides(tt: TruncatedTransform, precision: int):
+    sp, x, T = tt.s, tt.x, tt.T
     sm1 = abs(complex(sp.sigma - 1.0, sp.tau))
     tail = sm1 ** 2 * tt.sup_mcheck1_beyond_T() * power_log_tail(sp.sigma, T, 0)
     with mpmath.mp.workprec(precision + 32):
@@ -253,11 +347,8 @@ def mtronqch_residual(s, x: float, T: float | None = None, precision: int = 128)
     return lhs, rhs
 
 
-def mtronqchch_residual(s, x: float, T: float | None = None, precision: int = 128):
-    sp = ComplexParam.coerce(s)
-    sp.require_sigma_gt(1.0, "m-double-check tail transform")
-    T = T or default_T(x)
-    tt = TruncatedTransform(sp, x, T, WEIGHT_MDNORM, 0)
+def _mtronqchch_sides(tt: TruncatedTransform, precision: int):
+    sp, x, T = tt.s, tt.x, tt.T
     sm1 = abs(complex(sp.sigma - 1.0, sp.tau))
     D, E = tt.mdnorm_tail_coeffs()
     tail = sm1 ** 3 / 2.0 * (D * power_log_tail(sp.sigma, T, 0)
@@ -283,13 +374,8 @@ def _deriv_rhs_head(sp: ComplexParam, x: float, precision: int, tt: TruncatedTra
         return (ApproxValue.exact(logx) / z - zp / (z * z) - tt.mu_logpower_x)
 
 
-def derivK1_residual(s, x: float, T: float | None = None, precision: int = 128):
-    """integral_x^inf m t^{-s} + (s-1) integral_x^inf m t^{-s} log(x/t)
-    = log x / zeta - zeta'/zeta^2 - sum mu n^{-s} log(x/n)."""
-    sp = ComplexParam.coerce(s)
-    sp.require_sigma_gt(1.0, "derived m transform")
-    T = T or default_T(x)
-    tt = TruncatedTransform(sp, x, T, WEIGHT_M, 1)
+def _derivK1_sides(tt: TruncatedTransform, precision: int):
+    sp, x, T = tt.s, tt.x, tt.T
     c = tt.sup_m_beyond_T()
     sm1 = abs(complex(sp.sigma - 1.0, sp.tau))
     LTx = math.log(T / x)
@@ -302,13 +388,8 @@ def derivK1_residual(s, x: float, T: float | None = None, precision: int = 128):
     return lhs, rhs
 
 
-def derivK2_residual(s, x: float, T: float | None = None, precision: int = 128):
-    """2(s-1) integral (mcheck-1) t^{-s} + (s-1)^2 integral (mcheck-1) t^{-s} log(x/t)
-    = log x/zeta - zeta'/zeta^2 - sum mu n^{-s} log(x/n) + (mcheck(x)-1)/x^{s-1}."""
-    sp = ComplexParam.coerce(s)
-    sp.require_sigma_gt(1.0, "derived m-check transform")
-    T = T or default_T(x)
-    tt = TruncatedTransform(sp, x, T, WEIGHT_MCHECK1, 1)
+def _derivK2_sides(tt: TruncatedTransform, precision: int):
+    sp, x, T = tt.s, tt.x, tt.T
     c = tt.sup_mcheck1_beyond_T()
     sm1 = abs(complex(sp.sigma - 1.0, sp.tau))
     LTx = math.log(T / x)
@@ -325,11 +406,8 @@ def derivK2_residual(s, x: float, T: float | None = None, precision: int = 128):
     return lhs, rhs
 
 
-def derivK3_residual(s, x: float, T: float | None = None, precision: int = 128):
-    sp = ComplexParam.coerce(s)
-    sp.require_sigma_gt(1.0, "derived m-double-check transform")
-    T = T or default_T(x)
-    tt = TruncatedTransform(sp, x, T, WEIGHT_MDNORM, 1)
+def _derivK3_sides(tt: TruncatedTransform, precision: int):
+    sp, x, T = tt.s, tt.x, tt.T
     D, E = tt.mdnorm_tail_coeffs()
     sm1 = abs(complex(sp.sigma - 1.0, sp.tau))
     LTx = math.log(T / x)
@@ -349,14 +427,8 @@ def derivK3_residual(s, x: float, T: float | None = None, precision: int = 128):
     return lhs, rhs
 
 
-def har_residual(s, t: float, T: float | None = None, precision: int = 128):
-    """(s-1) integral_t^inf (H - log - gamma) u^{-s} du
-    = zeta - sum_{n<=t} n^{-s} - t^{1-s}/(s-1) + (H(t)-log t-gamma)/t^{s-1}."""
-    sp = ComplexParam.coerce(s)
-    sp.require_sigma_gt(0.0, "harmonic-gap transform")
-    sp.require_not_one("harmonic-gap transform")
-    T = T or default_T(t)
-    tt = TruncatedTransform(sp, t, T, WEIGHT_HGAP, 0)
+def _har_sides(tt: TruncatedTransform, precision: int):
+    sp, t, T = tt.s, tt.x, tt.T
     tail = abs(complex(sp.sigma - 1, sp.tau)) * _HGAP_SUP * T ** (-sp.sigma) / sp.sigma
     with mpmath.mp.workprec(precision + 32):
         smc = sp.as_mpc()
@@ -369,6 +441,61 @@ def har_residual(s, t: float, T: float | None = None, precision: int = 128):
         rhs = (z - psum - ApproxValue.exact(mpmath.power(tm, 1 - smc) / (smc - 1))
                + hgap * ApproxValue.exact(mpmath.power(tm, 1 - smc)))
     return lhs, rhs
+
+
+MTRONQ = TransformIdentity(WEIGHT_M, 0, 1.0, "m-tail transform", _mtronq_sides)
+MTRONQCH = TransformIdentity(WEIGHT_MCHECK1, 0, 1.0, "m-check tail transform",
+                             _mtronqch_sides)
+MTRONQCHCH = TransformIdentity(WEIGHT_MDNORM, 0, 1.0, "m-double-check tail transform",
+                               _mtronqchch_sides)
+DERIVK1 = TransformIdentity(WEIGHT_M, 1, 1.0, "derived m transform", _derivK1_sides)
+DERIVK2 = TransformIdentity(WEIGHT_MCHECK1, 1, 1.0, "derived m-check transform",
+                            _derivK2_sides)
+DERIVK3 = TransformIdentity(WEIGHT_MDNORM, 1, 1.0, "derived m-double-check transform",
+                            _derivK3_sides)
+HAR = TransformIdentity(WEIGHT_HGAP, 0, 0.0, "harmonic-gap transform", _har_sides,
+                        not_one=True)
+
+
+def mtronq_residual(s, x: float, T: float | None = None, precision: int = 128):
+    """(s-1) integral_x^inf m(t) t^(-s) dt = 1/zeta - sum mu/n^s + m(x)/x^{s-1}."""
+    return MTRONQ.residual(s, x, T, precision)
+
+
+def mtronqch_residual(s, x: float, T: float | None = None, precision: int = 128):
+    """(s-1)^2 integral_x^inf (mcheck-1) t^(-s) dt
+    = 1/zeta - sum mu/n^s + m(x)/x^{s-1} + (s-1)(mcheck(x)-1)/x^{s-1}."""
+    return MTRONQCH.residual(s, x, T, precision)
+
+
+def mtronqchch_residual(s, x: float, T: float | None = None, precision: int = 128):
+    """(s-1)^3/2 integral_x^inf (mdd - 2 log t + 2 gamma) t^(-s) dt
+    = mtronqch's right side + (s-1)^2/2 (mdd(x) - 2 log x + 2 gamma)/x^{s-1}."""
+    return MTRONQCHCH.residual(s, x, T, precision)
+
+
+def derivK1_residual(s, x: float, T: float | None = None, precision: int = 128):
+    """integral_x^inf m t^{-s} + (s-1) integral_x^inf m t^{-s} log(x/t)
+    = log x / zeta - zeta'/zeta^2 - sum mu n^{-s} log(x/n)."""
+    return DERIVK1.residual(s, x, T, precision)
+
+
+def derivK2_residual(s, x: float, T: float | None = None, precision: int = 128):
+    """2(s-1) integral (mcheck-1) t^{-s} + (s-1)^2 integral (mcheck-1) t^{-s} log(x/t)
+    = log x/zeta - zeta'/zeta^2 - sum mu n^{-s} log(x/n) + (mcheck(x)-1)/x^{s-1}."""
+    return DERIVK2.residual(s, x, T, precision)
+
+
+def derivK3_residual(s, x: float, T: float | None = None, precision: int = 128):
+    """3/2 (s-1)^2 integral mdnorm t^{-s} + (s-1)^3/2 integral mdnorm t^{-s} log(x/t)
+    = derivK2's right side + (s-1)(mdd(x) - 2 log x + 2 gamma)/x^{s-1}."""
+    return DERIVK3.residual(s, x, T, precision)
+
+
+def har_residual(s, t: float, T: float | None = None, precision: int = 128):
+    """(s-1) integral_t^inf (H - log - gamma) u^{-s} du
+    = zeta - sum_{n<=t} n^{-s} - t^{1-s}/(s-1) + (H(t)-log t-gamma)/t^{s-1}."""
+    return HAR.residual(s, t, T, precision)
 
 
 def ent_residual(s, t: float, precision: int = 128):
@@ -389,19 +516,8 @@ def ent_residual(s, t: float, precision: int = 128):
     return lhs, rhs
 
 
-def mieux2_sides(s, x: float, T: float | None = None, precision: int = 128,
-                 gamma_sign: int = +1):
-    """zeta(s)(sum mu/n^s - m/x^{s-1} - (s-1)(mcheck-1)/x^{s-1}) - 1  vs
-    (s-1)/x^{s-1} (mdd/2 - log x + sign*gamma)
-      + (s-1)/x^{s-1} integral [mcheck(x/t)-1] Q_s dt/t^2
-      - (s-1)^2 integral_x^inf (log t - H + gamma) t^{-s} dt.
-
-    gamma_sign adjudicates the printed-sign question; +1 closes the identity.
-    """
-    sp = ComplexParam.coerce(s)
-    sp.require_sigma_gt(0.0, "smoothed kernel identity")
-    sp.require_not_one("smoothed kernel identity")
-    T = T or default_T(x)
+def _mieux2_sides(tt: TruncatedTransform, precision: int):
+    sp, x, T = tt.s, tt.x, tt.T
     prec = precision
     with mpmath.mp.workprec(prec + 32):
         smc = sp.as_mpc()
@@ -418,13 +534,30 @@ def mieux2_sides(s, x: float, T: float | None = None, precision: int = 128,
                                    PowLogSum.monomial(mpf(1), mpf(-2), 0),
                                    precision=prec)
         # integral_x^inf (log t - H + gamma) t^{-s} dt = -(hgap transform)
-        tt = TruncatedTransform(sp, x, T, WEIGHT_HGAP, 0)
         hterm = -tt.basis[0]
         hterm = hterm.widened(_HGAP_SUP * T ** (-sp.sigma) / sp.sigma)
         logx = mpmath.log(mpf(x))
-        paren = (snap.m_dcheck * ApproxValue.exact(mpf(1) / 2)
-                 - ApproxValue.exact(logx) + ApproxValue.exact(gamma_sign * g))
-        rhs = (ApproxValue.exact(smc - 1) * x1s_a * paren
-               + ApproxValue.exact(smc - 1) * x1s_a * conv
-               - ApproxValue.exact((smc - 1) ** 2) * hterm)
-    return lhs, rhs
+        rhs = []
+        for gamma_sign in (+1, -1):
+            paren = (snap.m_dcheck * ApproxValue.exact(mpf(1) / 2)
+                     - ApproxValue.exact(logx) + ApproxValue.exact(gamma_sign * g))
+            rhs.append(ApproxValue.exact(smc - 1) * x1s_a * paren
+                       + ApproxValue.exact(smc - 1) * x1s_a * conv
+                       - ApproxValue.exact((smc - 1) ** 2) * hterm)
+    return lhs, *rhs
+
+
+MIEUX2 = TransformIdentity(WEIGHT_HGAP, 0, 0.0, "smoothed kernel identity", _mieux2_sides,
+                           not_one=True)
+
+
+def mieux2_sides(s, x: float, T: float | None = None, precision: int = 128):
+    """zeta(s)(sum mu/n^s - m/x^{s-1} - (s-1)(mcheck-1)/x^{s-1}) - 1  vs
+    (s-1)/x^{s-1} (mdd/2 - log x + sign*gamma)
+      + (s-1)/x^{s-1} integral [mcheck(x/t)-1] Q_s dt/t^2
+      - (s-1)^2 integral_x^inf (log t - H + gamma) t^{-s} dt.
+
+    Returns (lhs, rhs with sign +1, rhs with sign -1), adjudicating the
+    printed-sign question: +1 closes the identity.
+    """
+    return MIEUX2.residual(s, x, T, precision)

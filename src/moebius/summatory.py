@@ -26,7 +26,7 @@ from mpmath import mpf
 from .approx import ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
 from .errors import DomainError
-from .sieve import DEFAULT_SEGMENT, MobiusTable, iter_segments, nonzero_mu
+from .sieve import DEFAULT_SEGMENT, iter_segments, nonzero_mu
 
 _EPS = 2.0**-52  # one-op float64 bound (2 ulp at 0.5-scale, deliberately lax)
 _CHUNK = 4096
@@ -82,11 +82,12 @@ def compensated_cumsum(terms: np.ndarray, term_ulps: float = 1.0, chunk: int = _
 
 
 class PrefixSegment:
-    """A sieve segment [lo, hi] of prefix_columns: mu(n), n, log n (computed
-    on first use) and `cols`, the requested prefix columns through each n."""
+    """A segment [lo, hi] of prefix_columns: mu(n) (None when no requested
+    column reads it), n, log n (computed on first use) and `cols`, the
+    requested prefix columns through each n."""
 
-    def __init__(self, table: MobiusTable):
-        self.lo, self.hi, self.mu = table.lo, table.hi, table.values
+    def __init__(self, lo: int, hi: int, mu: np.ndarray | None):
+        self.lo, self.hi, self.mu = lo, hi, mu
         self.ns = np.arange(self.lo, self.hi + 1, dtype=np.float64)
         self.cols: dict = {}
 
@@ -106,21 +107,30 @@ TERMS = {
     "H": (lambda seg: 1.0 / seg.ns, 1),
     "Hlog": (lambda seg: 1.0 / seg.ns * seg.logs, 4),
 }
+#: the columns that do not read mu
+MU_FREE = frozenset({"H", "Hlog"})
 
 
 def prefix_columns(N: int, columns=(), segment_size: int = DEFAULT_SEGMENT
                    ) -> Iterator[PrefixSegment]:
-    """Stream n = 1..N in sieve segments carrying the requested columns: a
-    summed column as (values, radii) from one compensated_cumsum call per
-    segment, M as the bare int64 array.  I0 is a plain cumsum of |m| (m is
-    constant on [j, j+1)); its radius, the summed m radii plus
-    eps * (n - 1) * I0, bounds every partial sum of the nondecreasing I0.
+    """Stream n = 1..N in segments carrying the requested columns: a summed
+    column as (values, radii) from one compensated_cumsum call per segment,
+    M as the bare int64 array.  Segments carry mu unless every requested
+    column is in MU_FREE; those are not sieved, with the same boundaries.
+    I0 is a plain cumsum of |m| (m is constant on [j, j+1)); its radius, the
+    summed m radii plus eps * (n - 1) * I0, bounds every partial sum of the
+    nondecreasing I0.
     """
     summed = [k for k in TERMS if k in columns or (k == "m" and "I0" in columns)]
     states = {k: CumsumState() for k in summed}
     M_end, I0_end, I0_rad_end = 0, 0.0, 0.0
-    for table in iter_segments(1, N, segment_size):
-        seg = PrefixSegment(table)
+    if columns and MU_FREE.issuperset(columns):
+        segments = (PrefixSegment(lo, min(lo + segment_size - 1, N), None)
+                    for lo in range(1, N + 1, segment_size))
+    else:
+        segments = (PrefixSegment(t.lo, t.hi, t.values)
+                    for t in iter_segments(1, N, segment_size))
+    for seg in segments:
         for k in summed:
             term, ulps = TERMS[k]
             seg.cols[k] = compensated_cumsum(term(seg), ulps, state=states[k])

@@ -1,0 +1,51 @@
+"""tools/cellparity.py compare: exit 0 only when every check matches, no
+value moved and no radius grew."""
+
+import copy
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+_TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cellparity.py"
+_spec = importlib.util.spec_from_file_location("cellparity", _TOOL)
+cellparity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cellparity)
+
+RUN = [{"check": "mtronq", "pass": True, "rigor": "rigorous",
+        "cells": [{"s": "2.0", "x": 1000.0, "residual": 1e-20, "radius": 1e-12,
+                   "pass": True, "rigor": "rigorous"},
+                  {"s": "3.0", "x": 1000.0, "residual": 2e-20, "radius": 4e-13,
+                   "pass": True, "rigor": "rigorous"}]}]
+
+
+def _compare(tmp_path, new_run):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(RUN))
+    new.write_text(json.dumps(new_run))
+    return cellparity.compare(str(old), str(new))
+
+
+def _changed(edit):
+    run = copy.deepcopy(RUN)
+    edit(run[0])
+    return run
+
+
+def test_identical_dumps_exit_zero(tmp_path):
+    assert _compare(tmp_path, RUN) == 0
+
+
+def test_tightened_radius_exit_zero(tmp_path):
+    assert _compare(tmp_path, _changed(lambda r: r["cells"][1].update(radius=3e-13))) == 0
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r["cells"][1].update(radius=4.0000000001e-13),  # a radius grew
+    lambda r: r["cells"][0].update(residual=1e-11),           # a value moved
+    lambda r: r["cells"].pop(),                                # a cell went missing
+], ids=["grown-radius", "moved-value", "cell-count"])
+def test_differences_exit_one(tmp_path, edit, capsys):
+    assert _compare(tmp_path, _changed(edit)) == 1
+    assert "mtronq" in capsys.readouterr().out

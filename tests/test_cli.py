@@ -79,6 +79,14 @@ def test_verify_grid_overrides():
     assert obj["grid"]["T"] == 50
 
 
+def test_verify_abel_on_a_short_sweep():
+    # the step-form cells stay inside the sweep when xmax_fast is small
+    r = run_cli("verify", "--suite", "abel", "--grid", "xmax_fast=5000", "--stable-output")
+    assert r.returncode == 0, r.stderr
+    (obj,) = json.loads(r.stdout)
+    assert obj["pass"] is True
+
+
 def test_landau_and_compose_outputs():
     r = run_cli("landau", "--rho", "0.5+14.134725i")
     assert r.returncode == 0

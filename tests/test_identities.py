@@ -70,12 +70,11 @@ def test_mu_power_sum_matches_bruteforce():
 
 
 def test_mieux2_gamma_sign():
-    lhs, rhs_plus = mieux2_sides(2.0, 10.0, gamma_sign=+1)
+    lhs, rhs_plus, rhs_minus = mieux2_sides(2.0, 10.0)
     assert _agree(lhs, rhs_plus)
-    _, rhs_minus = mieux2_sides(2.0, 10.0, gamma_sign=-1)
     assert abs(lhs.value - rhs_minus.value) > 0.01  # 2 gamma (s-1) x^{1-s}
 
 
 def test_mieux2_complex_halfplane():
-    lhs, rhs = mieux2_sides(0.5 + 3j, 10.0, gamma_sign=+1)
+    lhs, rhs, _ = mieux2_sides(0.5 + 3j, 10.0)
     assert _agree(lhs, rhs)

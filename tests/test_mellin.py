@@ -7,7 +7,7 @@ from moebius.errors import DomainError
 from moebius.mellin import (TruncatedTransform, default_T, derivK1_residual,
                             derivK2_residual, derivK3_residual, ent_residual,
                             har_residual, mtronq_residual, mtronqch_residual,
-                            mtronqchch_residual, power_log_tail)
+                            mtronqchch_residual, power_log_tail, truncated_transforms)
 
 
 def _agree(lhs, rhs):
@@ -114,3 +114,48 @@ def test_transform_sums_only_the_columns_its_weight_reads(weight, columns, monke
     T = 1_200_000  # two sieve segments
     TruncatedTransform(2.0, 1000.0, T, weight, 0)
     assert sorted(calls) == sorted([T - 2**20, 2**20] * columns)
+
+
+@pytest.mark.parametrize("weight", ["m", "mcheck1", "mdnorm", "hgap"])
+def test_batch_equals_one_cell_transforms(weight):
+    # one shared stream of two sieve segments; x = 1 100 000.5 lies in the second
+    T = 1_200_000
+    cells = [(2.0, 1000.0, 0), (0.5 + 3j, 1000.0, 1),
+             (1.5, 1_100_000.5, 1), (2.0, 1_100_000.5, 0)]
+    batch = truncated_transforms(weight, T, cells)
+    for (s, x, mom), got in zip(cells, batch):
+        want = TruncatedTransform(s, x, T, weight, mom)
+        assert [(b.value, b.radius) for b in got.basis] == \
+            [(b.value, b.radius) for b in want.basis], (s, x, mom)
+        assert (got.at_x, got.at_T) == (want.at_x, want.at_T)
+        if weight != "hgap":
+            for name in ("mu_power_x", "mu_logpower_x"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert (g.value, g.radius) == (w.value, w.radius), name
+
+
+def test_transform_check_streams_once(monkeypatch, capsys):
+    # 2 s x 2 x cells of an m-weight check share one stream of [1, T]
+    summatory_module = sys.modules["moebius.summatory"]
+    calls = []
+    real = summatory_module.compensated_cumsum
+
+    def counting(terms, *args, **kwargs):
+        calls.append(len(terms))
+        return real(terms, *args, **kwargs)
+
+    monkeypatch.setattr(summatory_module, "compensated_cumsum", counting)
+    from moebius.cli import main
+    assert main(["verify", "--suite", "mtronq", "--s", "1.2,2.0", "--T", "4e5",
+                 "--stable-output"]) == 0
+    assert '"pass": true' in capsys.readouterr().out
+    assert sum(calls) == 400_000
+
+
+def test_hgap_transform_needs_no_sieve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(sys.modules["moebius.summatory"], "iter_segments", refuse)
+    monkeypatch.setattr(sys.modules["moebius.sieve"], "_sieve_segment", refuse)
+    assert _agree(*har_residual(2.0, 50.0, T=200_000))

@@ -15,7 +15,7 @@ smallest, and the number of values that moved outside the old value +- the
 old cell's radius; then one line per such value.  A value is any number in a cell
 other than its radius; numbers equal in both runs, such as the cell's
 parameters, never count as moved.  The exit status is 0 when every check
-matches and no value moved, else 1.
+matches, no value moved and no radius grew (every new/old ratio <= 1), else 1.
 """
 
 from __future__ import annotations
@@ -126,13 +126,15 @@ def compare(old_path: str, new_path: str) -> int:
         where = max(range(len(ratios)), key=ratios.__getitem__, default=None)
         moved = [f"  cell {i}: {m}" for i, (a, b) in enumerate(zip(old["cells"], new["cells"]))
                  for m in _moved(a, b)]
+        grew = max(ratios, default=1.0) > 1.0
         print(f"{check}: {'same' if same else 'DIFFERENT'} pass/rigor/cells "
               f"({new['pass']}, {new['rigor']}, {len(new['cells'])}); radius new/old "
-              f"max {max(ratios, default=1.0):.15g} at cell {where}, "
+              f"max {max(ratios, default=1.0):.15g} at cell {where}"
+              f"{' (GREW)' if grew else ''}, "
               f"min {min(ratios, default=1.0):.15g}; {len(moved)} values moved")
         for line in moved:
             print(line)
-        bad |= not same or bool(moved)
+        bad |= not same or grew or bool(moved)
     return 1 if bad else 0
 
 
