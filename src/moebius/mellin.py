@@ -2,12 +2,15 @@
 t^(-s), evaluated exactly piecewise over [x, T] plus a rigorous bound on the
 remaining tail, compared with their closed forms in 1/zeta and zeta'/zeta^2.
 
-The [x, T] integrals stream the sieve in segments and run vectorized
-complex128 arithmetic; per-piece antiderivatives are closed-form, and the
-radius covers the vector rounding (via absolute-magnitude condition sums),
-the compensated prefix radii of the weights, and the tail bound built from
-the imported explicit estimates (|m(t)| <= 0.0130073/log t for t >= 97063 and
-the step-function conversion lemma for the smoothed weights).
+The [x, T] integrals stream the sieve in segments and run vectorized numpy
+arithmetic in one of two lanes: float64 when s is real with sigma > 1 (every
+registry cell), complex128 otherwise.  Per-piece antiderivatives are
+closed-form, and the radius covers the vector rounding (via absolute-magnitude
+condition sums, with a rounding constant derived for the real lane and a
+blanket one for the complex lane), the compensated prefix radii of the
+weights, and the tail bound built from the imported explicit estimates
+(|m(t)| <= 0.0130073/log t for t >= 97063 and the step-function conversion
+lemma for the smoothed weights).
 """
 
 from __future__ import annotations
@@ -25,10 +28,17 @@ from .errors import DomainError
 from .identities import mu_power_sum, _x_pows
 from .kernels import frac_tail_integral
 from .piecewise import PowLogSum, QKernelFactor, integrate_partition, mcheck_minus_one_factor
+from .sieve import DEFAULT_SEGMENT
 from .summatory import prefix_columns, summatory
 from .zeta import ComplexParam, partial_power_sum, zeta_em
 
 _EPS = 2.0**-52
+#: the complex lane's rounding constant, in units of _EPS: a blanket, not derived
+_BLANKET_UNITS = 1024.0
+#: the accuracy assumed of numpy's float64 log, exp and power, in ulp
+_FN_ULPS = 4
+#: the real lane keeps every piece value above exp(-_MIN_LOG_F), so nothing underflows
+_MIN_LOG_F = 600.0
 _GAMMA_F = float(gamma_const(64))
 _HGAP_SUP = abs(HARMONIC_LOWER)  # |H(t) - log t - gamma| <= 0.5408 / t
 
@@ -39,13 +49,14 @@ WEIGHT_HGAP = "hgap"
 
 #: weight -> (the prefix columns it reads, its coefficients c_k in
 #: w = sum_k c_k log^k t on [n, n+1) as (values, radii) from the columns at n).
-#: I0 bounds the m-check tail beyond T.
+#: I0 bounds the m-check tail beyond T.  mdnorm's constant coefficient, which
+#: tends to 0, also carries 2 |gamma - _GAMMA_F| < _EPS.
 _WEIGHTS = {
     WEIGHT_M: (("m",), lambda c: [c["m"]]),
     WEIGHT_MCHECK1: (("m", "sl", "I0"),
                      lambda c: [(-c["sl"][0] - 1.0, c["sl"][1]), c["m"]]),
     WEIGHT_MDNORM: (("m", "sl", "sl2", "I0"),
-                    lambda c: [(c["sl2"][0] + 2.0 * _GAMMA_F, c["sl2"][1]),
+                    lambda c: [(c["sl2"][0] + 2.0 * _GAMMA_F, c["sl2"][1] + _EPS),
                                (-2.0 * c["sl"][0] - 2.0, 2.0 * c["sl"][1]), c["m"]]),
     WEIGHT_HGAP: (("H",), lambda c: [(c["H"][0] - _GAMMA_F, c["H"][1]),
                                      (-np.ones_like(c["H"][0]), np.zeros_like(c["H"][0]))]),
@@ -147,12 +158,43 @@ def truncated_transforms(weight: str, T: float, cells) -> list[TruncatedTransfor
     return tts
 
 
-class _Sums:
-    """One transform's accumulators over the stream."""
+def _real_lane_units(s: ComplexParam, T: float, nterms: int, ncols: int) -> float | None:
+    """The real lane's rounding constant, in units of _EPS, for F_0..F_{nterms-1}
+    and ncols weight coefficients over [1, T] (derived in _add_pieces'
+    docstring); None puts the transform on the complex lane: s not real,
+    sigma <= 1, or a piece value that could fall below exp(-_MIN_LOG_F)."""
+    sigma = s.sigma
+    if s.tau != 0.0 or not sigma > 1.0:
+        return None
+    amp = (sigma - 1.0) * math.log(T)  # max |(1 - s) log t| over [1, T]
+    # |f| >= T^(1-sigma) |G_i| and |G_i| >= max(sigma - 1, 1)^(-nterms)
+    if amp + nterms * math.log(max(sigma - 1.0, 1.0)) > _MIN_LOG_F:
+        return None
+    fn = 2.0 * _FN_ULPS  # one log, exp or power, in units of u = 2^-53
+    g = 2.0
+    for i in range(1, nterms):
+        g = max((i + 1) * fn, g + 1.0) + 3.0
+    f = amp * (fn + 2.0) + fn + g + 1.0  # E, G and f = E G
+    piece = f + 1.0 + 1.0 + 3.0  # dF, the product with c_k and forming c_k
+    NT = math.floor(T)
+    depth = 26 + math.ceil(math.log2(min(NT, DEFAULT_SEGMENT) + 1))  # np.sum's tree
+    adds = -(-NT // DEFAULT_SEGMENT) * ncols  # B's segment sums
+    return (piece + depth + adds + 5.0) / 2.0  # 5: cond, sens and the radius expression
 
-    def __init__(self, tt: TruncatedTransform):
+
+class _Sums:
+    """One transform's accumulators over the stream, and its lane: sm is a
+    float on the real lane, a complex on the complex lane."""
+
+    def __init__(self, tt: TruncatedTransform, ncols: int):
         self.tt = tt
-        self.sm = complex(tt.s.sigma, tt.s.tau)
+        units = _real_lane_units(tt.s, tt.T, tt.mom_max + ncols, ncols)
+        if units is None:
+            self.sm = complex(tt.s.sigma, tt.s.tau)
+            self.units, self.sens_units = _BLANKET_UNITS, 0.0
+        else:
+            self.sm = tt.s.sigma
+            self.units = self.sens_units = units
         self.B = np.zeros(tt.mom_max + 1, dtype=np.complex128)
         self.cond = np.zeros(tt.mom_max + 1)
         self.sens = np.zeros(tt.mom_max + 1)
@@ -164,7 +206,8 @@ class _Sums:
         tt = self.tt
         tt.basis = []
         for j in range(tt.mom_max + 1):
-            rad = _EPS * 1024.0 * (self.cond[j] + abs(self.B[j])) + self.sens[j]
+            rad = _EPS * (self.units * (self.cond[j] + abs(self.B[j]))
+                          + self.sens_units * self.sens[j]) + self.sens[j]
             tt.basis.append(ApproxValue(self.B[j], radd(rad), RIGOROUS, 53))
         if need_mu:
             tt.mu_power_x = ApproxValue(self.musum, radd(_EPS * 64 * self.musum_abs),
@@ -183,9 +226,10 @@ def _stream(tts: list[TruncatedTransform]) -> None:
     weight, T = tts[0].weight, tts[0].T
     reads, coefficients = _WEIGHTS[weight]
     need_mu = weight != WEIGHT_HGAP
+    ncols = len(coefficients(dict.fromkeys(reads, (np.zeros(0), np.zeros(0)))))
     by_x: dict[float, list[_Sums]] = {}
     for tt in tts:
-        by_x.setdefault(tt.x, []).append(_Sums(tt))
+        by_x.setdefault(tt.x, []).append(_Sums(tt, ncols))
     NT = math.floor(T)
     at_T, at_x = {}, dict.fromkeys(by_x)
     for seg in prefix_columns(NT, reads):
@@ -212,7 +256,7 @@ def _mu_power_sums(seg, Nx: int, group: list[_Sums]) -> None:
     logs = seg.logs[sl_n]
     mu = seg.mu[sl_n]
     for acc in group:
-        pw = np.exp(-acc.sm * logs) * mu
+        pw = np.exp(-complex(acc.sm) * logs) * mu
         acc.musum += complex(np.sum(pw))
         acc.musum_abs += float(np.sum(np.abs(pw)))
         pwl = pw * logs
@@ -244,13 +288,43 @@ def _pieces(seg, x: float, T: float, reads, coefficients, group: list[_Sums]) ->
 
 
 def _add_pieces(acc: _Sums, lb: np.ndarray, cols: list, abs_w: list) -> None:
-    """B_j += sum over pieces of c_k [F_{j+k}] for the coefficients c_k."""
+    """B_j += sum over pieces of c_k [F_{j+k}] for the coefficients c_k.
+
+    F_i = E G_i, with E = t^(1-s), G_0 = 1/(1-s) and G_i = (lb^i - i G_{i-1})/(1-s)
+    at lb = log t, is an antiderivative of t^(-s) log^i t.  The arrays take the
+    dtype of acc.sm: float64 on the real lane, complex128 on the complex lane;
+    B stays complex128.  _Sums.finish makes the radius
+    eps (K (cond + |B|) + K_s sens) + sens, eps = 2^-52, from the condition sum
+    cond = sum |c_k| (|f_{p+1}| + |f_p|) over pieces p and sens, the same sum
+    with the coefficients' radii.  The complex lane takes the blanket K = 1024,
+    K_s = 0.  On the real lane K = K_s = _real_lane_units, whose count, in
+    units of u = 2^-53 of |f_{p+1}| + |f_p| (or of the whole for the last
+    items) and to first order, is:
+
+    - lb carries l = 2 _FN_ULPS (numpy's log, exp and power taken within
+      _FN_ULPS ulp); (1 - sigma) lb adds 2 roundings, and exp amplifies that by
+      |(1 - sigma) lb| <= (sigma - 1) log T and adds l: E carries
+      (sigma - 1) log T (l + 2) + l.
+    - G_0 carries 2.  For sigma > 1, 1 - sigma < 0 and lb >= 0, so every
+      G_i < 0: lb^i (i l + l) and -i G_{i-1} (g_{i-1} + 1) have one sign, the
+      subtraction cannot cancel, and with it, 1 - sigma and the division G_i
+      carries max((i + 1) l, g_{i-1} + 1) + 3.
+    - f = E G adds 1; dF = f_{p+1} - f_p 1; the product with c_k 1; forming
+      c_k from the prefix columns 3: one rounding, and hgap's float gamma,
+      |gamma - _GAMMA_F| <= 2^-54 <= 1.2 u (H - gamma) as H - gamma >= 0.42.
+    - np.sum's pairwise tree (8 accumulators over blocks of at most 128
+      terms, then halving) puts each term through at most 26 + ceil(log2 n)
+      additions for n pieces, and B adds one segment sum per column per segment.
+    - cond and sens are rounded sums of the same |f|, so their own error is
+      second order; with it and the 4 roundings of the radius expression, 5.
+
+    The same count covers the rounding of sens (K_s).  _real_lane_units keeps
+    every |f| above exp(-_MIN_LOG_F), so no step underflows.
+    """
     mom_max = acc.tt.mom_max
     sm = acc.sm
     E = np.exp((1.0 - sm) * lb)  # t^{1-s} at the breakpoints
-    # F_i = E * G_i is an antiderivative of t^(-s) log^i t, with
-    # G_0 = 1/(1-s) and G_i = (lb^i - i G_{i-1})/(1-s)
-    G = np.full(len(lb), 1.0 / (1.0 - sm), dtype=np.complex128)
+    G = np.full(len(lb), 1.0 / (1.0 - sm), dtype=np.result_type(sm, lb))
     for i in range(mom_max + len(cols)):
         if i:
             G = (lb ** i - i * G) / (1.0 - sm)

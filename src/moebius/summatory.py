@@ -384,14 +384,15 @@ def abs_m_integrals(x: float, sweep: PrefixSweep | None = None) -> tuple[ApproxV
 
 
 def harmonic_gamma_margins(N: int, gamma_f: float | None = None):
-    """min/max of x (H(x) - log x - gamma) over integers x <= N, with radii.
-
-    Returns (low_margin, high_margin, radius_bound) where margins are against
-    the sandwich constants; used by the harmonic check.
+    """(d, rad): d[n-1] = n (H(n) - log n - gamma) for the integers n <= N and
+    its radius, for the harmonic check's margins against the sandwich
+    constants.  Streams the H column alone, so it never sieves.
     """
-    sweep = prefix_sweep(N)
+    H, H_rad = np.empty(N), np.empty(N)
+    for seg in prefix_columns(N, ("H",), _SWEEP_SEGMENT):
+        H[seg.lo - 1:seg.hi], H_rad[seg.lo - 1:seg.hi] = seg.cols["H"]
     ns = np.arange(1, N + 1, dtype=np.float64)
     g = gamma_f if gamma_f is not None else float(gamma_const(60))
-    d = ns * (sweep.H - np.log(ns) - g)
-    rad = ns * (sweep.H_rad + _EPS * (np.abs(np.log(ns)) + g + 2 * np.abs(d) / np.maximum(ns, 1)))
+    d = ns * (H - np.log(ns) - g)
+    rad = ns * (H_rad + _EPS * (np.abs(np.log(ns)) + g + 2 * np.abs(d) / np.maximum(ns, 1)))
     return d, rad

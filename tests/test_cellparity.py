@@ -4,6 +4,7 @@ value moved and no radius grew."""
 import copy
 import importlib.util
 import json
+import math
 import pathlib
 
 import pytest
@@ -49,3 +50,11 @@ def test_tightened_radius_exit_zero(tmp_path):
 def test_differences_exit_one(tmp_path, edit, capsys):
     assert _compare(tmp_path, _changed(edit)) == 1
     assert "mtronq" in capsys.readouterr().out
+
+
+def test_one_ulp_growth_exits_one_and_prints_the_ratio(tmp_path, capsys):
+    grown = math.nextafter(RUN[0]["cells"][1]["radius"], math.inf)
+    assert _compare(tmp_path, _changed(lambda r: r["cells"][1].update(radius=grown))) == 1
+    out = capsys.readouterr().out
+    assert "(GREW)" in out and "max 1 at" not in out
+    assert f"max {grown / RUN[0]['cells'][1]['radius']!r} at cell 1" in out

@@ -1,6 +1,8 @@
+import math
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 
 from moebius.errors import DomainError
@@ -8,6 +10,10 @@ from moebius.mellin import (TruncatedTransform, default_T, derivK1_residual,
                             derivK2_residual, derivK3_residual, ent_residual,
                             har_residual, mtronq_residual, mtronqch_residual,
                             mtronqchch_residual, power_log_tail, truncated_transforms)
+from moebius.summatory import prefix_columns
+from moebius.zeta import ComplexParam
+
+mellin = sys.modules["moebius.mellin"]
 
 
 def _agree(lhs, rhs):
@@ -159,3 +165,86 @@ def test_hgap_transform_needs_no_sieve(monkeypatch):
     monkeypatch.setattr(sys.modules["moebius.summatory"], "iter_segments", refuse)
     monkeypatch.setattr(sys.modules["moebius.sieve"], "_sieve_segment", refuse)
     assert _agree(*har_residual(2.0, 50.0, T=200_000))
+
+
+LANE_T = 1_200_000  # two sieve segments
+LANE_XS = (1000.0, 1_100_000.5)  # one cell starts in each segment
+LANE_SIGMAS = (1 + 1e-4, 1.04, 3.0)
+
+
+def _longdouble_basis(weight: str) -> dict:
+    """(sigma, x) -> (B_j, cond_j) for j = 0, 1: the pieces of [x, LANE_T] in
+    np.longdouble, from the same float64 breakpoints and coefficients."""
+    reads, coefficients = mellin._WEIGHTS[weight]
+    ld = np.longdouble
+    out = {(s, x): np.zeros((2, 2), dtype=ld) for s in LANE_SIGMAS for x in LANE_XS}
+    for seg in prefix_columns(LANE_T, reads):
+        for x in LANE_XS:
+            lo, hi = max(x, seg.lo), min(LANE_T, seg.hi + 1.0)
+            if lo >= hi:
+                continue
+            breaks = np.unique([lo, *range(math.floor(lo) + 1, math.floor(hi) + 1), hi])
+            idx = np.floor(breaks[:-1]).astype(np.int64) - seg.lo
+            c = seg.cols
+            cols = coefficients({k: (c[k][0][idx], c[k][1][idx]) for k in reads if k != "I0"})
+            lt = np.log(breaks.astype(ld))
+            for s in LANE_SIGMAS:
+                a = 1 - ld(s)
+                E = np.exp(a * lt)
+                G = [np.full(len(lt), 1 / a)]
+                for i in range(1, 1 + len(cols)):
+                    G.append((lt ** i - i * G[-1]) / a)
+                F = [E * g for g in G]
+                aF = [np.abs(f[1:]) + np.abs(f[:-1]) for f in F]
+                for j in range(2):
+                    for k, (w, _) in enumerate(cols):
+                        f = F[j + k]
+                        out[s, x][0, j] += np.sum(w.astype(ld) * (f[1:] - f[:-1]))
+                        out[s, x][1, j] += np.sum(np.abs(w) * aF[j + k])
+    return out
+
+
+@pytest.mark.parametrize("weight,ncols", [("m", 1), ("mcheck1", 2), ("mdnorm", 3), ("hgap", 2)])
+def test_real_lane_inside_complex_lane_and_longdouble(weight, ncols, monkeypatch):
+    cells = [(s, x, mom) for s in LANE_SIGMAS for x in LANE_XS for mom in (0, 1)]
+    real = truncated_transforms(weight, LANE_T, cells)
+    monkeypatch.setattr(mellin, "_real_lane_units", lambda *args: None)
+    cplx = truncated_transforms(weight, LANE_T, cells)
+    monkeypatch.undo()
+    exact = _longdouble_basis(weight) if np.finfo(np.longdouble).nmant >= 60 else None
+    for (s, x, mom), r, c in zip(cells, real, cplx):
+        units = mellin._real_lane_units(ComplexParam(s), LANE_T, mom + ncols, ncols)
+        for j, (rb, cb) in enumerate(zip(r.basis, c.basis)):
+            where = (s, x, mom, j)
+            assert isinstance(rb.value, complex) and rb.value.imag == 0, where
+            assert abs(rb.value - cb.value) <= cb.radius, where
+            assert rb.radius <= cb.radius, where
+            if exact is not None:
+                # the rounding part of the real radius alone covers the error;
+                # 2^-10 allows for the longdouble evaluation's own rounding
+                B, cond = exact[s, x][:, j]
+                assert abs(np.longdouble(rb.value.real) - B) \
+                    <= 2.0**-52 * units * float(cond) * (1 + 2.0**-10), where
+
+
+@pytest.mark.parametrize("sigma", [1 + 1e-4, 1.04, 1.5, 2.0, 3.0])
+def test_real_lane_constant_below_the_blanket(sigma):
+    # every registry and workload cell: T up to 1e7, mom <= 1, up to 3 coefficients
+    for T in (4e5, 1e6, 1e7):
+        for mom in (0, 1):
+            for ncols in (1, 2, 3):
+                units = mellin._real_lane_units(ComplexParam(sigma), T, mom + ncols, ncols)
+                assert units is not None and units < mellin._BLANKET_UNITS, (T, mom, ncols)
+
+
+def test_complex_lane_keeps_what_the_real_lane_cannot_prove():
+    for s in (ComplexParam(2.0, 1.0), ComplexParam(1.0), ComplexParam(0.5),
+              ComplexParam(80.0)):  # the last would underflow t^(1-s) before 1e7
+        assert mellin._real_lane_units(s, 1e7, 2, 1) is None, s
+
+
+def test_har_at_real_sigma_at_most_one(capsys):
+    # real sigma <= 1 reaches the transforms only through a user's --s, on the complex lane
+    from moebius.cli import main
+    assert main(["verify", "--suite", "har", "--s", "0.5,0.9", "--stable-output"]) == 0
+    assert '"pass": true' in capsys.readouterr().out

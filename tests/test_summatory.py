@@ -1,13 +1,14 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moebius.constants import M_OVER_LOG
+from moebius.constants import M_OVER_LOG, gamma_const
 from moebius.errors import DomainError
-from moebius.summatory import (TERMS, CumsumState, abs_m_integrals,
+from moebius.summatory import (TERMS, CumsumState, PrefixSweep, abs_m_integrals,
                                compensated_cumsum, harmonic_gamma_margins,
                                prefix_columns, prefix_sweep, summatory)
 from oracles import FROZEN, m_exact_fraction
@@ -131,6 +132,23 @@ def test_harmonic_sandwich_small():
     d, rad = harmonic_gamma_margins(10_000)
     assert np.all(d + rad <= 0.5)
     assert np.all(d - rad >= -0.5408)
+
+
+@pytest.mark.parametrize("N", [10_000, 70_000])  # 70 000 crosses a sweep segment
+def test_harmonic_margins_stream_H_alone(N, monkeypatch):
+    # the margins as read from a whole prefix sweep, bit for bit, without sieving
+    sweep = PrefixSweep(N)
+    ns = np.arange(1, N + 1, dtype=np.float64)
+    g = float(gamma_const(60))
+    d = ns * (sweep.H - np.log(ns) - g)
+    rad = ns * (sweep.H_rad + 2.0**-52 * (np.abs(np.log(ns)) + g + 2 * np.abs(d) / ns))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(sys.modules["moebius.summatory"], "iter_segments", refuse)
+    got_d, got_rad = harmonic_gamma_margins(N)
+    assert np.array_equal(got_d, d) and np.array_equal(got_rad, rad)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,10 +11,11 @@ per checkout, with PYTHONPATH pointing at that checkout's src.
 
 `compare` prints one line per check: whether pass, rigor and cell count are
 the same, the largest new/old cell radius ratio and where it is, the
-smallest, and the number of values that moved outside the old value +- the
-old cell's radius; then one line per such value.  A value is any number in a cell
-other than its radius; numbers equal in both runs, such as the cell's
-parameters, never count as moved.  The exit status is 0 when every check
+smallest (each printed in full, so a one-ulp growth shows), and the number of
+values that moved outside the old value +- the old cell's radius; then one line
+per such value.  A value is any number in a cell other than its radius;
+numbers equal in both runs, such as the cell's parameters, never count as
+moved.  The exit status is 0 when every check
 matches, no value moved and no radius grew (every new/old ratio <= 1), else 1.
 """
 
@@ -129,9 +130,9 @@ def compare(old_path: str, new_path: str) -> int:
         grew = max(ratios, default=1.0) > 1.0
         print(f"{check}: {'same' if same else 'DIFFERENT'} pass/rigor/cells "
               f"({new['pass']}, {new['rigor']}, {len(new['cells'])}); radius new/old "
-              f"max {max(ratios, default=1.0):.15g} at cell {where}"
+              f"max {max(ratios, default=1.0)!r} at cell {where}"
               f"{' (GREW)' if grew else ''}, "
-              f"min {min(ratios, default=1.0):.15g}; {len(moved)} values moved")
+              f"min {min(ratios, default=1.0)!r}; {len(moved)} values moved")
         for line in moved:
             print(line)
         bad |= not same or grew or bool(moved)
