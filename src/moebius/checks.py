@@ -26,7 +26,7 @@ from mpmath import mpf
 from .approx import ApproxValue, HEURISTIC, RIGOROUS, combine_rigor, radd
 from .constants import (HARMONIC_LOWER, HARMONIC_UPPER, MCHECK_OVER_LOG,
                         RHO1_IMAG_ROUNDED, RHO1_IMAG_STR, gamma_const)
-from .convolution import SequenceSpec, terre_sides, voyage_sides
+from .convolution import SequenceSpec, terre_batch, voyage_sides
 from .errors import DomainError, InapplicabilityError
 from .identities import (abel_s_sides, double_check_borne_sides, formule_m_value,
                          halfstep_candidates, int_check_sides, k1_sides,
@@ -393,18 +393,18 @@ def _check_terre(grid, target, prec):
         (FunctionSpec.power(1.5), FunctionSpec.log(1)),
         (FunctionSpec.power(1.0), FunctionSpec.power(complex(0.5, 3.0))),
     ]
+    specs = [(a, b, om, ph) for a in seqs for b in seqs for om, ph in kernel_pairs]
+    sides_at = [terre_batch(specs, x, precision=prec) for x in xs]
     cells = []
-    for a in seqs:
-        for b in seqs:
-            for om, ph in kernel_pairs:
-                for x in xs:
-                    lhs, rhs = terre_sides(a, b, om, ph, x, precision=prec)
-                    resid = float(mpmath.fabs(lhs.value - rhs.value))
-                    tol = radd(lhs.radius, rhs.radius)
-                    cells.append({"a": a.label(), "b": b.label(),
-                                  "omega": om.describe(), "phi": ph.describe(),
-                                  "x": x, "residual": resid, "radius": tol,
-                                  "pass": resid <= tol, "rigor": RIGOROUS})
+    for j, (a, b, om, ph) in enumerate(specs):
+        for x, sides in zip(xs, sides_at):
+            lhs, rhs = sides[j]
+            resid = float(mpmath.fabs(lhs.value - rhs.value))
+            tol = radd(lhs.radius, rhs.radius)
+            cells.append({"a": a.label(), "b": b.label(),
+                          "omega": om.describe(), "phi": ph.describe(),
+                          "x": x, "residual": resid, "radius": tol,
+                          "pass": resid <= tol, "rigor": RIGOROUS})
     return _finish("terre", "identity", {"x": xs, "pairs": 9, "kernels": 6}, cells, t0)
 
 

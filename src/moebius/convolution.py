@@ -23,7 +23,7 @@ from mpmath import mpf
 from .approx import ApproxValue, RIGOROUS, eps_for, radd
 from .errors import CoverageError, DomainError
 from .piecewise import (FunctionSpec, InnerSumFactor, PowLogSum, SummatoryFactor,
-                        integrate_partition)
+                        integrate_partitions)
 from .sieve import nonzero_mu
 
 _GUARD = 48
@@ -125,34 +125,69 @@ def _mp_values(values, prec):
         return [_to_mp(v) for v in values]
 
 
-def terre_sides(a: SequenceSpec, b: SequenceSpec, omega: FunctionSpec,
-                phi: FunctionSpec, x: float,
-                precision: int | None = None) -> tuple[ApproxValue, ApproxValue]:
-    """Both sides of the convolution identity, evaluated exactly piecewise."""
+def terre_batch(cells, x: float, precision: int | None = None,
+                left_only: bool = False) -> list[tuple[ApproxValue, ...]]:
+    """terre_sides(a, b, omega, phi, x) for each (a, b, omega, phi) in `cells`,
+    from one walk of the partition; with left_only, each item is (lhs,) and
+    no right side is built.
+
+    Within the call every sequence's values, every Dirichlet convolution and
+    every summatory or inner-sum factor is built once, and each side equals
+    the side computed alone bit for bit.  Specs are told apart by repr, which
+    keeps 1 and 1.0 and 1+0j apart, so only specs that build identical
+    factors share one.
+    """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     prec = precision or mpmath.mp.prec
     N = math.floor(x)
+    values = {}
+    for a, b, _, _ in cells:
+        for seq in (a, b):
+            if repr(seq) not in values:
+                values[repr(seq)] = _mp_values(seq.values(N), prec)
     over_t = PowLogSum.monomial(mpf(1), mpf(-1), 0)
-    av = _mp_values(a.values(N), prec)
-    bv = _mp_values(b.values(N), prec)
+    factors = {}
+
+    def factor(key, build):
+        if key not in factors:
+            factors[key] = build()
+        return factors[key]
+
+    integrands = []
     with mpmath.mp.workprec(prec + _GUARD):
-        left = [SummatoryFactor(av, omega, x), InnerSumFactor(bv, phi)]
-        lhs = integrate_partition(x, left, over_t, precision=prec)
-        conv = _mp_values(dirichlet_convolve(a, b, N), prec)
-        right = [SummatoryFactor(conv, omega, x), PowLogSum.from_spec(phi)]
-        rhs = integrate_partition(x, right, over_t, precision=prec)
-    return lhs, rhs
+        for a, b, omega, phi in cells:
+            ka, kb, ko, kp = repr(a), repr(b), repr(omega), repr(phi)
+            integrands.append([
+                factor(("S", ka, ko), lambda: SummatoryFactor(values[ka], omega, x)),
+                factor(("I", kb, kp), lambda: InnerSumFactor(values[kb], phi)),
+                over_t])
+            if left_only:
+                continue
+            conv = factor(("conv", ka, kb),
+                          lambda: _mp_values(dirichlet_convolve(a, b, N), prec))
+            integrands.append([
+                factor(("S", ka, kb, ko), lambda: SummatoryFactor(conv, omega, x)),
+                PowLogSum.from_spec(phi), over_t])
+        sides = integrate_partitions(x, integrands, precision=prec)
+    step = 1 if left_only else 2
+    return [tuple(sides[j:j + step]) for j in range(0, len(sides), step)]
+
+
+def terre_sides(a: SequenceSpec, b: SequenceSpec, omega: FunctionSpec,
+                phi: FunctionSpec, x: float,
+                precision: int | None = None) -> tuple[ApproxValue, ApproxValue]:
+    """Both sides of the convolution identity, evaluated exactly piecewise."""
+    return terre_batch([(a, b, omega, phi)], x, precision)[0]
 
 
 def voyage_sides(omega: FunctionSpec, phi: FunctionSpec, x: float,
                  precision: int | None = None) -> tuple[ApproxValue, ApproxValue]:
     """Swap symmetry: integral omega(x/t) S_1 phi(t) dt/t equals the same with
     omega and phi exchanged (the delta = 1 * mu case of the identity)."""
-    prec = precision or mpmath.mp.prec
     N = math.floor(x)
     delta = SequenceSpec.explicit([1] + [0] * max(N - 1, 0))
     one = SequenceSpec.named("one")
-    lhs, _ = terre_sides(delta, one, omega, phi, x, precision=prec)
-    rhs, _ = terre_sides(delta, one, phi, omega, x, precision=prec)
+    (lhs,), (rhs,) = terre_batch([(delta, one, omega, phi), (delta, one, phi, omega)],
+                                 x, precision, left_only=True)
     return lhs, rhs

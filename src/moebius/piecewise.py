@@ -13,14 +13,25 @@ piece contributes an antiderivative difference, not a quadrature estimate.
 
 Compiled shape: every factor declares its index (N = floor(x/t), K = floor(t),
 or none) and a fixed list of (exponent, log degree) slots; only the slot
-coefficients change from piece to piece.  So `integrate_partition` multiplies
-the shapes out once per call and composes the product with the antiderivative
-(a fixed linear map per (p, j), see `_antiderivative`) into one map from the
-factors' slot tuples to the antiderivative's slots t^q log^i t.  Each
-breakpoint's t^q log^i t values are computed once and shared by the two
-pieces that meet there; a piece then costs its coefficient products and one
-dot product with the difference of its endpoint values.  Coefficient vectors
-are computed once per distinct index value (adjacent pieces share N or K).
+coefficients change from piece to piece.  So each integrand's shapes are
+multiplied out once per call and composed with the antiderivative (a fixed
+linear map per (p, j), see `_antiderivative`) into one map from the factors'
+slot tuples to the antiderivative's slots t^q log^i t.
+
+Batches: `integrate_partitions` integrates many integrands over [1, x] in one
+walk of the partition per need_inverse_points flag (integrands with an
+N-indexed factor need the points x/n; the rest walk the integers alone), and
+`integrate_partition` is its batch of one.  Shared across the batch, per
+breakpoint: log t, and t^q once per distinct exponent q of all integrands;
+per distinct compiled shape (the same slots over the same exponents): the
+slot values t^q log^i t and their difference across each piece.  Each
+breakpoint is computed once and serves the two pieces that meet there.  Per
+integrand, unchanged from integrating it alone: its compiled terms, its
+coefficient vectors (computed once per distinct index value, as adjacent
+pieces share N or K), their products, the dot product with the shape's
+endpoint difference, and its running total, condition and zeta sums, in the
+same order, so every value and radius equals the lone integral's bit for bit.
+The walk's state is rolling, O(integrands x slots) and never O(pieces).
 
 Radius accounting: all arithmetic runs at 96 guard bits; each piece adds to a
 condition tracker the absolute-coefficient evaluation of its integrand's
@@ -443,20 +454,6 @@ def _compile(factors: list):
     return varying, exponents, list(slots), terms
 
 
-def _endpoint(t, exponents, slots):
-    """(t^q log^i t, |t^q| |log t|^i) per antiderivative slot at t."""
-    logt = mpmath.log(t)
-    logt_f = float(logt)
-    tq = [mpmath.exp(q * logt) if n is None else t ** n for q, n, _ in exponents]
-    tq_abs = [math.exp(q_re * logt_f) for _, _, q_re in exponents]
-    logs = [mpf(1)]
-    for _ in range(max((i for _, i in slots), default=0)):
-        logs.append(logs[-1] * logt)
-    vals = [tq[g] * logs[i] if i else tq[g] for g, i in slots]
-    absv = [tq_abs[g] * abs(logt_f) ** i for g, i in slots]
-    return vals, absv
-
-
 def _coefficients(terms, vecs, n: int):
     """(F, F_abs): the antiderivative's slot coefficients on one piece."""
     F = [0] * n
@@ -472,49 +469,120 @@ def _coefficients(terms, vecs, n: int):
     return F, F_abs
 
 
+class _Integrand:
+    """One integrand's compiled shape and running sums over a walk.
+
+    `shape` indexes the walk's endpoint vectors: the integrand's slots with
+    each exponent replaced by its index among the walk's distinct exponents.
+    """
+
+    def __init__(self, factors: list, exponent_index):
+        self.varying, exponents, slots, self.terms = _compile(factors)
+        self.n = len(slots)
+        self.shape = tuple((exponent_index(exponents[g]), i) for g, i in slots)
+        # per zeta factor: its position and the terms its zeta column reaches
+        self.zeta = [(pos, [(tup, outs) for tup, outs in self.terms
+                            if f.zeta_column[tup[pos]] != 0])
+                     for pos, f in enumerate(self.varying) if hasattr(f, "zeta_column")]
+        self.zeta_sens = [0.0] * len(self.zeta)
+        self.memo = [(None, None)] * len(self.varying)
+        self.total = mpf(0)
+        self.cond = 0.0
+
+    def add_piece(self, N: int, K: int, diff, abs_a, abs_b) -> None:
+        vecs = []
+        for pos, f in enumerate(self.varying):
+            idx = N if f.index == "N" else K
+            if self.memo[pos][0] != idx:
+                self.memo[pos] = (idx, f.coeffs(idx))
+            vecs.append(self.memo[pos][1])
+        F, F_abs = _coefficients(self.terms, vecs, self.n)
+        contrib = mpmath.fdot(F, diff)
+        self.total += contrib
+        self.cond += (sum(fa * (ua + ub) for fa, ua, ub in zip(F_abs, abs_a, abs_b))
+                      + abs(complex(contrib)))
+        for z, (pos, zterms) in enumerate(self.zeta):
+            zvecs = list(vecs)
+            zvecs[pos] = (self.varying[pos].zeta_column, vecs[pos][1])
+            Fz, _ = _coefficients(zterms, zvecs, self.n)
+            self.zeta_sens[z] += abs(complex(mpmath.fdot(Fz, diff)))
+
+    def result(self, prec: int) -> ApproxValue:
+        radius = eps_for(prec) * 64.0 * self.cond
+        for (pos, _), sens in zip(self.zeta, self.zeta_sens):
+            radius += self.varying[pos].zeta_radius * sens
+        return ApproxValue(+self.total, radd(radius), RIGOROUS, prec)
+
+
+def _walk(part: Partition, integrands: list, prec: int) -> list[ApproxValue]:
+    """Every integrand's integral over one walk of `part`, at the working
+    precision set by the caller."""
+    exps, where = [], {}  # distinct (q, q as an int or None, Re q); (type, q) -> index
+
+    def exponent_index(e):
+        key = (type(e[0]), e[0])  # an mpf and an equal mpc stay apart
+        if key not in where:
+            where[key] = len(exps)
+            exps.append(e)
+        return where[key]
+
+    runs = [_Integrand(factors, exponent_index) for factors in integrands]
+    shapes = {}  # distinct compiled shape -> its index
+    shape_of = [shapes.setdefault(r.shape, len(shapes)) for r in runs]
+    max_log = max((i for shape in shapes for _, i in shape), default=0)
+
+    def endpoint(t):
+        """(t^q log^i t, |t^q| |log t|^i) per slot of each shape at t."""
+        logt = mpmath.log(t)
+        logt_f = float(logt)
+        tq = [mpmath.exp(q * logt) if n is None else t ** n for q, n, _ in exps]
+        tq_abs = [math.exp(q_re * logt_f) for _, _, q_re in exps]
+        logs = [mpf(1)]
+        for _ in range(max_log):
+            logs.append(logs[-1] * logt)
+        return [([tq[g] * logs[i] if i else tq[g] for g, i in shape],
+                 [tq_abs[g] * abs(logt_f) ** i for g, i in shape]) for shape in shapes]
+
+    end_b = None
+    for a, b, N, K in part.pieces():
+        end_a = end_b if end_b is not None else endpoint(a)
+        end_b = endpoint(b)
+        diffs = [[vb - va for va, vb in zip(ea[0], eb[0])] for ea, eb in zip(end_a, end_b)]
+        for r, sh in zip(runs, shape_of):
+            r.add_piece(N, K, diffs[sh], end_a[sh][1], end_b[sh][1])
+    return [r.result(prec) for r in runs]
+
+
+def integrate_partitions(x: float, integrands: list,
+                         precision: int | None = None) -> list[ApproxValue]:
+    """Exact piecewise integral over [1, x] of the product of each integrand's
+    factors, with compensated accumulation and a rigorous rounding radius.
+
+    All integrands share one walk of the partition per need_inverse_points
+    flag, and each value and radius equals the integrand's integral taken
+    alone bit for bit.
+    """
+    prec = precision or mpmath.mp.prec
+    integrands = [list(factors) for factors in integrands]
+    groups = {}  # need_inverse_points -> positions in `integrands`
+    for j, factors in enumerate(integrands):
+        groups.setdefault(any(f.index == "N" for f in factors), []).append(j)
+    out = [None] * len(integrands)
+    for inverse, members in groups.items():
+        part = Partition(x, need_inverse_points=inverse)
+        with mpmath.mp.workprec(prec + _GUARD):
+            values = _walk(part, [integrands[j] for j in members], prec)
+        for j, v in zip(members, values):
+            out[j] = v
+    return out
+
+
 def integrate_partition(x: float, factors: list, extra: PowLogSum | None = None,
                         precision: int | None = None) -> ApproxValue:
     """Exact piecewise integral over [1, x] of the product of `factors` times
-    `extra`, with compensated accumulation and a rigorous rounding radius."""
-    prec = precision or mpmath.mp.prec
-    eps = eps_for(prec)
+    `extra`: `integrate_partitions` for one integrand."""
     factors = list(factors) + ([extra] if extra is not None else [])
-    part = Partition(x, need_inverse_points=any(f.index == "N" for f in factors))
-    with mpmath.mp.workprec(prec + _GUARD):
-        varying, exponents, slots, terms = _compile(factors)
-        n = len(slots)
-        # per zeta factor: its position and the terms its zeta column reaches
-        zeta = [(pos, [(tup, outs) for tup, outs in terms if f.zeta_column[tup[pos]] != 0])
-                for pos, f in enumerate(varying) if hasattr(f, "zeta_column")]
-        zeta_sens = [0.0] * len(zeta)
-        memo = [(None, None)] * len(varying)
-        total = mpf(0)
-        cond = 0.0
-        b_prev = end_b = None
-        for a, b, N, K in part.pieces():
-            end_a = end_b if a is b_prev else _endpoint(a, exponents, slots)
-            end_b, b_prev = _endpoint(b, exponents, slots), b
-            vecs = []
-            for pos, f in enumerate(varying):
-                idx = N if f.index == "N" else K
-                if memo[pos][0] != idx:
-                    memo[pos] = (idx, f.coeffs(idx))
-                vecs.append(memo[pos][1])
-            F, F_abs = _coefficients(terms, vecs, n)
-            diff = [vb - va for va, vb in zip(end_a[0], end_b[0])]
-            contrib = mpmath.fdot(F, diff)
-            total += contrib
-            cond += (sum(fa * (ua + ub) for fa, ua, ub in zip(F_abs, end_a[1], end_b[1]))
-                     + abs(complex(contrib)))
-            for z, (pos, zterms) in enumerate(zeta):
-                zvecs = list(vecs)
-                zvecs[pos] = (varying[pos].zeta_column, vecs[pos][1])
-                Fz, _ = _coefficients(zterms, zvecs, n)
-                zeta_sens[z] += abs(complex(mpmath.fdot(Fz, diff)))
-        radius = eps * 64.0 * cond
-        for (pos, _), sens in zip(zeta, zeta_sens):
-            radius += varying[pos].zeta_radius * sens
-        return ApproxValue(+total, radd(radius), RIGOROUS, prec)
+    return integrate_partitions(x, [factors], precision)[0]
 
 
 # ---------------------------------------------------------------------------

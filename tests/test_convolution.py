@@ -4,6 +4,9 @@ import mpmath
 import pytest
 from mpmath import mpf
 
+from moebius import piecewise
+from moebius.approx import radd
+from moebius.checks import run_check
 from moebius.convolution import (S_op, SequenceSpec, dirichlet_convolve,
                                  terre_sides, voyage_sides)
 from moebius.errors import CoverageError, DomainError
@@ -120,3 +123,37 @@ def test_voyage_symmetry():
                    (FunctionSpec.t_log(1), FunctionSpec.power(complex(0.5, 3.0)))]:
         lhs, rhs = voyage_sides(om, ph, 50.0)
         assert abs(lhs.value - rhs.value) <= lhs.radius + rhs.radius
+
+
+def test_terre_check_walks_one_partition_per_x(monkeypatch):
+    xs = [10.0, 25.3]
+    built = []
+    init = piecewise.Partition.__init__
+
+    def counting(self, x, *args, **kwargs):
+        built.append(x)
+        init(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(piecewise.Partition, "__init__", counting)
+    rep = run_check("terre", {"x": xs})
+    assert built == xs
+    monkeypatch.undo()
+    # each cell equals its own terre_sides call bit for bit, in the check's order
+    seqs = [SequenceSpec.named(n) for n in ("mobius", "one", "alternating")]
+    kernel_pairs = [
+        (FunctionSpec.const(1.0), FunctionSpec.const(1.0)),
+        (FunctionSpec.power(1.0), FunctionSpec.const(1.0)),
+        (FunctionSpec.log(1), FunctionSpec.power(1.0)),
+        (FunctionSpec.t_log(1), FunctionSpec.power(2.0)),
+        (FunctionSpec.power(1.5), FunctionSpec.log(1)),
+        (FunctionSpec.power(1.0), FunctionSpec.power(complex(0.5, 3.0))),
+    ]
+    order = [(a, b, om, ph, x) for a in seqs for b in seqs for om, ph in kernel_pairs
+             for x in xs]
+    assert len(rep.cells) == len(order) == 108
+    for cell, (a, b, om, ph, x) in zip(rep.cells, order):
+        assert (cell["a"], cell["b"], cell["omega"], cell["phi"], cell["x"]) == (
+            a.label(), b.label(), om.describe(), ph.describe(), x)
+        lhs, rhs = terre_sides(a, b, om, ph, x, precision=128)
+        assert cell["residual"] == float(mpmath.fabs(lhs.value - rhs.value))
+        assert cell["radius"] == radd(lhs.radius, rhs.radius)

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
-from moebius.errors import CapacityError, DomainError, UnsupportedKernelError
+from moebius.convolution import SequenceSpec, terre_batch
+from moebius.errors import CapacityError, CoverageError, DomainError, UnsupportedKernelError
 from moebius.identities import StepPolyFactor, mu_power_sum
 from moebius.piecewise import (FunctionSpec, HalfMinusFracFactor, HarmonicWeightFactor,
                                InnerSumFactor, LogMinusHFactor, Partition, PowLogSum,
                                PowSumFactor, QKernelFactor, RKernelFactor,
                                SummatoryFactor, integrate_m_kernel, integrate_partition,
-                               m_weight_factor, mcheck_minus_one_factor,
+                               integrate_partitions, m_weight_factor, mcheck_minus_one_factor,
                                mdcheck_normalized_factor)
 from moebius.summatory import summatory
 from moebius.zeta import ComplexParam
@@ -256,3 +257,40 @@ def test_zeta_column_sensitivity(kernel, name):
     assert kf.zeta_radius > 1e-20
     assert r.radius == pytest.approx(kf.zeta_radius * float(sens), rel=1e-6, abs=0)
     assert abs(r.value - ref) <= r.radius + err
+
+
+@pytest.mark.parametrize("x", [1.0, 2.5, 25.3, 97.5])
+def test_batch_equals_batch_of_one(x):
+    # N-indexed and K-only integrands (the latter on a partition without the
+    # x/n points), a zeta column, complex exponents, and an mpf and an equal
+    # mpc exponent, which must not share t^q
+    N = int(x)
+    alt = [_alt(n) for n in range(1, N + 1)]
+    over_t = PowLogSum.monomial(mpf(1), mpf(-1), 0)
+    over_t2 = PowLogSum.monomial(mpf(1), mpf(-2), 0)
+    qf = QKernelFactor(ComplexParam.coerce(S_ORACLE), PREC, target_radius=1e-12)
+    mixed = PowLogSum.monomial(mpf(2), mpmath.mpc(0.5, 1.0), 2)
+    mixed.add_monomial(mpf(3), mpf(-1), 1)
+    integrands = [
+        [m_weight_factor(x, PREC), over_t2],
+        [SummatoryFactor(alt, OMEGA, x), InnerSumFactor(alt, PHI), over_t],
+        [mcheck_minus_one_factor(x, PREC), qf, over_t2],
+        [InnerSumFactor(alt, PHI), over_t2],
+        [qf, over_t2],
+        [mixed],
+        [StepPolyFactor(_step_cols(N), power=complex(0.5, 2.0)), HalfMinusFracFactor(), over_t2],
+        [PowLogSum.monomial(mpf(1), mpmath.mpc(0.5, 0), 0)],
+        [PowLogSum.monomial(mpf(1), mpf(0.5), 0)],
+    ]
+    batch = integrate_partitions(x, integrands, precision=PREC)
+    assert len(batch) == len(integrands)
+    for factors, got in zip(integrands, batch):
+        (alone,) = integrate_partitions(x, [factors], precision=PREC)
+        assert type(got.value) is type(alone.value)
+        assert got.value == alone.value and got.radius == alone.radius
+    if x > 1:
+        assert batch[2].radius > 1e-20  # the zeta column reached the radius
+    assert integrate_partitions(x, [], precision=PREC) == []
+    with pytest.raises(CoverageError):
+        terre_batch([(SequenceSpec.explicit([1, 1]), SequenceSpec.named("one"),
+                      FunctionSpec.const(1.0), FunctionSpec.const(1.0))], 5.0)
