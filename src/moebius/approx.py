@@ -60,10 +60,6 @@ class ApproxValue:
 
     # -- helpers ----------------------------------------------------------
 
-    @property
-    def is_rigorous(self) -> bool:
-        return self.rigor == RIGOROUS
-
     def abs_value(self) -> float:
         return float(mpmath.fabs(self.value))
 
@@ -131,18 +127,6 @@ class ApproxValue:
     def widened(self, extra: float, rigor: str | None = None) -> "ApproxValue":
         return ApproxValue(self.value, radd(self.radius, extra),
                            rigor or self.rigor, self.precision_bits)
-
-    def as_heuristic(self) -> "ApproxValue":
-        return ApproxValue(self.value, self.radius, HEURISTIC, self.precision_bits)
-
-    # -- predicates used by the check registry -----------------------------
-
-    def contains(self, x) -> bool:
-        return float(mpmath.fabs(self.value - x)) <= self.radius
-
-    def agrees_with(self, other: "ApproxValue") -> bool:
-        o = self._coerce(other)
-        return float(mpmath.fabs(self.value - o.value)) <= radd(self.radius, o.radius)
 
     def __repr__(self):
         return f"ApproxValue({render_value(self.value, self.radius)}, rigor={self.rigor})"

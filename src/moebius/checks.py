@@ -2,6 +2,18 @@
 producing residuals or margins over a parameter grid, plus the explicit
 lower-bound constants and the headline bound composition.
 
+Each `_check_*` computes its cells and returns (kind, reported grid, cells)
+and, when it has them, a payload and a verdict.  `run_check` alone starts
+the clock, names the report by its registry key and finishes it (`_finish`);
+`landau_lower_check` is a public entry to the same path.
+
+Cells come from three builders, which emit plain float and bool:
+- `_residual_cell`: |lhs - rhs| of two ApproxValues against the sum of their
+  radii, or a residual and its radius; pass = residual <= radius.
+- `_margin_cell`: a margin and its radius; pass = margin >= -radius.
+- `_sweep_cell`: the worst point of a float64 sweep over n = 1..N, as a
+  margin cell.
+
 Pass policy: an identity passes when its worst residual is within combined
 radii; an inequality when its worst margin is >= -(combined radii); an
 inequality whose inputs include a heuristic quantity (an empirical sup over a
@@ -10,6 +22,14 @@ rigor = "heuristic".  Adjudication checks (q-sup, q-l1, improved-landau,
 mdcheck-norm, halfstep, mieux-2's printed sign) pass when the rigorous verdict
 is produced at the requested radius, whatever it says about the heuristic
 values they examine.
+
+Some cells still decide pass on something other than their reported radius,
+and say so where they pass it (ROADMAP item 5): alpha, q-bounds and
+hel-truncation decide on per-point radii and report a literal; so does
+balcheck's random-reals cell; harmonic's margins are already net of their
+radii and its dense-grid cell reports radius 0; headline's composition is
+decided on value <= claim; mdcheck-norm, an adjudication, always passes; and
+landau-lower lets only its first constant decide.
 """
 
 from __future__ import annotations
@@ -30,7 +50,8 @@ from .convolution import SequenceSpec, terre_batch, voyage_sides
 from .errors import DomainError, InapplicabilityError
 from .identities import (abel_s_sides, double_check_borne_sides, formule_m_value,
                          halfstep_candidates, int_check_sides, k1_sides,
-                         kgen2_sides, mieux1_sides, mu_power_sum, poids_sides)
+                         kgen2_sides, mieux1_sides, mu_log_power_sum, mu_power_sum,
+                         poids_sides)
 from .kernels import (IBP_R, KernelSpec, MID_Q, REAL_R, SUP_Q, hel_remainder_bound,
                       hel_sup_abs_Q, kernel_bound, kernel_eval, kernel_eval_em)
 from .mellin import (DERIVK1, DERIVK2, DERIVK3, HAR, MIEUX2, MTRONQ, MTRONQCH,
@@ -109,45 +130,59 @@ def improved_landau(rho, supQ_near: float, supQ_far: float, T_split: float) -> f
 def landau_lower_check(x_max: float, constants=(0.0024933, 0.0025)) -> BoundReport:
     """integral_1^x |m| >= c (sqrt x - 1/x) at every integer breakpoint <= x_max,
     for each constant; the report carries the minimum ratio and margin."""
-    t0 = time.perf_counter()
-    N = int(x_max)
-    sweep = prefix_sweep(N)
-    ns = np.arange(1, N + 1, dtype=np.float64)
-    rhs_unit = np.sqrt(ns) - 1.0 / ns
-    I0 = sweep.I0
-    rad = sweep.I0_rad + 2e-16 * rhs_unit
-    cells = []
-    passed = True
-    worst_overall = math.inf
-    worst_loc = {}
-    ratios = I0[1:] / rhs_unit[1:]
-    i_min = int(np.argmin(ratios))
-    for c in constants:
-        margin = I0 - c * rhs_unit
-        i = int(np.argmin(margin + rad))
-        ok = bool(margin[i] >= -rad[i])
-        cells.append({"constant": c, "min_margin": float(margin[i]),
-                      "at_x": int(i + 1), "min_ratio": float(ratios[i_min]),
-                      "ratio_at_x": int(i_min + 2), "radius": float(rad[i]),
-                      "pass": ok, "rigor": RIGOROUS})
-        if c == constants[0]:
-            passed = ok
-        if margin[i] < worst_overall:
-            worst_overall = float(margin[i])
-            worst_loc = {"constant": c, "x": int(i + 1)}
-    return BoundReport("landau-lower", {"x_max": x_max, "constants": list(constants)},
-                       worst_overall, worst_loc, passed, RIGOROUS,
-                       (time.perf_counter() - t0) * 1e3, "inequality", cells,
-                       {"min_ratio": float(ratios[i_min]), "min_ratio_at": int(i_min + 2)})
+    return _run("landau-lower", _landau_lower, x_max, constants)
 
 
 # ---------------------------------------------------------------------------
-# Grid helpers.
+# Cell builders, grid helpers and the report.
 # ---------------------------------------------------------------------------
+
+def _residual_cell(loc: dict, lhs, rhs, in_inequality: bool = False) -> dict:
+    """`loc`, then residual, radius, pass = residual <= radius and rigor.
+
+    (lhs, rhs) are two ApproxValues, compared as |lhs - rhs| against the sum
+    of their radii, or a residual and its radius.  In an inequality report
+    the cell also carries margin = inf after the residual, so it never ranks
+    as the worst margin.
+    """
+    if isinstance(lhs, ApproxValue):
+        resid = float(mpmath.fabs(lhs.value - rhs.value))
+        radius, rigor = radd(lhs.radius, rhs.radius), combine_rigor(lhs.rigor, rhs.rigor)
+    else:
+        resid, radius, rigor = float(lhs), float(rhs), RIGOROUS
+    cell = {**loc, "residual": resid}
+    if in_inequality:
+        cell["margin"] = math.inf
+    return {**cell, "radius": radius, "pass": resid <= radius, "rigor": rigor}
+
+
+def _margin_cell(loc: dict, margin, radius, passed=None, rigor: str = RIGOROUS) -> dict:
+    """`loc`, then margin, radius, pass and rigor: pass = margin >= -radius,
+    unless the caller decides it on something else and passes `passed`."""
+    margin, radius = float(margin), float(radius)
+    return {**loc, "margin": margin, "radius": radius,
+            "pass": margin >= -radius if passed is None else bool(passed),
+            "rigor": rigor}
+
+
+def _sweep_cell(loc, margin: np.ndarray, rad: np.ndarray) -> dict:
+    """The worst point of a float64 sweep over n = 1..N: the margin cell with
+    location loc(n) where margin + rad is least.  margin + rad >= 0 exactly
+    when margin >= -rad, so that point's pass decides for every n."""
+    i = int(np.argmin(margin + rad))
+    return _margin_cell(loc(i + 1), margin[i], rad[i])
+
 
 def _slist(grid, key, default):
     vals = grid.get(key, default)
     return list(vals) if isinstance(vals, (list, tuple)) else [vals]
+
+
+def _scalar(grid, key, default):
+    v = grid.get(key, default)
+    if isinstance(v, (list, tuple)):
+        v = v[0]
+    return v
 
 
 def _grid_pairs(grid):
@@ -155,42 +190,60 @@ def _grid_pairs(grid):
             for x in _slist(grid, "x", grid["_x_default"])]
 
 
-def _residual_cells(pairs_fn, grid):
-    pairs = _grid_pairs(grid)
-    return _identity_cells(pairs, [pairs_fn(s, x) for s, x in pairs])
-
-
 def _identity_cells(pairs, sides):
-    cells = []
-    for (s, x), (lhs, rhs) in zip(pairs, sides):
-        resid = float(mpmath.fabs(lhs.value - rhs.value))
-        tol = radd(lhs.radius, rhs.radius)
-        cells.append({"s": str(ComplexParam.coerce(s)), "x": x,
-                      "residual": resid, "radius": tol,
-                      "pass": resid <= tol,
-                      "rigor": combine_rigor(lhs.rigor, rhs.rigor)})
-    return cells
+    """One residual cell per (s, x) from the first two of its sides."""
+    return [_residual_cell({"s": str(ComplexParam.coerce(s)), "x": x}, lhs, rhs)
+            for (s, x), (lhs, rhs, *_) in zip(pairs, sides)]
 
 
-def _finish(name, kind, grid, cells, t0, payload=None):
+def _grid_check(x_default, s_default=(2.0, 0.5 + 3j), *, each=None, batch=None):
+    """An identity over the s x x grid, with its sides from `each(s, x, prec)`
+    per cell or from `batch(pairs, T, prec)` for all cells at once."""
+    def run(grid, target, prec):
+        g = {"_s_default": s_default, "_x_default": x_default, **grid}
+        pairs = _grid_pairs(g)
+        sides = (batch(pairs, g.get("T"), prec) if batch is not None
+                 else [each(s, x, prec) for s, x in pairs])
+        return "identity", g, _identity_cells(pairs, sides)
+    return run
+
+
+def _transform_check(identity, x_default):
+    """A truncated-transform identity on the transform s grid, truncated at
+    --T when given."""
+    return _grid_check(x_default, (1 + 1e-4, 1.04, 1.5, 2.0, 3.0),
+                       batch=lambda pairs, T, prec: transform_sides(identity, pairs, T, prec))
+
+
+def _finish(name, t0, kind, grid, cells, payload=None, verdict=None):
+    """The report: `verdict` = (worst, location, passed) when the check
+    decides it itself, else from the cells by kind."""
     grid = {k: v for k, v in grid.items() if not k.startswith("_")}
     rigor = combine_rigor(*(c.get("rigor", RIGOROUS) for c in cells)) if cells else RIGOROUS
-    if kind == "identity":
-        worst_cell = max(cells, key=lambda c: c["residual"] - c["radius"])
-        worst = worst_cell["residual"]
+    if verdict is not None:
+        worst, loc, passed = verdict
+    else:
+        if kind == "identity":
+            worst_cell = max(cells, key=lambda c: c["residual"] - c["radius"])
+            worst = worst_cell["residual"]
+        elif kind == "inequality":
+            worst_cell = min(cells, key=lambda c: c.get("margin", math.inf))
+            worst = worst_cell.get("margin", math.nan)
+        else:  # adjudication
+            worst_cell = cells[0] if cells else {}
+            worst = worst_cell.get("residual", worst_cell.get("margin", 0.0))
         passed = all(c["pass"] for c in cells)
-    elif kind == "inequality":
-        worst_cell = min(cells, key=lambda c: c.get("margin", math.inf))
-        worst = worst_cell.get("margin", math.nan)
-        passed = all(c["pass"] for c in cells)
-    else:  # adjudication
-        worst_cell = cells[0] if cells else {}
-        worst = worst_cell.get("residual", worst_cell.get("margin", 0.0))
-        passed = all(c["pass"] for c in cells)
-    loc = {k: v for k, v in worst_cell.items()
-           if k not in ("residual", "margin", "radius", "pass", "rigor")}
+        loc = {k: v for k, v in worst_cell.items()
+               if k not in ("residual", "margin", "radius", "pass", "rigor")}
     return BoundReport(name, grid, worst, loc, passed, rigor,
                        (time.perf_counter() - t0) * 1e3, kind, cells, payload or {})
+
+
+def _run(name, check, *args) -> BoundReport:
+    """Time check(*args), which returns _finish's trailing arguments, and
+    finish it as the report `name`."""
+    t0 = time.perf_counter()
+    return _finish(name, t0, *check(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -198,124 +251,58 @@ def _finish(name, kind, grid, cells, t0, payload=None):
 # ---------------------------------------------------------------------------
 
 def _check_abel(grid, target, prec):
-    t0 = time.perf_counter()
-    grid = {"_s_default": [2.0, 0.5 + 3j], "_x_default": [10.0, 100.0, 1e4], **grid}
-    cells = _residual_cells(lambda s, x: abel_s_sides(s, x, prec), grid)
+    kind, g, cells = _grid_check([10.0, 100.0, 1e4], each=abel_s_sides)(grid, target, prec)
     # s = 0 specialization on a fast sweep: integral_1^x m = x m(x) - M(x)
-    sweep = prefix_sweep(int(grid.get("xmax_fast", 1e5)))
+    sweep = prefix_sweep(int(g.get("xmax_fast", 1e5)))
     for x in (10.0, 1000.0, 99999.5, float(sweep.N)):
         if x > sweep.N:  # a fixed point beyond a short sweep (xmax_fast)
             continue
         im = sweep.int_m_at(x)
         n = math.floor(x)
         rhs = x * sweep.m[n - 1] - sweep.M[n - 1]
-        resid = abs(float(im.value) - rhs)
         tol = radd(im.radius, x * sweep.m_rad[n - 1] + 4e-16 * (abs(rhs) + abs(sweep.M[n - 1])))
-        cells.append({"s": "0 (step form)", "x": x, "residual": resid,
-                      "radius": tol, "pass": resid <= tol, "rigor": RIGOROUS})
-    return _finish("abel", "identity", grid, cells, t0)
-
-
-def _check_int_check(grid, target, prec):
-    t0 = time.perf_counter()
-    grid = {"_s_default": [2.0, 0.5 + 3j], "_x_default": [10.0, 200.0], **grid}
-    cells = _residual_cells(lambda s, x: int_check_sides(s, x, prec), grid)
-    return _finish("int-check", "identity", grid, cells, t0)
-
-
-def _mk_transform_check(name, identity, x_default):
-    def run(grid, target, prec):
-        t0 = time.perf_counter()
-        g = {"_s_default": [1 + 1e-4, 1.04, 1.5, 2.0, 3.0], "_x_default": x_default, **grid}
-        pairs = _grid_pairs(g)
-        cells = _identity_cells(pairs, transform_sides(identity, pairs, g.get("T"), prec))
-        return _finish(name, "identity", g, cells, t0)
-    return run
-
-
-def _check_mieux1(grid, target, prec):
-    t0 = time.perf_counter()
-    g = {"_s_default": [2.0, 3.0, 0.5 + 3j, 0.5 + 14.13j],
-         "_x_default": [10.0, 100.0, 1000.0], **grid}
-    cells = _residual_cells(lambda s, x: mieux1_sides(s, x, prec), g)
-    return _finish("mieux-1", "identity", g, cells, t0)
+        cells.append(_residual_cell({"s": "0 (step form)", "x": x},
+                                    abs(float(im.value) - rhs), tol))
+    return kind, g, cells
 
 
 def _check_mieux2(grid, target, prec):
-    t0 = time.perf_counter()
     g = {"_s_default": [2.0, 0.5 + 3j, 1.04], "_x_default": [10.0, 100.0], **grid}
-    cells = []
-    sign_report = {}
     pairs = _grid_pairs(g)
-    for (s, x), (lhs, rhs, rhs_minus) in zip(pairs, transform_sides(MIEUX2, pairs, None, prec)):
-        resid = float(mpmath.fabs(lhs.value - rhs.value))
-        tol = radd(lhs.radius, rhs.radius)
-        resid_minus = float(mpmath.fabs(lhs.value - rhs_minus.value))
-        cells.append({"s": str(ComplexParam.coerce(s)), "x": x, "residual": resid,
-                      "radius": tol, "pass": resid <= tol, "rigor": RIGOROUS})
-        sign_report[f"s={s} x={x}"] = {"plus_gamma": resid, "minus_gamma": resid_minus}
+    sides = transform_sides(MIEUX2, pairs, None, prec)
+    cells = _identity_cells(pairs, sides)
+    sign_report = {f"s={s} x={x}": {"plus_gamma": c["residual"],
+                                    "minus_gamma": float(mpmath.fabs(lhs.value - minus.value))}
+                   for (s, x), c, (lhs, _, minus) in zip(pairs, cells, sides)}
     payload = {"printed_sign_adjudication":
                "closing parenthesis +gamma matches (with the vanishing tail "
                "bracket log t - H + gamma); -gamma residuals shown for contrast",
                "residuals": sign_report}
-    return _finish("mieux-2", "identity", g, cells, t0, payload)
-
-
-def _check_poids(grid, target, prec):
-    t0 = time.perf_counter()
-    g = {"_s_default": [2.0, 0.5 + 3j, -0.5 + 5j, 0.5 + 14.13j],
-         "_x_default": [10.0, 100.0], **grid}
-    cells = _residual_cells(lambda s, x: poids_sides(s, x, prec), g)
-    return _finish("poids", "identity", g, cells, t0)
-
-
-def _check_k1(grid, target, prec):
-    t0 = time.perf_counter()
-    g = {"_s_default": [2.0, 0.5 + 3j], "_x_default": [10.0, 200.0], **grid}
-    cells = _residual_cells(lambda s, x: k1_sides(s, x, prec), g)
-    return _finish("k1", "identity", g, cells, t0)
-
-
-def _check_k2(grid, target, prec):
-    t0 = time.perf_counter()
-    g = {"_s_default": [2.0, 0.5 + 3j], "_x_default": [50.0], **grid}
-    cells = _residual_cells(lambda s, x: kgen2_sides(s, x, prec), g)
-    return _finish("k2", "identity", g, cells, t0)
+    return "identity", g, cells, payload
 
 
 def _check_dcb(grid, target, prec):
-    t0 = time.perf_counter()
     g = {"_x_default": [10.0, 1000.0], **grid}
-    cells = []
-    for x in _slist(g, "x", g["_x_default"]):
-        lhs, rhs = double_check_borne_sides(x, prec)
-        resid = float(mpmath.fabs(lhs.value - rhs.value))
-        tol = radd(lhs.radius, rhs.radius)
-        cells.append({"x": x, "residual": resid, "radius": tol,
-                      "pass": resid <= tol, "rigor": RIGOROUS})
-    return _finish("double-check-borne", "identity", g, cells, t0)
+    cells = [_residual_cell({"x": x}, *double_check_borne_sides(x, prec))
+             for x in _slist(g, "x", g["_x_default"])]
+    return "identity", g, cells
 
 
 def _check_formule_m(grid, target, prec):
-    t0 = time.perf_counter()
     g = {"_x_default": [1.0, 2.0, 10.0, 1000.0, 12345.6], **grid}
     cells = []
     for x in _slist(g, "x", g["_x_default"]):
         if x == 1.0:
-            cells.append({"x": 1.0, "residual": 0.0, "radius": 0.0,
-                          "pass": True, "rigor": RIGOROUS})
+            cells.append(_residual_cell({"x": 1.0}, 0.0, 0.0))
             continue
         val, expect = formule_m_value(x, prec)
-        resid = float(mpmath.fabs(val.value - expect))
-        cells.append({"x": x, "residual": resid, "radius": val.radius,
-                      "pass": resid <= val.radius, "rigor": RIGOROUS})
-    return _finish("formule-m", "identity", g, cells, t0)
+        cells.append(_residual_cell({"x": x}, mpmath.fabs(val.value - expect), val.radius))
+    return "identity", g, cells
 
 
 def _check_exact_Q_l1(grid, target, prec):
     """Calibration: signed quadrature over [1, T] + closed-form tail must match
     1/(s-1) - zeta + gamma within combined radii."""
-    t0 = time.perf_counter()
     g = {"_s_default": [1.5, 2.0], "_x_default": [None], **grid}
     T = int(g.get("T", 1000))
     cells = []
@@ -324,32 +311,15 @@ def _check_exact_Q_l1(grid, target, prec):
                                        target or 1e-8, precision=prec)
         tail = exact_Q_l1_tail(s, T, precision=prec)
         ref = exact_Q_l1_reference(s, precision=prec)
-        resid = float(mpmath.fabs(quad.value + tail.value - ref.value))
-        tol = radd(quad.radius, tail.radius, ref.radius)
-        cells.append({"s": str(s), "T": T, "residual": resid, "radius": tol,
-                      "pass": resid <= tol, "rigor": RIGOROUS,
+        cells.append({**_residual_cell({"s": str(s), "T": T},
+                                       mpmath.fabs(quad.value + tail.value - ref.value),
+                                       radd(quad.radius, tail.radius, ref.radius)),
                       "reference": float(mpmath.re(ref.value))})
-    return _finish("exact-Q-l1", "identity", g, cells, t0)
-
-
-def _check_har(grid, target, prec):
-    t0 = time.perf_counter()
-    g = {"_s_default": [2.0, 0.5 + 3j], "_x_default": [20.5, 50.0], **grid}
-    pairs = _grid_pairs(g)
-    cells = _identity_cells(pairs, transform_sides(HAR, pairs, None, prec))
-    return _finish("har", "identity", g, cells, t0)
-
-
-def _check_ent(grid, target, prec):
-    t0 = time.perf_counter()
-    g = {"_s_default": [2.0, 0.5 + 10j], "_x_default": [7.0, 33.3], **grid}
-    cells = _residual_cells(lambda s, t: ent_residual(s, t, precision=prec), g)
-    return _finish("ent", "identity", g, cells, t0)
+    return "identity", g, cells
 
 
 def _check_em_cross(grid, target, prec):
     """Definitional vs Euler-Maclaurin kernel forms across the s x t grid."""
-    t0 = time.perf_counter()
     sigmas = _slist(grid, "sigma", [-0.5, 0.5, 1.5, 2.0, 3.0])
     taus = _slist(grid, "tau", [0.0, 5.0, 14.13])
     ts = grid.get("t")
@@ -363,26 +333,22 @@ def _check_em_cross(grid, target, prec):
             if sig == 1.0 and tau == 0.0:
                 continue
             spec = KernelSpec.make("Q", complex(sig, tau))
+            # the t of largest residual - radius decides the cell's pass
             worst, worst_t, worst_tol = -1.0, None, 0.0
-            ok = True
             for t in ts:
                 d = kernel_eval(spec, t, tol_target, precision=prec)
                 e = kernel_eval_em(spec, t, tol_target, precision=prec)
                 resid = float(mpmath.fabs(d.value - e.value))
                 tol = radd(d.radius, e.radius)
-                ok &= resid <= tol
                 if resid - tol > worst - worst_tol:
                     worst, worst_t, worst_tol = resid, t, tol
-            cells.append({"s": f"{sig}{tau:+}i", "t_worst": worst_t,
-                          "residual": worst, "radius": worst_tol,
-                          "pass": ok, "rigor": RIGOROUS})
-    return _finish("em-cross", "identity",
-                   {"sigma": sigmas, "tau": taus, "n_t": len(ts)}, cells, t0)
+            cells.append(_residual_cell({"s": f"{sig}{tau:+}i", "t_worst": worst_t},
+                                        worst, worst_tol))
+    return "identity", {"sigma": sigmas, "tau": taus, "n_t": len(ts)}, cells
 
 
 def _check_terre(grid, target, prec):
     """The 4-parameter identity harness: 9 sequence pairs x 6 kernel pairs."""
-    t0 = time.perf_counter()
     xs = _slist(grid, "x", [2.0, 10.0, 97.5, 1000.0])
     seqs = [SequenceSpec.named(n) for n in ("mobius", "one", "alternating")]
     kernel_pairs = [
@@ -395,38 +361,23 @@ def _check_terre(grid, target, prec):
     ]
     specs = [(a, b, om, ph) for a in seqs for b in seqs for om, ph in kernel_pairs]
     sides_at = [terre_batch(specs, x, precision=prec) for x in xs]
-    cells = []
-    for j, (a, b, om, ph) in enumerate(specs):
-        for x, sides in zip(xs, sides_at):
-            lhs, rhs = sides[j]
-            resid = float(mpmath.fabs(lhs.value - rhs.value))
-            tol = radd(lhs.radius, rhs.radius)
-            cells.append({"a": a.label(), "b": b.label(),
-                          "omega": om.describe(), "phi": ph.describe(),
-                          "x": x, "residual": resid, "radius": tol,
-                          "pass": resid <= tol, "rigor": RIGOROUS})
-    return _finish("terre", "identity", {"x": xs, "pairs": 9, "kernels": 6}, cells, t0)
+    cells = [_residual_cell({"a": a.label(), "b": b.label(), "omega": om.describe(),
+                             "phi": ph.describe(), "x": x}, *sides[j])
+             for j, (a, b, om, ph) in enumerate(specs) for x, sides in zip(xs, sides_at)]
+    return "identity", {"x": xs, "pairs": 9, "kernels": 6}, cells
 
 
 def _check_voyage(grid, target, prec):
-    t0 = time.perf_counter()
     xs = _slist(grid, "x", [10.0, 50.0])
     pairs = [(FunctionSpec.power(1.0), FunctionSpec.power(2.0)),
              (FunctionSpec.t_log(1), FunctionSpec.power(complex(0.5, 3.0)))]
-    cells = []
-    for om, ph in pairs:
-        for x in xs:
-            lhs, rhs = voyage_sides(om, ph, x, precision=prec)
-            resid = float(mpmath.fabs(lhs.value - rhs.value))
-            tol = radd(lhs.radius, rhs.radius)
-            cells.append({"omega": om.describe(), "phi": ph.describe(), "x": x,
-                          "residual": resid, "radius": tol,
-                          "pass": resid <= tol, "rigor": RIGOROUS})
-    return _finish("voyage", "identity", {"x": xs}, cells, t0)
+    cells = [_residual_cell({"omega": om.describe(), "phi": ph.describe(), "x": x},
+                            *voyage_sides(om, ph, x, precision=prec))
+             for om, ph in pairs for x in xs]
+    return "identity", {"x": xs}, cells
 
 
 def _check_halfstep(grid, target, prec):
-    t0 = time.perf_counter()
     g = {"_s_default": [2.0, 0.5 + 3j], "_x_default": [30.0, 100.0], **grid}
     cells = []
     match_names = set()
@@ -436,46 +387,36 @@ def _check_halfstep(grid, target, prec):
             resids = {k: float(mpmath.fabs(value.value - c.value)) for k, c in cands.items()}
             best = min(resids, key=resids.get)
             match_names.add(best)
-            tol = radd(value.radius, cands[best].radius)
-            cells.append({"s": str(s), "x": x, "matched": best,
-                          "residual": resids[best], "radius": tol,
-                          "pass": resids[best] <= tol, "rigor": RIGOROUS,
+            cells.append({**_residual_cell({"s": str(s), "x": x, "matched": best}, resids[best],
+                                           radd(value.radius, cands[best].radius)),
                           **{f"resid_{k}": v for k, v in resids.items()}})
-    return _finish("halfstep", "adjudication", g, cells, t0,
-                   {"matching_bracketing": sorted(match_names)})
+    return "adjudication", g, cells, {"matching_bracketing": sorted(match_names)}
 
 
 def _check_mdcheck_norm(grid, target, prec):
     """Which normalization of the double-smoothed sum stays within 4 gamma + 2."""
-    t0 = time.perf_counter()
     N = int(grid.get("xmax", 1e5))
     sweep = prefix_sweep(N)
     ns = np.arange(1, N + 1, dtype=np.float64)
     logs = np.log(ns)
     md = logs**2 * sweep.m - 2 * logs * sweep.Smlog + sweep.Smlog2
     bound = 4 * _GAMMA_F + 2
-    two_norm = np.abs(md - 2 * logs + 2 * _GAMMA_F)
-    one_norm = np.abs(md - logs + _GAMMA_F)
     rad = logs**2 * sweep.m_rad + 2 * logs * sweep.Smlog_rad + sweep.Smlog2_rad + 1e-13
-    i2 = int(np.argmax(two_norm))
-    i1 = int(np.argmax(one_norm))
-    cells = [{"normalization": "2log t - 2gamma", "max": float(two_norm[i2]),
-              "at_x": int(i2 + 1), "margin": float(bound - two_norm[i2]),
-              "radius": float(rad[i2]),
-              "pass": bool(two_norm[i2] + rad[i2] <= bound), "rigor": RIGOROUS},
-             {"normalization": "log t - gamma", "max": float(one_norm[i1]),
-              "at_x": int(i1 + 1), "margin": float(bound - one_norm[i1]),
-              "radius": float(rad[i1]),
-              "pass": bool(one_norm[i1] + rad[i1] <= bound), "rigor": RIGOROUS}]
+    cells, fits = [], []
+    for name, norm in (("2log t - 2gamma", np.abs(md - 2 * logs + 2 * _GAMMA_F)),
+                       ("log t - gamma", np.abs(md - logs + _GAMMA_F))):
+        i = int(np.argmax(norm))
+        fits.append(bool(norm[i] + rad[i] <= bound))
+        # the adjudication passes when the sweep ran; the verdict says which
+        # normalization fits (ROADMAP item 5)
+        cells.append(_margin_cell({"normalization": name, "max": float(norm[i]),
+                                   "at_x": int(i + 1)}, bound - norm[i], rad[i], passed=True))
     payload = {"bound": bound,
                "verdict": "the 2log t - 2gamma normalization stays within "
                           "4 gamma + 2 on the tested range; the printed "
                           "log t - gamma normalization exceeds it"
-               if cells[0]["pass"] and not cells[1]["pass"] else "see cells"}
-    # adjudication passes when the sweep itself succeeded
-    for c in cells:
-        c["pass"] = True
-    return _finish("mdcheck-norm", "adjudication", {"xmax": N}, cells, t0, payload)
+               if fits[0] and not fits[1] else "see cells"}
+    return "adjudication", {"xmax": N}, cells, payload
 
 
 # ---------------------------------------------------------------------------
@@ -517,18 +458,14 @@ def _prop_inequality_cells(which: str, letter: str, grid, prec):
     sweep = prefix_sweep(int(grid.get("sweep_N", 1e6)))
     cells = []
     for (sig, x), (lhs, rhs) in zip(pairs, transform_sides(identity, pairs, None, prec)):
-        resid = float(mpmath.fabs(lhs.value - rhs.value))
-        tol = radd(lhs.radius, rhs.radius)
-        cells.append({"form": "identity", "sigma": sig, "x": x,
-                      "residual": resid, "margin": math.inf, "radius": tol,
-                      "pass": resid <= tol, "rigor": RIGOROUS})
+        cells.append(_residual_cell({"form": "identity", "sigma": sig, "x": x}, lhs, rhs,
+                                    in_inequality=True))
         # inequality with empirical sup
         z, zp = zeta_em(sig, 1e-30, precision=prec)
         snap = summatory(x, mode="mp", precision=prec)
         x1s = float(x) ** (1.0 - sig)
+        sup = _sup_window(sweep, x, {"a": "m", "b": "mcheck1", "c": "mdnorm"}[letter])
         if which == "1":
-            sup_kind = {"a": "m", "b": "mcheck1", "c": "mdnorm"}[letter]
-            sup = _sup_window(sweep, x, sup_kind)
             msum = mu_power_sum(x, sig, prec)
             inv_z = ApproxValue.exact(1) / z
             if letter == "a":
@@ -542,9 +479,6 @@ def _prop_inequality_cells(which: str, letter: str, grid, prec):
                                      + ApproxValue.exact((sig - 1) * x1s) * (snap.m_check - 1)).value))
                 bound = (sig - 1.0) ** 2 * x1s * sup
         else:
-            sup_kind = {"a": "m", "b": "mcheck1", "c": "mdnorm"}[letter]
-            sup = _sup_window(sweep, x, sup_kind)
-            from .identities import mu_log_power_sum
             mlsum = mu_log_power_sum(x, sig, prec)
             logx = math.log(x)
             head = ApproxValue.exact(logx) / z - zp / (z * z) - mlsum
@@ -557,25 +491,19 @@ def _prop_inequality_cells(which: str, letter: str, grid, prec):
             else:
                 lhs_v = abs(complex((head + (snap.m_check - 1) * ApproxValue.exact(x1s)).value))
                 bound = 3.0 * (sig - 1.0) * x1s * sup
-        margin = bound - lhs_v
-        cells.append({"form": "inequality", "sigma": sig, "x": x,
-                      "residual": math.nan, "margin": margin,
-                      "radius": 1e-12 + 1e-9 * abs(bound),
-                      "pass": margin >= -(1e-12 + 1e-9 * abs(bound)),
-                      "rigor": HEURISTIC, "window_sup": sup})
+        cells.append({**_margin_cell({"form": "inequality", "sigma": sig, "x": x,
+                                      "residual": math.nan}, bound - lhs_v,
+                                     1e-12 + 1e-9 * abs(bound), rigor=HEURISTIC),
+                      "window_sup": sup})
     return cells
 
 
 def _mk_prop_check(which: str, letter: str):
-    def run(grid, target, prec):
-        t0 = time.perf_counter()
-        cells = _prop_inequality_cells(which, letter, grid, prec)
-        return _finish(f"prop{which}-{letter}", "inequality", grid, cells, t0)
-    return run
+    return lambda grid, target, prec: (
+        "inequality", grid, _prop_inequality_cells(which, letter, grid, prec))
 
 
 def _check_parm(grid, target, prec):
-    t0 = time.perf_counter()
     svals = _slist(grid, "s", [2.0])
     xs = _slist(grid, "x", [10.0, 1000.0, 100000.0])
     sweep = prefix_sweep(int(max(xs)))
@@ -603,19 +531,15 @@ def _check_parm(grid, target, prec):
             bound = (sp.abs() / abs(sp.sigma) * abs(complex(sm - 1)) / z_abs
                      * xf ** (1 - sp.sigma) / xf * float(I0.value)
                      + abs(complex(mc1.value)) / z_abs * xf ** (1 - sp.sigma))
-            rad = radd(I0.radius, mc1.radius, 1e-12 * bound)
-            margin = bound - lhs
-            cells.append({"s": str(sp), "x": x, "margin": margin, "radius": rad,
-                          "pass": margin >= -rad, "rigor": RIGOROUS})
-    return _finish("parm", "inequality", {"s": svals, "x": xs}, cells, t0)
+            cells.append(_margin_cell({"s": str(sp), "x": x}, bound - lhs,
+                                      radd(I0.radius, mc1.radius, 1e-12 * bound)))
+    return "inequality", {"s": svals, "x": xs}, cells
 
 
 def _check_parchm(grid, target, prec):
-    t0 = time.perf_counter()
     svals = _slist(grid, "s", [2.0])
     xs = _slist(grid, "x", [10.0, 1000.0, 100000.0])
     sweep = prefix_sweep(int(max(1e5, max(xs))))
-    g_f = _GAMMA_F
     cells = []
     for s in svals:
         sp = ComplexParam.coerce(s)
@@ -657,14 +581,11 @@ def _check_parchm(grid, target, prec):
                      + sm1 / z_abs * xf ** (1 - sp.sigma) * half_norm
                      + 0.55 * sm1 ** 2 / (z_abs * abs(sp.sigma)) * xf ** (-sp.sigma))
             rad = radd(1e-10 * bound, float(np.sum(sweep.m_rad[:n])) * math.log(max(xf, 2.0)))
-            margin = bound - lhs
-            cells.append({"s": str(sp), "x": x, "margin": margin, "radius": rad,
-                          "pass": margin >= -rad, "rigor": RIGOROUS})
-    return _finish("parchm", "inequality", {"s": svals, "x": xs}, cells, t0)
+            cells.append(_margin_cell({"s": str(sp), "x": x}, bound - lhs, rad))
+    return "inequality", {"s": svals, "x": xs}, cells
 
 
 def _check_poids_bound(grid, target, prec):
-    t0 = time.perf_counter()
     svals = _slist(grid, "s", [-0.5, 0.5, 2.0])
     xs = _slist(grid, "x", [10.0, 1000.0])
     sweep = prefix_sweep(int(max(xs)))
@@ -687,17 +608,14 @@ def _check_poids_bound(grid, target, prec):
                      + xf ** (1 - sig) / z_abs * (abs(sig - 1) / 2 * abs(float(snap.m1.value))
                                                   + abs(sig) * abs(complex((snap.m_check - 1).value))
                                                   + abs(sig - 1) / xf))
-            rad = radd(I1.radius, 1e-11 * abs(bound))
-            margin = bound - lhs
-            cells.append({"sigma": sig, "x": x, "margin": margin, "radius": rad,
-                          "pass": margin >= -rad, "rigor": RIGOROUS})
-    return _finish("poids-bound", "inequality", {"s": svals, "x": xs}, cells, t0)
+            cells.append(_margin_cell({"sigma": sig, "x": x}, bound - lhs,
+                                      radd(I1.radius, 1e-11 * abs(bound))))
+    return "inequality", {"s": svals, "x": xs}, cells
 
 
 def _check_balcheck(grid, target, prec):
     """|mcheck(x)-1| <= (1/x) integral |m| + 1/x^2, exhaustively at integers
     and on seeded random reals."""
-    t0 = time.perf_counter()
     N = int(grid.get("xmax", 1e5))
     n_random = int(grid.get("n_random", 1000))
     sweep = prefix_sweep(N)
@@ -708,11 +626,7 @@ def _check_balcheck(grid, target, prec):
     rhs = I0_at / ns + 1.0 / ns**2
     rad = (logs * sweep.m_rad + sweep.Smlog_rad + sweep.I0_rad / ns
            + 4e-16 * (np.abs(rhs) + mcheck1))
-    margin = rhs - mcheck1
-    i = int(np.argmin(margin + rad))
-    cells = [{"x": int(i + 1), "form": "integers", "margin": float(margin[i]),
-              "radius": float(rad[i]), "pass": bool(np.all(margin >= -rad)),
-              "rigor": RIGOROUS}]
+    cells = [_sweep_cell(lambda n: {"x": n, "form": "integers"}, rhs - mcheck1, rad)]
     rng = np.random.default_rng(20260810)
     xs = 1.0 + rng.random(n_random) * (N - 1)
     worst = math.inf
@@ -729,41 +643,32 @@ def _check_balcheck(grid, target, prec):
         ok &= mg >= -r
         if mg < worst:
             worst, worst_x = mg, float(x)
-    cells.append({"x": worst_x, "form": f"{n_random} random reals",
-                  "margin": worst, "radius": 1e-14, "pass": ok, "rigor": RIGOROUS})
-    return _finish("balcheck", "inequality", {"xmax": N, "n_random": n_random},
-                   cells, t0)
+    # decided on each real's own radius r; the cell reports a literal (ROADMAP item 5)
+    cells.append(_margin_cell({"x": worst_x, "form": f"{n_random} random reals"},
+                              worst, 1e-14, passed=ok))
+    return "inequality", {"xmax": N, "n_random": n_random}, cells
 
 
 def _check_balazard_m(grid, target, prec):
     """|m(x)| <= |M(x)|/x + (1/x^2) integral |M| + (8/3)/x at integers."""
-    t0 = time.perf_counter()
     N = int(grid.get("xmax", 1e5))
     sweep = prefix_sweep(N)
     ns = np.arange(1, N + 1, dtype=np.float64)
     rhs = np.abs(sweep.M) / ns + sweep.IabsM / ns**2 + (8.0 / 3.0) / ns
-    margin = rhs - np.abs(sweep.m)
-    rad = sweep.m_rad + 4e-16 * rhs
-    i = int(np.argmin(margin + rad))
-    cells = [{"x": int(i + 1), "margin": float(margin[i]), "radius": float(rad[i]),
-              "pass": bool(np.all(margin >= -rad)), "rigor": RIGOROUS}]
-    return _finish("balazard-m", "inequality", {"xmax": N}, cells, t0)
+    cells = [_sweep_cell(lambda n: {"x": n}, rhs - np.abs(sweep.m), sweep.m_rad + 4e-16 * rhs)]
+    return "inequality", {"xmax": N}, cells
 
 
 def _check_harmonic(grid, target, prec):
-    t0 = time.perf_counter()
     N = int(grid.get("xmax", 1e6))
     d, rad = harmonic_gamma_margins(N)
-    hi_margin = HARMONIC_UPPER - (d + rad)
-    lo_margin = (d - rad) - HARMONIC_LOWER
-    ih = int(np.argmin(hi_margin))
-    il = int(np.argmin(lo_margin))
-    cells = [{"x": int(ih + 1), "side": "upper", "margin": float(hi_margin[ih]),
-              "radius": float(rad[ih]), "pass": bool(np.all(hi_margin >= 0)),
-              "rigor": RIGOROUS},
-             {"x": int(il + 1), "side": "lower", "margin": float(lo_margin[il]),
-              "radius": float(rad[il]), "pass": bool(np.all(lo_margin >= 0)),
-              "rigor": RIGOROUS}]
+    cells = []
+    for side, margin in (("upper", HARMONIC_UPPER - (d + rad)),
+                         ("lower", (d - rad) - HARMONIC_LOWER)):
+        i = int(np.argmin(margin))
+        # the margin is net of the radius already (ROADMAP item 5)
+        cells.append(_margin_cell({"x": int(i + 1), "side": side}, margin[i], rad[i],
+                                  passed=np.all(margin >= 0)))
     # dense non-integer grid near the infimum approach points
     sweep = prefix_sweep(min(N, 10_000))
     ok = True
@@ -775,13 +680,13 @@ def _check_harmonic(grid, target, prec):
         r = xs * (sweep.H_rad[np.floor(xs).astype(int) - 1] + 4e-16 * (np.abs(np.log(xs)) + 1))
         ok &= bool(np.all(v - r >= HARMONIC_LOWER) and np.all(v + r <= HARMONIC_UPPER))
         worst = min(worst, float(np.min(np.minimum(v - HARMONIC_LOWER, HARMONIC_UPPER - v))))
-    cells.append({"x": "dense grid <= 1e4", "side": "both", "margin": worst,
-                  "radius": 0.0, "pass": ok, "rigor": RIGOROUS})
-    return _finish("harmonic", "inequality", {"xmax": N}, cells, t0)
+    # decided on per-point radii; the cell reports radius 0 (ROADMAP item 5)
+    cells.append(_margin_cell({"x": "dense grid <= 1e4", "side": "both"}, worst, 0.0,
+                              passed=ok))
+    return "inequality", {"xmax": N}, cells
 
 
 def _check_q_bounds(grid, target, prec):
-    t0 = time.perf_counter()
     ts = grid.get("t") or [1.0, 1.5, 2.5, 7.3, 10.0, 20.0, 50.0]
     cells = []
     for sig, tau in [(0.5, 0.0), (0.5, 5.0), (2.0, 14.13), (1.5, 5.0)]:
@@ -794,8 +699,9 @@ def _check_q_bounds(grid, target, prec):
             mg = bQ - float(mpmath.fabs(v.value))
             ok &= mg >= -v.radius
             worstm = min(worstm, mg)
-        cells.append({"s": f"{sig}{tau:+}i", "bound": "sup_Q", "margin": worstm,
-                      "radius": 1e-20, "pass": ok, "rigor": RIGOROUS})
+        # decided on each t's own radius; the cell reports a literal (ROADMAP item 5)
+        cells.append(_margin_cell({"s": f"{sig}{tau:+}i", "bound": "sup_Q"}, worstm, 1e-20,
+                                  passed=ok))
     for sig, tau in [(-0.5, 5.0), (0.5, 3.0), (2.0, 0.0)]:
         s = complex(sig, tau)
         worstm = math.inf
@@ -811,14 +717,14 @@ def _check_q_bounds(grid, target, prec):
             mg = b - va
             ok &= mg >= -v.radius
             worstm = min(worstm, mg)
-        cells.append({"s": f"{sig}{tau:+}i", "bound": "R forms", "margin": worstm,
-                      "radius": 1e-20, "pass": ok, "rigor": RIGOROUS})
-    return _finish("q-bounds", "inequality", {"t": ts}, cells, t0)
+        # as above (ROADMAP item 5)
+        cells.append(_margin_cell({"s": f"{sig}{tau:+}i", "bound": "R forms"}, worstm, 1e-20,
+                                  passed=ok))
+    return "inequality", {"t": ts}, cells
 
 
 def _check_alpha(grid, target, prec):
     """|alpha(t)| = |floor(t)(floor(t)+1)/t^2 - 1| <= 1/t on a dense grid."""
-    t0 = time.perf_counter()
     N = int(grid.get("tmax", 1e4))
     ks = np.arange(1, N, dtype=np.float64)
     ok = True
@@ -834,15 +740,14 @@ def _check_alpha(grid, target, prec):
         i = int(np.argmin(margin))
         if margin[i] < worst:
             worst, worst_t = float(margin[i]), float(t[i])
-    cells = [{"t": worst_t, "margin": worst, "radius": 1e-15, "pass": ok,
-              "rigor": RIGOROUS}]
-    return _finish("alpha", "inequality", {"tmax": N}, cells, t0)
+    # decided on per-point radii; the cell reports a literal (ROADMAP item 5)
+    cells = [_margin_cell({"t": worst_t}, worst, 1e-15, passed=ok)]
+    return "inequality", {"tmax": N}, cells
 
 
 def _check_m_conversions(grid, target, prec):
     """The step-conversion block: |mcheck-1| and |m1| against the exact
     integrals of |m| and |m| t."""
-    t0 = time.perf_counter()
     N = int(grid.get("xmax", 1e5))
     sweep = prefix_sweep(N)
     ns = np.arange(1, N + 1, dtype=np.float64)
@@ -858,20 +763,14 @@ def _check_m_conversions(grid, target, prec):
         ("m1 <= I1/x^2 + 2/x", m1, sweep.I1 / ns**2 + 2.0 / ns,
          sweep.m_rad + sweep.I1_rad / ns**2),
     ]
-    cells = []
-    for name, lhs, rhs, rad in tests:
-        margin = rhs - lhs
-        rad = rad + 4e-16 * (rhs + lhs)
-        i = int(np.argmin(margin + rad))
-        cells.append({"inequality": name, "x": int(i + 1),
-                      "margin": float(margin[i]), "radius": float(rad[i]),
-                      "pass": bool(np.all(margin >= -rad)), "rigor": RIGOROUS})
-    return _finish("m-conversions", "inequality", {"xmax": N}, cells, t0)
+    cells = [_sweep_cell(lambda n: {"inequality": name, "x": n}, rhs - lhs,
+                         rad + 4e-16 * (rhs + lhs))
+             for name, lhs, rhs, rad in tests]
+    return "inequality", {"xmax": N}, cells
 
 
 def _check_hel_truncation(grid, target, prec):
     """(5/6)/t^sigma truncation bound at s = 0.5 + 10i over log-spaced t."""
-    t0 = time.perf_counter()
     s = _scalar(grid, "s", 0.5 + 10j)
     n_t = int(grid.get("n_t", 200))
     t_lo, t_hi = grid.get("trange", (10.0, 1e4))
@@ -879,7 +778,6 @@ def _check_hel_truncation(grid, target, prec):
     z, _ = zeta_em(sp, 1e-13 * 1e-2, precision=prec, want_derivative=False)
     assert z.radius <= 1e-12
     ts = np.geomspace(t_lo, t_hi, n_t)
-    cells = []
     worst = math.inf
     worst_t = None
     ok = True
@@ -900,26 +798,50 @@ def _check_hel_truncation(grid, target, prec):
             ok &= margin >= -rad
             if margin < worst:
                 worst, worst_t = margin, float(t)
-    cells.append({"s": str(sp), "t": worst_t, "margin": worst, "radius": 1e-12,
-                  "pass": ok, "rigor": RIGOROUS})
-    return _finish("hel-truncation", "inequality",
-                   {"s": str(sp), "trange": [t_lo, t_hi], "n_t": n_t}, cells, t0)
+    # decided on per-t radii; the cell reports a literal (ROADMAP item 5)
+    cells = [_margin_cell({"s": str(sp), "t": worst_t}, worst, 1e-12, passed=ok)]
+    return "inequality", {"s": str(sp), "trange": [t_lo, t_hi], "n_t": n_t}, cells
+
+
+def _landau_lower(x_max, constants):
+    N = int(x_max)
+    sweep = prefix_sweep(N)
+    ns = np.arange(1, N + 1, dtype=np.float64)
+    rhs_unit = np.sqrt(ns) - 1.0 / ns
+    I0 = sweep.I0
+    rad = sweep.I0_rad + 2e-16 * rhs_unit
+    cells = []
+    worst_overall = math.inf
+    worst_loc = {}
+    ratios = I0[1:] / rhs_unit[1:]
+    i_min = int(np.argmin(ratios))
+    for c in constants:
+        margin = I0 - c * rhs_unit
+        i = int(np.argmin(margin + rad))
+        cells.append({"constant": c, "min_margin": float(margin[i]),
+                      "at_x": int(i + 1), "min_ratio": float(ratios[i_min]),
+                      "ratio_at_x": int(i_min + 2), "radius": float(rad[i]),
+                      "pass": bool(margin[i] >= -rad[i]), "rigor": RIGOROUS})
+        if margin[i] < worst_overall:
+            worst_overall = float(margin[i])
+            worst_loc = {"constant": c, "x": int(i + 1)}
+    # only the first constant decides pass; the others are shown for comparison
+    passed = cells[0]["pass"] if cells else True
+    return ("inequality", {"x_max": x_max, "constants": list(constants)}, cells,
+            {"min_ratio": float(ratios[i_min]), "min_ratio_at": int(i_min + 2)},
+            (worst_overall, worst_loc, passed))
+
+
+def _check_landau_lower(grid, target, prec):
+    return _landau_lower(float(grid.get("xmax", 1e6)),
+                         tuple(grid.get("constants", (0.0024933, 0.0025))))
 
 
 # ---------------------------------------------------------------------------
 # Adjudications of the numerical-experiment claims.
 # ---------------------------------------------------------------------------
 
-
-def _scalar(grid, key, default):
-    v = grid.get(key, default)
-    if isinstance(v, (list, tuple)):
-        v = v[0]
-    return v
-
-
 def _check_q_sup(grid, target, prec):
-    t0 = time.perf_counter()
     s = _scalar(grid, "s", complex(0.5, RHO1_IMAG_ROUNDED))
     t_lo, t_hi = grid.get("trange", (1.0, 14.13))
     tol = target or 1e-3
@@ -932,13 +854,12 @@ def _check_q_sup(grid, target, prec):
                <= float(sup.value) + sup.radius else
                ("refutes (true sup larger)" if float(sup.value) - sup.radius > heuristic_claim
                 else "refutes (true sup smaller)"))
-    return _finish("q-sup", "adjudication", {"s": str(s), "trange": [t_lo, t_hi]},
-                   cells, t0, {"heuristic_claim": heuristic_claim, "verdict": verdict,
-                               "rigorous_sup": float(sup.value), "radius": sup.radius})
+    return ("adjudication", {"s": str(s), "trange": [t_lo, t_hi]}, cells,
+            {"heuristic_claim": heuristic_claim, "verdict": verdict,
+             "rigorous_sup": float(sup.value), "radius": sup.radius})
 
 
 def _check_q_l1(grid, target, prec):
-    t0 = time.perf_counter()
     s = _scalar(grid, "s", complex(0.5, RHO1_IMAG_ROUNDED))
     tol = target or 1e-2
     val, T = integrate_abs_kernel_to_infinity(KernelSpec.make("Q", s), tol, precision=prec)
@@ -950,13 +871,12 @@ def _check_q_l1(grid, target, prec):
     verdict = ("confirms <= claim" if float(v) + val.radius <= claim else
                ("refutes (integral exceeds claim)" if float(v) - val.radius > claim
                 else "inconclusive at this radius"))
-    return _finish("q-l1", "adjudication", {"s": str(s)}, cells, t0,
-                   {"heuristic_claim": claim, "verdict": verdict,
-                    "rigorous_value": float(v), "radius": val.radius, "T": T})
+    return ("adjudication", {"s": str(s)}, cells,
+            {"heuristic_claim": claim, "verdict": verdict,
+             "rigorous_value": float(v), "radius": val.radius, "T": T})
 
 
 def _check_improved_landau(grid, target, prec):
-    t0 = time.perf_counter()
     s = _scalar(grid, "s", complex(0.5, RHO1_IMAG_ROUNDED))
     T_split = float(grid.get("T_split", abs(complex(s).imag)))
     tol = target or 1e-3
@@ -970,39 +890,29 @@ def _check_improved_landau(grid, target, prec):
     cells = [{"s": str(s), "T_split": T_split, "constant": ours,
               "margin": ours - base, "radius": sup.radius,
               "pass": sup.radius <= tol, "rigor": RIGOROUS}]
-    return _finish("improved-landau", "adjudication", {"s": str(s), "T_split": T_split},
-                   cells, t0,
-                   {"rigorous_constant": ours, "claimed_inputs_constant": reported,
-                    "sup_near": near_hi, "sup_far": far,
-                    "plain_constant": base,
-                    "note": "constant = 1/(1 + max(sup bounds)); the experimental "
-                            "inputs (20.512, 9.4) give the quoted 0.047 order"})
+    return ("adjudication", {"s": str(s), "T_split": T_split}, cells,
+            {"rigorous_constant": ours, "claimed_inputs_constant": reported,
+             "sup_near": near_hi, "sup_far": far,
+             "plain_constant": base,
+             "note": "constant = 1/(1 + max(sup bounds)); the experimental "
+                     "inputs (20.512, 9.4) give the quoted 0.047 order"})
 
 
 def _check_headline(grid, target, prec):
-    t0 = time.perf_counter()
     C = float(grid.get("C", 4.0))
     c = float(grid.get("c", MCHECK_OVER_LOG[0]))
     value = compose_headline(C, c, x0=float(grid.get("x0", 1e12)),
                              t0=float(grid.get("t0", MCHECK_OVER_LOG[1])))
     claim = float(grid.get("claim", 3.5e-5))
-    cells = [{"C": C, "c": c, "value": value, "margin": claim - value,
-              "radius": 1e-20, "pass": value <= claim, "rigor": RIGOROUS}]
+    # decided on value <= claim; the cell reports a literal (ROADMAP item 5)
+    cells = [_margin_cell({"C": C, "c": c, "value": value}, claim - value, 1e-20,
+                          passed=value <= claim)]
     pairs = [(sig, x) for sig in _slist(grid, "s", [1.04, 2.0])
              for x in _slist(grid, "x", [1000.0, 100000.0])]
-    for (sig, x), (lhs, rhs) in zip(pairs, transform_sides(DERIVK2, pairs, None, prec)):
-        resid = float(mpmath.fabs(lhs.value - rhs.value))
-        tol = radd(lhs.radius, rhs.radius)
-        cells.append({"form": "derivK2 identity", "sigma": sig, "x": x,
-                      "residual": resid, "margin": math.inf, "radius": tol,
-                      "pass": resid <= tol, "rigor": RIGOROUS})
-    return _finish("headline", "inequality", grid, cells, t0,
-                   {"composed": value, "claim": claim})
-
-
-def _check_landau_lower(grid, target, prec):
-    return landau_lower_check(float(grid.get("xmax", 1e6)),
-                              tuple(grid.get("constants", (0.0024933, 0.0025))))
+    cells += [_residual_cell({"form": "derivK2 identity", "sigma": sig, "x": x}, lhs, rhs,
+                             in_inequality=True)
+              for (sig, x), (lhs, rhs) in zip(pairs, transform_sides(DERIVK2, pairs, None, prec))]
+    return "inequality", grid, cells, {"composed": value, "claim": claim}
 
 
 # ---------------------------------------------------------------------------
@@ -1011,23 +921,27 @@ def _check_landau_lower(grid, target, prec):
 
 REGISTRY = {
     "abel": _check_abel,
-    "int-check": _check_int_check,
-    "mtronq": _mk_transform_check("mtronq", MTRONQ, [1000.0, 10000.0]),
-    "mtronqch": _mk_transform_check("mtronqch", MTRONQCH, [1000.0, 10000.0]),
-    "mtronqchch": _mk_transform_check("mtronqchch", MTRONQCHCH, [1000.0, 10000.0]),
-    "derivK1": _mk_transform_check("derivK1", DERIVK1, [1000.0]),
-    "derivK2": _mk_transform_check("derivK2", DERIVK2, [1000.0, 100000.0]),
-    "derivK3": _mk_transform_check("derivK3", DERIVK3, [1000.0]),
-    "mieux-1": _check_mieux1,
+    "int-check": _grid_check([10.0, 200.0], each=int_check_sides),
+    "mtronq": _transform_check(MTRONQ, [1000.0, 10000.0]),
+    "mtronqch": _transform_check(MTRONQCH, [1000.0, 10000.0]),
+    "mtronqchch": _transform_check(MTRONQCHCH, [1000.0, 10000.0]),
+    "derivK1": _transform_check(DERIVK1, [1000.0]),
+    "derivK2": _transform_check(DERIVK2, [1000.0, 100000.0]),
+    "derivK3": _transform_check(DERIVK3, [1000.0]),
+    "mieux-1": _grid_check([10.0, 100.0, 1000.0], (2.0, 3.0, 0.5 + 3j, 0.5 + 14.13j),
+                           each=mieux1_sides),
     "mieux-2": _check_mieux2,
-    "poids": _check_poids,
-    "k1": _check_k1,
-    "k2": _check_k2,
+    "poids": _grid_check([10.0, 100.0], (2.0, 0.5 + 3j, -0.5 + 5j, 0.5 + 14.13j),
+                         each=poids_sides),
+    "k1": _grid_check([10.0, 200.0], each=k1_sides),
+    "k2": _grid_check([50.0], each=kgen2_sides),
     "double-check-borne": _check_dcb,
     "formule-m": _check_formule_m,
     "exact-Q-l1": _check_exact_Q_l1,
-    "har": _check_har,
-    "ent": _check_ent,
+    # har truncates at each x's default T and ignores --T
+    "har": _grid_check([20.5, 50.0],
+                       batch=lambda pairs, T, prec: transform_sides(HAR, pairs, None, prec)),
+    "ent": _grid_check([7.0, 33.3], (2.0, 0.5 + 10j), each=ent_residual),
     "em-cross": _check_em_cross,
     "terre": _check_terre,
     "voyage": _check_voyage,
@@ -1068,11 +982,12 @@ def registry_names() -> list[str]:
 
 def run_check(check_id: str, grid: dict | None = None,
               target_radius: float | None = None, precision: int = 128) -> BoundReport:
-    """Run one registered check on its (possibly overridden) grid."""
+    """Run one registered check on its (possibly overridden) grid, at
+    precision + 16 working bits or more; mp.prec is restored afterwards."""
     if check_id not in REGISTRY:
         raise DomainError(f"unknown check {check_id!r}; known: {sorted(REGISTRY)}")
-    mpmath.mp.prec = max(mpmath.mp.prec, precision + 16)
-    return REGISTRY[check_id](dict(grid or {}), target_radius, precision)
+    with mpmath.mp.workprec(max(mpmath.mp.prec, precision + 16)):
+        return _run(check_id, REGISTRY[check_id], dict(grid or {}), target_radius, precision)
 
 
 def run_suite(names: list[str], grid: dict | None = None,

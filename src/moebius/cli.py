@@ -283,11 +283,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.threads < 1:
         print("threads must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    mpmath.mp.prec = args.precision + 16
     handlers = {"compute": cmd_compute, "verify": cmd_verify, "quad": cmd_quad,
                 "landau": cmd_landau, "compose": cmd_compose}
     try:
-        return handlers[args.command](args)
+        with mpmath.mp.workprec(args.precision + 16):
+            return handlers[args.command](args)
     except (MoebiusError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -485,17 +485,11 @@ class _Integrand:
                             if f.zeta_column[tup[pos]] != 0])
                      for pos, f in enumerate(self.varying) if hasattr(f, "zeta_column")]
         self.zeta_sens = [0.0] * len(self.zeta)
-        self.memo = [(None, None)] * len(self.varying)
         self.total = mpf(0)
         self.cond = 0.0
 
-    def add_piece(self, N: int, K: int, diff, abs_a, abs_b) -> None:
-        vecs = []
-        for pos, f in enumerate(self.varying):
-            idx = N if f.index == "N" else K
-            if self.memo[pos][0] != idx:
-                self.memo[pos] = (idx, f.coeffs(idx))
-            vecs.append(self.memo[pos][1])
+    def add_piece(self, vecs, diff, abs_a, abs_b) -> None:
+        """Add one piece, given each varying factor's coefficient vectors."""
         F, F_abs = _coefficients(self.terms, vecs, self.n)
         contrib = mpmath.fdot(F, diff)
         self.total += contrib
@@ -527,6 +521,15 @@ def _walk(part: Partition, integrands: list, prec: int) -> list[ApproxValue]:
         return where[key]
 
     runs = [_Integrand(factors, exponent_index) for factors in integrands]
+    memo = {}  # id(factor) -> (index, coeffs(index)), shared by the integrands
+
+    def coeffs(f, N, K):
+        idx = N if f.index == "N" else K
+        hit = memo.get(id(f))
+        if hit is None or hit[0] != idx:
+            hit = memo[id(f)] = (idx, f.coeffs(idx))
+        return hit[1]
+
     shapes = {}  # distinct compiled shape -> its index
     shape_of = [shapes.setdefault(r.shape, len(shapes)) for r in runs]
     max_log = max((i for shape in shapes for _, i in shape), default=0)
@@ -549,7 +552,8 @@ def _walk(part: Partition, integrands: list, prec: int) -> list[ApproxValue]:
         end_b = endpoint(b)
         diffs = [[vb - va for va, vb in zip(ea[0], eb[0])] for ea, eb in zip(end_a, end_b)]
         for r, sh in zip(runs, shape_of):
-            r.add_piece(N, K, diffs[sh], end_a[sh][1], end_b[sh][1])
+            r.add_piece([coeffs(f, N, K) for f in r.varying],
+                        diffs[sh], end_a[sh][1], end_b[sh][1])
     return [r.result(prec) for r in runs]
 
 

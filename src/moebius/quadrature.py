@@ -150,14 +150,12 @@ def integrate_signed_kernel(spec: KernelSpec, T: float, target_radius: float = 1
 
 
 def integrate_abs_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-2,
-                         precision: int | None = None,
-                         rigor: str = RIGOROUS) -> ApproxValue:
+                         precision: int | None = None) -> ApproxValue:
     """integral over [1, T] of |kernel(t)|/t^2 with a rigorous radius.
 
     Midpoint steps with second-derivative remainders on certified zero-free
     stretches; bisection with range enclosures around possible |g| = 0
-    crossings.  rigor = "heuristic" instead reports the nested-difference
-    estimate (inflated tenfold, capped by the range bound), double speed.
+    crossings.
     """
     if T < 1:
         raise DomainError("T >= 1 required")
@@ -220,8 +218,7 @@ def integrate_abs_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-2
             radius += cell_rad + ck.zeta_rad_per_unit(K, b_end) * (b_end - K)
             K += 1
         radius += eps * 64.0 * (cond + float(total))
-        out = ApproxValue(+total, radd(radius), RIGOROUS, prec)
-        return out if rigor == RIGOROUS else out.as_heuristic()
+        return ApproxValue(+total, radd(radius), RIGOROUS, prec)
 
 
 def sup_abs_kernel(spec: KernelSpec, t_lo: float, t_hi: float,

@@ -18,13 +18,13 @@ from .approx import render_value
 from .checks import BoundReport
 
 
-def _round_sig(x, digits: int = 17):
+def _round_sig(x):
     if isinstance(x, float):
         if math.isnan(x):
             return "nan"
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
-        return float(repr(x))
+        return float(x)
     return x
 
 
@@ -84,10 +84,13 @@ def reports_to_csv(reports: list[BoundReport]) -> str:
     return buf.getvalue()
 
 
+#: the snapshot fields, in the order both renderings print them by default
+_SNAPSHOT_FIELDS = ["M", "m", "m_check", "m_dcheck", "m1", "H", "H_check"]
+
+
 def format_snapshot(snap, fields: list[str] | None = None) -> str:
     """Human-readable snapshot with radius-aware digit counts."""
-    order = ["M", "m", "m_check", "m_dcheck", "m1", "H", "H_check"]
-    fields = fields or order
+    fields = fields or _SNAPSHOT_FIELDS
     lines = [f"x = {snap.x}"]
     for f in fields:
         if f == "M":
@@ -98,9 +101,8 @@ def format_snapshot(snap, fields: list[str] | None = None) -> str:
     return "\n".join(lines)
 
 
-def snapshot_to_dict(snap, fields: list[str] | None = None, stable: bool = True) -> dict:
-    order = ["M", "m", "m_check", "m_dcheck", "m1", "H", "H_check"]
-    fields = fields or order
+def snapshot_to_dict(snap, fields: list[str] | None = None) -> dict:
+    fields = fields or _SNAPSHOT_FIELDS
     out = {"x": _round_sig(float(snap.x))}
     for f in fields:
         if f == "M":

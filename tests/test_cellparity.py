@@ -52,6 +52,14 @@ def test_differences_exit_one(tmp_path, edit, capsys):
     assert "mtronq" in capsys.readouterr().out
 
 
+def test_reordered_keys_exit_one(tmp_path, capsys):
+    def reorder(run):
+        cell = run["cells"][0]
+        run["cells"][0] = {k: cell[k] for k in ("s", "x", "radius", "residual", "pass", "rigor")}
+    assert _compare(tmp_path, _changed(reorder)) == 1
+    assert "cell 0: keys reordered" in capsys.readouterr().out
+
+
 def test_one_ulp_growth_exits_one_and_prints_the_ratio(tmp_path, capsys):
     grown = math.nextafter(RUN[0]["cells"][1]["radius"], math.inf)
     assert _compare(tmp_path, _changed(lambda r: r["cells"][1].update(radius=grown))) == 1

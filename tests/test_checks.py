@@ -146,3 +146,86 @@ def test_report_serialization_roundtrip():
     csv_text = reports_to_csv(reps)
     assert csv_text.splitlines()[0].startswith("check,")
     assert len(csv_text.splitlines()) == 1 + len(reps[0].cells) + len(reps[1].cells)
+
+
+_S = {"s": [2.0]}
+_TRANSFORM = {**_S, "x": [10.0], "T": 1e5}
+#: a small grid (and target radius) per registry check, a few seconds in all
+_SMALL = {
+    "abel": ({**_S, "x": [10.0], "xmax_fast": 1000}, None),
+    "int-check": ({**_S, "x": [10.0]}, None),
+    **{name: (_TRANSFORM, None) for name in
+       ("mtronq", "mtronqch", "mtronqchch", "derivK1", "derivK2", "derivK3")},
+    "mieux-1": ({**_S, "x": [10.0]}, None),
+    "mieux-2": ({**_S, "x": [10.0]}, None),
+    "poids": ({**_S, "x": [10.0]}, None),
+    "k1": ({**_S, "x": [10.0]}, None),
+    "k2": ({**_S, "x": [10.0]}, None),
+    "double-check-borne": ({"x": [10.0]}, None),
+    "formule-m": ({"x": [1.0, 10.0]}, None),
+    "exact-Q-l1": ({**_S, "T": 20}, None),
+    "har": ({**_S, "x": [20.5]}, None),
+    "ent": ({**_S, "x": [7.0]}, None),
+    "em-cross": ({"sigma": [2.0], "tau": [0.0], "t": [1.5, 10.0]}, None),
+    "terre": ({"x": [2.0]}, None),
+    "voyage": ({"x": [10.0]}, None),
+    "halfstep": ({**_S, "x": [30.0]}, None),
+    "mdcheck-norm": ({"xmax": 2000}, None),
+    **{f"prop{w}-{letter}": ({**_S, "x": [100.0], "sweep_N": 10_000}, None)
+       for w in "12" for letter in "abc"},
+    "parm": ({**_S, "x": [10.0]}, None),
+    "parchm": ({**_S, "x": [10.0]}, None),
+    "poids-bound": ({"s": [0.5], "x": [10.0]}, None),
+    "balcheck": ({"xmax": 2000, "n_random": 50}, None),
+    "balazard-m": ({"xmax": 2000}, None),
+    "harmonic": ({"xmax": 2000}, None),
+    "q-bounds": ({"t": [1.5, 10.0]}, None),
+    "alpha": ({"tmax": 500}, None),
+    "m-conversions": ({"xmax": 2000}, None),
+    "landau-lower": ({"xmax": 2000}, None),
+    "hel-truncation": ({"n_t": 10, "trange": (10.0, 100.0)}, None),
+    "q-sup": ({"trange": (1.0, 3.0)}, None),
+    "q-l1": ({}, 0.5),
+    "improved-landau": ({}, 0.1),
+    "headline": ({**_S, "x": [10.0]}, None),
+}
+
+
+def _plain(v):
+    if isinstance(v, (list, tuple)):
+        return all(_plain(x) for x in v)
+    return type(v) in (bool, int, float, str, complex) or v is None
+
+
+def test_every_check_names_its_report_and_emits_plain_cells():
+    assert set(_SMALL) == set(registry_names())
+    reports = [run_check(name, grid, target) for name, (grid, target) in _SMALL.items()]
+    for name, rep in zip(_SMALL, reports):
+        assert rep.check == name
+        assert rep.cells
+        for cell in rep.cells:
+            bad = {k: type(v) for k, v in cell.items() if not _plain(v)}
+            assert not bad, (name, bad)
+            assert type(cell["pass"]) is bool, name
+    csv_text = reports_to_csv(reports)
+    assert len(csv_text.splitlines()) == 1 + sum(len(r.cells) for r in reports)
+    objs = json.loads(reports_to_json(reports, stable=True, include_payload=True))
+    assert [o["check"] for o in objs] == list(_SMALL)
+
+
+def test_run_check_and_main_leave_mp_prec_alone(capsys):
+    import mpmath
+
+    from moebius.cli import main
+
+    saved = mpmath.mp.prec
+    try:
+        mpmath.mp.prec = 80
+        run_check("alpha", {"tmax": 500})
+        assert mpmath.mp.prec == 80
+        assert main(["verify", "--suite", "alpha", "--grid", "tmax=500",
+                     "--stable-output"]) == 0
+        assert mpmath.mp.prec == 80
+    finally:
+        mpmath.mp.prec = saved
+    assert json.loads(capsys.readouterr().out)[0]["check"] == "alpha"

@@ -8,7 +8,7 @@ from moebius import piecewise
 from moebius.approx import radd
 from moebius.checks import run_check
 from moebius.convolution import (S_op, SequenceSpec, dirichlet_convolve,
-                                 terre_sides, voyage_sides)
+                                 terre_batch, terre_sides, voyage_sides)
 from moebius.errors import CoverageError, DomainError
 from moebius.piecewise import FunctionSpec
 from moebius.summatory import summatory
@@ -123,6 +123,44 @@ def test_voyage_symmetry():
                    (FunctionSpec.t_log(1), FunctionSpec.power(complex(0.5, 3.0)))]:
         lhs, rhs = voyage_sides(om, ph, 50.0)
         assert abs(lhs.value - rhs.value) <= lhs.radius + rhs.radius
+
+
+def test_terre_batch_computes_each_shared_factor_once_per_index(monkeypatch):
+    x = 25.3
+    seqs = [SequenceSpec.named(n) for n in ("mobius", "one", "alternating")]
+    kernel_pairs = [(FunctionSpec.const(1.0), FunctionSpec.const(1.0)),
+                    (FunctionSpec.power(1.0), FunctionSpec.log(1))]
+    specs = [(a, b, om, ph) for a in seqs for b in seqs for om, ph in kernel_pairs]
+    calls = {}  # factor -> the indices its coeffs was asked for, in order
+
+    def recording(cls):
+        coeffs = cls.coeffs
+
+        def record(self, idx):
+            calls.setdefault(self, []).append(idx)
+            return coeffs(self, idx)
+        monkeypatch.setattr(cls, "coeffs", record)
+
+    recording(piecewise.SummatoryFactor)
+    recording(piecewise.InnerSumFactor)
+    integrands = []
+    walk = piecewise._walk
+
+    def capturing(part, batch, prec):
+        integrands.extend(batch)
+        return walk(part, batch, prec)
+
+    monkeypatch.setattr(piecewise, "_walk", capturing)
+    terre_batch(specs, x)
+    # the batch shares factors: a summatory factor serves all three b's
+    users = {f: sum(any(g is f for g in factors) for factors in integrands) for f in calls}
+    assert max(users.values()) >= 3
+    pieces = list(piecewise.Partition(x, need_inverse_points=True).pieces())
+    for f, seen in calls.items():
+        idx = [N if f.index == "N" else K for _, _, N, K in pieces]
+        changes = [i for j, i in enumerate(idx) if j == 0 or idx[j - 1] != i]
+        # one call per change of index along the walk, however many integrands share f
+        assert seen == changes, (type(f).__name__, users[f])
 
 
 def test_terre_check_walks_one_partition_per_x(monkeypatch):

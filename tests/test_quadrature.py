@@ -3,7 +3,6 @@ import math
 import mpmath
 import pytest
 
-from moebius.approx import HEURISTIC
 from moebius.errors import DomainError
 from moebius.kernels import KernelSpec
 from moebius.quadrature import (exact_Q_l1_reference, exact_Q_l1_tail,
@@ -75,12 +74,6 @@ def test_abs_integral_against_riemann_oracle():
     oracle = riemann_abs_Q(s, z, 12, 4000)
     got = integrate_abs_kernel(KernelSpec.make("Q", s), 12.0, 1e-3)
     assert abs(float(got.value) - oracle) <= got.radius + 2e-4
-
-
-def test_heuristic_mode_flagged():
-    spec = KernelSpec.make("Q", 2.0)
-    h = integrate_abs_kernel(spec, 10.0, 1e-3, rigor=HEURISTIC)
-    assert h.rigor == HEURISTIC
 
 
 def test_sup_small_interval():

@@ -13,10 +13,12 @@ per checkout, with PYTHONPATH pointing at that checkout's src.
 the same, the largest new/old cell radius ratio and where it is, the
 smallest (each printed in full, so a one-ulp growth shows), and the number of
 values that moved outside the old value +- the old cell's radius; then one line
-per such value.  A value is any number in a cell other than its radius;
-numbers equal in both runs, such as the cell's parameters, never count as
-moved.  The exit status is 0 when every check
-matches, no value moved and no radius grew (every new/old ratio <= 1), else 1.
+per such value, and one line per cell whose key list differs from the old
+cell's ("keys reordered"), since CSV columns follow the cells' key order.  A
+value is any number in a cell other than its radius; numbers equal in both
+runs, such as the cell's parameters, never count as moved.  The exit status
+is 0 when every check matches, no value moved, no cell's keys were reordered
+and no radius grew (every new/old ratio <= 1), else 1.
 """
 
 from __future__ import annotations
@@ -125,17 +127,19 @@ def compare(old_path: str, new_path: str) -> int:
                 and len(old["cells"]) == len(new["cells"]))
         ratios = [_ratio(a, b) for a, b in zip(old["cells"], new["cells"])]
         where = max(range(len(ratios)), key=ratios.__getitem__, default=None)
-        moved = [f"  cell {i}: {m}" for i, (a, b) in enumerate(zip(old["cells"], new["cells"]))
-                 for m in _moved(a, b)]
+        pairs = list(enumerate(zip(old["cells"], new["cells"])))
+        moved = [f"  cell {i}: {m}" for i, (a, b) in pairs for m in _moved(a, b)]
+        reordered = [f"  cell {i}: keys reordered: {list(a)} -> {list(b)}"
+                     for i, (a, b) in pairs if list(a) != list(b)]
         grew = max(ratios, default=1.0) > 1.0
         print(f"{check}: {'same' if same else 'DIFFERENT'} pass/rigor/cells "
               f"({new['pass']}, {new['rigor']}, {len(new['cells'])}); radius new/old "
               f"max {max(ratios, default=1.0)!r} at cell {where}"
               f"{' (GREW)' if grew else ''}, "
               f"min {min(ratios, default=1.0)!r}; {len(moved)} values moved")
-        for line in moved:
+        for line in moved + reordered:
             print(line)
-        bad |= not same or grew or bool(moved)
+        bad |= not same or grew or bool(moved) or bool(reordered)
     return 1 if bad else 0
 
 
