@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import mpmath
@@ -980,24 +979,63 @@ def registry_names() -> list[str]:
     return list(REGISTRY)
 
 
+def _require_known(check_id: str) -> None:
+    if check_id not in REGISTRY:
+        raise DomainError(f"unknown check {check_id!r}; known: {sorted(REGISTRY)}")
+
+
 def run_check(check_id: str, grid: dict | None = None,
               target_radius: float | None = None, precision: int = 128) -> BoundReport:
     """Run one registered check on its (possibly overridden) grid, at
     precision + 16 working bits or more; mp.prec is restored afterwards."""
-    if check_id not in REGISTRY:
-        raise DomainError(f"unknown check {check_id!r}; known: {sorted(REGISTRY)}")
+    _require_known(check_id)
     with mpmath.mp.workprec(max(mpmath.mp.prec, precision + 16)):
         return _run(check_id, REGISTRY[check_id], dict(grid or {}), target_radius, precision)
+
+
+#: seconds each check takes in `verify --suite all --threads 1` on the 2-core
+#: reference host, for the checks of about 0.2 s or more; run_suite submits
+#: the longest first, and an id not listed here counts 0
+_COST_S = {
+    "terre": 11.0, "derivK2": 6.2, "mtronqchch": 5.8, "abel": 5.0, "parchm": 4.9,
+    "mtronqch": 4.7, "headline": 3.0, "formule-m": 3.0, "q-l1": 2.7, "mtronq": 2.7,
+    "mieux-1": 2.6, "em-cross": 1.2, "parm": 0.93, "mieux-2": 0.91, "derivK3": 0.76,
+    "exact-Q-l1": 0.69, "hel-truncation": 0.63, "har": 0.59, "prop2-c": 0.57,
+    "prop1-a": 0.55, "prop1-c": 0.49, "prop2-b": 0.39, "prop1-b": 0.39,
+    "derivK1": 0.37, "poids": 0.33, "prop2-a": 0.32, "double-check-borne": 0.29,
+    "int-check": 0.23, "k1": 0.22,
+}
 
 
 def run_suite(names: list[str], grid: dict | None = None,
               target_radius: float | None = None, precision: int = 128,
               threads: int = 1) -> list[BoundReport]:
-    """Run several checks; independent jobs run on a thread pool and the
-    reports are merged deterministically in request order."""
+    """Run several checks and return their reports in request order.
+
+    Every id is validated before anything runs.  With threads > 1 and more
+    than one check, the checks run on up to `threads` worker processes forked
+    from this one, each with its own mpmath context, so no check sees another's
+    precision; they are submitted longest first (_COST_S).  Otherwise they run
+    one after another in this process.
+
+    Fork, not spawn: a forked worker starts with numpy, mpmath and moebius
+    already imported, where a spawned one would import them again (about
+    0.2 s per worker).  The pool forks all its workers before it starts its
+    own management thread.
+    """
+    for n in names:
+        _require_known(n)
     if threads <= 1 or len(names) <= 1:
         return [run_check(n, grid, target_radius, precision) for n in names]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run_check, n, grid, target_radius, precision)
-                   for n in names]
-        return [f.result() for f in futures]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    futures = [None] * len(names)
+    with ProcessPoolExecutor(max_workers=min(threads, len(names)),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        for i in sorted(range(len(names)), key=lambda i: -_COST_S.get(names[i], 0.0)):
+            futures[i] = pool.submit(run_check, names[i], grid, target_radius, precision)
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # start no check after a failure
+            raise

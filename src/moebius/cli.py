@@ -61,7 +61,8 @@ def _global_options() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=int,
                         help="working precision in bits (>= 53, default 128)")
     common.add_argument("--threads", type=int,
-                        help="worker threads for independent checks")
+                        help="worker processes for a suite's checks, forked, "
+                             "each with its own mpmath context (default: CPU count)")
     common.add_argument("--format", choices=("json", "csv"))
     common.add_argument("--output", help="write reports here instead of stdout")
     common.add_argument("--config", help="key=value config file; flags win")

@@ -265,7 +265,11 @@ def _mu_power_sums(seg, Nx: int, group: list[_Sums]) -> None:
 
 
 def _pieces(seg, x: float, T: float, reads, coefficients, group: list[_Sums]) -> None:
-    """Add the pieces of [x, T] in this segment to each transform's basis sums."""
+    """Add the pieces of [x, T] in this segment to each transform's basis sums.
+
+    The powers lb^i and the work arrays are made once here, per dtype, and
+    every transform of the group reuses them: a fresh numpy temporary of this
+    size is a fresh zeroed mapping, which faults in every page it touches."""
     lo_t = max(x, float(seg.lo))
     hi_t = min(T, float(seg.hi + 1))
     if lo_t >= hi_t:
@@ -283,12 +287,23 @@ def _pieces(seg, x: float, T: float, reads, coefficients, group: list[_Sums]) ->
     cols = coefficients({k: (c[k][0][rel], c[k][1][rel]) for k in reads if k != "I0"})
     abs_w = [np.abs(w) for w, _ in cols]
     lb = np.log(breaks)
+    nterms = max(acc.tt.mom_max for acc in group) + len(cols)
+    lb_pow = {i: lb ** i for i in range(1, nterms)}
+    work: dict = {}
     for acc in group:
-        _add_pieces(acc, lb, cols, abs_w)
+        dtype = np.result_type(acc.sm, lb)
+        if dtype not in work:
+            n = len(lb)
+            work[dtype] = ([np.empty(n, dtype) for _ in range(4)]  # t, E, G, f
+                           + [np.empty(n - 1, dtype) for _ in range(2)]  # dF, w dF
+                           + [np.empty(n), np.empty(n - 1), np.empty(n - 1)])  # |f|, aF, w aF
+        _add_pieces(acc, lb, lb_pow, cols, abs_w, work[dtype])
 
 
-def _add_pieces(acc: _Sums, lb: np.ndarray, cols: list, abs_w: list) -> None:
-    """B_j += sum over pieces of c_k [F_{j+k}] for the coefficients c_k.
+def _add_pieces(acc: _Sums, lb: np.ndarray, lb_pow: dict, cols: list, abs_w: list,
+                work: list) -> None:
+    """B_j += sum over pieces of c_k [F_{j+k}] for the coefficients c_k, with
+    lb_pow[i] = lb^i and the work arrays of _pieces, filled in place.
 
     F_i = E G_i, with E = t^(1-s), G_0 = 1/(1-s) and G_i = (lb^i - i G_{i-1})/(1-s)
     at lb = log t, is an antiderivative of t^(-s) log^i t.  The arrays take the
@@ -322,21 +337,23 @@ def _add_pieces(acc: _Sums, lb: np.ndarray, cols: list, abs_w: list) -> None:
     every |f| above exp(-_MIN_LOG_F), so no step underflows.
     """
     mom_max = acc.tt.mom_max
-    sm = acc.sm
-    E = np.exp((1.0 - sm) * lb)  # t^{1-s} at the breakpoints
-    G = np.full(len(lb), 1.0 / (1.0 - sm), dtype=np.result_type(sm, lb))
+    a = 1.0 - acc.sm
+    t, E, G, f, dF, wdF, af, aF, waF = work
+    np.exp(np.multiply(a, lb, out=t), out=E)  # t^{1-s} at the breakpoints
+    G.fill(1.0 / a)
     for i in range(mom_max + len(cols)):
-        if i:
-            G = (lb ** i - i * G) / (1.0 - sm)
-        f = E * G
-        dF = f[1:] - f[:-1]
-        af = np.abs(f)
-        aF = af[1:] + af[:-1]
+        if i:  # G = (lb^i - i G) / (1 - s)
+            np.subtract(lb_pow[i], np.multiply(i, G, out=t), out=t)
+            np.divide(t, a, out=G)
+        np.multiply(E, G, out=f)
+        np.subtract(f[1:], f[:-1], out=dF)
+        np.abs(f, out=af)
+        np.add(af[1:], af[:-1], out=aF)
         for j in range(max(0, i - len(cols) + 1), min(i, mom_max) + 1):
             w, wrad = cols[i - j]
-            acc.B[j] += np.sum(w * dF)
-            acc.cond[j] += float(np.sum(abs_w[i - j] * aF))
-            acc.sens[j] += float(np.sum(wrad * aF))
+            acc.B[j] += np.sum(np.multiply(w, dF, out=wdF))
+            acc.cond[j] += float(np.sum(np.multiply(abs_w[i - j], aF, out=waF)))
+            acc.sens[j] += float(np.sum(np.multiply(wrad, aF, out=waF)))
 
 
 # ---------------------------------------------------------------------------

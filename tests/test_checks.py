@@ -1,8 +1,10 @@
 import json
 import math
 
+import mpmath
 import pytest
 
+import moebius.checks as checks
 from moebius.approx import HEURISTIC, RIGOROUS
 from moebius.checks import (BoundReport, compose_headline, improved_landau,
                             landau_constant, landau_lower_check, registry_names,
@@ -65,9 +67,16 @@ def test_registry_is_total():
         assert required in names, required
 
 
-def test_unknown_check_rejected():
+def test_unknown_check_rejected(monkeypatch):
     with pytest.raises(DomainError):
         run_check("nonsense")
+    # a suite is validated before any of its checks runs
+    ran = []
+    monkeypatch.setattr(checks, "run_check", lambda name, *args: ran.append(name))
+    for threads in (1, 2):
+        with pytest.raises(DomainError, match="unknown check 'nonsense'"):
+            run_suite(["alpha", "nonsense"], threads=threads)
+    assert ran == []
 
 
 def test_identity_report_shape():
@@ -129,9 +138,23 @@ def test_exact_Q_l1_check():
 def test_run_suite_threads_deterministic():
     names = ["alpha", "formule-m"]
     seq = run_suite(names, {"x": [2.0], "tmax": 500}, threads=1)
-    par = run_suite(names, {"x": [2.0], "tmax": 500}, threads=4)
+    prec = mpmath.mp.prec
+    par = run_suite(names, {"x": [2.0], "tmax": 500}, threads=2)
+    assert mpmath.mp.prec == prec
     assert [r.check for r in seq] == [r.check for r in par]
     assert seq[0].worst == par[0].worst
+
+
+def test_run_suite_returns_reports_in_request_order():
+    # terre is costed above alpha, so it is submitted first
+    assert checks._COST_S["terre"] > checks._COST_S.get("alpha", 0.0)
+    reps = run_suite(["alpha", "terre"], {"x": [10.0]}, threads=2)
+    assert [r.check for r in reps] == ["alpha", "terre"]
+    assert all(r.passed for r in reps)
+
+
+def test_cost_table_names_registry_checks():
+    assert set(checks._COST_S) <= set(registry_names())
 
 
 def test_report_serialization_roundtrip():
@@ -214,8 +237,6 @@ def test_every_check_names_its_report_and_emits_plain_cells():
 
 
 def test_run_check_and_main_leave_mp_prec_alone(capsys):
-    import mpmath
-
     from moebius.cli import main
 
     saved = mpmath.mp.prec

@@ -52,7 +52,16 @@ def test_verify_exit_zero_and_json_schema():
 
 def test_verify_unknown_suite_exit2():
     assert run_cli("verify", "--suite", "not-a-check").returncode == 2
+    assert run_cli("verify", "--suite", "alpha,nosuch", "--threads", "2").returncode == 2
     assert run_cli("sieve-cache", "--hi", "100").returncode == 2
+
+
+def test_verify_error_in_a_worker_exit2():
+    args = ("verify", "--suite", "alpha,mtronq", "--s", "0.5")
+    serial, pooled = run_cli(*args, "--threads", "1"), run_cli(*args, "--threads", "2")
+    assert serial.returncode == pooled.returncode == 2
+    assert serial.stderr.startswith("error: ") and len(serial.stderr.splitlines()) == 1
+    assert (pooled.stdout, pooled.stderr) == (serial.stdout, serial.stderr)
 
 
 def test_verify_deterministic_bytes():
@@ -60,6 +69,16 @@ def test_verify_deterministic_bytes():
     a, b = run_cli(*args), run_cli(*args)
     assert a.stdout == b.stdout
     assert a.stdout  # nonempty
+    # worker processes give the serial bytes; each run is a fresh process,
+    # since warm in-process caches hide a shared-precision race
+    for args, repeats in (
+            (("verify", "--suite", "terre,q-l1", "--x", "24.99", "--target-radius", "0.12",
+              "--stable-output"), 3),
+            (("verify", "--suite", "fast", "--x", "10,50", "--stable-output"), 1)):
+        serial = run_cli(*args, "--threads", "1")
+        assert serial.returncode == 0 and serial.stdout
+        for _ in range(repeats):
+            assert run_cli(*args, "--threads", "2").stdout == serial.stdout, args
 
 
 def test_verify_csv_format():

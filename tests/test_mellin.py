@@ -248,3 +248,42 @@ def test_har_at_real_sigma_at_most_one(capsys):
     from moebius.cli import main
     assert main(["verify", "--suite", "har", "--s", "0.5,0.9", "--stable-output"]) == 0
     assert '"pass": true' in capsys.readouterr().out
+
+
+def _allocating_add_pieces(acc, lb, lb_pow, cols, abs_w, work):
+    """_add_pieces as it was before the work arrays: every step allocates its
+    own temporaries, and lb^i is taken per transform (lb_pow, work unused)."""
+    mom_max = acc.tt.mom_max
+    sm = acc.sm
+    E = np.exp((1.0 - sm) * lb)
+    G = np.full(len(lb), 1.0 / (1.0 - sm), dtype=np.result_type(sm, lb))
+    for i in range(mom_max + len(cols)):
+        if i:
+            G = (lb ** i - i * G) / (1.0 - sm)
+        f = E * G
+        dF = f[1:] - f[:-1]
+        af = np.abs(f)
+        aF = af[1:] + af[:-1]
+        for j in range(max(0, i - len(cols) + 1), min(i, mom_max) + 1):
+            w, wrad = cols[i - j]
+            acc.B[j] += np.sum(w * dF)
+            acc.cond[j] += float(np.sum(abs_w[i - j] * aF))
+            acc.sens[j] += float(np.sum(wrad * aF))
+
+
+@pytest.mark.parametrize("weight", ["m", "mcheck1", "mdnorm", "hgap"])
+def test_work_arrays_leave_every_bit_of_the_sums(weight, monkeypatch):
+    # real lane (sigma > 1) and complex lane (0.5 + 3i, real 0.7) share each
+    # (segment, x) group; x = 1 000 000.5 spans both sieve segments of
+    # [1, LANE_T] (the first ends at 2^20), x = 1 100 000.5 starts in the second
+    cells = [(s, x, mom) for s in (1 + 1e-4, 2.0, 3.0, 0.5 + 3j, 0.7)
+             for x in (1_000_000.5, 1_100_000.5) for mom in (0, 1)]
+    sums = []
+    monkeypatch.setattr(mellin._Sums, "finish", lambda acc, need_mu: sums.append(
+        [a.tobytes() for a in (acc.B, acc.cond, acc.sens)]))
+    truncated_transforms(weight, LANE_T, cells)
+    new, sums[:] = list(sums), []
+    monkeypatch.setattr(mellin, "_add_pieces", _allocating_add_pieces)
+    truncated_transforms(weight, LANE_T, cells)
+    assert len(new) == len(cells)
+    assert new == sums
