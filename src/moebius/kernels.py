@@ -22,7 +22,6 @@ explicitly for the continuity/jump checks.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,7 +68,7 @@ def _floor_frac(t: float, left_limit: bool):
 
 
 class FracTailEvaluator:
-    """J(t) = integral_t^inf ({u}-1/2) u^(-s-1) du for one s, cached.
+    """J(t) = integral_t^inf ({u}-1/2) u^(-s-1) du for one s, cached per process.
 
     Ladder values at integer anchors and the exact unit-piece cumulative sums
     from small integers up to the base anchor are memoized, so a sweep over
@@ -83,7 +82,6 @@ class FracTailEvaluator:
         self.base_anchor = max(8, math.ceil(2 * s.abs()))
         self._ladders: dict[int, tuple] = {}
         self._cum: dict[int, tuple] = {}  # n -> (integral over [n, base_anchor], abs scale)
-        self._lock = threading.Lock()
 
     # exact integral of ({u}-1/2) u^(-s-1) over [a, b] within one unit cell [n, n+1]
     def _piece(self, n: int, a, b):
@@ -125,14 +123,12 @@ class FracTailEvaluator:
                 raise PrecisionError(
                     f"tail integral at s={self.s} cannot reach radius {target}")
         result = (J, rem)
-        with self._lock:
-            self._ladders[key] = result
+        self._ladders[key] = result
         return result
 
     def _cum_to_anchor(self, n: int, target: float):
         """integral over [n, base_anchor] + ladder(base_anchor), cached per n."""
-        with self._lock:
-            hit = self._cum.get(n)
+        hit = self._cum.get(n)
         if hit is not None:
             return hit
         with mpmath.mp.workprec(self.prec + _GUARD):
@@ -143,8 +139,7 @@ class FracTailEvaluator:
                 total += v
                 scale += sc
         result = (total, scale)
-        with self._lock:
-            self._cum[n] = result
+        self._cum[n] = result
         return result
 
     def eval(self, t: float, target_radius: float, left_limit: bool = False) -> ApproxValue:

@@ -4,7 +4,10 @@ remaining tail, compared with their closed forms in 1/zeta and zeta'/zeta^2.
 
 The [x, T] integrals stream the sieve in segments and run vectorized numpy
 arithmetic in one of two lanes: float64 when s is real with sigma > 1 (every
-registry cell), complex128 otherwise.  Per-piece antiderivatives are
+registry cell), complex128 otherwise.  Within a segment the pieces are walked
+in blocks of at most _BLOCK, small enough for the work arrays to stay in L2:
+the leaves of numpy's own pairwise-sum tree, whose sums combine up that tree
+into np.sum of the whole segment bit for bit.  Per-piece antiderivatives are
 closed-form, and the radius covers the vector rounding (via absolute-magnitude
 condition sums, with a rounding constant derived for the real lane and a
 blanket one for the complex lane), the compensated prefix radii of the
@@ -41,6 +44,8 @@ _FN_ULPS = 4
 _MIN_LOG_F = 600.0
 _GAMMA_F = float(gamma_const(64))
 _HGAP_SUP = abs(HARMONIC_LOWER)  # |H(t) - log t - gamma| <= 0.5408 / t
+#: the most pieces the transform kernel holds at once: its work arrays stay in L2
+_BLOCK = 16384
 
 WEIGHT_M = "m"
 WEIGHT_MCHECK1 = "mcheck1"
@@ -195,6 +200,9 @@ class _Sums:
         else:
             self.sm = tt.s.sigma
             self.units = self.sens_units = units
+        # (i, j) of each term c_{i-j} [F_i] of B_j, in the order the terms are summed
+        self.pairs = [(i, j) for i in range(tt.mom_max + ncols)
+                      for j in range(max(0, i - ncols + 1), min(i, tt.mom_max) + 1)]
         self.B = np.zeros(tt.mom_max + 1, dtype=np.complex128)
         self.cond = np.zeros(tt.mom_max + 1)
         self.sens = np.zeros(tt.mom_max + 1)
@@ -221,8 +229,8 @@ class _Sums:
 
 def _stream(tts: list[TruncatedTransform]) -> None:
     """Fill transforms that share the weight and T from one prefix_columns
-    stream.  Per segment, the breakpoints, log t and weight coefficients are
-    built once per distinct x; each transform keeps its own sums."""
+    stream.  Per segment and distinct x, _pieces builds the breakpoints, log t
+    and weight coefficients once per block; each transform keeps its own sums."""
     weight, T = tts[0].weight, tts[0].T
     reads, coefficients = _WEIGHTS[weight]
     need_mu = weight != WEIGHT_HGAP
@@ -264,46 +272,126 @@ def _mu_power_sums(seg, Nx: int, group: list[_Sums]) -> None:
         acc.mulog_abs += float(np.sum(np.abs(pwl)))
 
 
+#: where numpy's pairwise sum splits n terms, by dtype kind: float64 halves n
+#: down to a multiple of 8; complex128 does that to its 2n scalars
+_SPLIT = {"f": lambda n: n // 2 - n // 2 % 8, "c": lambda n: (n - n % 8) // 2}
+
+
+def _leaves(n: int, kind: str, lo: int = 0) -> list[tuple[int, int]]:
+    """(start, stop) of the nodes of numpy's pairwise-sum tree over n terms of
+    dtype kind `kind` that hold at most _BLOCK terms and whose parent holds
+    more, in order."""
+    if n <= _BLOCK:
+        return [(lo, lo + n)]
+    h = _SPLIT[kind](n)
+    return _leaves(h, kind, lo) + _leaves(n - h, kind, lo + h)
+
+
+def _tree_sum(n: int, kind: str, sums):
+    """np.sum of n terms from the np.sum of each of _leaves(n, kind), taken
+    from the iterator `sums` in order (arrays add elementwise): the leaves
+    combine left + right up numpy's own tree, so every bit is np.sum's."""
+    def node(n):
+        if n <= _BLOCK:
+            return next(sums)
+        h = _SPLIT[kind](n)
+        left = node(h)
+        return left + node(n - h)
+    return 0.0 + node(n)  # np.sum adds its tree to 0, which turns -0.0 into 0.0
+
+
+def _spans(blocks: list, leaves: list) -> list[list[tuple]]:
+    """Each block's parts in `leaves` (another partition of the same range):
+    (start, stop) within the block, the part's offset in its leaf, and whether
+    the part ends that leaf."""
+    out, k = [], 0
+    for a, b in blocks:
+        parts, pos = [], a
+        while pos < b:
+            start, stop = leaves[k]
+            end = min(b, stop)
+            parts.append((pos - a, end - a, pos - start, end == stop))
+            k += end == stop
+            pos = end
+        out.append(parts)
+    return out
+
+
 def _pieces(seg, x: float, T: float, reads, coefficients, group: list[_Sums]) -> None:
     """Add the pieces of [x, T] in this segment to each transform's basis sums.
 
-    The powers lb^i and the work arrays are made once here, per dtype, and
-    every transform of the group reuses them: a fresh numpy temporary of this
-    size is a fresh zeroed mapping, which faults in every page it touches."""
+    The n pieces are walked in blocks of at most _BLOCK: the leaves of numpy's
+    pairwise-sum tree over n float64 terms.  Per block the breakpoints, log t,
+    lb^i, the weight's coefficients and |w| are made once, and every transform
+    of the group runs over them with block-sized work arrays, so each pass
+    stays in cache.  Each sum takes one np.sum per leaf of its tree, and
+    _tree_sum combines the leaf sums up that tree: np.sum of the segment's
+    terms bit for bit.  cond and sens, and B on the real lane, are float64
+    sums over the blocks themselves.  B's complex128 products on the complex
+    lane have a tree over 2n scalars with other leaves, so they are staged per
+    (i, j) in a leaf-sized buffer and summed as each leaf fills.  The segment
+    sums reach B, cond and sens in acc.pairs order, as the np.sum of each
+    whole segment did, so no value, radius or real-lane constant moves."""
     lo_t = max(x, float(seg.lo))
     hi_t = min(T, float(seg.hi + 1))
     if lo_t >= hi_t:
         return
+    # piece p is [t_p, t_{p+1}) inside [n, n+1) for n = first_n + p, with
+    # t_0 = lo_t, t_p = first_n + p between, and t_n = hi_t
     first_n = math.floor(lo_t)
-    ends = np.arange(first_n + 1, math.floor(hi_t) + 1, dtype=np.float64)
-    breaks = np.concatenate(([lo_t], ends))
-    if breaks[-1] != hi_t:
-        breaks = np.concatenate((breaks, [hi_t]))
-    if len(breaks) < 2:
-        return
-    # piece i is [breaks[i], breaks[i+1]) inside [n, n+1) for n = first_n + i
-    rel = slice(first_n - seg.lo, first_n - seg.lo + len(breaks) - 1)
-    c = seg.cols
-    cols = coefficients({k: (c[k][0][rel], c[k][1][rel]) for k in reads if k != "I0"})
-    abs_w = [np.abs(w) for w, _ in cols]
-    lb = np.log(breaks)
-    nterms = max(acc.tt.mom_max for acc in group) + len(cols)
-    lb_pow = {i: lb ** i for i in range(1, nterms)}
+    n = math.ceil(hi_t) - first_n
+    leaves = {kind: _leaves(n, kind) for kind in _SPLIT}
+    blocks = leaves["f"]
+    spans = {kind: _spans(blocks, leaves[kind]) for kind in _SPLIT}
+    size = max(b - a for a, b in blocks)
+    csize = max(b - a for a, b in leaves["c"])
+    real_stage = np.empty(size)  # every real-lane part ends its leaf, so one buffer serves all
     work: dict = {}
+    # per transform: its lane's dtype kind, work arrays, cond/sens leaf sums,
+    # B's leaf sums and B's staging buffers
+    state = []
     for acc in group:
-        dtype = np.result_type(acc.sm, lb)
+        dtype = np.result_type(acc.sm, 1.0)  # the lane
         if dtype not in work:
-            n = len(lb)
-            work[dtype] = ([np.empty(n, dtype) for _ in range(4)]  # t, E, G, f
-                           + [np.empty(n - 1, dtype) for _ in range(2)]  # dF, w dF
-                           + [np.empty(n), np.empty(n - 1), np.empty(n - 1)])  # |f|, aF, w aF
-        _add_pieces(acc, lb, lb_pow, cols, abs_w, work[dtype])
+            work[dtype] = ([np.empty(size + 1, dtype) for _ in range(4)]  # t, E, G, f
+                           + [np.empty(size + 1), np.empty(size, dtype)]  # |f|, dF
+                           + [np.empty(size) for _ in range(2)])  # aF, w aF
+        stage = ({ij: np.empty(csize, dtype) for ij in acc.pairs} if dtype.kind == "c"
+                 else dict.fromkeys(acc.pairs, real_stage))
+        state.append((dtype.kind, work[dtype], [], [], stage))
+    off, c = first_n - seg.lo, seg.cols
+    mom_max = max(acc.tt.mom_max for acc in group)
+    for blk, (a, b) in enumerate(blocks):
+        breaks = np.arange(first_n + a, first_n + b + 1, dtype=np.float64)
+        if a == 0:
+            breaks[0] = lo_t
+        if b == n:
+            breaks[-1] = hi_t
+        rel = slice(off + a, off + b)
+        cols = coefficients({k: (c[k][0][rel], c[k][1][rel]) for k in reads if k != "I0"})
+        abs_w = [np.abs(w) for w, _ in cols]
+        lb = np.log(breaks)
+        lb_pow = {i: lb ** i for i in range(1, mom_max + len(cols))}
+        for acc, st in zip(group, state):
+            _add_pieces(acc, lb, lb_pow, cols, abs_w, st, spans[st[0]][blk])
+    for acc, (kind, _, sums, bsums, _) in zip(group, state):
+        cs = _tree_sum(n, "f", iter(sums)).reshape(-1, 2)
+        B = _tree_sum(n, kind, iter(bsums))
+        for (_, j), b, (cond, sens) in zip(acc.pairs, B, cs):
+            acc.B[j] += b
+            acc.cond[j] += float(cond)
+            acc.sens[j] += float(sens)
 
 
 def _add_pieces(acc: _Sums, lb: np.ndarray, lb_pow: dict, cols: list, abs_w: list,
-                work: list) -> None:
-    """B_j += sum over pieces of c_k [F_{j+k}] for the coefficients c_k, with
-    lb_pow[i] = lb^i and the work arrays of _pieces, filled in place.
+                state: tuple, parts: list) -> None:
+    """One block of _pieces for one transform, with lb_pow[i] = lb^i and
+    state's work arrays, filled in place.  The block's leaf sums of
+    |c_k| (|f_{p+1}| + |f_p|) (cond_j) and of the same with the coefficients'
+    radii (sens_j) go to state's first list, one array per block in acc.pairs
+    order.  The products c_k [F_{j+k}] (B_j) go to state's staging buffer for
+    (j + k, j) at the block's `parts` of the leaves of B's tree, and each
+    leaf's sums, once it is full, to state's second list.
 
     F_i = E G_i, with E = t^(1-s), G_0 = 1/(1-s) and G_i = (lb^i - i G_{i-1})/(1-s)
     at lb = log t, is an antiderivative of t^(-s) log^i t.  The arrays take the
@@ -330,17 +418,23 @@ def _add_pieces(acc: _Sums, lb: np.ndarray, lb_pow: dict, cols: list, abs_w: lis
     - np.sum's pairwise tree (8 accumulators over blocks of at most 128
       terms, then halving) puts each term through at most 26 + ceil(log2 n)
       additions for n pieces, and B adds one segment sum per column per segment.
+      The blocks change none of it: their sums combine up that same tree.
     - cond and sens are rounded sums of the same |f|, so their own error is
       second order; with it and the 4 roundings of the radius expression, 5.
 
     The same count covers the rounding of sens (K_s).  _real_lane_units keeps
     every |f| above exp(-_MIN_LOG_F), so no step underflows.
     """
+    _, work, sums, bsums, stage = state
+    m = len(lb)
+    t, E, G, f, af = (v[:m] for v in work[:5])
+    dF, aF, waF = (v[:m - 1] for v in work[5:])
     mom_max = acc.tt.mom_max
     a = 1.0 - acc.sm
-    t, E, G, f, dF, wdF, af, aF, waF = work
     np.exp(np.multiply(a, lb, out=t), out=E)  # t^{1-s} at the breakpoints
     G.fill(1.0 / a)
+    out = []
+    closed = [[] for part in parts if part[3]]
     for i in range(mom_max + len(cols)):
         if i:  # G = (lb^i - i G) / (1 - s)
             np.subtract(lb_pow[i], np.multiply(i, G, out=t), out=t)
@@ -351,9 +445,16 @@ def _add_pieces(acc: _Sums, lb: np.ndarray, lb_pow: dict, cols: list, abs_w: lis
         np.add(af[1:], af[:-1], out=aF)
         for j in range(max(0, i - len(cols) + 1), min(i, mom_max) + 1):
             w, wrad = cols[i - j]
-            acc.B[j] += np.sum(np.multiply(w, dF, out=wdF))
-            acc.cond[j] += float(np.sum(np.multiply(abs_w[i - j], aF, out=waF)))
-            acc.sens[j] += float(np.sum(np.multiply(wrad, aF, out=waF)))
+            buf, ended = stage[i, j], 0
+            for lo, hi, at, ends in parts:
+                np.multiply(w[lo:hi], dF[lo:hi], out=buf[at:at + hi - lo])
+                if ends:
+                    closed[ended].append(np.sum(buf[:at + hi - lo]))
+                    ended += 1
+            out.append(np.sum(np.multiply(abs_w[i - j], aF, out=waF)))
+            out.append(np.sum(np.multiply(wrad, aF, out=waF)))
+    sums.append(np.array(out))
+    bsums.extend(np.array(leaf) for leaf in closed)
 
 
 # ---------------------------------------------------------------------------

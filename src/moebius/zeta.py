@@ -19,7 +19,6 @@ remainder bound (the ladder also returns dJ/ds).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,8 +77,21 @@ def _max_periodic_bernoulli(k: int) -> float:
     return 2.0 * 1.645 / (2.0 * math.pi) ** k
 
 
+#: the most Bernoulli levels a ladder consumes
+_LADDER_LEVELS = 64
+
+
+def _ladder_remainder(sigma: float, T: int, K: int, ap: float, dsum_abs: float,
+                      logT: float) -> tuple[float, float]:
+    """The ladder's remainder bounds for J and dJ/ds after K - 1 levels, from
+    ap = |prod_{i<K} (s + i)| and dsum_abs = sum_{i<K} 1/|s + i|."""
+    scale = _max_periodic_bernoulli(K) * float(T) ** (-(sigma + K - 1)) / (sigma + K - 1)
+    r = ap * scale
+    return r, r * (dsum_abs + logT + 1.0 / (sigma + K - 1))
+
+
 def bernoulli_ladder_tail(s: ComplexParam, T: int, target: float,
-                          max_levels: int = 64, want_derivative: bool = False):
+                          max_levels: int = _LADDER_LEVELS, want_derivative: bool = False):
     """J(T) = integral_T^inf ({u}-1/2) u^(-s-1) du at integer T >= 1.
 
     Returns (J, J_radius) or (J, J_radius, dJ/ds, dJds_radius).
@@ -99,17 +111,11 @@ def bernoulli_ladder_tail(s: ComplexParam, T: int, target: float,
     rem = None
     rem_p = None
     levels = 0
-
-    def _bounds(K: int, ap: float):
-        scale = _max_periodic_bernoulli(K) * float(T) ** (-(sigma + K - 1)) / (sigma + K - 1)
-        r = ap * scale
-        rp = ap * scale * (dsum_abs + float(logT) + 1.0 / (sigma + K - 1))
-        return r, rp
-
     for j in range(1, max_levels + 1):
         # remainder if we stopped before consuming level j (K = j):
         if j >= 3:
-            rem, rem_p = _bounds(j, float(mpmath.fabs(prod)))
+            rem, rem_p = _ladder_remainder(sigma, T, j, float(mpmath.fabs(prod)), dsum_abs,
+                                           float(logT))
             if rem <= target and levels >= 2:
                 break
         b = mpmath.bernoulli(j + 1)
@@ -124,14 +130,50 @@ def bernoulli_ladder_tail(s: ComplexParam, T: int, target: float,
         dsum_abs += 1.0 / abs(complex(sm + j))
         Tpow /= T
     else:
-        rem, rem_p = _bounds(max_levels + 1, float(mpmath.fabs(prod)))
+        rem, rem_p = _ladder_remainder(sigma, T, max_levels + 1, float(mpmath.fabs(prod)),
+                                       dsum_abs, float(logT))
     if want_derivative:
         return J, rem, Jp, rem_p
     return J, rem
 
 
-_zeta_cache: dict = {}
-_zeta_lock = threading.Lock()
+_zeta_cache: dict = {}  # per process: every worker of a suite fills its own
+#: the relative margin by which _ladder_falls_short's float64 replay must clear
+#: every comparison of the ladder and of zeta_em before it decides
+_SHORT_MARGIN = 1e-6
+
+
+def _ladder_falls_short(s: ComplexParam, N: int, target_radius: float,
+                        want_derivative: bool) -> bool:
+    """True when the Bernoulli ladder at cutoff N surely leaves zeta_em's
+    remainder above target_radius / 2, so zeta_em can double N untried.
+
+    It replays bernoulli_ladder_tail's stopping rule in float64 with the same
+    _ladder_remainder, fed |prod| as a float product instead of the rounded
+    mp one and log N from math.log, so each bound is off by far less than
+    _SHORT_MARGIN.  Any comparison within that margin of its threshold makes
+    it answer False, and the mpmath ladder decides."""
+    sigma, s_abs = s.sigma, s.abs()
+    lo, hi = 1.0 - _SHORT_MARGIN, 1.0 + _SHORT_MARGIN
+    target = target_radius / (16 * s_abs + 16)
+    logT = math.log(N)
+    prod = 1.0  # |prod_{i<j} (s + i)|
+    dsum_abs = 0.0
+    levels = 0
+    for j in range(1, _LADDER_LEVELS + 2):
+        if j >= 3:
+            rem, rem_p = _ladder_remainder(sigma, N, j, prod, dsum_abs, logT)
+            if j > _LADDER_LEVELS or (levels >= 2 and rem <= target * lo):
+                break
+            if levels >= 2 and rem <= target * hi:
+                return False
+        levels += j % 2  # B_{j+1} != 0 for odd j
+        prod *= abs(complex(sigma + j, s.tau))
+        dsum_abs += 1.0 / abs(complex(sigma + j, s.tau))
+    if not math.isfinite(rem_p):
+        return False
+    half = target_radius / 2 * hi
+    return s_abs * rem > half or (want_derivative and rem + s_abs * rem_p > half)
 
 
 def zeta_em(s, target_radius: float = 1e-30, precision: int | None = None,
@@ -140,7 +182,8 @@ def zeta_em(s, target_radius: float = 1e-30, precision: int | None = None,
 
     Valid for Re(s) > -1, s != 1.  The cutoff N and the Bernoulli order are
     chosen adaptively; a PrecisionError is raised if the target cannot be met
-    at the configured precision.
+    at the configured precision.  A cutoff whose ladder surely falls short
+    (_ladder_falls_short) is doubled without running it.
     """
     sp = ComplexParam.coerce(s)
     sp.require_sigma_gt(-1.0, "zeta_em")
@@ -149,8 +192,7 @@ def zeta_em(s, target_radius: float = 1e-30, precision: int | None = None,
         raise DomainError("target_radius must be positive")
     prec = precision or mpmath.mp.prec
     key = (sp.sigma, sp.tau, target_radius, prec, want_derivative)
-    with _zeta_lock:
-        hit = _zeta_cache.get(key)
+    hit = _zeta_cache.get(key)
     if hit is not None:
         return hit
     N = max(10, int(2 * abs(sp.tau)) + 1, int(abs(sp.sigma)) + 2)
@@ -158,12 +200,15 @@ def zeta_em(s, target_radius: float = 1e-30, precision: int | None = None,
     max_workprec = prec + _GUARD + 768
     while True:
         with mpmath.mp.workprec(workprec):
-            sm = sp.as_mpc()
-            J, Jrem, Jp, Jprem = bernoulli_ladder_tail(sp, N, target_radius / (16 * sp.abs() + 16),
-                                                       want_derivative=True)
-            zrem = sp.abs() * Jrem
-            zprem = Jrem + sp.abs() * Jprem
-            if zrem > target_radius / 2 or (want_derivative and zprem > target_radius / 2):
+            short = _ladder_falls_short(sp, N, target_radius, want_derivative)
+            if not short:
+                sm = sp.as_mpc()
+                J, Jrem, Jp, Jprem = bernoulli_ladder_tail(
+                    sp, N, target_radius / (16 * sp.abs() + 16), want_derivative=True)
+                zrem = sp.abs() * Jrem
+                zprem = Jrem + sp.abs() * Jprem
+            if short or zrem > target_radius / 2 or (want_derivative
+                                                     and zprem > target_radius / 2):
                 if N > 4_000_000:
                     raise PrecisionError(
                         f"zeta_em cannot reach radius {target_radius} at s={sp} (N={N})")
@@ -220,10 +265,9 @@ def zeta_em(s, target_radius: float = 1e-30, precision: int | None = None,
                           if want_derivative else None)
             break
     result = (zeta_val, zeta_prime)
-    with _zeta_lock:
-        if len(_zeta_cache) > 4096:
-            _zeta_cache.clear()
-        _zeta_cache[key] = result
+    if len(_zeta_cache) > 4096:
+        _zeta_cache.clear()
+    _zeta_cache[key] = result
     return result
 
 
@@ -242,29 +286,27 @@ def partial_power_sum(s, t: float, precision: int | None = None) -> ApproxValue:
 class PowerPrefixTable:
     """Prefix sums P_K = sum_{k<=K} k^(-s), grown on demand and cached per s.
 
-    Shared read-only by the kernel and piecewise evaluators; extension is
-    guarded by a lock.
+    A per-process cache, read by the kernel and piecewise evaluators of that
+    process.
     """
 
     def __init__(self, s: ComplexParam, prec: int):
         self.s = s
         self.prec = prec
-        self._lock = threading.Lock()
         with mpmath.mp.workprec(prec + _GUARD):
             zero = mpf(0) if s.is_real else mpc(0)
         self._prefix = [zero]  # P_0 = 0
         self._abs = [0.0]
 
     def extend(self, K: int) -> None:
-        with self._lock:
-            if K < len(self._prefix):
-                return
-            with mpmath.mp.workprec(self.prec + _GUARD):
-                sm = self.s.as_mpc()
-                for k in range(len(self._prefix), K + 1):
-                    term = mpmath.power(k, -sm)
-                    self._prefix.append(self._prefix[-1] + term)
-                    self._abs.append(self._abs[-1] + float(mpmath.fabs(term)))
+        if K < len(self._prefix):
+            return
+        with mpmath.mp.workprec(self.prec + _GUARD):
+            sm = self.s.as_mpc()
+            for k in range(len(self._prefix), K + 1):
+                term = mpmath.power(k, -sm)
+                self._prefix.append(self._prefix[-1] + term)
+                self._abs.append(self._abs[-1] + float(mpmath.fabs(term)))
 
     def value(self, K: int):
         if K >= len(self._prefix):

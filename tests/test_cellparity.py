@@ -1,5 +1,5 @@
 """tools/cellparity.py compare: exit 0 only when every check matches, no
-value moved and no radius grew."""
+value moved and no radius grew; every value that changed in any bit is counted."""
 
 import copy
 import importlib.util
@@ -66,3 +66,17 @@ def test_one_ulp_growth_exits_one_and_prints_the_ratio(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "(GREW)" in out and "max 1 at" not in out
     assert f"max {grown / RUN[0]['cells'][1]['radius']!r} at cell 1" in out
+
+
+def test_value_changed_inside_the_radius_is_counted_not_failed(tmp_path, capsys):
+    assert _compare(tmp_path, RUN) == 0
+    assert "0 values moved, 0 changed in any bit" in capsys.readouterr().out
+    nudged = math.nextafter(RUN[0]["cells"][0]["residual"], math.inf)
+    assert _compare(tmp_path, _changed(lambda r: r["cells"][0].update(residual=nudged))) == 0
+    assert "0 values moved, 1 changed in any bit" in capsys.readouterr().out
+
+    def both(run):
+        run["cells"][0].update(residual=nudged)
+        run["cells"][1].update(residual=-0.0)  # 2e-20 from the old value, inside 4e-13
+    assert _compare(tmp_path, _changed(both)) == 0
+    assert "0 values moved, 2 changed in any bit" in capsys.readouterr().out

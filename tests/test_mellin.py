@@ -250,40 +250,88 @@ def test_har_at_real_sigma_at_most_one(capsys):
     assert '"pass": true' in capsys.readouterr().out
 
 
-def _allocating_add_pieces(acc, lb, lb_pow, cols, abs_w, work):
-    """_add_pieces as it was before the work arrays: every step allocates its
-    own temporaries, and lb^i is taken per transform (lb_pow, work unused)."""
-    mom_max = acc.tt.mom_max
-    sm = acc.sm
-    E = np.exp((1.0 - sm) * lb)
-    G = np.full(len(lb), 1.0 / (1.0 - sm), dtype=np.result_type(sm, lb))
-    for i in range(mom_max + len(cols)):
-        if i:
-            G = (lb ** i - i * G) / (1.0 - sm)
-        f = E * G
-        dF = f[1:] - f[:-1]
-        af = np.abs(f)
-        aF = af[1:] + af[:-1]
-        for j in range(max(0, i - len(cols) + 1), min(i, mom_max) + 1):
-            w, wrad = cols[i - j]
-            acc.B[j] += np.sum(w * dF)
-            acc.cond[j] += float(np.sum(abs_w[i - j] * aF))
-            acc.sens[j] += float(np.sum(wrad * aF))
+def _whole_array_pieces(seg, x, T, reads, coefficients, group):
+    """The pieces of [x, T] in this segment as they were before the blocked
+    kernel: one pass over the whole segment's arrays per step, one np.sum of
+    each segment sum."""
+    lo_t = max(x, float(seg.lo))
+    hi_t = min(T, float(seg.hi + 1))
+    if lo_t >= hi_t:
+        return
+    first_n = math.floor(lo_t)
+    ends = np.arange(first_n + 1, math.floor(hi_t) + 1, dtype=np.float64)
+    breaks = np.concatenate(([lo_t], ends))
+    if breaks[-1] != hi_t:
+        breaks = np.concatenate((breaks, [hi_t]))
+    rel = slice(first_n - seg.lo, first_n - seg.lo + len(breaks) - 1)
+    c = seg.cols
+    cols = coefficients({k: (c[k][0][rel], c[k][1][rel]) for k in reads if k != "I0"})
+    abs_w = [np.abs(w) for w, _ in cols]
+    lb = np.log(breaks)
+    for acc in group:
+        mom_max, a = acc.tt.mom_max, 1.0 - acc.sm
+        E = np.exp(a * lb)
+        G = np.full(len(lb), 1.0 / a, dtype=np.result_type(acc.sm, lb))
+        for i in range(mom_max + len(cols)):
+            if i:
+                G = (lb ** i - i * G) / a
+            f = E * G
+            dF = f[1:] - f[:-1]
+            af = np.abs(f)
+            aF = af[1:] + af[:-1]
+            for j in range(max(0, i - len(cols) + 1), min(i, mom_max) + 1):
+                w, wrad = cols[i - j]
+                acc.B[j] += np.sum(w * dF)
+                acc.cond[j] += float(np.sum(abs_w[i - j] * aF))
+                acc.sens[j] += float(np.sum(wrad * aF))
+
+
+BLOCK = mellin._BLOCK
 
 
 @pytest.mark.parametrize("weight", ["m", "mcheck1", "mdnorm", "hgap"])
 def test_work_arrays_leave_every_bit_of_the_sums(weight, monkeypatch):
     # real lane (sigma > 1) and complex lane (0.5 + 3i, real 0.7) share each
-    # (segment, x) group; x = 1 000 000.5 spans both sieve segments of
-    # [1, LANE_T] (the first ends at 2^20), x = 1 100 000.5 starts in the second
-    cells = [(s, x, mom) for s in (1 + 1e-4, 2.0, 3.0, 0.5 + 3j, 0.7)
-             for x in (1_000_000.5, 1_100_000.5) for mom in (0, 1)]
+    # (segment, x) group.  [1, LANE_T] is two sieve segments (the first ends
+    # at 2^20): x = 1 000 000 spans both, x = 1 100 000.5 starts in the
+    # second; x = T leaves no piece, T - 0.5 one, and T - BLOCK + 1 .. T -
+    # BLOCK - 1 put BLOCK - 1 .. BLOCK + 1 pieces in one segment; a fractional
+    # T ends the last piece inside its unit interval
+    T = LANE_T
+    runs = [(T, (1_000_000.0, 1_100_000.5, T, T - 0.5, T - BLOCK + 1, T - BLOCK,
+                 T - BLOCK - 1)), (40_000.5, (1000.0, 39_999.75))]
     sums = []
+    monkeypatch.setattr(mellin, "_mu_power_sums", lambda *args: None)
     monkeypatch.setattr(mellin._Sums, "finish", lambda acc, need_mu: sums.append(
         [a.tobytes() for a in (acc.B, acc.cond, acc.sens)]))
-    truncated_transforms(weight, LANE_T, cells)
-    new, sums[:] = list(sums), []
-    monkeypatch.setattr(mellin, "_add_pieces", _allocating_add_pieces)
-    truncated_transforms(weight, LANE_T, cells)
-    assert len(new) == len(cells)
-    assert new == sums
+    for T, xs in runs:
+        cells = [(s, x, mom) for s in (1 + 1e-4, 2.0, 3.0, 0.5 + 3j, 0.7)
+                 for x in xs for mom in (0, 1)]
+        truncated_transforms(weight, T, cells)
+        new, sums[:] = list(sums), []
+        with monkeypatch.context() as patch:
+            patch.setattr(mellin, "_pieces", _whole_array_pieces)
+            truncated_transforms(weight, T, cells)
+        assert len(new) == len(cells)
+        assert new == sums
+        sums[:] = []
+
+
+TREE_SIZES = [*range(1, 301), BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 399_001,
+              2**20, 2**20 + 1]
+
+
+def test_block_sums_follow_numpy_pairwise_tree():
+    # the kernel's leaf sums, combined up the tree, are np.sum bit for bit: a
+    # numpy release that sums in another order fails here
+    rng = np.random.default_rng(20)
+    for n in TREE_SIZES:
+        for kind, dtype in (("f", np.float64), ("c", np.complex128)):
+            terms = rng.standard_cauchy(n) * 1e3
+            if kind == "c":
+                terms = terms + 1j * rng.standard_cauchy(n)
+            leaves = mellin._leaves(n, kind)
+            assert leaves[0][0] == 0 and leaves[-1][1] == n
+            assert all(b - a <= BLOCK for a, b in leaves)
+            got = mellin._tree_sum(n, kind, (np.sum(terms[a:b]) for a, b in leaves))
+            assert got.dtype == dtype and got.tobytes() == np.sum(terms).tobytes(), (n, dtype)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import pytest
@@ -115,3 +116,47 @@ def test_complex_param_guards():
     ComplexParam.coerce(2).require_not_one("test")
     with pytest.raises(DomainError):
         ComplexParam.coerce(1.0).require_not_one("test")
+
+
+zeta_module = sys.modules["moebius.zeta"]
+
+
+def _bits(av):
+    v = av.value
+    return (getattr(v, "_mpc_", None) or v._mpf_, av.radius.hex(), av.precision_bits, av.rigor)
+
+
+@pytest.mark.parametrize("s", [2.0, 0.5 + 3j])
+def test_zeta_em_miss_skips_a_cutoff_whose_ladder_falls_short(s, monkeypatch):
+    # at 1e-33 the ladder at N = 10 cannot reach the target: the miss runs the
+    # ladder once, at N = 20, and gives the bits of the run that tries N = 10
+    cutoffs = []
+    ladder = zeta_module.bernoulli_ladder_tail
+    monkeypatch.setattr(zeta_module, "bernoulli_ladder_tail",
+                        lambda sp, T, *args, **kw: cutoffs.append(T) or ladder(sp, T, *args, **kw))
+    monkeypatch.setattr(zeta_module, "_zeta_cache", {})
+    skipped = zeta_em(s, 1e-33, precision=128)
+    assert cutoffs == [20]
+    monkeypatch.setattr(zeta_module, "_zeta_cache", {})
+    monkeypatch.setattr(zeta_module, "_ladder_falls_short", lambda *args: False)
+    tried = zeta_em(s, 1e-33, precision=128)
+    assert cutoffs == [20, 10, 20]
+    assert [_bits(v) for v in skipped] == [_bits(v) for v in tried]
+
+
+def test_ladder_falls_short_only_where_the_ladder_does():
+    short = 0
+    for sval in (2.0, 1.0001, 0.5 + 3j, -0.5 + 14.13j, 0.7, 5.5):
+        sp = ComplexParam.coerce(sval)
+        for N in (10, 20, 40, 80):
+            for target in (1e-20, 1e-33, 1e-36, 1e-45):
+                for want_derivative in (True, False):
+                    if not zeta_module._ladder_falls_short(sp, N, target, want_derivative):
+                        continue
+                    short += 1
+                    with mpmath.mp.workprec(176):
+                        _, rem, _, rem_p = bernoulli_ladder_tail(
+                            sp, N, target / (16 * sp.abs() + 16), want_derivative=True)
+                    assert sp.abs() * rem > target / 2 or (
+                        want_derivative and rem + sp.abs() * rem_p > target / 2), (sval, N, target)
+    assert short >= 20

@@ -11,14 +11,16 @@ per checkout, with PYTHONPATH pointing at that checkout's src.
 
 `compare` prints one line per check: whether pass, rigor and cell count are
 the same, the largest new/old cell radius ratio and where it is, the
-smallest (each printed in full, so a one-ulp growth shows), and the number of
-values that moved outside the old value +- the old cell's radius; then one line
-per such value, and one line per cell whose key list differs from the old
+smallest (each printed in full, so a one-ulp growth shows), the number of
+values that moved outside the old value +- the old cell's radius, and the
+number that changed in any bit, inside the radius or not; then one line per
+moved value, and one line per cell whose key list differs from the old
 cell's ("keys reordered"), since CSV columns follow the cells' key order.  A
 value is any number in a cell other than its radius; numbers equal in both
-runs, such as the cell's parameters, never count as moved.  The exit status
-is 0 when every check matches, no value moved, no cell's keys were reordered
-and no radius grew (every new/old ratio <= 1), else 1.
+runs, such as the cell's parameters, never count as moved or changed.  The
+exit status is 0 when every check matches, no value moved, no cell's keys were
+reordered and no radius grew (every new/old ratio <= 1), else 1: a value that
+changed inside the old radius is counted, not failed.
 """
 
 from __future__ import annotations
@@ -104,6 +106,13 @@ def _moved(old: dict, new: dict) -> list[str]:
     return out
 
 
+def _changed(old: dict, new: dict) -> int:
+    """Entries of a cell other than its radius whose bits differ (repr of a
+    float round-trips, so equal reprs are equal bits)."""
+    return sum(repr(old.get(key)) != repr(new.get(key))
+               for key in set(old) | set(new) if key != "radius")
+
+
 def _ratio(old: dict, new: dict) -> float:
     a, b = _number(old.get("radius")), _number(new.get("radius"))
     if a is None or b is None or _same(a, b):
@@ -129,6 +138,7 @@ def compare(old_path: str, new_path: str) -> int:
         where = max(range(len(ratios)), key=ratios.__getitem__, default=None)
         pairs = list(enumerate(zip(old["cells"], new["cells"])))
         moved = [f"  cell {i}: {m}" for i, (a, b) in pairs for m in _moved(a, b)]
+        changed = sum(_changed(a, b) for _, (a, b) in pairs)
         reordered = [f"  cell {i}: keys reordered: {list(a)} -> {list(b)}"
                      for i, (a, b) in pairs if list(a) != list(b)]
         grew = max(ratios, default=1.0) > 1.0
@@ -136,7 +146,8 @@ def compare(old_path: str, new_path: str) -> int:
               f"({new['pass']}, {new['rigor']}, {len(new['cells'])}); radius new/old "
               f"max {max(ratios, default=1.0)!r} at cell {where}"
               f"{' (GREW)' if grew else ''}, "
-              f"min {min(ratios, default=1.0)!r}; {len(moved)} values moved")
+              f"min {min(ratios, default=1.0)!r}; {len(moved)} values moved, "
+              f"{changed} changed in any bit")
         for line in moved + reordered:
             print(line)
         bad |= not same or grew or bool(moved) or bool(reordered)
