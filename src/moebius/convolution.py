@@ -99,25 +99,17 @@ def dirichlet_convolve(a: SequenceSpec, b: SequenceSpec, N: int) -> list:
 
 def S_op(a: SequenceSpec, phi: FunctionSpec, x: float,
          precision: int | None = None) -> ApproxValue:
-    """S_a phi(x) = sum_{n<=x} a(n) phi(x/n), compensated."""
+    """S_a phi(x) = sum_{n<=x} a(n) phi(x/n): the summatory factor at t = 1,
+    c W_k(floor(x)) for phi(u) = c u^p log^k u."""
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     prec = precision or mpmath.mp.prec
-    N = math.floor(x)
-    av = a.values(N)
-    eps = eps_for(prec)
     with mpmath.mp.workprec(prec + _GUARD):
-        xm = mpf(x)
-        total = mpf(0)
-        abs_sum = 0.0
-        for n in range(1, N + 1):
-            an = av[n - 1]
-            if an == 0:
-                continue
-            term = _to_mp(an) * phi(xm / n)
-            total += term
-            abs_sum += abs(complex(term))
-        return ApproxValue(+total, radd(eps * 8 * abs_sum), RIGOROUS, prec)
+        f = SummatoryFactor(_mp_values(a.values(math.floor(x)), prec), phi, x)
+        c = mpmath.mpmathify(phi.c)
+        value = c * f.W[phi.k][-1]
+        radius = eps_for(prec) * 8 * abs(complex(c)) * f.W_abs[phi.k][-1]
+        return ApproxValue(+value, radd(radius), RIGOROUS, prec)
 
 
 def _mp_values(values, prec):

@@ -1,0 +1,207 @@
+"""The one engine for the mp lane's Dirichlet sums sum_{n<=K} w(n) n^-s log^i n,
+w = mu or 1, with a counted error radius.
+
+Fixed point.  An int a stands for a u, u = 2^-W.  Along the smallest-prime-
+factor chain n = p m, p = spf(n), log n = log p + log m and n^-s = p^-s m^-s,
+so transcendentals run at primes only: log p is mpmath's log_int_fixed, and
+p^-s = exp(-sigma log p) (cos(tau log p) - i sin(tau log p)) comes from
+exp_fixed and cos_sin_fixed at W + g bits, floored to W (for an integer s,
+p^-s = floor(2^W / p^s) needs none).  Complex values are pairs of ints.  A
+term n^-s log^i n takes i more products with log n and mu(n) flips its sign;
+sums of ints are exact and an int becomes an mpf exactly (from_man_exp), so
+every error sits in the terms.
+
+Error count, in units u, with B_n = n^max(0, -sigma) >= |n^-s| and
+lam_n = max(1, log n):
+- at a prime, p^-s is off by at most C_PRIME B_p and log p by C_LOG: the g =
+  32 + bits(|s| log p) extra bits keep mpmath's few-ulp errors, grown |s|-fold
+  through the argument, far below one unit, and the floor adds less than one;
+- a product of a~ = a - da and b~ = b - db floors once (below 1 per part, 2
+  for a complex product) and is off by |a~ db + b~ da + da db| <= |a| eb +
+  |b| ea + 2 ea eb u, where ea eb u < 1/2 while errors stay far below
+  2^(W/2): each product adds C_MUL = 3 to |a| eb + |b| ea;
+- by induction along the chain, log n is off by at most Omega(n) C_LOG (its
+  sums are exact), n^-s by Omega(n) (C_PRIME + C_MUL) B_n, and n^-s log^i n
+  by (Omega(n) a_i + i C_MUL) B_n lam_n^i, a_i = C_PRIME + C_MUL + i C_LOG,
+  as |log n| <= lam_n and B, lam >= 1;
+- B and lam do not decrease, so the prefix through K is off by at most
+  (a_i sum_{n<=K} |w(n)| Omega(n) + i C_MUL sum_{n<=K} |w(n)|) B_K lam_K^i u,
+  which `radius` returns, Omega counted along the chain.
+
+W = prec + GUARD + h with h = ceil(max(0, -sigma) log2 N) headroom bits makes
+B_n u <= 2^-(prec + GUARD) for all n <= N, so every term is off by at most
+(Omega(n) a_i + i C_MUL) lam_n^i 2^-(prec + GUARD), for sigma < 0 too
+(poids-bound runs at sigma = -0.5).  With GUARD = 64 a sum's radius is its
+count times 2^-(prec + 64), against the 8 eps(prec) sum |terms| =
+2^-(prec - 4) sum |terms| that per-term mpmath loops claim.  W grows with N
+only through h; a table that outgrows its headroom starts over at the new W.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import accumulate
+from math import isqrt
+
+import mpmath
+import numpy as np
+from mpmath.libmp import from_man_exp
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed, log_int_fixed, pi_fixed
+
+from .approx import ApproxValue, RIGOROUS, radd
+from .sieve import base_primes, nonzero_mu
+
+GUARD = 64
+C_PRIME = 2
+C_LOG = 2
+C_MUL = 3
+_EXTRA = 32  # g less the bits of |s| log p
+
+
+def smallest_prime_factors(N: int) -> list[int]:
+    """spf(n) for n = 0..N, with spf(0) = 0 and spf(1) = 1."""
+    spf = np.zeros(N + 1, dtype=np.int64)
+    for p in base_primes(isqrt(N)).tolist():
+        block = spf[p * p::p]
+        block[block == 0] = p
+    unset = spf == 0
+    spf[unset] = np.flatnonzero(unset)
+    return spf.tolist()
+
+
+class DirichletTable:
+    """n^-s, and log n when `logs`, for n = 1..N at W bits, grown on demand.
+
+    Terms, sums and prefixes of w(n) n^-s log^i n read it (i = 0 only
+    without logs); `value` and `radius` with their defaults make it the
+    prefix table P_K = sum_{k<=K} k^-s.  Not thread-safe: a table belongs to
+    one caller or to one process's cache.
+    """
+
+    def __init__(self, sigma: float, tau: float, prec: int, logs: bool = False):
+        self.sigma, self.tau, self.prec, self.logs = float(sigma), float(tau), prec, logs
+        self.W, self.N, self._mu, self._prefix = None, 0, [0], None
+
+    def extend(self, N: int) -> None:
+        """Grow the table through N."""
+        W = self.prec + GUARD + math.ceil(max(0.0, -self.sigma) * math.log2(max(N, self.N, 1)))
+        if W == self.W and N <= self.N:
+            return
+        self._prefix, self._cum = None, {}
+        if W != self.W:  # new headroom: start over
+            self.W, self.N, self.om, self.log = W, 1, [0, 0], [0, 0]
+            self.parts = [[0, 1 << W]] + ([[0, 0]] if self.tau else [])
+        spf = smallest_prime_factors(N)
+        lo, om, log = self.N + 1, self.om, self.log
+        at_primes = iter(self._at_primes([n for n in range(lo, N + 1) if spf[n] == n]))
+        re, im = self.parts[0], (self.parts[1] if self.tau else None)
+        for n in range(lo, N + 1):
+            p = spf[n]
+            if p == n:
+                lp, *vals = next(at_primes)
+                for part, v in zip(self.parts, vals):
+                    part.append(v)
+                log.append(lp)
+                om.append(1)
+                continue
+            m = n // p
+            if im is None:
+                re.append((re[p] * re[m]) >> W)
+            else:
+                a, b, c, d = re[p], im[p], re[m], im[m]
+                re.append((a * c - b * d) >> W)
+                im.append((a * d + b * c) >> W)
+            log.append(log[p] + log[m])
+            om.append(om[m] + 1)
+        self.N = max(N, self.N)
+
+    def _at_primes(self, primes: list[int]) -> list[tuple]:
+        """(log p, or 0 without logs, Re p^-s[, Im p^-s]) at each prime, at W bits."""
+        W, sigma, tau = self.W, self.sigma, self.tau
+        if tau == 0.0 and sigma == int(sigma):
+            k = int(sigma)
+            powers = [(1 << W) // p ** k if k > 0 else p ** -k << W for p in primes]
+            if not self.logs:
+                return [(0, v) for v in powers]
+        g = _EXTRA + math.ceil(math.hypot(sigma, tau) * math.log(max(primes, default=2))
+                               + 1).bit_length()
+        wp = W + g
+        logs = [log_int_fixed(p, wp) for p in primes]
+        out = [lp >> g if self.logs else 0 for lp in logs]
+        if tau == 0.0 and sigma == int(sigma):
+            return list(zip(out, powers))
+        (num, den), (tnum, tden) = sigma.as_integer_ratio(), tau.as_integer_ratio()
+        ln2, pi2 = ln2_fixed(wp), pi_fixed(wp - 1)
+        mags = [exp_fixed(-num * lp // den, wp, ln2) for lp in logs]
+        if tau == 0.0:
+            return [(lp, mag >> g) for lp, mag in zip(out, mags)]
+        cs = [cos_sin_fixed(-tnum * lp // tden, wp, pi2) for lp in logs]
+        return [(lp, (mag * c) >> (wp + g), (mag * s) >> (wp + g))
+                for lp, mag, (c, s) in zip(out, mags, cs)]
+
+    def mu(self, N: int) -> list[int]:
+        """mu(n) for n = 0..N (0 at n = 0), from sieve.nonzero_mu."""
+        if len(self._mu) <= N:
+            self._mu = [0] * (N + 1)
+            for n, v in nonzero_mu(N):
+                self._mu[n] = v
+        return self._mu
+
+    def terms(self, N: int, i: int = 0, mu: bool = False) -> list[list[int]]:
+        """[Re] or [Re, Im] of w(n) n^-s log^i n for n = 0..N, in units u."""
+        if i and not self.logs:
+            raise ValueError("this table carries no logs")
+        self.extend(N)
+        W = self.W
+        parts = [part[:N + 1] for part in self.parts]
+        for _ in range(i):
+            parts = [[(t * l) >> W for t, l in zip(part, self.log)] for part in parts]
+        if mu:
+            w = self.mu(N)
+            parts = [[t * v for t, v in zip(part, w)] for part in parts]
+        return parts
+
+    def to_mp(self, re: int, im: int | None = None):
+        """The fixed-point value re (+ i im) as an mpf or mpc, exactly."""
+        if im is None:
+            return mpmath.mp.make_mpf(from_man_exp(re, -self.W))
+        return mpmath.mp.make_mpc((from_man_exp(re, -self.W), from_man_exp(im, -self.W)))
+
+    def values(self, N: int, i: int = 0, mu: bool = False, cumulative: bool = False) -> list:
+        """The terms w(n) n^-s log^i n for n = 0..N, or with `cumulative` the
+        prefix sums through K = 0..N, as exact mpf or mpc values."""
+        parts = self.terms(N, i, mu)
+        if cumulative:
+            parts = [accumulate(part) for part in parts]
+        return [self.to_mp(*z) for z in zip(*parts)]
+
+    def total(self, N: int, i: int = 0, mu: bool = False) -> ApproxValue:
+        """sum_{n<=N} w(n) n^-s log^i n, exact in W bits, with its counted
+        radius, as an ApproxValue at the caller's precision."""
+        value = self.to_mp(*(sum(part) for part in self.terms(N, i, mu)))
+        return ApproxValue(value, radd(self.radius(N, i, mu)), RIGOROUS, self.prec)
+
+    def value(self, K: int):
+        """sum_{n<=K} n^-s, grown by doubling and turned into an mpf when read."""
+        if K > self.N:
+            self.extend(max(K, 2 * self.N))
+        if self._prefix is None:
+            self._prefix = [list(accumulate(part)) for part in self.terms(self.N)]
+        return self.to_mp(*(part[K] for part in self._prefix))
+
+    def radius(self, K: int, i: int = 0, mu: bool = False) -> float:
+        """The counted error of the prefix through K, as a float upper bound."""
+        self.extend(K)
+        if K < 1:
+            return 0.0
+        if mu not in self._cum:
+            w = np.ones(self.N + 1, dtype=np.int64)
+            if mu:
+                w = np.abs(np.asarray(self.mu(self.N)[:self.N + 1], dtype=np.int64))
+            w[0] = 0
+            self._cum[mu] = (np.cumsum(np.asarray(self.om) * w), np.cumsum(w))
+        omegas, count = self._cum[mu]
+        units = (C_PRIME + C_MUL + i * C_LOG) * int(omegas[K]) + i * C_MUL * int(count[K])
+        bound = units * float(K) ** max(0.0, -self.sigma) * max(1.0, math.log(K)) ** i
+        # 2^-30 covers the float rounding of the bound
+        return math.ldexp(bound, -self.W) * (1.0 + 2.0**-30)

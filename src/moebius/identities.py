@@ -9,82 +9,43 @@ residual within combined radii is the correctness statement.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 
 import mpmath
 from mpmath import mpf
 
-from .approx import ApproxValue, RIGOROUS, eps_for, radd
+from .approx import ApproxValue, RIGOROUS, eps_for
 from .constants import gamma_const
+from .dsum import DirichletTable
 from .piecewise import (FunctionSpec, HalfMinusFracFactor,
                         HarmonicWeightFactor, InnerSumFactor, LogMinusHFactor,
                         PowLogSum, PowSumFactor, QKernelFactor, RKernelFactor,
-                        integrate_partition, integrate_m_kernel,
+                        StepPolyFactor, integrate_partition, integrate_m_kernel,
                         m_weight_factor, mcheck_minus_one_factor,
-                        mdcheck_normalized_factor, mu_over_n_values)
-from .sieve import nonzero_mu
+                        mdcheck_normalized_factor)
 from .summatory import summatory
 from .zeta import ComplexParam, zeta_em
 
 _GUARD = 96
 
 
-class StepPolyFactor:
-    """Piecewise log-polynomial in t with coefficients indexed by K = floor(t):
-    t^power * sum_j coeffs[j][K] log^j t."""
-
-    index = "K"
-
-    def __init__(self, coeff_columns, power=0):
-        self.cols = coeff_columns  # list over j of lists indexed by K
-        self.shape = [(mpmath.mpmathify(power), j) for j in range(len(coeff_columns))]
-
-    def coeffs(self, K: int):
-        vals = [col[min(K, len(col) - 1)] for col in self.cols]
-        return vals, [abs(complex(c)) for c in vals]
-
-
-def _mp_prefixes(x: float, prec: int):
-    """(m_K, Smlog_K) prefix columns for K = 0..floor(x) at prec+guard."""
-    vals = mu_over_n_values(math.floor(x), prec)
-    with mpmath.mp.workprec(prec + _GUARD):
-        m_col = list(accumulate(vals, initial=mpf(0)))
-        sl_col = list(accumulate((v * mpmath.log(n) if v else 0
-                                  for n, v in enumerate(vals, 1)), initial=mpf(0)))
-    return m_col, sl_col
-
-
 def mu_power_sum(x: float, s, precision: int | None = None) -> ApproxValue:
-    """sum_{n<=x} mu(n) n^(-s), compensated at mp precision."""
+    """sum_{n<=x} mu(n) n^(-s), from the fixed-point engine."""
     sp = ComplexParam.coerce(s)
-    prec = precision or mpmath.mp.prec
-    eps = eps_for(prec)
-    with mpmath.mp.workprec(prec + _GUARD):
-        sm = sp.as_mpc()
-        total = mpf(0) if sp.is_real else mpmath.mpc(0)
-        abs_sum = 0.0
-        for n, mu in nonzero_mu(math.floor(x)):
-            term = mu * mpmath.power(n, -sm)
-            total += term
-            abs_sum += float(mpmath.fabs(term))
-        return ApproxValue(+total, radd(eps * 8 * abs_sum), RIGOROUS, prec)
+    table = DirichletTable(sp.sigma, sp.tau, precision or mpmath.mp.prec)
+    return table.total(math.floor(x), mu=True)
 
 
 def mu_log_power_sum(x: float, s, precision: int | None = None) -> ApproxValue:
-    """sum_{n<=x} mu(n) n^(-s) log(x/n)."""
+    """sum_{n<=x} mu(n) n^(-s) log(x/n) = log x sum mu n^-s - sum mu n^-s log n."""
     sp = ComplexParam.coerce(s)
     prec = precision or mpmath.mp.prec
-    eps = eps_for(prec)
+    N = math.floor(x)
+    table = DirichletTable(sp.sigma, sp.tau, prec, logs=True)
+    s0, s1 = (table.total(N, i, mu=True) for i in range(2))
     with mpmath.mp.workprec(prec + _GUARD):
-        sm = sp.as_mpc()
-        xm = mpf(x)
-        total = mpf(0) if sp.is_real else mpmath.mpc(0)
-        abs_sum = 0.0
-        for n, mu in nonzero_mu(math.floor(x)):
-            term = mu * mpmath.power(n, -sm) * mpmath.log(xm / n)
-            total += term
-            abs_sum += float(mpmath.fabs(term))
-        return ApproxValue(+total, radd(eps * 8 * abs_sum), RIGOROUS, prec)
+        logx = mpmath.log(mpf(x))
+        lx = ApproxValue(logx, eps_for(prec + _GUARD) * abs(float(logx)), RIGOROUS, prec)
+        return lx * s0 - s1
 
 
 def _x_pows(s: ComplexParam, x: float):
@@ -169,11 +130,8 @@ def kgen2_sides(s, x: float, precision: int = 128):
             PowLogSum.monomial(mpf(1), mpf(-2), 0), precision=precision)
         lhs = ApproxValue.exact(x1s, precision) * lhs_int
         # right integrand: log^2 t - 2 H_K log t + 2 Hlog_K + 2 gamma H_K
-        H = [mpf(0)]
-        SHl = [mpf(0)]
-        for k in range(1, N + 2):
-            H.append(H[-1] + mpf(1) / k)
-            SHl.append(SHl[-1] + mpmath.log(k) / k)
+        harmonic = DirichletTable(1.0, 0.0, precision + _GUARD, logs=True)
+        H, SHl = (harmonic.values(N + 1, i, cumulative=True) for i in range(2))
         w0 = [2 * SHl[k] + 2 * g * H[k] for k in range(len(H))]
         w1 = [-2 * H[k] for k in range(len(H))]
         w2 = [mpf(1)] * len(H)
@@ -239,7 +197,8 @@ def formule_m_value(x: float, precision: int = 128):
 def abel_s_sides(s, x: float, precision: int = 128):
     """(s-1) integral_1^x m(t) t^{-s} dt  vs  sum mu/n^s - m(x)/x^{s-1}."""
     sp = ComplexParam.coerce(s)
-    m_col, _ = _mp_prefixes(x, precision)
+    table = DirichletTable(1.0, 0.0, precision + _GUARD)
+    m_col = table.values(math.floor(x), mu=True, cumulative=True)
     with mpmath.mp.workprec(precision + _GUARD):
         sm = sp.as_mpc()
         integ = integrate_partition(
@@ -256,7 +215,8 @@ def int_check_sides(s, x: float, precision: int = 128):
     """(s-1) integral m-check(t) t^{-s} dt  vs
     integral m(t) t^{-s} dt - x^{1-s} m-check(x)  (f = m instance)."""
     sp = ComplexParam.coerce(s)
-    m_col, sl_col = _mp_prefixes(x, precision)
+    table = DirichletTable(1.0, 0.0, precision + _GUARD, logs=True)
+    m_col, sl_col = (table.values(math.floor(x), i, mu=True, cumulative=True) for i in range(2))
     with mpmath.mp.workprec(precision + _GUARD):
         sm = sp.as_mpc()
         extra = PowLogSum.monomial(mpf(1), -sm, 0)

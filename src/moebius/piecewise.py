@@ -49,14 +49,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import mpmath
 from mpmath import mpf
 
 from .approx import ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
+from .dsum import DirichletTable
 from .errors import CapacityError, DomainError, UnsupportedKernelError
-from .sieve import nonzero_mu
 from .zeta import ComplexParam, power_prefix_table, zeta_em
 
 _GUARD = 96
@@ -211,6 +212,13 @@ class Partition:
 # coeffs(idx) -> (values, abs_values) aligned with the shape.
 # ---------------------------------------------------------------------------
 
+def _running_sums(columns) -> tuple[list, list]:
+    """Per column of per-index terms: the prefix sums from 0, and the prefix
+    sums of the terms' absolute values that the radius model reads."""
+    return ([list(accumulate(col, initial=mpf(0))) for col in columns],
+            [list(accumulate((abs(complex(t)) for t in col), initial=0.0)) for col in columns])
+
+
 class SummatoryFactor:
     """S_a omega(x/t) = sum_{n <= x/t} a(n) omega((x/n)/t), indexed by
     N = floor(x/t), plus optional constants `offset[j]` on log^j t (only for
@@ -227,27 +235,20 @@ class SummatoryFactor:
         if any(offset) and omega.p != 0:
             raise DomainError("offset needs omega.p == 0")
         k = omega.k
-        N_max = len(seq_values)
         xm = mpf(x)
-        self.W = [[mpf(0)] for _ in range(k + 1)]      # prefix sums, index N
-        self.W_abs = [[0.0] for _ in range(k + 1)]
-        for n in range(1, N_max + 1):
-            a_n = seq_values[n - 1]
-            if a_n == 0:
-                for i in range(k + 1):
-                    self.W[i].append(self.W[i][-1])
-                    self.W_abs[i].append(self.W_abs[i][-1])
-                continue
-            u = xm / n
-            An = mpmath.power(u, omega.p) if omega.p != 0 else mpf(1)
-            Ln = mpmath.log(u) if k else mpf(0)
-            base = mpmath.mpmathify(a_n) * An
-            term = base
-            for i in range(k + 1):
-                self.W[i].append(self.W[i][-1] + term)
-                self.W_abs[i].append(self.W_abs[i][-1] + abs(complex(term)))
+        cols = [[] for _ in range(k + 1)]  # a(n) A_n L_n^i per n
+        for n, a_n in enumerate(seq_values, 1):
+            term = Ln = 0
+            if a_n != 0:
+                u = xm / n
+                An = mpmath.power(u, omega.p) if omega.p != 0 else mpf(1)
+                Ln = mpmath.log(u) if k else mpf(0)
+                term = mpmath.mpmathify(a_n) * An
+            for i, col in enumerate(cols):
+                col.append(term)
                 if i < k:
                     term = term * Ln
+        self.W, self.W_abs = _running_sums(cols)  # prefix sums, index N
         self.k = k
         cm = mpmath.mpmathify(omega.c)
         self.coef = [cm * math.comb(k, j) * (-1 if j % 2 else 1) for j in range(k + 1)]
@@ -277,23 +278,13 @@ class InnerSumFactor:
     def __init__(self, seq_values, phi: FunctionSpec):
         l = phi.k
         K_max = len(seq_values)
-        self.V = [[mpf(0)] for _ in range(l + 1)]
-        self.V_abs = [[0.0] for _ in range(l + 1)]
-        for k in range(1, K_max + 1):
-            b_k = seq_values[k - 1]
-            if b_k == 0:
-                for i in range(l + 1):
-                    self.V[i].append(self.V[i][-1])
-                    self.V_abs[i].append(self.V_abs[i][-1])
-                continue
-            kp = mpmath.power(k, -mpmath.mpmathify(phi.p)) if phi.p != 0 else mpf(1)
-            mlk = -mpmath.log(k) if l else mpf(0)
-            term = mpmath.mpmathify(b_k) * kp
-            for i in range(l + 1):
-                self.V[i].append(self.V[i][-1] + term)
-                self.V_abs[i].append(self.V_abs[i][-1] + abs(complex(term)))
-                if i < l:
-                    term = term * mlk
+        p = complex(phi.p)
+        table = DirichletTable(p.real, p.imag, mpmath.mp.prec, logs=l > 0)
+        # k^-p log^i k from the engine; b(k) and the sign of (-log k)^i are applied here
+        powers = [table.values(K_max, i) for i in range(l + 1)]
+        self.V, self.V_abs = _running_sums(
+            [[0 if b_k == 0 else (-1) ** i * mpmath.mpmathify(b_k) * powers[i][k]
+              for k, b_k in enumerate(seq_values, 1)] for i in range(l + 1)])
         self.l = l
         cm = mpmath.mpmathify(phi.c)
         self.coef = [cm * math.comb(l, j) for j in range(l + 1)]
@@ -375,41 +366,41 @@ class HalfMinusFracFactor:
         return [c, mpf(-1)], [abs(complex(c)), 1.0]
 
 
+class StepPolyFactor:
+    """Piecewise log-polynomial in t with coefficients indexed by K = floor(t):
+    t^power * sum_j coeffs[j][K] log^j t."""
+
+    index = "K"
+
+    def __init__(self, coeff_columns, power=0):
+        self.cols = coeff_columns  # list over j of lists indexed by K
+        self.shape = [(mpmath.mpmathify(power), j) for j in range(len(coeff_columns))]
+
+    def coeffs(self, K: int):
+        vals = [col[min(K, len(col) - 1)] for col in self.cols]
+        return vals, [abs(complex(c)) for c in vals]
+
+
 def _harmonic_numbers(K_max: int, prec: int) -> list:
-    with mpmath.mp.workprec(prec + _GUARD):
-        H = [mpf(0)]
-        for k in range(1, K_max + 2):
-            H.append(H[-1] + mpf(1) / k)
-    return H
+    return DirichletTable(1.0, 0.0, prec + _GUARD).values(K_max + 1, cumulative=True)
 
 
-class HarmonicWeightFactor:
+class HarmonicWeightFactor(StepPolyFactor):
     """t (H(t) - log t - gamma) with H piecewise constant."""
 
-    index = "K"
-    shape = [(mpf(1), 0), (mpf(1), 1)]
-
     def __init__(self, K_max: int, prec: int):
-        self.gamma = gamma_const(prec + _GUARD)
-        self.H = _harmonic_numbers(K_max, prec)
-
-    def coeffs(self, K: int):
-        c = self.H[min(K, len(self.H) - 1)] - self.gamma
-        return [c, mpf(-1)], [abs(complex(c)), 1.0]
+        with mpmath.mp.workprec(prec + _GUARD):
+            g = gamma_const(prec + _GUARD)
+            H = _harmonic_numbers(K_max, prec)
+            super().__init__([[h - g for h in H], [mpf(-1)] * len(H)], power=1)
 
 
-class LogMinusHFactor:
+class LogMinusHFactor(StepPolyFactor):
     """log t - H(t), the k = 1 right-hand integrand."""
 
-    index = "K"
-    shape = [(mpf(0), 0), (mpf(0), 1)]
-
     def __init__(self, K_max: int, prec: int):
-        self.H = _harmonic_numbers(K_max, prec)
-
-    def coeffs(self, K: int):
-        h = self.H[min(K, len(self.H) - 1)]
-        return [-h, mpf(1)], [float(h), 1.0]
+        H = _harmonic_numbers(K_max, prec)
+        super().__init__([[-h for h in H], [mpf(1)] * len(H)])
 
 
 # ---------------------------------------------------------------------------
@@ -595,12 +586,9 @@ def integrate_partition(x: float, factors: list, extra: PowLogSum | None = None,
 
 @lru_cache(maxsize=32)
 def mu_over_n_values(N: int, prec: int) -> tuple:
-    """(mu(n)/n) for n = 1..N at prec+guard bits, as an immutable tuple."""
-    vals = [0] * N
-    with mpmath.mp.workprec(prec + _GUARD):
-        for n, mu in nonzero_mu(N):
-            vals[n - 1] = mpf(mu) / n
-    return tuple(vals)
+    """(mu(n)/n) for n = 1..N from the engine at prec+guard bits, exact mpf
+    values in an immutable tuple."""
+    return tuple(DirichletTable(1.0, 0.0, prec + _GUARD).values(N, mu=True)[1:])
 
 
 def m_weight_factor(x: float, prec: int) -> SummatoryFactor:

@@ -37,6 +37,7 @@ from mpmath import mpf, mpc
 
 from .approx import ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
+from .dsum import DirichletTable
 from .errors import DomainError, PrecisionError
 from .kernels import IBP_R, KernelSpec, Q, LITTLE_Q, hel_sup_abs_Q, kernel_bound, SUP_Q
 from .zeta import ComplexParam, power_prefix_table, zeta_em
@@ -386,7 +387,7 @@ def exact_Q_l1_tail(s, T: int, precision: int | None = None,
     table = power_prefix_table(sp.sigma, sp.tau, prec)
     with mpmath.mp.workprec(prec + _GUARD):
         sm = sp.as_mpc()
-        H_T = mpmath.fsum(mpf(1) / k for k in range(1, T + 1))
+        H_T = DirichletTable(1.0, 0.0, prec + _GUARD).total(T).value
         v = (1 / (sm - 1) + gamma_const(prec + _GUARD)
              - (z.value - table.value(T)) * mpmath.power(T, sm - 1)
              - (H_T - mpmath.log(T)))

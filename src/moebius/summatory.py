@@ -6,8 +6,10 @@ bounded by (chunk length) * eps * (sum of |terms| in the chunk), and chunk
 offsets are chained through math.fsum (exactly rounded).  Every float64
 prefix column is streamed by `prefix_columns` from the one table `TERMS`.
 
-mp path: the same sums accumulated in mpmath at 32 guard bits above the
-requested precision, used by the exact identity checks at modest x.
+mp path: the same sums from the fixed-point Dirichlet-sum engine (`dsum`),
+exact in W = precision + 64 bits with a counted radius, combined with log x
+and M/x through ApproxValue arithmetic; used by the exact identity checks at
+modest x.
 
 M(x) is always exact (int64 cumulative sums of mu).
 """
@@ -26,7 +28,8 @@ from mpmath import mpf
 from .approx import ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
 from .errors import DomainError
-from .sieve import DEFAULT_SEGMENT, iter_segments, nonzero_mu
+from .dsum import DirichletTable
+from .sieve import DEFAULT_SEGMENT, iter_segments
 
 _EPS = 2.0**-52  # one-op float64 bound (2 ulp at 0.5-scale, deliberately lax)
 _CHUNK = 4096
@@ -51,7 +54,7 @@ def compensated_cumsum(terms: np.ndarray, term_ulps: float = 1.0, chunk: int = _
     """Prefix sums of `terms` plus per-element rounding radii.
 
     The radii cover the summation error of this routine, except the in-chunk
-    rounding of earlier chunks (ROADMAP item 5), and up to `term_ulps` ulp of
+    rounding of earlier chunks (ROADMAP item 8), and up to `term_ulps` ulp of
     evaluation error in each input term.  With `state` the sums continue from
     earlier calls, bit for bit when every call's length is a multiple of `chunk`.
     """
@@ -219,47 +222,19 @@ def _snapshot_fast(x: float) -> SummatorySnapshot:
 
 def _snapshot_mp(x: float, prec: int) -> SummatorySnapshot:
     N = math.floor(x)
-    work = prec + 32
-    with mpmath.mp.workprec(work):
-        xm = mpf(x)
-        logx = mpmath.log(xm)
-        M = 0
-        S = {k: mpf(0) for k in ("m", "mlog", "mlog2", "H", "Hlog")}
-        A = dict.fromkeys(S, 0.0)
-        mus = dict(nonzero_mu(N))
-        for n in range(1, N + 1):
-            inv = mpf(1) / n
-            logn = mpmath.log(mpf(n))
-            S["H"] += inv
-            A["H"] += float(inv)
-            hl = inv * logn
-            S["Hlog"] += hl
-            A["Hlog"] += abs(float(hl))
-            mu = mus.get(n)
-            if mu:
-                M += mu
-                t = mu * inv
-                S["m"] += t
-                A["m"] += float(inv)
-                tl = t * logn
-                S["mlog"] += tl
-                A["mlog"] += abs(float(tl))
-                tl2 = tl * logn
-                S["mlog2"] += tl2
-                A["mlog2"] += abs(float(tl2))
-        eps = eps_for(prec)
-
-        def av(v, *abskeys, scale=0.0):
-            a = sum(A[k] for k in abskeys) + scale + abs(float(v))
-            return ApproxValue(+v, 8.0 * eps * a, RIGOROUS, prec)
-
-        m = av(S["m"], "m")
-        mc = av(logx * S["m"] - S["mlog"], "mlog", scale=float(logx) * A["m"])
-        md = av(logx**2 * S["m"] - 2 * logx * S["mlog"] + S["mlog2"],
-                "mlog2", scale=float(logx) ** 2 * A["m"] + 2 * abs(float(logx)) * A["mlog"])
-        m1 = av(S["m"] - M / xm, "m", scale=abs(M / x))
-        H = av(S["H"], "H")
-        hc = av(logx * S["H"] - S["Hlog"], "Hlog", scale=float(logx) * A["H"])
+    table = DirichletTable(1.0, 0.0, prec, logs=True)
+    m, sl, sl2 = (table.total(N, i, mu=True) for i in range(3))
+    H, Hlog = (table.total(N, i) for i in range(2))
+    M = sum(table.mu(N))
+    with mpmath.mp.workprec(prec + 32):
+        work = eps_for(prec + 32)
+        logx = mpmath.log(mpf(x))
+        lx = ApproxValue(logx, work * abs(float(logx)), RIGOROUS, prec)
+        M_x = mpf(M) / mpf(x)
+        mc = lx * m - sl
+        md = lx * lx * m - 2 * lx * sl + sl2
+        m1 = m - ApproxValue(M_x, work * abs(float(M_x)), RIGOROUS, prec)
+        hc = lx * H - Hlog
     return SummatorySnapshot(float(x), M, m, mc, md, m1, H, hc)
 
 
@@ -267,8 +242,9 @@ def summatory(x: float, mode: str = "auto", precision: int = 128) -> SummatorySn
     """SummatorySnapshot at x: exact M plus m, m-check, m-double-check, m1, H,
     H-check, each with a rigorous rounding radius.
 
-    mode "mp" runs the sweep in mpmath at `precision` bits (x capped at
-    MP_MODE_LIMIT); "fast" uses compensated float64; "auto" picks mp for small x.
+    mode "mp" sums in the fixed-point engine (`dsum`) at `precision` plus
+    guard bits, with the engine's counted radius (x capped at MP_MODE_LIMIT);
+    "fast" uses compensated float64; "auto" picks mp for small x.
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")

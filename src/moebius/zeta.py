@@ -26,6 +26,7 @@ import mpmath
 from mpmath import mpf, mpc
 
 from .approx import ApproxValue, RIGOROUS, eps_for, radd
+from .dsum import DirichletTable
 from .errors import DomainError, PrecisionError
 
 _GUARD = 48
@@ -214,40 +215,33 @@ def zeta_em(s, target_radius: float = 1e-30, precision: int | None = None,
                         f"zeta_em cannot reach radius {target_radius} at s={sp} (N={N})")
                 N *= 2
                 continue
-            psum = mpc(0) if sp.tau else mpf(0)
-            psum_log = psum
-            abs_sum = 0.0
-            abs_sum_log = 0.0
-            for n in range(1, N + 1):
-                term = mpmath.power(n, -sm)
-                psum += term
-                a = float(mpmath.fabs(term))
-                abs_sum += a
-                if want_derivative:
-                    lg = mpmath.log(n)
-                    psum_log += term * lg
-                    abs_sum_log += a * float(lg)
+            # the head sums come exact in W bits with a counted radius, so
+            # rounding is left only in the terms below
+            head = DirichletTable(sp.sigma, sp.tau, workprec, logs=want_derivative)
+            psum = head.total(N)
             logN = mpmath.log(N)
             Npow1 = mpmath.power(N, 1 - sm)   # N^{1-s}
             NpowS = mpmath.power(N, -sm)      # N^{-s}
-            z = psum + Npow1 / (sm - 1) - NpowS / 2 - sm * J
-            scale = (abs_sum + float(mpmath.fabs(Npow1 / (sm - 1))) + float(mpmath.fabs(NpowS))
+            z = psum.value + Npow1 / (sm - 1) - NpowS / 2 - sm * J
+            scale = (psum.abs_value() + float(mpmath.fabs(Npow1 / (sm - 1)))
+                     + float(mpmath.fabs(NpowS))
                      + sp.abs() * float(mpmath.fabs(J)) + float(mpmath.fabs(z)))
             # the rounding claim uses 40 fewer bits than were actually carried,
-            # an ample cover for the O(N) operations at work precision
+            # an ample cover for the operations at work precision
             eps_claim = eps_for(workprec - 40)
-            z_rad = radd(zrem, eps_claim * 16 * scale)
+            z_rad = radd(zrem, eps_claim * 16 * scale, psum.radius)
             if want_derivative:
-                zp = (-psum_log
+                psum_log = head.total(N, 1)
+                zp = (-psum_log.value
                       - Npow1 * logN / (sm - 1) - Npow1 / (sm - 1) ** 2
                       + logN / 2 * NpowS
                       - J - sm * Jp)
-                scale_p = (abs_sum_log + float(mpmath.fabs(Npow1 * logN / (sm - 1)))
+                scale_p = (psum_log.abs_value() + float(mpmath.fabs(Npow1 * logN / (sm - 1)))
                            + float(mpmath.fabs(Npow1 / (sm - 1) ** 2))
                            + float(mpmath.fabs(logN * NpowS))
                            + float(mpmath.fabs(J)) + sp.abs() * float(mpmath.fabs(Jp))
                            + float(mpmath.fabs(zp)))
-                zp_rad = radd(zprem, eps_claim * 16 * scale_p)
+                zp_rad = radd(zprem, eps_claim * 16 * scale_p, psum_log.radius)
             else:
                 zp, zp_rad, scale_p = None, 0.0, 0.0
             if z_rad > target_radius or (want_derivative and zp_rad > target_radius):
@@ -272,7 +266,7 @@ def zeta_em(s, target_radius: float = 1e-30, precision: int | None = None,
 
 
 def partial_power_sum(s, t: float, precision: int | None = None) -> ApproxValue:
-    """sum_{k <= t} k^(-s), compensated, with a rounding radius (a reader of
+    """sum_{k <= t} k^(-s) with its counted radius (a reader of
     power_prefix_table)."""
     sp = ComplexParam.coerce(s)
     if t < 1:
@@ -283,40 +277,9 @@ def partial_power_sum(s, t: float, precision: int | None = None) -> ApproxValue:
     return ApproxValue(value, radd(table.radius(K)), RIGOROUS, table.prec)
 
 
-class PowerPrefixTable:
-    """Prefix sums P_K = sum_{k<=K} k^(-s), grown on demand and cached per s.
-
-    A per-process cache, read by the kernel and piecewise evaluators of that
-    process.
-    """
-
-    def __init__(self, s: ComplexParam, prec: int):
-        self.s = s
-        self.prec = prec
-        with mpmath.mp.workprec(prec + _GUARD):
-            zero = mpf(0) if s.is_real else mpc(0)
-        self._prefix = [zero]  # P_0 = 0
-        self._abs = [0.0]
-
-    def extend(self, K: int) -> None:
-        if K < len(self._prefix):
-            return
-        with mpmath.mp.workprec(self.prec + _GUARD):
-            sm = self.s.as_mpc()
-            for k in range(len(self._prefix), K + 1):
-                term = mpmath.power(k, -sm)
-                self._prefix.append(self._prefix[-1] + term)
-                self._abs.append(self._abs[-1] + float(mpmath.fabs(term)))
-
-    def value(self, K: int):
-        if K >= len(self._prefix):
-            self.extend(max(K, 2 * len(self._prefix)))
-        return self._prefix[K]
-
-    def radius(self, K: int) -> float:
-        return eps_for(self.prec) * 8 * self._abs[min(K, len(self._abs) - 1)]
-
-
 @lru_cache(maxsize=64)
-def power_prefix_table(sigma: float, tau: float, prec: int) -> PowerPrefixTable:
-    return PowerPrefixTable(ComplexParam(sigma, tau), prec)
+def power_prefix_table(sigma: float, tau: float, prec: int) -> DirichletTable:
+    """P_K = sum_{k<=K} k^(-s) (`value(K)`, `radius(K)`), grown on demand; a
+    per-process cache, read by the kernel and piecewise evaluators of that
+    process."""
+    return DirichletTable(sigma, tau, prec)

@@ -50,6 +50,12 @@ def m_exact_fraction(x: float) -> Fraction:
     return sum((Fraction(int(mu[n]), n) for n in range(1, N + 1) if mu[n]), Fraction(0))
 
 
+def mpf_fraction(v) -> Fraction:
+    """An mpf's exact value as a Fraction (mpf.man_exp drops the sign)."""
+    sign, man, exp, _ = v._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
 def mu_trial_division(n: int) -> int:
     """mu(n) by naive factorization."""
     if n == 1:

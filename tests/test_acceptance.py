@@ -141,14 +141,14 @@ def test_09_truncation_bound_desk_check():
 
 
 def test_10_m1_agreement_and_abel():
-    from moebius.identities import _mp_prefixes
+    from moebius.dsum import DirichletTable
     from moebius.summatory import summatory
     ok = True
     details = []
     for x in (10.0, 1000.0, 100000.0):
         snap = summatory(x, mode="mp")
-        m_col, _ = _mp_prefixes(x, 128)
         n = math.floor(x)
+        m_col = DirichletTable(1.0, 0.0, 128).values(n, mu=True, cumulative=True)
         with mpmath.mp.workprec(160):
             int_m = mpmath.fsum(m_col[j] for j in range(1, n)) \
                 + m_col[n] * (mpmath.mpf(x) - n)

@@ -1,7 +1,6 @@
 import math
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +10,7 @@ from moebius.errors import DomainError
 from moebius.summatory import (TERMS, CumsumState, PrefixSweep, abs_m_integrals,
                                compensated_cumsum, harmonic_gamma_margins,
                                prefix_columns, prefix_sweep, summatory)
-from oracles import FROZEN, m_exact_fraction
+from oracles import FROZEN, m_exact_fraction, mpf_fraction
 
 
 def test_snapshot_x1_all_trivial():
@@ -27,7 +26,7 @@ def test_snapshot_x1_all_trivial():
 def test_snapshot_x10():
     s = summatory(10, mode="mp")
     assert s.M == FROZEN["M_10"]
-    assert abs(s.m.value - mpmath.mpf(19) / 210) <= s.m.radius
+    assert abs(mpf_fraction(s.m.value) - FROZEN["m_10"]) <= s.m.radius
     assert m_exact_fraction(10) == FROZEN["m_10"]
 
 
@@ -162,7 +161,7 @@ def test_compensated_cumsum_radius_honest(xs):
     assert np.all(np.abs(out - np.asarray(exact)) <= rad + 1e-300)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the radius drops the in-chunk "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: the radius drops the in-chunk "
                    "rounding of earlier chunks; an honest carry needs error-free summation")
 def test_compensated_cumsum_radius_carries_earlier_chunks():
     # the first chunk rounds 4095 terms of 1.1e-16 away against 1.0 (error
