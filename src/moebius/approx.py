@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import mpmath
-from mpmath import mpf, mpc
 
 RIGOROUS = "rigorous"
 HEURISTIC = "heuristic"

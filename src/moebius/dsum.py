@@ -28,13 +28,16 @@ lam_n = max(1, log n):
   (a_i sum_{n<=K} |w(n)| Omega(n) + i C_MUL sum_{n<=K} |w(n)|) B_K lam_K^i u,
   which `radius` returns, Omega counted along the chain.
 
-W = prec + GUARD + h with h = ceil(max(0, -sigma) log2 N) headroom bits makes
-B_n u <= 2^-(prec + GUARD) for all n <= N, so every term is off by at most
-(Omega(n) a_i + i C_MUL) lam_n^i 2^-(prec + GUARD), for sigma < 0 too
+A table holds at most CAP = 2^24 terms, above zeta_em's largest head (8e6
+terms) and the 1e7 partition cap; `extend` past it raises CapacityError.
+W = prec + GUARD + h with h = ceil(max(0, -sigma) log2 CAP) headroom bits
+makes B_n u <= 2^-(prec + GUARD) for all n <= CAP, so every term is off by at
+most (Omega(n) a_i + i C_MUL) lam_n^i 2^-(prec + GUARD), for sigma < 0 too
 (poids-bound runs at sigma = -0.5).  With GUARD = 64 a sum's radius is its
 count times 2^-(prec + 64), against the 8 eps(prec) sum |terms| =
-2^-(prec - 4) sum |terms| that per-term mpmath loops claim.  W grows with N
-only through h; a table that outgrows its headroom starts over at the new W.
+2^-(prec - 4) sum |terms| that per-term mpmath loops claim.  W is fixed when
+the table is made, so a value read before the table grows has the same bits
+as the one read after.
 """
 
 from __future__ import annotations
@@ -49,9 +52,11 @@ from mpmath.libmp import from_man_exp
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed, log_int_fixed, pi_fixed
 
 from .approx import ApproxValue, RIGOROUS, radd
+from .errors import CapacityError
 from .sieve import base_primes, nonzero_mu
 
 GUARD = 64
+CAP = 1 << 24
 C_PRIME = 2
 C_LOG = 2
 C_MUL = 3
@@ -80,17 +85,19 @@ class DirichletTable:
 
     def __init__(self, sigma: float, tau: float, prec: int, logs: bool = False):
         self.sigma, self.tau, self.prec, self.logs = float(sigma), float(tau), prec, logs
-        self.W, self.N, self._mu, self._prefix = None, 0, [0], None
+        self.W = prec + GUARD + math.ceil(max(0.0, -self.sigma) * math.log2(CAP))
+        self.N, self.om, self.log = 1, [0, 0], [0, 0]
+        self.parts = [[0, 1 << self.W]] + ([[0, 0]] if self.tau else [])
+        self._mu, self._prefix, self._cum = [0], None, {}
 
     def extend(self, N: int) -> None:
         """Grow the table through N."""
-        W = self.prec + GUARD + math.ceil(max(0.0, -self.sigma) * math.log2(max(N, self.N, 1)))
-        if W == self.W and N <= self.N:
+        if N <= self.N:
             return
+        if N > CAP:
+            raise CapacityError(f"a Dirichlet table holds at most {CAP} terms, not {N}")
         self._prefix, self._cum = None, {}
-        if W != self.W:  # new headroom: start over
-            self.W, self.N, self.om, self.log = W, 1, [0, 0], [0, 0]
-            self.parts = [[0, 1 << W]] + ([[0, 0]] if self.tau else [])
+        W = self.W
         spf = smallest_prime_factors(N)
         lo, om, log = self.N + 1, self.om, self.log
         at_primes = iter(self._at_primes([n for n in range(lo, N + 1) if spf[n] == n]))
@@ -113,7 +120,7 @@ class DirichletTable:
                 im.append((a * d + b * c) >> W)
             log.append(log[p] + log[m])
             om.append(om[m] + 1)
-        self.N = max(N, self.N)
+        self.N = N
 
     def _at_primes(self, primes: list[int]) -> list[tuple]:
         """(log p, or 0 without logs, Re p^-s[, Im p^-s]) at each prime, at W bits."""
@@ -184,7 +191,7 @@ class DirichletTable:
     def value(self, K: int):
         """sum_{n<=K} n^-s, grown by doubling and turned into an mpf when read."""
         if K > self.N:
-            self.extend(max(K, 2 * self.N))
+            self.extend(max(K, min(2 * self.N, CAP)))
         if self._prefix is None:
             self._prefix = [list(accumulate(part)) for part in self.terms(self.N)]
         return self.to_mp(*(part[K] for part in self._prefix))

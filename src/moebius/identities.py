@@ -16,12 +16,11 @@ from mpmath import mpf
 from .approx import ApproxValue, RIGOROUS, eps_for
 from .constants import gamma_const
 from .dsum import DirichletTable
+from .kernels import Q, R, KernelSpec
 from .piecewise import (FunctionSpec, HalfMinusFracFactor,
-                        HarmonicWeightFactor, InnerSumFactor, LogMinusHFactor,
-                        PowLogSum, PowSumFactor, QKernelFactor, RKernelFactor,
-                        StepPolyFactor, integrate_partition, integrate_m_kernel,
-                        m_weight_factor, mcheck_minus_one_factor,
-                        mdcheck_normalized_factor)
+                        HarmonicWeightFactor, InnerSumFactor, KernelFactor,
+                        LogMinusHFactor, PowLogSum, PowSumFactor, StepPolyFactor,
+                        integrate_partition, integrate_m_kernel)
 from .summatory import summatory
 from .zeta import ComplexParam, zeta_em
 
@@ -65,10 +64,7 @@ def mieux1_sides(s, x: float, precision: int = 128):
         msum = mu_power_sum(x, sp, precision)
         x1s, xs1 = _x_pows(sp, x)
         lhs = z * (msum - snap.m * ApproxValue.exact(x1s, precision)) - 1
-        Qf = QKernelFactor(sp, precision)
-        integ = integrate_partition(x, [m_weight_factor(x, precision), Qf],
-                                    PowLogSum.monomial(mpf(1), mpf(-2), 0),
-                                    precision=precision)
+        integ = integrate_m_kernel(x, KernelFactor(KernelSpec(Q, sp), precision), precision)
         rhs = (snap.m_check - 1) * ApproxValue.exact(x1s, precision) \
             + ApproxValue.exact(x1s, precision) * integ
     return lhs, rhs
@@ -88,10 +84,7 @@ def poids_sides(s, x: float, precision: int = 128):
         x1s, _ = _x_pows(sp, x)
         xms = mpmath.power(mpf(x), -sm)
         lhs = z * (msum - snap.m * ApproxValue.exact(x1s, precision)) - 1
-        Rf = RKernelFactor(sp, precision)
-        integ = integrate_partition(x, [m_weight_factor(x, precision), Rf],
-                                    PowLogSum.monomial(mpf(1), mpf(-2), 0),
-                                    precision=precision)
+        integ = integrate_m_kernel(x, KernelFactor(KernelSpec(R, sp), precision), precision)
         x1s_a = ApproxValue.exact(x1s, precision)
         rhs = (ApproxValue.exact(sm) * (snap.m_check - 1) * x1s_a
                - ApproxValue.exact((sm - 1) / 2) * snap.m1 * x1s_a
@@ -106,9 +99,8 @@ def k1_sides(s, x: float, precision: int = 128):
     sp = ComplexParam.coerce(s)
     with mpmath.mp.workprec(precision + _GUARD):
         x1s, _ = _x_pows(sp, x)
-        lhs_int = integrate_partition(
-            x, [mcheck_minus_one_factor(x, precision), PowSumFactor(sp, precision)],
-            PowLogSum.monomial(mpf(1), mpf(-2), 0), precision=precision)
+        lhs_int = integrate_m_kernel(x, PowSumFactor(sp, precision), precision,
+                                     weight="mcheck1")
         lhs = ApproxValue.exact(x1s, precision) * lhs_int
         rhs = integrate_partition(
             x, [LogMinusHFactor(math.floor(x), precision)],
@@ -125,9 +117,8 @@ def kgen2_sides(s, x: float, precision: int = 128):
     with mpmath.mp.workprec(precision + _GUARD):
         g = gamma_const(precision + _GUARD)
         x1s, _ = _x_pows(sp, x)
-        lhs_int = integrate_partition(
-            x, [mdcheck_normalized_factor(x, precision), PowSumFactor(sp, precision)],
-            PowLogSum.monomial(mpf(1), mpf(-2), 0), precision=precision)
+        lhs_int = integrate_m_kernel(x, PowSumFactor(sp, precision), precision,
+                                     weight="mdcheck")
         lhs = ApproxValue.exact(x1s, precision) * lhs_int
         # right integrand: log^2 t - 2 H_K log t + 2 Hlog_K + 2 gamma H_K
         harmonic = DirichletTable(1.0, 0.0, precision + _GUARD, logs=True)
@@ -146,9 +137,7 @@ def double_check_borne_sides(x: float, precision: int = 128):
     -(mdd(x) - 2log x + 2gamma)/2 - gamma (m-check(x) - 1)."""
     with mpmath.mp.workprec(precision + _GUARD):
         g = gamma_const(precision + _GUARD)
-        lhs = integrate_partition(
-            x, [m_weight_factor(x, precision), HarmonicWeightFactor(math.floor(x), precision)],
-            PowLogSum.monomial(mpf(1), mpf(-2), 0), precision=precision)
+        lhs = integrate_m_kernel(x, HarmonicWeightFactor(math.floor(x), precision), precision)
         snap = summatory(x, mode="mp", precision=precision)
         logx = mpmath.log(mpf(x))
         norm = snap.m_dcheck - ApproxValue.exact(2 * logx - 2 * g, precision)
@@ -167,9 +156,7 @@ def halfstep_candidates(s, x: float, precision: int = 128):
     sp = ComplexParam.coerce(s)
     with mpmath.mp.workprec(precision + _GUARD):
         sm = sp.as_mpc()
-        integ = integrate_partition(
-            x, [m_weight_factor(x, precision), HalfMinusFracFactor()],
-            PowLogSum.monomial(mpf(1), mpf(-2), 0), precision=precision)
+        integ = integrate_m_kernel(x, HalfMinusFracFactor(), precision)
         value = ApproxValue.exact(sm - 1) * integ
         snap = summatory(x, mode="mp", precision=precision)
         inv_x = ApproxValue.exact(mpf(1) / mpf(x))

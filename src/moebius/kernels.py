@@ -14,6 +14,12 @@ J(t) = integral_t^inf ({u}-1/2) u^(-s-1) du evaluated by exact unit pieces
 plus the Bernoulli ladder -- no zeta value enters, which is what makes the
 cross-check between the two forms meaningful.
 
+On a unit cell [K, K+1) every kernel variant is g(t) = c t^s + beta t + delta
+with c = (s-1)(zeta(s) - P_K): beta = -1, delta = 0 for Q, beta = -s,
+delta = (s-1)(K + 1/2) for R, and q is (s-1) times Q's cell.  `CellKernel`
+forms that cell, with closed-form sup bounds for g and its derivatives; the
+rigorous quadrature and the piecewise integrator's kernel factor read it.
+
 Fractional parts use the right-continuous convention {k} = 0 at integers,
 matching sums over k <= t that include k = t; left limits are available
 explicitly for the continuity/jump checks.
@@ -53,6 +59,63 @@ class KernelSpec:
     @classmethod
     def make(cls, variant: str, s) -> "KernelSpec":
         return cls(variant, ComplexParam.coerce(s))
+
+
+class CellKernel:
+    """g(t) = c_K t^s + beta t + delta on [K, K+1), plus derivative bounds."""
+
+    def __init__(self, spec: KernelSpec, prec: int, zeta_target: float = 1e-35):
+        self.spec = spec
+        self.s = spec.s
+        self.s.require_not_one("kernel")
+        self.s.require_sigma_gt(-1.0, "kernel")
+        self.zeta, _ = zeta_em(self.s, zeta_target, precision=prec, want_derivative=False)
+        self.table = power_prefix_table(self.s.sigma, self.s.tau, prec)
+        self.sm = self.s.as_mpc()
+        self.scale = 1.0
+        if spec.variant == LITTLE_Q:
+            self.scale = abs(complex(self.sm - 1))
+
+    def cell(self, K: int):
+        """(c_K, beta, delta) at the caller's working precision."""
+        sm = self.sm
+        c = (sm - 1) * (self.zeta.value - self.table.value(K))
+        if self.spec.variant == Q or self.spec.variant == LITTLE_Q:
+            beta, delta = mpf(-1), mpf(0)
+        else:  # R: Q - (s-1)({t}-1/2) = c t^s - s t + (s-1)(K+1/2)
+            beta, delta = -sm, (sm - 1) * (K + mpf(1) / 2)
+        if self.spec.variant == LITTLE_Q:
+            c, beta, delta = c * (sm - 1), beta * (sm - 1), delta * (sm - 1)
+        return c, beta, delta
+
+    def g(self, c, beta, delta, t):
+        return c * mpmath.power(t, self.sm) + beta * t + delta
+
+    def bounds(self, c, beta, delta, a: float, b: float):
+        """(G0, D1, D2): sup bounds for |g|, |g'|, |g''| on [a, b]."""
+        sig = self.s.sigma
+        ca = abs(complex(c))
+        s_abs = self.s.abs()
+        s1_abs = abs(complex(self.sm - 1))
+        tp = lambda e: max(a ** e, b ** e)
+        G0 = ca * tp(sig) + abs(complex(beta)) * b + abs(complex(delta))
+        D1 = ca * s_abs * tp(sig - 1) + abs(complex(beta))
+        D2 = ca * s_abs * s1_abs * tp(sig - 2)
+        return G0, D1, D2
+
+    def phi4_bound(self, c, beta, delta, a: float) -> float:
+        """sup |d^4/dt^4 (g(t)/t^2)| on [a, .] for t >= a >= 1."""
+        p = self.sm - 2
+        prod = abs(complex(p * (p - 1) * (p - 2) * (p - 3)))
+        return (abs(complex(c)) * prod * a ** (self.s.sigma - 6.0)
+                + abs(complex(beta)) * 24.0 * a ** -5.0
+                + abs(complex(delta)) * 120.0 * a ** -6.0)
+
+    # zeta-value data radius propagated into any integral of g / t^2 on [a,b]:
+    # d(g)/d(zeta) = (s-1) t^s (times (s-1) again for little q)
+    def zeta_rad_per_unit(self, a: float, b: float) -> float:
+        amp = abs(complex(self.sm - 1)) * self.scale
+        return self.zeta.radius * amp * max(a ** self.s.sigma, b ** self.s.sigma)
 
 
 def _floor_frac(t: float, left_limit: bool):
@@ -182,20 +245,18 @@ def frac_tail_integral(s, t: float, target_radius: float = 1e-30,
 
 def kernel_eval(spec: KernelSpec, t: float, target_radius: float = 1e-30,
                 precision: int | None = None, left_limit: bool = False) -> ApproxValue:
-    """Kernel value by the definitional formula, radius combining the zeta
+    """Kernel value by the definitional formula, not the cell form, with the
+    domain, zeta(s) and P_K of a `CellKernel`; radius combining the zeta
     radius and summation rounding."""
-    s = spec.s
-    s.require_not_one("kernels")
-    s.require_sigma_gt(-1.0, "kernel_eval")
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
     prec = precision or mpmath.mp.prec
+    ck = CellKernel(spec, prec, zeta_target=target_radius / 4)
+    table, zeta_val = ck.table, ck.zeta
     eps = eps_for(prec)
     K, frac = _floor_frac(t, left_limit)
-    table = power_prefix_table(s.sigma, s.tau, prec)
-    zeta_val, _ = zeta_em(s, target_radius / 4, precision=prec, want_derivative=False)
     with mpmath.mp.workprec(prec + _GUARD):
-        sm = s.as_mpc()
+        sm = spec.s.as_mpc()
         tm = mpf(t)
         ts = mpmath.power(tm, sm)
         PK = table.value(K)

@@ -29,8 +29,8 @@ from .approx import ApproxValue, RIGOROUS, radd
 from .constants import (HARMONIC_LOWER, LITTLE_M_OVER_LOG, gamma_const)
 from .errors import DomainError
 from .identities import mu_power_sum, _x_pows
-from .kernels import frac_tail_integral
-from .piecewise import PowLogSum, QKernelFactor, integrate_partition, mcheck_minus_one_factor
+from .kernels import Q, KernelSpec, frac_tail_integral
+from .piecewise import KernelFactor, integrate_m_kernel
 from .sieve import DEFAULT_SEGMENT
 from .summatory import prefix_columns, summatory
 from .zeta import ComplexParam, partial_power_sum, zeta_em
@@ -721,10 +721,8 @@ def _mieux2_sides(tt: TruncatedTransform, precision: int):
         x1s_a = ApproxValue.exact(x1s)
         lhs = z * (msum - snap.m * x1s_a
                    - ApproxValue.exact(smc - 1) * (snap.m_check - 1) * x1s_a) - 1
-        Qf = QKernelFactor(sp, prec)
-        conv = integrate_partition(x, [mcheck_minus_one_factor(x, prec), Qf],
-                                   PowLogSum.monomial(mpf(1), mpf(-2), 0),
-                                   precision=prec)
+        conv = integrate_m_kernel(x, KernelFactor(KernelSpec(Q, sp), prec), prec,
+                                  weight="mcheck1")
         # integral_x^inf (log t - H + gamma) t^{-s} dt = -(hgap transform)
         hterm = -tt.basis[0]
         hterm = hterm.widened(_HGAP_SUP * T ** (-sp.sigma) / sp.sigma)

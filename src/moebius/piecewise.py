@@ -58,7 +58,8 @@ from .approx import ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
 from .dsum import DirichletTable
 from .errors import CapacityError, DomainError, UnsupportedKernelError
-from .zeta import ComplexParam, power_prefix_table, zeta_em
+from .kernels import LITTLE_Q, R, CellKernel, KernelSpec
+from .zeta import ComplexParam, power_prefix_table
 
 _GUARD = 96
 MAX_PARTITION_X = 10_000_000
@@ -298,47 +299,37 @@ class InnerSumFactor:
                 [self.coef_abs[j] * self.V_abs[l - j][K] for j in range(l + 1)])
 
 
-class QKernelFactor:
-    """(s-1)(zeta(s) - P_K) t^s - t on pieces with floor(t) = K.
+class KernelFactor:
+    """The Q or R kernel on pieces with floor(t) = K: `CellKernel.cell(K)`,
+    c_K t^s - t for Q and c_K t^s - s t + (s-1)(K + 1/2) for R.
 
     zeta_column is d(coefficients)/d(zeta): (s-1) on the t^s slot.
     """
 
     index = "K"
 
-    def __init__(self, s: ComplexParam, prec: int, target_radius: float = 1e-35):
-        s.require_not_one("Q kernel")
-        self.zeta, _ = zeta_em(s, target_radius, precision=prec, want_derivative=False)
-        self.table = power_prefix_table(s.sigma, s.tau, prec)
-        self.sm = s.as_mpc()
-        self.sm1_abs = abs(complex(self.sm - 1))
-        self.shape = [(self.sm, 0), (mpf(1), 0)]
-        self.zeta_column = [self.sm - 1, 0]
+    def __init__(self, spec: KernelSpec, prec: int, target_radius: float = 1e-35):
+        if spec.variant == LITTLE_Q:
+            raise UnsupportedKernelError("no kernel identity integrates q")
+        self.kernel = CellKernel(spec, prec, zeta_target=target_radius)
+        self.zeta_radius = self.kernel.zeta.radius
+        sm = self.kernel.sm
+        self.sm1_abs = abs(complex(sm - 1))
+        self.shape = [(sm, 0), (mpf(1), 0)]
+        self.zeta_column = [sm - 1, 0]
+        self.beta_abs = 1.0
+        if spec.variant == R:
+            self.shape.append((mpf(0), 0))
+            self.zeta_column.append(0)
+            self.beta_abs += self.sm1_abs
 
     def coeffs(self, K: int):
-        P = self.table.value(K)
-        c = (self.sm - 1) * (self.zeta.value - P)
-        abs_c = self.sm1_abs * (float(mpmath.fabs(self.zeta.value)) + float(mpmath.fabs(P)))
-        return [c, mpf(-1)], [abs_c, 1.0]
-
-    @property
-    def zeta_radius(self) -> float:
-        return self.zeta.radius
-
-
-class RKernelFactor(QKernelFactor):
-    """Q_s(t) + (s-1)(1/2 - {t}) with {t} = t - K on the piece."""
-
-    def __init__(self, s: ComplexParam, prec: int, target_radius: float = 1e-35):
-        super().__init__(s, prec, target_radius)
-        self.shape.append((mpf(0), 0))
-        self.zeta_column.append(0)
-
-    def coeffs(self, K: int):
-        (c, _), (abs_c, _) = super().coeffs(K)
-        sm1 = self.sm - 1
-        half_K = sm1 * (mpf(1) / 2 + K)
-        return [c, mpf(-1) - sm1, half_K], [abs_c, 1.0 + self.sm1_abs, abs(complex(half_K))]
+        ck = self.kernel
+        c, beta, delta = ck.cell(K)
+        abs_c = self.sm1_abs * (float(mpmath.fabs(ck.zeta.value))
+                                + float(mpmath.fabs(ck.table.value(K))))
+        n = len(self.shape)  # R's delta slot; Q's delta is 0
+        return [c, beta, delta][:n], [abs_c, self.beta_abs, abs(complex(delta))][:n]
 
 
 class PowSumFactor:
@@ -618,8 +609,8 @@ def integrate_m_kernel(x: float, g, precision: int | None = None,
 
     w is m (default), m-check - 1 ("mcheck1"), or the normalized
     m-double-check ("mdcheck"); g is a FunctionSpec, a PowLogSum, or a piece
-    factor built by the factories in this module (Q/R kernels, truncated power
-    sums, 1/2 - {t}, the harmonic weight).
+    factor built by the factories in this module (`KernelFactor` for the Q and
+    R kernels, truncated power sums, 1/2 - {t}, the harmonic weight).
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")

@@ -1,8 +1,9 @@
 """Rigorous quadrature for the kernels' absolute values, sup bounds by
 branch-and-bound, and the exact signed L1 reference.
 
-On a unit cell [K, K+1) every kernel variant is g(t) = c t^s + beta t + delta
-with c = (s-1)(zeta(s) - P_K), so all derivative bounds are closed-form:
+Every kernel variant is read cell by cell from `kernels.CellKernel`, where on
+[K, K+1) it is g(t) = c t^s + beta t + delta, so all derivative bounds are
+closed-form:
 
   - signed integrals of g(t)/t^2 use composite Simpson with the rigorous
     h^5/2880 sup|phi''''| remainder (phi = c t^{s-2} + beta/t + delta/t^2 has
@@ -39,70 +40,10 @@ from .approx import ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
 from .dsum import DirichletTable
 from .errors import DomainError, PrecisionError
-from .kernels import IBP_R, KernelSpec, Q, LITTLE_Q, hel_sup_abs_Q, kernel_bound, SUP_Q
+from .kernels import IBP_R, CellKernel, KernelSpec, hel_sup_abs_Q, kernel_bound, SUP_Q
 from .zeta import ComplexParam, power_prefix_table, zeta_em
 
 _GUARD = 48
-
-
-class _CellKernel:
-    """g(t) = c_K t^s + beta t + delta on [K, K+1), plus derivative bounds."""
-
-    def __init__(self, spec: KernelSpec, prec: int, zeta_target: float = 1e-35):
-        self.spec = spec
-        self.s = spec.s
-        self.s.require_not_one("kernel quadrature")
-        self.s.require_sigma_gt(-1.0, "kernel quadrature")
-        self.prec = prec
-        self.zeta, _ = zeta_em(self.s, zeta_target, precision=prec, want_derivative=False)
-        self.table = power_prefix_table(self.s.sigma, self.s.tau, prec)
-        self.sm = self.s.as_mpc()
-        self.scale = 1.0
-        if spec.variant == LITTLE_Q:
-            self.scale = abs(complex(self.sm - 1))
-
-    def cell(self, K: int):
-        sm = self.sm
-        c = (sm - 1) * (self.zeta.value - self.table.value(K))
-        if self.spec.variant == Q or self.spec.variant == LITTLE_Q:
-            beta, delta = mpf(-1), mpf(0)
-        else:  # R: Q - (s-1)({t}-1/2) = c t^s - s t + (s-1)(K+1/2)
-            beta, delta = -sm, (sm - 1) * (K + mpf(1) / 2)
-        if self.spec.variant == LITTLE_Q:
-            c, beta, delta = c * (sm - 1), beta * (sm - 1), delta * (sm - 1)
-        return c, beta, delta
-
-    def g(self, c, beta, delta, t):
-        return c * mpmath.power(t, self.sm) + beta * t + delta
-
-    def bounds(self, c, beta, delta, a: float, b: float):
-        """(G0, D1, D2): sup bounds for |g|, |g'|, |g''| on [a, b]."""
-        sig = self.s.sigma
-        ca = abs(complex(c))
-        s_abs = self.s.abs()
-        s1_abs = abs(complex(self.sm - 1))
-        tp = lambda e: max(a ** e, b ** e)
-        G0 = ca * tp(sig) + abs(complex(beta)) * b + abs(complex(delta))
-        D1 = ca * s_abs * tp(sig - 1) + abs(complex(beta))
-        D2 = ca * s_abs * s1_abs * tp(sig - 2)
-        return G0, D1, D2
-
-    # zeta-value data radius propagated into any integral of g / t^2 on [a,b]:
-    # d(g)/d(zeta) = (s-1) t^s (times (s-1) again for little q)
-    def zeta_rad_per_unit(self, a: float, b: float) -> float:
-        amp = abs(complex(self.sm - 1)) * self.scale
-        return self.zeta.radius * amp * max(a ** self.s.sigma, b ** self.s.sigma)
-
-
-def _phi4_bound(ck: _CellKernel, c, beta, delta, a: float) -> float:
-    """sup |d^4/dt^4 (g(t)/t^2)| on [a, .] for t >= a >= 1."""
-    sm = ck.sm
-    sig = ck.s.sigma
-    p = sm - 2
-    prod = abs(complex(p * (p - 1) * (p - 2) * (p - 3)))
-    return (abs(complex(c)) * prod * a ** (sig - 6.0)
-            + abs(complex(beta)) * 24.0 * a ** -5.0
-            + abs(complex(delta)) * 120.0 * a ** -6.0)
 
 
 def integrate_signed_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-8,
@@ -112,7 +53,7 @@ def integrate_signed_kernel(spec: KernelSpec, T: float, target_radius: float = 1
     if T < 1:
         raise DomainError("T >= 1 required")
     prec = precision or mpmath.mp.prec
-    ck = _CellKernel(spec, prec, zeta_target=min(1e-30, target_radius / max(T, 2.0)))
+    ck = CellKernel(spec, prec, zeta_target=min(1e-30, target_radius / max(T, 2.0)))
     eps = eps_for(prec)
     is_real = ck.s.is_real
     with mpmath.mp.workprec(prec + _GUARD):
@@ -126,7 +67,7 @@ def integrate_signed_kernel(spec: KernelSpec, T: float, target_radius: float = 1
             h_cell = b_end - K
             if h_cell <= 0:
                 break
-            phi4 = _phi4_bound(ck, c, beta, delta, K)
+            phi4 = ck.phi4_bound(c, beta, delta, K)
             # composite Simpson: error n (h/n)^5 /2880 phi4 <= budget_K
             budget = 0.45 * target_radius * (1.0 / (K * (K + 1)))
             n = max(2, math.ceil((h_cell ** 5 * phi4 / (2880.0 * budget)) ** 0.25))
@@ -161,7 +102,7 @@ def integrate_abs_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-2
     if T < 1:
         raise DomainError("T >= 1 required")
     prec = precision or mpmath.mp.prec
-    ck = _CellKernel(spec, prec, zeta_target=min(1e-30, target_radius / (8 * max(T, 2.0))))
+    ck = CellKernel(spec, prec, zeta_target=min(1e-30, target_radius / (8 * max(T, 2.0))))
     eps = eps_for(prec)
     with mpmath.mp.workprec(prec + _GUARD):
         total = mpf(0)
@@ -235,7 +176,7 @@ def sup_abs_kernel(spec: KernelSpec, t_lo: float, t_hi: float,
     if not (1 <= t_lo < t_hi):
         raise DomainError("need 1 <= t_lo < t_hi")
     prec = precision or mpmath.mp.prec
-    ck = _CellKernel(spec, prec)
+    ck = CellKernel(spec, prec)
     # refine to a little under the request so the discarded-interval
     # allowance below still lands the radius within target_radius
     tol = 0.45 * target_radius

@@ -9,6 +9,7 @@ import pytest
 
 from moebius import dsum
 from moebius.dsum import DirichletTable
+from moebius.errors import CapacityError
 from moebius.identities import mu_log_power_sum, mu_power_sum
 from moebius.sieve import base_primes
 from moebius.summatory import summatory
@@ -82,16 +83,37 @@ def test_power_sums_against_doubled_precision(s, x):
                 assert value.radius < x * 2.0 ** -(PREC + 48)
 
 
-def test_grown_table_equals_one_built_at_once():
-    # sigma < 0: growing from 100 to 5000 adds headroom bits, so W changes
-    grown = DirichletTable(-0.5, 0.0, PREC)
-    grown.extend(100)
-    W_small = grown.W
+@pytest.mark.parametrize("s", [-0.5, -0.5 + 5j])
+def test_prefix_bits_do_not_depend_on_growth(s):
+    # sigma < 0: the headroom bits come from the cap, not from how far the
+    # table has grown, so a prefix read early keeps its bits
+    sigma, tau = complex(s).real, complex(s).imag
+    grown = DirichletTable(sigma, tau, PREC)
+    before = [(grown.value(K), grown.radius(K)) for K in (1, 10, 16)]
+    W = grown.W
     grown.extend(5000)
-    whole = DirichletTable(-0.5, 0.0, PREC)
+    assert grown.W == W
+    assert [(grown.value(K), grown.radius(K)) for K in (1, 10, 16)] == before
+    whole = DirichletTable(sigma, tau, PREC)
     whole.extend(5000)
-    assert grown.W == whole.W > W_small
     assert grown.terms(5000) == whole.terms(5000)
+
+
+def test_table_past_its_cap_raises_before_sieving(monkeypatch):
+    def no_sieve(N):
+        raise AssertionError("sieved")
+
+    table = DirichletTable(0.5, 0.0, PREC)
+    monkeypatch.setattr(dsum, "smallest_prime_factors", no_sieve)
+    for grow in (table.extend, table.value):
+        with pytest.raises(CapacityError):
+            grow(dsum.CAP + 1)
+    assert table.N == 1
+    monkeypatch.undo()
+    monkeypatch.setattr(dsum, "CAP", 64)
+    table.value(40)
+    table.value(50)  # doubling from 40 stops at the cap
+    assert table.N == 64
 
 
 def test_transcendentals_run_at_primes_only(monkeypatch):

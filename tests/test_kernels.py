@@ -4,11 +4,12 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moebius.errors import DomainError
-from moebius.kernels import (IBP_R, KernelSpec, MID_Q, REAL_R, SUP_Q,
+from moebius.errors import DomainError, UnsupportedKernelError
+from moebius.kernels import (IBP_R, CellKernel, KernelSpec, MID_Q, REAL_R, SUP_Q,
                              frac_tail_integral, hel_remainder_bound,
                              hel_sup_abs_Q, kernel_bound, kernel_eval,
                              kernel_eval_em)
+from moebius.piecewise import KernelFactor
 
 
 def test_Q_at_s2_t1():
@@ -120,6 +121,35 @@ def test_frac_tail_against_closed_form():
             ref = -(mpmath.zeta(sm) - psum - mpmath.power(tm, 1 - sm) / (sm - 1)
                     + (mpmath.mpf(1) / 2 - frac) * mpmath.power(tm, -sm)) / sm
             assert abs(J.value - ref) <= J.radius + 1e-25, (s, t)
+
+
+CELL_S = [2.0, 0.5 + 3j, -0.5 + 5j, 0.5 + 14.13j]
+
+
+@pytest.mark.parametrize("s", CELL_S)
+def test_one_cell_kernel_serves_its_readers(s):
+    # the piecewise factor reads the cell as it is, bit for bit
+    prec = 128
+    for variant in ("Q", "R"):
+        spec = KernelSpec.make(variant, s)
+        kf, ck = KernelFactor(spec, prec), CellKernel(spec, prec)
+        with mpmath.workprec(prec + 96):
+            for K in range(1, 51):
+                values, abs_values = kf.coeffs(K)
+                assert values == list(ck.cell(K))[:len(kf.shape)], (variant, K)
+                assert all(abs(complex(v)) <= a for v, a in zip(values, abs_values))
+    with pytest.raises(UnsupportedKernelError):
+        KernelFactor(KernelSpec.make("q", s), prec)
+    # the definitional kernel_eval lies within its radius of the cell form g,
+    # evaluated at doubled precision
+    for variant in ("Q", "q", "R"):
+        spec = KernelSpec.make(variant, s)
+        ck = CellKernel(spec, 2 * prec, zeta_target=1e-70)
+        for t in (1.0, 1.5, 2.5, 7.3, 20.0, 49.9):
+            v = kernel_eval(spec, t, precision=prec)
+            with mpmath.workprec(2 * prec):
+                g = ck.g(*ck.cell(math.floor(t)), mpmath.mpf(t))
+                assert abs(v.value - g) <= v.radius, (variant, t)
 
 
 def test_domain_guards():

@@ -1,0 +1,84 @@
+"""Cell parity of this checkout's working tree against an earlier revision.
+
+    python3 tools/parity.py PARENT_REV
+
+Checks PARENT_REV out in a temporary `git worktree` (removed afterwards, also
+on failure).  Then, for `verify --suite all --threads 1 --stable-output
+--payload` and for each benchmark workload's argv at seed 7
+(`perfbench/workloads.make(name, 7)`) with `--threads 1` appended, it runs
+`tools/cellparity.py dump` once on PARENT_REV and once on this checkout, each
+with PYTHONPATH at that checkout's src, and prints `tools/cellparity.py
+compare` of the two dumps, after one line saying whether the two runs' stdout
+is byte-identical.  The exit status is 1 if any compare exits non-zero (or a
+dump wrote nothing), else 0.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CELLPARITY = ROOT / "tools" / "cellparity.py"
+SUITE = ["verify", "--suite", "all", "--threads", "1", "--stable-output", "--payload"]
+SEED = 7
+
+
+def _argvs() -> list[tuple[str, list[str]]]:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    runs = [("suite all", SUITE)]
+    for name in workloads.WORKLOADS:
+        argv, _ = workloads.make(name, SEED)
+        runs.append((name, [*argv, "--threads", "1"]))
+    return runs
+
+
+def _dump(checkout: Path, out: Path, argv: list[str]) -> bytes:
+    """Run `cellparity dump` against checkout's src; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    done = subprocess.run([sys.executable, str(CELLPARITY), "dump", str(out), *argv],
+                          cwd=checkout, env=env, stdout=subprocess.PIPE)
+    return done.stdout
+
+
+def parity(parent_rev: str, tmp: Path) -> int:
+    parent = tmp / "parent"
+    subprocess.run(["git", "worktree", "add", "--detach", str(parent), parent_rev],
+                   cwd=ROOT, check=True)
+    bad = False
+    for i, (name, argv) in enumerate(_argvs()):
+        old, new = tmp / f"old{i}.json", tmp / f"new{i}.json"
+        print(f"== {name}: {' '.join(argv)}", flush=True)
+        same = _dump(parent, old, argv) == _dump(ROOT, new, argv)
+        print(f"stdout {'byte-identical' if same else 'DIFFERS'}", flush=True)
+        if not (old.exists() and new.exists()):
+            print("a dump wrote nothing", flush=True)
+            bad = True
+            continue
+        rc = subprocess.run([sys.executable, str(CELLPARITY), "compare", str(old), str(new)])
+        bad |= rc.returncode != 0
+    return 1 if bad else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    tmp = Path(tempfile.mkdtemp(prefix="parity-"))
+    try:
+        return parity(argv[0], tmp)
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", str(tmp / "parent")],
+                       cwd=ROOT, stderr=subprocess.DEVNULL)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT)
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
