@@ -993,11 +993,11 @@ def run_check(check_id: str, grid: dict | None = None,
 #: reference host, for the checks of about 0.2 s or more; run_suite submits
 #: the longest first, and an id not listed here counts 0
 _COST_S = {
-    "terre": 12.0, "mtronqchch": 4.5, "derivK2": 3.8, "formule-m": 3.3, "mtronqch": 3.2,
-    "abel": 2.7, "q-l1": 2.4, "headline": 2.2, "mieux-1": 1.8, "mtronq": 1.6, "em-cross": 1.2,
-    "mieux-2": 0.63, "exact-Q-l1": 0.62, "parchm": 0.47, "derivK3": 0.46, "prop1-a": 0.46,
-    "prop2-c": 0.43, "prop1-c": 0.37, "poids": 0.31, "har": 0.31, "double-check-borne": 0.29,
-    "prop2-b": 0.28, "k1": 0.27, "prop1-b": 0.27, "derivK1": 0.23,
+    "mtronqchch": 4.1, "derivK2": 3.9, "terre": 3.2, "mtronqch": 2.8, "q-l1": 2.7,
+    "headline": 2.5, "mtronq": 1.5, "em-cross": 1.1, "formule-m": 1.1, "abel": 1.0,
+    "mieux-1": 0.85, "exact-Q-l1": 0.54, "derivK3": 0.50, "parchm": 0.50, "prop1-a": 0.44,
+    "mieux-2": 0.43, "prop2-c": 0.35, "har": 0.30, "prop1-c": 0.30, "prop2-b": 0.24,
+    "prop1-b": 0.23, "derivK1": 0.20,
 }
 
 

@@ -63,6 +63,15 @@ C_MUL = 3
 _EXTRA = 32  # g less the bits of |s| log p
 
 
+def exact_ratio(v) -> tuple[int, int]:
+    """v as (numerator, denominator), exactly: an int, float, Fraction or mpf."""
+    if hasattr(v, "as_integer_ratio"):
+        return v.as_integer_ratio()
+    sign, man, exp, _ = mpmath.mpf(v)._mpf_
+    man = -man if sign else man
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
 def smallest_prime_factors(N: int) -> list[int]:
     """spf(n) for n = 0..N, with spf(0) = 0 and spf(1) = 1."""
     spf = np.zeros(N + 1, dtype=np.int64)
@@ -79,15 +88,21 @@ class DirichletTable:
 
     Terms, sums and prefixes of w(n) n^-s log^i n read it (i = 0 only
     without logs); `value` and `radius` with their defaults make it the
-    prefix table P_K = sum_{k<=K} k^-s.  Not thread-safe: a table belongs to
-    one caller or to one process's cache.
+    prefix table P_K = sum_{k<=K} k^-s.  sigma and tau may be any exact
+    reals (an mpf exponent need not be a double).  `W` sets the fixed-point
+    bits directly, for callers that count their own error; the per-term
+    bounds above hold for any W.  Not thread-safe: a table belongs to one
+    caller or to one process's cache.
     """
 
-    def __init__(self, sigma: float, tau: float, prec: int, logs: bool = False):
+    def __init__(self, sigma, tau, prec: int, logs: bool = False, W: int | None = None):
         self.sigma, self.tau, self.prec, self.logs = float(sigma), float(tau), prec, logs
-        self.W = prec + GUARD + math.ceil(max(0.0, -self.sigma) * math.log2(CAP))
+        self._s = exact_ratio(sigma), exact_ratio(tau)
+        if W is None:
+            W = prec + GUARD + math.ceil(max(0.0, -self.sigma) * math.log2(CAP))
+        self.W = W
         self.N, self.om, self.log = 1, [0, 0], [0, 0]
-        self.parts = [[0, 1 << self.W]] + ([[0, 0]] if self.tau else [])
+        self.parts = [[0, 1 << self.W]] + ([[0, 0]] if self._s[1][0] else [])
         self._mu, self._prefix, self._cum = [0], None, {}
 
     def extend(self, N: int) -> None:
@@ -101,7 +116,7 @@ class DirichletTable:
         spf = smallest_prime_factors(N)
         lo, om, log = self.N + 1, self.om, self.log
         at_primes = iter(self._at_primes([n for n in range(lo, N + 1) if spf[n] == n]))
-        re, im = self.parts[0], (self.parts[1] if self.tau else None)
+        re, im = self.parts[0], (self.parts[1] if len(self.parts) > 1 else None)
         for n in range(lo, N + 1):
             p = spf[n]
             if p == n:
@@ -125,8 +140,10 @@ class DirichletTable:
     def _at_primes(self, primes: list[int]) -> list[tuple]:
         """(log p, or 0 without logs, Re p^-s[, Im p^-s]) at each prime, at W bits."""
         W, sigma, tau = self.W, self.sigma, self.tau
-        if tau == 0.0 and sigma == int(sigma):
-            k = int(sigma)
+        (num, den), (tnum, tden) = self._s
+        integer = tnum == 0 and den == 1
+        if integer:
+            k = num
             powers = [(1 << W) // p ** k if k > 0 else p ** -k << W for p in primes]
             if not self.logs:
                 return [(0, v) for v in powers]
@@ -135,12 +152,11 @@ class DirichletTable:
         wp = W + g
         logs = [log_int_fixed(p, wp) for p in primes]
         out = [lp >> g if self.logs else 0 for lp in logs]
-        if tau == 0.0 and sigma == int(sigma):
+        if integer:
             return list(zip(out, powers))
-        (num, den), (tnum, tden) = sigma.as_integer_ratio(), tau.as_integer_ratio()
         ln2, pi2 = ln2_fixed(wp), pi_fixed(wp - 1)
         mags = [exp_fixed(-num * lp // den, wp, ln2) for lp in logs]
-        if tau == 0.0:
+        if tnum == 0:
             return [(lp, mag >> g) for lp, mag in zip(out, mags)]
         cs = [cos_sin_fixed(-tnum * lp // tden, wp, pi2) for lp in logs]
         return [(lp, (mag * c) >> (wp + g), (mag * s) >> (wp + g))
@@ -190,11 +206,15 @@ class DirichletTable:
 
     def value(self, K: int):
         """sum_{n<=K} n^-s, grown by doubling and turned into an mpf when read."""
+        return self.to_mp(*self.prefix(K))
+
+    def prefix(self, K: int) -> tuple[int, ...]:
+        """(Re,) or (Re, Im) of sum_{n<=K} n^-s in units u, grown by doubling."""
         if K > self.N:
             self.extend(max(K, min(2 * self.N, CAP)))
         if self._prefix is None:
             self._prefix = [list(accumulate(part)) for part in self.terms(self.N)]
-        return self.to_mp(*(part[K] for part in self._prefix))
+        return tuple(part[K] for part in self._prefix)
 
     def radius(self, K: int, i: int = 0, mu: bool = False) -> float:
         """The counted error of the prefix through K, as a float upper bound."""

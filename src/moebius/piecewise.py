@@ -10,6 +10,9 @@ produces pure log powers).  The partition merges the integers <= x with the
 points x/n, so floor(t), every truncated power sum in t, and every summatory
 value at x/t are constant in structure between consecutive breakpoints: each
 piece contributes an antiderivative difference, not a quadrature estimate.
+The breakpoints are kept exactly, as k or x/n, and each piece's N = floor(x/t)
+and K = floor(t) come from integer comparisons with x as a ratio of ints
+(`Partition.pieces`).
 
 Compiled shape: every factor declares its index (N = floor(x/t), K = floor(t),
 or none) and a fixed list of (exponent, log degree) slots; only the slot
@@ -24,23 +27,65 @@ N-indexed factor need the points x/n; the rest walk the integers alone), and
 `integrate_partition` is its batch of one.  Shared across the batch, per
 breakpoint: log t, and t^q once per distinct exponent q of all integrands;
 per distinct compiled shape (the same slots over the same exponents): the
-slot values t^q log^i t and their difference across each piece.  Each
-breakpoint is computed once and serves the two pieces that meet there.  Per
-integrand, unchanged from integrating it alone: its compiled terms, its
-coefficient vectors (computed once per distinct index value, as adjacent
-pieces share N or K), their products, the dot product with the shape's
-endpoint difference, and its running total, condition and zeta sums, in the
-same order, so every value and radius equals the lone integral's bit for bit.
-The walk's state is rolling, O(integrands x slots) and never O(pieces).
+slot values t^q log^i t and their difference across each piece; per factor:
+its coefficient vector, converted once per distinct index value.  Each
+breakpoint serves the two pieces that meet there.  Every one of these values
+depends only on (x, prec, its own q, i or shape), never on the rest of the
+batch, so each value and radius equals the lone integral's bit for bit.  The
+walk's state is rolling, O(integrands x slots) and never O(pieces).
 
-Radius accounting: all arithmetic runs at 96 guard bits; each piece adds to a
-condition tracker the absolute-coefficient evaluation of its integrand's
-antiderivative at both endpoints plus the contribution magnitude, and the
-final radius is eps(prec) * 64 * tracker, a generous cover for every rounding
-and cancellation the piece can contain at that operation count.  A factor
-with imported zeta data (the Q and R kernels) also carries a zeta column, the
-derivative of its coefficients in zeta(s); the same map turns it into the
-integral's sensitivity to zeta, which the zeta radius multiplies.
+Fixed point.  The walk runs in Python ints: an int a at scale W stands for
+a 2^-W, a complex value is a pair of ints, and a sum or product of ints is
+exact.  Errors enter only where a value is floored to a scale, and each such
+error is counted against the radius model below, which is unchanged: each
+piece adds to a float condition tracker cond the absolute-coefficient sum
+F_abs . (|u(a)| + |u(b)|) over its antiderivative slots u = t^q log^i t, plus
+the contribution's magnitude, and the radius is eps(prec) * 64 * cond, plus
+zeta_radius * sens for a factor with imported zeta data (the Q and R kernels),
+whose zeta column, the derivative of its coefficients in zeta(s), the same
+map turns into the integral's sensitivity to zeta.  The fixed-point error is
+held below eps(prec) cond / 64, so the 64 eps cond that covers the
+coefficient data's own rounding is left nearly whole.  With P = prec, on [1, x]
+(x <= 2^24), b1 the least breakpoint above 1, lb a float lower bound of
+log b1 and lbits = ceil(log2(1/lb)) (lb < log 2 < 1), and per exponent q
+up = ceil(max(0, Re q) log2 x) + 1, down = ceil(max(0, -Re q) log2 x) + 1:
+
+- log t, at scale WL = P + 22 + lbits: log k from a `DirichletTable` (off by
+  2 Omega(k) <= 48 units), log x - log n at x/n (log x floored once, < 1 unit
+  more), so off by < 2^6 units: relative r_L <= 2^(6 - WL) / lb <=
+  2^-(P+16) at every breakpoint but 1, where log 1 = 0 exactly.  L^i is
+  formed exactly, relative error <= 2 i r_L <= 2^-(P+9) for i <= 64.
+- t^q, at scale WT = P + 18 + down: k^q from a table of k^-s, s = -q, whose
+  terms are off by <= Omega(k) (C_PRIME + C_MUL) k^max(0, Re q) < 2^7
+  k^max(0, Re q) units (dsum); against |k^q| = k^Re q that is relative
+  <= 2^(7 + down - WT) = 2^-(P+11).  At x/n, x^q n^-q: n^-q from a table at
+  P + 18 + up bits (relative <= 2^-(P+11) by the same count), x^q from mpmath
+  at WT + 8 bits (relative <= 2^-(P+25)), and the product floored to WT
+  (< 2 units against |t^q| >= min(1, x^Re q) >= 2^-down: <= 2^-(P+17)).  An
+  integer q needs no table: k^q, and x^q n^-q as one floor division (< 1
+  unit).  So t^q is off by relative r_T <= 2^-(P+10), and exactly 1 at t = 1.
+- u = t^q L^i is formed exactly and floored to its shape's scale Ws = P + 10
+  + max over the shape's slots of (down + i lbits): < 2 units against
+  |u| >= 2^-down lb^i, relative <= 2^-(P+9).  Every slot value is therefore
+  off by at most rho |u|, rho = 2^-(P+6), and exact at t = 1.
+- Coefficients: each factor's vector at an index is floored to one scale G
+  with G >= Wc - e_j for every entry j, Wc = P + 17 and 2^(e_j - 1) <=
+  max(abs_j, |v_j|) < 2^e_j, so each part of an entry is off by < 2 units,
+  relative <= 2^(2.5 - Wc) to its abs value.  A product of nf <= 64 entries
+  is then off by <= nf 2^(2.5 - Wc) (1 + o(1)) times the product of the abs
+  values, <= 2^-(P+8) of the F_abs term it feeds.  `SummatoryFactor` and
+  `KernelFactor` hand the walk such vectors straight from their own ints
+  (`fixed`); other factors' mpf `coeffs` are floored by `_vec`.  The
+  compiled map's coefficients m are converted exactly.
+- Products, the dot product with the endpoint difference, and the running
+  total are exact; the total becomes an mpf exactly and rounds once.
+
+Per piece, |F~ D~ - F d| <= sum_o |F~_o - F_o| |D~_o| + |F_o| |D~_o - d_o|
+<= (2^-(P+8) + 2^-(P+6)) (1 + 2^-40) sum_o F_abs_o (|u_o(a)| + |u_o(b)|),
+the float slack covering the rounding of the abs values, so the walk's error
+is at most 2^-(P+5) cond = eps(prec) cond / 64.  Exponents that are not
+doubles (q = p + 1 for a tiny p, say) are exact mpf values, and the tables
+take them exactly.
 """
 
 from __future__ import annotations
@@ -48,21 +93,26 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
+from operator import mul
 
 import mpmath
-from mpmath import mpf
+from mpmath import mpc, mpf
+from mpmath.libmp import from_man_exp
 
 from .approx import ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
-from .dsum import DirichletTable
+from .dsum import DirichletTable, exact_ratio
 from .errors import CapacityError, DomainError, UnsupportedKernelError
 from .kernels import LITTLE_Q, R, CellKernel, KernelSpec
 from .zeta import ComplexParam, power_prefix_table
 
 _GUARD = 96
 MAX_PARTITION_X = 10_000_000
+MAX_LOG_DEGREE = 64  # and at most as many varying factors: the bound above counts on it
+_COEF_BITS = 17  # Wc - prec
+_SUM_GUARD = 64  # a summatory factor's columns carry mp.prec + this many bits
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +222,9 @@ class Partition:
     """Sorted breakpoints of [1, x]: the integers <= x merged with x/n, n <= x.
 
     Between consecutive breakpoints floor(t), floor(x/t), and hence every
-    step-indexed factor, is constant in structure.
+    step-indexed factor, is constant in structure.  `keys` holds each point
+    exactly: k > 0 is the integer k, -n is x/n (a point x/n equal to an
+    integer is kept as the integer).
     """
 
     def __init__(self, x: float, need_inverse_points: bool = True):
@@ -182,35 +234,209 @@ class Partition:
             raise CapacityError(
                 f"partition for x = {x} would exceed ~{2 * MAX_PARTITION_X} pieces")
         self.x = x
-        N = math.floor(x)
-        with mpmath.mp.workprec(mpmath.mp.prec + _GUARD):
-            xm = mpf(x)
-            pts = [mpf(n) for n in range(1, N + 1)]
-            if mpf(N) != xm:
-                pts.append(xm)
-            if need_inverse_points:
-                pts.extend(xm / n for n in range(2, N + 1))
-            # rounding to float is monotone, so the float key orders as the
-            # mpf values do and leaves only float ties to mpf comparisons
-            pts = sorted(set(pts), key=lambda p: (float(p), p))
-        self.points = pts
+        self.num, self.den = num, den = exact_ratio(x)
+        N = num // den
+        if not need_inverse_points:
+            keys = list(range(1, N + 1)) + ([] if N * den == num else [-1])
+        else:
+            keys, k, n = [], 1, N  # integers ascending, x/n descending in n
+            while k <= N or n >= 1:
+                c = -1 if n < 1 else 1 if k > N else k * n * den - num  # k vs x/n
+                if c <= 0:
+                    keys.append(k)
+                    k += 1
+                if c >= 0:
+                    if c > 0:
+                        keys.append(-n)
+                    n -= 1
+        self.keys = keys
 
     def __len__(self):
-        return len(self.points)
+        return len(self.keys)
+
+    def ratio(self, key: int) -> tuple[int, int]:
+        """The breakpoint `key` as (numerator, denominator)."""
+        return (key, 1) if key > 0 else (self.num, self.den * -key)
 
     def pieces(self):
-        """Yield (a, b, N=floor(x/mid), K=floor(mid)) per piece."""
-        x = mpf(self.x)
-        for a, b in zip(self.points, self.points[1:]):
-            mid = (a + b) / 2
-            K = int(mid)  # int() truncates: floor, as mid >= 1
-            N = int(x / mid)
-            yield a, b, N, K
+        """Yield (a, b, N, K) per piece: its endpoints as keys, and N =
+        floor(x/t), K = floor(t), exactly.  Both are constant inside a piece,
+        so they are taken at its midpoint m, as floor(2 x / (a + b)) and
+        floor((a + b) / 2) in integers."""
+        num, den = self.num, self.den
+        a = self.keys[0]
+        ra = self.ratio(a)
+        for b in self.keys[1:]:
+            rb = self.ratio(b)
+            s = ra[0] * rb[1] + rb[0] * ra[1]  # a + b = s / (qa qb)
+            q = ra[1] * rb[1]
+            yield a, b, (2 * num * q) // (den * s), s // (2 * q)
+            a, ra = b, rb
+
+
+# ---------------------------------------------------------------------------
+# Fixed point (see the module docstring): ints at a scale W stand for
+# value * 2^W; complex values are (re, im) pairs, im None when real-typed.
+# ---------------------------------------------------------------------------
+
+def _mp_parts(v) -> tuple:
+    """(re, im) raw mpf tuples of v, im None when v is real-typed."""
+    t = type(v)
+    if t is mpf:
+        return v._mpf_, None
+    if t is mpc:
+        return v._mpc_
+    return _mp_parts(mpmath.mpmathify(v))
+
+
+def _fix(t: tuple, G: int) -> int:
+    """The raw mpf t times 2^G, truncated toward zero (exact when G >= -exp)."""
+    sign, man, exp, _ = t
+    s = exp + G
+    v = man << s if s >= 0 else man >> -s
+    return -v if sign else v
+
+
+def _exact_scale(parts) -> int:
+    """The least G at which every raw mpf in `parts` (None skipped) is an int."""
+    return max((-t[2] for t in parts if t is not None and t[1]), default=0)
+
+
+def _shift(v: int, s: int) -> int:
+    """v * 2^-s, floored: s < 0 shifts left, exactly."""
+    return v >> s if s >= 0 else v << -s
+
+
+def _to_float(n: int, S: int) -> float:
+    """n 2^-S correctly rounded to a float (inf past the float range, as
+    mpmath's float() gives)."""
+    sh = n.bit_length() - 1000  # float() of an int below 2^1000 rounds correctly
+    if sh > 0:
+        a = abs(n)
+        a = (a >> sh) | (1 if a & ((1 << sh) - 1) else 0)  # a sticky bit keeps the rounding
+        n = -a if n < 0 else a
+    try:
+        return math.ldexp(float(n), max(sh, 0) - S)
+    except OverflowError:
+        return -math.inf if n < 0 else math.inf
+
+
+def _to_mp(re: int, im: int | None, S: int):
+    """re (+ i im) times 2^-S as an mpf or mpc, rounded once to mp.prec."""
+    prec = mpmath.mp.prec
+    r = from_man_exp(re, -S, prec, "n")
+    if im is None:
+        return mpmath.mp.make_mpf(r)
+    return mpmath.mp.make_mpc((r, from_man_exp(im, -S, prec, "n")))
+
+
+def _vec(vals, absv, Wc: int) -> tuple:
+    """(G, re, im, absv): a factor's coefficient vector floored to one scale G
+    with G >= Wc - e_j, 2^(e_j - 1) <= max(absv_j, |v_j|) < 2^e_j."""
+    parts = [_mp_parts(v) for v in vals]
+    G = None
+    for (re, im), a in zip(parts, absv):
+        e = math.frexp(a)[1] if a else None
+        for t in (re, im):
+            if t is not None and t[1]:
+                e = t[2] + t[3] if e is None else max(e, t[2] + t[3])
+        if e is not None:
+            G = Wc - e if G is None else max(G, Wc - e)
+    G = G or 0
+    cplx = any(im is not None for _, im in parts)
+    return (G, [_fix(re, G) for re, _ in parts],
+            [_fix(im, G) if im is not None else 0 for _, im in parts] if cplx else None,
+            list(absv))
+
+
+def _vec_scale(absv, Wc: int) -> int:
+    """_vec's G for entries bounded by absv."""
+    return max((Wc - math.frexp(a)[1] for a in absv if a), default=0)
+
+
+def _headroom(q, log2x: float) -> tuple[int, int]:
+    """(up, down): x^Re q <= 2^(up - 1) and x^-Re q <= 2^(down - 1) on [1, x]."""
+    q_re = float(mpmath.re(q))
+    return (math.ceil(max(0.0, q_re) * log2x) + 1,
+            math.ceil(max(0.0, -q_re) * log2x) + 1)
+
+
+def _log_bits(num: int, den: int) -> int:
+    """ceil(log2(1 / lb)) for a float lower bound lb of log(num/den) > 0."""
+    lb = math.log1p((num - den) / den)
+    return max(0, math.ceil(-math.log2(lb * (1 - 2.0**-40))))
+
+
+class _Logs:
+    """log t at scale W for t = k and t = x/n, k, n <= N: each off by < 2^6 units."""
+
+    def __init__(self, x, W: int, N: int):
+        self.W = W
+        table = DirichletTable(0, 0, 0, logs=True, W=W)
+        table.extend(N)
+        self.log = table.log
+        with mpmath.mp.workprec(W + 30):
+            self.LX = int(mpmath.floor(mpmath.ldexp(mpmath.log(mpf(x)), W)))
+
+    def at_inv(self, n: int) -> int:
+        return self.LX - self.log[n]
+
+
+class _Powers:
+    """t^q at scale W for t = k and t = x/n, k, n <= N, x = num/den, each off
+    by relative <= 2^-(bits + 10): for an integer q one exact floor division
+    each, else a table of k^q, and x^q times a table of n^-q."""
+
+    def __init__(self, q, num: int, den: int, bits: int, ints: bool, N: int):
+        q = mpmath.mpmathify(q)
+        re, im = (q.real, q.imag) if type(q) is mpc else (q, mpf(0))
+        up, down = _headroom(q, math.log2(num) - math.log2(den))
+        self.W = W = bits + 18 + down
+        self.real = im == 0
+        self.n = int(re) if self.real and re == int(re) else None
+        if self.n is not None:
+            self.num, self.den = num, den
+            return
+        if ints:
+            self.A = DirichletTable(-re, -im, 0, W=W)
+            self.A.extend(N)
+        W_B, W_X = bits + 18 + up, W + 8
+        self.B = DirichletTable(re, im, 0, W=W_B)
+        self.B.extend(N)
+        self.shift = W_X + W_B - W
+        with mpmath.mp.workprec(W_X + up + 30):
+            v = mpmath.power(mpf(num) / den, q)
+            self.X = tuple(int(mpmath.floor(mpmath.ldexp(part(v), W_X)))
+                           for part in (mpmath.re, mpmath.im))
+
+    def _ratio(self, a: int, b: int) -> int:
+        """(a/b)^n at scale W, floored (exact for b = 1 and n >= 0)."""
+        n = self.n
+        if n < 0:
+            a, b, n = b, a, -n
+        return ((a ** n) << self.W) // b ** n
+
+    def at_int(self, k: int) -> tuple:
+        if self.n is not None:
+            return self._ratio(k, 1), None
+        parts = self.A.parts
+        return (parts[0][k], None) if self.real else (parts[0][k], parts[1][k])
+
+    def at_inv(self, n: int) -> tuple:
+        if self.n is not None:
+            return self._ratio(self.num, self.den * n), None
+        Xr, Xi = self.X
+        br, s = self.B.parts[0][n], self.shift
+        if self.real:
+            return (Xr * br) >> s, None
+        bi = self.B.parts[1][n]
+        return (Xr * br - Xi * bi) >> s, (Xr * bi + Xi * br) >> s
 
 
 # ---------------------------------------------------------------------------
 # Piece factors: index ("N", "K" or None), shape [(p, k)], and
-# coeffs(idx) -> (values, abs_values) aligned with the shape.
+# coeffs(idx) -> (values, abs_values) aligned with the shape.  A factor may
+# also offer fixed(idx, Wc), the walk's fixed-point vector (see `_vec`).
 # ---------------------------------------------------------------------------
 
 def _running_sums(columns) -> tuple[list, list]:
@@ -227,7 +453,12 @@ class SummatoryFactor:
 
     omega(u) = c u^p log^k u gives, with L_n = log(x/n) and A_n = (x/n)^p,
     the t-polynomial  c t^{-p} sum_j C(k,j)(-1)^j log^j t * W_{k-j}(N),
-    W_i(N) = sum_{n<=N} a(n) A_n L_n^i.  The W_i are prefix tables.
+    W_i(N) = sum_{n<=N} a(n) A_n L_n^i.  The W_i are fixed-point prefix sums:
+    A_n = x^p n^-p and L_n = log x - log n from the walk's tables, at
+    mp.prec + 64 bits, each term a(n) A_n L_n^i floored to its column's scale
+    with headroom for the least |a(n)|, A_n and L_n != 0 (as in the walk's
+    slot values), so every term is off by relative <= 2^-(mp.prec + 70) and
+    the exact prefix sums by that times W_abs.
     """
 
     index = "N"
@@ -236,35 +467,118 @@ class SummatoryFactor:
         if any(offset) and omega.p != 0:
             raise DomainError("offset needs omega.p == 0")
         k = omega.k
-        xm = mpf(x)
-        cols = [[] for _ in range(k + 1)]  # a(n) A_n L_n^i per n
-        for n, a_n in enumerate(seq_values, 1):
-            term = Ln = 0
-            if a_n != 0:
-                u = xm / n
-                An = mpmath.power(u, omega.p) if omega.p != 0 else mpf(1)
-                Ln = mpmath.log(u) if k else mpf(0)
-                term = mpmath.mpmathify(a_n) * An
-            for i, col in enumerate(cols):
-                col.append(term)
-                if i < k:
-                    term = term * Ln
-        self.W, self.W_abs = _running_sums(cols)  # prefix sums, index N
-        self.k = k
+        bits = mpmath.mp.prec + _SUM_GUARD
+        num, den = exact_ratio(x)
+        N = min(len(seq_values), num // den)
+        seq = [_mp_parts(a) for a in seq_values[:N]]
+        p = mpmath.mpmathify(omega.p) if omega.p != 0 else mpf(0)
         cm = mpmath.mpmathify(omega.c)
+        self.cplx = (type(cm) is mpc or (omega.p != 0 and isinstance(omega.p, (complex, mpc)))
+                     or any(im is not None for _, im in seq))
+        log2x = math.log2(num) - math.log2(den)
+        lbits = 0  # for the least L_n != 0: log(x/N), or log(x/(N-1)) at an integer x
+        if N * den != num:
+            lbits = _log_bits(num, den * N)
+        elif N > 1:
+            lbits = _log_bits(num, den * (N - 1))
+        # |a(n)| >= 2^-h_a for a(n) != 0
+        h_a = max((1 - t[2] - t[3] for a in seq for t in a if t is not None and t[1]),
+                  default=0)
+        pw = _Powers(p, num, den, bits, False, N)
+        logs = _Logs(x, bits + 22 + lbits, N) if k else None
+        self.Wf = [bits + 10 + _headroom(p, log2x)[1] + i * lbits + max(0, h_a)
+                   for i in range(k + 1)]
+        cols = [([], []) for _ in range(k + 1)]  # (re, im) terms per column
+        for n, (ar, ai) in enumerate(seq, 1):
+            if not ar[1] and (ai is None or not ai[1]):
+                for re, im in cols:
+                    re.append(0)
+                    im.append(0)
+                continue
+            Ga = _exact_scale((ar, ai))
+            a_re, a_im = _fix(ar, Ga), (_fix(ai, Ga) if ai is not None else 0)
+            tr, ti = pw.at_inv(n)
+            ti = ti or 0
+            zr, zi = a_re * tr - a_im * ti, a_re * ti + a_im * tr  # scale Ga + pw.W
+            L = 0 if n * den == num else (logs.at_inv(n) if k else 0)
+            for i, (re, im) in enumerate(cols):
+                s = Ga + pw.W + i * (logs.W if k else 0) - self.Wf[i]
+                re.append(_shift(zr, s))
+                im.append(_shift(zi, s))
+                if i < k:
+                    zr, zi = zr * L, zi * L
+        self.cols = [(list(accumulate(re, initial=0)),
+                      list(accumulate(im, initial=0)) if self.cplx else None)
+                     for re, im in cols]
+        self.W_abs = [list(accumulate(
+            (abs(_to_float(r, Wf)) if not self.cplx
+             else math.hypot(_to_float(r, Wf), _to_float(m, Wf))
+             for r, m in zip(re, im)), initial=0.0))
+            for (re, im), Wf in zip(cols, self.Wf)]
+        self.k, self.N = k, N
         self.coef = [cm * math.comb(k, j) * (-1 if j % 2 else 1) for j in range(k + 1)]
         self.coef_abs = [abs(complex(c)) for c in self.coef]
         self.offset = list(offset) + [0] * (k + 1 - len(offset))
         self.offset_abs = [abs(complex(c)) for c in self.offset]
         self.shape = [(-mpmath.mpmathify(omega.p), j) for j in range(k + 1)]
+        coef_parts = [_mp_parts(c) for c in self.coef]
+        self._Gc = _exact_scale(t for c in coef_parts for t in c)
+        self._coef = [(_fix(re, self._Gc), _fix(im, self._Gc) if im is not None else 0)
+                      for re, im in coef_parts]
+        self._offset = [_mp_parts(c) for c in self.offset]
+        self._scales = {}  # Wc -> _scale(Wc)
+
+    @cached_property
+    def W(self) -> list:
+        """The prefix sums W_i(N), N = 0..len, as exact mpf or mpc values."""
+        out = []
+        for (re, im), Wf in zip(self.cols, self.Wf):
+            exp = lambda v: from_man_exp(v, -Wf)
+            out.append([mpmath.mp.make_mpf(exp(r)) if im is None
+                        else mpmath.mp.make_mpc((exp(r), exp(m)))
+                        for r, m in zip(re, im or re)])
+        return out
 
     def coeffs(self, N: int):
-        N = min(N, len(self.W[0]) - 1)
+        N = min(N, self.N)
         k = self.k
         vals = [self.coef[j] * self.W[k - j][N] + self.offset[j] for j in range(k + 1)]
-        absv = [self.coef_abs[j] * self.W_abs[k - j][N] + self.offset_abs[j]
+        return vals, self._abs(N)
+
+    def _abs(self, N: int) -> list:
+        k = self.k
+        return [self.coef_abs[j] * self.W_abs[k - j][N] + self.offset_abs[j]
                 for j in range(k + 1)]
-        return vals, absv
+
+    def _scale(self, Wc: int) -> tuple:
+        """(G, shifts, offsets): one scale G fine enough for the vectors at
+        every N (G >= Wc - e_j at each N, as `_vec` asks), the shift of each
+        c_j W_{k-j} to it, and the offsets there."""
+        if Wc not in self._scales:
+            # each entry's abs value grows with N, so its least nonzero value
+            # is at N = 0 or where its column first turns nonzero
+            firsts = {0, *(next((N for N, a in enumerate(col) if a), 0) for col in self.W_abs)}
+            G = max(_vec_scale(self._abs(N), Wc) for N in firsts)
+            k = self.k
+            self._scales[Wc] = (
+                G, [self._Gc + self.Wf[k - j] - G for j in range(k + 1)],
+                [(_fix(re, G), _fix(im, G) if im is not None else 0) for re, im in self._offset])
+        return self._scales[Wc]
+
+    def fixed(self, N: int, Wc: int) -> tuple:
+        """coeffs(N) as the walk's fixed-point vector, straight from the columns."""
+        N = min(N, self.N)
+        G, shifts, offsets = self._scale(Wc)
+        cols = self.cols[::-1]  # column k - j for entry j
+        if not self.cplx:
+            return (G, [_shift(cr * wr[N], s) + o_re for (cr, _), (wr, _), s, (o_re, _)
+                        in zip(self._coef, cols, shifts, offsets)], None, self._abs(N))
+        re, im = [], []
+        for (cr, ci), (wr, wi), s, (o_re, o_im) in zip(self._coef, cols, shifts, offsets):
+            wr, wi = wr[N], wi[N]
+            re.append(_shift(cr * wr - ci * wi, s) + o_re)
+            im.append(_shift(cr * wi + ci * wr, s) + o_im)
+        return G, re, im, self._abs(N)
 
 
 class InnerSumFactor:
@@ -318,6 +632,8 @@ class KernelFactor:
         self.shape = [(sm, 0), (mpf(1), 0)]
         self.zeta_column = [sm - 1, 0]
         self.beta_abs = 1.0
+        self.cplx = type(sm) is mpc or type(self.kernel.zeta.value) is mpc
+        self._ints = None  # fixed's exact (s-1) and zeta, made on first use
         if spec.variant == R:
             self.shape.append((mpf(0), 0))
             self.zeta_column.append(0)
@@ -326,10 +642,40 @@ class KernelFactor:
     def coeffs(self, K: int):
         ck = self.kernel
         c, beta, delta = ck.cell(K)
+        return [c, beta, delta][:len(self.shape)], self._abs(K, delta)
+
+    def _abs(self, K: int, delta) -> list:
+        ck = self.kernel
         abs_c = self.sm1_abs * (float(mpmath.fabs(ck.zeta.value))
                                 + float(mpmath.fabs(ck.table.value(K))))
         n = len(self.shape)  # R's delta slot; Q's delta is 0
-        return [c, beta, delta][:n], [abs_c, self.beta_abs, abs(complex(delta))][:n]
+        return [abs_c, self.beta_abs, abs(complex(delta))][:n]
+
+    def fixed(self, K: int, Wc: int) -> tuple:
+        """coeffs(K) as the walk's fixed-point vector: c_K = (s-1)(zeta - P_K)
+        exactly from the prefix table's ints, beta and delta exactly."""
+        ck = self.kernel
+        if self._ints is None:
+            table, parts = ck.table, [_mp_parts(ck.sm - 1), _mp_parts(ck.zeta.value)]
+            Gs = max(0, _exact_scale(parts[0]))
+            A = max(table.W, _exact_scale(parts[1]))
+            self._ints = (Gs, A, table, [_fix(t, Gs) if t else 0 for t in parts[0]],
+                          [_fix(t, A) if t else 0 for t in parts[1]])
+        Gs, A, table, (sr, si), (zr, zi) = self._ints
+        pr, pi = (*table.prefix(K), 0)[:2]
+        up = A - table.W
+        dr, di = zr - (pr << up), zi - (pi << up)
+        vals = [(sr * dr - si * di, sr * di + si * dr, Gs + A), (-1, 0, 0), (0, 0, 0)]
+        delta = mpf(0)
+        if len(self.shape) == 3:  # R: beta = -s, delta = (s-1)(2K+1)/2
+            vals[1] = (-sr - (1 << Gs), -si, Gs)
+            vals[2] = (sr * (2 * K + 1), si * (2 * K + 1), Gs + 1)
+            delta = (ck.sm - 1) * (K + mpf(1) / 2)
+        absv = self._abs(K, delta)
+        G = _vec_scale(absv, Wc)
+        vals = vals[:len(self.shape)]
+        return (G, [_shift(re, S - G) for re, _, S in vals],
+                [_shift(im, S - G) for _, im, S in vals] if self.cplx else None, absv)
 
 
 class PowSumFactor:
@@ -436,63 +782,134 @@ def _compile(factors: list):
     return varying, exponents, list(slots), terms
 
 
-def _coefficients(terms, vecs, n: int):
-    """(F, F_abs): the antiderivative's slot coefficients on one piece."""
-    F = [0] * n
+def _products(terms, vecs, n: int, cplx: bool):
+    """(F_re, F_im, F_abs): the antiderivative's slot coefficients on one
+    piece, exact at the vectors' scales plus the map's, and their abs sums;
+    F_im is None unless cplx."""
     F_abs = [0.0] * n
+    F = [0] * n
+    if not cplx:
+        for tup, outs in terms:
+            c, c_abs = 1, 1.0
+            for v, i in zip(vecs, tup):
+                c *= v[1][i]
+                c_abs *= v[3][i]
+            for o, M, _, m_abs in outs:
+                F[o] += c * M
+                F_abs[o] += c_abs * m_abs
+        return F, None, F_abs
+    Fi = [0] * n
     for tup, outs in terms:
-        c, c_abs = 1, 1.0
-        for (vals, absv), i in zip(vecs, tup):
-            c = c * vals[i]
-            c_abs *= absv[i]
-        for o, m, m_abs in outs:
-            F[o] += c * m
+        cr, ci, c_abs = 1, 0, 1.0
+        for v, i in zip(vecs, tup):
+            vr, vi = v[1][i], (v[2][i] if v[2] is not None else 0)
+            cr, ci = cr * vr - ci * vi, cr * vi + ci * vr
+            c_abs *= v[3][i]
+        for o, Mr, Mi, m_abs in outs:
+            F[o] += cr * Mr - ci * Mi
+            Fi[o] += cr * Mi + ci * Mr
             F_abs[o] += c_abs * m_abs
-    return F, F_abs
+    return F, Fi, F_abs
+
+
+def _dot(F, Fi, d_re, d_im) -> tuple:
+    """sum_o F[o] d[o] as (re, im), im None for real F and d."""
+    if Fi is None and d_im is None:
+        return sum(map(mul, F, d_re)), None
+    if Fi is None:
+        return sum(map(mul, F, d_re)), sum(map(mul, F, d_im))
+    if d_im is None:
+        return sum(map(mul, F, d_re)), sum(map(mul, Fi, d_re))
+    return (sum(map(mul, F, d_re)) - sum(map(mul, Fi, d_im)),
+            sum(map(mul, F, d_im)) + sum(map(mul, Fi, d_re)))
+
+
+def _magnitude(re: int, im: int | None, S: int) -> float:
+    """|re + i im| 2^-S as the float abs(complex(.)) of its rounded parts."""
+    if im is None:
+        return abs(_to_float(re, S))
+    return abs(complex(_to_float(re, S), _to_float(im, S)))
 
 
 class _Integrand:
-    """One integrand's compiled shape and running sums over a walk.
+    """One integrand's compiled shape and exact running sums over a walk.
 
     `shape` indexes the walk's endpoint vectors: the integrand's slots with
     each exponent replaced by its index among the walk's distinct exponents.
+    The map's coefficients m are ints at one exact scale Gm.
     """
 
-    def __init__(self, factors: list, exponent_index):
-        self.varying, exponents, slots, self.terms = _compile(factors)
+    def __init__(self, factors: list, exponent_index, Wc: int):
+        self.varying, exponents, slots, terms = _compile(factors)
+        if len(self.varying) > MAX_LOG_DEGREE or any(i > MAX_LOG_DEGREE for _, i in slots):
+            raise UnsupportedKernelError(
+                f"at most {MAX_LOG_DEGREE} step factors and log degree {MAX_LOG_DEGREE}")
         self.n = len(slots)
         self.shape = tuple((exponent_index(exponents[g]), i) for g, i in slots)
-        # per zeta factor: its position and the terms its zeta column reaches
+        parts = {id(m): _mp_parts(m) for _, outs in terms for _, m, _ in outs}
+        self.Gm = Gm = _exact_scale(t for re, im in parts.values() for t in (re, im))
+        self.cplx = any(im is not None and im[1] for _, im in parts.values())
+        # the value is typed mpc as mpmath arithmetic would type it
+        self.typed_cplx = (any(im is not None for _, im in parts.values())
+                           or any(type(exponents[g][0]) is mpc and exponents[g][1] is None
+                                  for g, _ in slots))
+        self.terms = [(tup, [(o, _fix(parts[id(m)][0], Gm),
+                              _fix(parts[id(m)][1], Gm) if parts[id(m)][1] else 0, m_abs)
+                             for o, m, m_abs in outs])
+                      for tup, outs in terms]
+        # per zeta factor: its position, the terms its zeta column reaches, and
+        # the column as a fixed-point vector
         self.zeta = [(pos, [(tup, outs) for tup, outs in self.terms
-                            if f.zeta_column[tup[pos]] != 0])
+                            if f.zeta_column[tup[pos]] != 0],
+                      _vec(f.zeta_column, [abs(complex(c)) for c in f.zeta_column], Wc))
                      for pos, f in enumerate(self.varying) if hasattr(f, "zeta_column")]
         self.zeta_sens = [0.0] * len(self.zeta)
-        self.total = mpf(0)
+        self.re, self.im, self.S = 0, 0, None
         self.cond = 0.0
 
-    def add_piece(self, vecs, diff, abs_a, abs_b) -> None:
-        """Add one piece, given each varying factor's coefficient vectors."""
-        F, F_abs = _coefficients(self.terms, vecs, self.n)
-        contrib = mpmath.fdot(F, diff)
-        self.total += contrib
-        self.cond += (sum(fa * (ua + ub) for fa, ua, ub in zip(F_abs, abs_a, abs_b))
-                      + abs(complex(contrib)))
-        for z, (pos, zterms) in enumerate(self.zeta):
+    def _add(self, re: int, im: int | None, S: int) -> None:
+        if self.S is None or S > self.S:
+            up = 0 if self.S is None else S - self.S
+            self.re, self.im, self.S = self.re << up, self.im << up, S
+        elif S < self.S:
+            re, im = re << (self.S - S), (im << (self.S - S) if im else im)
+        self.re += re
+        if im:
+            self.im += im
+
+    def add_piece(self, vecs, diff, uab) -> None:
+        """Add one piece, given each varying factor's fixed-point vector, the
+        shape's endpoint difference (Ws, re, im) and the floats |u(a)| + |u(b)|."""
+        Ws, d_re, d_im = diff
+        S = self.Gm + Ws
+        cplx = self.cplx or d_im is not None
+        for v in vecs:
+            S += v[0]
+            if v[2] is not None:
+                cplx = self.typed_cplx = True
+        F, Fi, F_abs = _products(self.terms, vecs, self.n, cplx)
+        re, im = _dot(F, Fi, d_re, d_im)
+        self._add(re, im, S)
+        self.cond += sum(map(mul, F_abs, uab)) + _magnitude(re, im, S)
+        for z, (pos, zterms, zvec) in enumerate(self.zeta):
             zvecs = list(vecs)
-            zvecs[pos] = (self.varying[pos].zeta_column, vecs[pos][1])
-            Fz, _ = _coefficients(zterms, zvecs, self.n)
-            self.zeta_sens[z] += abs(complex(mpmath.fdot(Fz, diff)))
+            zvecs[pos] = zvec
+            Fz, Fzi, _ = _products(zterms, zvecs, self.n, cplx or zvec[2] is not None)
+            Sz = S - vecs[pos][0] + zvec[0]
+            self.zeta_sens[z] += _magnitude(*_dot(Fz, Fzi, d_re, d_im), Sz)
 
     def result(self, prec: int) -> ApproxValue:
         radius = eps_for(prec) * 64.0 * self.cond
-        for (pos, _), sens in zip(self.zeta, self.zeta_sens):
+        for (pos, _, _), sens in zip(self.zeta, self.zeta_sens):
             radius += self.varying[pos].zeta_radius * sens
-        return ApproxValue(+self.total, radd(radius), RIGOROUS, prec)
+        typed = self.S is not None and self.typed_cplx
+        value = _to_mp(self.re, self.im if typed else None, self.S or 0)
+        return ApproxValue(value, radd(radius), RIGOROUS, prec)
 
 
 def _walk(part: Partition, integrands: list, prec: int) -> list[ApproxValue]:
-    """Every integrand's integral over one walk of `part`, at the working
-    precision set by the caller."""
+    """Every integrand's integral over one walk of `part`, in fixed point (see
+    the module docstring), at the working precision set by the caller."""
     exps, where = [], {}  # distinct (q, q as an int or None, Re q); (type, q) -> index
 
     def exponent_index(e):
@@ -502,47 +919,78 @@ def _walk(part: Partition, integrands: list, prec: int) -> list[ApproxValue]:
             exps.append(e)
         return where[key]
 
-    runs = [_Integrand(factors, exponent_index) for factors in integrands]
-    memo = {}  # id(factor) -> (index, coeffs(index)), shared by the integrands
-
-    def coeffs(f, N, K):
-        idx = N if f.index == "N" else K
-        hit = memo.get(id(f))
-        if hit is None or hit[0] != idx:
-            hit = memo[id(f)] = (idx, f.coeffs(idx))
-        return hit[1]
-
+    Wc = prec + _COEF_BITS
+    runs = [_Integrand(factors, exponent_index, Wc) for factors in integrands]
+    keys = part.keys
+    if len(keys) < 2 or not runs:
+        return [r.result(prec) for r in runs]
+    factors, slot_of = [], {}  # the distinct varying factors, and id -> position
+    for r in runs:
+        for f in r.varying:
+            if id(f) not in slot_of:
+                slot_of[id(f)] = len(factors)
+                factors.append(f)
+        r.fslots = [slot_of[id(f)] for f in r.varying]
     shapes = {}  # distinct compiled shape -> its index
     shape_of = [shapes.setdefault(r.shape, len(shapes)) for r in runs]
+
+    N = part.num // part.den
+    log2x = math.log2(part.num) - math.log2(part.den)
+    lbits = _log_bits(*part.ratio(keys[1]))
+    logs = _Logs(part.x, prec + 22 + lbits, N)
+    pows = [_Powers(q, part.num, part.den, prec, True, N) for q, _, _ in exps]
+    q_res = [q_re for _, _, q_re in exps]
     max_log = max((i for shape in shapes for _, i in shape), default=0)
+    plans = []  # per shape: Ws, [(group, log degree, shift to Ws)], complex
+    for shape in shapes:
+        Ws = prec + 10 + max((_headroom(exps[g][0], log2x)[1] + i * lbits
+                              for g, i in shape), default=0)
+        plans.append((Ws, [(g, i, pows[g].W + i * logs.W - Ws) for g, i in shape],
+                      any(not pows[g].real for g, _ in shape)))
 
-    def endpoint(t):
-        """(t^q log^i t, |t^q| |log t|^i) per slot of each shape at t."""
-        logt = mpmath.log(t)
-        logt_f = float(logt)
-        tq = [mpmath.exp(q * logt) if n is None else t ** n for q, n, _ in exps]
-        tq_abs = [math.exp(q_re * logt_f) for _, _, q_re in exps]
-        logs = [mpf(1)]
+    def endpoint(key):
+        """Per shape: the slot values t^q log^i t at scale Ws (re, im) and the
+        floats |t^q| |log t|^i."""
+        if key > 0:
+            L, T = logs.log[key], [p.at_int(key) for p in pows]
+        else:
+            L, T = logs.at_inv(-key), [p.at_inv(-key) for p in pows]
+        logt_f = _to_float(L, logs.W)
+        tq_abs = [math.exp(q_re * logt_f) for q_re in q_res]
+        Lp = [1]
         for _ in range(max_log):
-            logs.append(logs[-1] * logt)
-        return [([tq[g] * logs[i] if i else tq[g] for g, i in shape],
-                 [tq_abs[g] * abs(logt_f) ** i for g, i in shape]) for shape in shapes]
+            Lp.append(Lp[-1] * L)
+        out = []
+        for Ws, slots, cplx in plans:
+            re = [_shift(T[g][0] * Lp[i], s) for g, i, s in slots]
+            im = ([_shift(T[g][1] * Lp[i], s) if T[g][1] is not None else 0
+                   for g, i, s in slots] if cplx else None)
+            out.append((re, im, [tq_abs[g] * abs(logt_f) ** i for g, i, _ in slots]))
+        return out
 
-    end_b = None
-    for a, b, N, K in part.pieces():
-        end_a = end_b if end_b is not None else endpoint(a)
-        end_b = endpoint(b)
-        diffs = [[vb - va for va, vb in zip(ea[0], eb[0])] for ea, eb in zip(end_a, end_b)]
+    cur, at = [None] * len(factors), [None] * len(factors)
+    readers = [(j, f.index == "N", getattr(f, "fixed", None), f) for j, f in enumerate(factors)]
+    end_b = endpoint(keys[0])
+    for _, key, N, K in part.pieces():
+        end_a, end_b = end_b, endpoint(key)
+        for j, by_N, fixed, f in readers:
+            idx = N if by_N else K
+            if at[j] != idx:
+                at[j] = idx
+                cur[j] = fixed(idx, Wc) if fixed is not None else _vec(*f.coeffs(idx), Wc)
+        diffs = [((Ws, [b - a for a, b in zip(ea[0], eb[0])],
+                   None if ea[1] is None else [b - a for a, b in zip(ea[1], eb[1])]),
+                  [ua + ub for ua, ub in zip(ea[2], eb[2])])
+                 for (Ws, _, _), ea, eb in zip(plans, end_a, end_b)]
         for r, sh in zip(runs, shape_of):
-            r.add_piece([coeffs(f, N, K) for f in r.varying],
-                        diffs[sh], end_a[sh][1], end_b[sh][1])
+            r.add_piece([cur[j] for j in r.fslots], *diffs[sh])
     return [r.result(prec) for r in runs]
 
 
 def integrate_partitions(x: float, integrands: list,
                          precision: int | None = None) -> list[ApproxValue]:
     """Exact piecewise integral over [1, x] of the product of each integrand's
-    factors, with compensated accumulation and a rigorous rounding radius.
+    factors, accumulated exactly in fixed point, with a rigorous radius.
 
     All integrands share one walk of the partition per need_inverse_points
     flag, and each value and radius equals the integrand's integral taken

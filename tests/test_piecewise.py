@@ -42,17 +42,23 @@ def test_powlog_antiderivative_random(p, k, a, width):
     assert abs(_integral(f, a, a + width) - ref) < 1e-20
 
 
+def _points(part):
+    """The partition's breakpoints as mpf values, at the current precision."""
+    return [mpf(num) / den for num, den in map(part.ratio, part.keys)]
+
+
 def test_partition_structure():
     part = Partition(10.0)
-    pts = [float(p) for p in part.points]
+    pts = [float(p) for p in _points(part)]
     assert pts[0] == 1.0 and pts[-1] == 10.0
     for n in range(1, 11):
         assert any(abs(p - n) < 1e-12 for p in pts)
         assert any(abs(p - 10.0 / n) < 1e-12 for p in pts)
     # floor(t) and floor(x/t) constant inside each piece
     for a, b, N, K in part.pieces():
+        a, b = (num / den for num, den in map(part.ratio, (a, b)))
         for lam in (0.25, 0.5, 0.75):
-            t = float(a) + lam * float(b - a)
+            t = a + lam * (b - a)
             assert math.floor(t) == K or t == float(a)
             assert math.floor(10.0 / t) == N or abs(10.0 / t - round(10.0 / t)) < 1e-9
 
@@ -60,10 +66,10 @@ def test_partition_structure():
 @settings(max_examples=20, deadline=None)
 @given(st.floats(min_value=2.0, max_value=300.0))
 def test_partition_pieces_cover(x):
-    part = Partition(x)
-    assert float(part.points[0]) == 1.0
-    assert abs(float(part.points[-1]) - x) < 1e-9
-    diffs = [float(b - a) for a, b in zip(part.points, part.points[1:])]
+    pts = _points(Partition(x))
+    assert float(pts[0]) == 1.0
+    assert abs(float(pts[-1]) - x) < 1e-9
+    diffs = [float(b - a) for a, b in zip(pts, pts[1:])]
     assert all(d > 0 for d in diffs)
     assert abs(sum(diffs) - (x - 1.0)) < 1e-9
 
@@ -216,7 +222,7 @@ ORACLE_FACTORS = {
 
 def _quad_pieces(x, integrand):
     """(sum over partition pieces of quad(integrand), summed error estimates)."""
-    pts = Partition(x).points
+    pts = _points(Partition(x))
     total, err = 0, 0
     for a, b in zip(pts, pts[1:]):
         v, e = mpmath.quad(integrand, [a, b], error=True, method="gauss-legendre")
@@ -248,7 +254,7 @@ def test_zeta_column_sensitivity(name):
                             precision=PREC)
     with mpmath.workprec(2 * PREC):
         sm = mpmath.mpc(S_ORACLE)
-        pts = Partition(x).points
+        pts = _points(Partition(x))
         sens = mpmath.fsum(abs(mpmath.quad(lambda t: (sm - 1) * t ** sm * (_mcheck(x / t) - 1)
                                            / t ** 2, [a, b], method="gauss-legendre"))
                            for a, b in zip(pts, pts[1:]))

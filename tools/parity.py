@@ -2,8 +2,9 @@
 
     python3 tools/parity.py PARENT_REV
 
-Checks PARENT_REV out in a temporary `git worktree` (removed afterwards, also
-on failure).  Then, for `verify --suite all --threads 1 --stable-output
+Writes PARENT_REV's committed files to a temporary directory with `git
+archive` (removed afterwards, also on failure; the repository's own worktree
+list is left alone).  Then, for `verify --suite all --threads 1 --stable-output
 --payload` and for each benchmark workload's argv at seed 7
 (`perfbench/workloads.make(name, 7)`) with `--threads 1` appended, it runs
 `tools/cellparity.py dump` once on PARENT_REV and once on this checkout, each
@@ -47,10 +48,17 @@ def _dump(checkout: Path, out: Path, argv: list[str]) -> bytes:
     return done.stdout
 
 
+def checkout(rev: str, dest: Path) -> None:
+    """Write revision rev's committed files to the new directory dest."""
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             stdout=subprocess.PIPE).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
 def parity(parent_rev: str, tmp: Path) -> int:
     parent = tmp / "parent"
-    subprocess.run(["git", "worktree", "add", "--detach", str(parent), parent_rev],
-                   cwd=ROOT, check=True)
+    checkout(parent_rev, parent)
     bad = False
     for i, (name, argv) in enumerate(_argvs()):
         old, new = tmp / f"old{i}.json", tmp / f"new{i}.json"
@@ -74,9 +82,6 @@ def main(argv: list[str]) -> int:
     try:
         return parity(argv[0], tmp)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(tmp / "parent")],
-                       cwd=ROOT, stderr=subprocess.DEVNULL)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT)
         shutil.rmtree(tmp, ignore_errors=True)
 
 
