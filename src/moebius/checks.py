@@ -990,14 +990,15 @@ def run_check(check_id: str, grid: dict | None = None,
 
 
 #: seconds each check takes in `verify --suite all --threads 1` on the 2-core
-#: reference host, for the checks of about 0.2 s or more; run_suite submits
-#: the longest first, and an id not listed here counts 0
+#: reference host (the median of three runs' elapsed_ms), for the checks of
+#: about 0.2 s or more; run_suite submits the longest first, and an id not
+#: listed here counts 0
 _COST_S = {
-    "mtronqchch": 4.1, "derivK2": 3.9, "terre": 3.2, "mtronqch": 2.8, "q-l1": 2.7,
-    "headline": 2.5, "mtronq": 1.5, "em-cross": 1.1, "formule-m": 1.1, "abel": 1.0,
-    "mieux-1": 0.85, "exact-Q-l1": 0.54, "derivK3": 0.50, "parchm": 0.50, "prop1-a": 0.44,
-    "mieux-2": 0.43, "prop2-c": 0.35, "har": 0.30, "prop1-c": 0.30, "prop2-b": 0.24,
-    "prop1-b": 0.23, "derivK1": 0.20,
+    "derivK2": 4.4, "mtronqchch": 4.3, "terre": 4.1, "mtronqch": 3.6, "headline": 2.6,
+    "mtronq": 1.9, "abel": 1.3, "q-l1": 1.3, "em-cross": 1.2, "formule-m": 1.0,
+    "mieux-1": 0.70, "parchm": 0.57, "derivK3": 0.50, "mieux-2": 0.48, "prop1-a": 0.48,
+    "prop2-c": 0.38, "har": 0.35, "prop1-c": 0.35, "exact-Q-l1": 0.31, "prop2-b": 0.29,
+    "prop1-b": 0.25, "derivK1": 0.21,
 }
 
 

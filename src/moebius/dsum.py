@@ -67,9 +67,63 @@ def exact_ratio(v) -> tuple[int, int]:
     """v as (numerator, denominator), exactly: an int, float, Fraction or mpf."""
     if hasattr(v, "as_integer_ratio"):
         return v.as_integer_ratio()
-    sign, man, exp, _ = mpmath.mpf(v)._mpf_
+    sign, man, exp, _ = (v if type(v) is mpmath.mpf else mpmath.mpf(v))._mpf_  # no rounding
     man = -man if sign else man
     return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
+def powers_fixed(logs: list[int], e: tuple, wp: int, g: int) -> list[tuple]:
+    """x^e = exp(Re e log x) (cos + i sin)(Im e log x) for each fixed-point
+    log x at wp bits, floored to wp - g bits: (re,) for a real e, else (re,
+    im).  e = ((num, den), (tnum, tden)) holds Re e and Im e as exact ratios;
+    each argument is floored to wp bits before exp_fixed and cos_sin_fixed."""
+    (num, den), (tnum, tden) = e
+    ln2 = ln2_fixed(wp)
+    mags = [exp_fixed(num * lp // den, wp, ln2) for lp in logs]
+    if tnum == 0:
+        return [(mag >> g,) for mag in mags]
+    pi2 = pi_fixed(wp - 1)
+    cs = [cos_sin_fixed(tnum * lp // tden, wp, pi2) for lp in logs]
+    return [((mag * c) >> (wp + g), (mag * s) >> (wp + g)) for mag, (c, s) in zip(mags, cs)]
+
+
+def fixed_to_float(n: int, S: int) -> float:
+    """n 2^-S correctly rounded to a float (inf past the float range, as
+    mpmath's float() gives)."""
+    sh = n.bit_length() - 1000  # float() of an int below 2^1000 rounds correctly
+    if sh > 0:
+        a = abs(n)
+        a = (a >> sh) | (1 if a & ((1 << sh) - 1) else 0)  # a sticky bit keeps the rounding
+        n = -a if n < 0 else a
+    try:
+        return math.ldexp(float(n), max(sh, 0) - S)
+    except OverflowError:
+        return -math.inf if n < 0 else math.inf
+
+
+def fixed_magnitude(re: int, im: int | None, S: int) -> float:
+    """|re + i im| 2^-S as the float abs(complex(.)) of its rounded parts."""
+    if im is None:
+        return abs(fixed_to_float(re, S))
+    return abs(complex(fixed_to_float(re, S), fixed_to_float(im, S)))
+
+
+def fixed_abs(re: int, im: int, S: int) -> float:
+    """|re + i im| 2^-S, correctly rounded to a float."""
+    n = re * re + im * im
+    sh = max(0, 112 - n.bit_length()) // 2  # a root of at least 56 bits
+    n <<= 2 * sh
+    r = isqrt(n)
+    return fixed_to_float(2 * r + (r * r != n), S + sh + 1)  # a sticky bit keeps the rounding
+
+
+def fixed_to_mp(re: int, im: int | None, S: int):
+    """re (+ i im) times 2^-S as an mpf or mpc, rounded once to mp.prec."""
+    prec = mpmath.mp.prec
+    r = from_man_exp(re, -S, prec, "n")
+    if im is None:
+        return mpmath.mp.make_mpf(r)
+    return mpmath.mp.make_mpc((r, from_man_exp(im, -S, prec, "n")))
 
 
 def smallest_prime_factors(N: int) -> list[int]:
@@ -154,13 +208,8 @@ class DirichletTable:
         out = [lp >> g if self.logs else 0 for lp in logs]
         if integer:
             return list(zip(out, powers))
-        ln2, pi2 = ln2_fixed(wp), pi_fixed(wp - 1)
-        mags = [exp_fixed(-num * lp // den, wp, ln2) for lp in logs]
-        if tnum == 0:
-            return [(lp, mag >> g) for lp, mag in zip(out, mags)]
-        cs = [cos_sin_fixed(-tnum * lp // tden, wp, pi2) for lp in logs]
-        return [(lp, (mag * c) >> (wp + g), (mag * s) >> (wp + g))
-                for lp, mag, (c, s) in zip(out, mags, cs)]
+        return [(lp, *v) for lp, v in zip(out, powers_fixed(logs, ((-num, den), (-tnum, tden)),
+                                                            wp, g))]
 
     def mu(self, N: int) -> list[int]:
         """mu(n) for n = 0..N (0 at n = 0), from sieve.nonzero_mu."""

@@ -17,8 +17,9 @@ cross-check between the two forms meaningful.
 On a unit cell [K, K+1) every kernel variant is g(t) = c t^s + beta t + delta
 with c = (s-1)(zeta(s) - P_K): beta = -1, delta = 0 for Q, beta = -s,
 delta = (s-1)(K + 1/2) for R, and q is (s-1) times Q's cell.  `CellKernel`
-forms that cell, with closed-form sup bounds for g and its derivatives; the
-rigorous quadrature and the piecewise integrator's kernel factor read it.
+forms that cell exactly in ints, evaluates g at an exact t in fixed point,
+and gives closed-form sup bounds for g and its derivatives; the rigorous
+quadrature and the piecewise integrator's kernel factor read it.
 
 Fractional parts use the right-continuous convention {k} = 0 at integers,
 matching sums over k <= t that include k = t; left limits are available
@@ -29,16 +30,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import mpmath
 from mpmath import mpf, mpc
+from mpmath.libmp.libelefun import ln2_fixed, log_int_fixed
 
 from .approx import ApproxValue, RIGOROUS, eps_for, radd
+from .dsum import exact_ratio, fixed_magnitude, powers_fixed
 from .errors import DomainError, PrecisionError
 from .zeta import ComplexParam, bernoulli_ladder_tail, power_prefix_table, zeta_em
 
 _GUARD = 48
+_EXTRA = 32  # CellKernel.g's spare bits over bits(|s| (2 lt + k + 6))
 
 Q = "Q"
 R = "R"
@@ -61,8 +65,39 @@ class KernelSpec:
         return cls(variant, ComplexParam.coerce(s))
 
 
+@dataclass(frozen=True)
+class Cell:
+    """g(t) = c t^s + beta t + delta on one unit cell: each coefficient an
+    exact (re, im) pair of ints at scale S (a unit is 2^-S), and the float
+    abs(complex(.)) of each, made when first read."""
+
+    S: int
+    c: tuple[int, int]
+    beta: tuple[int, int]
+    delta: tuple[int, int]
+
+    @cached_property
+    def c_abs(self) -> float:
+        return fixed_magnitude(*self.c, self.S)
+
+    @cached_property
+    def beta_abs(self) -> float:
+        return fixed_magnitude(*self.beta, self.S)
+
+    @cached_property
+    def delta_abs(self) -> float:
+        return fixed_magnitude(*self.delta, self.S)
+
+
 class CellKernel:
-    """g(t) = c_K t^s + beta t + delta on [K, K+1), plus derivative bounds."""
+    """g(t) = c_K t^s + beta t + delta on [K, K+1): the exact cell, its
+    fixed-point evaluator and closed-form derivative bounds.
+
+    `g` works at W = prec + 64 + hb bits, with 2^-hb <= |beta| + |delta_1|
+    (delta at K = 1, the least |delta| of any cell): the `quadrature`
+    docstring derives that every value it returns is off by at most
+    2^-(prec+63) (|c||t^s| + |beta| t + |delta|).
+    """
 
     def __init__(self, spec: KernelSpec, prec: int, zeta_target: float = 1e-35):
         self.spec = spec
@@ -72,49 +107,101 @@ class CellKernel:
         self.zeta, _ = zeta_em(self.s, zeta_target, precision=prec, want_derivative=False)
         self.table = power_prefix_table(self.s.sigma, self.s.tau, prec)
         self.sm = self.s.as_mpc()
-        self.scale = 1.0
-        if spec.variant == LITTLE_Q:
-            self.scale = abs(complex(self.sm - 1))
+        self.cplx = type(self.sm) is mpc or type(self.zeta.value) is mpc
+        # s, s - 1 and zeta(s) exactly, as (re, im, scale): zeta at a scale >= the table's W
+        self._exp = exact_ratio(self.s.sigma), exact_ratio(self.s.tau)
+        (num, den), (tnum, tden) = self._exp
+        Gs = max(den, tden).bit_length() - 1
+        zeta = [exact_ratio(mpmath.re(self.zeta.value)), exact_ratio(mpmath.im(self.zeta.value))]
+        A = max(self.table.W, *(d.bit_length() - 1 for _, d in zeta))
+        self.s1_fixed = ((num - den) * (1 << Gs) // den, tnum * (1 << Gs) // tden, Gs)
+        self.zeta_fixed = (*(n * (1 << A) // d for n, d in zeta), A)
+        self._power = num if tnum == 0 and den == 1 else None  # an integer s
+        with mpmath.mp.workprec(prec + _GUARD):
+            self.s1_abs = abs(complex(self.sm - 1))
+            p = self.sm - 2
+            self.p4_abs = abs(complex(p * (p - 1) * (p - 2) * (p - 3)))
+        self.scale = self.s1_abs if spec.variant == LITTLE_Q else 1.0
+        first = self.cell(1)
+        self.W = prec + 64 + max(0, 1 - math.frexp(first.beta_abs + first.delta_abs)[1])
 
-    def cell(self, K: int):
-        """(c_K, beta, delta) at the caller's working precision."""
-        sm = self.sm
-        c = (sm - 1) * (self.zeta.value - self.table.value(K))
-        if self.spec.variant == Q or self.spec.variant == LITTLE_Q:
-            beta, delta = mpf(-1), mpf(0)
-        else:  # R: Q - (s-1)({t}-1/2) = c t^s - s t + (s-1)(K+1/2)
-            beta, delta = -sm, (sm - 1) * (K + mpf(1) / 2)
-        if self.spec.variant == LITTLE_Q:
-            c, beta, delta = c * (sm - 1), beta * (sm - 1), delta * (sm - 1)
-        return c, beta, delta
+    def cell(self, K: int) -> Cell:
+        """The cell [K, K+1) exactly: c_K = (s-1)(zeta - P_K) from the prefix
+        table's ints, beta and delta from s."""
+        sr, si, Gs = self.s1_fixed
+        zr, zi, A = self.zeta_fixed
+        table = self.table
+        pr, pi = (*table.prefix(K), 0)[:2]
+        up = A - table.W
+        dr, di = zr - (pr << up), zi - (pi << up)
+        S = Gs + A
+        c = (sr * dr - si * di, sr * di + si * dr)
+        if self.spec.variant == R:  # beta = -s, delta = (s-1)(2K+1)/2
+            beta = ((-sr - (1 << Gs)) << A, -si << A)
+            delta = ((sr * (2 * K + 1)) << (A - 1), (si * (2 * K + 1)) << (A - 1))
+        else:
+            beta, delta = (-1 << S, 0), (0, 0)
+        if self.spec.variant == LITTLE_Q:  # (s-1) times Q's cell
+            c, beta, delta = ((re * sr - im * si, re * si + im * sr) for re, im in (c, beta, delta))
+            S += Gs
+        return Cell(S, c, beta, delta)
 
-    def g(self, c, beta, delta, t):
-        return c * mpmath.power(t, self.sm) + beta * t + delta
+    def g(self, cell: Cell, u: int, v: int = 1) -> tuple[int, int]:
+        """g(t) at t = u/v >= 1 exactly, as (re, im) ints at scale W.
 
-    def bounds(self, c, beta, delta, a: float, b: float):
+        t^s = exp(sigma L)(cos tau L + i sin tau L) from L = log t at W + ht
+        + gb bits, floored to W + ht bits (2^-ht <= t^sigma), then one floor
+        of the exact c t^s + beta t + delta."""
+        W = self.W
+        lt = u.bit_length() - v.bit_length() + 1  # t < 2^lt
+        if self._power is not None:  # t^k, one floor division
+            ht, k = 0, self._power
+            T = ((u ** k) << W) // v ** k, 0
+        else:
+            ht = math.ceil(-self.s.sigma * lt) if self.s.sigma < 0 else 0
+            k2 = (v & -v).bit_length() - 1  # v = 2^k2 times an odd o
+            gb = _EXTRA + math.ceil(self.s.abs() * (2 * lt + k2 + 6)).bit_length()
+            wp = W + ht + gb
+            L = log_int_fixed(u, wp) - k2 * ln2_fixed(wp)
+            if v >> k2 > 1:
+                L -= log_int_fixed(v >> k2, wp)
+            T = (*powers_fixed([L], self._exp, wp, gb)[0], 0)[:2]
+        (cr, ci), (br, bi), (dr, di) = cell.c, cell.beta, cell.delta
+        d = v << (cell.S + ht)
+        up = W + ht
+        re = (cr * T[0] - ci * T[1]) * v + ((br * u + dr * v) << up)
+        if not self.cplx:
+            return re // d, 0
+        im = (cr * T[1] + ci * T[0]) * v + ((bi * u + di * v) << up)
+        return re // d, im // d
+
+    def abs_at(self, cell: Cell, u: int, v: int = 1) -> float:
+        """|g(u/v)| as a float, from g's ints: abs(complex(.)) of the
+        correctly rounded parts."""
+        re, im = self.g(cell, u, v)
+        return fixed_magnitude(re, im if self.cplx else None, self.W)
+
+    def bounds(self, cell: Cell, a: float, b: float):
         """(G0, D1, D2): sup bounds for |g|, |g'|, |g''| on [a, b]."""
         sig = self.s.sigma
-        ca = abs(complex(c))
+        ca = cell.c_abs
         s_abs = self.s.abs()
-        s1_abs = abs(complex(self.sm - 1))
         tp = lambda e: max(a ** e, b ** e)
-        G0 = ca * tp(sig) + abs(complex(beta)) * b + abs(complex(delta))
-        D1 = ca * s_abs * tp(sig - 1) + abs(complex(beta))
-        D2 = ca * s_abs * s1_abs * tp(sig - 2)
+        G0 = ca * tp(sig) + cell.beta_abs * b + cell.delta_abs
+        D1 = ca * s_abs * tp(sig - 1) + cell.beta_abs
+        D2 = ca * s_abs * self.s1_abs * tp(sig - 2)
         return G0, D1, D2
 
-    def phi4_bound(self, c, beta, delta, a: float) -> float:
+    def phi4_bound(self, cell: Cell, a: float) -> float:
         """sup |d^4/dt^4 (g(t)/t^2)| on [a, .] for t >= a >= 1."""
-        p = self.sm - 2
-        prod = abs(complex(p * (p - 1) * (p - 2) * (p - 3)))
-        return (abs(complex(c)) * prod * a ** (self.s.sigma - 6.0)
-                + abs(complex(beta)) * 24.0 * a ** -5.0
-                + abs(complex(delta)) * 120.0 * a ** -6.0)
+        return (cell.c_abs * self.p4_abs * a ** (self.s.sigma - 6.0)
+                + cell.beta_abs * 24.0 * a ** -5.0
+                + cell.delta_abs * 120.0 * a ** -6.0)
 
     # zeta-value data radius propagated into any integral of g / t^2 on [a,b]:
     # d(g)/d(zeta) = (s-1) t^s (times (s-1) again for little q)
     def zeta_rad_per_unit(self, a: float, b: float) -> float:
-        amp = abs(complex(self.sm - 1)) * self.scale
+        amp = self.s1_abs * self.scale
         return self.zeta.radius * amp * max(a ** self.s.sigma, b ** self.s.sigma)
 
 

@@ -103,7 +103,8 @@ from mpmath.libmp import from_man_exp
 
 from .approx import ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
-from .dsum import DirichletTable, exact_ratio
+from .dsum import (DirichletTable, exact_ratio, fixed_abs, fixed_magnitude, fixed_to_float,
+                   fixed_to_mp)
 from .errors import CapacityError, DomainError, UnsupportedKernelError
 from .kernels import LITTLE_Q, R, CellKernel, KernelSpec
 from .zeta import ComplexParam, power_prefix_table
@@ -307,29 +308,6 @@ def _shift(v: int, s: int) -> int:
     return v >> s if s >= 0 else v << -s
 
 
-def _to_float(n: int, S: int) -> float:
-    """n 2^-S correctly rounded to a float (inf past the float range, as
-    mpmath's float() gives)."""
-    sh = n.bit_length() - 1000  # float() of an int below 2^1000 rounds correctly
-    if sh > 0:
-        a = abs(n)
-        a = (a >> sh) | (1 if a & ((1 << sh) - 1) else 0)  # a sticky bit keeps the rounding
-        n = -a if n < 0 else a
-    try:
-        return math.ldexp(float(n), max(sh, 0) - S)
-    except OverflowError:
-        return -math.inf if n < 0 else math.inf
-
-
-def _to_mp(re: int, im: int | None, S: int):
-    """re (+ i im) times 2^-S as an mpf or mpc, rounded once to mp.prec."""
-    prec = mpmath.mp.prec
-    r = from_man_exp(re, -S, prec, "n")
-    if im is None:
-        return mpmath.mp.make_mpf(r)
-    return mpmath.mp.make_mpc((r, from_man_exp(im, -S, prec, "n")))
-
-
 def _vec(vals, absv, Wc: int) -> tuple:
     """(G, re, im, absv): a factor's coefficient vector floored to one scale G
     with G >= Wc - e_j, 2^(e_j - 1) <= max(absv_j, |v_j|) < 2^e_j."""
@@ -511,8 +489,8 @@ class SummatoryFactor:
                       list(accumulate(im, initial=0)) if self.cplx else None)
                      for re, im in cols]
         self.W_abs = [list(accumulate(
-            (abs(_to_float(r, Wf)) if not self.cplx
-             else math.hypot(_to_float(r, Wf), _to_float(m, Wf))
+            (abs(fixed_to_float(r, Wf)) if not self.cplx
+             else math.hypot(fixed_to_float(r, Wf), fixed_to_float(m, Wf))
              for r, m in zip(re, im)), initial=0.0))
             for (re, im), Wf in zip(cols, self.Wf)]
         self.k, self.N = k, N
@@ -625,57 +603,47 @@ class KernelFactor:
     def __init__(self, spec: KernelSpec, prec: int, target_radius: float = 1e-35):
         if spec.variant == LITTLE_Q:
             raise UnsupportedKernelError("no kernel identity integrates q")
-        self.kernel = CellKernel(spec, prec, zeta_target=target_radius)
-        self.zeta_radius = self.kernel.zeta.radius
-        sm = self.kernel.sm
-        self.sm1_abs = abs(complex(sm - 1))
+        self.kernel = ck = CellKernel(spec, prec, zeta_target=target_radius)
+        self.zeta_radius = ck.zeta.radius
+        sm = ck.sm
+        self.sm1_abs = ck.s1_abs
+        self.zeta_abs = fixed_abs(*ck.zeta_fixed)
         self.shape = [(sm, 0), (mpf(1), 0)]
         self.zeta_column = [sm - 1, 0]
         self.beta_abs = 1.0
-        self.cplx = type(sm) is mpc or type(self.kernel.zeta.value) is mpc
-        self._ints = None  # fixed's exact (s-1) and zeta, made on first use
+        self.cplx = ck.cplx
         if spec.variant == R:
             self.shape.append((mpf(0), 0))
             self.zeta_column.append(0)
             self.beta_abs += self.sm1_abs
 
     def coeffs(self, K: int):
-        ck = self.kernel
-        c, beta, delta = ck.cell(K)
-        return [c, beta, delta][:len(self.shape)], self._abs(K, delta)
+        cell = self.kernel.cell(K)
+        vals = [fixed_to_mp(re, im if self.cplx else None, cell.S)
+                for re, im in (cell.c, cell.beta, cell.delta)]
+        return vals[:len(self.shape)], self._abs(K, cell)
 
-    def _abs(self, K: int, delta) -> list:
-        ck = self.kernel
-        abs_c = self.sm1_abs * (float(mpmath.fabs(ck.zeta.value))
-                                + float(mpmath.fabs(ck.table.value(K))))
-        n = len(self.shape)  # R's delta slot; Q's delta is 0
-        return [abs_c, self.beta_abs, abs(complex(delta))][:n]
+    def _abs(self, K: int, cell) -> list:
+        """The vector's abs values: |s-1| (|zeta| + |P_K|) >= |c_K|, with
+        |zeta| and |P_K| correctly rounded from their exact ints, then
+        beta_abs >= |beta| and, for R, |delta|."""
+        table = self.kernel.table
+        abs_c = self.sm1_abs * (self.zeta_abs + fixed_abs(*(*table.prefix(K), 0)[:2], table.W))
+        if len(self.shape) == 3:  # R's delta slot; Q's delta is 0
+            return [abs_c, self.beta_abs, cell.delta_abs]
+        return [abs_c, self.beta_abs]
 
     def fixed(self, K: int, Wc: int) -> tuple:
-        """coeffs(K) as the walk's fixed-point vector: c_K = (s-1)(zeta - P_K)
-        exactly from the prefix table's ints, beta and delta exactly."""
-        ck = self.kernel
-        if self._ints is None:
-            table, parts = ck.table, [_mp_parts(ck.sm - 1), _mp_parts(ck.zeta.value)]
-            Gs = max(0, _exact_scale(parts[0]))
-            A = max(table.W, _exact_scale(parts[1]))
-            self._ints = (Gs, A, table, [_fix(t, Gs) if t else 0 for t in parts[0]],
-                          [_fix(t, A) if t else 0 for t in parts[1]])
-        Gs, A, table, (sr, si), (zr, zi) = self._ints
-        pr, pi = (*table.prefix(K), 0)[:2]
-        up = A - table.W
-        dr, di = zr - (pr << up), zi - (pi << up)
-        vals = [(sr * dr - si * di, sr * di + si * dr, Gs + A), (-1, 0, 0), (0, 0, 0)]
-        delta = mpf(0)
-        if len(self.shape) == 3:  # R: beta = -s, delta = (s-1)(2K+1)/2
-            vals[1] = (-sr - (1 << Gs), -si, Gs)
-            vals[2] = (sr * (2 * K + 1), si * (2 * K + 1), Gs + 1)
-            delta = (ck.sm - 1) * (K + mpf(1) / 2)
-        absv = self._abs(K, delta)
+        """coeffs(K) as the walk's fixed-point vector, floored from the exact
+        cell: c_K = (s-1)(zeta - P_K) from the prefix table's ints, beta and
+        delta from s."""
+        cell = self.kernel.cell(K)
+        absv = self._abs(K, cell)
         G = _vec_scale(absv, Wc)
-        vals = vals[:len(self.shape)]
-        return (G, [_shift(re, S - G) for re, _, S in vals],
-                [_shift(im, S - G) for _, im, S in vals] if self.cplx else None, absv)
+        parts = (cell.c, cell.beta, cell.delta)[:len(self.shape)]
+        sh = cell.S - G
+        return (G, [_shift(re, sh) for re, _ in parts],
+                [_shift(im, sh) for _, im in parts] if self.cplx else None, absv)
 
 
 class PowSumFactor:
@@ -824,13 +792,6 @@ def _dot(F, Fi, d_re, d_im) -> tuple:
             sum(map(mul, F, d_im)) + sum(map(mul, Fi, d_re)))
 
 
-def _magnitude(re: int, im: int | None, S: int) -> float:
-    """|re + i im| 2^-S as the float abs(complex(.)) of its rounded parts."""
-    if im is None:
-        return abs(_to_float(re, S))
-    return abs(complex(_to_float(re, S), _to_float(im, S)))
-
-
 class _Integrand:
     """One integrand's compiled shape and exact running sums over a walk.
 
@@ -890,20 +851,20 @@ class _Integrand:
         F, Fi, F_abs = _products(self.terms, vecs, self.n, cplx)
         re, im = _dot(F, Fi, d_re, d_im)
         self._add(re, im, S)
-        self.cond += sum(map(mul, F_abs, uab)) + _magnitude(re, im, S)
+        self.cond += sum(map(mul, F_abs, uab)) + fixed_magnitude(re, im, S)
         for z, (pos, zterms, zvec) in enumerate(self.zeta):
             zvecs = list(vecs)
             zvecs[pos] = zvec
             Fz, Fzi, _ = _products(zterms, zvecs, self.n, cplx or zvec[2] is not None)
             Sz = S - vecs[pos][0] + zvec[0]
-            self.zeta_sens[z] += _magnitude(*_dot(Fz, Fzi, d_re, d_im), Sz)
+            self.zeta_sens[z] += fixed_magnitude(*_dot(Fz, Fzi, d_re, d_im), Sz)
 
     def result(self, prec: int) -> ApproxValue:
         radius = eps_for(prec) * 64.0 * self.cond
         for (pos, _, _), sens in zip(self.zeta, self.zeta_sens):
             radius += self.varying[pos].zeta_radius * sens
         typed = self.S is not None and self.typed_cplx
-        value = _to_mp(self.re, self.im if typed else None, self.S or 0)
+        value = fixed_to_mp(self.re, self.im if typed else None, self.S or 0)
         return ApproxValue(value, radd(radius), RIGOROUS, prec)
 
 
@@ -955,7 +916,7 @@ def _walk(part: Partition, integrands: list, prec: int) -> list[ApproxValue]:
             L, T = logs.log[key], [p.at_int(key) for p in pows]
         else:
             L, T = logs.at_inv(-key), [p.at_inv(-key) for p in pows]
-        logt_f = _to_float(L, logs.W)
+        logt_f = fixed_to_float(L, logs.W)
         tq_abs = [math.exp(q_re * logt_f) for q_re in q_res]
         Lp = [1]
         for _ in range(max_log):

@@ -26,19 +26,56 @@ radius r with T ~ sqrt(C/r) cells, where the one-sided sup|Q|/T bound
 
 Error radii here are computed bounds from these inequalities; nothing is an
 inflated estimate.
+
+Fixed point.  `CellKernel.g` evaluates g at an exact t = u/v (a double's
+ratio, or a Simpson node K + h i/(2n)) in Python ints, a unit being 2^-W with
+W = prec + 64 + hb, 2^-hb <= |beta| + |delta_1| <= |beta| t + |delta| (delta_1
+the least |delta| of any cell).  c, beta and delta are exact (c_K = (s-1)(zeta
+- P_K) from the prefix table's ints).  With t < 2^lt, lt = bits(u) - bits(v) +
+1, v = 2^k o (o odd), ht = ceil(max(0, -sigma) lt) (so 2^-ht <= t^sigma), and
+wp = W + ht + gb, gb = 32 + bits(ceil(|s| (2 lt + k + 6))):
+
+- L = log u - log o - k log 2 at wp bits, from two `log_int_fixed` values
+  (each off by <= C_LOG = 2 units, as `dsum` counts) and k floored ln 2's:
+  off by <= k + 4 units.
+- `dsum.powers_fixed` floors sigma L and tau L (off by <= |s| (k + 4) + 1),
+  and exp_fixed and cos_sin_fixed reduce them by a floored ln 2 and pi/2 at
+  most |sigma| lt + 1 and |tau| lt + 1 times, adding mpmath's few-unit
+  basecase errors (<= 6 units each).  So exp(sigma L) is off by a relative,
+  and cos, sin by an absolute, 2 |s| (lt + k + 4) + 16 < 2^(gb - 27) units of
+  2^-wp in all; exp_fixed's right shift for sigma < 0 adds < 1 unit, relative
+  <= 2^(ht - wp) = 2^-(W + gb).  The product's floor to W + ht bits adds < 1
+  unit <= t^sigma 2^-W.  Each part of t^s is off by < (1 + 2^-26) t^sigma
+  2^-W, so |dT| < 1.5 |t^s| 2^-W.  An integer s takes u^s/v^s, floored once.
+- c T + beta t + delta is formed exactly over the denominator v and floored
+  once to W bits (< 1 unit per part): g is off by < 2^-W (1.5 |c||t^s| +
+  sqrt 2) <= 2^-(prec+63) M, M = |c||t^s| + |beta| t + |delta|.
+- |g| = isqrt(re^2 + im^2) floors once more (< 1 unit), and g/t^2 and |g|/t^2
+  are floored at W + 2 lt bits (< 2^-W / t^2 per part), so every value a
+  routine reads is off by < 2^-(prec+62) M (divided by t^2 where it is).
+
+That is no weaker than the mpf evaluation at prec + 48 bits it replaces,
+whose dozen roundings were each 2^-(prec+48) relative to operands of size up
+to M, so eps(prec) 64 (cond + |total|) still covers the arithmetic.  The
+decision doubles |g| are abs(complex(.)) of the correctly rounded parts of
+g's ints.  The abs integral's accepted steps, |g(t_m)|/t_m^2 h or the range
+enclosure's mid_f h, are dyadic rationals: they are summed exactly and
+rounded once.  Simpson sums each cell's weighted nodes exactly and adds the
+cell to the total in mpf, as before.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from math import isqrt
 
 import mpmath
 from mpmath import mpf, mpc
 
 from .approx import ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
-from .dsum import DirichletTable
+from .dsum import DirichletTable, fixed_magnitude, fixed_to_float, fixed_to_mp
 from .errors import DomainError, PrecisionError
 from .kernels import IBP_R, CellKernel, KernelSpec, hel_sup_abs_Q, kernel_bound, SUP_Q
 from .zeta import ComplexParam, power_prefix_table, zeta_em
@@ -63,32 +100,46 @@ def integrate_signed_kernel(spec: KernelSpec, T: float, target_radius: float = 1
         K = 1
         while K < T:
             b_end = min(K + 1, T)
-            c, beta, delta = ck.cell(K)
+            cell = ck.cell(K)
             h_cell = b_end - K
             if h_cell <= 0:
                 break
-            phi4 = ck.phi4_bound(c, beta, delta, K)
+            phi4 = ck.phi4_bound(cell, K)
             # composite Simpson: error n (h/n)^5 /2880 phi4 <= budget_K
             budget = 0.45 * target_radius * (1.0 / (K * (K + 1)))
             n = max(2, math.ceil((h_cell ** 5 * phi4 / (2880.0 * budget)) ** 0.25))
             comp = 1.4142135623730951 if not is_real else 1.0  # componentwise bound
             step = mpf(h_cell) / n
-            fvals = []
+            # nodes t_i = K + h_cell i / (2n) = u_i / den exactly; g(t_i)/t_i^2
+            # at scale Sf, Simpson-weighted and summed exactly
+            hn, hd = float(h_cell).as_integer_ratio()
+            den = 2 * n * hd
+            lt = (K + 1).bit_length()  # t < 2^lt on the cell
+            Sf = ck.W + 2 * lt
+            q = (den * den) << (2 * lt)
+            acc_re = acc_im = 0
+            fabs = []
             for i in range(2 * n + 1):
-                t = mpf(K) + step * i / 2
-                fvals.append(ck.g(c, beta, delta, t) / t ** 2)
-            acc = fvals[0] + fvals[-1]
-            for i in range(1, 2 * n, 2):
-                acc += 4 * fvals[i]
-            for i in range(2, 2 * n, 2):
-                acc += 2 * fvals[i]
-            total += acc * step / 6
+                u = K * den + hn * i
+                re, im = (part * q // (u * u) for part in ck.g(cell, u, den))
+                w = 1 if i in (0, 2 * n) else (4 if i % 2 else 2)
+                acc_re, acc_im = acc_re + w * re, acc_im + w * im
+                fabs.append(fixed_magnitude(re, im if ck.cplx else None, Sf))
+            total += fixed_to_mp(acc_re, None if is_real else acc_im, Sf) * step / 6
             radius += comp * n * float(step) ** 5 * phi4 / 2880.0
-            cond += sum(abs(complex(v)) for v in fvals) * float(step)
+            cond += sum(fabs) * float(step)
             radius += ck.zeta_rad_per_unit(K, b_end) * h_cell
             K += 1
         radius += eps * 64.0 * (cond + abs(complex(total)))
         return ApproxValue(+total, radd(radius), RIGOROUS, prec)
+
+
+def _midpoint(a: float, h: float) -> tuple[int, int]:
+    """a + h/2 exactly, as (num, den)."""
+    an, ad = a.as_integer_ratio()
+    hn, hd = h.as_integer_ratio()
+    d = 2 * max(ad, hd)
+    return an * (d // ad) + hn * (d // (2 * hd)), d
 
 
 def integrate_abs_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-2,
@@ -97,46 +148,61 @@ def integrate_abs_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-2
 
     Midpoint steps with second-derivative remainders on certified zero-free
     stretches; bisection with range enclosures around possible |g| = 0
-    crossings.
+    crossings.  Every accepted step's value is a dyadic rational, summed
+    exactly in ints and rounded once.
     """
     if T < 1:
         raise DomainError("T >= 1 required")
     prec = precision or mpmath.mp.prec
     ck = CellKernel(spec, prec, zeta_target=min(1e-30, target_radius / (8 * max(T, 2.0))))
     eps = eps_for(prec)
+    W = ck.W
+    total, S = 0, 0  # the exact sum total 2^-S of the accepted steps
+
+    def add(n: int, Sn: int) -> None:
+        nonlocal total, S
+        if Sn > S:
+            total, S = total << (Sn - S), Sn
+        total += n << (S - Sn)
+
+    def scale(x: float) -> tuple[int, int]:
+        n, d = x.as_integer_ratio()
+        return n, d.bit_length() - 1
+
     with mpmath.mp.workprec(prec + _GUARD):
-        total = mpf(0)
         radius = 0.0
         cond = 0.0
         K = 1
         while K < T:
             b_end = float(min(K + 1, T))
-            c, beta, delta = ck.cell(K)
+            cell = ck.cell(K)
             budget = 0.9 * target_radius * (1.0 / (K * (K + 1)))
             # adaptive stack of (a, b, |g(a)|, |g(b)|)
-            ga = abs(complex(ck.g(c, beta, delta, mpf(K))))
-            gb = abs(complex(ck.g(c, beta, delta, mpf(b_end))))
+            ga = ck.abs_at(cell, K)
+            gb = ck.abs_at(cell, *b_end.as_integer_ratio())
             stack = [(float(K), b_end, ga, gb)]
-            cell_val = mpf(0)
             cell_rad = 0.0
             splits = 0
             while stack:
                 a, b, ga, gb = stack.pop()
                 h = b - a
-                G0, D1, D2 = ck.bounds(c, beta, delta, a, b)
+                G0, D1, D2 = ck.bounds(cell, a, b)
                 m0 = (ga + gb - D1 * h) / 2.0
-                n_here = max(1, round(h / (b_end - K) * 16))
                 if m0 > 0:
                     # zero-free: |g| is C2 with ||g|''| <= D2 + D1^2 / m0
                     absg2 = D2 + D1 * D1 / m0
                     phi2 = absg2 / a ** 2 + 4.0 * D1 / a ** 3 + 6.0 * G0 / a ** 4
                     err = h ** 3 / 24.0 * phi2
                     if err <= budget * (h / (b_end - K)) or h < 2e-13 * b:
-                        tm = mpf(a) + mpf(h) / 2
-                        v = abs(ck.g(c, beta, delta, tm)) / tm ** 2
-                        cell_val += v * h
+                        # |g(t_m)| / t_m^2 at scale W + 2 lt, t_m = u/v < 2^lt
+                        u, v = _midpoint(a, h)
+                        re, im = ck.g(cell, u, v)
+                        lt = u.bit_length() - v.bit_length() + 1
+                        m = ((isqrt(re * re + im * im) * v * v) << (2 * lt)) // (u * u)
+                        hn, he = scale(h)
+                        add(m * hn, W + 2 * lt + he)
                         cell_rad += err
-                        cond += float(v) * h
+                        cond += fixed_to_float(m, W + 2 * lt) * h
                         continue
                 else:
                     sup_g = max(ga, gb) + D1 * h / 2.0
@@ -144,7 +210,8 @@ def integrate_abs_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-2
                     width = sup_g / a ** 2 - inf_g / b ** 2
                     if width * h <= 2.0 * budget * (h / (b_end - K)) or h < 2e-13 * b:
                         mid_f = (sup_g / a ** 2 + inf_g / b ** 2) / 2.0
-                        cell_val += mpf(mid_f) * h
+                        (fn, fe), (hn, he) = scale(mid_f), scale(h)
+                        add(fn * hn, fe + he)
                         cell_rad += width * h / 2.0
                         cond += mid_f * h
                         continue
@@ -153,14 +220,14 @@ def integrate_abs_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-2
                     raise PrecisionError(
                         f"abs-kernel quadrature cannot reach {target_radius} on cell {K}")
                 tm_f = a + h / 2.0
-                gm = abs(complex(ck.g(c, beta, delta, mpf(a) + mpf(h) / 2)))
+                gm = ck.abs_at(cell, *_midpoint(a, h))
                 stack.append((a, tm_f, ga, gm))
                 stack.append((tm_f, b, gm, gb))
-            total += cell_val
             radius += cell_rad + ck.zeta_rad_per_unit(K, b_end) * (b_end - K)
             K += 1
-        radius += eps * 64.0 * (cond + float(total))
-        return ApproxValue(+total, radd(radius), RIGOROUS, prec)
+        value = fixed_to_mp(total, None, S)
+        radius += eps * 64.0 * (cond + float(value))
+        return ApproxValue(value, radd(radius), RIGOROUS, prec)
 
 
 def sup_abs_kernel(spec: KernelSpec, t_lo: float, t_hi: float,
@@ -184,58 +251,59 @@ def sup_abs_kernel(spec: KernelSpec, t_lo: float, t_hi: float,
     best_lower = 0.0
     best_at = t_lo
     counter = 0
-    with mpmath.mp.workprec(prec + _GUARD):
-        def gval(K, c, beta, delta, t: float) -> float:
-            return abs(complex(ck.g(c, beta, delta, mpf(t))))
+    cells = {}
 
-        K = math.floor(t_lo)
-        while K < t_hi:
-            a = max(float(K), t_lo)
-            b = min(float(K + 1), t_hi)
-            if b <= a:
-                K += 1
-                continue
-            c, beta, delta = ck.cell(max(K, 1))
-            ga, gb = gval(K, c, beta, delta, a), gval(K, c, beta, delta, b)
-            if ga > best_lower:
-                best_lower, best_at = ga, a
-            if gb > best_lower:
-                best_lower, best_at = gb, b
-            _, _, D2 = ck.bounds(c, beta, delta, a, b)
-            U = max(ga, gb) + (b - a) ** 2 / 8.0 * D2
-            counter += 1
-            heapq.heappush(heap, (-U, counter, a, b, ga, gb, K))
+    def gval(cell, t: float) -> float:
+        return ck.abs_at(cell, *t.as_integer_ratio())
+
+    K = math.floor(t_lo)
+    while K < t_hi:
+        a = max(float(K), t_lo)
+        b = min(float(K + 1), t_hi)
+        if b <= a:
             K += 1
-        evals = 0
-        while heap:
-            negU, _, a, b, ga, gb, K = heap[0]
-            U = -negU
-            if U <= best_lower + 2.0 * tol:
-                break
-            heapq.heappop(heap)
-            c, beta, delta = ck.cell(max(K, 1))
-            mid = (a + b) / 2.0
-            gm = gval(K, c, beta, delta, mid)
-            evals += 1
-            if evals > 1 << 20:
-                raise PrecisionError("sup branch-and-bound did not converge")
-            if gm > best_lower:
-                best_lower, best_at = gm, mid
-            for (aa, bb, gaa, gbb) in ((a, mid, ga, gm), (mid, b, gm, gb)):
-                _, _, D2 = ck.bounds(c, beta, delta, aa, bb)
-                U2 = max(gaa, gbb) + (bb - aa) ** 2 / 8.0 * D2
-                if U2 > best_lower + tol:
-                    counter += 1
-                    heapq.heappush(heap, (-U2, counter, aa, bb, gaa, gbb, K))
-        # discarded intervals may hide values up to best_lower + tol; the heap
-        # top (if any) bounds everything still alive
-        U_final = best_lower + tol
-        if heap:
-            U_final = max(U_final, -heap[0][0])
-        zr = ck.zeta.radius * abs(complex(ck.sm - 1)) * ck.scale * max(t_lo, t_hi) ** max(ck.s.sigma, 0.0)
-        val = (U_final + best_lower) / 2.0
-        rad = (U_final - best_lower) / 2.0 + zr + eps_for(prec) * 16 * val
-        return ApproxValue(val, radd(rad), RIGOROUS, prec), best_at
+            continue
+        cell = cells[K] = ck.cell(max(K, 1))
+        ga, gb = gval(cell, a), gval(cell, b)
+        if ga > best_lower:
+            best_lower, best_at = ga, a
+        if gb > best_lower:
+            best_lower, best_at = gb, b
+        _, _, D2 = ck.bounds(cell, a, b)
+        U = max(ga, gb) + (b - a) ** 2 / 8.0 * D2
+        counter += 1
+        heapq.heappush(heap, (-U, counter, a, b, ga, gb, K))
+        K += 1
+    evals = 0
+    while heap:
+        negU, _, a, b, ga, gb, K = heap[0]
+        U = -negU
+        if U <= best_lower + 2.0 * tol:
+            break
+        heapq.heappop(heap)
+        cell = cells[K]
+        mid = (a + b) / 2.0
+        gm = gval(cell, mid)
+        evals += 1
+        if evals > 1 << 20:
+            raise PrecisionError("sup branch-and-bound did not converge")
+        if gm > best_lower:
+            best_lower, best_at = gm, mid
+        for (aa, bb, gaa, gbb) in ((a, mid, ga, gm), (mid, b, gm, gb)):
+            _, _, D2 = ck.bounds(cell, aa, bb)
+            U2 = max(gaa, gbb) + (bb - aa) ** 2 / 8.0 * D2
+            if U2 > best_lower + tol:
+                counter += 1
+                heapq.heappush(heap, (-U2, counter, aa, bb, gaa, gbb, K))
+    # discarded intervals may hide values up to best_lower + tol; the heap
+    # top (if any) bounds everything still alive
+    U_final = best_lower + tol
+    if heap:
+        U_final = max(U_final, -heap[0][0])
+    zr = ck.zeta.radius * ck.s1_abs * ck.scale * max(t_lo, t_hi) ** max(ck.s.sigma, 0.0)
+    val = (U_final + best_lower) / 2.0
+    rad = (U_final - best_lower) / 2.0 + zr + eps_for(prec) * 16 * val
+    return ApproxValue(val, radd(rad), RIGOROUS, prec), best_at
 
 
 def tail_bound_abs_Q(spec: KernelSpec, T: float, sup: float | None = None) -> float:

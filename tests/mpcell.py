@@ -1,0 +1,224 @@
+"""The unit-cell kernel and the rigorous quadrature in mpf arithmetic: a
+reference for `kernels.CellKernel.g` and the loops of `quadrature`.
+
+This is the cell evaluation as it ran before it moved to fixed point, kept
+only as a test oracle: c_K = (s-1)(zeta - P_K), beta and delta formed in mpf
+at the working precision, g(t) = c t^s + beta t + delta by mpmath.power,
+and the loops of integrate_signed_kernel, integrate_abs_kernel and
+sup_abs_kernel with mpf nodes and mpf running sums, at 48 guard bits.  It
+takes zeta(s), P_K and the float constants from a `CellKernel`, and keeps
+the float decisions and radius formulas, so its values, radii and T are the
+ones the library must reproduce.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+
+import mpmath
+from mpmath import mpc, mpf
+
+from moebius.approx import ApproxValue, RIGOROUS, eps_for, radd
+from moebius.kernels import LITTLE_Q, R, CellKernel
+from moebius.quadrature import _two_sided_tail
+
+GUARD = 48
+
+
+def cell(ck: CellKernel, K: int):
+    """(c_K, beta, delta) at the working precision."""
+    sm = ck.sm
+    c = (sm - 1) * (ck.zeta.value - ck.table.value(K))
+    if ck.spec.variant == R:  # Q - (s-1)({t}-1/2) = c t^s - s t + (s-1)(K+1/2)
+        beta, delta = -sm, (sm - 1) * (K + mpf(1) / 2)
+    else:
+        beta, delta = mpf(-1), mpf(0)
+    if ck.spec.variant == LITTLE_Q:
+        c, beta, delta = c * (sm - 1), beta * (sm - 1), delta * (sm - 1)
+    return c, beta, delta
+
+
+def g(ck: CellKernel, c, beta, delta, t):
+    return c * mpmath.power(t, ck.sm) + beta * t + delta
+
+
+def bounds(ck: CellKernel, c, beta, delta, a: float, b: float):
+    """(G0, D1, D2): sup bounds for |g|, |g'|, |g''| on [a, b]."""
+    sig = ck.s.sigma
+    ca = abs(complex(c))
+    s_abs = ck.s.abs()
+    s1_abs = abs(complex(ck.sm - 1))
+    tp = lambda e: max(a ** e, b ** e)
+    G0 = ca * tp(sig) + abs(complex(beta)) * b + abs(complex(delta))
+    D1 = ca * s_abs * tp(sig - 1) + abs(complex(beta))
+    D2 = ca * s_abs * s1_abs * tp(sig - 2)
+    return G0, D1, D2
+
+
+def phi4_bound(ck: CellKernel, c, beta, delta, a: float) -> float:
+    p = ck.sm - 2
+    prod = abs(complex(p * (p - 1) * (p - 2) * (p - 3)))
+    return (abs(complex(c)) * prod * a ** (ck.s.sigma - 6.0)
+            + abs(complex(beta)) * 24.0 * a ** -5.0
+            + abs(complex(delta)) * 120.0 * a ** -6.0)
+
+
+def integrate_signed(spec, T: float, target_radius: float, prec: int) -> ApproxValue:
+    ck = CellKernel(spec, prec, zeta_target=min(1e-30, target_radius / max(T, 2.0)))
+    eps = eps_for(prec)
+    is_real = ck.s.is_real
+    with mpmath.mp.workprec(prec + GUARD):
+        total = mpf(0) if is_real else mpc(0)
+        radius = 0.0
+        cond = 0.0
+        K = 1
+        while K < T:
+            b_end = min(K + 1, T)
+            c, beta, delta = cell(ck, K)
+            h_cell = b_end - K
+            if h_cell <= 0:
+                break
+            phi4 = phi4_bound(ck, c, beta, delta, K)
+            budget = 0.45 * target_radius * (1.0 / (K * (K + 1)))
+            n = max(2, math.ceil((h_cell ** 5 * phi4 / (2880.0 * budget)) ** 0.25))
+            comp = 1.4142135623730951 if not is_real else 1.0
+            step = mpf(h_cell) / n
+            fvals = []
+            for i in range(2 * n + 1):
+                t = mpf(K) + step * i / 2
+                fvals.append(g(ck, c, beta, delta, t) / t ** 2)
+            acc = fvals[0] + fvals[-1]
+            for i in range(1, 2 * n, 2):
+                acc += 4 * fvals[i]
+            for i in range(2, 2 * n, 2):
+                acc += 2 * fvals[i]
+            total += acc * step / 6
+            radius += comp * n * float(step) ** 5 * phi4 / 2880.0
+            cond += sum(abs(complex(v)) for v in fvals) * float(step)
+            radius += ck.zeta_rad_per_unit(K, b_end) * h_cell
+            K += 1
+        radius += eps * 64.0 * (cond + abs(complex(total)))
+        return ApproxValue(+total, radd(radius), RIGOROUS, prec)
+
+
+def integrate_abs(spec, T: float, target_radius: float, prec: int) -> ApproxValue:
+    ck = CellKernel(spec, prec, zeta_target=min(1e-30, target_radius / (8 * max(T, 2.0))))
+    eps = eps_for(prec)
+    with mpmath.mp.workprec(prec + GUARD):
+        total = mpf(0)
+        radius = 0.0
+        cond = 0.0
+        K = 1
+        while K < T:
+            b_end = float(min(K + 1, T))
+            c, beta, delta = cell(ck, K)
+            budget = 0.9 * target_radius * (1.0 / (K * (K + 1)))
+            ga = abs(complex(g(ck, c, beta, delta, mpf(K))))
+            gb = abs(complex(g(ck, c, beta, delta, mpf(b_end))))
+            stack = [(float(K), b_end, ga, gb)]
+            cell_val = mpf(0)
+            cell_rad = 0.0
+            while stack:
+                a, b, ga, gb = stack.pop()
+                h = b - a
+                G0, D1, D2 = bounds(ck, c, beta, delta, a, b)
+                m0 = (ga + gb - D1 * h) / 2.0
+                if m0 > 0:
+                    absg2 = D2 + D1 * D1 / m0
+                    phi2 = absg2 / a ** 2 + 4.0 * D1 / a ** 3 + 6.0 * G0 / a ** 4
+                    err = h ** 3 / 24.0 * phi2
+                    if err <= budget * (h / (b_end - K)) or h < 2e-13 * b:
+                        tm = mpf(a) + mpf(h) / 2
+                        v = abs(g(ck, c, beta, delta, tm)) / tm ** 2
+                        cell_val += v * h
+                        cell_rad += err
+                        cond += float(v) * h
+                        continue
+                else:
+                    sup_g = max(ga, gb) + D1 * h / 2.0
+                    inf_g = max(0.0, m0)
+                    width = sup_g / a ** 2 - inf_g / b ** 2
+                    if width * h <= 2.0 * budget * (h / (b_end - K)) or h < 2e-13 * b:
+                        mid_f = (sup_g / a ** 2 + inf_g / b ** 2) / 2.0
+                        cell_val += mpf(mid_f) * h
+                        cell_rad += width * h / 2.0
+                        cond += mid_f * h
+                        continue
+                tm_f = a + h / 2.0
+                gm = abs(complex(g(ck, c, beta, delta, mpf(a) + mpf(h) / 2)))
+                stack.append((a, tm_f, ga, gm))
+                stack.append((tm_f, b, gm, gb))
+            total += cell_val
+            radius += cell_rad + ck.zeta_rad_per_unit(K, b_end) * (b_end - K)
+            K += 1
+        radius += eps * 64.0 * (cond + float(total))
+        return ApproxValue(+total, radd(radius), RIGOROUS, prec)
+
+
+def integrate_abs_to_infinity(spec, target_radius: float, prec: int):
+    """(value, T) as `integrate_abs_kernel_to_infinity` composes them."""
+    s = spec.s
+    budget = 0.45 * target_radius
+    T = max(2, math.ceil(math.sqrt(_two_sided_tail(s, 1)[1] / budget)))
+    while _two_sided_tail(s, T)[1] > budget:
+        T += 1
+    head = integrate_abs(spec, T, budget, prec)
+    centre, half = _two_sided_tail(s, T)
+    return ApproxValue(head.value + centre, radd(head.radius, half, eps_for(53) * centre),
+                       RIGOROUS, head.precision_bits), T
+
+
+def sup_abs(spec, t_lo: float, t_hi: float, target_radius: float, prec: int):
+    ck = CellKernel(spec, prec)
+    tol = 0.45 * target_radius
+    heap: list = []
+    best_lower = 0.0
+    best_at = t_lo
+    counter = 0
+    with mpmath.mp.workprec(prec + GUARD):
+        def gval(c, beta, delta, t: float) -> float:
+            return abs(complex(g(ck, c, beta, delta, mpf(t))))
+
+        K = math.floor(t_lo)
+        while K < t_hi:
+            a = max(float(K), t_lo)
+            b = min(float(K + 1), t_hi)
+            if b <= a:
+                K += 1
+                continue
+            c, beta, delta = cell(ck, max(K, 1))
+            ga, gb = gval(c, beta, delta, a), gval(c, beta, delta, b)
+            if ga > best_lower:
+                best_lower, best_at = ga, a
+            if gb > best_lower:
+                best_lower, best_at = gb, b
+            _, _, D2 = bounds(ck, c, beta, delta, a, b)
+            U = max(ga, gb) + (b - a) ** 2 / 8.0 * D2
+            counter += 1
+            heapq.heappush(heap, (-U, counter, a, b, ga, gb, K))
+            K += 1
+        while heap:
+            negU, _, a, b, ga, gb, K = heap[0]
+            if -negU <= best_lower + 2.0 * tol:
+                break
+            heapq.heappop(heap)
+            c, beta, delta = cell(ck, max(K, 1))
+            mid = (a + b) / 2.0
+            gm = gval(c, beta, delta, mid)
+            if gm > best_lower:
+                best_lower, best_at = gm, mid
+            for (aa, bb, gaa, gbb) in ((a, mid, ga, gm), (mid, b, gm, gb)):
+                _, _, D2 = bounds(ck, c, beta, delta, aa, bb)
+                U2 = max(gaa, gbb) + (bb - aa) ** 2 / 8.0 * D2
+                if U2 > best_lower + tol:
+                    counter += 1
+                    heapq.heappush(heap, (-U2, counter, aa, bb, gaa, gbb, K))
+        U_final = best_lower + tol
+        if heap:
+            U_final = max(U_final, -heap[0][0])
+        zr = (ck.zeta.radius * abs(complex(ck.sm - 1)) * ck.scale
+              * max(t_lo, t_hi) ** max(ck.s.sigma, 0.0))
+        val = (U_final + best_lower) / 2.0
+        rad = (U_final - best_lower) / 2.0 + zr + eps_for(prec) * 16 * val
+        return ApproxValue(val, radd(rad), RIGOROUS, prec), best_at

@@ -4,6 +4,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mpcell
+
 from moebius.errors import DomainError, UnsupportedKernelError
 from moebius.kernels import (IBP_R, CellKernel, KernelSpec, MID_Q, REAL_R, SUP_Q,
                              frac_tail_integral, hel_remainder_bound,
@@ -128,7 +130,9 @@ CELL_S = [2.0, 0.5 + 3j, -0.5 + 5j, 0.5 + 14.13j]
 
 @pytest.mark.parametrize("s", CELL_S)
 def test_one_cell_kernel_serves_its_readers(s):
-    # the piecewise factor reads the cell as it is, bit for bit
+    # the piecewise factor reads the exact cell: its mpf coefficients round
+    # the mpf reference cell (tests/mpcell.py, doubled precision) once, and
+    # its fixed-point vector is the cell's ints floored
     prec = 128
     for variant in ("Q", "R"):
         spec = KernelSpec.make(variant, s)
@@ -136,8 +140,17 @@ def test_one_cell_kernel_serves_its_readers(s):
         with mpmath.workprec(prec + 96):
             for K in range(1, 51):
                 values, abs_values = kf.coeffs(K)
-                assert values == list(ck.cell(K))[:len(kf.shape)], (variant, K)
+                with mpmath.workprec(2 * prec + 96):
+                    ref = mpcell.cell(ck, K)
+                for v, r in zip(values, ref):
+                    assert abs(v - r) <= 2.0 ** -(prec + 95) * abs(r), (variant, K)
                 assert all(abs(complex(v)) <= a for v, a in zip(values, abs_values))
+                cell = ck.cell(K)
+                G, re, im, absv = kf.fixed(K, prec + 17)
+                assert absv == abs_values
+                parts = (cell.c, cell.beta, cell.delta)[:len(kf.shape)]
+                assert re == [p[0] >> (cell.S - G) for p in parts], (variant, K)
+                assert im == ([p[1] >> (cell.S - G) for p in parts] if ck.cplx else None)
     with pytest.raises(UnsupportedKernelError):
         KernelFactor(KernelSpec.make("q", s), prec)
     # the definitional kernel_eval lies within its radius of the cell form g,
@@ -148,7 +161,7 @@ def test_one_cell_kernel_serves_its_readers(s):
         for t in (1.0, 1.5, 2.5, 7.3, 20.0, 49.9):
             v = kernel_eval(spec, t, precision=prec)
             with mpmath.workprec(2 * prec):
-                g = ck.g(*ck.cell(math.floor(t)), mpmath.mpf(t))
+                g = mpcell.g(ck, *mpcell.cell(ck, math.floor(t)), mpmath.mpf(t))
                 assert abs(v.value - g) <= v.radius, (variant, t)
 
 

@@ -1,4 +1,6 @@
-"""Before and after rows for the piecewise walk, from one machine in one session.
+"""Before and after rows for the exact-arithmetic layers (the piecewise walk
+and the rigorous quadrature) and for whole commands, from one machine in one
+session.
 
     python3 tools/benchwalk.py PARENT_REV [--rounds R] [--out FILE]
 
@@ -8,15 +10,20 @@ tools/parity.py, removed afterwards), then runs every row R times (default
 from round to round, each run a fresh process with PYTHONPATH at that
 checkout's src:
 
-- layer rows, `integrate_partitions` pieces/s, timed around `piecewise._walk`
-  (one piece is one partition piece of one integrand), at mp.prec 144 as a
-  check at precision 128 runs:
-  - the terre check's batch (54 cells, 108 integrands) at x = 24.99;
-  - mieux-1's integrand m(x/t) Q_s(t) / t^2, s = 0.5 + 3i, at x = 50 and 1000;
+- layer rows, at mp.prec 144 as a check at precision 128 runs:
+  - `integrate_partitions` pieces/s, timed around `piecewise._walk` (one
+    piece is one partition piece of one integrand): the terre check's batch
+    (54 cells, 108 integrands) at x = 24.99, and mieux-1's integrand
+    m(x/t) Q_s(t) / t^2, s = 0.5 + 3i, at x = 50 and 1000;
+  - `integrate_abs_kernel` cells/s (one cell is one unit cell [K, K+1), as
+    perfbench counts `quadrature.cells`), timed around the call: the head
+    [1, 55] of q-l1 at rho_1 = 0.5 + 14.13i with radius 0.45 * 0.12, as the
+    exact workload's q-l1 runs it;
 - end-to-end rows, the wall time of the whole process (interpreter start,
   imports and report included): `verify --suite fast`, `verify --suite
-  terre --threads 1` and `verify --suite all --threads 1`, all with
-  --stable-output.
+  terre --threads 1`, `verify --suite q-l1 --threads 1` and `verify --suite
+  all --threads 1`, all with --stable-output, and the exact workload's argv
+  at seed 7 (`perfbench/workloads.make("exact", 7)`, default workers).
 
 The JSON written to FILE (default: stdout) holds every run's value, the
 medians and change/parent, perfbench/run.py's environment record for each
@@ -41,20 +48,21 @@ from pathlib import Path
 from parity import ROOT, checkout
 
 LAYER = r"""
-import json, sys, time
+import json, math, sys, time
 import mpmath
 from moebius import piecewise
 from moebius.convolution import SequenceSpec, terre_batch
 from moebius.kernels import KernelSpec
 from moebius.piecewise import FunctionSpec, KernelFactor, integrate_m_kernel
+from moebius.quadrature import integrate_abs_kernel
 
-spent, pieces, walk = [0.0], [0], piecewise._walk
+spent, units, walk = [0.0], [0], piecewise._walk
 
 def timed(part, integrands, prec):
     t = time.perf_counter()
     out = walk(part, integrands, prec)
     spent[0] += time.perf_counter() - t
-    pieces[0] += (len(part) - 1) * len(integrands)
+    units[0] += (len(part) - 1) * len(integrands)
     return out
 
 piecewise._walk = timed
@@ -70,18 +78,25 @@ if row == "terre":
              (FunctionSpec.power(1.0), FunctionSpec.power(complex(0.5, 3.0)))]
     terre_batch([(a, b, om, ph) for a in seqs for b in seqs for om, ph in pairs], x,
                 precision=128)
+elif row == "q-l1":
+    t = time.perf_counter()
+    integrate_abs_kernel(KernelSpec.make("Q", complex(0.5, 14.13)), x, 0.45 * 0.12, 128)
+    spent[0], units[0] = time.perf_counter() - t, math.ceil(x) - 1
 else:
     integrate_m_kernel(x, KernelFactor(KernelSpec.make("Q", 0.5 + 3j), 128), 128)
-print(json.dumps({"seconds": spent[0], "pieces": pieces[0]}))
+print(json.dumps({"seconds": spent[0], "units": units[0]}))
 """
 
 CLI = "import sys; from moebius.cli import main; sys.exit(main(sys.argv[1:]))"
 
-LAYER_ROWS = [("terre batch, x = 24.99", "terre", 24.99),
-              ("mieux-1 integrand, x = 50", "mieux-1", 50.0),
-              ("mieux-1 integrand, x = 1000", "mieux-1", 1000.0)]
+WALK = "integrate_partitions pieces/s"
+LAYER_ROWS = [(WALK, "terre batch, x = 24.99", "terre", 24.99),
+              (WALK, "mieux-1 integrand, x = 50", "mieux-1", 50.0),
+              (WALK, "mieux-1 integrand, x = 1000", "mieux-1", 1000.0),
+              ("integrate_abs_kernel cells/s", "q-l1 head [1, 55] at rho_1", "q-l1", 55.0)]
 E2E_ROWS = [("verify --suite fast", ["--suite", "fast"]),
             ("verify --suite terre --threads 1", ["--suite", "terre", "--threads", "1"]),
+            ("verify --suite q-l1 --threads 1", ["--suite", "q-l1", "--threads", "1"]),
             ("verify --suite all --threads 1", ["--suite", "all", "--threads", "1"])]
 
 
@@ -107,19 +122,26 @@ def _sides(trees: dict, r: int):
     return items if r % 2 == 0 else items[::-1]
 
 
+def _exact_argv() -> list[str]:
+    """The exact workload's verify arguments at seed 7."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    return workloads.make("exact", 7)[0][1:]
+
+
 def bench(parent: Path, rounds: int) -> dict:
     trees = {"parent": parent, "change": ROOT}
     rows = []
-    for label, row, x in LAYER_ROWS:
+    for metric, label, row, x in LAYER_ROWS:
         runs = {"parent": [], "change": []}
         for r in range(rounds):
             for side, tree in _sides(trees, r):
                 _, out = _run(tree, ["-c", LAYER, row, repr(x)])
                 got = json.loads(out)
-                runs[side].append(got["pieces"] / got["seconds"])
-        rows.append(_row(f"integrate_partitions pieces/s: {label}", "layer", "1/s", runs,
-                         pieces=got["pieces"]))
-    for label, argv in E2E_ROWS:
+                runs[side].append(got["units"] / got["seconds"])
+        rows.append(_row(f"{metric}: {label}", "layer", "1/s", runs, units=got["units"]))
+    for label, argv in [*E2E_ROWS, ("exact workload argv, seed 7", _exact_argv())]:
         runs = {"parent": [], "change": []}
         for r in range(rounds):
             for side, tree in _sides(trees, r):
