@@ -21,6 +21,7 @@ import mpmath
 from mpmath import mpf
 
 from .approx import ApproxValue, RIGOROUS, eps_for, radd
+from .dsum import fixed_to_mp_exact
 from .errors import CoverageError, DomainError
 from .piecewise import (FunctionSpec, InnerSumFactor, PowLogSum, SummatoryFactor,
                         integrate_partitions)
@@ -107,8 +108,9 @@ def S_op(a: SequenceSpec, phi: FunctionSpec, x: float,
     with mpmath.mp.workprec(prec + _GUARD):
         f = SummatoryFactor(_mp_values(a.values(math.floor(x)), prec), phi, x)
         c = mpmath.mpmathify(phi.c)
-        value = c * f.W[phi.k][-1]
-        radius = eps_for(prec) * 8 * abs(complex(c)) * f.W_abs[phi.k][-1]
+        re, im = f.cols[phi.k]
+        value = c * fixed_to_mp_exact(re[-1], im and im[-1], f.Wf[phi.k])
+        radius = eps_for(prec) * 8 * abs(complex(c)) * f.col_abs[phi.k][-1]
         return ApproxValue(+value, radd(radius), RIGOROUS, prec)
 
 

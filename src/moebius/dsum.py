@@ -126,6 +126,13 @@ def fixed_to_mp(re: int, im: int | None, S: int):
     return mpmath.mp.make_mpc((r, from_man_exp(im, -S, prec, "n")))
 
 
+def fixed_to_mp_exact(re: int, im: int | None, S: int):
+    """re (+ i im) times 2^-S as an mpf or mpc, exactly."""
+    if im is None:
+        return mpmath.mp.make_mpf(from_man_exp(re, -S))
+    return mpmath.mp.make_mpc((from_man_exp(re, -S), from_man_exp(im, -S)))
+
+
 def smallest_prime_factors(N: int) -> list[int]:
     """spf(n) for n = 0..N, with spf(0) = 0 and spf(1) = 1."""
     spf = np.zeros(N + 1, dtype=np.int64)
@@ -235,9 +242,7 @@ class DirichletTable:
 
     def to_mp(self, re: int, im: int | None = None):
         """The fixed-point value re (+ i im) as an mpf or mpc, exactly."""
-        if im is None:
-            return mpmath.mp.make_mpf(from_man_exp(re, -self.W))
-        return mpmath.mp.make_mpc((from_man_exp(re, -self.W), from_man_exp(im, -self.W)))
+        return fixed_to_mp_exact(re, im, self.W)
 
     def values(self, N: int, i: int = 0, mu: bool = False, cumulative: bool = False) -> list:
         """The terms w(n) n^-s log^i n for n = 0..N, or with `cumulative` the

@@ -28,7 +28,7 @@ N-indexed factor need the points x/n; the rest walk the integers alone), and
 breakpoint: log t, and t^q once per distinct exponent q of all integrands;
 per distinct compiled shape (the same slots over the same exponents): the
 slot values t^q log^i t and their difference across each piece; per factor:
-its coefficient vector, converted once per distinct index value.  Each
+its coefficient vector, read and floored once per distinct index value.  Each
 breakpoint serves the two pieces that meet there.  Every one of these values
 depends only on (x, prec, its own q, i or shape), never on the rest of the
 batch, so each value and radius equals the lone integral's bit for bit.  The
@@ -68,20 +68,22 @@ up = ceil(max(0, Re q) log2 x) + 1, down = ceil(max(0, -Re q) log2 x) + 1:
   + max over the shape's slots of (down + i lbits): < 2 units against
   |u| >= 2^-down lb^i, relative <= 2^-(P+9).  Every slot value is therefore
   off by at most rho |u|, rho = 2^-(P+6), and exact at t = 1.
-- Coefficients: each factor's vector at an index is floored to one scale G
-  with G >= Wc - e_j for every entry j, Wc = P + 17 and 2^(e_j - 1) <=
-  max(abs_j, |v_j|) < 2^e_j, so each part of an entry is off by < 2 units,
-  relative <= 2^(2.5 - Wc) to its abs value.  A product of nf <= 64 entries
-  is then off by <= nf 2^(2.5 - Wc) (1 + o(1)) times the product of the abs
-  values, <= 2^-(P+8) of the F_abs term it feeds.  `SummatoryFactor` and
-  `KernelFactor` hand the walk such vectors straight from their own ints
-  (`fixed`); other factors' mpf `coeffs` are floored by `_vec`.  The
+- Coefficients: every varying factor hands over its vector v at an index
+  as exact ints at its own scale (`exact`), with floats abs_j >= (1 -
+  2^-28) |v_j| (float sums of at most 2^24 magnitudes, or magnitudes
+  rounded once).  `_floored` floors it to the scale G = max_j (Wc - e_j),
+  Wc = P + 17, 2^(e_j - 1) <= abs_j < 2^e_j (an entry with abs_j = 0 is 0
+  and stays exact), so each part of entry j is off by < 2^-G <= 2^(e_j -
+  Wc) <= 2^(1 - Wc) abs_j, and the entry by < d = 2^(1.5 - Wc) abs_j.  A
+  product of nf <= 64 entries is then off by at most prod_j (|v_j| + d_j)
+  - prod_j |v_j| <= nf 2^(1.5 - Wc) (1 + 2^-20) prod_j abs_j <= 2^-(P+9)
+  prod_j abs_j, so F is off by <= 2^-(P+9) of the F_abs it feeds.  The
   compiled map's coefficients m are converted exactly.
 - Products, the dot product with the endpoint difference, and the running
   total are exact; the total becomes an mpf exactly and rounds once.
 
 Per piece, |F~ D~ - F d| <= sum_o |F~_o - F_o| |D~_o| + |F_o| |D~_o - d_o|
-<= (2^-(P+8) + 2^-(P+6)) (1 + 2^-40) sum_o F_abs_o (|u_o(a)| + |u_o(b)|),
+<= (2^-(P+9) + 2^-(P+6)) (1 + 2^-20) sum_o F_abs_o (|u_o(a)| + |u_o(b)|),
 the float slack covering the rounding of the abs values, so the walk's error
 is at most 2^-(P+5) cond = eps(prec) cond / 64.  Exponents that are not
 doubles (q = p + 1 for a tiny p, say) are exact mpf values, and the tables
@@ -93,13 +95,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
 import mpmath
 from mpmath import mpc, mpf
-from mpmath.libmp import from_man_exp
 
 from .approx import ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
@@ -194,9 +195,6 @@ class PowLogSum:
         self.shape.append((mpmath.mpmathify(p), k))
         self.values.append(c)
         self.abs_values.append(abs(complex(c)) if abs_c is None else abs_c)
-
-    def coeffs(self, idx):
-        return self.values, self.abs_values
 
 
 def _antiderivative(p, j: int) -> list:
@@ -308,28 +306,13 @@ def _shift(v: int, s: int) -> int:
     return v >> s if s >= 0 else v << -s
 
 
-def _vec(vals, absv, Wc: int) -> tuple:
-    """(G, re, im, absv): a factor's coefficient vector floored to one scale G
-    with G >= Wc - e_j, 2^(e_j - 1) <= max(absv_j, |v_j|) < 2^e_j."""
-    parts = [_mp_parts(v) for v in vals]
-    G = None
-    for (re, im), a in zip(parts, absv):
-        e = math.frexp(a)[1] if a else None
-        for t in (re, im):
-            if t is not None and t[1]:
-                e = t[2] + t[3] if e is None else max(e, t[2] + t[3])
-        if e is not None:
-            G = Wc - e if G is None else max(G, Wc - e)
-    G = G or 0
-    cplx = any(im is not None for _, im in parts)
-    return (G, [_fix(re, G) for re, _ in parts],
-            [_fix(im, G) if im is not None else 0 for _, im in parts] if cplx else None,
-            list(absv))
-
-
-def _vec_scale(absv, Wc: int) -> int:
-    """_vec's G for entries bounded by absv."""
-    return max((Wc - math.frexp(a)[1] for a in absv if a), default=0)
+def _floored(vec: tuple, Wc: int) -> tuple:
+    """(G, re, im, absv): a factor's exact vector (S, re, im, absv) floored to
+    the scale G = max_j (Wc - e_j), 2^(e_j - 1) <= absv_j < 2^e_j."""
+    S, re, im, absv = vec
+    G = max((Wc - math.frexp(a)[1] for a in absv if a), default=0)
+    s = S - G
+    return G, [_shift(v, s) for v in re], None if im is None else [_shift(v, s) for v in im], absv
 
 
 def _headroom(q, log2x: float) -> tuple[int, int]:
@@ -412,31 +395,100 @@ class _Powers:
 
 
 # ---------------------------------------------------------------------------
-# Piece factors: index ("N", "K" or None), shape [(p, k)], and
-# coeffs(idx) -> (values, abs_values) aligned with the shape.  A factor may
-# also offer fixed(idx, Wc), the walk's fixed-point vector (see `_vec`).
+# Piece factors: index ("N", "K" or None) and shape [(p, k)].  A varying
+# factor's exact(idx) -> (S, re, im, absv) is its coefficient vector at the
+# index, aligned with the shape, as exact ints at scale S (im None when the
+# vector is real-typed), with floats absv_j >= |v_j| for the radius model;
+# the walk floors it with `_floored`.
 # ---------------------------------------------------------------------------
 
-def _running_sums(columns) -> tuple[list, list]:
-    """Per column of per-index terms: the prefix sums from 0, and the prefix
-    sums of the terms' absolute values that the radius model reads."""
-    return ([list(accumulate(col, initial=mpf(0))) for col in columns],
-            [list(accumulate((abs(complex(t)) for t in col), initial=0.0)) for col in columns])
+def _sum_columns(seq, power, log, k: int, Wp: int, WL: int, base: int, lbits: int,
+                 cplx: bool) -> tuple:
+    """(scales, sums, abs_sums): per i <= k, the prefix sums from 0 of the
+    terms a(n) T_n L_n^i, n = 1..len(seq), each term floored to scales[i] =
+    base + i lbits + h_a, 2^-h_a <= |a(n)| for a(n) != 0, and the prefix sums
+    of the terms' float magnitudes.  seq holds the raw mpf parts of a(n),
+    power(n) -> (re, im or None) gives T_n at scale Wp and log(n) gives L_n
+    at scale WL; sums[i] is (re, im), im None unless cplx."""
+    h_a = max((1 - t[2] - t[3] for a in seq for t in a if t is not None and t[1]), default=0)
+    scales = [base + i * lbits + max(0, h_a) for i in range(k + 1)]
+    cols = [([], []) for _ in scales]
+    for n, (ar, ai) in enumerate(seq, 1):
+        if not ar[1] and (ai is None or not ai[1]):
+            for re, im in cols:
+                re.append(0)
+                im.append(0)
+            continue
+        Ga = _exact_scale((ar, ai))
+        a_re, a_im = _fix(ar, Ga), (_fix(ai, Ga) if ai is not None else 0)
+        tr, ti = power(n)
+        ti = ti or 0
+        zr, zi = a_re * tr - a_im * ti, a_re * ti + a_im * tr  # scale Ga + Wp
+        L = log(n) if k else 0
+        for i, (re, im) in enumerate(cols):
+            s = Ga + Wp + i * WL - scales[i]
+            re.append(_shift(zr, s))
+            im.append(_shift(zi, s))
+            if i < k:
+                zr, zi = zr * L, zi * L
+    sums = [(list(accumulate(re, initial=0)), list(accumulate(im, initial=0)) if cplx else None)
+            for re, im in cols]
+    abs_sums = [list(accumulate(
+        (abs(fixed_to_float(r, S)) if not cplx
+         else math.hypot(fixed_to_float(r, S), fixed_to_float(m, S))
+         for r, m in zip(re, im)), initial=0.0))
+        for (re, im), S in zip(cols, scales)]
+    return scales, sums, abs_sums
 
 
-class SummatoryFactor:
+class _PrefixSumFactor:
+    """Entry j = coef_j Z_{k-j}(idx) + offset_j, j = 0..k, for prefix sums Z_i
+    held exactly at scales Wf[i] (`cols`) with float magnitude sums `col_abs`;
+    `_entries` sets the constants, `exact` reads the vector."""
+
+    def _entries(self, coef, offset) -> None:
+        k = len(coef) - 1
+        self.coef_abs = [abs(complex(c)) for c in coef]
+        self.offset_abs = [abs(complex(c)) for c in offset]
+        coef_parts = [_mp_parts(c) for c in coef]
+        offset_parts = [_mp_parts(c) for c in offset]
+        self.cplx |= any(im is not None for _, im in offset_parts)
+        Gc = _exact_scale(t for c in coef_parts for t in c)
+        self.S = S = max(Gc + max(self.Wf), _exact_scale(t for c in offset_parts for t in c))
+        self._coef = [(_fix(re, Gc), _fix(im, Gc) if im is not None else 0, S - Gc - self.Wf[k - j])
+                      for j, (re, im) in enumerate(coef_parts)]
+        self._offset = [(_fix(re, S), _fix(im, S) if im is not None else 0)
+                        for re, im in offset_parts]
+
+    def exact(self, idx: int) -> tuple:
+        idx = min(idx, self.N)
+        cols = self.cols[::-1]  # column k - j for entry j
+        absv = [ca * za[idx] + oa for ca, za, oa
+                in zip(self.coef_abs, self.col_abs[::-1], self.offset_abs)]
+        if not self.cplx:
+            return (self.S, [((cr * zr[idx]) << s) + o_re for (cr, _, s), (zr, _), (o_re, _)
+                             in zip(self._coef, cols, self._offset)], None, absv)
+        re, im = [], []
+        for (cr, ci, s), (zr, zi), (o_re, o_im) in zip(self._coef, cols, self._offset):
+            zr, zi = zr[idx], zi[idx]
+            re.append(((cr * zr - ci * zi) << s) + o_re)
+            im.append(((cr * zi + ci * zr) << s) + o_im)
+        return self.S, re, im, absv
+
+
+class SummatoryFactor(_PrefixSumFactor):
     """S_a omega(x/t) = sum_{n <= x/t} a(n) omega((x/n)/t), indexed by
     N = floor(x/t), plus optional constants `offset[j]` on log^j t (only for
     omega.p == 0, where they share the shape's t^0 log^j t slots).
 
     omega(u) = c u^p log^k u gives, with L_n = log(x/n) and A_n = (x/n)^p,
     the t-polynomial  c t^{-p} sum_j C(k,j)(-1)^j log^j t * W_{k-j}(N),
-    W_i(N) = sum_{n<=N} a(n) A_n L_n^i.  The W_i are fixed-point prefix sums:
-    A_n = x^p n^-p and L_n = log x - log n from the walk's tables, at
-    mp.prec + 64 bits, each term a(n) A_n L_n^i floored to its column's scale
+    W_i(N) = sum_{n<=N} a(n) A_n L_n^i.  The W_i are fixed-point prefix sums
+    (`_sum_columns`): A_n = x^p n^-p and L_n = log x - log n from the walk's
+    tables, at mp.prec + 64 bits, each term floored to its column's scale
     with headroom for the least |a(n)|, A_n and L_n != 0 (as in the walk's
     slot values), so every term is off by relative <= 2^-(mp.prec + 70) and
-    the exact prefix sums by that times W_abs.
+    the exact prefix sums by that times `col_abs`.
     """
 
     index = "N"
@@ -459,143 +511,56 @@ class SummatoryFactor:
             lbits = _log_bits(num, den * N)
         elif N > 1:
             lbits = _log_bits(num, den * (N - 1))
-        # |a(n)| >= 2^-h_a for a(n) != 0
-        h_a = max((1 - t[2] - t[3] for a in seq for t in a if t is not None and t[1]),
-                  default=0)
         pw = _Powers(p, num, den, bits, False, N)
         logs = _Logs(x, bits + 22 + lbits, N) if k else None
-        self.Wf = [bits + 10 + _headroom(p, log2x)[1] + i * lbits + max(0, h_a)
-                   for i in range(k + 1)]
-        cols = [([], []) for _ in range(k + 1)]  # (re, im) terms per column
-        for n, (ar, ai) in enumerate(seq, 1):
-            if not ar[1] and (ai is None or not ai[1]):
-                for re, im in cols:
-                    re.append(0)
-                    im.append(0)
-                continue
-            Ga = _exact_scale((ar, ai))
-            a_re, a_im = _fix(ar, Ga), (_fix(ai, Ga) if ai is not None else 0)
-            tr, ti = pw.at_inv(n)
-            ti = ti or 0
-            zr, zi = a_re * tr - a_im * ti, a_re * ti + a_im * tr  # scale Ga + pw.W
-            L = 0 if n * den == num else (logs.at_inv(n) if k else 0)
-            for i, (re, im) in enumerate(cols):
-                s = Ga + pw.W + i * (logs.W if k else 0) - self.Wf[i]
-                re.append(_shift(zr, s))
-                im.append(_shift(zi, s))
-                if i < k:
-                    zr, zi = zr * L, zi * L
-        self.cols = [(list(accumulate(re, initial=0)),
-                      list(accumulate(im, initial=0)) if self.cplx else None)
-                     for re, im in cols]
-        self.W_abs = [list(accumulate(
-            (abs(fixed_to_float(r, Wf)) if not self.cplx
-             else math.hypot(fixed_to_float(r, Wf), fixed_to_float(m, Wf))
-             for r, m in zip(re, im)), initial=0.0))
-            for (re, im), Wf in zip(cols, self.Wf)]
-        self.k, self.N = k, N
-        self.coef = [cm * math.comb(k, j) * (-1 if j % 2 else 1) for j in range(k + 1)]
-        self.coef_abs = [abs(complex(c)) for c in self.coef]
-        self.offset = list(offset) + [0] * (k + 1 - len(offset))
-        self.offset_abs = [abs(complex(c)) for c in self.offset]
+        self.N = N
+        self.Wf, self.cols, self.col_abs = _sum_columns(
+            seq, pw.at_inv, lambda n: 0 if n * den == num else logs.at_inv(n), k, pw.W,
+            logs.W if k else 0, bits + 10 + _headroom(p, log2x)[1], lbits, self.cplx)
         self.shape = [(-mpmath.mpmathify(omega.p), j) for j in range(k + 1)]
-        coef_parts = [_mp_parts(c) for c in self.coef]
-        self._Gc = _exact_scale(t for c in coef_parts for t in c)
-        self._coef = [(_fix(re, self._Gc), _fix(im, self._Gc) if im is not None else 0)
-                      for re, im in coef_parts]
-        self._offset = [_mp_parts(c) for c in self.offset]
-        self._scales = {}  # Wc -> _scale(Wc)
-
-    @cached_property
-    def W(self) -> list:
-        """The prefix sums W_i(N), N = 0..len, as exact mpf or mpc values."""
-        out = []
-        for (re, im), Wf in zip(self.cols, self.Wf):
-            exp = lambda v: from_man_exp(v, -Wf)
-            out.append([mpmath.mp.make_mpf(exp(r)) if im is None
-                        else mpmath.mp.make_mpc((exp(r), exp(m)))
-                        for r, m in zip(re, im or re)])
-        return out
-
-    def coeffs(self, N: int):
-        N = min(N, self.N)
-        k = self.k
-        vals = [self.coef[j] * self.W[k - j][N] + self.offset[j] for j in range(k + 1)]
-        return vals, self._abs(N)
-
-    def _abs(self, N: int) -> list:
-        k = self.k
-        return [self.coef_abs[j] * self.W_abs[k - j][N] + self.offset_abs[j]
-                for j in range(k + 1)]
-
-    def _scale(self, Wc: int) -> tuple:
-        """(G, shifts, offsets): one scale G fine enough for the vectors at
-        every N (G >= Wc - e_j at each N, as `_vec` asks), the shift of each
-        c_j W_{k-j} to it, and the offsets there."""
-        if Wc not in self._scales:
-            # each entry's abs value grows with N, so its least nonzero value
-            # is at N = 0 or where its column first turns nonzero
-            firsts = {0, *(next((N for N, a in enumerate(col) if a), 0) for col in self.W_abs)}
-            G = max(_vec_scale(self._abs(N), Wc) for N in firsts)
-            k = self.k
-            self._scales[Wc] = (
-                G, [self._Gc + self.Wf[k - j] - G for j in range(k + 1)],
-                [(_fix(re, G), _fix(im, G) if im is not None else 0) for re, im in self._offset])
-        return self._scales[Wc]
-
-    def fixed(self, N: int, Wc: int) -> tuple:
-        """coeffs(N) as the walk's fixed-point vector, straight from the columns."""
-        N = min(N, self.N)
-        G, shifts, offsets = self._scale(Wc)
-        cols = self.cols[::-1]  # column k - j for entry j
-        if not self.cplx:
-            return (G, [_shift(cr * wr[N], s) + o_re for (cr, _), (wr, _), s, (o_re, _)
-                        in zip(self._coef, cols, shifts, offsets)], None, self._abs(N))
-        re, im = [], []
-        for (cr, ci), (wr, wi), s, (o_re, o_im) in zip(self._coef, cols, shifts, offsets):
-            wr, wi = wr[N], wi[N]
-            re.append(_shift(cr * wr - ci * wi, s) + o_re)
-            im.append(_shift(cr * wi + ci * wr, s) + o_im)
-        return G, re, im, self._abs(N)
+        self._entries([cm * math.comb(k, j) * (-1 if j % 2 else 1) for j in range(k + 1)],
+                      list(offset) + [0] * (k + 1 - len(offset)))
 
 
-class InnerSumFactor:
+class InnerSumFactor(_PrefixSumFactor):
     """S_b phi(t) = sum_{k <= t} b(k) phi(t/k), indexed by K = floor(t).
 
     phi(u) = c u^p log^l u gives c t^p sum_j C(l,j) log^j t V_{l-j}(K) with
-    V_i(K) = sum_{k<=K} b(k) k^{-p} (-log k)^i.
+    V_i(K) = sum_{k<=K} b(k) k^{-p} (-log k)^i: fixed-point prefix sums
+    (`_sum_columns`) of b(k) times a `DirichletTable`'s k^-p and -log k, each
+    term floored at mp.prec + 74 bits past its headroom (|k^-p| >=
+    K^-max(0, Re p), |log k| >= 1/2 for k >= 2), on top of the table's own
+    error (dsum).
     """
 
     index = "K"
 
     def __init__(self, seq_values, phi: FunctionSpec):
         l = phi.k
-        K_max = len(seq_values)
+        self.N = K_max = len(seq_values)
         p = complex(phi.p)
         table = DirichletTable(p.real, p.imag, mpmath.mp.prec, logs=l > 0)
-        # k^-p log^i k from the engine; b(k) and the sign of (-log k)^i are applied here
-        powers = [table.values(K_max, i) for i in range(l + 1)]
-        self.V, self.V_abs = _running_sums(
-            [[0 if b_k == 0 else (-1) ** i * mpmath.mpmathify(b_k) * powers[i][k]
-              for k, b_k in enumerate(seq_values, 1)] for i in range(l + 1)])
-        self.l = l
+        table.extend(K_max)
+        seq = [_mp_parts(b) for b in seq_values]
         cm = mpmath.mpmathify(phi.c)
-        self.coef = [cm * math.comb(l, j) for j in range(l + 1)]
-        self.coef_abs = [abs(complex(c)) for c in self.coef]
+        parts = table.parts
+        self.cplx = (type(cm) is mpc or any(im is not None for _, im in seq)
+                     or (len(parts) > 1 and any(b != 0 for b in seq_values)))
+        self.Wf, self.cols, self.col_abs = _sum_columns(
+            seq, lambda k: (parts[0][k], parts[1][k] if len(parts) > 1 else None),
+            lambda k: -table.log[k], l, table.W, table.W,
+            mpmath.mp.prec + _SUM_GUARD + 10 + _headroom(p, math.log2(max(K_max, 1)))[0],
+            1, self.cplx)
         self.shape = [(mpmath.mpmathify(phi.p), j) for j in range(l + 1)]
-
-    def coeffs(self, K: int):
-        K = min(K, len(self.V[0]) - 1)
-        l = self.l
-        return ([self.coef[j] * self.V[l - j][K] for j in range(l + 1)],
-                [self.coef_abs[j] * self.V_abs[l - j][K] for j in range(l + 1)])
+        self._entries([cm * math.comb(l, j) for j in range(l + 1)], [0] * (l + 1))
 
 
 class KernelFactor:
     """The Q or R kernel on pieces with floor(t) = K: `CellKernel.cell(K)`,
     c_K t^s - t for Q and c_K t^s - s t + (s-1)(K + 1/2) for R.
 
-    zeta_column is d(coefficients)/d(zeta): (s-1) on the t^s slot.
+    zeta_column is d(coefficients)/d(zeta), (s-1) on the t^s slot, as an
+    exact vector like `exact`'s.
     """
 
     index = "K"
@@ -605,45 +570,33 @@ class KernelFactor:
             raise UnsupportedKernelError("no kernel identity integrates q")
         self.kernel = ck = CellKernel(spec, prec, zeta_target=target_radius)
         self.zeta_radius = ck.zeta.radius
-        sm = ck.sm
         self.sm1_abs = ck.s1_abs
         self.zeta_abs = fixed_abs(*ck.zeta_fixed)
-        self.shape = [(sm, 0), (mpf(1), 0)]
-        self.zeta_column = [sm - 1, 0]
+        self.shape = [(ck.sm, 0), (mpf(1), 0)]
         self.beta_abs = 1.0
         self.cplx = ck.cplx
         if spec.variant == R:
             self.shape.append((mpf(0), 0))
-            self.zeta_column.append(0)
             self.beta_abs += self.sm1_abs
+        zero = [0] * (len(self.shape) - 1)
+        sr, si, Gs = ck.s1_fixed
+        self.zeta_column = (Gs, [sr, *zero], [si, *zero] if self.cplx else None,
+                            [self.sm1_abs] + [0.0] * len(zero))
 
-    def coeffs(self, K: int):
+    def exact(self, K: int) -> tuple:
+        """The exact cell: c_K = (s-1)(zeta - P_K) from the prefix table's
+        ints, beta and delta from s; the abs values are |s-1| (|zeta| + |P_K|)
+        >= |c_K|, with |zeta| and |P_K| correctly rounded from their exact
+        ints, then beta_abs >= |beta| and, for R, |delta|."""
         cell = self.kernel.cell(K)
-        vals = [fixed_to_mp(re, im if self.cplx else None, cell.S)
-                for re, im in (cell.c, cell.beta, cell.delta)]
-        return vals[:len(self.shape)], self._abs(K, cell)
-
-    def _abs(self, K: int, cell) -> list:
-        """The vector's abs values: |s-1| (|zeta| + |P_K|) >= |c_K|, with
-        |zeta| and |P_K| correctly rounded from their exact ints, then
-        beta_abs >= |beta| and, for R, |delta|."""
         table = self.kernel.table
-        abs_c = self.sm1_abs * (self.zeta_abs + fixed_abs(*(*table.prefix(K), 0)[:2], table.W))
+        absv = [self.sm1_abs * (self.zeta_abs + fixed_abs(*(*table.prefix(K), 0)[:2], table.W)),
+                self.beta_abs]
         if len(self.shape) == 3:  # R's delta slot; Q's delta is 0
-            return [abs_c, self.beta_abs, cell.delta_abs]
-        return [abs_c, self.beta_abs]
-
-    def fixed(self, K: int, Wc: int) -> tuple:
-        """coeffs(K) as the walk's fixed-point vector, floored from the exact
-        cell: c_K = (s-1)(zeta - P_K) from the prefix table's ints, beta and
-        delta from s."""
-        cell = self.kernel.cell(K)
-        absv = self._abs(K, cell)
-        G = _vec_scale(absv, Wc)
+            absv.append(cell.delta_abs)
         parts = (cell.c, cell.beta, cell.delta)[:len(self.shape)]
-        sh = cell.S - G
-        return (G, [_shift(re, sh) for re, _ in parts],
-                [_shift(im, sh) for _, im in parts] if self.cplx else None, absv)
+        return (cell.S, [re for re, _ in parts], [im for _, im in parts] if self.cplx else None,
+                absv)
 
 
 class PowSumFactor:
@@ -655,9 +608,9 @@ class PowSumFactor:
         self.table = power_prefix_table(s.sigma, s.tau, prec)
         self.shape = [(s.as_mpc(), 0)]
 
-    def coeffs(self, K: int):
-        P = self.table.value(K)
-        return [P], [float(mpmath.fabs(P))]
+    def exact(self, K: int) -> tuple:
+        P, W = self.table.prefix(K), self.table.W
+        return W, [P[0]], list(P[1:]) or None, [fixed_abs(*(*P, 0)[:2], W)]
 
 
 class HalfMinusFracFactor:
@@ -666,24 +619,32 @@ class HalfMinusFracFactor:
     index = "K"
     shape = [(mpf(0), 0), (mpf(1), 0)]
 
-    def coeffs(self, K: int):
-        c = mpf(1) / 2 + K
-        return [c, mpf(-1)], [abs(complex(c)), 1.0]
+    def exact(self, K: int) -> tuple:
+        return 1, [2 * K + 1, -2], None, [K + 0.5, 1.0]
 
 
 class StepPolyFactor:
     """Piecewise log-polynomial in t with coefficients indexed by K = floor(t):
-    t^power * sum_j coeffs[j][K] log^j t."""
+    t^power * sum_j coeff_columns[j][K] log^j t, the columns held as exact ints at
+    one scale S (a column shorter than K reads its last entry)."""
 
     index = "K"
 
     def __init__(self, coeff_columns, power=0):
-        self.cols = coeff_columns  # list over j of lists indexed by K
+        parts = [[_mp_parts(v) for v in col] for col in coeff_columns]
+        self.S = S = _exact_scale(t for col in parts for z in col for t in z)
+        self.cplx = any(im is not None for col in parts for _, im in col)
+        self.cols = [([_fix(re, S) for re, _ in col],
+                      [_fix(im, S) if im is not None else 0 for _, im in col])
+                     for col in parts]
+        self.abs = [[abs(complex(c)) for c in col] for col in coeff_columns]
         self.shape = [(mpmath.mpmathify(power), j) for j in range(len(coeff_columns))]
 
-    def coeffs(self, K: int):
-        vals = [col[min(K, len(col) - 1)] for col in self.cols]
-        return vals, [abs(complex(c)) for c in vals]
+    def exact(self, K: int) -> tuple:
+        at = [min(K, len(a) - 1) for a in self.abs]
+        return (self.S, [re[k] for (re, _), k in zip(self.cols, at)],
+                [im[k] for (_, im), k in zip(self.cols, at)] if self.cplx else None,
+                [a[k] for a, k in zip(self.abs, at)])
 
 
 def _harmonic_numbers(K_max: int, prec: int) -> list:
@@ -720,16 +681,15 @@ def _compile(factors: list):
     the product on a piece is sum_o F[o] t^q log^i t over slots[o] = (g, i)
     with exponents[g] = (q, q as an int or None, Re q), and F[o] = sum over
     terms (tuple, outs) with (o, m, m_abs) in outs of
-    m * prod_f coeffs_f[tuple[f]].
+    m * prod_f v_f[tuple[f]], v_f the varying factor f's vector on the piece.
     """
     varying = [f for f in factors if f.index is not None]
     const = [(mpf(0), 0, mpf(1), 1.0)]  # the constant factors, multiplied out
     for f in factors:
         if f.index is None:
-            vals, absv = f.coeffs(None)
             const = [(p0 + p, k0 + k, c0 * c, a0 * a)
                      for p0, k0, c0, a0 in const
-                     for (p, k), c, a in zip(f.shape, vals, absv)]
+                     for (p, k), c, a in zip(f.shape, f.values, f.abs_values)]
     exponents, slots, terms = [], {}, []
     for tup in itertools.product(*(range(len(f.shape)) for f in varying)):
         p_v = sum((f.shape[i][0] for f, i in zip(varying, tup)), mpf(0))
@@ -819,10 +779,10 @@ class _Integrand:
                              for o, m, m_abs in outs])
                       for tup, outs in terms]
         # per zeta factor: its position, the terms its zeta column reaches, and
-        # the column as a fixed-point vector
+        # the column floored as the walk floors a vector
         self.zeta = [(pos, [(tup, outs) for tup, outs in self.terms
-                            if f.zeta_column[tup[pos]] != 0],
-                      _vec(f.zeta_column, [abs(complex(c)) for c in f.zeta_column], Wc))
+                            if any(part and part[tup[pos]] for part in f.zeta_column[1:3])],
+                      _floored(f.zeta_column, Wc))
                      for pos, f in enumerate(self.varying) if hasattr(f, "zeta_column")]
         self.zeta_sens = [0.0] * len(self.zeta)
         self.re, self.im, self.S = 0, 0, None
@@ -930,15 +890,15 @@ def _walk(part: Partition, integrands: list, prec: int) -> list[ApproxValue]:
         return out
 
     cur, at = [None] * len(factors), [None] * len(factors)
-    readers = [(j, f.index == "N", getattr(f, "fixed", None), f) for j, f in enumerate(factors)]
+    readers = [(j, f.index == "N", f.exact) for j, f in enumerate(factors)]
     end_b = endpoint(keys[0])
     for _, key, N, K in part.pieces():
         end_a, end_b = end_b, endpoint(key)
-        for j, by_N, fixed, f in readers:
+        for j, by_N, exact in readers:
             idx = N if by_N else K
             if at[j] != idx:
                 at[j] = idx
-                cur[j] = fixed(idx, Wc) if fixed is not None else _vec(*f.coeffs(idx), Wc)
+                cur[j] = _floored(exact(idx), Wc)
         diffs = [((Ws, [b - a for a, b in zip(ea[0], eb[0])],
                    None if ea[1] is None else [b - a for a, b in zip(ea[1], eb[1])]),
                   [ua + ub for ua, ub in zip(ea[2], eb[2])])
@@ -1034,7 +994,7 @@ def integrate_m_kernel(x: float, g, precision: int | None = None,
         raise DomainError(f"unknown weight {weight!r}")
     if isinstance(g, FunctionSpec):
         g = PowLogSum.from_spec(g)
-    elif not hasattr(g, "coeffs"):
+    elif not isinstance(g, PowLogSum) and not hasattr(g, "exact"):
         raise UnsupportedKernelError(
             f"{g!r} is outside the closed-form kernel family")
     extra = PowLogSum.monomial(mpf(1), mpf(-2), 0)

@@ -4,8 +4,9 @@ This is the walk as it ran before it moved to fixed point, kept only as a
 test oracle: the breakpoints as sorted mpf values, each piece's indices from
 its mpf midpoint, log t and t^q from mpmath at every breakpoint, and the
 coefficient products, dot products and running totals in mpf, all at 96
-guard bits.  It reads the factors through their public `coeffs`, and keeps
-the same float condition tracker, so its radius formula is the library's.
+guard bits.  It reads the factors' exact coefficient vectors (`exact`),
+converted exactly to mpf, and keeps the same float condition tracker, so its
+radius formula is the library's.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import mpmath
 from mpmath import mpf
 
 from moebius.approx import eps_for
+from moebius.dsum import fixed_to_mp_exact
 from moebius.piecewise import _compile
 
 GUARD = 96
@@ -41,6 +43,13 @@ def midpoint_pieces(x, pts):
         yield a, b, int(xm / mid), int(mid)
 
 
+def values(vec) -> list:
+    """A factor's exact vector (S, re, im, absv) as exact mpf or mpc values."""
+    S, re, im, _ = vec
+    return [fixed_to_mp_exact(r, None if im is None else i, S)
+            for r, i in zip(re, re if im is None else im)]
+
+
 def _coefficients(terms, vecs, n: int):
     F = [0] * n
     F_abs = [0.0] * n
@@ -61,7 +70,7 @@ class _Run:
         self.n = len(slots)
         self.shape = tuple((exponent_index(exponents[g]), i) for g, i in slots)
         self.zeta = [(pos, [(tup, outs) for tup, outs in self.terms
-                            if f.zeta_column[tup[pos]] != 0])
+                            if values(f.zeta_column)[tup[pos]] != 0])
                      for pos, f in enumerate(self.varying) if hasattr(f, "zeta_column")]
         self.zeta_sens = [0.0] * len(self.zeta)
         self.total = mpf(0)
@@ -75,7 +84,7 @@ class _Run:
                       + abs(complex(contrib)))
         for z, (pos, zterms) in enumerate(self.zeta):
             zvecs = list(vecs)
-            zvecs[pos] = (self.varying[pos].zeta_column, vecs[pos][1])
+            zvecs[pos] = (values(self.varying[pos].zeta_column), vecs[pos][1])
             Fz, _ = _coefficients(zterms, zvecs, self.n)
             self.zeta_sens[z] += abs(complex(mpmath.fdot(Fz, diff)))
 
@@ -103,7 +112,8 @@ def _walk(x, need_inverse_points, integrands, prec):
         idx = N if f.index == "N" else K
         hit = memo.get(id(f))
         if hit is None or hit[0] != idx:
-            hit = memo[id(f)] = (idx, f.coeffs(idx))
+            vec = f.exact(idx)
+            hit = memo[id(f)] = (idx, (values(vec), vec[3]))
         return hit[1]
 
     shapes = {}

@@ -131,15 +131,15 @@ def test_terre_batch_computes_each_shared_factor_once_per_index(monkeypatch):
     kernel_pairs = [(FunctionSpec.const(1.0), FunctionSpec.const(1.0)),
                     (FunctionSpec.power(1.0), FunctionSpec.log(1))]
     specs = [(a, b, om, ph) for a in seqs for b in seqs for om, ph in kernel_pairs]
-    calls = {}  # factor -> the indices its coeffs was asked for, in order
+    calls = {}  # factor -> the indices its exact vector was asked for, in order
 
     def recording(cls):
-        coeffs = cls.coeffs
+        exact = cls.exact
 
         def record(self, idx):
             calls.setdefault(self, []).append(idx)
-            return coeffs(self, idx)
-        monkeypatch.setattr(cls, "coeffs", record)
+            return exact(self, idx)
+        monkeypatch.setattr(cls, "exact", record)
 
     recording(piecewise.SummatoryFactor)
     recording(piecewise.InnerSumFactor)

@@ -1,6 +1,7 @@
 """The fixed-point walk against the mpf reference walk (tests/mpwalk.py), at
 mp level: cellparity sees a check's numbers only as floats, so it cannot
-see a change below one double ulp; these tests compare the mpf values."""
+see a change below one double ulp; these tests compare the mpf values, with
+every kind of varying piece factor among the integrands."""
 
 import math
 
@@ -14,10 +15,12 @@ from moebius import piecewise
 from moebius.approx import eps_for
 from moebius.convolution import SequenceSpec, terre_batch
 from moebius.kernels import KernelSpec
-from moebius.piecewise import (FunctionSpec, InnerSumFactor, KernelFactor, Partition,
-                               PowLogSum, SummatoryFactor, integrate_partitions,
-                               m_weight_factor, mcheck_minus_one_factor,
+from moebius.piecewise import (FunctionSpec, HalfMinusFracFactor, HarmonicWeightFactor,
+                               InnerSumFactor, KernelFactor, LogMinusHFactor, Partition,
+                               PowLogSum, PowSumFactor, StepPolyFactor, SummatoryFactor,
+                               integrate_partitions, m_weight_factor, mcheck_minus_one_factor,
                                mdcheck_normalized_factor)
+from moebius.zeta import ComplexParam
 
 PREC = 128
 
@@ -57,6 +60,14 @@ def _integrands(x):
          over_t2],
         [KernelFactor(KernelSpec.make("Q", 2.0), PREC), over_t2],
         [m_weight_factor(x, PREC), KernelFactor(KernelSpec.make("R", 3.0), PREC), over_t2],
+        [mcheck_minus_one_factor(x, PREC), PowSumFactor(ComplexParam.coerce(0.5 + 3j), PREC),
+         over_t2],
+        [StepPolyFactor([[mpf(K) / 3 for K in range(N + 2)],
+                         [mpmath.mpc(1, K) / (K + 2) for K in range(N + 2)]],
+                        power=complex(0.5, 2.0)), HalfMinusFracFactor(), over_t2],
+        [m_weight_factor(x, PREC), HalfMinusFracFactor(), over_t2],
+        [m_weight_factor(x, PREC), HarmonicWeightFactor(N, PREC), over_t2],
+        [LogMinusHFactor(N, PREC), PowLogSum.monomial(mpf(1), mpmath.mpc(-0.5, -3), 0)],
     ]
 
 

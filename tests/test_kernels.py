@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import mpcell
 
+from moebius import piecewise
+from moebius.dsum import fixed_to_mp_exact
 from moebius.errors import DomainError, UnsupportedKernelError
 from moebius.kernels import (IBP_R, CellKernel, KernelSpec, MID_Q, REAL_R, SUP_Q,
                              frac_tail_integral, hel_remainder_bound,
@@ -130,25 +132,31 @@ CELL_S = [2.0, 0.5 + 3j, -0.5 + 5j, 0.5 + 14.13j]
 
 @pytest.mark.parametrize("s", CELL_S)
 def test_one_cell_kernel_serves_its_readers(s):
-    # the piecewise factor reads the exact cell: its mpf coefficients round
-    # the mpf reference cell (tests/mpcell.py, doubled precision) once, and
-    # its fixed-point vector is the cell's ints floored
+    # the piecewise factor reads the exact cell: its exact vector is the
+    # cell's ints, within 2^-(prec+95) of the mpf reference cell
+    # (tests/mpcell.py, doubled precision), and the walk's fixed-point vector
+    # is those ints floored
     prec = 128
     for variant in ("Q", "R"):
         spec = KernelSpec.make(variant, s)
         kf, ck = KernelFactor(spec, prec), CellKernel(spec, prec)
         with mpmath.workprec(prec + 96):
             for K in range(1, 51):
-                values, abs_values = kf.coeffs(K)
+                vec = kf.exact(K)
+                S, re, im, abs_values = vec
+                cell = ck.cell(K)
+                parts = (cell.c, cell.beta, cell.delta)[:len(kf.shape)]
+                assert S == cell.S and re == [p[0] for p in parts], (variant, K)
+                assert im == ([p[1] for p in parts] if ck.cplx else None)
+                values = [fixed_to_mp_exact(r, i if ck.cplx else None, S)
+                          for r, i in zip(re, im or re)]
                 with mpmath.workprec(2 * prec + 96):
                     ref = mpcell.cell(ck, K)
-                for v, r in zip(values, ref):
-                    assert abs(v - r) <= 2.0 ** -(prec + 95) * abs(r), (variant, K)
+                    for v, r in zip(values, ref):
+                        assert abs(v - r) <= 2.0 ** -(prec + 95) * abs(r), (variant, K)
                 assert all(abs(complex(v)) <= a for v, a in zip(values, abs_values))
-                cell = ck.cell(K)
-                G, re, im, absv = kf.fixed(K, prec + 17)
+                G, re, im, absv = piecewise._floored(vec, prec + 17)
                 assert absv == abs_values
-                parts = (cell.c, cell.beta, cell.delta)[:len(kf.shape)]
                 assert re == [p[0] >> (cell.S - G) for p in parts], (variant, K)
                 assert im == ([p[1] >> (cell.S - G) for p in parts] if ck.cplx else None)
     with pytest.raises(UnsupportedKernelError):

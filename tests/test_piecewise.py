@@ -1,5 +1,7 @@
 import functools
 import math
+from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import pytest
@@ -88,6 +90,23 @@ def test_formule_m_values():
         r = integrate_m_kernel(x, g)
         expect = 1 - mpf(1) / mpf(x) ** 2
         assert abs(r.value - expect) <= r.radius
+
+
+def test_inner_sum_columns_are_exact_prefix_sums():
+    # formule-m's phi(u) = 2 u^-1 with integer b(k): each term b(k) k is exact,
+    # so the int column equals the Fraction prefix sums bit for bit, and so
+    # does the exact vector 2 V_0(K)
+    for b in ([1] * 60, [_alt(k) * k for k in range(1, 61)],
+              SequenceSpec.named("mobius").values(60)):
+        g = InnerSumFactor(b, FunctionSpec.power(-1.0, 2.0))
+        ((re, im),) = g.cols
+        assert im is None
+        ref = list(accumulate((Fraction(b_k * k) for k, b_k in enumerate(b, 1)),
+                              initial=Fraction(0)))
+        assert [Fraction(v, 2 ** g.Wf[0]) for v in re] == ref
+        for K in (1, 7, 60, 99):
+            S, v_re, v_im, _ = g.exact(K)
+            assert v_im is None and Fraction(v_re[0], 2 ** S) == 2 * ref[min(K, 60)]
 
 
 def test_weight_t_reproduces_mcheck():

@@ -25,11 +25,15 @@ checkout's src:
   all --threads 1`, all with --stable-output, and the exact workload's argv
   at seed 7 (`perfbench/workloads.make("exact", 7)`, default workers).
 
-The JSON written to FILE (default: stdout) holds every run's value, the
-medians and change/parent, perfbench/run.py's environment record for each
-checkout, PARENT_REV resolved to its commit, and this checkout's HEAD with
-whether its tree differs from HEAD (its `src_sha256` then names the source
-that ran).
+The JSON written to FILE (default: stdout) holds, per row, every run's value,
+each side's median and quartiles (Q1, Q3), change/parent of the medians, and
+`change_won`, the number of rounds in which the change's run beat the
+parent's (a higher rate, or a shorter wall): a row whose medians differ by
+less than the quartile spread, or that the change won in only some rounds,
+is not resolved by its runs.  It also holds perfbench/run.py's environment
+record for each checkout, PARENT_REV resolved to its commit, and this
+checkout's HEAD with whether its tree differs from HEAD (its `src_sha256`
+then names the source that ran).
 """
 
 from __future__ import annotations
@@ -158,12 +162,21 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
+def _quartiles(v: list) -> list:
+    """[Q1, Q3] of the runs (statistics.quantiles' default method)."""
+    return statistics.quantiles(v, n=4)[::2] if len(v) > 1 else [v[0], v[0]]
+
+
 def _row(name: str, kind: str, unit: str, runs: dict, **extra) -> dict:
     med = {side: statistics.median(v) for side, v in runs.items()}
+    higher = unit == "1/s"  # a rate is better higher, a wall time lower
+    won = sum((c > p) if higher else (c < p) for p, c in zip(runs["parent"], runs["change"]))
     return {"name": name, "kind": kind, "unit": unit, **extra,
             "parent": runs["parent"], "change": runs["change"],
             "parent_median": med["parent"], "change_median": med["change"],
-            "change_over_parent": med["change"] / med["parent"]}
+            "parent_quartiles": _quartiles(runs["parent"]),
+            "change_quartiles": _quartiles(runs["change"]),
+            "change_won": won, "change_over_parent": med["change"] / med["parent"]}
 
 
 def main(argv: list[str]) -> int:
