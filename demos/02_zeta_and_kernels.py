@@ -14,8 +14,6 @@ import mpmath
 from moebius import kernel_bound, kernel_eval, kernel_eval_em, zeta_em
 from moebius.kernels import SUP_Q, KernelSpec, hel_sup_abs_Q
 
-mpmath.mp.prec = 144
-
 print("=" * 72)
 print("zeta with rigorous radii (target 1e-30)")
 print("=" * 72)

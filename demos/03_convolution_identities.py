@@ -17,8 +17,6 @@ from moebius import SequenceSpec, dirichlet_convolve, terre_sides
 from moebius.identities import double_check_borne_sides, formule_m_value
 from moebius.piecewise import FunctionSpec
 
-mpmath.mp.prec = 144
-
 mob = SequenceSpec.named("mobius")
 one = SequenceSpec.named("one")
 alt = SequenceSpec.named("alternating")

@@ -6,6 +6,9 @@ believed) to contain the true value, and the precision it was computed at.
 Combining two ApproxValues adds radii; the rigor of a combination is the
 weaker flag.
 
+Entry points take their bits as `precision` (default PRECISION) and work in
+their own mpmath context; only the operators below round in the caller's.
+
 Radii are kept as float64 upper bounds.  Radius arithmetic inflates by one
 part in 2^40 per operation so that float rounding of the radius itself can
 never under-claim.
@@ -22,6 +25,7 @@ RIGOROUS = "rigorous"
 HEURISTIC = "heuristic"
 
 _INFLATE = 1.0 + 2.0**-40
+PRECISION = 128  # the nominal bits of every entry point not given `precision`
 
 
 def _up(r: float) -> float:

@@ -42,7 +42,7 @@ import mpmath
 import numpy as np
 from mpmath import mpf
 
-from .approx import ApproxValue, HEURISTIC, RIGOROUS, combine_rigor, eps_for, radd
+from .approx import PRECISION, ApproxValue, HEURISTIC, RIGOROUS, combine_rigor, eps_for, radd
 from .constants import (HARMONIC_LOWER, HARMONIC_UPPER, MCHECK_OVER_LOG,
                         RHO1_IMAG_ROUNDED, RHO1_IMAG_STR, gamma_const)
 from .convolution import SequenceSpec, terre_batch, voyage_sides
@@ -981,11 +981,11 @@ def _require_known(check_id: str) -> None:
 
 
 def run_check(check_id: str, grid: dict | None = None,
-              target_radius: float | None = None, precision: int = 128) -> BoundReport:
-    """Run one registered check on its (possibly overridden) grid, at
-    precision + 16 working bits or more; mp.prec is restored afterwards."""
+              target_radius: float | None = None, precision: int = PRECISION) -> BoundReport:
+    """Run one registered check on its (possibly overridden) grid at precision
+    + 16 working bits, whatever the caller's mpmath context holds."""
     _require_known(check_id)
-    with mpmath.mp.workprec(max(mpmath.mp.prec, precision + 16)):
+    with mpmath.mp.workprec(precision + 16):
         return _run(check_id, REGISTRY[check_id], dict(grid or {}), target_radius, precision)
 
 
@@ -1003,7 +1003,7 @@ _COST_S = {
 
 
 def run_suite(names: list[str], grid: dict | None = None,
-              target_radius: float | None = None, precision: int = 128,
+              target_radius: float | None = None, precision: int = PRECISION,
               threads: int = 1) -> list[BoundReport]:
     """Run several checks and return their reports in request order.
 

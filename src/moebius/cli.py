@@ -15,7 +15,7 @@ from pathlib import Path
 import mpmath
 
 from . import __version__
-from .approx import HEURISTIC, render_value
+from .approx import HEURISTIC, PRECISION, render_value
 from .checks import FAST_SUITE, compose_headline, landau_constant, registry_names, run_suite
 from .errors import MoebiusError
 from .kernels import KernelSpec
@@ -59,7 +59,7 @@ def _global_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
                                      argument_default=argparse.SUPPRESS)
     common.add_argument("--precision", type=int,
-                        help="working precision in bits (>= 53, default 128)")
+                        help=f"working precision in bits (>= 53, default {PRECISION})")
     common.add_argument("--threads", type=int,
                         help="worker processes for a suite's checks, forked, "
                              "each with its own mpmath context (default: CPU count)")
@@ -248,7 +248,7 @@ def cmd_compose(args) -> int:
 
 
 _GLOBAL_DEFAULTS = {
-    "precision": 128,
+    "precision": PRECISION,
     "threads": None,  # filled with cpu_count at resolution time
     "format": "json",
     "output": None,

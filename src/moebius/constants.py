@@ -23,9 +23,8 @@ RHO1_IMAG_ROUNDED = 14.13
 _GAMMA_LITERAL_BITS = 196  # 59 digits ~ 196 bits
 
 
-def gamma_const(prec: int | None = None) -> mpf:
-    """Euler-Mascheroni constant at `prec` bits (default: current precision)."""
-    prec = prec if prec is not None else mpmath.mp.prec
+def gamma_const(prec: int) -> mpf:
+    """Euler-Mascheroni constant at `prec` bits."""
     with mpmath.mp.workprec(prec + 8):
         if prec + 8 <= _GAMMA_LITERAL_BITS:
             g = mpf(EULER_GAMMA_STR)

@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 
-from .approx import ApproxValue, RIGOROUS, eps_for, radd
+from .approx import PRECISION, ApproxValue, RIGOROUS, eps_for, radd
 from .dsum import fixed_to_mp_exact
 from .errors import CoverageError, DomainError
 from .piecewise import (FunctionSpec, InnerSumFactor, PowLogSum, SummatoryFactor,
@@ -99,19 +99,19 @@ def dirichlet_convolve(a: SequenceSpec, b: SequenceSpec, N: int) -> list:
 
 
 def S_op(a: SequenceSpec, phi: FunctionSpec, x: float,
-         precision: int | None = None) -> ApproxValue:
+         precision: int = PRECISION) -> ApproxValue:
     """S_a phi(x) = sum_{n<=x} a(n) phi(x/n): the summatory factor at t = 1,
     c W_k(floor(x)) for phi(u) = c u^p log^k u."""
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
-    prec = precision or mpmath.mp.prec
-    with mpmath.mp.workprec(prec + _GUARD):
-        f = SummatoryFactor(_mp_values(a.values(math.floor(x)), prec), phi, x)
+    f = SummatoryFactor(_mp_values(a.values(math.floor(x)), precision), phi, x,
+                        precision + _GUARD)
+    with mpmath.mp.workprec(precision + _GUARD):
         c = mpmath.mpmathify(phi.c)
         re, im = f.cols[phi.k]
         value = c * fixed_to_mp_exact(re[-1], im and im[-1], f.Wf[phi.k])
-        radius = eps_for(prec) * 8 * abs(complex(c)) * f.col_abs[phi.k][-1]
-        return ApproxValue(+value, radd(radius), RIGOROUS, prec)
+        radius = eps_for(precision) * 8 * abs(complex(c)) * f.col_abs[phi.k][-1]
+        return ApproxValue(+value, radd(radius), RIGOROUS, precision)
 
 
 def _mp_values(values, prec):
@@ -119,7 +119,7 @@ def _mp_values(values, prec):
         return [_to_mp(v) for v in values]
 
 
-def terre_batch(cells, x: float, precision: int | None = None,
+def terre_batch(cells, x: float, precision: int = PRECISION,
                 left_only: bool = False) -> list[tuple[ApproxValue, ...]]:
     """terre_sides(a, b, omega, phi, x) for each (a, b, omega, phi) in `cells`,
     from one walk of the partition; with left_only, each item is (lhs,) and
@@ -133,13 +133,12 @@ def terre_batch(cells, x: float, precision: int | None = None,
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
-    prec = precision or mpmath.mp.prec
     N = math.floor(x)
     values = {}
     for a, b, _, _ in cells:
         for seq in (a, b):
             if repr(seq) not in values:
-                values[repr(seq)] = _mp_values(seq.values(N), prec)
+                values[repr(seq)] = _mp_values(seq.values(N), precision)
     over_t = PowLogSum.monomial(mpf(1), mpf(-1), 0)
     factors = {}
 
@@ -148,35 +147,35 @@ def terre_batch(cells, x: float, precision: int | None = None,
             factors[key] = build()
         return factors[key]
 
+    bits = precision + _GUARD  # the factors' precision
     integrands = []
-    with mpmath.mp.workprec(prec + _GUARD):
-        for a, b, omega, phi in cells:
-            ka, kb, ko, kp = repr(a), repr(b), repr(omega), repr(phi)
-            integrands.append([
-                factor(("S", ka, ko), lambda: SummatoryFactor(values[ka], omega, x)),
-                factor(("I", kb, kp), lambda: InnerSumFactor(values[kb], phi)),
-                over_t])
-            if left_only:
-                continue
-            conv = factor(("conv", ka, kb),
-                          lambda: _mp_values(dirichlet_convolve(a, b, N), prec))
-            integrands.append([
-                factor(("S", ka, kb, ko), lambda: SummatoryFactor(conv, omega, x)),
-                PowLogSum.from_spec(phi), over_t])
-        sides = integrate_partitions(x, integrands, precision=prec)
+    for a, b, omega, phi in cells:
+        ka, kb, ko, kp = repr(a), repr(b), repr(omega), repr(phi)
+        integrands.append([
+            factor(("S", ka, ko), lambda: SummatoryFactor(values[ka], omega, x, bits)),
+            factor(("I", kb, kp), lambda: InnerSumFactor(values[kb], phi, bits)),
+            over_t])
+        if left_only:
+            continue
+        conv = factor(("conv", ka, kb),
+                      lambda: _mp_values(dirichlet_convolve(a, b, N), precision))
+        integrands.append([
+            factor(("S", ka, kb, ko), lambda: SummatoryFactor(conv, omega, x, bits)),
+            PowLogSum.from_spec(phi), over_t])
+    sides = integrate_partitions(x, integrands, precision=precision)
     step = 1 if left_only else 2
     return [tuple(sides[j:j + step]) for j in range(0, len(sides), step)]
 
 
 def terre_sides(a: SequenceSpec, b: SequenceSpec, omega: FunctionSpec,
                 phi: FunctionSpec, x: float,
-                precision: int | None = None) -> tuple[ApproxValue, ApproxValue]:
+                precision: int = PRECISION) -> tuple[ApproxValue, ApproxValue]:
     """Both sides of the convolution identity, evaluated exactly piecewise."""
     return terre_batch([(a, b, omega, phi)], x, precision)[0]
 
 
 def voyage_sides(omega: FunctionSpec, phi: FunctionSpec, x: float,
-                 precision: int | None = None) -> tuple[ApproxValue, ApproxValue]:
+                 precision: int = PRECISION) -> tuple[ApproxValue, ApproxValue]:
     """Swap symmetry: integral omega(x/t) S_1 phi(t) dt/t equals the same with
     omega and phi exchanged (the delta = 1 * mu case of the identity)."""
     N = math.floor(x)

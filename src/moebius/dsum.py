@@ -117,9 +117,8 @@ def fixed_abs(re: int, im: int, S: int) -> float:
     return fixed_to_float(2 * r + (r * r != n), S + sh + 1)  # a sticky bit keeps the rounding
 
 
-def fixed_to_mp(re: int, im: int | None, S: int):
-    """re (+ i im) times 2^-S as an mpf or mpc, rounded once to mp.prec."""
-    prec = mpmath.mp.prec
+def fixed_to_mp(re: int, im: int | None, S: int, prec: int):
+    """re (+ i im) times 2^-S as an mpf or mpc, rounded once to prec bits."""
     r = from_man_exp(re, -S, prec, "n")
     if im is None:
         return mpmath.mp.make_mpf(r)
@@ -254,7 +253,7 @@ class DirichletTable:
 
     def total(self, N: int, i: int = 0, mu: bool = False) -> ApproxValue:
         """sum_{n<=N} w(n) n^-s log^i n, exact in W bits, with its counted
-        radius, as an ApproxValue at the caller's precision."""
+        radius, as an ApproxValue at the table's prec."""
         value = self.to_mp(*(sum(part) for part in self.terms(N, i, mu)))
         return ApproxValue(value, radd(self.radius(N, i, mu)), RIGOROUS, self.prec)
 

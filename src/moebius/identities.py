@@ -13,7 +13,7 @@ import math
 import mpmath
 from mpmath import mpf
 
-from .approx import ApproxValue, RIGOROUS, eps_for
+from .approx import PRECISION, ApproxValue, RIGOROUS, eps_for
 from .constants import gamma_const
 from .dsum import DirichletTable
 from .kernels import Q, R, KernelSpec
@@ -27,23 +27,22 @@ from .zeta import ComplexParam, zeta_em
 _GUARD = 96
 
 
-def mu_power_sum(x: float, s, precision: int | None = None) -> ApproxValue:
+def mu_power_sum(x: float, s, precision: int = PRECISION) -> ApproxValue:
     """sum_{n<=x} mu(n) n^(-s), from the fixed-point engine."""
     sp = ComplexParam.coerce(s)
-    table = DirichletTable(sp.sigma, sp.tau, precision or mpmath.mp.prec)
+    table = DirichletTable(sp.sigma, sp.tau, precision)
     return table.total(math.floor(x), mu=True)
 
 
-def mu_log_power_sum(x: float, s, precision: int | None = None) -> ApproxValue:
+def mu_log_power_sum(x: float, s, precision: int = PRECISION) -> ApproxValue:
     """sum_{n<=x} mu(n) n^(-s) log(x/n) = log x sum mu n^-s - sum mu n^-s log n."""
     sp = ComplexParam.coerce(s)
-    prec = precision or mpmath.mp.prec
     N = math.floor(x)
-    table = DirichletTable(sp.sigma, sp.tau, prec, logs=True)
+    table = DirichletTable(sp.sigma, sp.tau, precision, logs=True)
     s0, s1 = (table.total(N, i, mu=True) for i in range(2))
-    with mpmath.mp.workprec(prec + _GUARD):
+    with mpmath.mp.workprec(precision + _GUARD):
         logx = mpmath.log(mpf(x))
-        lx = ApproxValue(logx, eps_for(prec + _GUARD) * abs(float(logx)), RIGOROUS, prec)
+        lx = ApproxValue(logx, eps_for(precision + _GUARD) * abs(float(logx)), RIGOROUS, precision)
         return lx * s0 - s1
 
 
@@ -53,7 +52,7 @@ def _x_pows(s: ComplexParam, x: float):
     return mpmath.power(xm, 1 - sm), mpmath.power(xm, sm - 1)  # x^{1-s}, x^{s-1}
 
 
-def mieux1_sides(s, x: float, precision: int = 128):
+def mieux1_sides(s, x: float, precision: int = PRECISION):
     """zeta(s)(sum mu/n^s - m(x)/x^{s-1}) - 1  vs
     (m-check(x)-1)/x^{s-1} + x^{1-s} * integral m(x/t) Q_s(t) dt/t^2."""
     sp = ComplexParam.coerce(s)
@@ -70,7 +69,7 @@ def mieux1_sides(s, x: float, precision: int = 128):
     return lhs, rhs
 
 
-def poids_sides(s, x: float, precision: int = 128):
+def poids_sides(s, x: float, precision: int = PRECISION):
     """Same left side as mieux1 vs the fractional-part-corrected expansion
     with the R kernel (valid for Re s > -1)."""
     sp = ComplexParam.coerce(s)
@@ -93,7 +92,7 @@ def poids_sides(s, x: float, precision: int = 128):
     return lhs, rhs
 
 
-def k1_sides(s, x: float, precision: int = 128):
+def k1_sides(s, x: float, precision: int = PRECISION):
     """x^{1-s} integral [m-check(x/t)-1] sum_j (t/j)^s dt/t^2  vs
     integral [log t - H(t)] t^{-s} dt, both over [1, x]."""
     sp = ComplexParam.coerce(s)
@@ -108,7 +107,7 @@ def k1_sides(s, x: float, precision: int = 128):
     return lhs, rhs
 
 
-def kgen2_sides(s, x: float, precision: int = 128):
+def kgen2_sides(s, x: float, precision: int = PRECISION):
     """The k = 2 instance with surrogate polynomial 2X - 2 gamma:
     x^{1-s} integral [mdd(x/t) - 2log(x/t) + 2gamma] sum_j (t/j)^s dt/t^2  vs
     integral [log^2 t - sum_{j<=t} (2 log(t/j) - 2 gamma)/j] t^{-s} dt."""
@@ -132,7 +131,7 @@ def kgen2_sides(s, x: float, precision: int = 128):
     return lhs, rhs
 
 
-def double_check_borne_sides(x: float, precision: int = 128):
+def double_check_borne_sides(x: float, precision: int = PRECISION):
     """integral m(x/t) t (H(t) - log t - gamma) dt/t^2  vs
     -(mdd(x) - 2log x + 2gamma)/2 - gamma (m-check(x) - 1)."""
     with mpmath.mp.workprec(precision + _GUARD):
@@ -146,7 +145,7 @@ def double_check_borne_sides(x: float, precision: int = 128):
     return lhs, rhs
 
 
-def halfstep_candidates(s, x: float, precision: int = 128):
+def halfstep_candidates(s, x: float, precision: int = PRECISION):
     """The fractional-part cross term integral m(x/t)(s-1)(1/2-{t}) dt/t^2,
     with the candidate closed forms its source display could have meant.
 
@@ -171,17 +170,17 @@ def halfstep_candidates(s, x: float, precision: int = 128):
     return value, candidates
 
 
-def formule_m_value(x: float, precision: int = 128):
+def formule_m_value(x: float, precision: int = PRECISION):
     """integral m(x/t) [sum_{k<=t} 2k/t] dt/t^2, which equals 1 - 1/x^2."""
     N = math.floor(x)
     with mpmath.mp.workprec(precision + _GUARD):
-        g = InnerSumFactor([1] * N, FunctionSpec.power(-1.0, 2.0))
+        g = InnerSumFactor([1] * N, FunctionSpec.power(-1.0, 2.0), precision + _GUARD)
         value = integrate_m_kernel(x, g, precision)
         expect = 1 - mpf(1) / mpf(x) ** 2
     return value, expect
 
 
-def abel_s_sides(s, x: float, precision: int = 128):
+def abel_s_sides(s, x: float, precision: int = PRECISION):
     """(s-1) integral_1^x m(t) t^{-s} dt  vs  sum mu/n^s - m(x)/x^{s-1}."""
     sp = ComplexParam.coerce(s)
     table = DirichletTable(1.0, 0.0, precision + _GUARD)
@@ -198,7 +197,7 @@ def abel_s_sides(s, x: float, precision: int = 128):
     return lhs, rhs
 
 
-def int_check_sides(s, x: float, precision: int = 128):
+def int_check_sides(s, x: float, precision: int = PRECISION):
     """(s-1) integral m-check(t) t^{-s} dt  vs
     integral m(t) t^{-s} dt - x^{1-s} m-check(x)  (f = m instance)."""
     sp = ComplexParam.coerce(s)

@@ -36,7 +36,7 @@ import mpmath
 from mpmath import mpf, mpc
 from mpmath.libmp.libelefun import ln2_fixed, log_int_fixed
 
-from .approx import ApproxValue, RIGOROUS, eps_for, radd
+from .approx import PRECISION, ApproxValue, RIGOROUS, eps_for, radd
 from .dsum import exact_ratio, fixed_magnitude, powers_fixed
 from .errors import DomainError, PrecisionError
 from .zeta import ComplexParam, bernoulli_ladder_tail, power_prefix_table, zeta_em
@@ -324,25 +324,23 @@ def frac_tail_evaluator(sigma: float, tau: float, prec: int) -> FracTailEvaluato
 
 
 def frac_tail_integral(s, t: float, target_radius: float = 1e-30,
-                       precision: int | None = None, left_limit: bool = False) -> ApproxValue:
+                       precision: int = PRECISION, left_limit: bool = False) -> ApproxValue:
     sp = ComplexParam.coerce(s)
-    prec = precision or mpmath.mp.prec
-    return frac_tail_evaluator(sp.sigma, sp.tau, prec).eval(t, target_radius, left_limit)
+    return frac_tail_evaluator(sp.sigma, sp.tau, precision).eval(t, target_radius, left_limit)
 
 
 def kernel_eval(spec: KernelSpec, t: float, target_radius: float = 1e-30,
-                precision: int | None = None, left_limit: bool = False) -> ApproxValue:
+                precision: int = PRECISION, left_limit: bool = False) -> ApproxValue:
     """Kernel value by the definitional formula, not the cell form, with the
     domain, zeta(s) and P_K of a `CellKernel`; radius combining the zeta
     radius and summation rounding."""
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
-    prec = precision or mpmath.mp.prec
-    ck = CellKernel(spec, prec, zeta_target=target_radius / 4)
+    ck = CellKernel(spec, precision, zeta_target=target_radius / 4)
     table, zeta_val = ck.table, ck.zeta
-    eps = eps_for(prec)
+    eps = eps_for(precision)
     K, frac = _floor_frac(t, left_limit)
-    with mpmath.mp.workprec(prec + _GUARD):
+    with mpmath.mp.workprec(precision + _GUARD):
         sm = spec.s.as_mpc()
         tm = mpf(t)
         ts = mpmath.power(tm, sm)
@@ -363,23 +361,22 @@ def kernel_eval(spec: KernelSpec, t: float, target_radius: float = 1e-30,
             val = q_part - (sm - 1) * (mpf(frac) - mpf(1) / 2)
             round_scale += sm1_abs
         radius = radd(data_rad, eps * 16 * round_scale)
-        return ApproxValue(+val, radius, RIGOROUS, prec)
+        return ApproxValue(+val, radius, RIGOROUS, precision)
 
 
 def kernel_eval_em(spec: KernelSpec, t: float, target_radius: float = 1e-30,
-                   precision: int | None = None, left_limit: bool = False) -> ApproxValue:
+                   precision: int = PRECISION, left_limit: bool = False) -> ApproxValue:
     """Kernel value by the Euler-Maclaurin form (fractional-part tail integral);
     zeta never enters."""
     s = spec.s
     s.require_not_one("kernels")
     s.require_sigma_gt(-1.0, "kernel_eval_em")
-    prec = precision or mpmath.mp.prec
-    eps = eps_for(prec)
+    eps = eps_for(precision)
     _, frac = _floor_frac(t, left_limit)
-    prefactor_abs = s.abs() * abs(complex(s.as_mpc() - 1)) * t ** s.sigma
+    prefactor_abs = s.abs() * math.hypot(s.sigma - 1.0, s.tau) * t ** s.sigma
     J = frac_tail_integral(s, t, target_radius / max(prefactor_abs, 1.0),
-                           precision=prec, left_limit=left_limit)
-    with mpmath.mp.workprec(prec + _GUARD):
+                           precision=precision, left_limit=left_limit)
+    with mpmath.mp.workprec(precision + _GUARD):
         sm = s.as_mpc()
         tm = mpf(t)
         ts = mpmath.power(tm, sm)
@@ -394,7 +391,7 @@ def kernel_eval_em(spec: KernelSpec, t: float, target_radius: float = 1e-30,
             val = (sm - 1) * ((sm - 1) * (mpf(frac) - mpf(1) / 2) + r_val)
             tail_rad *= abs(complex(sm - 1))
         scale = prefactor_abs * float(mpmath.fabs(J.value)) + float(mpmath.fabs(val)) + abs(complex(sm - 1))
-        return ApproxValue(+val, radd(tail_rad, eps * 16 * scale), RIGOROUS, prec)
+        return ApproxValue(+val, radd(tail_rad, eps * 16 * scale), RIGOROUS, precision)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import mpmath
 import numpy as np
 from mpmath import mpf
 
-from .approx import ApproxValue, RIGOROUS, radd
+from .approx import PRECISION, ApproxValue, RIGOROUS, radd
 from .constants import (HARMONIC_LOWER, LITTLE_M_OVER_LOG, gamma_const)
 from .errors import DomainError
 from .identities import mu_power_sum, _x_pows
@@ -482,12 +482,12 @@ class TransformIdentity:
         self.weight, self.mom_max, self.sigma_gt = weight, mom_max, sigma_gt
         self.what, self.sides, self.not_one = what, sides, not_one
 
-    def residual(self, s, x: float, T: float | None = None, precision: int = 128):
+    def residual(self, s, x: float, T: float | None = None, precision: int = PRECISION):
         return transform_sides(self, [(s, x)], T, precision)[0]
 
 
 def transform_sides(identity: TransformIdentity, cells, T: float | None = None,
-                    precision: int = 128) -> list[tuple]:
+                    precision: int = PRECISION) -> list[tuple]:
     """identity.sides for every (s, x) cell, in cell order.  Cells with the
     same truncation point, T or else default_T(x), share one stream; different
     points are never merged into one longer stream, which would change the
@@ -649,48 +649,48 @@ HAR = TransformIdentity(WEIGHT_HGAP, 0, 0.0, "harmonic-gap transform", _har_side
                         not_one=True)
 
 
-def mtronq_residual(s, x: float, T: float | None = None, precision: int = 128):
+def mtronq_residual(s, x: float, T: float | None = None, precision: int = PRECISION):
     """(s-1) integral_x^inf m(t) t^(-s) dt = 1/zeta - sum mu/n^s + m(x)/x^{s-1}."""
     return MTRONQ.residual(s, x, T, precision)
 
 
-def mtronqch_residual(s, x: float, T: float | None = None, precision: int = 128):
+def mtronqch_residual(s, x: float, T: float | None = None, precision: int = PRECISION):
     """(s-1)^2 integral_x^inf (mcheck-1) t^(-s) dt
     = 1/zeta - sum mu/n^s + m(x)/x^{s-1} + (s-1)(mcheck(x)-1)/x^{s-1}."""
     return MTRONQCH.residual(s, x, T, precision)
 
 
-def mtronqchch_residual(s, x: float, T: float | None = None, precision: int = 128):
+def mtronqchch_residual(s, x: float, T: float | None = None, precision: int = PRECISION):
     """(s-1)^3/2 integral_x^inf (mdd - 2 log t + 2 gamma) t^(-s) dt
     = mtronqch's right side + (s-1)^2/2 (mdd(x) - 2 log x + 2 gamma)/x^{s-1}."""
     return MTRONQCHCH.residual(s, x, T, precision)
 
 
-def derivK1_residual(s, x: float, T: float | None = None, precision: int = 128):
+def derivK1_residual(s, x: float, T: float | None = None, precision: int = PRECISION):
     """integral_x^inf m t^{-s} + (s-1) integral_x^inf m t^{-s} log(x/t)
     = log x / zeta - zeta'/zeta^2 - sum mu n^{-s} log(x/n)."""
     return DERIVK1.residual(s, x, T, precision)
 
 
-def derivK2_residual(s, x: float, T: float | None = None, precision: int = 128):
+def derivK2_residual(s, x: float, T: float | None = None, precision: int = PRECISION):
     """2(s-1) integral (mcheck-1) t^{-s} + (s-1)^2 integral (mcheck-1) t^{-s} log(x/t)
     = log x/zeta - zeta'/zeta^2 - sum mu n^{-s} log(x/n) + (mcheck(x)-1)/x^{s-1}."""
     return DERIVK2.residual(s, x, T, precision)
 
 
-def derivK3_residual(s, x: float, T: float | None = None, precision: int = 128):
+def derivK3_residual(s, x: float, T: float | None = None, precision: int = PRECISION):
     """3/2 (s-1)^2 integral mdnorm t^{-s} + (s-1)^3/2 integral mdnorm t^{-s} log(x/t)
     = derivK2's right side + (s-1)(mdd(x) - 2 log x + 2 gamma)/x^{s-1}."""
     return DERIVK3.residual(s, x, T, precision)
 
 
-def har_residual(s, t: float, T: float | None = None, precision: int = 128):
+def har_residual(s, t: float, T: float | None = None, precision: int = PRECISION):
     """(s-1) integral_t^inf (H - log - gamma) u^{-s} du
     = zeta - sum_{n<=t} n^{-s} - t^{1-s}/(s-1) + (H(t)-log t-gamma)/t^{s-1}."""
     return HAR.residual(s, t, T, precision)
 
 
-def ent_residual(s, t: float, precision: int = 128):
+def ent_residual(s, t: float, precision: int = PRECISION):
     """s integral_t^inf (floor(u)-u+1/2) u^{-s-1} du
     = zeta - sum_{n<=t} n^{-s} - t^{1-s}/(s-1) + (floor(t)-t+1/2)/t^s."""
     sp = ComplexParam.coerce(s)
@@ -708,9 +708,8 @@ def ent_residual(s, t: float, precision: int = 128):
     return lhs, rhs
 
 
-def _mieux2_sides(tt: TruncatedTransform, precision: int):
+def _mieux2_sides(tt: TruncatedTransform, prec: int):
     sp, x, T = tt.s, tt.x, tt.T
-    prec = precision
     with mpmath.mp.workprec(prec + 32):
         smc = sp.as_mpc()
         g = gamma_const(prec)
@@ -741,7 +740,7 @@ MIEUX2 = TransformIdentity(WEIGHT_HGAP, 0, 0.0, "smoothed kernel identity", _mie
                            not_one=True)
 
 
-def mieux2_sides(s, x: float, T: float | None = None, precision: int = 128):
+def mieux2_sides(s, x: float, T: float | None = None, precision: int = PRECISION):
     """zeta(s)(sum mu/n^s - m/x^{s-1} - (s-1)(mcheck-1)/x^{s-1}) - 1  vs
     (s-1)/x^{s-1} (mdd/2 - log x + sign*gamma)
       + (s-1)/x^{s-1} integral [mcheck(x/t)-1] Q_s dt/t^2

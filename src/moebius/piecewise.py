@@ -102,11 +102,11 @@ from operator import mul
 import mpmath
 from mpmath import mpc, mpf
 
-from .approx import ApproxValue, RIGOROUS, eps_for, radd
+from .approx import PRECISION, ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
 from .dsum import (DirichletTable, exact_ratio, fixed_abs, fixed_magnitude, fixed_to_float,
                    fixed_to_mp)
-from .errors import CapacityError, DomainError, UnsupportedKernelError
+from .errors import CapacityError, DomainError, PrecisionError, UnsupportedKernelError
 from .kernels import LITTLE_Q, R, CellKernel, KernelSpec
 from .zeta import ComplexParam, power_prefix_table
 
@@ -114,7 +114,7 @@ _GUARD = 96
 MAX_PARTITION_X = 10_000_000
 MAX_LOG_DEGREE = 64  # and at most as many varying factors: the bound above counts on it
 _COEF_BITS = 17  # Wc - prec
-_SUM_GUARD = 64  # a summatory factor's columns carry mp.prec + this many bits
+_SUM_GUARD = 64  # a prefix-sum factor's columns carry its prec + this many bits
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +149,6 @@ class FunctionSpec:
     def t_log(cls, k: int = 1, c=1.0) -> "FunctionSpec":
         return cls(c, 1.0, k)
 
-    def __call__(self, u):
-        with mpmath.mp.workprec(mpmath.mp.prec + 16):
-            um = mpmath.mpmathify(u)
-            v = mpmath.mpmathify(self.c) * mpmath.power(um, self.p)
-            if self.k:
-                v *= mpmath.log(um) ** self.k
-        return v
-
     def describe(self) -> str:
         parts = []
         if self.c != 1.0 or (self.p == 0 and self.k == 0):
@@ -177,6 +169,7 @@ class PowLogSum:
 
     __slots__ = ("shape", "values", "abs_values")
     index = None
+    prec = None  # exact: its values are taken as given
 
     def __init__(self):
         self.shape, self.values, self.abs_values = [], [], []
@@ -395,11 +388,12 @@ class _Powers:
 
 
 # ---------------------------------------------------------------------------
-# Piece factors: index ("N", "K" or None) and shape [(p, k)].  A varying
-# factor's exact(idx) -> (S, re, im, absv) is its coefficient vector at the
-# index, aligned with the shape, as exact ints at scale S (im None when the
-# vector is real-typed), with floats absv_j >= |v_j| for the radius model;
-# the walk floors it with `_floored`.
+# Piece factors: index ("N", "K" or None), shape [(p, k)] and prec, the bits
+# its data were built at (None: exact as given; the walk refuses fewer bits
+# than its own).  A varying factor's exact(idx) -> (S, re, im, absv) is its
+# coefficient vector at the index, aligned with the shape, as exact ints at
+# scale S (im None when the vector is real-typed), with floats absv_j >=
+# |v_j| for the radius model; the walk floors it with `_floored`.
 # ---------------------------------------------------------------------------
 
 def _sum_columns(seq, power, log, k: int, Wp: int, WL: int, base: int, lbits: int,
@@ -444,10 +438,12 @@ def _sum_columns(seq, power, log, k: int, Wp: int, WL: int, base: int, lbits: in
 class _PrefixSumFactor:
     """Entry j = coef_j Z_{k-j}(idx) + offset_j, j = 0..k, for prefix sums Z_i
     held exactly at scales Wf[i] (`cols`) with float magnitude sums `col_abs`;
-    `_entries` sets the constants, `exact` reads the vector."""
+    `_entries` sets the constants, coef_j = c C(k, j) sign^j exactly, and
+    `exact` reads the vector."""
 
-    def _entries(self, coef, offset) -> None:
-        k = len(coef) - 1
+    def _entries(self, c, sign: int, offset) -> None:
+        k = len(offset) - 1
+        coef = [mpmath.fmul(c, math.comb(k, j) * sign**j, exact=True) for j in range(k + 1)]
         self.coef_abs = [abs(complex(c)) for c in coef]
         self.offset_abs = [abs(complex(c)) for c in offset]
         coef_parts = [_mp_parts(c) for c in coef]
@@ -485,19 +481,20 @@ class SummatoryFactor(_PrefixSumFactor):
     the t-polynomial  c t^{-p} sum_j C(k,j)(-1)^j log^j t * W_{k-j}(N),
     W_i(N) = sum_{n<=N} a(n) A_n L_n^i.  The W_i are fixed-point prefix sums
     (`_sum_columns`): A_n = x^p n^-p and L_n = log x - log n from the walk's
-    tables, at mp.prec + 64 bits, each term floored to its column's scale
-    with headroom for the least |a(n)|, A_n and L_n != 0 (as in the walk's
-    slot values), so every term is off by relative <= 2^-(mp.prec + 70) and
-    the exact prefix sums by that times `col_abs`.
+    tables, at prec + 64 bits, each term floored to its column's scale with
+    headroom for the least |a(n)|, A_n and L_n != 0 (as in the walk's slot
+    values), so every term is off by relative <= 2^-(prec + 70) and the
+    exact prefix sums by that times `col_abs`.
     """
 
     index = "N"
 
-    def __init__(self, seq_values, omega: FunctionSpec, x: float, offset=()):
+    def __init__(self, seq_values, omega: FunctionSpec, x: float, prec: int, offset=()):
         if any(offset) and omega.p != 0:
             raise DomainError("offset needs omega.p == 0")
         k = omega.k
-        bits = mpmath.mp.prec + _SUM_GUARD
+        self.prec = prec
+        bits = prec + _SUM_GUARD
         num, den = exact_ratio(x)
         N = min(len(seq_values), num // den)
         seq = [_mp_parts(a) for a in seq_values[:N]]
@@ -518,8 +515,7 @@ class SummatoryFactor(_PrefixSumFactor):
             seq, pw.at_inv, lambda n: 0 if n * den == num else logs.at_inv(n), k, pw.W,
             logs.W if k else 0, bits + 10 + _headroom(p, log2x)[1], lbits, self.cplx)
         self.shape = [(-mpmath.mpmathify(omega.p), j) for j in range(k + 1)]
-        self._entries([cm * math.comb(k, j) * (-1 if j % 2 else 1) for j in range(k + 1)],
-                      list(offset) + [0] * (k + 1 - len(offset)))
+        self._entries(cm, -1, list(offset) + [0] * (k + 1 - len(offset)))
 
 
 class InnerSumFactor(_PrefixSumFactor):
@@ -528,18 +524,19 @@ class InnerSumFactor(_PrefixSumFactor):
     phi(u) = c u^p log^l u gives c t^p sum_j C(l,j) log^j t V_{l-j}(K) with
     V_i(K) = sum_{k<=K} b(k) k^{-p} (-log k)^i: fixed-point prefix sums
     (`_sum_columns`) of b(k) times a `DirichletTable`'s k^-p and -log k, each
-    term floored at mp.prec + 74 bits past its headroom (|k^-p| >=
+    term floored at prec + 74 bits past its headroom (|k^-p| >=
     K^-max(0, Re p), |log k| >= 1/2 for k >= 2), on top of the table's own
     error (dsum).
     """
 
     index = "K"
 
-    def __init__(self, seq_values, phi: FunctionSpec):
+    def __init__(self, seq_values, phi: FunctionSpec, prec: int):
         l = phi.k
         self.N = K_max = len(seq_values)
+        self.prec = prec
         p = complex(phi.p)
-        table = DirichletTable(p.real, p.imag, mpmath.mp.prec, logs=l > 0)
+        table = DirichletTable(p.real, p.imag, prec, logs=l > 0)
         table.extend(K_max)
         seq = [_mp_parts(b) for b in seq_values]
         cm = mpmath.mpmathify(phi.c)
@@ -549,10 +546,10 @@ class InnerSumFactor(_PrefixSumFactor):
         self.Wf, self.cols, self.col_abs = _sum_columns(
             seq, lambda k: (parts[0][k], parts[1][k] if len(parts) > 1 else None),
             lambda k: -table.log[k], l, table.W, table.W,
-            mpmath.mp.prec + _SUM_GUARD + 10 + _headroom(p, math.log2(max(K_max, 1)))[0],
+            prec + _SUM_GUARD + 10 + _headroom(p, math.log2(max(K_max, 1)))[0],
             1, self.cplx)
         self.shape = [(mpmath.mpmathify(phi.p), j) for j in range(l + 1)]
-        self._entries([cm * math.comb(l, j) for j in range(l + 1)], [0] * (l + 1))
+        self._entries(cm, 1, [0] * (l + 1))
 
 
 class KernelFactor:
@@ -568,6 +565,7 @@ class KernelFactor:
     def __init__(self, spec: KernelSpec, prec: int, target_radius: float = 1e-35):
         if spec.variant == LITTLE_Q:
             raise UnsupportedKernelError("no kernel identity integrates q")
+        self.prec = prec
         self.kernel = ck = CellKernel(spec, prec, zeta_target=target_radius)
         self.zeta_radius = ck.zeta.radius
         self.sm1_abs = ck.s1_abs
@@ -605,6 +603,7 @@ class PowSumFactor:
     index = "K"
 
     def __init__(self, s: ComplexParam, prec: int):
+        self.prec = prec
         self.table = power_prefix_table(s.sigma, s.tau, prec)
         self.shape = [(s.as_mpc(), 0)]
 
@@ -618,6 +617,7 @@ class HalfMinusFracFactor:
 
     index = "K"
     shape = [(mpf(0), 0), (mpf(1), 0)]
+    prec = None
 
     def exact(self, K: int) -> tuple:
         return 1, [2 * K + 1, -2], None, [K + 0.5, 1.0]
@@ -626,9 +626,11 @@ class HalfMinusFracFactor:
 class StepPolyFactor:
     """Piecewise log-polynomial in t with coefficients indexed by K = floor(t):
     t^power * sum_j coeff_columns[j][K] log^j t, the columns held as exact ints at
-    one scale S (a column shorter than K reads its last entry)."""
+    one scale S (a column shorter than K reads its last entry), exact as given
+    (prec None) unless a subclass builds them."""
 
     index = "K"
+    prec = None
 
     def __init__(self, coeff_columns, power=0):
         parts = [[_mp_parts(v) for v in col] for col in coeff_columns]
@@ -659,14 +661,16 @@ class HarmonicWeightFactor(StepPolyFactor):
             g = gamma_const(prec + _GUARD)
             H = _harmonic_numbers(K_max, prec)
             super().__init__([[h - g for h in H], [mpf(-1)] * len(H)], power=1)
+        self.prec = prec
 
 
 class LogMinusHFactor(StepPolyFactor):
-    """log t - H(t), the k = 1 right-hand integrand."""
+    """log t - H(t), the k = 1 right-hand integrand; H is negated exactly."""
 
     def __init__(self, K_max: int, prec: int):
         H = _harmonic_numbers(K_max, prec)
-        super().__init__([[-h for h in H], [mpf(1)] * len(H)])
+        super().__init__([[mpmath.fneg(h, exact=True) for h in H], [mpf(1)] * len(H)])
+        self.prec = prec
 
 
 # ---------------------------------------------------------------------------
@@ -824,92 +828,97 @@ class _Integrand:
         for (pos, _, _), sens in zip(self.zeta, self.zeta_sens):
             radius += self.varying[pos].zeta_radius * sens
         typed = self.S is not None and self.typed_cplx
-        value = fixed_to_mp(self.re, self.im if typed else None, self.S or 0)
+        value = fixed_to_mp(self.re, self.im if typed else None, self.S or 0, prec + _GUARD)
         return ApproxValue(value, radd(radius), RIGOROUS, prec)
 
 
 def _walk(part: Partition, integrands: list, prec: int) -> list[ApproxValue]:
     """Every integrand's integral over one walk of `part`, in fixed point (see
-    the module docstring), at the working precision set by the caller."""
-    exps, where = [], {}  # distinct (q, q as an int or None, Re q); (type, q) -> index
+    the module docstring), at prec + _GUARD working bits.  A factor built at
+    fewer than prec bits raises PrecisionError."""
+    for f in itertools.chain.from_iterable(integrands):
+        if f.prec is not None and f.prec < prec:
+            raise PrecisionError(f"{type(f).__name__} built at {f.prec} < {prec} bits")
+    with mpmath.mp.workprec(prec + _GUARD):
+        exps, where = [], {}  # distinct (q, q as an int or None, Re q); (type, q) -> index
 
-    def exponent_index(e):
-        key = (type(e[0]), e[0])  # an mpf and an equal mpc stay apart
-        if key not in where:
-            where[key] = len(exps)
-            exps.append(e)
-        return where[key]
+        def exponent_index(e):
+            key = (type(e[0]), e[0])  # an mpf and an equal mpc stay apart
+            if key not in where:
+                where[key] = len(exps)
+                exps.append(e)
+            return where[key]
 
-    Wc = prec + _COEF_BITS
-    runs = [_Integrand(factors, exponent_index, Wc) for factors in integrands]
-    keys = part.keys
-    if len(keys) < 2 or not runs:
+        Wc = prec + _COEF_BITS
+        runs = [_Integrand(factors, exponent_index, Wc) for factors in integrands]
+        keys = part.keys
+        if len(keys) < 2 or not runs:
+            return [r.result(prec) for r in runs]
+        factors, slot_of = [], {}  # the distinct varying factors, and id -> position
+        for r in runs:
+            for f in r.varying:
+                if id(f) not in slot_of:
+                    slot_of[id(f)] = len(factors)
+                    factors.append(f)
+            r.fslots = [slot_of[id(f)] for f in r.varying]
+        shapes = {}  # distinct compiled shape -> its index
+        shape_of = [shapes.setdefault(r.shape, len(shapes)) for r in runs]
+
+        N = part.num // part.den
+        log2x = math.log2(part.num) - math.log2(part.den)
+        lbits = _log_bits(*part.ratio(keys[1]))
+        logs = _Logs(part.x, prec + 22 + lbits, N)
+        pows = [_Powers(q, part.num, part.den, prec, True, N) for q, _, _ in exps]
+        q_res = [q_re for _, _, q_re in exps]
+        max_log = max((i for shape in shapes for _, i in shape), default=0)
+        plans = []  # per shape: Ws, [(group, log degree, shift to Ws)], complex
+        for shape in shapes:
+            Ws = prec + 10 + max((_headroom(exps[g][0], log2x)[1] + i * lbits
+                                  for g, i in shape), default=0)
+            plans.append((Ws, [(g, i, pows[g].W + i * logs.W - Ws) for g, i in shape],
+                          any(not pows[g].real for g, _ in shape)))
+
+        def endpoint(key):
+            """Per shape: the slot values t^q log^i t at scale Ws (re, im) and the
+            floats |t^q| |log t|^i."""
+            if key > 0:
+                L, T = logs.log[key], [p.at_int(key) for p in pows]
+            else:
+                L, T = logs.at_inv(-key), [p.at_inv(-key) for p in pows]
+            logt_f = fixed_to_float(L, logs.W)
+            tq_abs = [math.exp(q_re * logt_f) for q_re in q_res]
+            Lp = [1]
+            for _ in range(max_log):
+                Lp.append(Lp[-1] * L)
+            out = []
+            for Ws, slots, cplx in plans:
+                re = [_shift(T[g][0] * Lp[i], s) for g, i, s in slots]
+                im = ([_shift(T[g][1] * Lp[i], s) if T[g][1] is not None else 0
+                       for g, i, s in slots] if cplx else None)
+                out.append((re, im, [tq_abs[g] * abs(logt_f) ** i for g, i, _ in slots]))
+            return out
+
+        cur, at = [None] * len(factors), [None] * len(factors)
+        readers = [(j, f.index == "N", f.exact) for j, f in enumerate(factors)]
+        end_b = endpoint(keys[0])
+        for _, key, N, K in part.pieces():
+            end_a, end_b = end_b, endpoint(key)
+            for j, by_N, exact in readers:
+                idx = N if by_N else K
+                if at[j] != idx:
+                    at[j] = idx
+                    cur[j] = _floored(exact(idx), Wc)
+            diffs = [((Ws, [b - a for a, b in zip(ea[0], eb[0])],
+                       None if ea[1] is None else [b - a for a, b in zip(ea[1], eb[1])]),
+                      [ua + ub for ua, ub in zip(ea[2], eb[2])])
+                     for (Ws, _, _), ea, eb in zip(plans, end_a, end_b)]
+            for r, sh in zip(runs, shape_of):
+                r.add_piece([cur[j] for j in r.fslots], *diffs[sh])
         return [r.result(prec) for r in runs]
-    factors, slot_of = [], {}  # the distinct varying factors, and id -> position
-    for r in runs:
-        for f in r.varying:
-            if id(f) not in slot_of:
-                slot_of[id(f)] = len(factors)
-                factors.append(f)
-        r.fslots = [slot_of[id(f)] for f in r.varying]
-    shapes = {}  # distinct compiled shape -> its index
-    shape_of = [shapes.setdefault(r.shape, len(shapes)) for r in runs]
-
-    N = part.num // part.den
-    log2x = math.log2(part.num) - math.log2(part.den)
-    lbits = _log_bits(*part.ratio(keys[1]))
-    logs = _Logs(part.x, prec + 22 + lbits, N)
-    pows = [_Powers(q, part.num, part.den, prec, True, N) for q, _, _ in exps]
-    q_res = [q_re for _, _, q_re in exps]
-    max_log = max((i for shape in shapes for _, i in shape), default=0)
-    plans = []  # per shape: Ws, [(group, log degree, shift to Ws)], complex
-    for shape in shapes:
-        Ws = prec + 10 + max((_headroom(exps[g][0], log2x)[1] + i * lbits
-                              for g, i in shape), default=0)
-        plans.append((Ws, [(g, i, pows[g].W + i * logs.W - Ws) for g, i in shape],
-                      any(not pows[g].real for g, _ in shape)))
-
-    def endpoint(key):
-        """Per shape: the slot values t^q log^i t at scale Ws (re, im) and the
-        floats |t^q| |log t|^i."""
-        if key > 0:
-            L, T = logs.log[key], [p.at_int(key) for p in pows]
-        else:
-            L, T = logs.at_inv(-key), [p.at_inv(-key) for p in pows]
-        logt_f = fixed_to_float(L, logs.W)
-        tq_abs = [math.exp(q_re * logt_f) for q_re in q_res]
-        Lp = [1]
-        for _ in range(max_log):
-            Lp.append(Lp[-1] * L)
-        out = []
-        for Ws, slots, cplx in plans:
-            re = [_shift(T[g][0] * Lp[i], s) for g, i, s in slots]
-            im = ([_shift(T[g][1] * Lp[i], s) if T[g][1] is not None else 0
-                   for g, i, s in slots] if cplx else None)
-            out.append((re, im, [tq_abs[g] * abs(logt_f) ** i for g, i, _ in slots]))
-        return out
-
-    cur, at = [None] * len(factors), [None] * len(factors)
-    readers = [(j, f.index == "N", f.exact) for j, f in enumerate(factors)]
-    end_b = endpoint(keys[0])
-    for _, key, N, K in part.pieces():
-        end_a, end_b = end_b, endpoint(key)
-        for j, by_N, exact in readers:
-            idx = N if by_N else K
-            if at[j] != idx:
-                at[j] = idx
-                cur[j] = _floored(exact(idx), Wc)
-        diffs = [((Ws, [b - a for a, b in zip(ea[0], eb[0])],
-                   None if ea[1] is None else [b - a for a, b in zip(ea[1], eb[1])]),
-                  [ua + ub for ua, ub in zip(ea[2], eb[2])])
-                 for (Ws, _, _), ea, eb in zip(plans, end_a, end_b)]
-        for r, sh in zip(runs, shape_of):
-            r.add_piece([cur[j] for j in r.fslots], *diffs[sh])
-    return [r.result(prec) for r in runs]
 
 
 def integrate_partitions(x: float, integrands: list,
-                         precision: int | None = None) -> list[ApproxValue]:
+                         precision: int = PRECISION) -> list[ApproxValue]:
     """Exact piecewise integral over [1, x] of the product of each integrand's
     factors, accumulated exactly in fixed point, with a rigorous radius.
 
@@ -917,7 +926,6 @@ def integrate_partitions(x: float, integrands: list,
     flag, and each value and radius equals the integrand's integral taken
     alone bit for bit.
     """
-    prec = precision or mpmath.mp.prec
     integrands = [list(factors) for factors in integrands]
     groups = {}  # need_inverse_points -> positions in `integrands`
     for j, factors in enumerate(integrands):
@@ -925,15 +933,14 @@ def integrate_partitions(x: float, integrands: list,
     out = [None] * len(integrands)
     for inverse, members in groups.items():
         part = Partition(x, need_inverse_points=inverse)
-        with mpmath.mp.workprec(prec + _GUARD):
-            values = _walk(part, [integrands[j] for j in members], prec)
+        values = _walk(part, [integrands[j] for j in members], precision)
         for j, v in zip(members, values):
             out[j] = v
     return out
 
 
 def integrate_partition(x: float, factors: list, extra: PowLogSum | None = None,
-                        precision: int | None = None) -> ApproxValue:
+                        precision: int = PRECISION) -> ApproxValue:
     """Exact piecewise integral over [1, x] of the product of `factors` times
     `extra`: `integrate_partitions` for one integrand."""
     factors = list(factors) + ([extra] if extra is not None else [])
@@ -952,14 +959,16 @@ def mu_over_n_values(N: int, prec: int) -> tuple:
 
 
 def m_weight_factor(x: float, prec: int) -> SummatoryFactor:
-    """m(x/t) as a piece factor."""
-    return SummatoryFactor(mu_over_n_values(math.floor(x), prec), FunctionSpec.const(1.0), x)
+    """m(x/t) as a piece factor, built at prec + _GUARD bits as the walk at
+    prec works (so are the two below)."""
+    return SummatoryFactor(mu_over_n_values(math.floor(x), prec), FunctionSpec.const(1.0), x,
+                           prec + _GUARD)
 
 
 def mcheck_minus_one_factor(x: float, prec: int) -> SummatoryFactor:
     """m-check(x/t) - 1 as a piece factor."""
     return SummatoryFactor(mu_over_n_values(math.floor(x), prec), FunctionSpec.log(1), x,
-                           offset=[mpf(-1)])
+                           prec + _GUARD, offset=[mpf(-1)])
 
 
 def mdcheck_normalized_factor(x: float, prec: int) -> SummatoryFactor:
@@ -969,10 +978,10 @@ def mdcheck_normalized_factor(x: float, prec: int) -> SummatoryFactor:
         g = gamma_const(prec + _GUARD)
         offset = [-2 * logx + 2 * g, mpf(2)]  # ... + 2 log t
     return SummatoryFactor(mu_over_n_values(math.floor(x), prec), FunctionSpec.log(2), x,
-                           offset=offset)
+                           prec + _GUARD, offset=offset)
 
 
-def integrate_m_kernel(x: float, g, precision: int | None = None,
+def integrate_m_kernel(x: float, g, precision: int = PRECISION,
                        weight: str = "m") -> ApproxValue:
     """integral over [1, x] of w(x/t) g(t) / t^2 dt, exactly piecewise.
 
@@ -983,13 +992,12 @@ def integrate_m_kernel(x: float, g, precision: int | None = None,
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
-    prec = precision or mpmath.mp.prec
     if weight == "m":
-        w = m_weight_factor(x, prec)
+        w = m_weight_factor(x, precision)
     elif weight == "mcheck1":
-        w = mcheck_minus_one_factor(x, prec)
+        w = mcheck_minus_one_factor(x, precision)
     elif weight == "mdcheck":
-        w = mdcheck_normalized_factor(x, prec)
+        w = mdcheck_normalized_factor(x, precision)
     else:
         raise DomainError(f"unknown weight {weight!r}")
     if isinstance(g, FunctionSpec):
@@ -998,4 +1006,4 @@ def integrate_m_kernel(x: float, g, precision: int | None = None,
         raise UnsupportedKernelError(
             f"{g!r} is outside the closed-form kernel family")
     extra = PowLogSum.monomial(mpf(1), mpf(-2), 0)
-    return integrate_partition(x, [w, g], extra, precision=prec)
+    return integrate_partition(x, [w, g], extra, precision=precision)

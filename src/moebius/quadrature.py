@@ -73,7 +73,7 @@ from math import isqrt
 import mpmath
 from mpmath import mpf, mpc
 
-from .approx import ApproxValue, RIGOROUS, eps_for, radd
+from .approx import PRECISION, ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
 from .dsum import DirichletTable, fixed_magnitude, fixed_to_float, fixed_to_mp
 from .errors import DomainError, PrecisionError
@@ -84,16 +84,15 @@ _GUARD = 48
 
 
 def integrate_signed_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-8,
-                            precision: int | None = None) -> ApproxValue:
+                            precision: int = PRECISION) -> ApproxValue:
     """Signed integral of kernel(t)/t^2 over [1, T] by composite Simpson with
     the rigorous fourth-derivative remainder per cell."""
     if T < 1:
         raise DomainError("T >= 1 required")
-    prec = precision or mpmath.mp.prec
-    ck = CellKernel(spec, prec, zeta_target=min(1e-30, target_radius / max(T, 2.0)))
-    eps = eps_for(prec)
+    ck = CellKernel(spec, precision, zeta_target=min(1e-30, target_radius / max(T, 2.0)))
+    eps = eps_for(precision)
     is_real = ck.s.is_real
-    with mpmath.mp.workprec(prec + _GUARD):
+    with mpmath.mp.workprec(precision + _GUARD):
         total = mpf(0) if is_real else mpc(0)
         radius = 0.0
         cond = 0.0
@@ -125,13 +124,14 @@ def integrate_signed_kernel(spec: KernelSpec, T: float, target_radius: float = 1
                 w = 1 if i in (0, 2 * n) else (4 if i % 2 else 2)
                 acc_re, acc_im = acc_re + w * re, acc_im + w * im
                 fabs.append(fixed_magnitude(re, im if ck.cplx else None, Sf))
-            total += fixed_to_mp(acc_re, None if is_real else acc_im, Sf) * step / 6
+            total += fixed_to_mp(acc_re, None if is_real else acc_im, Sf,
+                                 precision + _GUARD) * step / 6
             radius += comp * n * float(step) ** 5 * phi4 / 2880.0
             cond += sum(fabs) * float(step)
             radius += ck.zeta_rad_per_unit(K, b_end) * h_cell
             K += 1
         radius += eps * 64.0 * (cond + abs(complex(total)))
-        return ApproxValue(+total, radd(radius), RIGOROUS, prec)
+        return ApproxValue(+total, radd(radius), RIGOROUS, precision)
 
 
 def _midpoint(a: float, h: float) -> tuple[int, int]:
@@ -143,7 +143,7 @@ def _midpoint(a: float, h: float) -> tuple[int, int]:
 
 
 def integrate_abs_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-2,
-                         precision: int | None = None) -> ApproxValue:
+                         precision: int = PRECISION) -> ApproxValue:
     """integral over [1, T] of |kernel(t)|/t^2 with a rigorous radius.
 
     Midpoint steps with second-derivative remainders on certified zero-free
@@ -153,9 +153,8 @@ def integrate_abs_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-2
     """
     if T < 1:
         raise DomainError("T >= 1 required")
-    prec = precision or mpmath.mp.prec
-    ck = CellKernel(spec, prec, zeta_target=min(1e-30, target_radius / (8 * max(T, 2.0))))
-    eps = eps_for(prec)
+    ck = CellKernel(spec, precision, zeta_target=min(1e-30, target_radius / (8 * max(T, 2.0))))
+    eps = eps_for(precision)
     W = ck.W
     total, S = 0, 0  # the exact sum total 2^-S of the accepted steps
 
@@ -169,7 +168,7 @@ def integrate_abs_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-2
         n, d = x.as_integer_ratio()
         return n, d.bit_length() - 1
 
-    with mpmath.mp.workprec(prec + _GUARD):
+    with mpmath.mp.workprec(precision + _GUARD):
         radius = 0.0
         cond = 0.0
         K = 1
@@ -225,14 +224,14 @@ def integrate_abs_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-2
                 stack.append((tm_f, b, gm, gb))
             radius += cell_rad + ck.zeta_rad_per_unit(K, b_end) * (b_end - K)
             K += 1
-        value = fixed_to_mp(total, None, S)
+        value = fixed_to_mp(total, None, S, precision + _GUARD)
         radius += eps * 64.0 * (cond + float(value))
-        return ApproxValue(value, radd(radius), RIGOROUS, prec)
+        return ApproxValue(value, radd(radius), RIGOROUS, precision)
 
 
 def sup_abs_kernel(spec: KernelSpec, t_lo: float, t_hi: float,
                    target_radius: float = 1e-3,
-                   precision: int | None = None) -> tuple[ApproxValue, float]:
+                   precision: int = PRECISION) -> tuple[ApproxValue, float]:
     """Rigorous sup of |kernel| on [t_lo, t_hi] and its location.
 
     Branch-and-bound: per interval the upper bound is
@@ -242,8 +241,7 @@ def sup_abs_kernel(spec: KernelSpec, t_lo: float, t_hi: float,
     """
     if not (1 <= t_lo < t_hi):
         raise DomainError("need 1 <= t_lo < t_hi")
-    prec = precision or mpmath.mp.prec
-    ck = CellKernel(spec, prec)
+    ck = CellKernel(spec, precision)
     # refine to a little under the request so the discarded-interval
     # allowance below still lands the radius within target_radius
     tol = 0.45 * target_radius
@@ -302,8 +300,8 @@ def sup_abs_kernel(spec: KernelSpec, t_lo: float, t_hi: float,
         U_final = max(U_final, -heap[0][0])
     zr = ck.zeta.radius * ck.s1_abs * ck.scale * max(t_lo, t_hi) ** max(ck.s.sigma, 0.0)
     val = (U_final + best_lower) / 2.0
-    rad = (U_final - best_lower) / 2.0 + zr + eps_for(prec) * 16 * val
-    return ApproxValue(val, radd(rad), RIGOROUS, prec), best_at
+    rad = (U_final - best_lower) / 2.0 + zr + eps_for(precision) * 16 * val
+    return ApproxValue(val, radd(rad), RIGOROUS, precision), best_at
 
 
 def tail_bound_abs_Q(spec: KernelSpec, T: float, sup: float | None = None) -> float:
@@ -335,7 +333,7 @@ def _two_sided_tail(s: ComplexParam, T: int) -> tuple[float, float]:
 
 
 def integrate_abs_kernel_to_infinity(spec: KernelSpec, target_radius: float = 1e-2,
-                                     precision: int | None = None,
+                                     precision: int = PRECISION,
                                      T_cap: float = 50_000.0):
     """(value, T): rigorous integral_1^inf |kernel|/t^2 with radius <= target
     if reachable.
@@ -366,22 +364,21 @@ def integrate_abs_kernel_to_infinity(spec: KernelSpec, target_radius: float = 1e
                        head.precision_bits), T
 
 
-def exact_Q_l1_reference(s, precision: int | None = None,
+def exact_Q_l1_reference(s, precision: int = PRECISION,
                          target_radius: float = 1e-30) -> ApproxValue:
     """integral_1^inf Q_s(t)/t^2 dt = 1/(s-1) - zeta(s) + gamma, exactly."""
     sp = ComplexParam.coerce(s)
     sp.require_sigma_gt(0.0, "signed L1 reference")
     sp.require_not_one("signed L1 reference")
-    prec = precision or mpmath.mp.prec
-    z, _ = zeta_em(sp, target_radius, precision=prec, want_derivative=False)
-    with mpmath.mp.workprec(prec + _GUARD):
+    z, _ = zeta_em(sp, target_radius, precision=precision, want_derivative=False)
+    with mpmath.mp.workprec(precision + _GUARD):
         sm = sp.as_mpc()
-        v = 1 / (sm - 1) - z.value + gamma_const(prec + _GUARD)
-        return ApproxValue(+v, radd(z.radius, eps_for(prec) * 8 * (1 + abs(complex(v)))),
-                           RIGOROUS, prec)
+        v = 1 / (sm - 1) - z.value + gamma_const(precision + _GUARD)
+        return ApproxValue(+v, radd(z.radius, eps_for(precision) * 8 * (1 + abs(complex(v)))),
+                           RIGOROUS, precision)
 
 
-def exact_Q_l1_tail(s, T: int, precision: int | None = None,
+def exact_Q_l1_tail(s, T: int, precision: int = PRECISION,
                     target_radius: float = 1e-30) -> ApproxValue:
     """integral_T^inf Q_s(t)/t^2 dt (integer T), in closed form:
     1/(s-1) + gamma - (zeta(s) - P_T) T^{s-1} - (H_T - log T)."""
@@ -391,16 +388,15 @@ def exact_Q_l1_tail(s, T: int, precision: int | None = None,
     if T != int(T) or T < 1:
         raise DomainError("integer T >= 1 required")
     T = int(T)
-    prec = precision or mpmath.mp.prec
-    z, _ = zeta_em(sp, target_radius, precision=prec, want_derivative=False)
-    table = power_prefix_table(sp.sigma, sp.tau, prec)
-    with mpmath.mp.workprec(prec + _GUARD):
+    z, _ = zeta_em(sp, target_radius, precision=precision, want_derivative=False)
+    table = power_prefix_table(sp.sigma, sp.tau, precision)
+    with mpmath.mp.workprec(precision + _GUARD):
         sm = sp.as_mpc()
-        H_T = DirichletTable(1.0, 0.0, prec + _GUARD).total(T).value
-        v = (1 / (sm - 1) + gamma_const(prec + _GUARD)
+        H_T = DirichletTable(1.0, 0.0, precision + _GUARD).total(T).value
+        v = (1 / (sm - 1) + gamma_const(precision + _GUARD)
              - (z.value - table.value(T)) * mpmath.power(T, sm - 1)
              - (H_T - mpmath.log(T)))
         Tpow = float(T) ** sp.sigma
-        rad = (z.radius + table.radius(T)) * Tpow + eps_for(prec) * 32 * (
+        rad = (z.radius + table.radius(T)) * Tpow + eps_for(precision) * 32 * (
             Tpow * (1 + float(mpmath.fabs(table.value(T)))) + float(H_T) + abs(complex(v)))
-        return ApproxValue(+v, radd(rad), RIGOROUS, prec)
+        return ApproxValue(+v, radd(rad), RIGOROUS, precision)

@@ -25,7 +25,7 @@ import mpmath
 import numpy as np
 from mpmath import mpf
 
-from .approx import ApproxValue, RIGOROUS, eps_for, radd
+from .approx import PRECISION, ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
 from .errors import DomainError
 from .dsum import DirichletTable
@@ -238,7 +238,7 @@ def _snapshot_mp(x: float, prec: int) -> SummatorySnapshot:
     return SummatorySnapshot(float(x), M, m, mc, md, m1, H, hc)
 
 
-def summatory(x: float, mode: str = "auto", precision: int = 128) -> SummatorySnapshot:
+def summatory(x: float, mode: str = "auto", precision: int = PRECISION) -> SummatorySnapshot:
     """SummatorySnapshot at x: exact M plus m, m-check, m-double-check, m1, H,
     H-check, each with a rigorous rounding radius.
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 import mpmath
 from mpmath import mpf, mpc
 
-from .approx import ApproxValue, RIGOROUS, eps_for, radd
+from .approx import PRECISION, ApproxValue, RIGOROUS, eps_for, radd
 from .dsum import DirichletTable
 from .errors import DomainError, PrecisionError
 
@@ -177,7 +177,7 @@ def _ladder_falls_short(s: ComplexParam, N: int, target_radius: float,
     return s_abs * rem > half or (want_derivative and rem + s_abs * rem_p > half)
 
 
-def zeta_em(s, target_radius: float = 1e-30, precision: int | None = None,
+def zeta_em(s, target_radius: float = 1e-30, precision: int = PRECISION,
             want_derivative: bool = True):
     """(zeta(s), zeta'(s)) as ApproxValues with rigorous radii <= target_radius.
 
@@ -191,14 +191,13 @@ def zeta_em(s, target_radius: float = 1e-30, precision: int | None = None,
     sp.require_not_one("zeta_em (pole)")
     if target_radius <= 0:
         raise DomainError("target_radius must be positive")
-    prec = precision or mpmath.mp.prec
-    key = (sp.sigma, sp.tau, target_radius, prec, want_derivative)
+    key = (sp.sigma, sp.tau, target_radius, precision, want_derivative)
     hit = _zeta_cache.get(key)
     if hit is not None:
         return hit
     N = max(10, int(2 * abs(sp.tau)) + 1, int(abs(sp.sigma)) + 2)
-    workprec = prec + _GUARD
-    max_workprec = prec + _GUARD + 768
+    workprec = precision + _GUARD
+    max_workprec = precision + _GUARD + 768
     while True:
         with mpmath.mp.workprec(workprec):
             short = _ladder_falls_short(sp, N, target_radius, want_derivative)
@@ -254,8 +253,8 @@ def zeta_em(s, target_radius: float = 1e-30, precision: int | None = None,
                         f"target radius {target_radius} at s={sp} needs more than "
                         f"{max_workprec} working bits")
                 continue
-            zeta_val = ApproxValue(+z, z_rad, RIGOROUS, prec)
-            zeta_prime = (ApproxValue(+zp, zp_rad, RIGOROUS, prec)
+            zeta_val = ApproxValue(+z, z_rad, RIGOROUS, precision)
+            zeta_prime = (ApproxValue(+zp, zp_rad, RIGOROUS, precision)
                           if want_derivative else None)
             break
     result = (zeta_val, zeta_prime)
@@ -265,14 +264,14 @@ def zeta_em(s, target_radius: float = 1e-30, precision: int | None = None,
     return result
 
 
-def partial_power_sum(s, t: float, precision: int | None = None) -> ApproxValue:
+def partial_power_sum(s, t: float, precision: int = PRECISION) -> ApproxValue:
     """sum_{k <= t} k^(-s) with its counted radius (a reader of
     power_prefix_table)."""
     sp = ComplexParam.coerce(s)
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
     K = math.floor(t)
-    table = power_prefix_table(sp.sigma, sp.tau, precision or mpmath.mp.prec)
+    table = power_prefix_table(sp.sigma, sp.tau, precision)
     value = table.value(K)
     return ApproxValue(value, radd(table.radius(K)), RIGOROUS, table.prec)
 

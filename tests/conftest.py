@@ -6,7 +6,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-mpmath.mp.prec = 144  # 128 working + headroom, matching the CLI default
+# The library reads no ambient precision (test_precision.py); the tests' own
+# oracle arithmetic outside a workprec does (test_zeta's series, test_kernels'
+# closed forms, the residuals test_convolution recomputes) and needs > 53 bits.
+mpmath.mp.prec = 144
 
 
 @pytest.fixture(scope="session")

@@ -240,13 +240,18 @@ def test_run_check_and_main_leave_mp_prec_alone(capsys):
     from moebius.cli import main
 
     saved = mpmath.mp.prec
+    reports = {}
     try:
-        mpmath.mp.prec = 80
-        run_check("alpha", {"tmax": 500})
-        assert mpmath.mp.prec == 80
+        for prec in (80, 400):
+            mpmath.mp.prec = prec
+            rep = run_check("alpha", {"tmax": 500})
+            reports[prec] = (rep.cells, rep.worst, rep.worst_location, rep.passed, rep.payload)
+            assert mpmath.mp.prec == prec
         assert main(["verify", "--suite", "alpha", "--grid", "tmax=500",
                      "--stable-output"]) == 0
-        assert mpmath.mp.prec == 80
+        assert mpmath.mp.prec == 400
     finally:
         mpmath.mp.prec = saved
+    # the check works at precision + 16 bits whatever the caller's context holds
+    assert reports[80] == reports[400]
     assert json.loads(capsys.readouterr().out)[0]["check"] == "alpha"

@@ -50,9 +50,9 @@ def _integrands(x):
         [m_weight_factor(x, PREC), over_t2],
         [mcheck_minus_one_factor(x, PREC), PowLogSum.monomial(mpf(1), mpmath.mpc(0.5, 3), 1)],
         [mdcheck_normalized_factor(x, PREC), over_t2],
-        [SummatoryFactor(alt, FunctionSpec(1.5, complex(0.5, 1.0), 1), x),
-         InnerSumFactor(alt, FunctionSpec(0.7, -0.5, 2)), over_t],
-        [InnerSumFactor(alt, FunctionSpec(1.0, complex(-2.5, 4.0), 1)), log_over_t],
+        [SummatoryFactor(alt, FunctionSpec(1.5, complex(0.5, 1.0), 1), x, PREC),
+         InnerSumFactor(alt, FunctionSpec(0.7, -0.5, 2), PREC), over_t],
+        [InnerSumFactor(alt, FunctionSpec(1.0, complex(-2.5, 4.0), 1), PREC), log_over_t],
         [log_over_t],
         [PowLogSum.monomial(mpf(1), mpf(-3), 2)],
         [mcheck_minus_one_factor(x, PREC),
@@ -95,8 +95,7 @@ def test_terre_batch_matches_mpf_reference(monkeypatch):
         return walk(part, batch, prec)
 
     monkeypatch.setattr(piecewise, "_walk", capturing)
-    with mpmath.workprec(PREC + 48):  # as terre_batch builds its factors
-        terre_batch(specs, 24.99, precision=PREC)
+    terre_batch(specs, 24.99, precision=PREC)
     monkeypatch.undo()
     (x, batch, prec), = batches  # both sides of every cell walk the x/n points
     assert len(batch) == 2 * len(specs)
@@ -118,8 +117,9 @@ def test_walk_matches_reference_random(x, q64, q16, k):
         [PowLogSum.monomial(mpf(1), q, k)],
         [PowLogSum.monomial(mpf(1), mpf(q_re), k)],
         [m_weight_factor(x, PREC), PowLogSum.monomial(mpf(1), q - 2, k)],
-        [SummatoryFactor(alt, FunctionSpec(1.0, q_re, k), x), InnerSumFactor(alt, FunctionSpec(
-            1.0, complex(q_re, q_im), k)), PowLogSum.monomial(mpf(1), mpf(-1), 0)],
+        [SummatoryFactor(alt, FunctionSpec(1.0, q_re, k), x, PREC),
+         InnerSumFactor(alt, FunctionSpec(1.0, complex(q_re, q_im), k), PREC),
+         PowLogSum.monomial(mpf(1), mpf(-1), 0)],
     ])
 
 

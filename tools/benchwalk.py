@@ -10,7 +10,7 @@ tools/parity.py, removed afterwards), then runs every row R times (default
 from round to round, each run a fresh process with PYTHONPATH at that
 checkout's src:
 
-- layer rows, at mp.prec 144 as a check at precision 128 runs:
+- layer rows, at precision 128 as a check runs:
   - `integrate_partitions` pieces/s, timed around `piecewise._walk` (one
     piece is one partition piece of one integrand): the terre check's batch
     (54 cells, 108 integrands) at x = 24.99, and mieux-1's integrand
@@ -53,7 +53,6 @@ from parity import ROOT, checkout
 
 LAYER = r"""
 import json, math, sys, time
-import mpmath
 from moebius import piecewise
 from moebius.convolution import SequenceSpec, terre_batch
 from moebius.kernels import KernelSpec
@@ -70,7 +69,6 @@ def timed(part, integrands, prec):
     return out
 
 piecewise._walk = timed
-mpmath.mp.prec = 144
 row, x = sys.argv[1], float(sys.argv[2])
 if row == "terre":
     seqs = [SequenceSpec.named(n) for n in ("mobius", "one", "alternating")]
