@@ -1008,29 +1008,23 @@ def run_suite(names: list[str], grid: dict | None = None,
     """Run several checks and return their reports in request order.
 
     Every id is validated before anything runs.  With threads > 1 and more
-    than one check, the checks run on up to `threads` worker processes forked
-    from this one, each with its own mpmath context, so no check sees another's
-    precision; they are submitted longest first (_COST_S).  Otherwise they run
-    one after another in this process.
+    than one check, the checks run on min(threads, len(names)) worker
+    processes forked from this one (runner.run_forked), each with its own
+    mpmath context, so no check sees another's precision; they start
+    longest first (_COST_S).  Otherwise they run one after another in this
+    process.  Either way the error raised is that of the first failing check
+    in request order, and no check after it in request order starts once it
+    has failed.
 
     Fork, not spawn: a forked worker starts with numpy, mpmath and moebius
     already imported, where a spawned one would import them again (about
-    0.2 s per worker).  The pool forks all its workers before it starts its
-    own management thread.
+    0.2 s per worker).  The caller must not be running other threads.
     """
     for n in names:
         _require_known(n)
     if threads <= 1 or len(names) <= 1:
         return [run_check(n, grid, target_radius, precision) for n in names]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    futures = [None] * len(names)
-    with ProcessPoolExecutor(max_workers=min(threads, len(names)),
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        for i in sorted(range(len(names)), key=lambda i: -_COST_S.get(names[i], 0.0)):
-            futures[i] = pool.submit(run_check, names[i], grid, target_radius, precision)
-        try:
-            return [f.result() for f in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)  # start no check after a failure
-            raise
+    from .runner import run_forked
+    order = sorted(range(len(names)), key=lambda i: -_COST_S.get(names[i], 0.0))
+    return run_forked(lambda name: run_check(name, grid, target_radius, precision),
+                      names, order, min(threads, len(names)))

@@ -265,11 +265,11 @@ def _mu_power_sums(seg, Nx: int, group: list[_Sums]) -> None:
     mu = seg.mu[sl_n]
     for acc in group:
         pw = np.exp(-complex(acc.sm) * logs) * mu
-        acc.musum += complex(np.sum(pw))
-        acc.musum_abs += float(np.sum(np.abs(pw)))
+        acc.musum += complex(np.add.reduce(pw))
+        acc.musum_abs += float(np.add.reduce(np.abs(pw)))
         pwl = pw * logs
-        acc.mulogsum += complex(np.sum(pwl))
-        acc.mulog_abs += float(np.sum(np.abs(pwl)))
+        acc.mulogsum += complex(np.add.reduce(pwl))
+        acc.mulog_abs += float(np.add.reduce(np.abs(pwl)))
 
 
 #: where numpy's pairwise sum splits n terms, by dtype kind: float64 halves n
@@ -324,12 +324,13 @@ def _pieces(seg, x: float, T: float, reads, coefficients, group: list[_Sums]) ->
     pairwise-sum tree over n float64 terms.  Per block the breakpoints, log t,
     lb^i, the weight's coefficients and |w| are made once, and every transform
     of the group runs over them with block-sized work arrays, so each pass
-    stays in cache.  Each sum takes one np.sum per leaf of its tree, and
-    _tree_sum combines the leaf sums up that tree: np.sum of the segment's
-    terms bit for bit.  cond and sens, and B on the real lane, are float64
-    sums over the blocks themselves.  B's complex128 products on the complex
-    lane have a tree over 2n scalars with other leaves, so they are staged per
-    (i, j) in a leaf-sized buffer and summed as each leaf fills.  The segment
+    stays in cache.  Each sum takes one np.add.reduce (np.sum without its
+    Python wrapper) per leaf of its tree, and _tree_sum combines the leaf
+    sums up that tree: np.sum of the segment's terms bit for bit.  cond and
+    sens, and B on the real lane, are float64 sums over the blocks
+    themselves.  B's complex128 products on the complex lane have a tree over
+    2n scalars with other leaves, so they are staged per (i, j) in a
+    leaf-sized buffer and summed as each leaf fills.  The segment
     sums reach B, cond and sens in acc.pairs order, as the np.sum of each
     whole segment did, so no value, radius or real-lane constant moves."""
     lo_t = max(x, float(seg.lo))
@@ -449,10 +450,10 @@ def _add_pieces(acc: _Sums, lb: np.ndarray, lb_pow: dict, cols: list, abs_w: lis
             for lo, hi, at, ends in parts:
                 np.multiply(w[lo:hi], dF[lo:hi], out=buf[at:at + hi - lo])
                 if ends:
-                    closed[ended].append(np.sum(buf[:at + hi - lo]))
+                    closed[ended].append(np.add.reduce(buf[:at + hi - lo]))
                     ended += 1
-            out.append(np.sum(np.multiply(abs_w[i - j], aF, out=waF)))
-            out.append(np.sum(np.multiply(wrad, aF, out=waF)))
+            out.append(np.add.reduce(np.multiply(abs_w[i - j], aF, out=waF)))
+            out.append(np.add.reduce(np.multiply(wrad, aF, out=waF)))
     sums.append(np.array(out))
     bsums.extend(np.array(leaf) for leaf in closed)
 

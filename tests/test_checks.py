@@ -1,5 +1,12 @@
 import json
 import math
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -151,6 +158,86 @@ def test_run_suite_returns_reports_in_request_order():
     reps = run_suite(["alpha", "terre"], {"x": [10.0]}, threads=2)
     assert [r.check for r in reps] == ["alpha", "terre"]
     assert all(r.passed for r in reps)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test whose pooled run_suite hangs, rather than hang with it."""
+    def expire(signum, frame):
+        raise TimeoutError("run_suite did not return")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_suite_raises_when_a_worker_dies(monkeypatch, deadline):
+    def run_check(name, *args):
+        if name == "q-bounds":
+            os._exit(3)
+        return name
+    monkeypatch.setattr(checks, "run_check", run_check)
+    with pytest.raises(RuntimeError, match="'q-bounds' exited without its result"):
+        run_suite(["alpha", "q-bounds", "voyage"], threads=2)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("failing", [("voyage",), ("voyage", "alpha"), ("voyage", "q-bounds")])
+def test_run_suite_raises_serials_error_and_starts_nothing_after_it(
+        monkeypatch, tmp_path, deadline, failing):
+    # voyage and q-bounds go out first, to the two workers.  voyage fails at
+    # once and its worker takes alpha, before voyage in request order; when
+    # q-bounds ends, alpha still runs, and k2, after voyage, must not start
+    names = ["alpha", "voyage", "q-bounds", "k2"]
+    log = tmp_path / "started"
+
+    def run_check(name, *args):
+        with open(log, "a") as f:
+            f.write(name + "\n")
+        time.sleep({"q-bounds": 0.3, "alpha": 0.6}.get(name, 0.0))
+        if name in failing:
+            raise DomainError(f"{name} failed")
+        return name
+    monkeypatch.setattr(checks, "run_check", run_check)
+    monkeypatch.setattr(checks, "_COST_S", {"voyage": 2.0, "q-bounds": 1.0})
+    errors = []
+    for threads in (1, 2):
+        with pytest.raises(DomainError) as exc:
+            run_suite(names, threads=threads)
+        errors.append((type(exc.value), exc.value.args))
+        started = log.read_text().split()
+        log.unlink()
+    first = min(failing, key=names.index)
+    assert errors[0] == errors[1] == (DomainError, (f"{first} failed",))
+    assert sorted(started) == ["alpha", "q-bounds", "voyage"]
+    _no_child_left()
+
+
+def test_run_suite_carries_a_report_larger_than_a_pipe_buffer(monkeypatch, deadline):
+    payload = list(range(100_000))
+    assert len(pickle.dumps(payload)) > 65536
+    monkeypatch.setattr(checks, "run_check", lambda name, *args: (name, payload))
+    names = ["alpha", "voyage", "q-bounds"]
+    assert run_suite(names, threads=2) == [(n, payload) for n in names]
+    _no_child_left()
+
+
+def test_pooled_run_suite_imports_no_multiprocessing():
+    code = ("import sys; from moebius.checks import run_suite; "
+            "reps = run_suite(['alpha', 'q-bounds'], {'tmax': 500}, threads=2); "
+            "assert all(r.passed for r in reps); "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(checks.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_cost_table_names_registry_checks():

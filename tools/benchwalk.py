@@ -21,9 +21,11 @@ checkout's src:
     exact workload's q-l1 runs it;
 - end-to-end rows, the wall time of the whole process (interpreter start,
   imports and report included): `verify --suite fast`, `verify --suite
-  terre --threads 1`, `verify --suite q-l1 --threads 1` and `verify --suite
-  all --threads 1`, all with --stable-output, and the exact workload's argv
-  at seed 7 (`perfbench/workloads.make("exact", 7)`, default workers).
+  terre --threads 1`, `verify --suite q-l1 --threads 1`, `verify --suite
+  all --threads 1` and `verify --suite alpha,balazard-m` (two short checks,
+  so almost all of its wall is starting and collecting run_suite's
+  workers), all with --stable-output, and the exact and stream workloads'
+  argvs at seed 7 (`perfbench/workloads.make(name, 7)`), default workers.
 
 The JSON written to FILE (default: stdout) holds, per row, every run's value,
 each side's median and quartiles (Q1, Q3), change/parent of the medians, and
@@ -99,7 +101,8 @@ LAYER_ROWS = [(WALK, "terre batch, x = 24.99", "terre", 24.99),
 E2E_ROWS = [("verify --suite fast", ["--suite", "fast"]),
             ("verify --suite terre --threads 1", ["--suite", "terre", "--threads", "1"]),
             ("verify --suite q-l1 --threads 1", ["--suite", "q-l1", "--threads", "1"]),
-            ("verify --suite all --threads 1", ["--suite", "all", "--threads", "1"])]
+            ("verify --suite all --threads 1", ["--suite", "all", "--threads", "1"]),
+            ("verify --suite alpha,balazard-m", ["--suite", "alpha,balazard-m"])]
 
 
 def _run(tree: Path, args: list[str]) -> tuple[float, str]:
@@ -124,12 +127,12 @@ def _sides(trees: dict, r: int):
     return items if r % 2 == 0 else items[::-1]
 
 
-def _exact_argv() -> list[str]:
-    """The exact workload's verify arguments at seed 7."""
+def _workload_argv(name: str) -> list[str]:
+    """The verify arguments of benchmark workload `name` at seed 7."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    return workloads.make("exact", 7)[0][1:]
+    return workloads.make(name, 7)[0][1:]
 
 
 def bench(parent: Path, rounds: int) -> dict:
@@ -143,7 +146,9 @@ def bench(parent: Path, rounds: int) -> dict:
                 got = json.loads(out)
                 runs[side].append(got["units"] / got["seconds"])
         rows.append(_row(f"{metric}: {label}", "layer", "1/s", runs, units=got["units"]))
-    for label, argv in [*E2E_ROWS, ("exact workload argv, seed 7", _exact_argv())]:
+    workload_rows = [(f"{name} workload argv, seed 7", _workload_argv(name))
+                     for name in ("exact", "stream")]
+    for label, argv in [*E2E_ROWS, *workload_rows]:
         runs = {"parent": [], "change": []}
         for r in range(rounds):
             for side, tree in _sides(trees, r):
