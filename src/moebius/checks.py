@@ -994,11 +994,11 @@ def run_check(check_id: str, grid: dict | None = None,
 #: about 0.2 s or more; run_suite submits the longest first, and an id not
 #: listed here counts 0
 _COST_S = {
-    "derivK2": 4.4, "mtronqchch": 4.3, "terre": 4.1, "mtronqch": 3.6, "headline": 2.6,
-    "mtronq": 1.9, "abel": 1.3, "q-l1": 1.3, "em-cross": 1.2, "formule-m": 1.0,
-    "mieux-1": 0.70, "parchm": 0.57, "derivK3": 0.50, "mieux-2": 0.48, "prop1-a": 0.48,
-    "prop2-c": 0.38, "har": 0.35, "prop1-c": 0.35, "exact-Q-l1": 0.31, "prop2-b": 0.29,
-    "prop1-b": 0.25, "derivK1": 0.21,
+    "mtronqchch": 3.4, "derivK2": 3.3, "mtronqch": 2.7, "terre": 2.6, "headline": 1.8,
+    "mtronq": 1.2, "em-cross": 1.1, "abel": 0.88, "q-l1": 0.76, "formule-m": 0.67,
+    "mieux-1": 0.44, "prop1-a": 0.41, "parchm": 0.40, "derivK3": 0.38, "prop2-c": 0.29,
+    "mieux-2": 0.28, "prop1-c": 0.28, "prop2-b": 0.26, "har": 0.21, "derivK1": 0.19,
+    "prop1-b": 0.19, "exact-Q-l1": 0.18,
 }
 
 

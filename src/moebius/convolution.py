@@ -125,8 +125,9 @@ def terre_batch(cells, x: float, precision: int = PRECISION,
     from one walk of the partition; with left_only, each item is (lhs,) and
     no right side is built.
 
-    Within the call every sequence's values, every Dirichlet convolution and
-    every summatory or inner-sum factor is built once, and each side equals
+    Within the call every sequence's values, every Dirichlet convolution,
+    every summatory or inner-sum factor and every table of x^p n^-p or
+    log(x/n) the summatory factors read is built once, and each side equals
     the side computed alone bit for bit.  Specs are told apart by repr, which
     keeps 1 and 1.0 and 1+0j apart, so only specs that build identical
     factors share one.
@@ -140,7 +141,7 @@ def terre_batch(cells, x: float, precision: int = PRECISION,
             if repr(seq) not in values:
                 values[repr(seq)] = _mp_values(seq.values(N), precision)
     over_t = PowLogSum.monomial(mpf(1), mpf(-1), 0)
-    factors = {}
+    factors, tables = {}, {}
 
     def factor(key, build):
         if key not in factors:
@@ -152,7 +153,8 @@ def terre_batch(cells, x: float, precision: int = PRECISION,
     for a, b, omega, phi in cells:
         ka, kb, ko, kp = repr(a), repr(b), repr(omega), repr(phi)
         integrands.append([
-            factor(("S", ka, ko), lambda: SummatoryFactor(values[ka], omega, x, bits)),
+            factor(("S", ka, ko),
+                   lambda: SummatoryFactor(values[ka], omega, x, bits, tables=tables)),
             factor(("I", kb, kp), lambda: InnerSumFactor(values[kb], phi, bits)),
             over_t])
         if left_only:
@@ -160,7 +162,8 @@ def terre_batch(cells, x: float, precision: int = PRECISION,
         conv = factor(("conv", ka, kb),
                       lambda: _mp_values(dirichlet_convolve(a, b, N), precision))
         integrands.append([
-            factor(("S", ka, kb, ko), lambda: SummatoryFactor(conv, omega, x, bits)),
+            factor(("S", ka, kb, ko),
+                   lambda: SummatoryFactor(conv, omega, x, bits, tables=tables)),
             PowLogSum.from_spec(phi), over_t])
     sides = integrate_partitions(x, integrands, precision=precision)
     step = 1 if left_only else 2

@@ -87,6 +87,25 @@ def powers_fixed(logs: list[int], e: tuple, wp: int, g: int) -> list[tuple]:
     return [((mag * c) >> (wp + g), (mag * s) >> (wp + g)) for mag, (c, s) in zip(mags, cs)]
 
 
+def log_fixed(u: int, v: int, wp: int, anchors: dict) -> int:
+    """log(u/v) at wp >= 64 bits for u/v >= 1, off by < 2 units (counted in
+    the `quadrature` docstring): log A + 2 atanh z with A = floor(u/v) and z
+    = (u - A v)/(u + A v) <= 1/3, summed at wp + bits(wp) bits and floored
+    once.  log A is log_int_fixed's, made once per (A, bits) in `anchors`."""
+    A, G = u // v, wp.bit_length()
+    P = wp + G
+    la = anchors.get((A, P))
+    if la is None:
+        la = anchors[A, P] = log_int_fixed(A, P)
+    n, d = u - A * v, u + A * v
+    z2 = ((n * n) << P) // (d * d)
+    p, k = (n << (P + 1)) // d, 1
+    while p:
+        la += p // k
+        p, k = (p * z2) >> P, k + 2
+    return la >> G
+
+
 def fixed_to_float(n: int, S: int) -> float:
     """n 2^-S correctly rounded to a float (inf past the float range, as
     mpmath's float() gives)."""

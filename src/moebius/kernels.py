@@ -34,10 +34,9 @@ from functools import cached_property, lru_cache
 
 import mpmath
 from mpmath import mpf, mpc
-from mpmath.libmp.libelefun import ln2_fixed, log_int_fixed
 
 from .approx import PRECISION, ApproxValue, RIGOROUS, eps_for, radd
-from .dsum import exact_ratio, fixed_magnitude, powers_fixed
+from .dsum import exact_ratio, fixed_magnitude, log_fixed, powers_fixed
 from .errors import DomainError, PrecisionError
 from .zeta import ComplexParam, bernoulli_ladder_tail, power_prefix_table, zeta_em
 
@@ -117,6 +116,7 @@ class CellKernel:
         self.s1_fixed = ((num - den) * (1 << Gs) // den, tnum * (1 << Gs) // tden, Gs)
         self.zeta_fixed = (*(n * (1 << A) // d for n, d in zeta), A)
         self._power = num if tnum == 0 and den == 1 else None  # an integer s
+        self._anchor_logs: dict = {}  # (A, bits) -> log A: log_fixed's anchors for g
         with mpmath.mp.workprec(prec + _GUARD):
             self.s1_abs = abs(complex(self.sm - 1))
             p = self.sm - 2
@@ -150,8 +150,8 @@ class CellKernel:
         """g(t) at t = u/v >= 1 exactly, as (re, im) ints at scale W.
 
         t^s = exp(sigma L)(cos tau L + i sin tau L) from L = log t at W + ht
-        + gb bits, floored to W + ht bits (2^-ht <= t^sigma), then one floor
-        of the exact c t^s + beta t + delta."""
+        + gb bits (`log_fixed`), floored to W + ht bits (2^-ht <= t^sigma),
+        then one floor of the exact c t^s + beta t + delta."""
         W = self.W
         lt = u.bit_length() - v.bit_length() + 1  # t < 2^lt
         if self._power is not None:  # t^k, one floor division
@@ -162,9 +162,7 @@ class CellKernel:
             k2 = (v & -v).bit_length() - 1  # v = 2^k2 times an odd o
             gb = _EXTRA + math.ceil(self.s.abs() * (2 * lt + k2 + 6)).bit_length()
             wp = W + ht + gb
-            L = log_int_fixed(u, wp) - k2 * ln2_fixed(wp)
-            if v >> k2 > 1:
-                L -= log_int_fixed(v >> k2, wp)
+            L = log_fixed(u, v, wp, self._anchor_logs)
             T = (*powers_fixed([L], self._exp, wp, gb)[0], 0)[:2]
         (cr, ci), (br, bi), (dr, di) = cell.c, cell.beta, cell.delta
         d = v << (cell.S + ht)

@@ -336,6 +336,14 @@ class _Logs:
         return self.LX - self.log[n]
 
 
+def _shared(tables: dict, cls, *args):
+    """cls(*args), built once per argument tuple in `tables`."""
+    key = (cls, *args)
+    if key not in tables:
+        tables[key] = cls(*args)
+    return tables[key]
+
+
 class _Powers:
     """t^q at scale W for t = k and t = x/n, k, n <= N, x = num/den, each off
     by relative <= 2^-(bits + 10): for an integer q one exact floor division
@@ -484,12 +492,15 @@ class SummatoryFactor(_PrefixSumFactor):
     tables, at prec + 64 bits, each term floored to its column's scale with
     headroom for the least |a(n)|, A_n and L_n != 0 (as in the walk's slot
     values), so every term is off by relative <= 2^-(prec + 70) and the
-    exact prefix sums by that times `col_abs`.
+    exact prefix sums by that times `col_abs`.  Factors given one `tables`
+    dict share the x^p n^-p and log(x/n) tables they read: a table fixes its
+    bits when built, so a shared one gives the same ints.
     """
 
     index = "N"
 
-    def __init__(self, seq_values, omega: FunctionSpec, x: float, prec: int, offset=()):
+    def __init__(self, seq_values, omega: FunctionSpec, x: float, prec: int, offset=(),
+                 tables: dict | None = None):
         if any(offset) and omega.p != 0:
             raise DomainError("offset needs omega.p == 0")
         k = omega.k
@@ -508,8 +519,9 @@ class SummatoryFactor(_PrefixSumFactor):
             lbits = _log_bits(num, den * N)
         elif N > 1:
             lbits = _log_bits(num, den * (N - 1))
-        pw = _Powers(p, num, den, bits, False, N)
-        logs = _Logs(x, bits + 22 + lbits, N) if k else None
+        tables = {} if tables is None else tables
+        pw = _shared(tables, _Powers, p, num, den, bits, False, N)
+        logs = _shared(tables, _Logs, x, bits + 22 + lbits, N) if k else None
         self.N = N
         self.Wf, self.cols, self.col_abs = _sum_columns(
             seq, pw.at_inv, lambda n: 0 if n * den == num else logs.at_inv(n), k, pw.W,

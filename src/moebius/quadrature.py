@@ -35,18 +35,23 @@ the least |delta| of any cell).  c, beta and delta are exact (c_K = (s-1)(zeta
 1, v = 2^k o (o odd), ht = ceil(max(0, -sigma) lt) (so 2^-ht <= t^sigma), and
 wp = W + ht + gb, gb = 32 + bits(ceil(|s| (2 lt + k + 6))):
 
-- L = log u - log o - k log 2 at wp bits, from two `log_int_fixed` values
-  (each off by <= C_LOG = 2 units, as `dsum` counts) and k floored ln 2's:
-  off by <= k + 4 units.
-- `dsum.powers_fixed` floors sigma L and tau L (off by <= |s| (k + 4) + 1),
-  and exp_fixed and cos_sin_fixed reduce them by a floored ln 2 and pi/2 at
-  most |sigma| lt + 1 and |tau| lt + 1 times, adding mpmath's few-unit
-  basecase errors (<= 6 units each).  So exp(sigma L) is off by a relative,
-  and cos, sin by an absolute, 2 |s| (lt + k + 4) + 16 < 2^(gb - 27) units of
-  2^-wp in all; exp_fixed's right shift for sigma < 0 adds < 1 unit, relative
-  <= 2^(ht - wp) = 2^-(W + gb).  The product's floor to W + ht bits adds < 1
-  unit <= t^sigma 2^-W.  Each part of t^s is off by < (1 + 2^-26) t^sigma
-  2^-W, so |dT| < 1.5 |t^s| 2^-W.  An integer s takes u^s/v^s, floored once.
+- L = log A + 2 atanh z at wp bits (`dsum.log_fixed`), A = floor(t) and z =
+  (u - A v)/(u + A v) <= 1/3, summed at P = wp + G bits, 2^G > wp.  In units
+  of 2^-P: log A, one `log_int_fixed` value per (A, P) and kernel, is off by
+  <= C_LOG = 2 (as `dsum` counts); each of the N <= P/3 + 1 terms (a floored
+  power of 2z, < 15/8 low as z^2 <= 1/9, floored again by 2j + 1) by < 2; the
+  tail past the first power that floors to 0 by < 2: < 2P/3 + 6 <= 2^G in
+  all.  The floor to wp bits adds < 1 unit, so L is off by < 2 units.
+- `dsum.powers_fixed` floors sigma L and tau L (off by <= 2 |s| + 1), and
+  exp_fixed and cos_sin_fixed reduce them by a floored ln 2 and pi/2 at most
+  |sigma| lt + 1 and |tau| lt + 1 times, adding mpmath's few-unit basecase
+  errors (<= 6 units each).  So exp(sigma L) is off by a relative, and cos,
+  sin by an absolute, 2 |s| (lt + 2) + 16 < 2^(gb - 27) units of 2^-wp in
+  all (gb still counts k, which L's error no longer needs); exp_fixed's right
+  shift for sigma < 0 adds < 1 unit, relative <= 2^(ht - wp) = 2^-(W + gb).
+  The product's floor to W + ht bits adds < 1 unit <= t^sigma 2^-W.  Each
+  part of t^s is off by < (1 + 2^-26) t^sigma 2^-W, so |dT| < 1.5 |t^s| 2^-W.
+  An integer s takes u^s/v^s, floored once.
 - c T + beta t + delta is formed exactly over the denominator v and floored
   once to W bits (< 1 unit per part): g is off by < 2^-W (1.5 |c||t^s| +
   sqrt 2) <= 2^-(prec+63) M, M = |c||t^s| + |beta| t + |delta|.
@@ -81,6 +86,8 @@ from .kernels import IBP_R, CellKernel, KernelSpec, hel_sup_abs_Q, kernel_bound,
 from .zeta import ComplexParam, power_prefix_table, zeta_em
 
 _GUARD = 48
+SPLIT_CAP = 1 << 20  # bisections per unit cell in integrate_abs_kernel
+EVAL_CAP = 1 << 20  # midpoint evaluations in sup_abs_kernel's branch-and-bound
 
 
 def integrate_signed_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-8,
@@ -215,7 +222,7 @@ def integrate_abs_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-2
                         cond += mid_f * h
                         continue
                 splits += 1
-                if splits > 1 << 20:
+                if splits > SPLIT_CAP:
                     raise PrecisionError(
                         f"abs-kernel quadrature cannot reach {target_radius} on cell {K}")
                 tm_f = a + h / 2.0
@@ -283,7 +290,7 @@ def sup_abs_kernel(spec: KernelSpec, t_lo: float, t_hi: float,
         mid = (a + b) / 2.0
         gm = gval(cell, mid)
         evals += 1
-        if evals > 1 << 20:
+        if evals > EVAL_CAP:
             raise PrecisionError("sup branch-and-bound did not converge")
         if gm > best_lower:
             best_lower, best_at = gm, mid

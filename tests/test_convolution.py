@@ -163,6 +163,20 @@ def test_terre_batch_computes_each_shared_factor_once_per_index(monkeypatch):
         assert seen == changes, (type(f).__name__, users[f])
 
 
+# the terre check's cells, in its order: 9 sequence pairs x 6 kernel pairs
+TERRE_SEQS = [SequenceSpec.named(n) for n in ("mobius", "one", "alternating")]
+TERRE_KERNEL_PAIRS = [
+    (FunctionSpec.const(1.0), FunctionSpec.const(1.0)),
+    (FunctionSpec.power(1.0), FunctionSpec.const(1.0)),
+    (FunctionSpec.log(1), FunctionSpec.power(1.0)),
+    (FunctionSpec.t_log(1), FunctionSpec.power(2.0)),
+    (FunctionSpec.power(1.5), FunctionSpec.log(1)),
+    (FunctionSpec.power(1.0), FunctionSpec.power(complex(0.5, 3.0))),
+]
+TERRE_SPECS = [(a, b, om, ph) for a in TERRE_SEQS for b in TERRE_SEQS
+               for om, ph in TERRE_KERNEL_PAIRS]
+
+
 def test_terre_check_walks_one_partition_per_x(monkeypatch):
     xs = [10.0, 25.3]
     built = []
@@ -177,17 +191,7 @@ def test_terre_check_walks_one_partition_per_x(monkeypatch):
     assert built == xs
     monkeypatch.undo()
     # each cell equals its own terre_sides call bit for bit, in the check's order
-    seqs = [SequenceSpec.named(n) for n in ("mobius", "one", "alternating")]
-    kernel_pairs = [
-        (FunctionSpec.const(1.0), FunctionSpec.const(1.0)),
-        (FunctionSpec.power(1.0), FunctionSpec.const(1.0)),
-        (FunctionSpec.log(1), FunctionSpec.power(1.0)),
-        (FunctionSpec.t_log(1), FunctionSpec.power(2.0)),
-        (FunctionSpec.power(1.5), FunctionSpec.log(1)),
-        (FunctionSpec.power(1.0), FunctionSpec.power(complex(0.5, 3.0))),
-    ]
-    order = [(a, b, om, ph, x) for a in seqs for b in seqs for om, ph in kernel_pairs
-             for x in xs]
+    order = [(a, b, om, ph, x) for a, b, om, ph in TERRE_SPECS for x in xs]
     assert len(rep.cells) == len(order) == 108
     for cell, (a, b, om, ph, x) in zip(rep.cells, order):
         assert (cell["a"], cell["b"], cell["omega"], cell["phi"], cell["x"]) == (
@@ -195,3 +199,30 @@ def test_terre_check_walks_one_partition_per_x(monkeypatch):
         lhs, rhs = terre_sides(a, b, om, ph, x, precision=128)
         assert cell["residual"] == float(mpmath.fabs(lhs.value - rhs.value))
         assert cell["radius"] == radd(lhs.radius, rhs.radius)
+
+
+def test_terre_batch_builds_each_table_once(monkeypatch):
+    """The summatory factors of a batch share their x^p n^-p and log(x/n)
+    tables: at x = 24.99 the 54 cells build 8 _Powers (5 of them the walk's)
+    and 2 _Logs (1 the walk's), not 65 and 25, and every side still equals
+    its own terre_sides call bit for bit."""
+    x = 24.99
+    built = {"_Powers": [], "_Logs": []}
+
+    def counted(cls, log):
+        class Counted(cls):
+            def __init__(self, *args):
+                log.append(repr(args))
+                super().__init__(*args)
+        return Counted
+
+    for name, log in built.items():
+        monkeypatch.setattr(piecewise, name, counted(getattr(piecewise, name), log))
+    sides = terre_batch(TERRE_SPECS, x)
+    assert (len(built["_Powers"]), len(built["_Logs"])) == (8, 2)
+    assert all(len(set(args)) == len(args) for args in built.values())
+    monkeypatch.undo()
+    for (lhs, rhs), spec in zip(sides, TERRE_SPECS):
+        alone = terre_sides(*spec, x)
+        assert (lhs.value, lhs.radius, rhs.value, rhs.radius) == (
+            alone[0].value, alone[0].radius, alone[1].value, alone[1].radius)

@@ -8,6 +8,7 @@ evaluation at 48 guard bits; the three routines must give the reference's
 float value, radius and T."""
 
 import math
+import traceback
 from fractions import Fraction
 
 import mpmath
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mpcell
-from moebius.dsum import fixed_magnitude
+from mpmath.libmp.libelefun import log_int_fixed
+from moebius import dsum, kernels
+from moebius.dsum import fixed_magnitude, log_fixed
 from moebius.kernels import CellKernel, KernelSpec
 from moebius.quadrature import (integrate_abs_kernel, integrate_abs_kernel_to_infinity,
                                 integrate_signed_kernel, sup_abs_kernel)
@@ -125,3 +128,88 @@ def test_other_variants_match_reference():
         ref, ref_at = mpcell.sup_abs(spec, 1.5, 9.0, 1e-3, PREC)
         _same(got, ref)
         assert at == ref_at
+
+
+# dsum.log_fixed: L = log A + 2 atanh z, anchored at A = floor(t), off by < 2
+# units of 2^-wp (the quadrature docstring's count)
+
+def _log_units(u: int, v: int, wp: int, L: int) -> float:
+    """|L - 2^wp log(u/v)| in units of 2^-wp, the log taken at 2 wp bits."""
+    with mpmath.workprec(2 * wp):
+        return float(abs(L - mpmath.log(mpmath.mpf(u) / v) * mpmath.mpf(2) ** wp))
+
+
+def _log_points() -> list[tuple[int, int]]:
+    """t in [1, 2) (z up to 1/3, the longest series), t -> K+1 from below,
+    integer t (z = 0, reduced or not) and Simpson's odd-denominator nodes."""
+    pts = [(1 + i / 37).as_integer_ratio() for i in range(37)]
+    pts += [(1 + 2.0**-52).as_integer_ratio(), (2 - 2.0**-52).as_integer_ratio()]
+    for K in (1, 2, 7, 100, 9999):
+        pts += [((K + 1) * v - 1, v) for v in (1 << 52, 3**20, 7)]
+        pts += [(K, 1), (22 * K, 22)]
+        pts += [(t.numerator, t.denominator) for t in _nodes(K)]
+    return pts
+
+
+def test_anchor_log_within_two_units():
+    for wp in (96, 243, 700):
+        anchors = {}
+        for u, v in _log_points():
+            assert _log_units(u, v, wp, log_fixed(u, v, wp, anchors)) < 2, (u, v, wp)
+        assert {A for A, _ in anchors} == {1, 2, 7, 100, 9999}
+
+
+def test_anchor_log_as_g_reads_it(monkeypatch):
+    """g's own wp, with sigma < 0 headroom ht > 0, and one log_int_fixed per anchor."""
+    seen, made = [], []
+
+    def log(u, v, wp, anchors):
+        seen.append((u, v, wp, None))
+        L = log_fixed(u, v, wp, anchors)
+        seen[-1] = (u, v, wp, L)
+        return L
+
+    def log_int(n, prec):
+        if seen and seen[-1][3] is None:  # inside log_fixed
+            made.append((n, prec))
+        return log_int_fixed(n, prec)
+
+    monkeypatch.setattr(kernels, "log_fixed", log)
+    monkeypatch.setattr(dsum, "log_int_fixed", log_int)
+    for s in (-0.9, complex(-0.5, 5.0), RHO1):
+        ck = CellKernel(KernelSpec.make("Q", s), PREC)
+        seen.clear()
+        made.clear()
+        for K in (1, 2, 7, 9999):
+            for t in _nodes(K):
+                _check_point(ck, t)
+        assert len(seen) == 4 * len(_nodes(1))
+        assert all(_log_units(u, v, wp, L) < 2 for u, v, wp, L in seen)
+        assert len(made) == len(set(made)) == len({(u // v, wp) for u, v, wp, _ in seen})
+
+
+def test_anchor_log_negative_control(monkeypatch):
+    """log_fixed's series stopped one term early fails the bound.  Its last
+    term is below a unit of 2^-W unless the series is short, so the points
+    are just above an integer, where z is small and the last term large."""
+    def stopped_early(u, v, wp, anchors):
+        A, P = u // v, wp + wp.bit_length()
+        n, d = u - A * v, u + A * v
+        z2 = ((n * n) << P) // (d * d)
+        p, k, terms = (n << (P + 1)) // d, 1, []
+        while p:
+            terms.append(p // k)
+            p, k = (p * z2) >> P, k + 2
+        return (log_int_fixed(A, P) + sum(terms[:-1])) >> (P - wp)
+
+    monkeypatch.setattr(kernels, "log_fixed", stopped_early)
+    failed = []
+    for s in (RHO1, 1.5):
+        ck = CellKernel(KernelSpec.make("Q", s), PREC)
+        for K in (1, 7, 9999):
+            for e in (26, 34, 50):
+                try:
+                    _check_point(ck, K + Fraction(1, 2**e))
+                except AssertionError as err:
+                    failed.append(traceback.extract_tb(err.__traceback__)[-1].line)
+    assert "assert abs(got - ref) <= bound, (ck.spec, t)" in failed

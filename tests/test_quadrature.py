@@ -3,7 +3,8 @@ import math
 import mpmath
 import pytest
 
-from moebius.errors import DomainError
+from moebius import quadrature
+from moebius.errors import DomainError, PrecisionError
 from moebius.kernels import KernelSpec
 from moebius.quadrature import (exact_Q_l1_reference, exact_Q_l1_tail,
                                 integrate_abs_kernel,
@@ -131,3 +132,15 @@ def test_q_l1_two_sided_tail_agrees_with_sup_tail():
     hi_old = float(head.value) + head.radius + tail_bound_abs_Q(spec, float(T_old))
     lo_new, hi_new = float(val.value) - val.radius, float(val.value) + val.radius
     assert max(lo_old, lo_new) <= min(hi_old, hi_new)
+
+
+def test_abs_integral_split_cap(monkeypatch):
+    monkeypatch.setattr(quadrature, "SPLIT_CAP", 3)
+    with pytest.raises(PrecisionError, match="cannot reach"):
+        integrate_abs_kernel(KernelSpec.make("Q", complex(0.5, 14.13)), 3.0, 1e-6)
+
+
+def test_sup_eval_cap(monkeypatch):
+    monkeypatch.setattr(quadrature, "EVAL_CAP", 3)
+    with pytest.raises(PrecisionError, match="did not converge"):
+        sup_abs_kernel(KernelSpec.make("Q", complex(0.5, 14.13)), 1.0, 14.13, 1e-6)

@@ -19,23 +19,27 @@ checkout's src:
     perfbench counts `quadrature.cells`), timed around the call: the head
     [1, 55] of q-l1 at rho_1 = 0.5 + 14.13i with radius 0.45 * 0.12, as the
     exact workload's q-l1 runs it;
-- end-to-end rows, the wall time of the whole process (interpreter start,
-  imports and report included): `verify --suite fast`, `verify --suite
-  terre --threads 1`, `verify --suite q-l1 --threads 1`, `verify --suite
-  all --threads 1` and `verify --suite alpha,balazard-m` (two short checks,
-  so almost all of its wall is starting and collecting run_suite's
-  workers), all with --stable-output, and the exact and stream workloads'
-  argvs at seed 7 (`perfbench/workloads.make(name, 7)`), default workers.
+- end-to-end rows, the wall time of `cli.main(argv)` timed in the process
+  after `import moebius.cli`, with its stdout captured, as perfbench/child.py
+  times it (so interpreter start, import and compile, about 0.3 s that
+  spreads widely, stay out): `verify --suite fast`, `verify --suite terre
+  --threads 1`, `verify --suite q-l1 --threads 1`, `verify --suite all
+  --threads 1` and `verify --suite alpha,balazard-m` (two short checks, so
+  almost all of its wall is forking and collecting run_suite's workers), all
+  with --stable-output, and the exact and stream workloads' argvs at seed 7
+  (`perfbench/workloads.make(name, 7)`), default workers.
 
 The JSON written to FILE (default: stdout) holds, per row, every run's value,
-each side's median and quartiles (Q1, Q3), change/parent of the medians, and
+each side's median and quartiles (Q1, Q3), change/parent of the medians,
 `change_won`, the number of rounds in which the change's run beat the
-parent's (a higher rate, or a shorter wall): a row whose medians differ by
-less than the quartile spread, or that the change won in only some rounds,
-is not resolved by its runs.  It also holds perfbench/run.py's environment
-record for each checkout, PARENT_REV resolved to its commit, and this
-checkout's HEAD with whether its tree differs from HEAD (its `src_sha256`
-then names the source that ran).
+parent's (a higher rate, or a shorter wall), and the paired per-round
+differences change - parent: their median `diff_median` and
+`diff_sign_changes`, the number of rounds whose difference has the other
+sign.  A row whose medians differ by less than the quartile spread, or that
+the change won in only some rounds, is not resolved by its runs.  It also
+holds perfbench/run.py's environment record for each checkout, PARENT_REV
+resolved to its commit, and this checkout's HEAD with whether its tree
+differs from HEAD (its `src_sha256` then names the source that ran).
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 from parity import ROOT, checkout
@@ -91,7 +94,15 @@ else:
 print(json.dumps({"seconds": spent[0], "units": units[0]}))
 """
 
-CLI = "import sys; from moebius.cli import main; sys.exit(main(sys.argv[1:]))"
+CLI = r"""
+import contextlib, io, json, sys, time
+from moebius import cli
+t = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+print(json.dumps({"seconds": time.perf_counter() - t}))
+sys.exit(rc)
+"""
 
 WALK = "integrate_partitions pieces/s"
 LAYER_ROWS = [(WALK, "terre batch, x = 24.99", "terre", 24.99),
@@ -105,13 +116,11 @@ E2E_ROWS = [("verify --suite fast", ["--suite", "fast"]),
             ("verify --suite alpha,balazard-m", ["--suite", "alpha,balazard-m"])]
 
 
-def _run(tree: Path, args: list[str]) -> tuple[float, str]:
-    """(wall seconds, stdout) of `python3 args` with PYTHONPATH at tree/src."""
+def _run(tree: Path, args: list[str]) -> str:
+    """The stdout of `python3 args` with PYTHONPATH at tree/src."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    t = time.perf_counter()
-    done = subprocess.run([sys.executable, *args], cwd=tree, env=env, check=True,
-                          stdout=subprocess.PIPE, text=True)
-    return time.perf_counter() - t, done.stdout
+    return subprocess.run([sys.executable, *args], cwd=tree, env=env, check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
 
 
 def _environment(tree: Path) -> dict:
@@ -142,8 +151,7 @@ def bench(parent: Path, rounds: int) -> dict:
         runs = {"parent": [], "change": []}
         for r in range(rounds):
             for side, tree in _sides(trees, r):
-                _, out = _run(tree, ["-c", LAYER, row, repr(x)])
-                got = json.loads(out)
+                got = json.loads(_run(tree, ["-c", LAYER, row, repr(x)]))
                 runs[side].append(got["units"] / got["seconds"])
         rows.append(_row(f"{metric}: {label}", "layer", "1/s", runs, units=got["units"]))
     workload_rows = [(f"{name} workload argv, seed 7", _workload_argv(name))
@@ -152,7 +160,8 @@ def bench(parent: Path, rounds: int) -> dict:
         runs = {"parent": [], "change": []}
         for r in range(rounds):
             for side, tree in _sides(trees, r):
-                runs[side].append(_run(tree, ["-c", CLI, "verify", *argv, "--stable-output"])[0])
+                out = _run(tree, ["-c", CLI, "verify", *argv, "--stable-output"])
+                runs[side].append(json.loads(out)["seconds"])
         rows.append(_row(label, "end_to_end", "s", runs))
     return {"rounds": rounds, "order": "the parent runs first in rounds 1, 3, ..., the change "
                                        "in rounds 2, 4, ...",
@@ -174,12 +183,16 @@ def _row(name: str, kind: str, unit: str, runs: dict, **extra) -> dict:
     med = {side: statistics.median(v) for side, v in runs.items()}
     higher = unit == "1/s"  # a rate is better higher, a wall time lower
     won = sum((c > p) if higher else (c < p) for p, c in zip(runs["parent"], runs["change"]))
+    diffs = [c - p for p, c in zip(runs["parent"], runs["change"])]
+    diff_med = statistics.median(diffs)
     return {"name": name, "kind": kind, "unit": unit, **extra,
             "parent": runs["parent"], "change": runs["change"],
             "parent_median": med["parent"], "change_median": med["change"],
             "parent_quartiles": _quartiles(runs["parent"]),
             "change_quartiles": _quartiles(runs["change"]),
-            "change_won": won, "change_over_parent": med["change"] / med["parent"]}
+            "change_won": won, "change_over_parent": med["change"] / med["parent"],
+            "diff_median": diff_med,
+            "diff_sign_changes": sum(d * diff_med < 0 for d in diffs)}
 
 
 def main(argv: list[str]) -> int:
