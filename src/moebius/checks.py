@@ -991,14 +991,14 @@ def run_check(check_id: str, grid: dict | None = None,
 
 #: seconds each check takes in `verify --suite all --threads 1` on the 2-core
 #: reference host (the median of three runs' elapsed_ms), for the checks of
-#: about 0.2 s or more; run_suite submits the longest first, and an id not
+#: about 0.1 s or more; run_suite submits the longest first, and an id not
 #: listed here counts 0
 _COST_S = {
-    "mtronqchch": 3.4, "derivK2": 3.3, "mtronqch": 2.7, "terre": 2.6, "headline": 1.8,
-    "mtronq": 1.2, "em-cross": 1.1, "abel": 0.88, "q-l1": 0.76, "formule-m": 0.67,
-    "mieux-1": 0.44, "prop1-a": 0.41, "parchm": 0.40, "derivK3": 0.38, "prop2-c": 0.29,
-    "mieux-2": 0.28, "prop1-c": 0.28, "prop2-b": 0.26, "har": 0.21, "derivK1": 0.19,
-    "prop1-b": 0.19, "exact-Q-l1": 0.18,
+    "terre": 2.1, "mtronqchch": 1.5, "derivK2": 1.35, "mtronqch": 1.28, "headline": 1.27,
+    "mtronq": 0.88, "abel": 0.76, "em-cross": 0.72, "q-l1": 0.71, "formule-m": 0.51,
+    "parchm": 0.37, "mieux-1": 0.36, "prop1-a": 0.33, "prop1-c": 0.23, "prop2-c": 0.20,
+    "exact-Q-l1": 0.17, "prop1-b": 0.16, "prop2-b": 0.14, "derivK3": 0.14, "mieux-2": 0.12,
+    "hel-truncation": 0.10,
 }
 
 

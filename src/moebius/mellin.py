@@ -1,23 +1,48 @@
 """Truncated transform identities: tails of the summatory functions against
-t^(-s), evaluated exactly piecewise over [x, T] plus a rigorous bound on the
-remaining tail, compared with their closed forms in 1/zeta and zeta'/zeta^2.
+t^(-s), computed exactly over [x, T] by summation by parts plus a rigorous
+bound on the remaining tail, compared with their closed forms in 1/zeta and
+zeta'/zeta^2.
 
-The [x, T] integrals stream the sieve in segments and run vectorized numpy
-arithmetic in one of two lanes: float64 when s is real with sigma > 1 (every
-registry cell), complex128 otherwise.  Within a segment the pieces are walked
-in blocks of at most _BLOCK, small enough for the work arrays to stay in L2:
-the leaves of numpy's own pairwise-sum tree, whose sums combine up that tree
-into np.sum of the whole segment bit for bit.  Per-piece antiderivatives are
-closed-form, and the radius covers the vector rounding (via absolute-magnitude
-condition sums, with a rounding constant derived for the real lane and a
-blanket one for the complex lane), the compensated prefix radii of the
-weights, and the tail bound built from the imported explicit estimates
-(|m(t)| <= 0.0130073/log t for t >= 97063 and the step-function conversion
-lemma for the smoothed weights).
+Every weight changes only at integers k:
+w(t) = sum_{k<=t} c_k log^p(t/k) + Q(log t), with c_k = mu(k)/k and p = 0, 1,
+2 for m, m-check - 1 and the normalized m-double-check, or c_k = 1/k and
+p = 0 for the harmonic gap H - log - gamma, and Q(u) = 0, -1, -2u + 2 gamma,
+-u - gamma (_WEIGHTS).  With F_i = t^(1-s) G_i(log t), the antiderivative of
+t^(-s) log^i t, summation by parts gives the basis integrals
+
+  B_j = integral_x^T w(t) t^(-s) log^j t dt
+      = Bd_j(T) - Bd_j(x) - sum_{x<k<=T} c_k Phi_j(k) + integral_x^T Q(log t) t^(-s) log^j t dt,
+
+  Bd_j(y) = sum_{i<=p} C(p, i) (-1)^(p-i) M_{p-i}(y) F_{j+i}(y),
+  Phi_j(k) = sum_{i<=p} C(p, i) (-log k)^(p-i) F_{j+i}(k),
+
+where M_0, M_1, M_2 = sum_{k<=y} c_k log^r k are the prefix columns m, sl,
+sl2 (H for the harmonic gap) at y, and the Q integral is closed form in F_j
+and F_{j+1}.  In closed form, with a = 1 - s, G_i(u) = sum_l phi^0_il u^(i-l)
+and Phi_j(k) = k^(1-s) sum_{l<=j} phi^p_jl log^(j-l) k, where
+phi^p_jl = (-1)^(p+l) (p+l)!/l! j!/(j-l)! / a^(p+l+1) (_phi).  The interior
+is therefore sum_l phi^p_jl S_{j-l} over the Dirichlet moments
+S_r = sum_{x<k<=T} c_k k^(1-s) log^r k.
+
+The moments stream the sieve in segments: per block of at most _BLOCK jumps
+at fixed positions, one numpy pass per step and distinct s, shared by every x
+of that s, in float64 when s is real with sigma > 1 (every registry cell),
+complex128 otherwise.  A cell's S_r is its own partial first block plus the
+full blocks after it, and its B_j one math.fsum of those block sums times
+phi and the boundary terms (each F_{j+i} at x and at T once, its moment and
+Q coefficients added first), so a cell built alone equals the same cell in a
+batch bit for bit.  The radius is eps K (cond + |B_j|), with
+cond the sum of the absolute terms (|c_k| |k^(1-s)| |phi| log^r k for the
+interior), K derived for the real lane (_real_lane_units) and a blanket for
+the complex lane, plus the prefix moments' radii times |F| at x and T and
+gamma's rounding; the tail beyond T is bounded from the imported explicit
+estimates (|m(t)| <= 0.0130073/log t for t >= 97063 and the step-function
+conversion lemma for the smoothed weights).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Callable
 
@@ -31,20 +56,21 @@ from .errors import DomainError
 from .identities import mu_power_sum, _x_pows
 from .kernels import Q, KernelSpec, frac_tail_integral
 from .piecewise import KernelFactor, integrate_m_kernel
-from .sieve import DEFAULT_SEGMENT
 from .summatory import prefix_columns, summatory
 from .zeta import ComplexParam, partial_power_sum, zeta_em
 
 _EPS = 2.0**-52
 #: the complex lane's rounding constant, in units of _EPS: a blanket, not derived
 _BLANKET_UNITS = 1024.0
-#: the accuracy assumed of numpy's float64 log, exp and power, in ulp
+#: the accuracy assumed of float64 log, exp and power (numpy's and the C library's), in ulp
 _FN_ULPS = 4
-#: the real lane keeps every piece value above exp(-_MIN_LOG_F), so nothing underflows
+#: the real lane keeps every term above exp(-_MIN_LOG_F), so nothing underflows
 _MIN_LOG_F = 600.0
 _GAMMA_F = float(gamma_const(64))
+#: a bound on |gamma - _GAMMA_F|: half an ulp of gamma, 2^-54, plus the 64-bit value's error
+_GAMMA_GAP = 2.0**-53
 _HGAP_SUP = abs(HARMONIC_LOWER)  # |H(t) - log t - gamma| <= 0.5408 / t
-#: the most pieces the transform kernel holds at once: its work arrays stay in L2
+#: the most jumps the transform kernel holds at once: its work arrays stay in L2
 _BLOCK = 16384
 
 WEIGHT_M = "m"
@@ -52,19 +78,14 @@ WEIGHT_MCHECK1 = "mcheck1"
 WEIGHT_MDNORM = "mdnorm"
 WEIGHT_HGAP = "hgap"
 
-#: weight -> (the prefix columns it reads, its coefficients c_k in
-#: w = sum_k c_k log^k t on [n, n+1) as (values, radii) from the columns at n).
-#: I0 bounds the m-check tail beyond T.  mdnorm's constant coefficient, which
-#: tends to 0, also carries 2 |gamma - _GAMMA_F| < _EPS.
+#: weight -> (its jumps c_k: "mu" for mu(k)/k, "one" for 1/k; p; Q(u) =
+#: q0 + q_gamma gamma + q1 u as (q0, q_gamma, q1); the prefix columns it
+#: reads, M_0..M_p first).  I0 bounds the m-check tail beyond T.
 _WEIGHTS = {
-    WEIGHT_M: (("m",), lambda c: [c["m"]]),
-    WEIGHT_MCHECK1: (("m", "sl", "I0"),
-                     lambda c: [(-c["sl"][0] - 1.0, c["sl"][1]), c["m"]]),
-    WEIGHT_MDNORM: (("m", "sl", "sl2", "I0"),
-                    lambda c: [(c["sl2"][0] + 2.0 * _GAMMA_F, c["sl2"][1] + _EPS),
-                               (-2.0 * c["sl"][0] - 2.0, 2.0 * c["sl"][1]), c["m"]]),
-    WEIGHT_HGAP: (("H",), lambda c: [(c["H"][0] - _GAMMA_F, c["H"][1]),
-                                     (-np.ones_like(c["H"][0]), np.zeros_like(c["H"][0]))]),
+    WEIGHT_M: ("mu", 0, (0.0, 0.0, 0.0), ("m",)),
+    WEIGHT_MCHECK1: ("mu", 1, (-1.0, 0.0, 0.0), ("m", "sl", "I0")),
+    WEIGHT_MDNORM: ("mu", 2, (0.0, 2.0, -2.0), ("m", "sl", "sl2", "I0")),
+    WEIGHT_HGAP: ("one", 0, (0.0, -1.0, -1.0), ("H",)),
 }
 
 
@@ -84,9 +105,10 @@ class TruncatedTransform:
     j = 0..mom_max, plus the prefix point data at x and T.
 
     The weight w is m, m-check - 1, the normalized m-double-check, or the
-    harmonic gap H - log - gamma; each is an exact log-polynomial on [n, n+1)
-    in the prefix columns it reads (_WEIGHTS).  A transform is one stream of
-    [1, floor(T)]; truncated_transforms shares that stream between cells.
+    harmonic gap H - log - gamma; each changes only at integers (_WEIGHTS),
+    and the prefix columns it reads give its moments at x and T.  A transform
+    is one stream of [1, floor(T)]; truncated_transforms shares that stream
+    between cells.
     """
 
     def __init__(self, s, x: float, T: float, weight: str, mom_max: int = 0):
@@ -163,60 +185,138 @@ def truncated_transforms(weight: str, T: float, cells) -> list[TruncatedTransfor
     return tts
 
 
-def _real_lane_units(s: ComplexParam, T: float, nterms: int, ncols: int) -> float | None:
-    """The real lane's rounding constant, in units of _EPS, for F_0..F_{nterms-1}
-    and ncols weight coefficients over [1, T] (derived in _add_pieces'
-    docstring); None puts the transform on the complex lane: s not real,
-    sigma <= 1, or a piece value that could fall below exp(-_MIN_LOG_F)."""
+def _nterms(weight: str, mom_max: int) -> int:
+    """How many antiderivatives F_0.. the weight's B_0..B_mom_max read."""
+    _, p, (_, _, q1), _ = _WEIGHTS[weight]
+    return mom_max + max(p, q1 != 0.0) + 1
+
+
+def _real_lane_units(s: ComplexParam, T: float, nterms: int, mom_max: int) -> float | None:
+    """The real lane's rounding constant K, in units of _EPS, for B_0..B_mom_max
+    of a weight that reads F_0..F_{nterms-1} over [1, T]; None puts the
+    transform on the complex lane: s not real, sigma <= 1, or a term that
+    could fall below exp(-_MIN_LOG_F).
+
+    The count is in units of u = 2^-53 of each term's absolute value (of
+    |phi| sum |c_k k^(1-s) log^r k| for an interior block sum), to first
+    order, with l = 2 _FN_ULPS for one log, exp or power:
+
+    - log k and log y carry l.  a = 1 - sigma and a log t add 2 roundings,
+      which exp amplifies by |a log t| <= (sigma - 1) log T, and exp adds l:
+      E = t^(1-s) carries e = (sigma - 1) log T (l + 2) + l.
+    - phi^p_jl = (-1)^(p+l) N / a^m, m = p + l + 1 <= nterms, with an exact
+      integer N, is 1/a (2), m - 1 products (3 each) and the product with N
+      (1): at most 3 nterms.
+    - Interior: c_k = mu(k)/k (1), c_k E (1), each factor log k (l + 1) up to
+      log^mom k, numpy's pairwise block sum (8 accumulators over at most 128
+      terms, then halving: at most 26 + ceil(log2(_BLOCK + 1)) additions per
+      term) and the product with phi (1).
+    - Boundary and Q terms: F_i = E sum_l phi^0_il u^(i-l), u = log y, with
+      u^(i-l) from i - l - 1 products and phi u^(i-l) ((i - l)(l + 1)), i
+      additions of terms of one sign (for sigma > 1, a < 0 and u >= 0, so
+      every phi^p_jl u^(j-l) has the sign of -1) and E times the sum (1):
+      (nterms - 1)(l + 2) + 1 over E and phi; the coefficient
+      C(p, i) (-1)^(p-i) M + q_i (1: the product is exact, the sum rounds
+      once) and its product with F_{j+i} (1).
+    - B_j is one math.fsum of all these terms, one rounding of |B_j|; cond's
+      own rounding is second order; with the radius expression, 3.
+
+    Every interior term has the sign of -phi c_k, so on the real lane cond is
+    sum |term| itself; the radius adds the prefix moments' radii times |F|
+    and |q_gamma| |gamma - _GAMMA_F| |F_j| at x and T, exactly as propagated.
+    """
     sigma = s.sigma
     if s.tau != 0.0 or not sigma > 1.0:
         return None
-    amp = (sigma - 1.0) * math.log(T)  # max |(1 - s) log t| over [1, T]
-    # |f| >= T^(1-sigma) |G_i| and |G_i| >= max(sigma - 1, 1)^(-nterms)
-    if amp + nterms * math.log(max(sigma - 1.0, 1.0)) > _MIN_LOG_F:
+    # |c_k k^(1-s)| >= T^(-sigma) and |phi| >= max(sigma - 1, 1)^(-nterms)
+    if sigma * math.log(T) + nterms * math.log(max(sigma - 1.0, 1.0)) > _MIN_LOG_F:
         return None
-    fn = 2.0 * _FN_ULPS  # one log, exp or power, in units of u = 2^-53
-    g = 2.0
-    for i in range(1, nterms):
-        g = max((i + 1) * fn, g + 1.0) + 3.0
-    f = amp * (fn + 2.0) + fn + g + 1.0  # E, G and f = E G
-    piece = f + 1.0 + 1.0 + 3.0  # dF, the product with c_k and forming c_k
-    NT = math.floor(T)
-    depth = 26 + math.ceil(math.log2(min(NT, DEFAULT_SEGMENT) + 1))  # np.sum's tree
-    adds = -(-NT // DEFAULT_SEGMENT) * ncols  # B's segment sums
-    return (piece + depth + adds + 5.0) / 2.0  # 5: cond, sens and the radius expression
+    fn = 2.0 * _FN_ULPS
+    e = (sigma - 1.0) * math.log(T) * (fn + 2.0) + fn
+    depth = 26 + math.ceil(math.log2(_BLOCK + 1))
+    interior = 2.0 + mom_max * (fn + 1.0) + depth + 1.0
+    boundary = (nterms - 1) * (fn + 2.0) + 1.0 + 2.0
+    return (e + 3.0 * nterms + max(interior, boundary) + 3.0) / 2.0
 
 
-class _Sums:
-    """One transform's accumulators over the stream, and its lane: sm is a
-    float on the real lane, a complex on the complex lane."""
+def _phi(inv, p: int, j: int) -> list:
+    """[phi^p_jl for l = 0..j] at inv = 1/(1 - s): Phi_j(k) = k^(1-s) sum_l
+    phi^p_jl log^(j-l) k, and F_j(t) = t^(1-s) sum_l phi^0_jl log^(j-l) t."""
+    out = []
+    for l in range(j + 1):
+        power = inv
+        for _ in range(p + l):
+            power = power * inv
+        out.append((-1) ** (p + l) * math.perm(p + l, p) * math.perm(j, l) * power)
+    return out
 
-    def __init__(self, tt: TruncatedTransform, ncols: int):
+
+def _antiderivatives(a, inv, y: float, n: int) -> list[tuple]:
+    """(F_i(y), its absolute condition |y^(1-s)| sum_l |phi^0_il| u^(i-l)) for
+    i < n, u = log y."""
+    u = math.log(y)
+    E = (cmath.exp if isinstance(a, complex) else math.exp)(a * u)
+    out = []
+    for i in range(n):
+        value = cond = 0.0
+        for l, c in enumerate(_phi(inv, 0, i)):
+            upow = 1.0
+            for _ in range(i - l):
+                upow = upow * u
+            value = value + c * upow
+            cond = cond + abs(c) * upow
+        out.append((E * value, abs(E) * cond))
+    return out
+
+
+class _Cell:
+    """One transform's block sums over the stream, and its lane: sm, and with
+    it a = 1 - s, is a float on the real lane, a complex on the complex lane."""
+
+    def __init__(self, tt: TruncatedTransform):
         self.tt = tt
-        units = _real_lane_units(tt.s, tt.T, tt.mom_max + ncols, ncols)
-        if units is None:
-            self.sm = complex(tt.s.sigma, tt.s.tau)
-            self.units, self.sens_units = _BLANKET_UNITS, 0.0
-        else:
-            self.sm = tt.s.sigma
-            self.units = self.sens_units = units
-        # (i, j) of each term c_{i-j} [F_i] of B_j, in the order the terms are summed
-        self.pairs = [(i, j) for i in range(tt.mom_max + ncols)
-                      for j in range(max(0, i - ncols + 1), min(i, tt.mom_max) + 1)]
-        self.B = np.zeros(tt.mom_max + 1, dtype=np.complex128)
-        self.cond = np.zeros(tt.mom_max + 1)
-        self.sens = np.zeros(tt.mom_max + 1)
+        self.nterms = _nterms(tt.weight, tt.mom_max)
+        units = _real_lane_units(tt.s, tt.T, self.nterms, tt.mom_max)
+        self.sm = tt.s.sigma if units is not None else complex(tt.s.sigma, tt.s.tau)
+        self.units = _BLANKET_UNITS if units is None else units
+        self.a = 1.0 - self.sm
+        self.Nx = math.floor(tt.x)
+        # per moment r <= mom_max: the block sums of c_k k^(1-s) log^r k and of their |.|
+        self.S = [[] for _ in range(tt.mom_max + 1)]
+        self.A = [[] for _ in range(tt.mom_max + 1)]
         self.musum = self.mulogsum = 0.0 + 0.0j
         self.musum_abs = self.mulog_abs = 0.0
 
     def finish(self, need_mu: bool) -> None:
         """Set the transform's basis values and mu power sums, with radii."""
         tt = self.tt
+        _, p, (q0, q_gamma, q1), reads = _WEIGHTS[tt.weight]
+        q0 += q_gamma * _GAMMA_F
+        inv = 1.0 / self.a
+        ends = [(1.0, tt.at_T, _antiderivatives(self.a, inv, tt.T, self.nterms)),
+                (-1.0, tt.at_x, _antiderivatives(self.a, inv, tt.x, self.nterms))]
         tt.basis = []
         for j in range(tt.mom_max + 1):
-            rad = _EPS * (self.units * (self.cond[j] + abs(self.B[j]))
-                          + self.sens_units * self.sens[j]) + self.sens[j]
-            tt.basis.append(ApproxValue(self.B[j], radd(rad), RIGOROUS, 53))
+            terms, cond, rad = [], 0.0, 0.0
+            for sign, point, F in ends:
+                # F_{j+i}(y) carries C(p, i) (-1)^(p-i) M_{p-i}(y) and Q's u^i
+                # coefficient together, so that sl + 1 -> 0 cancels before
+                # the product, not across the fsum
+                for i in range(self.nterms - tt.mom_max):
+                    coef = (q0, q1, 0.0)[i]
+                    if i <= p:
+                        M, M_r = point[reads[p - i]]
+                        coef += math.comb(p, i) * (-1.0) ** (p - i) * M
+                        rad += math.comb(p, i) * M_r * abs(F[j + i][0])
+                    terms.append(sign * coef * F[j + i][0])
+                    cond += abs(coef) * F[j + i][1]
+                rad += abs(q_gamma) * _GAMMA_GAP * abs(F[j][0])
+            for l, phi in enumerate(_phi(inv, p, j)):
+                terms.extend(-phi * S for S in self.S[j - l])
+                cond += abs(phi) * math.fsum(self.A[j - l])
+            B = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+            tt.basis.append(ApproxValue(B, radd(_EPS * self.units * (cond + abs(B)), rad),
+                                        RIGOROUS, 53))
         if need_mu:
             tt.mu_power_x = ApproxValue(self.musum, radd(_EPS * 64 * self.musum_abs),
                                         RIGOROUS, 53)
@@ -229,15 +329,17 @@ class _Sums:
 
 def _stream(tts: list[TruncatedTransform]) -> None:
     """Fill transforms that share the weight and T from one prefix_columns
-    stream.  Per segment and distinct x, _pieces builds the breakpoints, log t
-    and weight coefficients once per block; each transform keeps its own sums."""
+    stream: the point data at x and T, the mu power sums below x and, per
+    segment and distinct s, the Dirichlet moments' block sums (_moments)."""
     weight, T = tts[0].weight, tts[0].T
-    reads, coefficients = _WEIGHTS[weight]
-    need_mu = weight != WEIGHT_HGAP
-    ncols = len(coefficients(dict.fromkeys(reads, (np.zeros(0), np.zeros(0)))))
-    by_x: dict[float, list[_Sums]] = {}
+    jump, _, _, reads = _WEIGHTS[weight]
+    need_mu = jump == "mu"
+    by_x: dict[float, list[_Cell]] = {}
+    by_s: dict[tuple, list[_Cell]] = {}  # by lane and s
     for tt in tts:
-        by_x.setdefault(tt.x, []).append(_Sums(tt, ncols))
+        cell = _Cell(tt)
+        by_x.setdefault(tt.x, []).append(cell)
+        by_s.setdefault((type(cell.a), cell.a), []).append(cell)
     NT = math.floor(T)
     at_T, at_x = {}, dict.fromkeys(by_x)
     for seg in prefix_columns(NT, reads):
@@ -245,217 +347,82 @@ def _stream(tts: list[TruncatedTransform]) -> None:
         point = lambda idx: {k: (c[k][0][idx - seg.lo], c[k][1][idx - seg.lo]) for k in reads}
         if seg.lo <= NT <= seg.hi:
             at_T = point(NT)
+        nz = np.flatnonzero(seg.mu) if need_mu else None
         for x, group in by_x.items():
             Nx = math.floor(x)
             if seg.lo <= Nx <= seg.hi:
                 at_x[x] = point(Nx)
             if need_mu and seg.lo <= Nx:
-                _mu_power_sums(seg, Nx, group)
-            _pieces(seg, x, T, reads, coefficients, group)
+                _mu_power_sums(seg, Nx, nz, group)
+        if need_mu:
+            k, lk = seg.ns[nz], seg.logs[nz]
+            ck = seg.mu[nz] / k
+        else:
+            k, lk = seg.ns, seg.logs
+            ck = 1.0 / k
+        for group in by_s.values():
+            _moments(k, lk, ck, group)
     for x, group in by_x.items():
-        for acc in group:
-            acc.tt.at_x, acc.tt.at_T = dict(at_x[x]), dict(at_T)
-            acc.finish(need_mu)
+        for cell in group:
+            cell.tt.at_x, cell.tt.at_T = dict(at_x[x]), dict(at_T)
+            cell.finish(need_mu)
 
 
-def _mu_power_sums(seg, Nx: int, group: list[_Sums]) -> None:
-    """sum mu(n) n^(-s) and sum mu(n) n^(-s) log n over this segment's n <= x."""
-    sl_n = slice(0, min(Nx, seg.hi) - seg.lo + 1)
-    logs = seg.logs[sl_n]
-    mu = seg.mu[sl_n]
-    for acc in group:
-        pw = np.exp(-complex(acc.sm) * logs) * mu
-        acc.musum += complex(np.add.reduce(pw))
-        acc.musum_abs += float(np.add.reduce(np.abs(pw)))
+def _mu_power_sums(seg, Nx: int, nz: np.ndarray, group: list[_Cell]) -> None:
+    """sum mu(n) n^(-s) and sum mu(n) n^(-s) log n over this segment's n <= x,
+    with nz the indices of its nonzero mu.  Each sum runs over every n, the
+    zeros included, as np.add.reduce of the whole slice; only the nonzero
+    terms are computed."""
+    n = min(Nx, seg.hi) - seg.lo + 1
+    nz = nz[:np.searchsorted(nz, n)]
+    logs = seg.logs[:n]
+    lnz, mu = logs[nz], seg.mu[nz]
+    pw = np.zeros(n, dtype=np.complex128)
+    for cell in group:
+        pw[nz] = np.exp(-complex(cell.sm) * lnz) * mu
+        cell.musum += complex(np.add.reduce(pw))
+        cell.musum_abs += float(np.add.reduce(np.abs(pw)))
         pwl = pw * logs
-        acc.mulogsum += complex(np.add.reduce(pwl))
-        acc.mulog_abs += float(np.add.reduce(np.abs(pwl)))
+        cell.mulogsum += complex(np.add.reduce(pwl))
+        cell.mulog_abs += float(np.add.reduce(np.abs(pwl)))
 
 
-#: where numpy's pairwise sum splits n terms, by dtype kind: float64 halves n
-#: down to a multiple of 8; complex128 does that to its 2n scalars
-_SPLIT = {"f": lambda n: n // 2 - n // 2 % 8, "c": lambda n: (n - n % 8) // 2}
+def _moments(k: np.ndarray, lk: np.ndarray, ck: np.ndarray, group: list[_Cell]) -> None:
+    """Add this segment's block sums of c_k k^(1-s) log^r k and of their |.|
+    over the jumps k > x to each cell of `group`, which share s.
 
-
-def _leaves(n: int, kind: str, lo: int = 0) -> list[tuple[int, int]]:
-    """(start, stop) of the nodes of numpy's pairwise-sum tree over n terms of
-    dtype kind `kind` that hold at most _BLOCK terms and whose parent holds
-    more, in order."""
-    if n <= _BLOCK:
-        return [(lo, lo + n)]
-    h = _SPLIT[kind](n)
-    return _leaves(h, kind, lo) + _leaves(n - h, kind, lo + h)
-
-
-def _tree_sum(n: int, kind: str, sums):
-    """np.sum of n terms from the np.sum of each of _leaves(n, kind), taken
-    from the iterator `sums` in order (arrays add elementwise): the leaves
-    combine left + right up numpy's own tree, so every bit is np.sum's."""
-    def node(n):
-        if n <= _BLOCK:
-            return next(sums)
-        h = _SPLIT[kind](n)
-        left = node(h)
-        return left + node(n - h)
-    return 0.0 + node(n)  # np.sum adds its tree to 0, which turns -0.0 into 0.0
-
-
-def _spans(blocks: list, leaves: list) -> list[list[tuple]]:
-    """Each block's parts in `leaves` (another partition of the same range):
-    (start, stop) within the block, the part's offset in its leaf, and whether
-    the part ends that leaf."""
-    out, k = [], 0
-    for a, b in blocks:
-        parts, pos = [], a
-        while pos < b:
-            start, stop = leaves[k]
-            end = min(b, stop)
-            parts.append((pos - a, end - a, pos - start, end == stop))
-            k += end == stop
-            pos = end
-        out.append(parts)
-    return out
-
-
-def _pieces(seg, x: float, T: float, reads, coefficients, group: list[_Sums]) -> None:
-    """Add the pieces of [x, T] in this segment to each transform's basis sums.
-
-    The n pieces are walked in blocks of at most _BLOCK: the leaves of numpy's
-    pairwise-sum tree over n float64 terms.  Per block the breakpoints, log t,
-    lb^i, the weight's coefficients and |w| are made once, and every transform
-    of the group runs over them with block-sized work arrays, so each pass
-    stays in cache.  Each sum takes one np.add.reduce (np.sum without its
-    Python wrapper) per leaf of its tree, and _tree_sum combines the leaf
-    sums up that tree: np.sum of the segment's terms bit for bit.  cond and
-    sens, and B on the real lane, are float64 sums over the blocks
-    themselves.  B's complex128 products on the complex lane have a tree over
-    2n scalars with other leaves, so they are staged per (i, j) in a
-    leaf-sized buffer and summed as each leaf fills.  The segment
-    sums reach B, cond and sens in acc.pairs order, as the np.sum of each
-    whole segment did, so no value, radius or real-lane constant moves."""
-    lo_t = max(x, float(seg.lo))
-    hi_t = min(T, float(seg.hi + 1))
-    if lo_t >= hi_t:
+    The jumps k (with log k and c_k) are cut into blocks of _BLOCK from the
+    segment's first jump.  Each block is computed once, from its start, when
+    any cell reads it; a cell whose first jump falls inside it takes the
+    np.add.reduce of its own tail of the block, every later cell the full
+    block's sum."""
+    firsts = [int(np.searchsorted(k, cell.Nx, side="right")) for cell in group]
+    if min(firsts) >= len(k):
         return
-    # piece p is [t_p, t_{p+1}) inside [n, n+1) for n = first_n + p, with
-    # t_0 = lo_t, t_p = first_n + p between, and t_n = hi_t
-    first_n = math.floor(lo_t)
-    n = math.ceil(hi_t) - first_n
-    leaves = {kind: _leaves(n, kind) for kind in _SPLIT}
-    blocks = leaves["f"]
-    spans = {kind: _spans(blocks, leaves[kind]) for kind in _SPLIT}
-    size = max(b - a for a, b in blocks)
-    csize = max(b - a for a, b in leaves["c"])
-    real_stage = np.empty(size)  # every real-lane part ends its leaf, so one buffer serves all
-    work: dict = {}
-    # per transform: its lane's dtype kind, work arrays, cond/sens leaf sums,
-    # B's leaf sums and B's staging buffers
-    state = []
-    for acc in group:
-        dtype = np.result_type(acc.sm, 1.0)  # the lane
-        if dtype not in work:
-            work[dtype] = ([np.empty(size + 1, dtype) for _ in range(4)]  # t, E, G, f
-                           + [np.empty(size + 1), np.empty(size, dtype)]  # |f|, dF
-                           + [np.empty(size) for _ in range(2)])  # aF, w aF
-        stage = ({ij: np.empty(csize, dtype) for ij in acc.pairs} if dtype.kind == "c"
-                 else dict.fromkeys(acc.pairs, real_stage))
-        state.append((dtype.kind, work[dtype], [], [], stage))
-    off, c = first_n - seg.lo, seg.cols
-    mom_max = max(acc.tt.mom_max for acc in group)
-    for blk, (a, b) in enumerate(blocks):
-        breaks = np.arange(first_n + a, first_n + b + 1, dtype=np.float64)
-        if a == 0:
-            breaks[0] = lo_t
-        if b == n:
-            breaks[-1] = hi_t
-        rel = slice(off + a, off + b)
-        cols = coefficients({k: (c[k][0][rel], c[k][1][rel]) for k in reads if k != "I0"})
-        abs_w = [np.abs(w) for w, _ in cols]
-        lb = np.log(breaks)
-        lb_pow = {i: lb ** i for i in range(1, mom_max + len(cols))}
-        for acc, st in zip(group, state):
-            _add_pieces(acc, lb, lb_pow, cols, abs_w, st, spans[st[0]][blk])
-    for acc, (kind, _, sums, bsums, _) in zip(group, state):
-        cs = _tree_sum(n, "f", iter(sums)).reshape(-1, 2)
-        B = _tree_sum(n, kind, iter(bsums))
-        for (_, j), b, (cond, sens) in zip(acc.pairs, B, cs):
-            acc.B[j] += b
-            acc.cond[j] += float(cond)
-            acc.sens[j] += float(sens)
-
-
-def _add_pieces(acc: _Sums, lb: np.ndarray, lb_pow: dict, cols: list, abs_w: list,
-                state: tuple, parts: list) -> None:
-    """One block of _pieces for one transform, with lb_pow[i] = lb^i and
-    state's work arrays, filled in place.  The block's leaf sums of
-    |c_k| (|f_{p+1}| + |f_p|) (cond_j) and of the same with the coefficients'
-    radii (sens_j) go to state's first list, one array per block in acc.pairs
-    order.  The products c_k [F_{j+k}] (B_j) go to state's staging buffer for
-    (j + k, j) at the block's `parts` of the leaves of B's tree, and each
-    leaf's sums, once it is full, to state's second list.
-
-    F_i = E G_i, with E = t^(1-s), G_0 = 1/(1-s) and G_i = (lb^i - i G_{i-1})/(1-s)
-    at lb = log t, is an antiderivative of t^(-s) log^i t.  The arrays take the
-    dtype of acc.sm: float64 on the real lane, complex128 on the complex lane;
-    B stays complex128.  _Sums.finish makes the radius
-    eps (K (cond + |B|) + K_s sens) + sens, eps = 2^-52, from the condition sum
-    cond = sum |c_k| (|f_{p+1}| + |f_p|) over pieces p and sens, the same sum
-    with the coefficients' radii.  The complex lane takes the blanket K = 1024,
-    K_s = 0.  On the real lane K = K_s = _real_lane_units, whose count, in
-    units of u = 2^-53 of |f_{p+1}| + |f_p| (or of the whole for the last
-    items) and to first order, is:
-
-    - lb carries l = 2 _FN_ULPS (numpy's log, exp and power taken within
-      _FN_ULPS ulp); (1 - sigma) lb adds 2 roundings, and exp amplifies that by
-      |(1 - sigma) lb| <= (sigma - 1) log T and adds l: E carries
-      (sigma - 1) log T (l + 2) + l.
-    - G_0 carries 2.  For sigma > 1, 1 - sigma < 0 and lb >= 0, so every
-      G_i < 0: lb^i (i l + l) and -i G_{i-1} (g_{i-1} + 1) have one sign, the
-      subtraction cannot cancel, and with it, 1 - sigma and the division G_i
-      carries max((i + 1) l, g_{i-1} + 1) + 3.
-    - f = E G adds 1; dF = f_{p+1} - f_p 1; the product with c_k 1; forming
-      c_k from the prefix columns 3: one rounding, and hgap's float gamma,
-      |gamma - _GAMMA_F| <= 2^-54 <= 1.2 u (H - gamma) as H - gamma >= 0.42.
-    - np.sum's pairwise tree (8 accumulators over blocks of at most 128
-      terms, then halving) puts each term through at most 26 + ceil(log2 n)
-      additions for n pieces, and B adds one segment sum per column per segment.
-      The blocks change none of it: their sums combine up that same tree.
-    - cond and sens are rounded sums of the same |f|, so their own error is
-      second order; with it and the 4 roundings of the radius expression, 5.
-
-    The same count covers the rounding of sens (K_s).  _real_lane_units keeps
-    every |f| above exp(-_MIN_LOG_F), so no step underflows.
-    """
-    _, work, sums, bsums, stage = state
-    m = len(lb)
-    t, E, G, f, af = (v[:m] for v in work[:5])
-    dF, aF, waF = (v[:m - 1] for v in work[5:])
-    mom_max = acc.tt.mom_max
-    a = 1.0 - acc.sm
-    np.exp(np.multiply(a, lb, out=t), out=E)  # t^{1-s} at the breakpoints
-    G.fill(1.0 / a)
-    out = []
-    closed = [[] for part in parts if part[3]]
-    for i in range(mom_max + len(cols)):
-        if i:  # G = (lb^i - i G) / (1 - s)
-            np.subtract(lb_pow[i], np.multiply(i, G, out=t), out=t)
-            np.divide(t, a, out=G)
-        np.multiply(E, G, out=f)
-        np.subtract(f[1:], f[:-1], out=dF)
-        np.abs(f, out=af)
-        np.add(af[1:], af[:-1], out=aF)
-        for j in range(max(0, i - len(cols) + 1), min(i, mom_max) + 1):
-            w, wrad = cols[i - j]
-            buf, ended = stage[i, j], 0
-            for lo, hi, at, ends in parts:
-                np.multiply(w[lo:hi], dF[lo:hi], out=buf[at:at + hi - lo])
-                if ends:
-                    closed[ended].append(np.add.reduce(buf[:at + hi - lo]))
-                    ended += 1
-            out.append(np.add.reduce(np.multiply(abs_w[i - j], aF, out=waF)))
-            out.append(np.add.reduce(np.multiply(wrad, aF, out=waF)))
-    sums.append(np.array(out))
-    bsums.extend(np.array(leaf) for leaf in closed)
+    mom = max(cell.tt.mom_max for cell in group)
+    a = group[0].a
+    for b0 in range(min(firsts) // _BLOCK * _BLOCK, len(k), _BLOCK):
+        blk = slice(b0, b0 + _BLOCK)
+        E = np.multiply(a, lk[blk])
+        w = [np.multiply(ck[blk], np.exp(E, out=E), out=E)]
+        for _ in range(mom):
+            w.append(np.multiply(w[-1], lk[blk]))
+        aw = [np.abs(v) for v in w]
+        full = None
+        for cell, first in zip(group, firsts):
+            r_max = cell.tt.mom_max + 1
+            if first <= b0:
+                if full is None:
+                    full = ([np.add.reduce(v) for v in w], [np.add.reduce(v) for v in aw])
+                S, A = full
+            elif first < b0 + len(w[0]):
+                S = [np.add.reduce(v[first - b0:]) for v in w[:r_max]]
+                A = [np.add.reduce(v[first - b0:]) for v in aw[:r_max]]
+            else:
+                continue
+            for r in range(r_max):
+                cell.S[r].append(S[r])
+                cell.A[r].append(float(A[r]))
 
 
 # ---------------------------------------------------------------------------

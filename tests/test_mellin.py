@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 
@@ -172,48 +173,70 @@ LANE_XS = (1000.0, 1_100_000.5)  # one cell starts in each segment
 LANE_SIGMAS = (1 + 1e-4, 1.04, 3.0)
 
 
-def _longdouble_basis(weight: str) -> dict:
-    """(sigma, x) -> (B_j, cond_j) for j = 0, 1: the pieces of [x, LANE_T] in
-    np.longdouble, from the same float64 breakpoints and coefficients."""
-    reads, coefficients = mellin._WEIGHTS[weight]
+def _longdouble_basis(weight: str, tts) -> dict:
+    """(sigma, x) -> (B_j, cond_j) for j = 0, 1: the sum by parts in
+    np.longdouble, from the same float64 prefix moments at x and T, with
+    Phi_j(k) = sum_i C(p, i) (-log k)^(p-i) F_{j+i}(k) and F_i = t^(1-s) G_i(log t)
+    from the recurrence G_i = (log^i t - i G_{i-1}) / (1 - s); each F_{j+i}
+    at x and T carries its moment and Q coefficients together, as the kernel
+    adds them; cond_j sums the terms' absolute values."""
+    jump, p, (q0, q_gamma, q1), reads = mellin._WEIGHTS[weight]
+    q0 += q_gamma * mellin._GAMMA_F
     ld = np.longdouble
-    out = {(s, x): np.zeros((2, 2), dtype=ld) for s in LANE_SIGMAS for x in LANE_XS}
-    for seg in prefix_columns(LANE_T, reads):
+    ks = np.arange(2, LANE_T + 1, dtype=ld)
+    c = 1 / ks
+    if jump == "mu":
+        from moebius.sieve import sieve_range
+        mu = sieve_range(2, LANE_T).values
+        ks, c = ks[mu != 0], (mu[mu != 0] * c[mu != 0])
+    lk = np.log(ks)
+
+    def F(a, t, n):  # F_0..F_{n-1} at t (array or scalar)
+        lt = np.log(t)
+        G = [1 / a + 0 * lt]
+        for i in range(1, n):
+            G.append((lt ** i - i * G[-1]) / a)
+        return [np.exp(a * lt) * g for g in G]
+
+    out = {}
+    for s in LANE_SIGMAS:
+        a = 1 - ld(s)
+        Fk = F(a, ks, p + 3)
+        interior = []
+        for j in range(2):
+            phi = sum(math.comb(p, i) * (-lk) ** (p - i) * Fk[j + i] for i in range(p + 1))
+            interior.append(c * phi)
         for x in LANE_XS:
-            lo, hi = max(x, seg.lo), min(LANE_T, seg.hi + 1.0)
-            if lo >= hi:
-                continue
-            breaks = np.unique([lo, *range(math.floor(lo) + 1, math.floor(hi) + 1), hi])
-            idx = np.floor(breaks[:-1]).astype(np.int64) - seg.lo
-            c = seg.cols
-            cols = coefficients({k: (c[k][0][idx], c[k][1][idx]) for k in reads if k != "I0"})
-            lt = np.log(breaks.astype(ld))
-            for s in LANE_SIGMAS:
-                a = 1 - ld(s)
-                E = np.exp(a * lt)
-                G = [np.full(len(lt), 1 / a)]
-                for i in range(1, 1 + len(cols)):
-                    G.append((lt ** i - i * G[-1]) / a)
-                F = [E * g for g in G]
-                aF = [np.abs(f[1:]) + np.abs(f[:-1]) for f in F]
-                for j in range(2):
-                    for k, (w, _) in enumerate(cols):
-                        f = F[j + k]
-                        out[s, x][0, j] += np.sum(w.astype(ld) * (f[1:] - f[:-1]))
-                        out[s, x][1, j] += np.sum(np.abs(w) * aF[j + k])
+            tt = tts[s, x]
+            B, cond = np.zeros(2, dtype=ld), np.zeros(2, dtype=ld)
+            for j in range(2):
+                terms = [-interior[j][ks > math.floor(x)]]
+                for sign, y, point in ((1, ld(LANE_T), tt.at_T), (-1, ld(x), tt.at_x)):
+                    Fy = F(a, y, p + 3)
+                    coef = [ld(q0), ld(q1), ld(0)]
+                    for i in range(p + 1):
+                        coef[i] += math.comb(p, i) * (-1) ** (p - i) * ld(point[reads[p - i]][0])
+                    terms.append(np.array([sign * c * f for c, f in zip(coef, Fy[j:])]))
+                B[j] = sum(np.sum(t) for t in terms)
+                cond[j] = sum(np.sum(np.abs(t)) for t in terms)
+            out[s, x] = np.array([B, cond])
     return out
 
 
 @pytest.mark.parametrize("weight,ncols", [("m", 1), ("mcheck1", 2), ("mdnorm", 3), ("hgap", 2)])
 def test_real_lane_inside_complex_lane_and_longdouble(weight, ncols, monkeypatch):
+    assert mellin._nterms(weight, 0) == ncols  # the F_i that B_0 reads
     cells = [(s, x, mom) for s in LANE_SIGMAS for x in LANE_XS for mom in (0, 1)]
     real = truncated_transforms(weight, LANE_T, cells)
     monkeypatch.setattr(mellin, "_real_lane_units", lambda *args: None)
     cplx = truncated_transforms(weight, LANE_T, cells)
     monkeypatch.undo()
-    exact = _longdouble_basis(weight) if np.finfo(np.longdouble).nmant >= 60 else None
+    exact = None
+    if np.finfo(np.longdouble).nmant >= 60:
+        exact = _longdouble_basis(weight, {(s, x): r for (s, x, _), r in zip(cells, real)})
     for (s, x, mom), r, c in zip(cells, real, cplx):
-        units = mellin._real_lane_units(ComplexParam(s), LANE_T, mom + ncols, ncols)
+        units = mellin._real_lane_units(ComplexParam(s), LANE_T,
+                                        mellin._nterms(weight, mom), mom)
         for j, (rb, cb) in enumerate(zip(r.basis, c.basis)):
             where = (s, x, mom, j)
             assert isinstance(rb.value, complex) and rb.value.imag == 0, where
@@ -229,18 +252,19 @@ def test_real_lane_inside_complex_lane_and_longdouble(weight, ncols, monkeypatch
 
 @pytest.mark.parametrize("sigma", [1 + 1e-4, 1.04, 1.5, 2.0, 3.0])
 def test_real_lane_constant_below_the_blanket(sigma):
-    # every registry and workload cell: T up to 1e7, mom <= 1, up to 3 coefficients
+    # every registry and workload cell: T up to 1e7, mom <= 1, every weight
     for T in (4e5, 1e6, 1e7):
         for mom in (0, 1):
-            for ncols in (1, 2, 3):
-                units = mellin._real_lane_units(ComplexParam(sigma), T, mom + ncols, ncols)
-                assert units is not None and units < mellin._BLANKET_UNITS, (T, mom, ncols)
+            for weight in mellin._WEIGHTS:
+                nterms = mellin._nterms(weight, mom)
+                units = mellin._real_lane_units(ComplexParam(sigma), T, nterms, mom)
+                assert units is not None and units < mellin._BLANKET_UNITS, (T, mom, weight)
 
 
 def test_complex_lane_keeps_what_the_real_lane_cannot_prove():
     for s in (ComplexParam(2.0, 1.0), ComplexParam(1.0), ComplexParam(0.5),
               ComplexParam(80.0)):  # the last would underflow t^(1-s) before 1e7
-        assert mellin._real_lane_units(s, 1e7, 2, 1) is None, s
+        assert mellin._real_lane_units(s, 1e7, 2, 0) is None, s
 
 
 def test_har_at_real_sigma_at_most_one(capsys):
@@ -250,88 +274,142 @@ def test_har_at_real_sigma_at_most_one(capsys):
     assert '"pass": true' in capsys.readouterr().out
 
 
-def _whole_array_pieces(seg, x, T, reads, coefficients, group):
-    """The pieces of [x, T] in this segment as they were before the blocked
-    kernel: one pass over the whole segment's arrays per step, one np.sum of
-    each segment sum."""
-    lo_t = max(x, float(seg.lo))
-    hi_t = min(T, float(seg.hi + 1))
-    if lo_t >= hi_t:
-        return
-    first_n = math.floor(lo_t)
-    ends = np.arange(first_n + 1, math.floor(hi_t) + 1, dtype=np.float64)
-    breaks = np.concatenate(([lo_t], ends))
-    if breaks[-1] != hi_t:
-        breaks = np.concatenate((breaks, [hi_t]))
-    rel = slice(first_n - seg.lo, first_n - seg.lo + len(breaks) - 1)
-    c = seg.cols
-    cols = coefficients({k: (c[k][0][rel], c[k][1][rel]) for k in reads if k != "I0"})
-    abs_w = [np.abs(w) for w, _ in cols]
-    lb = np.log(breaks)
-    for acc in group:
-        mom_max, a = acc.tt.mom_max, 1.0 - acc.sm
-        E = np.exp(a * lb)
-        G = np.full(len(lb), 1.0 / a, dtype=np.result_type(acc.sm, lb))
-        for i in range(mom_max + len(cols)):
-            if i:
-                G = (lb ** i - i * G) / a
-            f = E * G
-            dF = f[1:] - f[:-1]
-            af = np.abs(f)
-            aF = af[1:] + af[:-1]
-            for j in range(max(0, i - len(cols) + 1), min(i, mom_max) + 1):
-                w, wrad = cols[i - j]
-                acc.B[j] += np.sum(w * dF)
-                acc.cond[j] += float(np.sum(abs_w[i - j] * aF))
-                acc.sens[j] += float(np.sum(wrad * aF))
+# ---------------------------------------------------------------------------
+# The basis integrals against an mpmath oracle at 128 bits, built unit piece by
+# unit piece from exact mu: independent of the summation by parts.
+# ---------------------------------------------------------------------------
+
+ORACLE_T = 2500.5
+ORACLE_SEGMENT = 1024  # three sieve segments up to T
+# x = 1, fractional, integer, in the second segment, in T's unit interval, x = T
+ORACLE_XS = (1.0, 7.25, 1000.0, 1500.75, 2500.25, ORACLE_T)
+# real lane (1.5, 2, 3) and complex lane (0.5 + 3i, real 0.8)
+ORACLE_S = (1.5, 2.0, 3.0, 0.5 + 3j, 0.8)
+ORACLE_PREC = 128
 
 
-BLOCK = mellin._BLOCK
+@functools.lru_cache(maxsize=None)
+def _oracle_F(s) -> dict:
+    """t -> [F_0(t), .., F_3(t)] in mpmath for t = 1 .. floor(T) + 1 and every x."""
+    with mpmath.workprec(ORACLE_PREC):
+        a = 1 - mpmath.mpmathify(s)
+        out = {}
+        for t in [*range(1, math.floor(ORACLE_T) + 2), *ORACLE_XS]:
+            lt = mpmath.log(t)
+            G = [1 / a]
+            for i in range(1, 4):
+                G.append((lt ** i - i * G[-1]) / a)
+            E = mpmath.exp(a * lt)
+            out[t] = [E * g for g in G]
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_moments(weight: str) -> list:
+    """[M_0(n), .., M_p(n)] in mpmath for n = 0 .. floor(T): the prefix sums
+    of c_k log^r k from exact mu (sieve.nonzero_mu), or c_k = 1/k."""
+    from moebius.sieve import nonzero_mu
+    jump, p, _, _ = mellin._WEIGHTS[weight]
+    N = math.floor(ORACLE_T)
+    with mpmath.workprec(ORACLE_PREC):
+        ck = dict(nonzero_mu(N)) if jump == "mu" else dict.fromkeys(range(1, N + 1), 1)
+        run = [mpmath.mpf(0)] * (p + 1)
+        out = [list(run)]
+        for k in range(1, N + 1):
+            if k in ck:
+                c, lk = mpmath.mpf(ck[k]) / k, mpmath.log(k)
+                run = [run[r] + c * lk ** r for r in range(p + 1)]
+            out.append(list(run))
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_pieces(weight: str, s, j: int):
+    """piece(n, lo, hi) = integral_lo^hi w(t) t^(-s) log^j t dt for [lo, hi]
+    in [n, n+1], where w(t) = sum_i C(p, i) log^i t (-1)^(p-i) M_{p-i}(n) +
+    Q(log t), and the running sums of the unit pieces [n, n+1], n >= 1."""
+    _, p, (q0, q_gamma, q1), _ = mellin._WEIGHTS[weight]
+    F, M = _oracle_F(s), _oracle_moments(weight)
+    with mpmath.workprec(ORACLE_PREC):
+        q0 = q0 + q_gamma * mpmath.euler
+
+    def piece(n, lo, hi):
+        with mpmath.workprec(ORACLE_PREC):
+            d = [F[hi][i] - F[lo][i] for i in range(4)]
+            return (sum(math.comb(p, i) * (-1) ** (p - i) * M[n][p - i] * d[j + i]
+                        for i in range(p + 1)) + q0 * d[j] + q1 * d[j + 1])
+
+    run = [mpmath.mpf(0), mpmath.mpf(0)]
+    for n in range(1, math.floor(ORACLE_T)):
+        run.append(run[-1] + piece(n, n, n + 1))
+    return piece, run
+
+
+def _oracle_basis(weight: str, s, x: float, j: int):
+    """integral_x^T w(t) t^(-s) log^j t dt, unit piece by unit piece."""
+    piece, run = _oracle_pieces(weight, s, j)
+    N, NT = math.floor(x), math.floor(ORACLE_T)
+    if N == NT:
+        return piece(N, x, ORACLE_T)
+    with mpmath.workprec(ORACLE_PREC):
+        return piece(N, x, N + 1) + (run[NT] - run[N + 1]) + piece(NT, NT, ORACLE_T)
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_columns(weight: str, radii_kept: bool = True):
+    """prefix_columns with every prefix moment moved from its exact value
+    (_oracle_moments) to 0.9 of its radius above it: data the columns'
+    radii admit, on which only the propagated moment radii cover B.  With
+    radii_kept false the columns report radius 0, as if the transform
+    dropped the boundary moments' radii."""
+    _, p, _, reads = mellin._WEIGHTS[weight]
+    exact = _oracle_moments(weight)
+    moved = {}
+
+    def columns(N, cols, segment_size=ORACLE_SEGMENT):
+        for seg in prefix_columns(N, cols, segment_size):
+            for r, key in enumerate(reads[:p + 1]):
+                radii = seg.cols[key][1]
+                if (seg.lo, key) not in moved:
+                    with mpmath.workprec(ORACLE_PREC):
+                        moved[seg.lo, key] = np.array(
+                            [float(exact[n][r] + 0.9 * mpmath.mpf(float(rad)))
+                             for n, rad in zip(range(seg.lo, seg.hi + 1), radii)])
+                seg.cols[key] = (moved[seg.lo, key], radii if radii_kept else 0 * radii)
+            yield seg
+    return columns
+
+
+def _oracle_misses(weight: str, columns) -> list:
+    """The (s, x, mom, j) whose basis value from `columns` is farther from the
+    oracle than its radius; the cells cover both lanes."""
+    cells = [(s, x, mom) for s in ORACLE_S for x in ORACLE_XS for mom in (0, 1)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mellin, "prefix_columns", columns)
+        tts = truncated_transforms(weight, ORACLE_T, cells)
+    lanes, out = set(), []
+    for (s, x, mom), tt in zip(cells, tts):
+        lanes.add(mellin._real_lane_units(tt.s, ORACLE_T, mellin._nterms(weight, mom), mom)
+                  is None)
+        for j, b in enumerate(tt.basis):
+            if abs(complex(b.value) - complex(_oracle_basis(weight, s, x, j))) > b.radius:
+                out.append((s, x, mom, j))
+    assert lanes == {True, False}
+    return out
+
+
+@pytest.mark.parametrize("block", [mellin._BLOCK, 37])
+@pytest.mark.parametrize("edge", [False, True])
+@pytest.mark.parametrize("weight", ["m", "mcheck1", "mdnorm", "hgap"])
+def test_basis_against_mpmath_oracle(weight, edge, block, monkeypatch):
+    # block 37 puts many blocks, and partial first blocks, in each segment
+    monkeypatch.setattr(mellin, "_BLOCK", block)
+    columns = (_edge_columns(weight) if edge else
+               functools.partial(prefix_columns, segment_size=ORACLE_SEGMENT))
+    assert _oracle_misses(weight, columns) == []
 
 
 @pytest.mark.parametrize("weight", ["m", "mcheck1", "mdnorm", "hgap"])
-def test_work_arrays_leave_every_bit_of_the_sums(weight, monkeypatch):
-    # real lane (sigma > 1) and complex lane (0.5 + 3i, real 0.7) share each
-    # (segment, x) group.  [1, LANE_T] is two sieve segments (the first ends
-    # at 2^20): x = 1 000 000 spans both, x = 1 100 000.5 starts in the
-    # second; x = T leaves no piece, T - 0.5 one, and T - BLOCK + 1 .. T -
-    # BLOCK - 1 put BLOCK - 1 .. BLOCK + 1 pieces in one segment; a fractional
-    # T ends the last piece inside its unit interval
-    T = LANE_T
-    runs = [(T, (1_000_000.0, 1_100_000.5, T, T - 0.5, T - BLOCK + 1, T - BLOCK,
-                 T - BLOCK - 1)), (40_000.5, (1000.0, 39_999.75))]
-    sums = []
-    monkeypatch.setattr(mellin, "_mu_power_sums", lambda *args: None)
-    monkeypatch.setattr(mellin._Sums, "finish", lambda acc, need_mu: sums.append(
-        [a.tobytes() for a in (acc.B, acc.cond, acc.sens)]))
-    for T, xs in runs:
-        cells = [(s, x, mom) for s in (1 + 1e-4, 2.0, 3.0, 0.5 + 3j, 0.7)
-                 for x in xs for mom in (0, 1)]
-        truncated_transforms(weight, T, cells)
-        new, sums[:] = list(sums), []
-        with monkeypatch.context() as patch:
-            patch.setattr(mellin, "_pieces", _whole_array_pieces)
-            truncated_transforms(weight, T, cells)
-        assert len(new) == len(cells)
-        assert new == sums
-        sums[:] = []
-
-
-TREE_SIZES = [*range(1, 301), BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 399_001,
-              2**20, 2**20 + 1]
-
-
-def test_block_sums_follow_numpy_pairwise_tree():
-    # the kernel's leaf sums, combined up the tree, are np.sum bit for bit: a
-    # numpy release that sums in another order fails here
-    rng = np.random.default_rng(20)
-    for n in TREE_SIZES:
-        for kind, dtype in (("f", np.float64), ("c", np.complex128)):
-            terms = rng.standard_cauchy(n) * 1e3
-            if kind == "c":
-                terms = terms + 1j * rng.standard_cauchy(n)
-            leaves = mellin._leaves(n, kind)
-            assert leaves[0][0] == 0 and leaves[-1][1] == n
-            assert all(b - a <= BLOCK for a, b in leaves)
-            got = mellin._tree_sum(n, kind, (np.sum(terms[a:b]) for a, b in leaves))
-            assert got.dtype == dtype and got.tobytes() == np.sum(terms).tobytes(), (n, dtype)
+def test_oracle_fails_without_the_boundary_moments_radius(weight):
+    # the negative control: the same moved columns reporting radius 0
+    assert _oracle_misses(weight, _edge_columns(weight, radii_kept=False))

@@ -171,6 +171,21 @@ def test_compensated_cumsum_radius_carries_earlier_chunks():
     assert abs(out[-1] - math.fsum(terms)) <= rad[-1]
 
 
+def test_cumsum_is_sequential_in_float64():
+    # ROADMAP item 8 builds on it: np.cumsum over float64 adds one term at a
+    # time, s_i = fl(s_{i-1} + x_i), so TwoSum can give each step's exact
+    # error.  A numpy release that sums in another order fails here
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 7, 8, 9, 127, 128, 129, 4096, 65_537):
+        terms = rng.standard_cauchy(n) * 1e3
+        want, run = [], 0.0
+        for v in terms.tolist():
+            run = run + v
+            want.append(run)
+        got = np.cumsum(terms)
+        assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes(), n
+
+
 def test_streamed_columns_equal_one_shot_cumsum():
     # segments of k * 4096 chain the chunk state exactly
     N = 50_000

@@ -19,6 +19,12 @@ checkout's src:
     perfbench counts `quadrature.cells`), timed around the call: the head
     [1, 55] of q-l1 at rho_1 = 0.5 + 14.13i with radius 0.45 * 0.12, as the
     exact workload's q-l1 runs it;
+  - `truncated_transforms` unit intervals/s (one unit is one interval
+    [n, n+1) that meets [x, T], counted per transform), timed around one
+    call for derivK2's weight m-check - 1 with its two moments: the stream
+    workload's 10 derivK2 cells at seed 7 (its 5 sigmas, x = 1e3 and 1e5,
+    T = 4e5) and headline's 4 (sigma = 1.04 and 2, x = 1e3 and 1e5, at
+    T = 1e6);
 - end-to-end rows, the wall time of `cli.main(argv)` timed in the process
   after `import moebius.cli`, with its stdout captured, as perfbench/child.py
   times it (so interpreter start, import and compile, about 0.3 s that
@@ -26,8 +32,8 @@ checkout's src:
   --threads 1`, `verify --suite q-l1 --threads 1`, `verify --suite all
   --threads 1` and `verify --suite alpha,balazard-m` (two short checks, so
   almost all of its wall is forking and collecting run_suite's workers), all
-  with --stable-output, and the exact and stream workloads' argvs at seed 7
-  (`perfbench/workloads.make(name, 7)`), default workers.
+  with --stable-output, and the exact, stream and verify-fast workloads'
+  argvs at seed 7 (`perfbench/workloads.make(name, 7)`), default workers.
 
 The JSON written to FILE (default: stdout) holds, per row, every run's value,
 each side's median and quartiles (Q1, Q3), change/parent of the medians,
@@ -61,6 +67,7 @@ import json, math, sys, time
 from moebius import piecewise
 from moebius.convolution import SequenceSpec, terre_batch
 from moebius.kernels import KernelSpec
+from moebius.mellin import truncated_transforms
 from moebius.piecewise import FunctionSpec, KernelFactor, integrate_m_kernel
 from moebius.quadrature import integrate_abs_kernel
 
@@ -85,6 +92,12 @@ if row == "terre":
              (FunctionSpec.power(1.0), FunctionSpec.power(complex(0.5, 3.0)))]
     terre_batch([(a, b, om, ph) for a in seqs for b in seqs for om, ph in pairs], x,
                 precision=128)
+elif row == "transforms":
+    cells = [(s, xc, 1) for s, xc in json.loads(sys.argv[3])]
+    t = time.perf_counter()
+    truncated_transforms("mcheck1", x, cells)
+    spent[0] = time.perf_counter() - t
+    units[0] = sum(math.ceil(x) - math.floor(xc) for _, xc, _ in cells)
 elif row == "q-l1":
     t = time.perf_counter()
     integrate_abs_kernel(KernelSpec.make("Q", complex(0.5, 14.13)), x, 0.45 * 0.12, 128)
@@ -109,6 +122,7 @@ LAYER_ROWS = [(WALK, "terre batch, x = 24.99", "terre", 24.99),
               (WALK, "mieux-1 integrand, x = 50", "mieux-1", 50.0),
               (WALK, "mieux-1 integrand, x = 1000", "mieux-1", 1000.0),
               ("integrate_abs_kernel cells/s", "q-l1 head [1, 55] at rho_1", "q-l1", 55.0)]
+TRANSFORMS = "truncated_transforms unit intervals/s"
 E2E_ROWS = [("verify --suite fast", ["--suite", "fast"]),
             ("verify --suite terre --threads 1", ["--suite", "terre", "--threads", "1"]),
             ("verify --suite q-l1 --threads 1", ["--suite", "q-l1", "--threads", "1"]),
@@ -144,18 +158,30 @@ def _workload_argv(name: str) -> list[str]:
     return workloads.make(name, 7)[0][1:]
 
 
+def _transform_rows() -> list[tuple]:
+    """The truncated_transforms layer rows: derivK2's cells in the stream
+    workload at seed 7, and headline's cells at T = 1e6."""
+    argv = _workload_argv("stream")
+    sigmas = [float(s) for s in argv[argv.index("--s") + 1].split(",")]
+    grids = [("derivK2's 10 stream cells at seed 7, T = 4e5", 4e5, sigmas),
+             ("headline's 4 cells, T = 1e6", 1e6, [1.04, 2.0])]
+    return [(TRANSFORMS, label, "transforms", T,
+             json.dumps([(s, x) for s in grid for x in (1e3, 1e5)]))
+            for label, T, grid in grids]
+
+
 def bench(parent: Path, rounds: int) -> dict:
     trees = {"parent": parent, "change": ROOT}
     rows = []
-    for metric, label, row, x in LAYER_ROWS:
+    for metric, label, row, x, *cells in [*LAYER_ROWS, *_transform_rows()]:
         runs = {"parent": [], "change": []}
         for r in range(rounds):
             for side, tree in _sides(trees, r):
-                got = json.loads(_run(tree, ["-c", LAYER, row, repr(x)]))
+                got = json.loads(_run(tree, ["-c", LAYER, row, repr(x), *cells]))
                 runs[side].append(got["units"] / got["seconds"])
         rows.append(_row(f"{metric}: {label}", "layer", "1/s", runs, units=got["units"]))
     workload_rows = [(f"{name} workload argv, seed 7", _workload_argv(name))
-                     for name in ("exact", "stream")]
+                     for name in ("exact", "stream", "verify-fast")]
     for label, argv in [*E2E_ROWS, *workload_rows]:
         runs = {"parent": [], "change": []}
         for r in range(rounds):
