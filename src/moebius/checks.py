@@ -994,11 +994,11 @@ def run_check(check_id: str, grid: dict | None = None,
 #: about 0.1 s or more; run_suite submits the longest first, and an id not
 #: listed here counts 0
 _COST_S = {
-    "terre": 2.1, "mtronqchch": 1.5, "derivK2": 1.35, "mtronqch": 1.28, "headline": 1.27,
-    "mtronq": 0.88, "abel": 0.76, "em-cross": 0.72, "q-l1": 0.71, "formule-m": 0.51,
-    "parchm": 0.37, "mieux-1": 0.36, "prop1-a": 0.33, "prop1-c": 0.23, "prop2-c": 0.20,
-    "exact-Q-l1": 0.17, "prop1-b": 0.16, "prop2-b": 0.14, "derivK3": 0.14, "mieux-2": 0.12,
-    "hel-truncation": 0.10,
+    "terre": 3.59, "mtronqchch": 1.4, "derivK2": 1.32, "mtronqch": 1.17, "em-cross": 1.11,
+    "abel": 1.07, "q-l1": 1.05, "headline": 0.98, "mtronq": 0.75, "formule-m": 0.73,
+    "mieux-1": 0.63, "parchm": 0.56, "prop1-a": 0.38, "exact-Q-l1": 0.27, "prop2-c": 0.23,
+    "prop1-c": 0.22, "mieux-2": 0.18, "prop2-b": 0.15, "hel-truncation": 0.15, "prop1-b": 0.14,
+    "derivK3": 0.14, "poids": 0.12, "parm": 0.11,
 }
 
 

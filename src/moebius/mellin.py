@@ -24,20 +24,26 @@ phi^p_jl = (-1)^(p+l) (p+l)!/l! j!/(j-l)! / a^(p+l+1) (_phi).  The interior
 is therefore sum_l phi^p_jl S_{j-l} over the Dirichlet moments
 S_r = sum_{x<k<=T} c_k k^(1-s) log^r k.
 
-The moments stream the sieve in segments: per block of at most _BLOCK jumps
-at fixed positions, one numpy pass per step and distinct s, shared by every x
-of that s, in float64 when s is real with sigma > 1 (every registry cell),
-complex128 otherwise.  A cell's S_r is its own partial first block plus the
-full blocks after it, and its B_j one math.fsum of those block sums times
-phi and the boundary terms (each F_{j+i} at x and at T once, its moment and
-Q coefficients added first), so a cell built alone equals the same cell in a
-batch bit for bit.  The radius is eps K (cond + |B_j|), with
+A stream makes one pass per sieve segment.  The prefix columns come in
+slices of summatory._SWEEP_SEGMENT values, in reused buffers, and give the
+point data at x and T.  The segment's jumps k (mu(k) != 0 for the mu weights,
+every k for hgap) are cut into blocks of at most _BLOCK at fixed positions
+from its first jump; per block k, log k and c_k are computed once, then per
+distinct s c_k k^(1-s) log^r k in one numpy pass per step, in float64 when s
+is real with sigma > 1 (every registry cell), complex128 otherwise.  A cell's
+S_r is the tail of x's block plus the full blocks after it, and its mu power
+sums (r = 0, 1) the head plus the full blocks before it.  Its B_j is one
+math.fsum of its block sums times phi and the boundary terms (each F_{j+i} at
+x and at T once, its moment and Q coefficients added first), and each mu sum
+one math.fsum, so a cell built alone equals the same cell in a batch bit for
+bit.  The radius is eps K (cond + |B_j|), with
 cond the sum of the absolute terms (|c_k| |k^(1-s)| |phi| log^r k for the
 interior), K derived for the real lane (_real_lane_units) and a blanket for
 the complex lane, plus the prefix moments' radii times |F| at x and T and
-gamma's rounding; the tail beyond T is bounded from the imported explicit
-estimates (|m(t)| <= 0.0130073/log t for t >= 97063 and the step-function
-conversion lemma for the smoothed weights).
+gamma's rounding (the mu sums count theirs in _Cell._mu_sums); the tail
+beyond T is bounded from the imported explicit estimates (|m(t)| <=
+0.0130073/log t for t >= 97063 and the step-function conversion lemma for
+the smoothed weights).
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from .errors import DomainError
 from .identities import mu_power_sum, _x_pows
 from .kernels import Q, KernelSpec, frac_tail_integral
 from .piecewise import KernelFactor, integrate_m_kernel
-from .summatory import prefix_columns, summatory
+from .summatory import prefix_columns, summatory, work_buffers
 from .zeta import ComplexParam, partial_power_sum, zeta_em
 
 _EPS = 2.0**-52
@@ -269,6 +275,10 @@ def _antiderivatives(a, inv, y: float, n: int) -> list[tuple]:
     return out
 
 
+def _fsum(terms) -> complex:
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
 class _Cell:
     """One transform's block sums over the stream, and its lane: sm, and with
     it a = 1 - s, is a float on the real lane, a complex on the complex lane."""
@@ -281,11 +291,11 @@ class _Cell:
         self.units = _BLANKET_UNITS if units is None else units
         self.a = 1.0 - self.sm
         self.Nx = math.floor(tt.x)
-        # per moment r <= mom_max: the block sums of c_k k^(1-s) log^r k and of their |.|
+        # block sums of c_k k^(1-s) log^r k and of |.|: over the jumps k > x
+        # for r <= mom_max, over k <= x for the mu sums (and |.| r = 2 on the real lane)
         self.S = [[] for _ in range(tt.mom_max + 1)]
         self.A = [[] for _ in range(tt.mom_max + 1)]
-        self.musum = self.mulogsum = 0.0 + 0.0j
-        self.musum_abs = self.mulog_abs = 0.0
+        self.muS, self.muA = [[], []], [[] for _ in range(3 if units is not None else 2)]
 
     def finish(self, need_mu: bool) -> None:
         """Set the transform's basis values and mu power sums, with radii."""
@@ -314,23 +324,55 @@ class _Cell:
             for l, phi in enumerate(_phi(inv, p, j)):
                 terms.extend(-phi * S for S in self.S[j - l])
                 cond += abs(phi) * math.fsum(self.A[j - l])
-            B = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+            B = _fsum(terms)
             tt.basis.append(ApproxValue(B, radd(_EPS * self.units * (cond + abs(B)), rad),
                                         RIGOROUS, 53))
         if need_mu:
-            tt.mu_power_x = ApproxValue(self.musum, radd(_EPS * 64 * self.musum_abs),
-                                        RIGOROUS, 53)
-            logx = math.log(tt.x)
-            v = logx * self.musum - self.mulogsum
-            tt.mu_logpower_x = ApproxValue(
-                v, radd(_EPS * 64 * (abs(logx) * self.musum_abs + self.mulog_abs + abs(v))),
-                RIGOROUS, 53)
+            self._mu_sums()
+
+    def _mu_sums(self) -> None:
+        """mu_power_x = sum_{n<=x} mu(n) n^(-s) and mu_logpower_x = sum_{n<=x}
+        mu(n) n^(-s) log(x/n) from S_0, S_1, the fsums of the r = 0, 1 block
+        sums of t_k = c_k k^(1-s) log^r k over the jumps k <= x.
+
+        Real-lane radius, in u = 2^-53 of each |t_k|, to first order, with
+        l = 2 _FN_ULPS per log or exp: c_k (1); the exponent a log k carries
+        log k's l, a's and the product's roundings, which exp turns into
+        (l + 2) |a| log k; exp (l); c_k E (1); numpy's pairwise block sum
+        (depth = 26 + ceil(log2(_BLOCK + 1))); the fsum (1); the radius
+        expression (3).  The log sum adds log k and a product (l + 1).  With
+        A_r = sum |t_k| log^r k over k <= x (never bounding log k by log x):
+
+          rad_0 = u ((l + 6 + depth) A_0 + (l + 2) |a| A_1),
+          rad_1 = u ((2 l + 7 + depth) A_1 + (l + 2) |a| A_2),
+
+        and log x (l), its product (1) and the difference (1) add
+        u ((l + 1) |log x S_0| + |value|) to |log x| rad_0 + rad_1.  The
+        complex lane keeps the blanket 64 eps on the same sums of |.|.
+        """
+        tt = self.tt
+        S0, S1 = _fsum(self.muS[0]), _fsum(self.muS[1])
+        A = [math.fsum(sums) for sums in self.muA]
+        logx = math.log(tt.x)
+        v = logx * S0 - S1
+        if isinstance(self.a, float):
+            u, fn = _EPS / 2, 2.0 * _FN_ULPS
+            depth = 26 + math.ceil(math.log2(_BLOCK + 1))
+            amp = (fn + 2.0) * abs(self.a)
+            rad0 = u * ((fn + 6.0 + depth) * A[0] + amp * A[1])
+            rad1 = u * ((2.0 * fn + 7.0 + depth) * A[1] + amp * A[2])
+            rad_v = abs(logx) * rad0 + rad1 + u * ((fn + 1.0) * abs(logx * S0) + abs(v))
+        else:
+            rad0 = _EPS * 64 * A[0]
+            rad_v = _EPS * 64 * (abs(logx) * A[0] + A[1] + abs(v))
+        tt.mu_power_x = ApproxValue(S0, radd(rad0), RIGOROUS, 53)
+        tt.mu_logpower_x = ApproxValue(v, radd(rad_v), RIGOROUS, 53)
 
 
 def _stream(tts: list[TruncatedTransform]) -> None:
     """Fill transforms that share the weight and T from one prefix_columns
-    stream: the point data at x and T, the mu power sums below x and, per
-    segment and distinct s, the Dirichlet moments' block sums (_moments)."""
+    stream: the point data at x and T from the slices that hold them and, per
+    sieve segment, the block sums of its jumps (_segment_blocks)."""
     weight, T = tts[0].weight, tts[0].T
     jump, _, _, reads = _WEIGHTS[weight]
     need_mu = jump == "mu"
@@ -341,88 +383,75 @@ def _stream(tts: list[TruncatedTransform]) -> None:
         by_x.setdefault(tt.x, []).append(cell)
         by_s.setdefault((type(cell.a), cell.a), []).append(cell)
     NT = math.floor(T)
-    at_T, at_x = {}, dict.fromkeys(by_x)
+    points = {NT: None, **{math.floor(x): None for x in by_x}}  # n -> the columns at n
+    buf, segment = work_buffers(_BLOCK), None
     for seg in prefix_columns(NT, reads):
-        c = seg.cols
-        point = lambda idx: {k: (c[k][0][idx - seg.lo], c[k][1][idx - seg.lo]) for k in reads}
-        if seg.lo <= NT <= seg.hi:
-            at_T = point(NT)
-        nz = np.flatnonzero(seg.mu) if need_mu else None
-        for x, group in by_x.items():
-            Nx = math.floor(x)
-            if seg.lo <= Nx <= seg.hi:
-                at_x[x] = point(Nx)
-            if need_mu and seg.lo <= Nx:
-                _mu_power_sums(seg, Nx, nz, group)
-        if need_mu:
-            k, lk = seg.ns[nz], seg.logs[nz]
-            ck = seg.mu[nz] / k
-        else:
-            k, lk = seg.ns, seg.logs
-            ck = 1.0 / k
-        for group in by_s.values():
-            _moments(k, lk, ck, group)
+        if seg.segment is not segment:
+            segment = seg.segment
+            _segment_blocks(segment, need_mu, list(by_s.values()), buf)
+        for n in points:
+            if seg.lo <= n <= seg.hi:
+                points[n] = {k: (seg.cols[k][0][n - seg.lo], seg.cols[k][1][n - seg.lo])
+                             for k in reads}
     for x, group in by_x.items():
         for cell in group:
-            cell.tt.at_x, cell.tt.at_T = dict(at_x[x]), dict(at_T)
+            cell.tt.at_x, cell.tt.at_T = dict(points[math.floor(x)]), dict(points[NT])
             cell.finish(need_mu)
 
 
-def _mu_power_sums(seg, Nx: int, nz: np.ndarray, group: list[_Cell]) -> None:
-    """sum mu(n) n^(-s) and sum mu(n) n^(-s) log n over this segment's n <= x,
-    with nz the indices of its nonzero mu.  Each sum runs over every n, the
-    zeros included, as np.add.reduce of the whole slice; only the nonzero
-    terms are computed."""
-    n = min(Nx, seg.hi) - seg.lo + 1
-    nz = nz[:np.searchsorted(nz, n)]
-    logs = seg.logs[:n]
-    lnz, mu = logs[nz], seg.mu[nz]
-    pw = np.zeros(n, dtype=np.complex128)
-    for cell in group:
-        pw[nz] = np.exp(-complex(cell.sm) * lnz) * mu
-        cell.musum += complex(np.add.reduce(pw))
-        cell.musum_abs += float(np.add.reduce(np.abs(pw)))
-        pwl = pw * logs
-        cell.mulogsum += complex(np.add.reduce(pwl))
-        cell.mulog_abs += float(np.add.reduce(np.abs(pwl)))
+def _segment_blocks(segment: tuple, need_mu: bool, groups: list[list[_Cell]], buf) -> None:
+    """Per block of the sieve segment's jumps, k, log k and c_k once, into
+    the stream's buffers `buf`, then each group's block sums (_block_sums)."""
+    lo, hi, mu = segment
+    idx = np.flatnonzero(mu) if need_mu else None
+    njumps = len(idx) if need_mu else hi - lo + 1
+    # per cell, how many of the segment's jumps lie at or below x
+    firsts = [[int(np.searchsorted(idx, cell.Nx - lo, side="right")) if need_mu
+               else min(max(cell.Nx - lo + 1, 0), njumps) for cell in group] for group in groups]
+    # the mu power sums read every block below x
+    start = 0 if need_mu else min(min(f) for f in firsts) // _BLOCK * _BLOCK
+    for b0 in range(start, njumps, _BLOCK):
+        n = min(_BLOCK, njumps - b0)
+        jumps = idx[b0:b0 + n] if need_mu else np.arange(b0, b0 + n)
+        k = np.add(jumps, lo, out=buf("k", n))
+        ck = np.divide(mu[jumps] if need_mu else 1.0, k, out=buf("c_k", n))
+        lk = np.log(k, out=buf("log k", n))
+        for group, first in zip(groups, firsts):
+            _block_sums(group, first, b0, lk, ck, need_mu, buf)
 
 
-def _moments(k: np.ndarray, lk: np.ndarray, ck: np.ndarray, group: list[_Cell]) -> None:
-    """Add this segment's block sums of c_k k^(1-s) log^r k and of their |.|
-    over the jumps k > x to each cell of `group`, which share s.
-
-    The jumps k (with log k and c_k) are cut into blocks of _BLOCK from the
-    segment's first jump.  Each block is computed once, from its start, when
-    any cell reads it; a cell whose first jump falls inside it takes the
-    np.add.reduce of its own tail of the block, every later cell the full
-    block's sum."""
-    firsts = [int(np.searchsorted(k, cell.Nx, side="right")) for cell in group]
-    if min(firsts) >= len(k):
+def _block_sums(group: list[_Cell], firsts: list[int], b0: int, lk: np.ndarray,
+                ck: np.ndarray, need_mu: bool, buf) -> None:
+    """Add one block's sums of c_k k^(1-s) log^r k and of |.| to the cells of
+    `group`, which share s: the jumps above x to S and A, those at or below x
+    to muS and muA.  A cell whose x falls inside the block reduces its own
+    head and tail; the others share the full block's sums, computed once."""
+    n, a = len(lk), group[0].a
+    runs = []  # (sums, |.| sums, lo, hi): the block's [lo, hi) for one of a cell's lists
+    for cell, first in zip(group, firsts):
+        cut = min(max(first - b0, 0), n)  # the block's jumps at or below x
+        if cut < n:
+            runs.append((cell.S, cell.A, cut, n))
+        if need_mu and cut > 0:
+            runs.append((cell.muS, cell.muA, 0, cut))
+    if not runs:
         return
-    mom = max(cell.tt.mom_max for cell in group)
-    a = group[0].a
-    for b0 in range(min(firsts) // _BLOCK * _BLOCK, len(k), _BLOCK):
-        blk = slice(b0, b0 + _BLOCK)
-        E = np.multiply(a, lk[blk])
-        w = [np.multiply(ck[blk], np.exp(E, out=E), out=E)]
-        for _ in range(mom):
-            w.append(np.multiply(w[-1], lk[blk]))
-        aw = [np.abs(v) for v in w]
-        full = None
-        for cell, first in zip(group, firsts):
-            r_max = cell.tt.mom_max + 1
-            if first <= b0:
-                if full is None:
-                    full = ([np.add.reduce(v) for v in w], [np.add.reduce(v) for v in aw])
-                S, A = full
-            elif first < b0 + len(w[0]):
-                S = [np.add.reduce(v[first - b0:]) for v in w[:r_max]]
-                A = [np.add.reduce(v[first - b0:]) for v in aw[:r_max]]
-            else:
-                continue
-            for r in range(r_max):
-                cell.S[r].append(S[r])
-                cell.A[r].append(float(A[r]))
+    w = [buf((type(a), r), n, type(a)) for r in range(max(len(run[1]) for run in runs))]
+    np.exp(np.multiply(a, lk, out=w[0]), out=w[0])
+    np.multiply(ck, w[0], out=w[0])
+    for r in range(1, len(w)):
+        np.multiply(w[r - 1], lk, out=w[r])
+    aw = [np.abs(v, out=buf(("|w|", r), n)) for r, v in enumerate(w)]
+    full = {}  # (|.| or not, r) -> the full block's sum
+    for S, A, lo, hi in runs:
+        for absolute, arrays, sums in ((False, w, S), (True, aw, A)):
+            for r, out in enumerate(sums):
+                if hi - lo < n:
+                    out.append(np.add.reduce(arrays[r][lo:hi]))
+                    continue
+                if (absolute, r) not in full:
+                    full[absolute, r] = np.add.reduce(arrays[r])
+                out.append(full[absolute, r])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Segmented Moebius sieving.
 
 mu(n) over a window [lo, hi] is produced segment by segment: multiples of p^2
-are zeroed, each multiple of p flips the sign and divides p out of a running
-cofactor, and whatever cofactor exceeding 1 survives the base primes is a
-single prime > sqrt(hi) contributing one more sign flip.  Everything is plain
-numpy on int8/int64 arrays; a full segment of 2^20 values costs a few
-milliseconds.
+are zeroed, and each multiple of p flips the sign and multiplies p into a
+running product of its distinct small primes.  A squarefree n whose product
+stays below n has one more prime factor > sqrt(hi), one more sign flip.  The
+product divides n, so it is int32 while hi < 2^31 (int64 beyond).  Everything
+is plain numpy on int8 and integer arrays; a full segment of 2^20 values costs
+a few milliseconds.
 
 Tables are immutable after construction and safe to share between threads.
 """
@@ -64,10 +65,9 @@ class MobiusTable:
 
 def _sieve_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     n = hi - lo + 1
+    dtype = np.int32 if hi < 2**31 else np.int64
     mob = np.ones(n, dtype=np.int8)
-    cof = np.arange(lo, hi + 1, dtype=np.int64)
-    if lo == 1:
-        cof[0] = 1  # mu(1) = 1, no factors
+    prod = np.ones(n, dtype=dtype)
     for p in primes:
         p = int(p)
         if p * p > hi:
@@ -75,13 +75,13 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
         start = ((lo + p - 1) // p) * p
         sl = slice(start - lo, None, p)
         mob[sl] = -mob[sl]
-        cof[sl] //= p
+        prod[sl] *= p
         p2 = p * p
         start2 = ((lo + p2 - 1) // p2) * p2
         if start2 <= hi:
             mob[start2 - lo:: p2] = 0
-    # a leftover cofactor > 1 is one extra prime factor > sqrt(hi)
-    np.negative(mob, where=cof > 1, out=mob)
+    # a product below n leaves one extra prime factor > sqrt(hi)
+    np.negative(mob, where=prod < np.arange(lo, hi + 1, dtype=dtype), out=mob)
     return mob
 
 

@@ -3,7 +3,8 @@
 Fast path: float64 numpy sweeps with chunked compensated prefix sums.  Each
 prefix array carries per-element rounding radii: within a chunk the error is
 bounded by (chunk length) * eps * (sum of |terms| in the chunk), and chunk
-offsets are chained through math.fsum (exactly rounded).  Every float64
+offsets are chained exactly (an integer sum of the chunk sums, correctly
+rounded once per chunk, the bits of math.fsum).  Every float64
 prefix column is streamed by `prefix_columns` from the one table `TERMS`.
 
 mp path: the same sums from the fixed-point Dirichlet-sum engine (`dsum`),
@@ -17,7 +18,7 @@ M(x) is always exact (int64 cumulative sums of mu).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
 
@@ -33,25 +34,28 @@ from .sieve import DEFAULT_SEGMENT, iter_segments
 
 _EPS = 2.0**-52  # one-op float64 bound (2 ulp at 0.5-scale, deliberately lax)
 _CHUNK = 4096
-# PrefixSweep keeps every column, so it streams short segments (a multiple of
-# _CHUNK, which keeps the sums bit for bit) to bound its extra peak memory
+# prefix_columns computes its columns in slices of this many values (a multiple
+# of _CHUNK, which keeps the sums bit for bit), never a whole sieve segment
 _SWEEP_SEGMENT = 16 * _CHUNK
 MP_MODE_LIMIT = 400_000
+_TINY = 1 << 1074  # every finite float64 is an integer multiple of 1 / _TINY
 
 
 @dataclass
 class CumsumState:
     """compensated_cumsum's chunk state, carried from one call to the next."""
 
-    chunk_sums: list[float] = field(default_factory=list)
-    offset: float = 0.0      # math.fsum(chunk_sums)
+    exact: int = 0           # the sum of the chunk sums, exactly, in units of 2^-1074
+    offset: float = 0.0      # exact / 2^1074 correctly rounded: math.fsum of the chunk sums
     abs_carry: float = 0.0   # running sum of |chunk sums|, for offset-error tracking
     abs_prefix: float = 0.0  # running sum of |terms|, for term-evaluation error
 
 
 def compensated_cumsum(terms: np.ndarray, term_ulps: float = 1.0, chunk: int = _CHUNK,
-                       state: CumsumState | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums of `terms` plus per-element rounding radii.
+                       state: CumsumState | None = None, out: tuple | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums of `terms` plus per-element rounding radii, written to
+    `out` = (sums, radii) when given.
 
     The radii cover the summation error of this routine, except the in-chunk
     rounding of earlier chunks (ROADMAP item 8), and up to `term_ulps` ulp of
@@ -60,15 +64,14 @@ def compensated_cumsum(terms: np.ndarray, term_ulps: float = 1.0, chunk: int = _
     """
     st = CumsumState() if state is None else state
     n = len(terms)
-    out = np.empty(n, dtype=np.float64)
-    radii = np.empty(n, dtype=np.float64)
-    abs_terms = np.abs(terms)
+    sums, radii = (np.empty(n), np.empty(n)) if out is None else out
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         block = terms[start:stop]
-        local = np.cumsum(block)
-        out[start:stop] = st.offset + local
-        block_abs = float(np.sum(abs_terms[start:stop]))
+        local = np.cumsum(block, out=sums[start:stop])
+        chunk_sum = float(local[-1])
+        local += st.offset
+        block_abs = float(np.sum(np.abs(block)))
         abs_prefix_end = st.abs_prefix + block_abs
         # in-chunk sequential cumsum + one add of the offset, plus offset chain
         # error and term evaluation error over everything summed so far
@@ -77,20 +80,37 @@ def compensated_cumsum(terms: np.ndarray, term_ulps: float = 1.0, chunk: int = _
                         + st.abs_carry
                         + term_ulps * abs_prefix_end)
         radii[start:stop] = bound
-        st.chunk_sums.append(float(local[-1]))
-        st.abs_carry += abs(st.chunk_sums[-1])
+        num, den = chunk_sum.as_integer_ratio()  # den is a power of two <= 2^1074
+        st.exact += num * (_TINY // den)
+        st.abs_carry += abs(chunk_sum)
         st.abs_prefix = abs_prefix_end
-        st.offset = math.fsum(st.chunk_sums)
-    return out, radii
+        # int / int rounds correctly, half to even, as math.fsum does
+        st.offset = st.exact / _TINY
+    return sums, radii
+
+
+def work_buffers(size: int):
+    """buf(name, n, dtype=float64): the first n values of the buffer `name`,
+    `size` long, allocated on first use and reused by every later call."""
+    arrays = {}
+
+    def buf(name, n: int, dtype=np.float64) -> np.ndarray:
+        if name not in arrays:
+            arrays[name] = np.empty(size, dtype)
+        return arrays[name][:n]
+    return buf
 
 
 class PrefixSegment:
-    """A segment [lo, hi] of prefix_columns: mu(n) (None when no requested
-    column reads it), n, log n (computed on first use) and `cols`, the
-    requested prefix columns through each n."""
+    """A slice [lo, hi] of prefix_columns, cut from the sieve segment
+    `segment` = (its lo, hi, mu): mu(n) (None when no requested column reads
+    it), n, log n (computed on first use) and `cols`, the requested prefix
+    columns through each n."""
 
-    def __init__(self, lo: int, hi: int, mu: np.ndarray | None):
-        self.lo, self.hi, self.mu = lo, hi, mu
+    def __init__(self, lo: int, hi: int, segment: tuple):
+        self.lo, self.hi, self.segment = lo, hi, segment
+        seg_lo, _, mu = segment
+        self.mu = None if mu is None else mu[lo - seg_lo:hi - seg_lo + 1]
         self.ns = np.arange(self.lo, self.hi + 1, dtype=np.float64)
         self.cols: dict = {}
 
@@ -116,38 +136,47 @@ MU_FREE = frozenset({"H", "Hlog"})
 
 def prefix_columns(N: int, columns=(), segment_size: int = DEFAULT_SEGMENT
                    ) -> Iterator[PrefixSegment]:
-    """Stream n = 1..N in segments carrying the requested columns: a summed
-    column as (values, radii) from one compensated_cumsum call per segment,
-    M as the bare int64 array.  Segments carry mu unless every requested
-    column is in MU_FREE; those are not sieved, with the same boundaries.
-    I0 is a plain cumsum of |m| (m is constant on [j, j+1)); its radius, the
-    summed m radii plus eps * (n - 1) * I0, bounds every partial sum of the
-    nondecreasing I0.
+    """Stream n = 1..N in slices of at most _SWEEP_SEGMENT values, cut from
+    sieve segments of segment_size, carrying the requested columns: a summed
+    column as (values, radii) from one compensated_cumsum call per slice, M as
+    the bare int64 array.  Segments carry mu unless every requested column is
+    in MU_FREE; those are not sieved, with the same boundaries.  I0 is a plain
+    cumsum of |m| (m is constant on [j, j+1)); its radius, the summed m radii
+    plus eps * (n - 1) * I0, bounds every partial sum of the nondecreasing I0.
+
+    The summed columns and I0 are views of buffers that the next slice
+    overwrites, so a stream allocates them once: copy what you keep.
     """
     summed = [k for k in TERMS if k in columns or (k == "m" and "I0" in columns)]
     states = {k: CumsumState() for k in summed}
+    buf = work_buffers(_SWEEP_SEGMENT + 1)
     M_end, I0_end, I0_rad_end = 0, 0.0, 0.0
     if columns and MU_FREE.issuperset(columns):
-        segments = (PrefixSegment(lo, min(lo + segment_size - 1, N), None)
+        segments = ((lo, min(lo + segment_size - 1, N), None)
                     for lo in range(1, N + 1, segment_size))
     else:
-        segments = (PrefixSegment(t.lo, t.hi, t.values)
-                    for t in iter_segments(1, N, segment_size))
-    for seg in segments:
-        for k in summed:
-            term, ulps = TERMS[k]
-            seg.cols[k] = compensated_cumsum(term(seg), ulps, state=states[k])
-        if "M" in columns:
-            seg.cols["M"] = M = np.cumsum(seg.mu, dtype=np.int64) + M_end
-            M_end = int(M[-1])
-        if "I0" in columns:
-            m, m_rad = seg.cols["m"]
-            # I0 at n sums |m(j)| for j < n, each cumsum starting from the carry
-            I0 = np.cumsum(np.concatenate(([I0_end], np.abs(m))))
-            rad = np.cumsum(np.concatenate(([I0_rad_end], m_rad)))
-            I0_end, I0_rad_end = I0[-1], rad[-1]
-            seg.cols["I0"] = (I0[:-1], rad[:-1] + _EPS * (seg.ns - 1.0) * I0[:-1])
-        yield seg
+        segments = ((t.lo, t.hi, t.values) for t in iter_segments(1, N, segment_size))
+    for segment in segments:
+        for lo in range(segment[0], segment[1] + 1, _SWEEP_SEGMENT):
+            seg = PrefixSegment(lo, min(lo + _SWEEP_SEGMENT - 1, segment[1]), segment)
+            n = seg.hi - lo + 1
+            for k in summed:
+                term, ulps = TERMS[k]
+                seg.cols[k] = compensated_cumsum(term(seg), ulps, state=states[k],
+                                                 out=(buf(k, n), buf((k, "radii"), n)))
+            if "M" in columns:
+                seg.cols["M"] = M = np.cumsum(seg.mu, dtype=np.int64) + M_end
+                M_end = int(M[-1])
+            if "I0" in columns:
+                # I0 at n sums |m(j)| for j < n, each cumsum starting from the carry
+                (m, m_rad), I0, rad = seg.cols["m"], buf("I0", n + 1), buf("I0 radii", n + 1)
+                I0[0], rad[0], rad[1:] = I0_end, I0_rad_end, m_rad
+                np.abs(m, out=I0[1:])
+                np.cumsum(I0, out=I0)
+                np.cumsum(rad, out=rad)
+                I0_end, I0_rad_end = I0[-1], rad[-1]
+                seg.cols["I0"] = (I0[:-1], rad[:-1] + _EPS * (seg.ns - 1.0) * I0[:-1])
+            yield seg
 
 
 def _segment_sum(values: np.ndarray, ulps: float) -> tuple[float, float]:
@@ -184,9 +213,10 @@ def _snapshot_fast(x: float) -> SummatorySnapshot:
     M = 0
     parts = {k: [] for k in TERMS}
     errs = dict.fromkeys(TERMS, 0.0)
-    # pairwise segment totals: only the last prefix is needed, and its radius
-    # is tighter than any prefix column's
-    for seg in prefix_columns(N):
+    # pairwise totals of whole sieve segments: only the last prefix is needed,
+    # and its radius is tighter than any prefix column's
+    for t in iter_segments(1, N):
+        seg = PrefixSegment(t.lo, t.hi, (t.lo, t.hi, t.values))
         M += int(np.sum(seg.mu, dtype=np.int64))
         for key, (term, ulps) in TERMS.items():
             s, e = _segment_sum(term(seg), ulps)
@@ -281,7 +311,7 @@ class PrefixSweep:
         self.N = N
         self.M = np.empty(N, dtype=np.int64)
         fill = {col: (np.empty(N), np.empty(N)) for col in ("m", "sl", "sl2", "H", "I0")}
-        for seg in prefix_columns(N, (*fill, "M"), _SWEEP_SEGMENT):
+        for seg in prefix_columns(N, (*fill, "M")):
             sl = slice(seg.lo - 1, seg.hi)
             self.M[sl] = seg.cols["M"]
             for col, (values, radii) in fill.items():
@@ -365,7 +395,7 @@ def harmonic_gamma_margins(N: int, gamma_f: float | None = None):
     constants.  Streams the H column alone, so it never sieves.
     """
     H, H_rad = np.empty(N), np.empty(N)
-    for seg in prefix_columns(N, ("H",), _SWEEP_SEGMENT):
+    for seg in prefix_columns(N, ("H",)):
         H[seg.lo - 1:seg.hi], H_rad[seg.lo - 1:seg.hi] = seg.cols["H"]
     ns = np.arange(1, N + 1, dtype=np.float64)
     g = gamma_f if gamma_f is not None else float(gamma_const(60))

@@ -109,18 +109,21 @@ def test_transform_streams_past_one_segment_like_the_sweep():
 
 @pytest.mark.parametrize("weight,columns", [("m", 1), ("mcheck1", 2), ("hgap", 1)])
 def test_transform_sums_only_the_columns_its_weight_reads(weight, columns, monkeypatch):
+    # each column is summed once over [1, T], in slices of at most
+    # _SWEEP_SEGMENT values: no column spans a whole sieve segment
     summatory_module = sys.modules["moebius.summatory"]
-    calls = []
+    calls = {}  # column (its cumsum state) -> the lengths summed
     real = summatory_module.compensated_cumsum
 
-    def counting(terms, *args, **kwargs):
-        calls.append(len(terms))
-        return real(terms, *args, **kwargs)
+    def counting(terms, *args, state=None, **kwargs):
+        calls.setdefault(id(state), []).append(len(terms))
+        return real(terms, *args, state=state, **kwargs)
 
     monkeypatch.setattr(summatory_module, "compensated_cumsum", counting)
     T = 1_200_000  # two sieve segments
     TruncatedTransform(2.0, 1000.0, T, weight, 0)
-    assert sorted(calls) == sorted([T - 2**20, 2**20] * columns)
+    assert [sum(lengths) for lengths in calls.values()] == [T] * columns
+    assert max(max(lengths) for lengths in calls.values()) == summatory_module._SWEEP_SEGMENT
 
 
 @pytest.mark.parametrize("weight", ["m", "mcheck1", "mdnorm", "hgap"])
@@ -413,3 +416,97 @@ def test_basis_against_mpmath_oracle(weight, edge, block, monkeypatch):
 def test_oracle_fails_without_the_boundary_moments_radius(weight):
     # the negative control: the same moved columns reporting radius 0
     assert _oracle_misses(weight, _edge_columns(weight, radii_kept=False))
+
+
+# ---------------------------------------------------------------------------
+# The mu power sums below x against the fixed-point engine (identities), and
+# the bit-identity premise of computing the jumps' logs block by block.
+# ---------------------------------------------------------------------------
+
+MU_S = (2.0, 3.0, 1 + 1e-4, 0.5 + 3j, 1.5 + 2j)  # real lane, then complex lane
+
+
+def _jumps(lo: int, hi: int) -> list[int]:
+    """The k in [lo, hi] with mu(k) != 0."""
+    from moebius.sieve import sieve_range
+    return [lo + i for i in np.flatnonzero(sieve_range(lo, hi).values).tolist()]
+
+
+def _mu_sum_misses(T: float, xs, columns=prefix_columns) -> list:
+    """The (s, x, name) whose mu_power_x or mu_logpower_x is farther from
+    identities' fixed-point sums than the two radii; the cells cover both
+    lanes."""
+    from moebius.identities import mu_log_power_sum, mu_power_sum
+    cells = [(s, x, 0) for s in MU_S for x in xs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mellin, "prefix_columns", columns)
+        tts = truncated_transforms("m", T, cells)
+    lanes, out = set(), []
+    for (s, x, _), tt in zip(cells, tts):
+        lanes.add(mellin._real_lane_units(tt.s, T, 1, 0) is None)
+        for name, oracle in (("mu_power_x", mu_power_sum), ("mu_logpower_x", mu_log_power_sum)):
+            got, want = getattr(tt, name), oracle(x, s, ORACLE_PREC)
+            if abs(complex(got.value) - complex(want.value)) > got.radius + want.radius:
+                out.append((s, x, name))
+    assert lanes == {True, False}
+    return out
+
+
+@pytest.mark.parametrize("block", [mellin._BLOCK, 37])
+def test_mu_sums_against_the_fixed_point_engine(block, monkeypatch):
+    # three 1024-value sieve segments up to T; x = 1, fractional, the last
+    # jump of the first block and the first of the second, x in the second
+    # segment, in T's unit interval, and x = T
+    monkeypatch.setattr(mellin, "_BLOCK", block)
+    first = _jumps(1, ORACLE_SEGMENT)
+    edge = [float(first[block - 1]), float(first[block])] if block < len(first) else []
+    xs = (1.0, 7.25, *edge, 1501.5, 2500.25, ORACLE_T)
+    columns = functools.partial(prefix_columns, segment_size=ORACLE_SEGMENT)
+    assert _mu_sum_misses(ORACLE_T, xs, columns) == []
+
+
+def test_mu_sums_at_the_default_block_boundary():
+    # one sieve segment holds more than _BLOCK jumps below T
+    jumps = _jumps(1, 30_000)
+    B = mellin._BLOCK
+    assert _mu_sum_misses(30_000.5, (float(jumps[B - 1]), float(jumps[B]), 30_000.5)) == []
+
+
+def test_mu_sums_fail_when_the_blocks_split_one_jump_early(monkeypatch):
+    # the negative control: a cell whose blocks split at floor(x) - 1 counts
+    # the jump at floor(x) in its interior, not in its sums below x
+    class EarlySplit(mellin._Cell):
+        def __init__(self, tt):
+            super().__init__(tt)
+            self.Nx -= 1
+
+    xs = (7.25, 1501.5)
+    from moebius.sieve import sieve_range
+    assert all(sieve_range(1, 1502).mu(math.floor(x)) != 0 for x in xs)
+    monkeypatch.setattr(mellin, "_Cell", EarlySplit)
+    misses = _mu_sum_misses(ORACLE_T, xs)
+    assert {(s, x) for s, x, _ in misses} == {(s, x) for s in MU_S for x in xs}
+
+
+def test_blockwise_logs_and_exps_equal_the_whole_array_bit_for_bit():
+    # the transform takes log k and exp(a log k) of each block's gathered
+    # jumps, into views of reused buffers; the same values over a whole
+    # sieve segment, then gathered, must agree bit for bit
+    from moebius.sieve import sieve_range
+    lo, N = 2**20 + 1, 2**20
+    ns = np.arange(lo, lo + N, dtype=np.float64)
+    logs = np.log(ns)
+    idx = np.flatnonzero(sieve_range(lo, lo + N - 1).values)
+    lbuf = np.empty(mellin._BLOCK + 7)
+    for a in (-1.0, -0.0001, complex(-0.5, 3.0)):
+        whole = np.exp(a * logs)
+        ebuf = np.empty(mellin._BLOCK + 7, dtype=whole.dtype)
+        for jumps in (idx, np.arange(N)):  # mu weights, and every n for hgap
+            for b0 in range(0, len(jumps), mellin._BLOCK):
+                blk = jumps[b0:b0 + mellin._BLOCK]
+                lk = lbuf[:len(blk)]
+                np.log(np.add(blk, lo, out=lk), out=lk)
+                assert lk.tobytes() == logs[blk].tobytes(), (a, b0)
+                E = ebuf[:len(blk)]
+                np.exp(np.multiply(a, lk, out=E), out=E)
+                assert E.tobytes() == whole[blk].tobytes(), (a, b0)

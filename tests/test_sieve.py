@@ -80,3 +80,11 @@ def test_domain_and_capacity_errors():
         sieve_range(1, 2**28 + 2)
     with pytest.raises(DomainError):
         MobiusTable(1, 2, np.zeros(2, dtype=np.int8)).mu(5)
+
+
+@pytest.mark.parametrize("lo,hi", [(2**31 - 64, 2**31 - 1),  # int32 products, up to 2^31 - 1
+                                   (2**31 - 32, 2**31 + 32),  # int64, across 2^31
+                                   (2**31, 2**31 + 64)])
+def test_windows_at_the_int32_product_limit(lo, hi):
+    window = sieve_range(lo, hi)
+    assert window.values.tolist() == [mu_trial_division(n) for n in range(lo, hi + 1)]

@@ -190,17 +190,42 @@ def test_streamed_columns_equal_one_shot_cumsum():
     # segments of k * 4096 chain the chunk state exactly
     N = 50_000
     whole = next(prefix_columns(N, (), segment_size=N))
-    segs = list(prefix_columns(N, ("m", "sl", "sl2", "H", "Hlog", "M", "I0"),
-                               segment_size=3 * 4096))
+    want = {name: compensated_cumsum(term(whole), ulps) for name, (term, ulps) in TERMS.items()}
+    # a slice's arrays are overwritten by the next slice: copy them as they come
+    segs = [{name: np.copy(col) for name, col in seg.cols.items()}
+            for seg in prefix_columns(N, ("m", "sl", "sl2", "H", "Hlog", "M", "I0"),
+                                      segment_size=3 * 4096)]
     assert len(segs) == 5
-    for name, (term, ulps) in TERMS.items():
-        want = compensated_cumsum(term(whole), ulps)
-        for got, ref in zip(zip(*(seg.cols[name] for seg in segs)), want):
+    for name in TERMS:
+        for got, ref in zip(zip(*(seg[name] for seg in segs)), want[name]):
             assert np.array_equal(np.concatenate(got), ref), name
     sw = prefix_sweep(N)
-    assert np.array_equal(np.concatenate([seg.cols["M"] for seg in segs]), sw.M)
-    for got, ref in zip(zip(*(seg.cols["I0"] for seg in segs)), (sw.I0, sw.I0_rad)):
+    assert np.array_equal(np.concatenate([seg["M"] for seg in segs]), sw.M)
+    for got, ref in zip(zip(*(seg["I0"] for seg in segs)), (sw.I0, sw.I0_rad)):
         assert np.array_equal(np.concatenate(got), ref)
+
+
+@st.composite
+def _halfway_sums(draw):
+    """A float b and multiples of half an ulp of b: an odd count of halves puts
+    the exact sum half way between two floats."""
+    b = draw(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False).filter(bool))
+    half = math.ulp(b) / 2
+    return [b, *(k * half for k in draw(st.lists(st.integers(-5, 5), min_size=1, max_size=6)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+                          min_size=1, max_size=60),
+                 _halfway_sums()))
+def test_cumsum_offset_rounds_like_fsum(xs):
+    # one term per chunk: each offset is the correctly rounded sum of the
+    # chunk sums so far, with the bits of math.fsum, ties included
+    state = CumsumState()
+    out, _ = compensated_cumsum(np.array(xs), 0, chunk=1, state=state)
+    assert state.offset.hex() == math.fsum(xs).hex()
+    for i, got in enumerate(out.tolist()):
+        assert got.hex() == (math.fsum(xs[:i]) + xs[i]).hex(), i
 
 
 def test_cumsum_state_continues_across_calls():

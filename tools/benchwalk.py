@@ -24,7 +24,10 @@ checkout's src:
     call for derivK2's weight m-check - 1 with its two moments: the stream
     workload's 10 derivK2 cells at seed 7 (its 5 sigmas, x = 1e3 and 1e5,
     T = 4e5) and headline's 4 (sigma = 1.04 and 2, x = 1e3 and 1e5, at
-    T = 1e6);
+    T = 1e6).  Each transform row also records the process's minor page
+    faults during the call (`ru_minflt`) and its peak resident size
+    (`ru_maxrss`), counts that drift less than wall time, as rows of their
+    own (lower is better);
 - end-to-end rows, the wall time of `cli.main(argv)` timed in the process
   after `import moebius.cli`, with its stdout captured, as perfbench/child.py
   times it (so interpreter start, import and compile, about 0.3 s that
@@ -71,7 +74,7 @@ from moebius.mellin import truncated_transforms
 from moebius.piecewise import FunctionSpec, KernelFactor, integrate_m_kernel
 from moebius.quadrature import integrate_abs_kernel
 
-spent, units, walk = [0.0], [0], piecewise._walk
+spent, units, walk, extra = [0.0], [0], piecewise._walk, {}
 
 def timed(part, integrands, prec):
     t = time.perf_counter()
@@ -93,18 +96,21 @@ if row == "terre":
     terre_batch([(a, b, om, ph) for a in seqs for b in seqs for om, ph in pairs], x,
                 precision=128)
 elif row == "transforms":
+    import resource
     cells = [(s, xc, 1) for s, xc in json.loads(sys.argv[3])]
-    t = time.perf_counter()
+    before, t = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
     truncated_transforms("mcheck1", x, cells)
     spent[0] = time.perf_counter() - t
     units[0] = sum(math.ceil(x) - math.floor(xc) for _, xc, _ in cells)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    extra.update(minflt=usage.ru_minflt - before, maxrss_kib=usage.ru_maxrss)
 elif row == "q-l1":
     t = time.perf_counter()
     integrate_abs_kernel(KernelSpec.make("Q", complex(0.5, 14.13)), x, 0.45 * 0.12, 128)
     spent[0], units[0] = time.perf_counter() - t, math.ceil(x) - 1
 else:
     integrate_m_kernel(x, KernelFactor(KernelSpec.make("Q", 0.5 + 3j), 128), 128)
-print(json.dumps({"seconds": spent[0], "units": units[0]}))
+print(json.dumps({"seconds": spent[0], "units": units[0], **extra}))
 """
 
 CLI = r"""
@@ -123,6 +129,9 @@ LAYER_ROWS = [(WALK, "terre batch, x = 24.99", "terre", 24.99),
               (WALK, "mieux-1 integrand, x = 1000", "mieux-1", 1000.0),
               ("integrate_abs_kernel cells/s", "q-l1 head [1, 55] at rho_1", "q-l1", 55.0)]
 TRANSFORMS = "truncated_transforms unit intervals/s"
+#: the counts a transform row also records: (row name, LAYER key, unit)
+COUNTS = [("ru_minflt during the call", "minflt", "count"),
+          ("ru_maxrss of the process", "maxrss_kib", "KiB")]
 E2E_ROWS = [("verify --suite fast", ["--suite", "fast"]),
             ("verify --suite terre --threads 1", ["--suite", "terre", "--threads", "1"]),
             ("verify --suite q-l1 --threads 1", ["--suite", "q-l1", "--threads", "1"]),
@@ -175,11 +184,16 @@ def bench(parent: Path, rounds: int) -> dict:
     rows = []
     for metric, label, row, x, *cells in [*LAYER_ROWS, *_transform_rows()]:
         runs = {"parent": [], "change": []}
+        counts = {key: {"parent": [], "change": []} for _, key, _ in COUNTS}
         for r in range(rounds):
             for side, tree in _sides(trees, r):
                 got = json.loads(_run(tree, ["-c", LAYER, row, repr(x), *cells]))
                 runs[side].append(got["units"] / got["seconds"])
+                for key in counts.keys() & got.keys():
+                    counts[key][side].append(got[key])
         rows.append(_row(f"{metric}: {label}", "layer", "1/s", runs, units=got["units"]))
+        rows += [_row(f"{name}: {label}", "layer", unit, counts[key])
+                 for name, key, unit in COUNTS if key in got]
     workload_rows = [(f"{name} workload argv, seed 7", _workload_argv(name))
                      for name in ("exact", "stream", "verify-fast")]
     for label, argv in [*E2E_ROWS, *workload_rows]:
