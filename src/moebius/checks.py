@@ -54,7 +54,8 @@ from .identities import (abel_s_sides, double_check_borne_sides, formule_m_value
 from .kernels import (IBP_R, KernelSpec, MID_Q, REAL_R, SUP_Q, hel_remainder_bound,
                       hel_sup_abs_Q, kernel_bound, kernel_eval, kernel_eval_em)
 from .mellin import (DERIVK1, DERIVK2, DERIVK3, HAR, MIEUX2, MTRONQ, MTRONQCH,
-                     MTRONQCHCH, ent_residual, transform_sides)
+                     MTRONQCHCH, SMOOTHED, SMOOTHED_WEIGHTS, ent_residual, smoothed_rhs,
+                     transform_sides)
 from .piecewise import FunctionSpec
 from .quadrature import (exact_Q_l1_reference, exact_Q_l1_tail,
                          integrate_abs_kernel_to_infinity, integrate_signed_kernel,
@@ -448,48 +449,32 @@ def _sup_window(sweep, x: float, kind: str, factor: float = 1000.0):
 
 
 def _prop_inequality_cells(which: str, letter: str, grid, prec):
-    """prop1/prop2 per-letter: underlying transform identity + the inequality
-    with the empirical window sup (heuristic)."""
-    identity = {("1", "a"): MTRONQ, ("1", "b"): MTRONQCH, ("1", "c"): MTRONQCHCH,
-                ("2", "a"): DERIVK1, ("2", "b"): DERIVK2, ("2", "c"): DERIVK3}[(which, letter)]
+    """prop1/prop2 per-letter: the smoothed family's (p, mom) member, p the
+    letter's index and mom = which - 1, and the inequality |order p - 1's
+    right side| <= C x^(1-sigma) sup |w_p|, with the empirical window sup
+    (heuristic)."""
+    mom, p = int(which) - 1, "abc".index(letter)
     pairs = [(sig, x) for sig in _slist(grid, "s", [1.04, 2.0])
              for x in _slist(grid, "x", [1000.0])]
     sweep = prefix_sweep(int(grid.get("sweep_N", 1e6)))
     cells = []
-    for (sig, x), (lhs, rhs) in zip(pairs, transform_sides(identity, pairs, None, prec)):
+    for (sig, x), (lhs, rhs) in zip(pairs, transform_sides(SMOOTHED[mom][p], pairs, None, prec)):
         cells.append(_residual_cell({"form": "identity", "sigma": sig, "x": x}, lhs, rhs,
                                     in_inequality=True))
         # inequality with empirical sup
         z, zp = zeta_em(sig, 1e-30, precision=prec)
         snap = summatory(x, mode="mp", precision=prec)
         x1s = float(x) ** (1.0 - sig)
-        sup = _sup_window(sweep, x, {"a": "m", "b": "mcheck1", "c": "mdnorm"}[letter])
-        if which == "1":
-            msum = mu_power_sum(x, sig, prec)
-            inv_z = ApproxValue.exact(1) / z
-            if letter == "a":
-                lhs_v = abs(complex((inv_z - msum).value))
-                bound = 2.0 * x1s * sup
-            elif letter == "b":
-                lhs_v = abs(complex((inv_z - msum + snap.m * ApproxValue.exact(x1s)).value))
-                bound = 2.0 * (sig - 1.0) * x1s * sup
-            else:
-                lhs_v = abs(complex((inv_z - msum + snap.m * ApproxValue.exact(x1s)
-                                     + ApproxValue.exact((sig - 1) * x1s) * (snap.m_check - 1)).value))
-                bound = (sig - 1.0) ** 2 * x1s * sup
+        sup = _sup_window(sweep, x, SMOOTHED_WEIGHTS[p])
+        if mom == 0:
+            head = ApproxValue.exact(1) / z - mu_power_sum(x, sig, prec)
         else:
-            mlsum = mu_log_power_sum(x, sig, prec)
-            logx = math.log(x)
-            head = ApproxValue.exact(logx) / z - zp / (z * z) - mlsum
-            if letter == "a":
-                lhs_v = abs(complex(head.value))
-                bound = (2.0 / (sig - 1.0)) * x1s * sup
-            elif letter == "b":
-                lhs_v = abs(complex(head.value))
-                bound = 4.0 * x1s * sup
-            else:
-                lhs_v = abs(complex((head + (snap.m_check - 1) * ApproxValue.exact(x1s)).value))
-                bound = 3.0 * (sig - 1.0) * x1s * sup
+            head = (ApproxValue.exact(math.log(x)) / z - zp / (z * z)
+                    - mu_log_power_sum(x, sig, prec))
+        lhs_v = abs(complex(smoothed_rhs(head, [snap.m, snap.m_check - 1], x1s, sig - 1,
+                                         mom, p - 1).value))
+        d = sig - 1.0
+        bound = ((2.0, 2.0 * d, d ** 2), (2.0 / d, 4.0, 3.0 * d))[mom][p] * x1s * sup
         cells.append({**_margin_cell({"form": "inequality", "sigma": sig, "x": x,
                                       "residual": math.nan}, bound - lhs_v,
                                      1e-12 + 1e-9 * abs(bound), rigor=HEURISTIC),

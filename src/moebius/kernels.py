@@ -41,7 +41,7 @@ from .errors import DomainError, PrecisionError
 from .zeta import ComplexParam, bernoulli_ladder_tail, power_prefix_table, zeta_em
 
 _GUARD = 48
-_EXTRA = 32  # CellKernel.g's spare bits over bits(|s| (2 lt + k + 6))
+_EXTRA = 32  # CellKernel.g's spare bits over bits(|s| (2 lt + 6))
 
 Q = "Q"
 R = "R"
@@ -159,8 +159,7 @@ class CellKernel:
             T = ((u ** k) << W) // v ** k, 0
         else:
             ht = math.ceil(-self.s.sigma * lt) if self.s.sigma < 0 else 0
-            k2 = (v & -v).bit_length() - 1  # v = 2^k2 times an odd o
-            gb = _EXTRA + math.ceil(self.s.abs() * (2 * lt + k2 + 6)).bit_length()
+            gb = _EXTRA + math.ceil(self.s.abs() * (2 * lt + 6)).bit_length()
             wp = W + ht + gb
             L = log_fixed(u, v, wp, self._anchor_logs)
             T = (*powers_fixed([L], self._exp, wp, gb)[0], 0)[:2]

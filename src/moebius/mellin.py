@@ -44,6 +44,21 @@ gamma's rounding (the mu sums count theirs in _Cell._mu_sums); the tail
 beyond T is bounded from the imported explicit estimates (|m(t)| <=
 0.0130073/log t for t >= 97063 and the step-function conversion lemma for
 the smoothed weights).
+
+The smoothed family.  With w_0, w_1, w_2 = m, m-check - 1 and the normalized
+m-double-check (SMOOTHED_WEIGHTS), a = (p+1)(s-1)^p/p! and b = (s-1)^(p+1)/p!,
+the identity (p, mom) for p = 0, 1, 2 and mom = 0, 1 reads
+
+  b integral_x^inf w_p t^(-s) dt = R_0                                 (mom = 0),
+  a integral_x^inf w_p t^(-s) dt + b integral_x^inf w_p t^(-s) log(x/t) dt = R_1,
+
+  R_mom = head_mom + sum_{mom<=i<=p} (s-1)^(i-mom)/(i-mom)! w_i(x) x^(1-s)
+
+(smoothed_rhs), with head_0 = 1/zeta - sum_{n<=x} mu(n) n^(-s) and head_1 =
+log x/zeta - zeta'/zeta^2 - sum_{n<=x} mu(n) n^(-s) log(x/n).  MTRONQ,
+MTRONQCH and MTRONQCHCH are (0, 0), (1, 0), (2, 0); DERIVK1, DERIVK2 and
+DERIVK3 are (0, 1), (1, 1), (2, 1).  Beyond T, |w_p(t)| <= D + E log(t/T)
+(TruncatedTransform.tail_coeffs) bounds what the truncated integrals leave out.
 """
 
 from __future__ import annotations
@@ -83,6 +98,8 @@ WEIGHT_M = "m"
 WEIGHT_MCHECK1 = "mcheck1"
 WEIGHT_MDNORM = "mdnorm"
 WEIGHT_HGAP = "hgap"
+#: the smoothed family's weights w_0, w_1, w_2
+SMOOTHED_WEIGHTS = (WEIGHT_M, WEIGHT_MCHECK1, WEIGHT_MDNORM)
 
 #: weight -> (its jumps c_k: "mu" for mu(k)/k, "one" for 1/k; p; Q(u) =
 #: q0 + q_gamma gamma + q1 u as (q0, q_gamma, q1); the prefix columns it
@@ -95,8 +112,9 @@ _WEIGHTS = {
 }
 
 
-def default_T(x: float, cap: float = 1e7) -> int:
-    return int(min(max(1e6, 1e3 * x), cap))
+def default_T(x: float) -> int:
+    """The truncation point of a cell at x given no T: 1000 x, within [10^6, 10^7]."""
+    return int(min(max(1e6, 1e3 * x), 1e7))
 
 
 def power_log_tail(sigma: float, T: float, j: int) -> float:
@@ -112,16 +130,12 @@ class TruncatedTransform:
 
     The weight w is m, m-check - 1, the normalized m-double-check, or the
     harmonic gap H - log - gamma; each changes only at integers (_WEIGHTS),
-    and the prefix columns it reads give its moments at x and T.  A transform
-    is one stream of [1, floor(T)]; truncated_transforms shares that stream
-    between cells.
+    and the prefix columns it reads give its moments at x and T.  The
+    constructor checks and records the cell; truncated_transforms fills it
+    from one stream of [1, floor(T)], shared between cells.
     """
 
     def __init__(self, s, x: float, T: float, weight: str, mom_max: int = 0):
-        self._describe(s, x, T, weight, mom_max)
-        _stream([self])
-
-    def _describe(self, s, x: float, T: float, weight: str, mom_max: int):
         if not (1 <= x <= T):
             raise DomainError("need 1 <= x <= T")
         self.s = ComplexParam.coerce(s)
@@ -129,7 +143,6 @@ class TruncatedTransform:
         self.T = float(T)
         self.weight = weight
         self.mom_max = mom_max
-        return self
 
     # point helpers ---------------------------------------------------------
 
@@ -162,30 +175,31 @@ class TruncatedTransform:
 
     # tail coefficients -----------------------------------------------------
 
-    def sup_m_beyond_T(self) -> float:
+    def tail_coeffs(self, p: int) -> tuple[float, float]:
+        """(D, E): |w_p(t)| <= D + E log(t/T) for t >= T, with E = 0 for
+        p < 2.  |m| <= c/log t from the imported estimate; |m-check - 1| <=
+        I0(T)/T + c/log T + 1/T^2 by the step-conversion lemma; and the
+        normalized m-double-check is its value at T plus the integral of its
+        derivative, 2 (m-check - 1)/t."""
         c, t0 = LITTLE_M_OVER_LOG
         if self.T < t0:
             raise DomainError(f"|m| tail coefficient needs T >= {t0}")
-        return c / math.log(self.T)
-
-    def sup_mcheck1_beyond_T(self) -> float:
-        """sup_{t>=T} |m-check(t)-1| <= I0(T)/T + c/log T + 1/T^2 via the
-        step-conversion lemma plus the imported |m| bound."""
+        D = c / math.log(self.T)
+        if p == 0:
+            return D, 0.0
         I0, I0r = self.at_T["I0"]
-        return (I0 + I0r) / self.T + self.sup_m_beyond_T() + 1.0 / self.T ** 2
-
-    def mdnorm_tail_coeffs(self) -> tuple[float, float]:
-        """(D, E): |mdd(t) - 2log t + 2gamma| <= D + E log(t/T) for t >= T."""
+        D = (I0 + I0r) / self.T + D + 1.0 / self.T ** 2
+        if p == 1:
+            return D, 0.0
         vT = self.values_at_T()["mdnorm"]
-        return abs(float(vT.value)) + vT.radius, 2.0 * self.sup_mcheck1_beyond_T()
+        return abs(float(vT.value)) + vT.radius, 2.0 * D
 
 
 def truncated_transforms(weight: str, T: float, cells) -> list[TruncatedTransform]:
     """TruncatedTransform(s, x, T, weight, mom_max) for each (s, x, mom_max)
-    in `cells`, from one stream of [1, floor(T)]; each equals the transform
-    built alone bit for bit."""
-    tts = [TruncatedTransform.__new__(TruncatedTransform)._describe(s, x, T, weight, mom)
-           for s, x, mom in cells]
+    in `cells`, filled from one stream of [1, floor(T)]; each equals the same
+    cell streamed alone bit for bit."""
+    tts = [TruncatedTransform(s, x, T, weight, mom) for s, x, mom in cells]
     if tts:
         _stream(tts)
     return tts
@@ -505,115 +519,52 @@ def transform_sides(identity: TransformIdentity, cells, T: float | None = None,
     return out
 
 
-def _mtronq_sides(tt: TruncatedTransform, precision: int):
-    sp, x, T = tt.s, tt.x, tt.T
-    sm1 = abs(complex(sp.sigma - 1.0, sp.tau))
-    tail = sm1 * tt.sup_m_beyond_T() * power_log_tail(sp.sigma, T, 0)
-    with mpmath.mp.workprec(precision + 32):
-        smc = sp.as_mpc()
-        lhs = (ApproxValue.exact(smc) - 1) * tt.basis[0]
-        lhs = lhs.widened(tail)
-        z, _ = zeta_em(sp, 1e-33, precision=precision)
-        x1s, _ = _x_pows(sp, x)
-        m_x = tt.values_at_x()["m"]
-        rhs = ApproxValue.exact(1) / z - tt.mu_power_x + m_x * ApproxValue.exact(x1s)
-    return lhs, rhs
+def smoothed_rhs(head: ApproxValue, v, x1s, sm1, mom: int, p: int) -> ApproxValue:
+    """head + sum_{mom<=i<=p} (s-1)^(i-mom)/(i-mom)! w_i(x) x^(1-s), with
+    v[i] = w_i(x) and sm1 = s - 1: the smoothed family's right side."""
+    out = head
+    for i in range(mom, p + 1):
+        k = i - mom  # k = 0 takes no factor exact(1), whose product would inflate the radius
+        out = out + (v[i] * ApproxValue.exact(x1s) if k == 0 else
+                     ApproxValue.exact(sm1 ** k / math.factorial(k) * x1s) * v[i])
+    return out
 
 
-def _mtronqch_sides(tt: TruncatedTransform, precision: int):
-    sp, x, T = tt.s, tt.x, tt.T
-    sm1 = abs(complex(sp.sigma - 1.0, sp.tau))
-    tail = sm1 ** 2 * tt.sup_mcheck1_beyond_T() * power_log_tail(sp.sigma, T, 0)
-    with mpmath.mp.workprec(precision + 32):
-        smc = sp.as_mpc()
-        lhs = ((ApproxValue.exact(smc) - 1) * (ApproxValue.exact(smc) - 1) * tt.basis[0]).widened(tail)
-        z, _ = zeta_em(sp, 1e-33, precision=precision)
-        x1s, _ = _x_pows(sp, x)
-        vx = tt.values_at_x()
-        rhs = (ApproxValue.exact(1) / z - tt.mu_power_x
-               + vx["m"] * ApproxValue.exact(x1s)
-               + (ApproxValue.exact(smc) - 1) * vx["mcheck1"] * ApproxValue.exact(x1s))
-    return lhs, rhs
-
-
-def _mtronqchch_sides(tt: TruncatedTransform, precision: int):
-    sp, x, T = tt.s, tt.x, tt.T
-    sm1 = abs(complex(sp.sigma - 1.0, sp.tau))
-    D, E = tt.mdnorm_tail_coeffs()
-    tail = sm1 ** 3 / 2.0 * (D * power_log_tail(sp.sigma, T, 0)
-                             + E * power_log_tail(sp.sigma, T, 1))
-    with mpmath.mp.workprec(precision + 32):
-        smc = sp.as_mpc()
-        half_cube = ApproxValue.exact((smc - 1) ** 3 / 2)
-        lhs = (half_cube * tt.basis[0]).widened(tail)
-        z, _ = zeta_em(sp, 1e-33, precision=precision)
-        x1s, _ = _x_pows(sp, x)
-        vx = tt.values_at_x()
-        rhs = (ApproxValue.exact(1) / z - tt.mu_power_x
-               + vx["m"] * ApproxValue.exact(x1s)
-               + (ApproxValue.exact(smc) - 1) * vx["mcheck1"] * ApproxValue.exact(x1s)
-               + ApproxValue.exact((smc - 1) ** 2 / 2 * x1s) * vx["mdnorm"])
-    return lhs, rhs
-
-
-def _deriv_rhs_head(sp: ComplexParam, x: float, precision: int, tt: TruncatedTransform):
-    z, zp = zeta_em(sp, 1e-33, precision=precision)
-    with mpmath.mp.workprec(precision + 32):
-        logx = mpmath.log(mpf(x))
-        return (ApproxValue.exact(logx) / z - zp / (z * z) - tt.mu_logpower_x)
-
-
-def _derivK1_sides(tt: TruncatedTransform, precision: int):
-    sp, x, T = tt.s, tt.x, tt.T
-    c = tt.sup_m_beyond_T()
-    sm1 = abs(complex(sp.sigma - 1.0, sp.tau))
-    LTx = math.log(T / x)
-    tail = c * (power_log_tail(sp.sigma, T, 0)
-                + sm1 * (power_log_tail(sp.sigma, T, 1) + LTx * power_log_tail(sp.sigma, T, 0)))
-    with mpmath.mp.workprec(precision + 32):
-        smc = sp.as_mpc()
-        lhs = (tt.basis[0] + (ApproxValue.exact(smc) - 1) * _combine_moment(tt, 1)).widened(tail)
-        rhs = _deriv_rhs_head(sp, x, precision, tt)
-    return lhs, rhs
-
-
-def _derivK2_sides(tt: TruncatedTransform, precision: int):
-    sp, x, T = tt.s, tt.x, tt.T
-    c = tt.sup_mcheck1_beyond_T()
-    sm1 = abs(complex(sp.sigma - 1.0, sp.tau))
-    LTx = math.log(T / x)
-    tail = c * (2 * sm1 * power_log_tail(sp.sigma, T, 0)
-                + sm1 ** 2 * (power_log_tail(sp.sigma, T, 1) + LTx * power_log_tail(sp.sigma, T, 0)))
-    with mpmath.mp.workprec(precision + 32):
-        smc = sp.as_mpc()
-        two_sm1 = ApproxValue.exact(2 * (smc - 1))
-        sm1_sq = ApproxValue.exact((smc - 1) ** 2)
-        lhs = (two_sm1 * tt.basis[0] + sm1_sq * _combine_moment(tt, 1)).widened(tail)
-        x1s, _ = _x_pows(sp, x)
-        rhs = _deriv_rhs_head(sp, x, precision, tt) \
-            + tt.values_at_x()["mcheck1"] * ApproxValue.exact(x1s)
-    return lhs, rhs
-
-
-def _derivK3_sides(tt: TruncatedTransform, precision: int):
-    sp, x, T = tt.s, tt.x, tt.T
-    D, E = tt.mdnorm_tail_coeffs()
-    sm1 = abs(complex(sp.sigma - 1.0, sp.tau))
-    LTx = math.log(T / x)
-    pt = lambda j: power_log_tail(sp.sigma, T, j)
-    tail0 = D * pt(0) + E * pt(1)
-    tail1 = D * (pt(1) + LTx * pt(0)) + E * (pt(2) + LTx * pt(1))
-    tail = 1.5 * sm1 ** 2 * tail0 + 0.5 * sm1 ** 3 * tail1
-    with mpmath.mp.workprec(precision + 32):
-        smc = sp.as_mpc()
-        lhs = (ApproxValue.exact(1.5 * (smc - 1) ** 2) * tt.basis[0]
-               + ApproxValue.exact((smc - 1) ** 3 / 2) * _combine_moment(tt, 1)).widened(tail)
-        x1s, _ = _x_pows(sp, x)
-        vx = tt.values_at_x()
-        rhs = (_deriv_rhs_head(sp, x, precision, tt)
-               + vx["mcheck1"] * ApproxValue.exact(x1s)
-               + ApproxValue.exact((smc - 1) * x1s) * vx["mdnorm"])
-    return lhs, rhs
+def _smoothed_sides(p: int, mom: int) -> Callable[[TruncatedTransform, int], tuple]:
+    """sides(tt, precision) of the smoothed family's member (p, mom) (module
+    docstring), the lhs widened by the bound on its integrals beyond T."""
+    def sides(tt: TruncatedTransform, precision: int):
+        sp, x, T = tt.s, tt.x, tt.T
+        D, E = tt.tail_coeffs(p)
+        sm1 = abs(complex(sp.sigma - 1.0, sp.tau))
+        a = (p + 1) * sm1 ** p / math.factorial(p)
+        b = sm1 ** (p + 1) / math.factorial(p)
+        pt = lambda j: power_log_tail(sp.sigma, T, j)
+        LTx = math.log(T / x)
+        if p < 2:  # E = 0, and D factors out
+            tail = b * D * pt(0) if mom == 0 else D * (a * pt(0) + b * (pt(1) + LTx * pt(0)))
+        else:
+            tail0 = D * pt(0) + E * pt(1)
+            tail = b * tail0 if mom == 0 else \
+                a * tail0 + b * (D * (pt(1) + LTx * pt(0)) + E * (pt(2) + LTx * pt(1)))
+        z, zp = zeta_em(sp, 1e-33, precision=precision)
+        with mpmath.mp.workprec(precision + 32):
+            smc1 = sp.as_mpc() - 1
+            top = ApproxValue.exact(smc1 ** (p + 1) / math.factorial(p))
+            if mom == 0:
+                lhs = top * tt.basis[0]
+                head = ApproxValue.exact(1) / z - tt.mu_power_x
+            else:  # a = 1 at p = 0 takes no factor exact(1)
+                lead = tt.basis[0] if p == 0 else \
+                    ApproxValue.exact((p + 1) * smc1 ** p / math.factorial(p)) * tt.basis[0]
+                lhs = lead + top * _combine_moment(tt, 1)
+                head = (ApproxValue.exact(mpmath.log(mpf(x))) / z - zp / (z * z)
+                        - tt.mu_logpower_x)
+            x1s, _ = _x_pows(sp, x)
+            vx = tt.values_at_x()
+            rhs = smoothed_rhs(head, [vx[w] for w in SMOOTHED_WEIGHTS[:p + 1]], x1s, smc1, mom, p)
+        return lhs.widened(tail), rhs
+    return sides
 
 
 def _har_sides(tt: TruncatedTransform, precision: int):
@@ -632,16 +583,18 @@ def _har_sides(tt: TruncatedTransform, precision: int):
     return lhs, rhs
 
 
-MTRONQ = TransformIdentity(WEIGHT_M, 0, 1.0, "m-tail transform", _mtronq_sides)
+MTRONQ = TransformIdentity(WEIGHT_M, 0, 1.0, "m-tail transform", _smoothed_sides(0, 0))
 MTRONQCH = TransformIdentity(WEIGHT_MCHECK1, 0, 1.0, "m-check tail transform",
-                             _mtronqch_sides)
+                             _smoothed_sides(1, 0))
 MTRONQCHCH = TransformIdentity(WEIGHT_MDNORM, 0, 1.0, "m-double-check tail transform",
-                               _mtronqchch_sides)
-DERIVK1 = TransformIdentity(WEIGHT_M, 1, 1.0, "derived m transform", _derivK1_sides)
+                               _smoothed_sides(2, 0))
+DERIVK1 = TransformIdentity(WEIGHT_M, 1, 1.0, "derived m transform", _smoothed_sides(0, 1))
 DERIVK2 = TransformIdentity(WEIGHT_MCHECK1, 1, 1.0, "derived m-check transform",
-                            _derivK2_sides)
+                            _smoothed_sides(1, 1))
 DERIVK3 = TransformIdentity(WEIGHT_MDNORM, 1, 1.0, "derived m-double-check transform",
-                            _derivK3_sides)
+                            _smoothed_sides(2, 1))
+#: the family's members by (mom, p)
+SMOOTHED = ((MTRONQ, MTRONQCH, MTRONQCHCH), (DERIVK1, DERIVK2, DERIVK3))
 HAR = TransformIdentity(WEIGHT_HGAP, 0, 0.0, "harmonic-gap transform", _har_sides,
                         not_one=True)
 

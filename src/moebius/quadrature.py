@@ -32,8 +32,8 @@ ratio, or a Simpson node K + h i/(2n)) in Python ints, a unit being 2^-W with
 W = prec + 64 + hb, 2^-hb <= |beta| + |delta_1| <= |beta| t + |delta| (delta_1
 the least |delta| of any cell).  c, beta and delta are exact (c_K = (s-1)(zeta
 - P_K) from the prefix table's ints).  With t < 2^lt, lt = bits(u) - bits(v) +
-1, v = 2^k o (o odd), ht = ceil(max(0, -sigma) lt) (so 2^-ht <= t^sigma), and
-wp = W + ht + gb, gb = 32 + bits(ceil(|s| (2 lt + k + 6))):
+1, ht = ceil(max(0, -sigma) lt) (so 2^-ht <= t^sigma), and wp = W + ht + gb,
+gb = 32 + bits(n), n = ceil(|s| (2 lt + 6)):
 
 - L = log A + 2 atanh z at wp bits (`dsum.log_fixed`), A = floor(t) and z =
   (u - A v)/(u + A v) <= 1/3, summed at P = wp + G bits, 2^G > wp.  In units
@@ -47,8 +47,9 @@ wp = W + ht + gb, gb = 32 + bits(ceil(|s| (2 lt + k + 6))):
   |sigma| lt + 1 and |tau| lt + 1 times, adding mpmath's few-unit basecase
   errors (<= 6 units each).  So exp(sigma L) is off by a relative, and cos,
   sin by an absolute, 2 |s| (lt + 2) + 16 < 2^(gb - 27) units of 2^-wp in
-  all (gb still counts k, which L's error no longer needs); exp_fixed's right
-  shift for sigma < 0 adds < 1 unit, relative <= 2^(ht - wp) = 2^-(W + gb).
+  all (2^(gb - 27) = 32 2^bits(n) >= 2^bits(n) + 31, and 2^bits(n) > n >=
+  2 |s| (lt + 3)); exp_fixed's right shift for sigma < 0 adds < 1 unit,
+  relative <= 2^(ht - wp) = 2^-(W + gb).
   The product's floor to W + ht bits adds < 1 unit <= t^sigma 2^-W.  Each
   part of t^s is off by < (1 + 2^-26) t^sigma 2^-W, so |dT| < 1.5 |t^s| 2^-W.
   An integer s takes u^s/v^s, floored once.
@@ -88,6 +89,7 @@ from .zeta import ComplexParam, power_prefix_table, zeta_em
 _GUARD = 48
 SPLIT_CAP = 1 << 20  # bisections per unit cell in integrate_abs_kernel
 EVAL_CAP = 1 << 20  # midpoint evaluations in sup_abs_kernel's branch-and-bound
+_T_CAP = 50_000  # integrate_abs_kernel_to_infinity's largest head [1, T]
 
 
 def integrate_signed_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-8,
@@ -340,8 +342,7 @@ def _two_sided_tail(s: ComplexParam, T: int) -> tuple[float, float]:
 
 
 def integrate_abs_kernel_to_infinity(spec: KernelSpec, target_radius: float = 1e-2,
-                                     precision: int = PRECISION,
-                                     T_cap: float = 50_000.0):
+                                     precision: int = PRECISION):
     """(value, T): rigorous integral_1^inf |kernel|/t^2 with radius <= target
     if reachable.
 
@@ -363,7 +364,7 @@ def integrate_abs_kernel_to_infinity(spec: KernelSpec, target_radius: float = 1e
     T = max(2, math.ceil(math.sqrt(_two_sided_tail(s, 1)[1] / budget)))
     while _two_sided_tail(s, T)[1] > budget:
         T += 1
-    T = min(T, int(T_cap))
+    T = min(T, _T_CAP)
     head = integrate_abs_kernel(spec, T, budget, precision=precision)
     centre, half = _two_sided_tail(s, T)
     return ApproxValue(head.value + centre,

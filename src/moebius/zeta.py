@@ -92,7 +92,7 @@ def _ladder_remainder(sigma: float, T: int, K: int, ap: float, dsum_abs: float,
 
 
 def bernoulli_ladder_tail(s: ComplexParam, T: int, target: float,
-                          max_levels: int = _LADDER_LEVELS, want_derivative: bool = False):
+                          want_derivative: bool = False):
     """J(T) = integral_T^inf ({u}-1/2) u^(-s-1) du at integer T >= 1.
 
     Returns (J, J_radius) or (J, J_radius, dJ/ds, dJds_radius).
@@ -112,7 +112,7 @@ def bernoulli_ladder_tail(s: ComplexParam, T: int, target: float,
     rem = None
     rem_p = None
     levels = 0
-    for j in range(1, max_levels + 1):
+    for j in range(1, _LADDER_LEVELS + 1):
         # remainder if we stopped before consuming level j (K = j):
         if j >= 3:
             rem, rem_p = _ladder_remainder(sigma, T, j, float(mpmath.fabs(prod)), dsum_abs,
@@ -131,7 +131,7 @@ def bernoulli_ladder_tail(s: ComplexParam, T: int, target: float,
         dsum_abs += 1.0 / abs(complex(sm + j))
         Tpow /= T
     else:
-        rem, rem_p = _ladder_remainder(sigma, T, max_levels + 1, float(mpmath.fabs(prod)),
+        rem, rem_p = _ladder_remainder(sigma, T, _LADDER_LEVELS + 1, float(mpmath.fabs(prod)),
                                        dsum_abs, float(logT))
     if want_derivative:
         return J, rem, Jp, rem_p

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import mpcell
 from mpmath.libmp.libelefun import log_int_fixed
 from moebius import dsum, kernels
+from moebius.constants import RHO1_IMAG_STR
 from moebius.dsum import fixed_magnitude, log_fixed
 from moebius.kernels import CellKernel, KernelSpec
 from moebius.quadrature import (integrate_abs_kernel, integrate_abs_kernel_to_infinity,
@@ -186,6 +187,23 @@ def test_anchor_log_as_g_reads_it(monkeypatch):
         assert len(seen) == 4 * len(_nodes(1))
         assert all(_log_units(u, v, wp, L) < 2 for u, v, wp, L in seen)
         assert len(made) == len(set(made)) == len({(u // v, wp) for u, v, wp, _ in seen})
+
+
+@pytest.mark.parametrize("target,T", [(0.12, 55), (1e-2, 188)])
+def test_one_anchor_log_per_anchor_at_rho1(target, T, monkeypatch):
+    """g's bits depend on t only through lt, so a cold L1 integral at rho_1
+    makes one log_int_fixed value per anchor floor(t), not one per bit count."""
+    anchors = {}  # id -> the anchors dict of each kernel g reads
+
+    def log(u, v, wp, table):
+        anchors[id(table)] = table
+        return log_fixed(u, v, wp, table)
+
+    monkeypatch.setattr(kernels, "log_fixed", log)
+    _, got_T = integrate_abs_kernel_to_infinity(KernelSpec.make("Q", complex(0.5, float(RHO1_IMAG_STR))), target)
+    assert got_T == T
+    [table] = anchors.values()
+    assert len(table) == len({A for A, _ in table}) == T
 
 
 def test_anchor_log_negative_control(monkeypatch):

@@ -65,7 +65,7 @@ def test_power_log_tail_closed_form():
 
 def test_basis_integral_against_quad():
     # int_x^T (mcheck(t)-1) t^-s dt against mpmath piecewise quadrature
-    tt = TruncatedTransform(2.0, 10.0, 40.0, "mcheck1", 0)
+    tt = truncated_transforms("mcheck1", 40.0, [(2.0, 10.0, 0)])[0]
     from moebius.summatory import prefix_sweep
     sw = prefix_sweep(64)
     def integrand(t):
@@ -76,10 +76,55 @@ def test_basis_integral_against_quad():
     assert abs(complex(tt.basis[0].value).real - float(ref)) <= tt.basis[0].radius + 1e-10
 
 
-def test_mdnorm_tail_coefficients_positive():
-    tt = TruncatedTransform(2.0, 1000.0, 200_000.0, "mdnorm", 0)
-    D, E = tt.mdnorm_tail_coeffs()
-    assert 0 < D < 5 and 0 < E < 0.1
+TAIL_T, TAIL_N = 200_000, 10**6
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_transform():
+    # the mdnorm weight reads every column that tail_coeffs(p) needs
+    return truncated_transforms("mdnorm", TAIL_T, [(2.0, 1000.0, 0)])[0]
+
+
+def _tail_ratio(p: int, D: float, E: float) -> float:
+    """max of (|w_p(t)| - its radius) / (D + E log(t/T)) over both ends t of
+    every step [n, n + 1), T <= n < 10^6, as _sup_window samples them: w_p
+    from prefix_sweep(10^6), its radius the sweep's propagated radii plus 16
+    ulps of the terms for the evaluation here."""
+    from moebius.summatory import prefix_sweep
+    sw = prefix_sweep(TAIL_N)
+    at = slice(TAIL_T - 1, TAIL_N - 1)  # the sums at n = T .. 10^6 - 1
+    m, s1, s2 = sw.m[at], sw.Smlog[at], sw.Smlog2[at]
+    m_r, s1_r, s2_r = sw.m_rad[at], sw.Smlog_rad[at], sw.Smlog2_rad[at]
+    ns = np.arange(TAIL_T, TAIL_N, dtype=np.float64)
+    worst = -math.inf
+    for t in (ns, ns + 1.0):
+        L = np.log(t)
+        if p == 0:
+            terms, rad = [m], m_r
+        elif p == 1:
+            terms, rad = [L * m, -s1, -1.0], L * m_r + s1_r
+        else:
+            terms = [L**2 * m, -2 * L * s1, s2, -2 * L, 2 * mellin._GAMMA_F]
+            rad = L**2 * m_r + 2 * L * s1_r + s2_r
+        rad = rad + 16 * 2.0**-52 * sum(np.abs(term) for term in terms)
+        ratio = (np.abs(sum(terms)) - rad) / (D + E * np.log(t / TAIL_T))
+        worst = max(worst, float(np.max(ratio)))
+    return worst
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_tail_coeffs_bound_the_weight_beyond_T(p):
+    # |w_p(t)| <= D + E log(t/T) on [T, 10^6), E = 0 for p < 2
+    D, E = _tail_transform().tail_coeffs(p)
+    assert (E == 0.0) == (p < 2)
+    assert _tail_ratio(p, D, E) <= 1.0, p
+
+
+@pytest.mark.parametrize("p", [0, 2])
+def test_tail_coeffs_halved_fail(p):
+    # the control: half of D no longer bounds w_0 or w_2 (w_2's D is its value at T)
+    D, E = _tail_transform().tail_coeffs(p)
+    assert _tail_ratio(p, D / 2, E) > 1.0, p
 
 
 def test_har_and_ent():
@@ -99,7 +144,7 @@ def test_transform_streams_past_one_segment_like_the_sweep():
     # the one-shot prefix sweep
     from moebius.summatory import PrefixSweep
     T = 1_200_000
-    tt = TruncatedTransform(2.0, 1000.0, T, "mdnorm", 0)
+    tt = truncated_transforms("mdnorm", T, [(2.0, 1000.0, 0)])[0]
     sw = PrefixSweep(T)
     for col, (values, radii) in {"m": (sw.m, sw.m_rad), "sl": (sw.Smlog, sw.Smlog_rad),
                                  "sl2": (sw.Smlog2, sw.Smlog2_rad),
@@ -121,7 +166,7 @@ def test_transform_sums_only_the_columns_its_weight_reads(weight, columns, monke
 
     monkeypatch.setattr(summatory_module, "compensated_cumsum", counting)
     T = 1_200_000  # two sieve segments
-    TruncatedTransform(2.0, 1000.0, T, weight, 0)
+    truncated_transforms(weight, T, [(2.0, 1000.0, 0)])
     assert [sum(lengths) for lengths in calls.values()] == [T] * columns
     assert max(max(lengths) for lengths in calls.values()) == summatory_module._SWEEP_SEGMENT
 
@@ -134,7 +179,7 @@ def test_batch_equals_one_cell_transforms(weight):
              (1.5, 1_100_000.5, 1), (2.0, 1_100_000.5, 0)]
     batch = truncated_transforms(weight, T, cells)
     for (s, x, mom), got in zip(cells, batch):
-        want = TruncatedTransform(s, x, T, weight, mom)
+        want = truncated_transforms(weight, T, [(s, x, mom)])[0]
         assert [(b.value, b.radius) for b in got.basis] == \
             [(b.value, b.radius) for b in want.basis], (s, x, mom)
         assert (got.at_x, got.at_T) == (want.at_x, want.at_T)

@@ -10,8 +10,9 @@ list is left alone).  Then, for `verify --suite all --threads 1 --stable-output
 `tools/cellparity.py dump` once on PARENT_REV and once on this checkout, each
 with PYTHONPATH at that checkout's src, and prints `tools/cellparity.py
 compare` of the two dumps, after one line saying whether the two runs' stdout
-is byte-identical.  The exit status is 1 if any compare exits non-zero (or a
-dump wrote nothing), else 0.
+is byte-identical.  First it prints the line count of src/moebius/*.py at
+PARENT_REV and in this checkout.  The exit status is 1 if any compare exits
+non-zero (or a dump wrote nothing), else 0.
 """
 
 from __future__ import annotations
@@ -56,9 +57,16 @@ def checkout(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def source_lines(checkout: Path) -> int:
+    """The lines of checkout's src/moebius/*.py."""
+    return sum(len(f.read_text().splitlines()) for f in (checkout / "src" / "moebius").glob("*.py"))
+
+
 def parity(parent_rev: str, tmp: Path) -> int:
     parent = tmp / "parent"
     checkout(parent_rev, parent)
+    old, new = source_lines(parent), source_lines(ROOT)
+    print(f"src/moebius lines: {old} at {parent_rev}, {new} here ({new - old:+d})", flush=True)
     bad = False
     for i, (name, argv) in enumerate(_argvs()):
         old, new = tmp / f"old{i}.json", tmp / f"new{i}.json"
