@@ -25,6 +25,7 @@ from .summatory import summatory
 from .zeta import ComplexParam, zeta_em
 
 _GUARD = 96
+_ZETA_TARGET = 1e-36  # zeta(s) for mieux-1 and poids: one ladder per s, read by both sides
 
 
 def mu_power_sum(x: float, s, precision: int = PRECISION) -> ApproxValue:
@@ -58,12 +59,13 @@ def mieux1_sides(s, x: float, precision: int = PRECISION):
     sp = ComplexParam.coerce(s)
     sp.require_not_one("first kernel identity")
     with mpmath.mp.workprec(precision + _GUARD):
-        z, _ = zeta_em(sp, 1e-36, precision=precision, want_derivative=False)
+        z, _ = zeta_em(sp, _ZETA_TARGET, precision=precision, want_derivative=False)
         snap = summatory(x, mode="mp", precision=precision)
         msum = mu_power_sum(x, sp, precision)
         x1s, xs1 = _x_pows(sp, x)
         lhs = z * (msum - snap.m * ApproxValue.exact(x1s, precision)) - 1
-        integ = integrate_m_kernel(x, KernelFactor(KernelSpec(Q, sp), precision), precision)
+        kf = KernelFactor(KernelSpec(Q, sp), precision, _ZETA_TARGET)
+        integ = integrate_m_kernel(x, kf, precision)
         rhs = (snap.m_check - 1) * ApproxValue.exact(x1s, precision) \
             + ApproxValue.exact(x1s, precision) * integ
     return lhs, rhs
@@ -77,13 +79,14 @@ def poids_sides(s, x: float, precision: int = PRECISION):
     sp.require_sigma_gt(-1.0, "weighted kernel identity")
     with mpmath.mp.workprec(precision + _GUARD):
         sm = sp.as_mpc()
-        z, _ = zeta_em(sp, 1e-36, precision=precision, want_derivative=False)
+        z, _ = zeta_em(sp, _ZETA_TARGET, precision=precision, want_derivative=False)
         snap = summatory(x, mode="mp", precision=precision)
         msum = mu_power_sum(x, sp, precision)
         x1s, _ = _x_pows(sp, x)
         xms = mpmath.power(mpf(x), -sm)
         lhs = z * (msum - snap.m * ApproxValue.exact(x1s, precision)) - 1
-        integ = integrate_m_kernel(x, KernelFactor(KernelSpec(R, sp), precision), precision)
+        kf = KernelFactor(KernelSpec(R, sp), precision, _ZETA_TARGET)
+        integ = integrate_m_kernel(x, kf, precision)
         x1s_a = ApproxValue.exact(x1s, precision)
         rhs = (ApproxValue.exact(sm) * (snap.m_check - 1) * x1s_a
                - ApproxValue.exact((sm - 1) / 2) * snap.m1 * x1s_a

@@ -95,7 +95,8 @@ class CellKernel:
     `g` works at W = prec + 64 + hb bits, with 2^-hb <= |beta| + |delta_1|
     (delta at K = 1, the least |delta| of any cell): the `quadrature`
     docstring derives that every value it returns is off by at most
-    2^-(prec+63) (|c||t^s| + |beta| t + |delta|).
+    2^-(prec+63) M, M = |c||t^s| + |beta| t + |delta|, and its slope g'(t)
+    by 2^-(prec+63) (|s|/t + 1) M.
     """
 
     def __init__(self, spec: KernelSpec, prec: int, zeta_target: float = 1e-35):
@@ -146,12 +147,15 @@ class CellKernel:
             S += Gs
         return Cell(S, c, beta, delta)
 
-    def g(self, cell: Cell, u: int, v: int = 1) -> tuple[int, int]:
-        """g(t) at t = u/v >= 1 exactly, as (re, im) ints at scale W.
+    def g(self, cell: Cell, u: int, v: int = 1, slope: bool = False) -> tuple[int, ...]:
+        """g(t) at t = u/v >= 1 exactly, as (re, im) ints at scale W; with
+        `slope`, (re, im, re', im'), adding g'(t) = s c t^s / t + beta from
+        the same t^s.
 
         t^s = exp(sigma L)(cos tau L + i sin tau L) from L = log t at W + ht
         + gb bits (`log_fixed`), floored to W + ht bits (2^-ht <= t^sigma),
-        then one floor of the exact c t^s + beta t + delta."""
+        then one floor of the exact c t^s + beta t + delta, and one of the
+        exact s c t^s v/u + beta."""
         W = self.W
         lt = u.bit_length() - v.bit_length() + 1  # t < 2^lt
         if self._power is not None:  # t^k, one floor division
@@ -166,11 +170,18 @@ class CellKernel:
         (cr, ci), (br, bi), (dr, di) = cell.c, cell.beta, cell.delta
         d = v << (cell.S + ht)
         up = W + ht
-        re = (cr * T[0] - ci * T[1]) * v + ((br * u + dr * v) << up)
-        if not self.cplx:
-            return re // d, 0
-        im = (cr * T[1] + ci * T[0]) * v + ((bi * u + di * v) << up)
-        return re // d, im // d
+        ctr, cti = cr * T[0] - ci * T[1], cr * T[1] + ci * T[0]  # c t^s at scale S + up
+        re = (ctr * v + ((br * u + dr * v) << up)) // d
+        im = (cti * v + ((bi * u + di * v) << up)) // d if self.cplx else 0
+        if not slope:
+            return re, im
+        sr, si, Gs = self.s1_fixed
+        sr += 1 << Gs  # s at scale Gs
+        up += Gs
+        d = u << (cell.S + ht + Gs)
+        dre = ((sr * ctr - si * cti) * v + ((br * u) << up)) // d
+        dim = ((sr * cti + si * ctr) * v + ((bi * u) << up)) // d if self.cplx else 0
+        return re, im, dre, dim
 
     def abs_at(self, cell: Cell, u: int, v: int = 1) -> float:
         """|g(u/v)| as a float, from g's ints: abs(complex(.)) of the

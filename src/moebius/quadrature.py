@@ -8,10 +8,10 @@ closed-form:
   - signed integrals of g(t)/t^2 use composite Simpson with the rigorous
     h^5/2880 sup|phi''''| remainder (phi = c t^{s-2} + beta/t + delta/t^2 has
     explicit fourth derivatives);
-  - integrals of |g(t)|/t^2 use midpoint steps with the h^3/24 sup|phi''|
-    remainder wherever the cell is certified zero-free (inf|g| > 0 via a
-    Lipschitz bound), falling back to length * range enclosure around
-    possible zeros of g -- the only places |.| has kinks;
+  - integrals of |g(t)|/t^2 cut each cell into n equal steps and add, per
+    step, the exact integral of |L|/t^2 for the Taylor line L of g at the
+    step's midpoint, charging sup|g''| h^3/(24 a^2) for |g| - |L| (|.| is
+    1-Lipschitz, so zeros of g need no decision);
   - sups of |g| use interval upper bounds max(|g(a)|,|g(b)|) + h^2/8 sup|g''|
     refined until the gap to the best sampled lower bound meets the target.
 
@@ -56,38 +56,94 @@ gb = 32 + bits(n), n = ceil(|s| (2 lt + 6)):
 - c T + beta t + delta is formed exactly over the denominator v and floored
   once to W bits (< 1 unit per part): g is off by < 2^-W (1.5 |c||t^s| +
   sqrt 2) <= 2^-(prec+63) M, M = |c||t^s| + |beta| t + |delta|.
-- |g| = isqrt(re^2 + im^2) floors once more (< 1 unit), and g/t^2 and |g|/t^2
-  are floored at W + 2 lt bits (< 2^-W / t^2 per part), so every value a
-  routine reads is off by < 2^-(prec+62) M (divided by t^2 where it is).
+- The slope g'(t) = s c t^s / t + beta reads the same T: s c T v/u + beta
+  is formed exactly and floored once (< 1 unit per part), so it is off by
+  < 2^-W (1.5 |s||c||t^s|/t + sqrt 2) <= 2^-(prec+63) (|s|/t + 1) M.
+- Simpson floors g/t^2 at W + 2 lt bits (< 2^-W/t^2 per part), so its
+  values are off by < 2^-(prec+62) M/t^2; the sup search reads |g| as
+  abs(complex(.)) of g's correctly rounded parts (`abs_at`).
 
 That is no weaker than the mpf evaluation at prec + 48 bits it replaces,
 whose dozen roundings were each 2^-(prec+48) relative to operands of size up
-to M, so eps(prec) 64 (cond + |total|) still covers the arithmetic.  The
-decision doubles |g| are abs(complex(.)) of the correctly rounded parts of
-g's ints.  The abs integral's accepted steps, |g(t_m)|/t_m^2 h or the range
-enclosure's mid_f h, are dyadic rationals: they are summed exactly and
-rounded once.  Simpson sums each cell's weighted nodes exactly and adds the
+to M, so Simpson's eps(prec) 64 (cond + |total|) still covers its
+arithmetic.  Simpson sums each cell's weighted nodes exactly and adds the
 cell to the total in mpf, as before.
+
+Taylor steps for the abs integral.  Cell [K, b_end] (b_end = min(K+1, T),
+width w) is cut at the floats a_j = K + w j/n, so each step [a, b] has
+1 <= a < b <= 2a and h = b - a exact; its midpoint m = u/v is exact.  With
+D2 >= sup|g''| on the cell (`bounds`, times 1 + 2^-32 to cover libm's few-ulp
+pow and hypot), Taylor's theorem gives |g(t) - L(t)| <= D2 (t - m)^2/2 for
+L(t) = g(m) + g'(m)(t - m), so the step's error is at most
+D2/(2 a^2) integral (t - m)^2 = D2 h^3/(24 a^2), and the n steps of a cell
+stay within its share 0.5 target/(K(K+1)) when
+n = ceil(sqrt(D2 w^3/(24 K^2 share))).  The rest of a step's radius, with u
+= 2^-53 the unit roundoff of a float op:
+
+- g(m), g'(m) from `CellKernel.g(..., slope=True)`: off by e0 < 2^-(prec+63)
+  M and e1 < 2^-(prec+63) (|s|/K + 1) M, M <= G0 (`bounds`); |L| moves by
+  < e0 + e1 h/2 <= 2^-(prec+62) G0 (2 + |s|/K)/2; a cell charges twice
+  that (past G0's own roundings) times 1/a - 1/b summed, 1/K - 1/b_end.
+- The four parts, correctly rounded to floats g0 = x0 + i y0 and g1 = x1 +
+  i y1: |L| moves by < 1.01 u (|g0| + |g1| h/2).
+- L(t) = g1 (t - t* + i eta) with q = g0/g1, t* = m - Re q, eta = |Im q|
+  and rho = |g1|.  In floats rho, Re q and Im q are each off by < 2.01 u
+  rho, 5.1 u |q| and 5.1 u |q| (|q| rho = |g0|), and t* = m - Re q (m
+  rounded too) by < 2.02 u m + 6.2 u |q|.  Since sqrt(w^2 + eta^2) is
+  1-Lipschitz in (w, eta), the line the closed form sees differs in modulus
+  by < 2.01 u |L| + 2.05 u rho m + 11.5 u |g0| <= u (13.6 |g0| + 1.01 rho h
+  + 2.05 rho m): with the previous item, < 15 u (|g0| + rho (b + h)).
+- An eta below eta_min = 2^-40 h is raised to it, moving |L| by at most
+  rho eta_min; a g0 with |g0| >= 2^40 |g1| takes L as the constant |g0|,
+  which moves |L| by at most rho h/2.  Either is charged times 1/a - 1/b.
+- The closed form.  With w = t - t*, R = w^2 + eta^2 and C = t*^2 + eta^2,
+  F(t) = -sqrt(R)/t + asinh(w/eta) + (t*/sqrt C) asinh((C - t* t)/(t eta))
+  has F' = sqrt(R)/t^2.  As (C - t* t)^2 + t^2 eta^2 = C R, both asinh are
+  logs of y/eta with y1 = w + sqrt R = eta^2/(sqrt R - w) and y2 = (z +
+  sqrt(CR))/t = t eta^2/(sqrt(CR) - z), z = C - t* t = eta^2 - t* w; the
+  form without a cancellation is taken by sign, and eta cancels in
+  F(b) - F(a) = f_a - f_b + log(y1_b/y1_a) + (t*/sqrt C) log(y2_b/y2_a),
+  f = sqrt(R)/t.  Counting one u per float op: f is off by 4u, y1 by 6u;
+  z by 3.1 u (eta^2 + |t* w|) <= 6.2 u sqrt(CR) and sqrt(CR) by 6.1 u of
+  itself, so y2 is off by 16.5 u relative in either branch; the logs'
+  arguments by 13 u and 34 u.  `_ln` adds u |log| + 2^-69 (`log_fixed` at
+  80 bits, < 2 units, e ln 2 by <= |e| <= 1074 units, and one rounding),
+  t*/sqrt C (at most 1) 3 u, and the two sums and the product by rho one u
+  each: the step's value is off by < u rho (8 (f_a + f_b) + 4 |l1| + 7.02
+  |l2| + 48.5) <= 8 u E, E = rho (f_a + f_b + |l1| + |l2| + 7).
+
+`_abs_line_integral` returns E = rho (f_a + f_b + |l1| + |l2| + 7) + (|g0|
++ rho (b + h)) (1/a - 1/b), and `integrate_abs_kernel` charges 16 u E per
+step: 8 u E covers the first-order count of both parts, and the factor 2 the
+second-order terms and the float sums of the radius parts.  The steps' float values are summed
+exactly in ints and rounded once to prec + 48 bits (eps(prec) |value|).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from math import isqrt
 
 import mpmath
 from mpmath import mpf, mpc
+from mpmath.libmp.libelefun import ln2_fixed
 
 from .approx import PRECISION, ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
-from .dsum import DirichletTable, fixed_magnitude, fixed_to_float, fixed_to_mp
+from .dsum import DirichletTable, fixed_magnitude, fixed_to_float, fixed_to_mp, log_fixed
 from .errors import DomainError, PrecisionError
 from .kernels import IBP_R, CellKernel, KernelSpec, hel_sup_abs_Q, kernel_bound, SUP_Q
 from .zeta import ComplexParam, power_prefix_table, zeta_em
 
 _GUARD = 48
-SPLIT_CAP = 1 << 20  # bisections per unit cell in integrate_abs_kernel
+_U = 2.0 ** -53  # the unit roundoff of a float op
+STEP_CAP = 1 << 16  # Taylor steps per unit cell in integrate_abs_kernel
+_CELL_SHARE = 0.5  # of target / (K (K+1)): a cell's budget for its Taylor terms
+_D2_UP = 1.0 + 2.0 ** -32  # bounds' D2 rounded upward past libm's few-ulp pow
+_FAR = 2.0 ** 80  # |g0|^2 / |g1|^2 past which a step's L is taken as constant
+_ETA_MIN = 2.0 ** -40  # times h: the least eta the closed form sees
+_LOG_BITS = 80
+_LOG_ANCHOR = {(1, _LOG_BITS + _LOG_BITS.bit_length()): 0}  # _ln's one anchor, log 1 = 0
 EVAL_CAP = 1 << 20  # midpoint evaluations in sup_abs_kernel's branch-and-bound
 _T_CAP = 50_000  # integrate_abs_kernel_to_infinity's largest head [1, T]
 
@@ -151,91 +207,110 @@ def _midpoint(a: float, h: float) -> tuple[int, int]:
     return an * (d // ad) + hn * (d // (2 * hd)), d
 
 
+def _ln(r: float) -> float:
+    """log r for a float r > 0, off by < u |log r| + 2^-69: r = f 2^e with
+    f in [2^-1/2, 2^1/2), log f by `log_fixed` (anchor 1) and e log 2 by
+    ln2_fixed, at 80 bits, rounded once to a float."""
+    f, e = math.frexp(r)
+    if f < 0.7071067811865476:
+        f, e = 2.0 * f, e - 1
+    n, d = f.as_integer_ratio()
+    if n >= d:
+        L = log_fixed(n, d, _LOG_BITS, _LOG_ANCHOR)
+    else:
+        L = -log_fixed(d, n, _LOG_BITS, _LOG_ANCHOR)
+    return fixed_to_float(L + e * ln2_fixed(_LOG_BITS), _LOG_BITS)
+
+
+def _abs_line_integral(x0: float, y0: float, x1: float, y1: float,
+                       a: float, b: float, m: float) -> tuple[float, float, float]:
+    """(I, E, X): I the float integral over [a, b] of |L(t)|/t^2, L(t) = g0 +
+    g1 (t - m), g0 = x0 + i y0, g1 = x1 + i y1, off by < 16u E + X from the
+    same integral for any g0, g1 whose parts round to x0 .. y1: the module
+    docstring counts the u roundings into E and bounds the clamp of eta or
+    the constant L by X."""
+    A = x1 * x1 + y1 * y1
+    G = x0 * x0 + y0 * y0
+    h = b - a
+    w_ab = h / (a * b)  # 1/a - 1/b
+    rho, g0 = math.sqrt(A), math.sqrt(G)
+    E = (g0 + rho * (b + h)) * w_ab  # the line's parts and parameters in floats
+    if G >= _FAR * A:  # |L - g0| <= rho h/2 <= 2^-41 |g0| h
+        return g0 * w_ab, E + g0 * w_ab, rho * h / 2.0 * w_ab
+    ts = m - (x0 * x1 + y0 * y1) / A  # L(t) = g1 (t - t* + i eta)
+    eta = abs((y0 * x1 - x0 * y1) / A)
+    clamp = 0.0
+    if eta < _ETA_MIN * h:  # no log of a vanishing eta: |L| moves by < rho eta_min
+        eta, clamp = _ETA_MIN * h, rho * _ETA_MIN * h * w_ab
+    e2 = eta * eta
+    sC = math.sqrt(ts * ts + e2)
+    ends = []
+    for t in (a, b):
+        w = t - ts
+        sR = math.sqrt(w * w + e2)
+        z, P = e2 - ts * w, sC * sR  # C - t* t and sqrt(C R)
+        ends.append((sR / t, w + sR if w >= 0 else e2 / (sR - w),
+                     (z + P) / t if z >= 0 else t * e2 / (P - z)))
+    (fa, y1a, y2a), (fb, y1b, y2b) = ends
+    l1, l2 = _ln(y1b / y1a), _ln(y2b / y2a)
+    J = (fa - fb) + l1 + ts / sC * l2
+    return rho * J, E + rho * (fa + fb + abs(l1) + abs(l2) + 7.0), clamp
+
+
 def integrate_abs_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-2,
                          precision: int = PRECISION) -> ApproxValue:
     """integral over [1, T] of |kernel(t)|/t^2 with a rigorous radius.
 
-    Midpoint steps with second-derivative remainders on certified zero-free
-    stretches; bisection with range enclosures around possible |g| = 0
-    crossings.  Every accepted step's value is a dyadic rational, summed
-    exactly in ints and rounded once.
+    Each unit cell is cut into n equal steps, n from the cell's sup|g''| and
+    its share of the radius; a step adds the exact integral of |L|/t^2 for
+    the Taylor line L of g at its midpoint and charges sup|g''| h^3/(24 a^2)
+    for |g| - |L|, with the roundings the module docstring counts.  The
+    steps' float values are summed exactly and rounded once.
     """
     if T < 1:
         raise DomainError("T >= 1 required")
     ck = CellKernel(spec, precision, zeta_target=min(1e-30, target_radius / (8 * max(T, 2.0))))
-    eps = eps_for(precision)
     W = ck.W
-    total, S = 0, 0  # the exact sum total 2^-S of the accepted steps
-
-    def add(n: int, Sn: int) -> None:
-        nonlocal total, S
-        if Sn > S:
-            total, S = total << (Sn - S), Sn
-        total += n << (S - Sn)
-
-    def scale(x: float) -> tuple[int, int]:
-        n, d = x.as_integer_ratio()
-        return n, d.bit_length() - 1
-
-    with mpmath.mp.workprec(precision + _GUARD):
-        radius = 0.0
-        cond = 0.0
-        K = 1
-        while K < T:
-            b_end = float(min(K + 1, T))
-            cell = ck.cell(K)
-            budget = 0.9 * target_radius * (1.0 / (K * (K + 1)))
-            # adaptive stack of (a, b, |g(a)|, |g(b)|)
-            ga = ck.abs_at(cell, K)
-            gb = ck.abs_at(cell, *b_end.as_integer_ratio())
-            stack = [(float(K), b_end, ga, gb)]
-            cell_rad = 0.0
-            splits = 0
-            while stack:
-                a, b, ga, gb = stack.pop()
-                h = b - a
-                G0, D1, D2 = ck.bounds(cell, a, b)
-                m0 = (ga + gb - D1 * h) / 2.0
-                if m0 > 0:
-                    # zero-free: |g| is C2 with ||g|''| <= D2 + D1^2 / m0
-                    absg2 = D2 + D1 * D1 / m0
-                    phi2 = absg2 / a ** 2 + 4.0 * D1 / a ** 3 + 6.0 * G0 / a ** 4
-                    err = h ** 3 / 24.0 * phi2
-                    if err <= budget * (h / (b_end - K)) or h < 2e-13 * b:
-                        # |g(t_m)| / t_m^2 at scale W + 2 lt, t_m = u/v < 2^lt
-                        u, v = _midpoint(a, h)
-                        re, im = ck.g(cell, u, v)
-                        lt = u.bit_length() - v.bit_length() + 1
-                        m = ((isqrt(re * re + im * im) * v * v) << (2 * lt)) // (u * u)
-                        hn, he = scale(h)
-                        add(m * hn, W + 2 * lt + he)
-                        cell_rad += err
-                        cond += fixed_to_float(m, W + 2 * lt) * h
-                        continue
-                else:
-                    sup_g = max(ga, gb) + D1 * h / 2.0
-                    inf_g = max(0.0, m0)
-                    width = sup_g / a ** 2 - inf_g / b ** 2
-                    if width * h <= 2.0 * budget * (h / (b_end - K)) or h < 2e-13 * b:
-                        mid_f = (sup_g / a ** 2 + inf_g / b ** 2) / 2.0
-                        (fn, fe), (hn, he) = scale(mid_f), scale(h)
-                        add(fn * hn, fe + he)
-                        cell_rad += width * h / 2.0
-                        cond += mid_f * h
-                        continue
-                splits += 1
-                if splits > SPLIT_CAP:
-                    raise PrecisionError(
-                        f"abs-kernel quadrature cannot reach {target_radius} on cell {K}")
-                tm_f = a + h / 2.0
-                gm = ck.abs_at(cell, *_midpoint(a, h))
-                stack.append((a, tm_f, ga, gm))
-                stack.append((tm_f, b, gm, gb))
-            radius += cell_rad + ck.zeta_rad_per_unit(K, b_end) * (b_end - K)
-            K += 1
-        value = fixed_to_mp(total, None, S, precision + _GUARD)
-        radius += eps * 64.0 * (cond + float(value))
-        return ApproxValue(value, radd(radius), RIGOROUS, precision)
+    fixed, s_abs = 2.0 ** -(precision + 62), ck.s.abs()
+    total, S = 0, 0  # the exact sum total 2^-S of the steps' values
+    rads = []  # each cell's D2, fixed-point and zeta terms, each step's X
+    cond = 0.0  # the magnitudes that carry u roundings
+    K = 1
+    while K < T:
+        b_end = float(min(K + 1, T))
+        width = b_end - K
+        cell = ck.cell(K)
+        G0, _, D2 = ck.bounds(cell, K, b_end)
+        D2 *= _D2_UP
+        need = D2 * width ** 3 / (24.0 * K * K)  # n^2 times the cell's share
+        share = _CELL_SHARE * target_radius / (K * (K + 1))
+        if need > share * STEP_CAP ** 2:
+            raise PrecisionError(f"abs-kernel quadrature cannot reach {target_radius} on cell {K}")
+        n = max(1, math.ceil(math.sqrt(need / share))) if need else 1
+        h3_a2 = 0.0
+        a = float(K)
+        for j in range(1, n + 1):
+            b = b_end if j == n else K + width * j / n
+            h = b - a
+            u, v = _midpoint(a, h)
+            x0, y0, x1, y1 = (fixed_to_float(p, W) for p in ck.g(cell, u, v, slope=True))
+            val, E, X = _abs_line_integral(x0, y0, x1, y1, a, b, u / v)
+            vn, vd = val.as_integer_ratio()
+            Sn = vd.bit_length() - 1
+            if Sn > S:
+                total, S = total << (Sn - S), Sn
+            total += vn << (S - Sn)
+            cond += E
+            if X:
+                rads.append(X)
+            h3_a2 += h * h * h / (a * a)
+            a = b
+        rads += (D2 / 24.0 * h3_a2, fixed * G0 * (2.0 + s_abs / K) * (1.0 / K - 1.0 / b_end),
+                 ck.zeta_rad_per_unit(K, b_end) * width)
+        K += 1
+    value = fixed_to_mp(total, None, S, precision + _GUARD)
+    radius = radd(math.fsum(rads), 16 * _U * cond, eps_for(precision) * float(value))
+    return ApproxValue(value, radius, RIGOROUS, precision)
 
 
 def sup_abs_kernel(spec: KernelSpec, t_lo: float, t_hi: float,

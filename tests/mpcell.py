@@ -5,7 +5,9 @@ This is the cell evaluation as it ran before it moved to fixed point, kept
 only as a test oracle: c_K = (s-1)(zeta - P_K), beta and delta formed in mpf
 at the working precision, g(t) = c t^s + beta t + delta by mpmath.power,
 and the loops of integrate_signed_kernel, integrate_abs_kernel and
-sup_abs_kernel with mpf nodes and mpf running sums, at 48 guard bits.  It
+sup_abs_kernel with mpf nodes and mpf running sums, at 48 guard bits (the
+abs integral rounds its mpf g(m) and g'(m) to floats for the library's
+closed form, as the library rounds its ints).  It
 takes zeta(s), P_K and the float constants from a `CellKernel`, and keeps
 the float decisions and radius formulas, so its values, radii and T are the
 ones the library must reproduce.
@@ -21,6 +23,7 @@ from mpmath import mpc, mpf
 
 from moebius.approx import ApproxValue, RIGOROUS, eps_for, radd
 from moebius.kernels import LITTLE_Q, R, CellKernel
+from moebius import quadrature
 from moebius.quadrature import _two_sided_tail
 
 GUARD = 48
@@ -103,57 +106,49 @@ def integrate_signed(spec, T: float, target_radius: float, prec: int) -> ApproxV
 
 
 def integrate_abs(spec, T: float, target_radius: float, prec: int) -> ApproxValue:
+    """The Taylor-step rule with g(m) and g'(m) = s c m^s/m + beta in mpf,
+    rounded to float parts; the float closed form and the constants are the
+    library's (`quadrature._abs_line_integral`, checked against mpmath.quad
+    in tests/test_quadrature.py)."""
     ck = CellKernel(spec, prec, zeta_target=min(1e-30, target_radius / (8 * max(T, 2.0))))
-    eps = eps_for(prec)
+    fixed, s_abs = 2.0 ** -(prec + 62), ck.s.abs()
     with mpmath.mp.workprec(prec + GUARD):
-        total = mpf(0)
-        radius = 0.0
+        vals = []
+        rads = []
         cond = 0.0
         K = 1
         while K < T:
             b_end = float(min(K + 1, T))
+            width = b_end - K
             c, beta, delta = cell(ck, K)
-            budget = 0.9 * target_radius * (1.0 / (K * (K + 1)))
-            ga = abs(complex(g(ck, c, beta, delta, mpf(K))))
-            gb = abs(complex(g(ck, c, beta, delta, mpf(b_end))))
-            stack = [(float(K), b_end, ga, gb)]
-            cell_val = mpf(0)
-            cell_rad = 0.0
-            while stack:
-                a, b, ga, gb = stack.pop()
+            G0, _, D2 = bounds(ck, c, beta, delta, K, b_end)
+            D2 *= quadrature._D2_UP
+            need = D2 * width ** 3 / (24.0 * K * K)
+            share = quadrature._CELL_SHARE * target_radius / (K * (K + 1))
+            n = max(1, math.ceil(math.sqrt(need / share))) if need else 1
+            h3_a2 = 0.0
+            a = float(K)
+            for j in range(1, n + 1):
+                b = b_end if j == n else K + width * j / n
                 h = b - a
-                G0, D1, D2 = bounds(ck, c, beta, delta, a, b)
-                m0 = (ga + gb - D1 * h) / 2.0
-                if m0 > 0:
-                    absg2 = D2 + D1 * D1 / m0
-                    phi2 = absg2 / a ** 2 + 4.0 * D1 / a ** 3 + 6.0 * G0 / a ** 4
-                    err = h ** 3 / 24.0 * phi2
-                    if err <= budget * (h / (b_end - K)) or h < 2e-13 * b:
-                        tm = mpf(a) + mpf(h) / 2
-                        v = abs(g(ck, c, beta, delta, tm)) / tm ** 2
-                        cell_val += v * h
-                        cell_rad += err
-                        cond += float(v) * h
-                        continue
-                else:
-                    sup_g = max(ga, gb) + D1 * h / 2.0
-                    inf_g = max(0.0, m0)
-                    width = sup_g / a ** 2 - inf_g / b ** 2
-                    if width * h <= 2.0 * budget * (h / (b_end - K)) or h < 2e-13 * b:
-                        mid_f = (sup_g / a ** 2 + inf_g / b ** 2) / 2.0
-                        cell_val += mpf(mid_f) * h
-                        cell_rad += width * h / 2.0
-                        cond += mid_f * h
-                        continue
-                tm_f = a + h / 2.0
-                gm = abs(complex(g(ck, c, beta, delta, mpf(a) + mpf(h) / 2)))
-                stack.append((a, tm_f, ga, gm))
-                stack.append((tm_f, b, gm, gb))
-            total += cell_val
-            radius += cell_rad + ck.zeta_rad_per_unit(K, b_end) * (b_end - K)
+                m = (mpf(a) + mpf(b)) / 2
+                cts = c * mpmath.power(m, ck.sm)
+                g0 = complex(cts + beta * m + delta)
+                g1 = complex(ck.sm * cts / m + beta)
+                x0, y0, x1, y1 = g0.real, g0.imag, g1.real, g1.imag
+                val, E, X = quadrature._abs_line_integral(x0, y0, x1, y1, a, b, float(m))
+                vals.append(val)
+                cond += E
+                if X:
+                    rads.append(X)
+                h3_a2 += h * h * h / (a * a)
+                a = b
+            rads += (D2 / 24.0 * h3_a2, fixed * G0 * (2.0 + s_abs / K) * (1.0 / K - 1.0 / b_end),
+                     ck.zeta_rad_per_unit(K, b_end) * width)
             K += 1
-        radius += eps * 64.0 * (cond + float(total))
-        return ApproxValue(+total, radd(radius), RIGOROUS, prec)
+        total = mpmath.fsum(vals)  # exact, rounded once
+        radius = radd(math.fsum(rads), 16 * quadrature._U * cond, eps_for(prec) * float(total))
+        return ApproxValue(total, radius, RIGOROUS, prec)
 
 
 def integrate_abs_to_infinity(spec, target_radius: float, prec: int):

@@ -192,7 +192,8 @@ def test_anchor_log_as_g_reads_it(monkeypatch):
 @pytest.mark.parametrize("target,T", [(0.12, 55), (1e-2, 188)])
 def test_one_anchor_log_per_anchor_at_rho1(target, T, monkeypatch):
     """g's bits depend on t only through lt, so a cold L1 integral at rho_1
-    makes one log_int_fixed value per anchor floor(t), not one per bit count."""
+    makes one log_int_fixed value per anchor floor(t), not one per bit count:
+    the Taylor steps read g at midpoints only, so the anchors are 1..T-1."""
     anchors = {}  # id -> the anchors dict of each kernel g reads
 
     def log(u, v, wp, table):
@@ -203,7 +204,7 @@ def test_one_anchor_log_per_anchor_at_rho1(target, T, monkeypatch):
     _, got_T = integrate_abs_kernel_to_infinity(KernelSpec.make("Q", complex(0.5, float(RHO1_IMAG_STR))), target)
     assert got_T == T
     [table] = anchors.values()
-    assert len(table) == len({A for A, _ in table}) == T
+    assert len(table) == len({A for A, _ in table}) == T - 1
 
 
 def test_anchor_log_negative_control(monkeypatch):

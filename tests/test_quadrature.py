@@ -1,11 +1,12 @@
 import math
+import random
 
 import mpmath
 import pytest
 
 from moebius import quadrature
 from moebius.errors import DomainError, PrecisionError
-from moebius.kernels import KernelSpec
+from moebius.kernels import CellKernel, KernelSpec
 from moebius.quadrature import (exact_Q_l1_reference, exact_Q_l1_tail,
                                 integrate_abs_kernel,
                                 integrate_abs_kernel_to_infinity,
@@ -135,12 +136,137 @@ def test_q_l1_two_sided_tail_agrees_with_sup_tail():
 
 
 def test_abs_integral_split_cap(monkeypatch):
-    monkeypatch.setattr(quadrature, "SPLIT_CAP", 3)
+    """A cell that needs more than STEP_CAP Taylor steps raises, before any
+    step is evaluated; the same cell within the cap does not."""
+    spec = KernelSpec.make("Q", complex(0.5, 14.13))
+    monkeypatch.setattr(quadrature, "STEP_CAP", 300)  # cell 1 needs 217 steps at 1e-2
     with pytest.raises(PrecisionError, match="cannot reach"):
-        integrate_abs_kernel(KernelSpec.make("Q", complex(0.5, 14.13)), 3.0, 1e-6)
+        integrate_abs_kernel(spec, 3.0, 1e-6)
+    assert integrate_abs_kernel(spec, 3.0, 1e-2).radius <= 1e-2
 
 
 def test_sup_eval_cap(monkeypatch):
     monkeypatch.setattr(quadrature, "EVAL_CAP", 3)
     with pytest.raises(PrecisionError, match="did not converge"):
         sup_abs_kernel(KernelSpec.make("Q", complex(0.5, 14.13)), 1.0, 14.13, 1e-6)
+
+
+def _abs_Q2_exact(T: float, prec: int = 256):
+    """integral_1^T |Q_2(t)|/t^2 cell by cell in closed form: on [K, K+1) Q_2/t^2
+    = c_K - 1/t, c_K = zeta(2) - P_K, whose antiderivative c_K t - log t is
+    split at its zero 1/c_K."""
+    with mpmath.workprec(prec):
+        z, P, total = mpmath.zeta(2), mpmath.mpf(0), mpmath.mpf(0)
+        K = 1
+        while K < T:
+            P += mpmath.mpf(1) / K ** 2
+            c = z - P
+            F = lambda t: c * t - mpmath.log(t)
+            a, b, t0 = mpmath.mpf(K), min(mpmath.mpf(K + 1), mpmath.mpf(T)), 1 / c
+            if a < t0 < b:
+                total += F(b) - 2 * F(t0) + F(a)
+            else:
+                total += abs(F(b) - F(a))
+            K += 1
+        return total
+
+
+def test_abs_integral_encloses_closed_form_at_s2():
+    """At s = 2, g'' = 2 c_K is constant and equals bounds' D2, so each step's
+    Taylor charge D2 h^3/(24 a^2) is nearly what |g| - |L| integrates to
+    away from the kink.  The enclosure holds with the charge, and the error
+    is 0.30 of the radius (measured), so a charge cut by 4 fails it."""
+    exact = _abs_Q2_exact(12.5)
+    got = integrate_abs_kernel(KernelSpec.make("Q", 2.0), 12.5, 1e-3)
+    err = abs(float(got.value - exact))
+    assert err <= got.radius
+    assert 0.28 <= err / got.radius <= 0.32
+    assert err > got.radius / 4
+
+
+def _line_quad(g0: complex, g1: complex, a: float, b: float, m: float):
+    """integral_a^b |g0 + g1 (t - m)|/t^2 by mpmath.quad at twice a float's
+    precision, split at the vertex v of |L| and at v +- 64 eta, where |L|
+    bends."""
+    with mpmath.workprec(106):
+        g0m, g1m = mpmath.mpc(g0), mpmath.mpc(g1)
+        f = lambda t: abs(g0m + g1m * (t - m)) / t ** 2
+        pts = [a, b]
+        if g1 != 0:
+            q = g0m / g1m
+            v, eta = m - mpmath.re(q), abs(mpmath.im(q))
+            pts = sorted({a, b, *(t for t in (v - 64 * eta, v, v + 64 * eta) if a < t < b)})
+        return mpmath.quad(f, pts)
+
+
+def _check_line(g0: complex, g1: complex, a: float, b: float, m: float) -> float:
+    """The closed form against quad, within its charged bound 16u E + X.
+    Returns the error over the bound."""
+    val, E, X = quadrature._abs_line_integral(g0.real, g0.imag, g1.real, g1.imag, a, b, m)
+    bound = 16 * quadrature._U * E + X
+    err = abs(val - _line_quad(g0, g1, a, b, m))
+    assert err <= bound, (g0, g1, a, b)
+    return float(err / bound)
+
+
+def test_taylor_steps_against_quad_at_rho1():
+    """Steps of the rho_1 head as integrate_abs_kernel cuts them: g(m) and
+    g'(m) at 2x precision, rounded to floats."""
+    spec = KernelSpec.make("Q", complex(0.5, 14.13))
+    ck = CellKernel(spec, 128)
+    for K, n, js in ((1, 40, (0, 17, 39)), (7, 12, (0, 5, 6, 11)), (54, 3, (0, 1, 2))):
+        with mpmath.workprec(256):
+            zeta = mpmath.zeta(ck.sm)
+            c = (ck.sm - 1) * (zeta - sum(mpmath.power(k, -ck.sm) for k in range(1, K + 1)))
+            for j in js:
+                a, b = K + j / n, K + (j + 1) / n
+                m = (mpmath.mpf(a) + mpmath.mpf(b)) / 2
+                cts = c * mpmath.power(m, ck.sm)
+                _check_line(complex(cts - m), complex(ck.sm * cts / m - 1), a, b, float(m))
+
+
+@pytest.mark.parametrize("kind", ["kink", "real", "far", "flat", "wide"])
+def test_taylor_closed_form_branches(kind):
+    """Lines with a zero near or inside the step (eta from 0 to 1e-3, where
+    eta_min clamps), real lines, |g0| >> |g1| (the constant branch), g1 = 0,
+    and a vertex far from the step on either side."""
+    rng = random.Random(kind)
+    for _ in range(40):
+        K = rng.choice([1, 2, 30, 187, 5000])
+        h = rng.choice([1.0, 0.1, 0.01, 1e-3])
+        a = K + rng.random() * (1 - h)
+        b = a + h
+        m = (a + b) / 2
+        g1 = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
+        t0 = a + rng.uniform(-0.5, 1.5) * h
+        if kind == "kink":
+            g0 = g1 * (m - t0 + 1j * rng.choice([0, 1e-20, 1e-12, 1e-6, 1e-3]))
+        elif kind == "real":
+            g1 = complex(g1.real)
+            g0 = g1 * (m - t0)
+        elif kind == "far":
+            g0, g1 = complex(rng.uniform(-10, 10), rng.uniform(-10, 10)), g1 * 1e-14
+        elif kind == "flat":
+            g0, g1 = complex(rng.uniform(-10, 10), rng.uniform(-10, 10)), 0j
+        else:
+            g0 = g1 * (m - rng.uniform(-3 * K, 3 * K) + 1j * rng.uniform(0, 3))
+        _check_line(g0, g1, a, b, m)
+
+
+def test_q_l1_head_evaluation_count(monkeypatch):
+    """q-l1's head at rho_1 reads g once per Taylor step: 378 times at 0.12
+    and 2085 at 1e-2 (the midpoint rule before it read it 2062 and 20 887
+    times)."""
+    calls = [0]
+    g = CellKernel.g
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return g(*args, **kwargs)
+
+    monkeypatch.setattr(CellKernel, "g", counted)
+    spec = KernelSpec.make("Q", complex(0.5, 14.13))
+    for target, cap in ((0.12, 600), (1e-2, 3500)):
+        calls[0] = 0
+        integrate_abs_kernel_to_infinity(spec, target)
+        assert calls[0] <= cap, (target, calls[0])

@@ -18,7 +18,9 @@ checkout's src:
   - `integrate_abs_kernel` cells/s (one cell is one unit cell [K, K+1), as
     perfbench counts `quadrature.cells`), timed around the call: the head
     [1, 55] of q-l1 at rho_1 = 0.5 + 14.13i with radius 0.45 * 0.12, as the
-    exact workload's q-l1 runs it;
+    exact workload's q-l1 runs it.  It also records, as a row of its own
+    (lower is better), the `CellKernel.g` evaluations per call, a count
+    that does not drift with the host;
   - `truncated_transforms` unit intervals/s (one unit is one interval
     [n, n+1) that meets [x, T], counted per transform), timed around one
     call for derivK2's weight m-check - 1 with its two moments: the stream
@@ -105,9 +107,18 @@ elif row == "transforms":
     usage = resource.getrusage(resource.RUSAGE_SELF)
     extra.update(minflt=usage.ru_minflt - before, maxrss_kib=usage.ru_maxrss)
 elif row == "q-l1":
+    from moebius.kernels import CellKernel
+    g, calls = CellKernel.g, [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return g(*args, **kwargs)
+
+    CellKernel.g = counted
     t = time.perf_counter()
     integrate_abs_kernel(KernelSpec.make("Q", complex(0.5, 14.13)), x, 0.45 * 0.12, 128)
     spent[0], units[0] = time.perf_counter() - t, math.ceil(x) - 1
+    extra.update(g_evals=calls[0])
 else:
     integrate_m_kernel(x, KernelFactor(KernelSpec.make("Q", 0.5 + 3j), 128), 128)
 print(json.dumps({"seconds": spent[0], "units": units[0], **extra}))
@@ -129,9 +140,11 @@ LAYER_ROWS = [(WALK, "terre batch, x = 24.99", "terre", 24.99),
               (WALK, "mieux-1 integrand, x = 1000", "mieux-1", 1000.0),
               ("integrate_abs_kernel cells/s", "q-l1 head [1, 55] at rho_1", "q-l1", 55.0)]
 TRANSFORMS = "truncated_transforms unit intervals/s"
-#: the counts a transform row also records: (row name, LAYER key, unit)
+#: the counts a layer row also records when LAYER reports them: (row name,
+#: LAYER key, unit)
 COUNTS = [("ru_minflt during the call", "minflt", "count"),
-          ("ru_maxrss of the process", "maxrss_kib", "KiB")]
+          ("ru_maxrss of the process", "maxrss_kib", "KiB"),
+          ("CellKernel.g evaluations per call", "g_evals", "count")]
 E2E_ROWS = [("verify --suite fast", ["--suite", "fast"]),
             ("verify --suite terre --threads 1", ["--suite", "terre", "--threads", "1"]),
             ("verify --suite q-l1 --threads 1", ["--suite", "q-l1", "--threads", "1"]),
