@@ -979,11 +979,10 @@ def run_check(check_id: str, grid: dict | None = None,
 #: about 0.1 s or more; run_suite submits the longest first, and an id not
 #: listed here counts 0
 _COST_S = {
-    "terre": 3.59, "mtronqchch": 1.4, "derivK2": 1.32, "mtronqch": 1.17, "em-cross": 1.11,
-    "abel": 1.07, "headline": 0.98, "mtronq": 0.75, "formule-m": 0.73,
-    "mieux-1": 0.63, "parchm": 0.56, "prop1-a": 0.38, "exact-Q-l1": 0.27, "prop2-c": 0.23,
-    "prop1-c": 0.22, "mieux-2": 0.18, "prop2-b": 0.15, "hel-truncation": 0.15, "prop1-b": 0.14,
-    "derivK3": 0.14, "q-l1": 0.12, "poids": 0.12, "parm": 0.11,
+    "mtronqchch": 1.05, "terre": 1.03, "derivK2": 0.87, "mtronqch": 0.86, "abel": 0.72,
+    "em-cross": 0.72, "headline": 0.72, "mtronq": 0.52, "formule-m": 0.44, "parchm": 0.38,
+    "prop1-a": 0.3, "mieux-1": 0.27, "exact-Q-l1": 0.18, "prop2-c": 0.18, "prop1-c": 0.17,
+    "prop2-b": 0.12, "prop1-b": 0.11, "q-l1": 0.1,
 }
 
 

@@ -125,12 +125,13 @@ def terre_batch(cells, x: float, precision: int = PRECISION,
     from one walk of the partition; with left_only, each item is (lhs,) and
     no right side is built.
 
-    Within the call every sequence's values, every Dirichlet convolution,
-    every summatory or inner-sum factor and every table of x^p n^-p or
-    log(x/n) the summatory factors read is built once, and each side equals
-    the side computed alone bit for bit.  Specs are told apart by repr, which
-    keeps 1 and 1.0 and 1+0j apart, so only specs that build identical
-    factors share one.
+    Within the call every sequence's values, every Dirichlet convolution
+    (one per unordered pair), every summatory or inner-sum factor, every
+    right side's phi and every table of x^p n^-p or log(x/n) the summatory
+    factors read is built once, so right sides of the same factors are one
+    integrand of the walk, and each side equals the side computed alone bit
+    for bit.  Specs are told apart by repr, which keeps 1 and 1.0 and 1+0j
+    apart, so only specs that build identical factors share one.
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
@@ -159,12 +160,13 @@ def terre_batch(cells, x: float, precision: int = PRECISION,
             over_t])
         if left_only:
             continue
-        conv = factor(("conv", ka, kb),
+        pair = tuple(sorted((ka, kb)))  # a*b = b*a exactly, in ints and Fractions
+        conv = factor(("conv", *pair),
                       lambda: _mp_values(dirichlet_convolve(a, b, N), precision))
         integrands.append([
-            factor(("S", ka, kb, ko),
+            factor(("S", *pair, ko),
                    lambda: SummatoryFactor(conv, omega, x, bits, tables=tables)),
-            PowLogSum.from_spec(phi), over_t])
+            factor(("phi", kp), lambda: PowLogSum.from_spec(phi)), over_t])
     sides = integrate_partitions(x, integrands, precision=precision)
     step = 1 if left_only else 2
     return [tuple(sides[j:j + step]) for j in range(0, len(sides), step)]

@@ -670,7 +670,7 @@ def _mieux2_sides(tt: TruncatedTransform, prec: int):
         x1s_a = ApproxValue.exact(x1s)
         lhs = z * (msum - snap.m * x1s_a
                    - ApproxValue.exact(smc - 1) * (snap.m_check - 1) * x1s_a) - 1
-        conv = integrate_m_kernel(x, KernelFactor(KernelSpec(Q, sp), prec), prec,
+        conv = integrate_m_kernel(x, KernelFactor(KernelSpec(Q, sp), prec, 1e-33), prec,
                                   weight="mcheck1")
         # integral_x^inf (log t - H + gamma) t^{-s} dt = -(hgap transform)
         hterm = -tt.basis[0]

@@ -21,49 +21,52 @@ multiplied out once per call and composed with the antiderivative (a fixed
 linear map per (p, j), see `_antiderivative`) into one map from the factors'
 slot tuples to the antiderivative's slots t^q log^i t.
 
+Runs (Dirichlet's hyperbola split).  A factor indexed by N holds one vector
+while N does, one indexed by K while K does.  The walk cuts [1, x] at k0 =
+isqrt(floor x) + 1 into runs, the K-runs [K, K + 1] below k0 and the N-runs
+from k0 on, about 2 sqrt(x) in all.  Over a run an integrand's factors of
+the run's index (its constant side, vector product C) hold and its other
+varying factors (its summed side, product V) change.  Per distinct (summed
+factors, compiled shape) the batch keeps one accumulator A = sum over spans
+of V (x) (u(b) - u(a)), a span being a stretch of pieces over which V is one
+vector (a factor keeps its vector object while the vector is equal), and at
+the run's end each integrand adds sum over terms C m A.  With no summed
+side, A is u(end) - u(start) over the whole run.  So an integrand pays one
+combine per run and an accumulator one span per change of its vectors, not
+one product per piece.
+
 Batches: `integrate_partitions` integrates many integrands over [1, x] in one
-walk of the partition per need_inverse_points flag (integrands with an
-N-indexed factor need the points x/n; the rest walk the integers alone), and
-`integrate_partition` is its batch of one.  Shared across the batch, per
-breakpoint: log t, and t^q once per distinct exponent q of all integrands;
-per distinct compiled shape (the same slots over the same exponents): the
-slot values t^q log^i t and their difference across each piece; per factor:
-its coefficient vector, read and floored once per distinct index value.  Each
-breakpoint serves the two pieces that meet there.  Every one of these values
-depends only on (x, prec, its own q, i or shape), never on the rest of the
-batch, so each value and radius equals the lone integral's bit for bit.  The
-walk's state is rolling, O(integrands x slots) and never O(pieces).
+walk per need_inverse_points flag (integrands with an N-indexed factor need
+the points x/n; the rest walk the integers alone, which keeps their slot
+scales), and `integrate_partition` is its batch of one.  Integrands of the
+same factor objects are evaluated once, and those whose factors have the same
+shapes (and constant factors the same values) share one compiled map.  Shared
+across the batch, per breakpoint: log t, and t^q per distinct exponent; per
+compiled shape, the slot values; per factor, its vector, read and floored
+once per distinct index value; per (summed factors, shape), an accumulator.
+Each depends only on (x, prec, its own q, i, shape or factors), never on the
+rest of the batch, and every sum is exact, so each value and radius equals
+the lone integral's bit for bit.  The walk's state is rolling, O(integrands
+x slots) and never O(pieces).
 
 Fixed point.  The walk runs in Python ints: an int a at scale W stands for
 a 2^-W, a complex value is a pair of ints, and a sum or product of ints is
 exact.  Errors enter only where a value is floored to a scale, and each such
-error is counted against the radius model below, which is unchanged: each
-piece adds to a float condition tracker cond the absolute-coefficient sum
-F_abs . (|u(a)| + |u(b)|) over its antiderivative slots u = t^q log^i t, plus
-the contribution's magnitude, and the radius is eps(prec) * 64 * cond, plus
-zeta_radius * sens for a factor with imported zeta data (the Q and R kernels),
-whose zeta column, the derivative of its coefficients in zeta(s), the same
-map turns into the integral's sensitivity to zeta.  The fixed-point error is
-held below eps(prec) cond / 64, so the 64 eps cond that covers the
-coefficient data's own rounding is left nearly whole.  With P = prec, on [1, x]
-(x <= 2^24), b1 the least breakpoint above 1, lb a float lower bound of
-log b1 and lbits = ceil(log2(1/lb)) (lb < log 2 < 1), and per exponent q
-up = ceil(max(0, Re q) log2 x) + 1, down = ceil(max(0, -Re q) log2 x) + 1:
+error is counted against the radius model: each span over which an
+integrand's coefficient vector F is one vector (an accumulator's span in a
+run, or a run with no summed side) adds to a float condition tracker cond
+the sum F_abs . (|u(a)| + |u(b)|) over its antiderivative slots u = t^q
+log^i t at the span's two ends, and the radius is eps(prec) * 64 * cond
+plus the zeta term below.  The fixed-point error is held below eps(prec)
+cond / 64, so the 64 eps cond that covers the coefficient data's own
+rounding is left nearly whole.  With P = prec, and lbits and down as in
+`breakpoints` (lb <= log b1, b1 the least breakpoint above 1, 2^-down <=
+min(1, x^Re q) on [1, x]):
 
-- log t, at scale WL = P + 22 + lbits: log k from a `DirichletTable` (off by
-  2 Omega(k) <= 48 units), log x - log n at x/n (log x floored once, < 1 unit
-  more), so off by < 2^6 units: relative r_L <= 2^(6 - WL) / lb <=
-  2^-(P+16) at every breakpoint but 1, where log 1 = 0 exactly.  L^i is
-  formed exactly, relative error <= 2 i r_L <= 2^-(P+9) for i <= 64.
-- t^q, at scale WT = P + 18 + down: k^q from a table of k^-s, s = -q, whose
-  terms are off by <= Omega(k) (C_PRIME + C_MUL) k^max(0, Re q) < 2^7
-  k^max(0, Re q) units (dsum); against |k^q| = k^Re q that is relative
-  <= 2^(7 + down - WT) = 2^-(P+11).  At x/n, x^q n^-q: n^-q from a table at
-  P + 18 + up bits (relative <= 2^-(P+11) by the same count), x^q from mpmath
-  at WT + 8 bits (relative <= 2^-(P+25)), and the product floored to WT
-  (< 2 units against |t^q| >= min(1, x^Re q) >= 2^-down: <= 2^-(P+17)).  An
-  integer q needs no table: k^q, and x^q n^-q as one floor division (< 1
-  unit).  So t^q is off by relative r_T <= 2^-(P+10), and exactly 1 at t = 1.
+- log t and t^q come from `breakpoints`' tables, at scales WL = P + 22 +
+  lbits and WT = P + 18 + down, off by relative r_L <= 2^-(P+16) (exact at
+  t = 1) and r_T <= 2^-(P+10) (exactly 1 at t = 1), as derived there.  L^i
+  is formed exactly, relative error <= 2 i r_L <= 2^-(P+9) for i <= 64.
 - u = t^q L^i is formed exactly and floored to its shape's scale Ws = P + 10
   + max over the shape's slots of (down + i lbits): < 2 units against
   |u| >= 2^-down lb^i, relative <= 2^-(P+9).  Every slot value is therefore
@@ -82,27 +85,46 @@ up = ceil(max(0, Re q) log2 x) + 1, down = ceil(max(0, -Re q) log2 x) + 1:
 - Products, the dot product with the endpoint difference, and the running
   total are exact; the total becomes an mpf exactly and rounds once.
 
-Per piece, |F~ D~ - F d| <= sum_o |F~_o - F_o| |D~_o| + |F_o| |D~_o - d_o|
-<= (2^-(P+9) + 2^-(P+6)) (1 + 2^-20) sum_o F_abs_o (|u_o(a)| + |u_o(b)|),
-the float slack covering the rounding of the abs values, so the walk's error
-is at most 2^-(P+5) cond = eps(prec) cond / 64.  Exponents that are not
-doubles (q = p + 1 for a tiny p, say) are exact mpf values, and the tables
-take them exactly.
+Per span F is one vector, so the integral over it is F . d, d = u(b) - u(a),
+exactly; the walk forms F~ . D~ with D~ = u~(b) - u~(a) exactly in ints (the
+slot values at the span's inner breakpoints cancel), and |F~ D~ - F d| <=
+sum_o |F~_o - F_o| |D~_o| + |F_o| |D~_o - d_o| <= (2^-(P+9) + 2^-(P+6))
+(1 + 2^-20) sum_o F_abs_o (|u_o(a)| + |u_o(b)|), the float slack covering
+the rounding of the abs values and of cond's sums, so the walk's error is
+at most 2^-(P+5) cond = eps(prec) cond / 64.  The coefficient data's own
+error against the same d counts the same way.  A piece is a span, so cond
+is at most the sum over pieces.  It needs no term for a contribution's
+magnitude, as the mpf walk's rounded sums did: the sums are exact, and the
+one rounding, of the total to P + 96 bits, is off by at most 2^-(P+95)
+|total| <= 2^-(P+94) cond.  Exponents that are not doubles (q = p + 1 for a
+tiny p, say) are exact mpf values, and the tables take them exactly.
+
+The zeta term: a zeta factor's vector is affine in zeta(s) (c_K = (s-1)
+(zeta - P_K)) and an integrand is linear in each factor, so with one zeta
+factor the integral is affine in zeta, and an error dz moves it by exactly
+dz sigma, sigma = sum over spans of F_z . d, F_z the coefficients with the
+factor's zeta column (its derivative in zeta) in place of its vector.  The
+walk forms sigma~ over the same spans, exactly, and adds zeta_radius
+(|sigma~| + 64 eps cond_z), cond_z sigma's tracker as cond is the value's:
+one |.| for the whole walk, at most the sum over pieces of |.|.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
+from operator import add
 
 import mpmath
 from mpmath import mpc, mpf
 
 from .approx import PRECISION, ApproxValue, RIGOROUS, eps_for, radd
+from .breakpoints import (_Logs, _Powers, _exact_scale, _fix, _headroom, _log_bits, _mp_parts,
+                          _shared, _shift)
 from .constants import gamma_const
 from .dsum import (DirichletTable, exact_ratio, fixed_abs, fixed_magnitude, fixed_to_float,
                    fixed_to_mp)
@@ -264,135 +286,6 @@ class Partition:
             q = ra[1] * rb[1]
             yield a, b, (2 * num * q) // (den * s), s // (2 * q)
             a, ra = b, rb
-
-
-# ---------------------------------------------------------------------------
-# Fixed point (see the module docstring): ints at a scale W stand for
-# value * 2^W; complex values are (re, im) pairs, im None when real-typed.
-# ---------------------------------------------------------------------------
-
-def _mp_parts(v) -> tuple:
-    """(re, im) raw mpf tuples of v, im None when v is real-typed."""
-    t = type(v)
-    if t is mpf:
-        return v._mpf_, None
-    if t is mpc:
-        return v._mpc_
-    return _mp_parts(mpmath.mpmathify(v))
-
-
-def _fix(t: tuple, G: int) -> int:
-    """The raw mpf t times 2^G, truncated toward zero (exact when G >= -exp)."""
-    sign, man, exp, _ = t
-    s = exp + G
-    v = man << s if s >= 0 else man >> -s
-    return -v if sign else v
-
-
-def _exact_scale(parts) -> int:
-    """The least G at which every raw mpf in `parts` (None skipped) is an int."""
-    return max((-t[2] for t in parts if t is not None and t[1]), default=0)
-
-
-def _shift(v: int, s: int) -> int:
-    """v * 2^-s, floored: s < 0 shifts left, exactly."""
-    return v >> s if s >= 0 else v << -s
-
-
-def _floored(vec: tuple, Wc: int) -> tuple:
-    """(G, re, im, absv): a factor's exact vector (S, re, im, absv) floored to
-    the scale G = max_j (Wc - e_j), 2^(e_j - 1) <= absv_j < 2^e_j."""
-    S, re, im, absv = vec
-    G = max((Wc - math.frexp(a)[1] for a in absv if a), default=0)
-    s = S - G
-    return G, [_shift(v, s) for v in re], None if im is None else [_shift(v, s) for v in im], absv
-
-
-def _headroom(q, log2x: float) -> tuple[int, int]:
-    """(up, down): x^Re q <= 2^(up - 1) and x^-Re q <= 2^(down - 1) on [1, x]."""
-    q_re = float(mpmath.re(q))
-    return (math.ceil(max(0.0, q_re) * log2x) + 1,
-            math.ceil(max(0.0, -q_re) * log2x) + 1)
-
-
-def _log_bits(num: int, den: int) -> int:
-    """ceil(log2(1 / lb)) for a float lower bound lb of log(num/den) > 0."""
-    lb = math.log1p((num - den) / den)
-    return max(0, math.ceil(-math.log2(lb * (1 - 2.0**-40))))
-
-
-class _Logs:
-    """log t at scale W for t = k and t = x/n, k, n <= N: each off by < 2^6 units."""
-
-    def __init__(self, x, W: int, N: int):
-        self.W = W
-        table = DirichletTable(0, 0, 0, logs=True, W=W)
-        table.extend(N)
-        self.log = table.log
-        with mpmath.mp.workprec(W + 30):
-            self.LX = int(mpmath.floor(mpmath.ldexp(mpmath.log(mpf(x)), W)))
-
-    def at_inv(self, n: int) -> int:
-        return self.LX - self.log[n]
-
-
-def _shared(tables: dict, cls, *args):
-    """cls(*args), built once per argument tuple in `tables`."""
-    key = (cls, *args)
-    if key not in tables:
-        tables[key] = cls(*args)
-    return tables[key]
-
-
-class _Powers:
-    """t^q at scale W for t = k and t = x/n, k, n <= N, x = num/den, each off
-    by relative <= 2^-(bits + 10): for an integer q one exact floor division
-    each, else a table of k^q, and x^q times a table of n^-q."""
-
-    def __init__(self, q, num: int, den: int, bits: int, ints: bool, N: int):
-        q = mpmath.mpmathify(q)
-        re, im = (q.real, q.imag) if type(q) is mpc else (q, mpf(0))
-        up, down = _headroom(q, math.log2(num) - math.log2(den))
-        self.W = W = bits + 18 + down
-        self.real = im == 0
-        self.n = int(re) if self.real and re == int(re) else None
-        if self.n is not None:
-            self.num, self.den = num, den
-            return
-        if ints:
-            self.A = DirichletTable(-re, -im, 0, W=W)
-            self.A.extend(N)
-        W_B, W_X = bits + 18 + up, W + 8
-        self.B = DirichletTable(re, im, 0, W=W_B)
-        self.B.extend(N)
-        self.shift = W_X + W_B - W
-        with mpmath.mp.workprec(W_X + up + 30):
-            v = mpmath.power(mpf(num) / den, q)
-            self.X = tuple(int(mpmath.floor(mpmath.ldexp(part(v), W_X)))
-                           for part in (mpmath.re, mpmath.im))
-
-    def _ratio(self, a: int, b: int) -> int:
-        """(a/b)^n at scale W, floored (exact for b = 1 and n >= 0)."""
-        n = self.n
-        if n < 0:
-            a, b, n = b, a, -n
-        return ((a ** n) << self.W) // b ** n
-
-    def at_int(self, k: int) -> tuple:
-        if self.n is not None:
-            return self._ratio(k, 1), None
-        parts = self.A.parts
-        return (parts[0][k], None) if self.real else (parts[0][k], parts[1][k])
-
-    def at_inv(self, n: int) -> tuple:
-        if self.n is not None:
-            return self._ratio(self.num, self.den * n), None
-        Xr, Xi = self.X
-        br, s = self.B.parts[0][n], self.shift
-        if self.real:
-            return (Xr * br) >> s, None
-        bi = self.B.parts[1][n]
-        return (Xr * br - Xi * bi) >> s, (Xr * bi + Xi * br) >> s
 
 
 # ---------------------------------------------------------------------------
@@ -726,62 +619,116 @@ def _compile(factors: list):
     return varying, exponents, list(slots), terms
 
 
-def _products(terms, vecs, n: int, cplx: bool):
-    """(F_re, F_im, F_abs): the antiderivative's slot coefficients on one
-    piece, exact at the vectors' scales plus the map's, and their abs sums;
-    F_im is None unless cplx."""
-    F_abs = [0.0] * n
-    F = [0] * n
-    if not cplx:
-        for tup, outs in terms:
-            c, c_abs = 1, 1.0
-            for v, i in zip(vecs, tup):
-                c *= v[1][i]
-                c_abs *= v[3][i]
-            for o, M, _, m_abs in outs:
-                F[o] += c * M
-                F_abs[o] += c_abs * m_abs
-        return F, None, F_abs
-    Fi = [0] * n
-    for tup, outs in terms:
-        cr, ci, c_abs = 1, 0, 1.0
-        for v, i in zip(vecs, tup):
-            vr, vi = v[1][i], (v[2][i] if v[2] is not None else 0)
-            cr, ci = cr * vr - ci * vi, cr * vi + ci * vr
-            c_abs *= v[3][i]
-        for o, Mr, Mi, m_abs in outs:
-            F[o] += cr * Mr - ci * Mi
-            Fi[o] += cr * Mi + ci * Mr
-            F_abs[o] += c_abs * m_abs
-    return F, Fi, F_abs
+def _floored(vec: tuple, Wc: int) -> tuple:
+    """(G, re, im, absv): a factor's exact vector (S, re, im, absv) floored to
+    the scale G = max_j (Wc - e_j), 2^(e_j - 1) <= absv_j < 2^e_j."""
+    S, re, im, absv = vec
+    G = max((Wc - math.frexp(a)[1] for a in absv if a), default=0)
+    s = S - G
+    return G, [_shift(v, s) for v in re], None if im is None else [_shift(v, s) for v in im], absv
 
 
-def _dot(F, Fi, d_re, d_im) -> tuple:
-    """sum_o F[o] d[o] as (re, im), im None for real F and d."""
-    if Fi is None and d_im is None:
-        return sum(map(mul, F, d_re)), None
-    if Fi is None:
-        return sum(map(mul, F, d_re)), sum(map(mul, F, d_im))
-    if d_im is None:
-        return sum(map(mul, F, d_re)), sum(map(mul, Fi, d_re))
-    return (sum(map(mul, F, d_re)) - sum(map(mul, Fi, d_im)),
-            sum(map(mul, F, d_im)) + sum(map(mul, Fi, d_re)))
+def _product(vecs: list) -> tuple:
+    """The flat product of fixed-point vectors (G, re, im, absv), row-major in
+    the order given, exact at the sum of the scales (im None when every
+    vector is real-typed); a `_diff` is such a vector too."""
+    G, re, im, ab = vecs[0] if vecs else (0, [1], None, [1.0])
+    for Gv, vr, vi, va in vecs[1:]:
+        if im is None and vi is None:
+            re = [a * c for a in re for c in vr]
+        else:
+            im, vi = im or [0] * len(re), vi or [0] * len(vr)
+            re, im = ([a * c - b * d for a, b in zip(re, im) for c, d in zip(vr, vi)],
+                      [a * d + b * c for a, b in zip(re, im) for c, d in zip(vr, vi)])
+        G, ab = G + Gv, [a * c for a in ab for c in va]
+    return G, re, im, ab
+
+
+def _diff(Ws: int, ea: tuple, eb: tuple) -> tuple:
+    """(Ws, re, im, uab): a shape's slot differences u(b) - u(a) between two
+    endpoints (`_walk`'s `endpoint`), and the floats |u(a)| + |u(b)|."""
+    return (Ws, [b - a for a, b in zip(ea[0], eb[0])],
+            None if ea[1] is None else [b - a for a, b in zip(ea[1], eb[1])],
+            [a + b for a, b in zip(ea[2], eb[2])])
+
+
+def _add(acc: list, S: int, re: list, im, ab: list) -> None:
+    """acc += (re, im, ab): acc = [S, re, im, abs] holds exact ints at scale S,
+    raised as needed (im None until a complex-typed term), and float sums."""
+    if acc[0] is None:
+        acc[0] = S
+    elif S > acc[0]:
+        up = S - acc[0]
+        acc[:3] = S, [r << up for r in acc[1]], acc[2] and [r << up for r in acc[2]]
+    elif S < acc[0]:
+        re, im = [r << (acc[0] - S) for r in re], im and [r << (acc[0] - S) for r in im]
+    acc[1] = list(map(add, acc[1], re))
+    if im is not None:
+        acc[2] = list(map(add, acc[2] or [0] * len(re), im))
+    acc[3] = list(map(add, acc[3], ab))
+
+
+def _span(acc: list, vecs: list, d: tuple) -> None:
+    """Add to an accumulator one span over which the vectors hold: the flat
+    products V_j d_o and |V|_j uab_o, d's slots innermost."""
+    _add(acc, *_product([*vecs, d]))
+
+
+def _combine(terms: list, Gm: int, cplx: bool, C: tuple, A: tuple) -> tuple:
+    """(re, im, S, cond) of one run: the exact sum over `terms` [(jc, [(i, Mr,
+    Mi, m_abs)])] of C[jc] M A[i] at scale S = Gm + C's + A's (im None when
+    all are real), and the float sum of |C|[jc] m_abs |A|[i]; C a `_product`,
+    A an accumulator or a `_diff`."""
+    Gc, cr, ci, ca = C
+    SA, ar, ai, aa = A
+    re, im, cond = 0, 0, 0.0
+    if not cplx and ci is None and ai is None:
+        for jc, outs in terms:
+            s, sa = 0, 0.0
+            for i, M, _, m_abs in outs:
+                s += M * ar[i]
+                sa += m_abs * aa[i]
+            re += cr[jc] * s
+            cond += ca[jc] * sa
+        return re, None, Gm + Gc + SA, cond
+    ci, ai = ci or [0] * len(cr), ai or [0] * len(ar)
+    for jc, outs in terms:
+        sr, si, sa = 0, 0, 0.0
+        for i, Mr, Mi, m_abs in outs:
+            sr += Mr * ar[i] - Mi * ai[i]
+            si += Mr * ai[i] + Mi * ar[i]
+            sa += m_abs * aa[i]
+        re += cr[jc] * sr - ci[jc] * si
+        im += cr[jc] * si + ci[jc] * sr
+        cond += ca[jc] * sa
+    return re, im, Gm + Gc + SA, cond
+
+
+def _runs(part: Partition, k0: int):
+    """(b, N, K, end) per piece (a, b, N, K) of `part`, end when the piece is
+    the last of its run: of its K-run below k0, of its N-run from k0 on."""
+    pieces = part.pieces()
+    prev = next(pieces)
+    for nxt in itertools.chain(pieces, [None]):
+        _, b, N, K = prev
+        yield b, N, K, nxt is None or (nxt[3] != K if K < k0 else nxt[2] != N)
+        prev = nxt
 
 
 class _Integrand:
-    """One integrand's compiled shape and exact running sums over a walk.
+    """One distinct integrand of a walk: its compiled shape (`_compile`, with
+    each slot's exponent as an index into the walk's exponents and the map's
+    coefficients m as ints at one exact scale Gm), its varying factors and
+    their slots among the walk's, per zeta factor its position and column
+    floored as the walk floors a vector, and the exact running totals [re,
+    im, S, cond] of its value and of each zeta slope."""
 
-    `shape` indexes the walk's endpoint vectors: the integrand's slots with
-    each exponent replaced by its index among the walk's distinct exponents.
-    The map's coefficients m are ints at one exact scale Gm.
-    """
-
-    def __init__(self, factors: list, exponent_index, Wc: int):
+    def __init__(self, factors: list, exponent_index):
         self.varying, exponents, slots, terms = _compile(factors)
         if len(self.varying) > MAX_LOG_DEGREE or any(i > MAX_LOG_DEGREE for _, i in slots):
             raise UnsupportedKernelError(
                 f"at most {MAX_LOG_DEGREE} step factors and log degree {MAX_LOG_DEGREE}")
-        self.n = len(slots)
+        self.n, self.lens = len(slots), [len(f.shape) for f in self.varying]
         self.shape = tuple((exponent_index(exponents[g]), i) for g, i in slots)
         parts = {id(m): _mp_parts(m) for _, outs in terms for _, m, _ in outs}
         self.Gm = Gm = _exact_scale(t for re, im in parts.values() for t in (re, im))
@@ -794,53 +741,42 @@ class _Integrand:
                               _fix(parts[id(m)][1], Gm) if parts[id(m)][1] else 0, m_abs)
                              for o, m, m_abs in outs])
                       for tup, outs in terms]
-        # per zeta factor: its position, the terms its zeta column reaches, and
-        # the column floored as the walk floors a vector
-        self.zeta = [(pos, [(tup, outs) for tup, outs in self.terms
-                            if any(part and part[tup[pos]] for part in f.zeta_column[1:3])],
-                      _floored(f.zeta_column, Wc))
-                     for pos, f in enumerate(self.varying) if hasattr(f, "zeta_column")]
-        self.zeta_sens = [0.0] * len(self.zeta)
-        self.re, self.im, self.S = 0, 0, None
-        self.cond = 0.0
+        self.splits = {}
 
-    def _add(self, re: int, im: int | None, S: int) -> None:
-        if self.S is None or S > self.S:
-            up = 0 if self.S is None else S - self.S
-            self.re, self.im, self.S = self.re << up, self.im << up, S
-        elif S < self.S:
-            re, im = re << (self.S - S), (im << (self.S - S) if im else im)
-        self.re += re
-        if im:
-            self.im += im
+    def bind(self, varying: list, fslots: list, Wc: int) -> "_Integrand":
+        """This compiled shape for one integrand's own varying factors."""
+        out = copy.copy(self)
+        out.varying, out.fslots = varying, fslots
+        out.zeta = [(pos, _floored(f.zeta_column, Wc)) for pos, f in enumerate(varying)
+                    if hasattr(f, "zeta_column")]
+        out.totals = [[None, [0], None, [0.0]] for _ in range(len(out.zeta) + 1)]
+        return out
 
-    def add_piece(self, vecs, diff, uab) -> None:
-        """Add one piece, given each varying factor's fixed-point vector, the
-        shape's endpoint difference (Ws, re, im) and the floats |u(a)| + |u(b)|."""
-        Ws, d_re, d_im = diff
-        S = self.Gm + Ws
-        cplx = self.cplx or d_im is not None
-        for v in vecs:
-            S += v[0]
-            if v[2] is not None:
-                cplx = self.typed_cplx = True
-        F, Fi, F_abs = _products(self.terms, vecs, self.n, cplx)
-        re, im = _dot(F, Fi, d_re, d_im)
-        self._add(re, im, S)
-        self.cond += sum(map(mul, F_abs, uab)) + fixed_magnitude(re, im, S)
-        for z, (pos, zterms, zvec) in enumerate(self.zeta):
-            zvecs = list(vecs)
-            zvecs[pos] = zvec
-            Fz, Fzi, _ = _products(zterms, zvecs, self.n, cplx or zvec[2] is not None)
-            Sz = S - vecs[pos][0] + zvec[0]
-            self.zeta_sens[z] += fixed_magnitude(*_dot(Fz, Fzi, d_re, d_im), Sz)
+    def split(self, var: tuple) -> list:
+        """The terms as [(jc, [(jv n + o, Mr, Mi, m_abs)])], jv a term's flat
+        index over the positions `var` and jc over the others (as `_product`
+        flattens)."""
+        if var not in self.splits:
+            const = [p for p in range(len(self.lens)) if p not in var]
+            out = self.splits[var] = []
+            for tup, outs in self.terms:
+                jc = jv = 0
+                for p in const:
+                    jc = jc * self.lens[p] + tup[p]
+                for p in var:
+                    jv = jv * self.lens[p] + tup[p]
+                out.append((jc, [(jv * self.n + o, Mr, Mi, m_abs) for o, Mr, Mi, m_abs in outs]))
+        return self.splits[var]
 
-    def result(self, prec: int) -> ApproxValue:
-        radius = eps_for(prec) * 64.0 * self.cond
-        for (pos, _, _), sens in zip(self.zeta, self.zeta_sens):
-            radius += self.varying[pos].zeta_radius * sens
-        typed = self.S is not None and self.typed_cplx
-        value = fixed_to_mp(self.re, self.im if typed else None, self.S or 0, prec + _GUARD)
+    def result(self, prec: int, typed_cplx: bool) -> ApproxValue:
+        (S, (re,), im, (cond,)), eps = self.totals[0], eps_for(prec)
+        radius = eps * 64.0 * cond
+        for (pos, _), (zS, (zr,), zi, (zcond,)) in zip(self.zeta, self.totals[1:]):
+            if zS is not None:
+                radius += self.varying[pos].zeta_radius * (
+                    fixed_magnitude(zr, zi and zi[0], zS) + eps * 64.0 * zcond)
+        value = fixed_to_mp(re, (im or [0])[0] if S is not None and typed_cplx else None,
+                            S or 0, prec + _GUARD)
         return ApproxValue(value, radd(radius), RIGOROUS, prec)
 
 
@@ -862,19 +798,35 @@ def _walk(part: Partition, integrands: list, prec: int) -> list[ApproxValue]:
             return where[key]
 
         Wc = prec + _COEF_BITS
-        runs = [_Integrand(factors, exponent_index, Wc) for factors in integrands]
-        keys = part.keys
-        if len(keys) < 2 or not runs:
-            return [r.result(prec) for r in runs]
-        factors, slot_of = [], {}  # the distinct varying factors, and id -> position
-        for r in runs:
-            for f in r.varying:
-                if id(f) not in slot_of:
-                    slot_of[id(f)] = len(factors)
+        factors, slot_of, compiled, distinct = [], {}, {}, {}
+        for fs in integrands:  # integrands of the same factor objects are one
+            if tuple(map(id, fs)) in distinct:
+                continue
+            key = tuple((f.index, *((type(p), p, k) for p, k in f.shape))
+                        + (() if f.index else (*((type(v), v) for v in f.values), *f.abs_values))
+                        for f in fs)  # all that _compile reads
+            if key not in compiled:
+                compiled[key] = _Integrand(fs, exponent_index)
+            varying = [f for f in fs if f.index is not None]
+            for f in varying:
+                slot_of.setdefault(id(f), len(factors))
+                if slot_of[id(f)] == len(factors):
                     factors.append(f)
-            r.fslots = [slot_of[id(f)] for f in r.varying]
+            distinct[tuple(map(id, fs))] = compiled[key].bind(
+                varying, [slot_of[id(f)] for f in varying], Wc)
+        seen = [False] * len(factors)  # a vector of the factor was complex-typed
+
+        def results():
+            out = {id(r): r.result(prec, r.typed_cplx or any(seen[j] for j in r.fslots))
+                   for r in distinct.values()}
+            return [out[id(distinct[tuple(map(id, fs))])] for fs in integrands]
+
+        keys = part.keys
+        if len(keys) < 2 or not distinct:
+            return results()
         shapes = {}  # distinct compiled shape -> its index
-        shape_of = [shapes.setdefault(r.shape, len(shapes)) for r in runs]
+        for r in distinct.values():
+            shapes.setdefault(r.shape, len(shapes))
 
         N = part.num // part.den
         log2x = math.log2(part.num) - math.log2(part.den)
@@ -910,23 +862,70 @@ def _walk(part: Partition, integrands: list, prec: int) -> list[ApproxValue]:
                 out.append((re, im, [tq_abs[g] * abs(logt_f) ** i for g, i, _ in slots]))
             return out
 
-        cur, at = [None] * len(factors), [None] * len(factors)
-        readers = [(j, f.index == "N", f.exact) for j, f in enumerate(factors)]
-        end_b = endpoint(keys[0])
-        for _, key, N, K in part.pieces():
-            end_a, end_b = end_b, endpoint(key)
-            for j, by_N, exact in readers:
-                idx = N if by_N else K
-                if at[j] != idx:
-                    at[j] = idx
-                    cur[j] = _floored(exact(idx), Wc)
-            diffs = [((Ws, [b - a for a, b in zip(ea[0], eb[0])],
-                       None if ea[1] is None else [b - a for a, b in zip(ea[1], eb[1])]),
-                      [ua + ub for ua, ub in zip(ea[2], eb[2])])
-                     for (Ws, _, _), ea, eb in zip(plans, end_a, end_b)]
-            for r, sh in zip(runs, shape_of):
-                r.add_piece([cur[j] for j in r.fslots], *diffs[sh])
-        return [r.result(prec) for r in runs]
+        # The runs (module docstring): K-runs below k0 and N-runs from k0 on.
+        # Per region, each integrand's combines, and per (summed factors,
+        # shape) an accumulator; a run with no summed factor telescopes.
+        k0 = math.isqrt(N) + 1
+        fire, accs = ([], []), ({}, {})
+        for r in distinct.values():
+            sh, nv = shapes[r.shape], len(r.varying)
+            for region, index in enumerate("KN"):
+                for k, (z, zvec) in enumerate([(None, None), *r.zeta]):
+                    var = tuple(p for p in range(nv) if r.varying[p].index != index and p != z)
+                    m = r.n * math.prod(r.lens[p] for p in var)
+                    acc = var and accs[region].setdefault(
+                        (tuple(r.fslots[p] for p in var), sh), [None, [0] * m, None, [0.0] * m])
+                    fire[region].append((r, k, r.split(var), acc or None, sh,
+                                         [zvec if p == z else r.fslots[p]
+                                          for p in range(nv) if p not in var]))
+        cur = [None] * len(factors)
+        since = {}  # accumulator key -> where its summed vectors hold from, if not the run's start
+        users = {}  # (factor slot, region) -> the keys of the accumulators that sum the factor
+        for region, keyed in enumerate(accs):
+            for key in keyed:
+                for j in key[0]:
+                    users.setdefault((j, region), []).append(key)
+
+        def flush(region, key, upto):
+            """Add the span since `since[key]` up to the endpoint upto to the accumulator."""
+            frm, sh = since.pop(key, start), key[1]
+            if frm is not upto:
+                _span(accs[region][key], [cur[j] for j in key[0]],
+                      _diff(plans[sh][0], frm[sh], upto[sh]))
+
+        readers = {i: [(j, f.exact) for j, f in enumerate(factors) if f.index == i] for i in "NK"}
+        at = {}
+        start = e = endpoint(keys[0])
+        for b, N, K, end in _runs(part, k0):
+            ea, e = e, endpoint(b)
+            region = K >= k0
+            for i, idx in (("N", N), ("K", K)):
+                if at.get(i) == idx:
+                    continue
+                at[i] = idx
+                for j, exact in readers[i]:
+                    v = _floored(exact(idx), Wc)
+                    if v != cur[j]:  # an equal vector keeps its object, and its spans
+                        for key in users.get((j, region), ()):
+                            flush(region, key, ea)
+                            since[key] = ea
+                        cur[j] = v
+                        seen[j] |= v[2] is not None
+            if end:
+                for key in accs[region]:
+                    flush(region, key, e)
+                tel = {}  # per shape: the slot differences across the run
+                for r, k, terms, acc, sh, csrc in fire[region]:
+                    if acc is None:
+                        acc = tel.get(sh) or tel.setdefault(
+                            sh, _diff(plans[sh][0], start[sh], e[sh]))
+                    C = _product([cur[s] if type(s) is int else s for s in csrc])
+                    re, im, S, cond = _combine(terms, r.Gm, r.cplx, C, acc)
+                    _add(r.totals[k], S, [re], None if im is None else [im], [cond])
+                for acc in accs[region].values():
+                    acc[:] = None, [0] * len(acc[1]), None, [0.0] * len(acc[1])
+                start = e
+        return results()
 
 
 def integrate_partitions(x: float, integrands: list,

@@ -226,3 +226,15 @@ def test_terre_batch_builds_each_table_once(monkeypatch):
         alone = terre_sides(*spec, x)
         assert (lhs.value, lhs.radius, rhs.value, rhs.radius) == (
             alone[0].value, alone[0].radius, alone[1].value, alone[1].radius)
+
+
+def test_swapped_sequence_pairs_share_one_right_side():
+    # a*b = b*a exactly, so (a, b) and (b, a) build one convolution and one
+    # summatory factor, and the walk evaluates their right side once
+    mu, one, alt = (SequenceSpec.named(n) for n in ("mobius", "one", "alternating"))
+    om, ph = FunctionSpec.log(1), FunctionSpec.power(complex(0.5, 3.0))
+    (l1, r1), (l2, r2), (_, r3) = terre_batch([(mu, alt, om, ph), (alt, mu, om, ph),
+                                               (mu, one, om, ph)], 12.5)
+    assert r1 is r2 and r3 is not r1 and l1 is not l2
+    alone = terre_sides(alt, mu, om, ph, 12.5)
+    assert (r2.value, r2.radius) == (alone[1].value, alone[1].radius)

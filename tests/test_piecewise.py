@@ -268,8 +268,10 @@ def test_integrator_matches_pointwise_quadrature(name, x):
 
 @pytest.mark.parametrize("name", ["Q-kernel", "R-kernel"])
 def test_zeta_column_sensitivity(name):
-    # with zeta(s) known only to ~1e-12 the zeta term dominates the radius:
-    # it must equal zeta_radius * sum over pieces |integral (s-1) t^s w(x/t) / t^2|
+    # with zeta(s) known only to ~1e-12 the zeta term dominates the radius.
+    # The integral is affine in zeta, so the term must equal zeta_radius *
+    # |integral (s-1) t^s w(x/t) / t^2| over all of [1, x], which is at most
+    # the sum over pieces of its absolute value
     x = 7.3
     sp = ComplexParam.coerce(S_ORACLE)
     kf = KernelFactor(KernelSpec(name[0], sp), PREC, target_radius=1e-12)
@@ -279,13 +281,14 @@ def test_zeta_column_sensitivity(name):
     with mpmath.workprec(2 * PREC):
         sm = mpmath.mpc(S_ORACLE)
         pts = _points(Partition(x))
-        sens = mpmath.fsum(abs(mpmath.quad(lambda t: (sm - 1) * t ** sm * (_mcheck(x / t) - 1)
-                                           / t ** 2, [a, b], method="gauss-legendre"))
-                           for a, b in zip(pts, pts[1:]))
+        slopes = [mpmath.quad(lambda t: (sm - 1) * t ** sm * (_mcheck(x / t) - 1) / t ** 2,
+                              [a, b], method="gauss-legendre") for a, b in zip(pts, pts[1:])]
+        sens, per_piece = abs(mpmath.fsum(slopes)), mpmath.fsum(map(abs, slopes))
         kernel_at = ORACLE_FACTORS[name][1]
         ref, err = _quad_pieces(x, lambda t: (_mcheck(x / t) - 1) * kernel_at(x, t) / t ** 2)
     assert kf.zeta_radius > 1e-20
     assert r.radius == pytest.approx(kf.zeta_radius * float(sens), rel=1e-6, abs=0)
+    assert r.radius < kf.zeta_radius * float(per_piece)
     assert abs(r.value - ref) <= r.radius + err
 
 

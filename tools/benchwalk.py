@@ -14,7 +14,11 @@ checkout's src:
   - `integrate_partitions` pieces/s, timed around `piecewise._walk` (one
     piece is one partition piece of one integrand): the terre check's batch
     (54 cells, 108 integrands) at x = 24.99, and mieux-1's integrand
-    m(x/t) Q_s(t) / t^2, s = 0.5 + 3i, at x = 50 and 1000;
+    m(x/t) Q_s(t) / t^2, s = 0.5 + 3i, at x = 50 and 1000.  Each also
+    records, as a row of its own (lower is better), the walk's work units
+    per call: its combines (one integrand over one run) and spans (one
+    accumulator over one stretch of its vectors), or, in a walk without
+    runs, its `add_piece` calls (one integrand over one piece);
   - `integrate_abs_kernel` cells/s (one cell is one unit cell [K, K+1), as
     perfbench counts `quadrature.cells`), timed around the call: the head
     [1, 55] of q-l1 at rho_1 = 0.5 + 14.13i with radius 0.45 * 0.12, as the
@@ -86,6 +90,13 @@ def timed(part, integrands, prec):
     return out
 
 piecewise._walk = timed
+work = [0]  # the walk's units: combines and spans, or add_piece calls before runs
+for owner, name in ([(piecewise, "_combine"), (piecewise, "_span")]
+                    if hasattr(piecewise, "_span") else [(piecewise._Integrand, "add_piece")]):
+    def counted(*args, _f=getattr(owner, name)):
+        work[0] += 1
+        return _f(*args)
+    setattr(owner, name, counted)
 row, x = sys.argv[1], float(sys.argv[2])
 if row == "terre":
     seqs = [SequenceSpec.named(n) for n in ("mobius", "one", "alternating")]
@@ -121,6 +132,8 @@ elif row == "q-l1":
     extra.update(g_evals=calls[0])
 else:
     integrate_m_kernel(x, KernelFactor(KernelSpec.make("Q", 0.5 + 3j), 128), 128)
+if row in ("terre", "mieux-1"):
+    extra.update(walk_units=work[0])
 print(json.dumps({"seconds": spent[0], "units": units[0], **extra}))
 """
 
@@ -144,7 +157,8 @@ TRANSFORMS = "truncated_transforms unit intervals/s"
 #: LAYER key, unit)
 COUNTS = [("ru_minflt during the call", "minflt", "count"),
           ("ru_maxrss of the process", "maxrss_kib", "KiB"),
-          ("CellKernel.g evaluations per call", "g_evals", "count")]
+          ("CellKernel.g evaluations per call", "g_evals", "count"),
+          ("walk work units per call", "walk_units", "count")]
 E2E_ROWS = [("verify --suite fast", ["--suite", "fast"]),
             ("verify --suite terre --threads 1", ["--suite", "terre", "--threads", "1"]),
             ("verify --suite q-l1 --threads 1", ["--suite", "q-l1", "--threads", "1"]),
