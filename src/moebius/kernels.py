@@ -120,8 +120,6 @@ class CellKernel:
         self._anchor_logs: dict = {}  # (A, bits) -> log A: log_fixed's anchors for g
         with mpmath.mp.workprec(prec + _GUARD):
             self.s1_abs = abs(complex(self.sm - 1))
-            p = self.sm - 2
-            self.p4_abs = abs(complex(p * (p - 1) * (p - 2) * (p - 3)))
         self.scale = self.s1_abs if spec.variant == LITTLE_Q else 1.0
         first = self.cell(1)
         self.W = prec + 64 + max(0, 1 - math.frexp(first.beta_abs + first.delta_abs)[1])
@@ -199,12 +197,6 @@ class CellKernel:
         D1 = ca * s_abs * tp(sig - 1) + cell.beta_abs
         D2 = ca * s_abs * self.s1_abs * tp(sig - 2)
         return G0, D1, D2
-
-    def phi4_bound(self, cell: Cell, a: float) -> float:
-        """sup |d^4/dt^4 (g(t)/t^2)| on [a, .] for t >= a >= 1."""
-        return (cell.c_abs * self.p4_abs * a ** (self.s.sigma - 6.0)
-                + cell.beta_abs * 24.0 * a ** -5.0
-                + cell.delta_abs * 120.0 * a ** -6.0)
 
     # zeta-value data radius propagated into any integral of g / t^2 on [a,b]:
     # d(g)/d(zeta) = (s-1) t^s (times (s-1) again for little q)

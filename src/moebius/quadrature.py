@@ -5,9 +5,6 @@ Every kernel variant is read cell by cell from `kernels.CellKernel`, where on
 [K, K+1) it is g(t) = c t^s + beta t + delta, so all derivative bounds are
 closed-form:
 
-  - signed integrals of g(t)/t^2 use composite Simpson with the rigorous
-    h^5/2880 sup|phi''''| remainder (phi = c t^{s-2} + beta/t + delta/t^2 has
-    explicit fourth derivatives);
   - integrals of |g(t)|/t^2 cut each cell into n equal steps and add, per
     step, the exact integral of |L|/t^2 for the Taylor line L of g at the
     step's midpoint, charging sup|g''| h^3/(24 a^2) for |g| - |L| (|.| is
@@ -28,7 +25,7 @@ Error radii here are computed bounds from these inequalities; nothing is an
 inflated estimate.
 
 Fixed point.  `CellKernel.g` evaluates g at an exact t = u/v (a double's
-ratio, or a Simpson node K + h i/(2n)) in Python ints, a unit being 2^-W with
+ratio, or a Taylor step's midpoint) in Python ints, a unit being 2^-W with
 W = prec + 64 + hb, 2^-hb <= |beta| + |delta_1| <= |beta| t + |delta| (delta_1
 the least |delta| of any cell).  c, beta and delta are exact (c_K = (s-1)(zeta
 - P_K) from the prefix table's ints).  With t < 2^lt, lt = bits(u) - bits(v) +
@@ -59,15 +56,8 @@ gb = 32 + bits(n), n = ceil(|s| (2 lt + 6)):
 - The slope g'(t) = s c t^s / t + beta reads the same T: s c T v/u + beta
   is formed exactly and floored once (< 1 unit per part), so it is off by
   < 2^-W (1.5 |s||c||t^s|/t + sqrt 2) <= 2^-(prec+63) (|s|/t + 1) M.
-- Simpson floors g/t^2 at W + 2 lt bits (< 2^-W/t^2 per part), so its
-  values are off by < 2^-(prec+62) M/t^2; the sup search reads |g| as
-  abs(complex(.)) of g's correctly rounded parts (`abs_at`).
-
-That is no weaker than the mpf evaluation at prec + 48 bits it replaces,
-whose dozen roundings were each 2^-(prec+48) relative to operands of size up
-to M, so Simpson's eps(prec) 64 (cond + |total|) still covers its
-arithmetic.  Simpson sums each cell's weighted nodes exactly and adds the
-cell to the total in mpf, as before.
+- The sup search reads |g| as abs(complex(.)) of g's correctly rounded
+  parts (`abs_at`).
 
 Taylor steps for the abs integral.  Cell [K, b_end] (b_end = min(K+1, T),
 width w) is cut at the floats a_j = K + w j/n, so each step [a, b] has
@@ -125,12 +115,11 @@ import heapq
 import math
 
 import mpmath
-from mpmath import mpf, mpc
 from mpmath.libmp.libelefun import ln2_fixed
 
 from .approx import PRECISION, ApproxValue, RIGOROUS, eps_for, radd
 from .constants import gamma_const
-from .dsum import DirichletTable, fixed_magnitude, fixed_to_float, fixed_to_mp, log_fixed
+from .dsum import DirichletTable, fixed_to_float, fixed_to_mp, log_fixed
 from .errors import DomainError, PrecisionError
 from .kernels import IBP_R, CellKernel, KernelSpec, hel_sup_abs_Q, kernel_bound, SUP_Q
 from .zeta import ComplexParam, power_prefix_table, zeta_em
@@ -146,57 +135,6 @@ _LOG_BITS = 80
 _LOG_ANCHOR = {(1, _LOG_BITS + _LOG_BITS.bit_length()): 0}  # _ln's one anchor, log 1 = 0
 EVAL_CAP = 1 << 20  # midpoint evaluations in sup_abs_kernel's branch-and-bound
 _T_CAP = 50_000  # integrate_abs_kernel_to_infinity's largest head [1, T]
-
-
-def integrate_signed_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-8,
-                            precision: int = PRECISION) -> ApproxValue:
-    """Signed integral of kernel(t)/t^2 over [1, T] by composite Simpson with
-    the rigorous fourth-derivative remainder per cell."""
-    if T < 1:
-        raise DomainError("T >= 1 required")
-    ck = CellKernel(spec, precision, zeta_target=min(1e-30, target_radius / max(T, 2.0)))
-    eps = eps_for(precision)
-    is_real = ck.s.is_real
-    with mpmath.mp.workprec(precision + _GUARD):
-        total = mpf(0) if is_real else mpc(0)
-        radius = 0.0
-        cond = 0.0
-        K = 1
-        while K < T:
-            b_end = min(K + 1, T)
-            cell = ck.cell(K)
-            h_cell = b_end - K
-            if h_cell <= 0:
-                break
-            phi4 = ck.phi4_bound(cell, K)
-            # composite Simpson: error n (h/n)^5 /2880 phi4 <= budget_K
-            budget = 0.45 * target_radius * (1.0 / (K * (K + 1)))
-            n = max(2, math.ceil((h_cell ** 5 * phi4 / (2880.0 * budget)) ** 0.25))
-            comp = 1.4142135623730951 if not is_real else 1.0  # componentwise bound
-            step = mpf(h_cell) / n
-            # nodes t_i = K + h_cell i / (2n) = u_i / den exactly; g(t_i)/t_i^2
-            # at scale Sf, Simpson-weighted and summed exactly
-            hn, hd = float(h_cell).as_integer_ratio()
-            den = 2 * n * hd
-            lt = (K + 1).bit_length()  # t < 2^lt on the cell
-            Sf = ck.W + 2 * lt
-            q = (den * den) << (2 * lt)
-            acc_re = acc_im = 0
-            fabs = []
-            for i in range(2 * n + 1):
-                u = K * den + hn * i
-                re, im = (part * q // (u * u) for part in ck.g(cell, u, den))
-                w = 1 if i in (0, 2 * n) else (4 if i % 2 else 2)
-                acc_re, acc_im = acc_re + w * re, acc_im + w * im
-                fabs.append(fixed_magnitude(re, im if ck.cplx else None, Sf))
-            total += fixed_to_mp(acc_re, None if is_real else acc_im, Sf,
-                                 precision + _GUARD) * step / 6
-            radius += comp * n * float(step) ** 5 * phi4 / 2880.0
-            cond += sum(fabs) * float(step)
-            radius += ck.zeta_rad_per_unit(K, b_end) * h_cell
-            K += 1
-        radius += eps * 64.0 * (cond + abs(complex(total)))
-        return ApproxValue(+total, radd(radius), RIGOROUS, precision)
 
 
 def _midpoint(a: float, h: float) -> tuple[int, int]:

@@ -4,13 +4,12 @@ reference for `kernels.CellKernel.g` and the loops of `quadrature`.
 This is the cell evaluation as it ran before it moved to fixed point, kept
 only as a test oracle: c_K = (s-1)(zeta - P_K), beta and delta formed in mpf
 at the working precision, g(t) = c t^s + beta t + delta by mpmath.power,
-and the loops of integrate_signed_kernel, integrate_abs_kernel and
-sup_abs_kernel with mpf nodes and mpf running sums, at 48 guard bits (the
-abs integral rounds its mpf g(m) and g'(m) to floats for the library's
-closed form, as the library rounds its ints).  It
-takes zeta(s), P_K and the float constants from a `CellKernel`, and keeps
-the float decisions and radius formulas, so its values, radii and T are the
-ones the library must reproduce.
+and the loops of integrate_abs_kernel and sup_abs_kernel with mpf nodes and
+mpf running sums, at 48 guard bits (the abs integral rounds its mpf g(m)
+and g'(m) to floats for the library's closed form, as the library rounds
+its ints).  It takes zeta(s), P_K and the float constants from a
+`CellKernel`, and keeps the float decisions and radius formulas, so its
+values, radii and T are the ones the library must reproduce.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import heapq
 import math
 
 import mpmath
-from mpmath import mpc, mpf
+from mpmath import mpf
 
 from moebius.approx import ApproxValue, RIGOROUS, eps_for, radd
 from moebius.kernels import LITTLE_Q, R, CellKernel
@@ -57,52 +56,6 @@ def bounds(ck: CellKernel, c, beta, delta, a: float, b: float):
     D1 = ca * s_abs * tp(sig - 1) + abs(complex(beta))
     D2 = ca * s_abs * s1_abs * tp(sig - 2)
     return G0, D1, D2
-
-
-def phi4_bound(ck: CellKernel, c, beta, delta, a: float) -> float:
-    p = ck.sm - 2
-    prod = abs(complex(p * (p - 1) * (p - 2) * (p - 3)))
-    return (abs(complex(c)) * prod * a ** (ck.s.sigma - 6.0)
-            + abs(complex(beta)) * 24.0 * a ** -5.0
-            + abs(complex(delta)) * 120.0 * a ** -6.0)
-
-
-def integrate_signed(spec, T: float, target_radius: float, prec: int) -> ApproxValue:
-    ck = CellKernel(spec, prec, zeta_target=min(1e-30, target_radius / max(T, 2.0)))
-    eps = eps_for(prec)
-    is_real = ck.s.is_real
-    with mpmath.mp.workprec(prec + GUARD):
-        total = mpf(0) if is_real else mpc(0)
-        radius = 0.0
-        cond = 0.0
-        K = 1
-        while K < T:
-            b_end = min(K + 1, T)
-            c, beta, delta = cell(ck, K)
-            h_cell = b_end - K
-            if h_cell <= 0:
-                break
-            phi4 = phi4_bound(ck, c, beta, delta, K)
-            budget = 0.45 * target_radius * (1.0 / (K * (K + 1)))
-            n = max(2, math.ceil((h_cell ** 5 * phi4 / (2880.0 * budget)) ** 0.25))
-            comp = 1.4142135623730951 if not is_real else 1.0
-            step = mpf(h_cell) / n
-            fvals = []
-            for i in range(2 * n + 1):
-                t = mpf(K) + step * i / 2
-                fvals.append(g(ck, c, beta, delta, t) / t ** 2)
-            acc = fvals[0] + fvals[-1]
-            for i in range(1, 2 * n, 2):
-                acc += 4 * fvals[i]
-            for i in range(2, 2 * n, 2):
-                acc += 2 * fvals[i]
-            total += acc * step / 6
-            radius += comp * n * float(step) ** 5 * phi4 / 2880.0
-            cond += sum(abs(complex(v)) for v in fvals) * float(step)
-            radius += ck.zeta_rad_per_unit(K, b_end) * h_cell
-            K += 1
-        radius += eps * 64.0 * (cond + abs(complex(total)))
-        return ApproxValue(+total, radd(radius), RIGOROUS, prec)
 
 
 def integrate_abs(spec, T: float, target_radius: float, prec: int) -> ApproxValue:

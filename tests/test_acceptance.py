@@ -51,12 +51,14 @@ def test_02_formule_m():
 
 def test_03_quadrature_calibration():
     from moebius.kernels import KernelSpec
-    from moebius.quadrature import (exact_Q_l1_reference, exact_Q_l1_tail,
-                                    integrate_signed_kernel)
+    from moebius.piecewise import KernelFactor, PowLogSum, integrate_partition
+    from moebius.quadrature import exact_Q_l1_reference, exact_Q_l1_tail
     ok = True
     details = []
+    over_t2 = PowLogSum.monomial(mpmath.mpf(1), mpmath.mpf(-2), 0)
     for s in (1.5, 2.0):
-        quad = integrate_signed_kernel(KernelSpec.make("Q", s), 1000.0, 1e-8)
+        quad = integrate_partition(1000, [KernelFactor(KernelSpec.make("Q", s), 128, 1e-30)],
+                                   over_t2, precision=128)
         tail = exact_Q_l1_tail(s, 1000)
         ref = exact_Q_l1_reference(s)
         resid = float(mpmath.fabs(quad.value + tail.value - ref.value))
@@ -65,7 +67,7 @@ def test_03_quadrature_calibration():
         details.append(f"s={s}: resid {resid:.1e} <= {tol:.1e}")
     ref2 = float(mpmath.re(exact_Q_l1_reference(2.0).value))
     ok &= abs(ref2 + 0.0677184019) < 1e-9
-    _report(3, "signed quadrature + exact tail matches 1/(s-1) - zeta + gamma",
+    _report(3, "exact signed walk + exact tail matches 1/(s-1) - zeta + gamma",
             ok, "; ".join(details))
 
 

@@ -4,7 +4,7 @@ against the mpf reference in tests/mpcell.py.
 At mp level the evaluator must stay within the bound derived in the
 quadrature docstring, 2^-W (1.5 |c||t^s| + sqrt 2) <= 2^-(prec+63) (|c||t^s|
 + |beta| t + |delta|), and give the same decision doubles |g| as the mpf
-evaluation at 48 guard bits; the three routines must give the reference's
+evaluation at 48 guard bits; the two routines must give the reference's
 float value, radius and T."""
 
 import math
@@ -22,7 +22,7 @@ from moebius.constants import RHO1_IMAG_STR
 from moebius.dsum import fixed_magnitude, log_fixed
 from moebius.kernels import CellKernel, KernelSpec
 from moebius.quadrature import (integrate_abs_kernel, integrate_abs_kernel_to_infinity,
-                                integrate_signed_kernel, sup_abs_kernel)
+                                sup_abs_kernel)
 
 PREC = 128
 RHO1 = complex(0.5, 14.13)
@@ -31,7 +31,7 @@ S_VALUES = [2.0, 3.0, 1.5, 0.0, -0.5, -0.9, 0.25, 1.0001,
 
 
 def _nodes(K: int) -> list[Fraction]:
-    """t in [K, K+1]: the integer, dyadics, a double and Simpson's nodes
+    """t in [K, K+1]: the integer, dyadics, a double and the rational nodes
     K + h i/(2n) for a unit and a non-dyadic h."""
     h = Fraction(0.3)
     return ([Fraction(K), Fraction(K) + Fraction(1, 2), Fraction(K) + Fraction(3, 1024),
@@ -105,9 +105,6 @@ def test_routines_match_reference(s):
     for T, target in ((12.0, 1e-3), (20.5, 1e-2)):
         _same(integrate_abs_kernel(spec, T, target, precision=PREC),
               mpcell.integrate_abs(spec, T, target, PREC))
-    for T in (20.0, 7.5):
-        _same(integrate_signed_kernel(spec, T, 1e-8, precision=PREC),
-              mpcell.integrate_signed(spec, T, 1e-8, PREC))
     got, at = sup_abs_kernel(spec, 1.0, 14.13, 1e-3, precision=PREC)
     ref, ref_at = mpcell.sup_abs(spec, 1.0, 14.13, 1e-3, PREC)
     _same(got, ref)
@@ -123,8 +120,6 @@ def test_other_variants_match_reference():
         spec = KernelSpec.make(variant, s)
         _same(integrate_abs_kernel(spec, 9.0, 1e-2, precision=PREC),
               mpcell.integrate_abs(spec, 9.0, 1e-2, PREC))
-        _same(integrate_signed_kernel(spec, 9.0, 1e-6, precision=PREC),
-              mpcell.integrate_signed(spec, 9.0, 1e-6, PREC))
         got, at = sup_abs_kernel(spec, 1.5, 9.0, 1e-3, precision=PREC)
         ref, ref_at = mpcell.sup_abs(spec, 1.5, 9.0, 1e-3, PREC)
         _same(got, ref)
@@ -142,7 +137,7 @@ def _log_units(u: int, v: int, wp: int, L: int) -> float:
 
 def _log_points() -> list[tuple[int, int]]:
     """t in [1, 2) (z up to 1/3, the longest series), t -> K+1 from below,
-    integer t (z = 0, reduced or not) and Simpson's odd-denominator nodes."""
+    integer t (z = 0, reduced or not) and odd-denominator nodes."""
     pts = [(1 + i / 37).as_integer_ratio() for i in range(37)]
     pts += [(1 + 2.0**-52).as_integer_ratio(), (2 - 2.0**-52).as_integer_ratio()]
     for K in (1, 2, 7, 100, 9999):

@@ -96,6 +96,7 @@ CASES = {
     "LogMinusHFactor": lambda: integrate_partition(20.0, [LogMinusHFactor(20, 128)],
                                                    precision=128),
     "HarmonicWeightFactor": _walk_of(lambda: HarmonicWeightFactor(7, 128)),
+    "KernelFactor": _walk_of(lambda: KernelFactor(KernelSpec.make("Q", 0.5 + 3j), 128, 1e-30)),
 }
 
 

@@ -4,16 +4,26 @@ import random
 import mpmath
 import pytest
 
+import mpcell
 from moebius import quadrature
+from moebius.constants import RHO1_IMAG_STR
 from moebius.errors import DomainError, PrecisionError
 from moebius.kernels import CellKernel, KernelSpec
+from moebius.piecewise import KernelFactor, PowLogSum, integrate_partition
 from moebius.quadrature import (exact_Q_l1_reference, exact_Q_l1_tail,
                                 integrate_abs_kernel,
-                                integrate_abs_kernel_to_infinity,
-                                integrate_signed_kernel, sup_abs_kernel,
+                                integrate_abs_kernel_to_infinity, sup_abs_kernel,
                                 tail_bound_abs_Q)
 from moebius.zeta import zeta_em
 from oracles import FROZEN, riemann_abs_Q
+
+
+def _signed(spec: KernelSpec, T: float, prec: int = 128):
+    """integral_1^T kernel(t)/t^2 by the exact piecewise walk, the kernel a
+    lone `KernelFactor` reading zeta(s) at radius 1e-30."""
+    return integrate_partition(T, [KernelFactor(spec, prec, 1e-30)],
+                               PowLogSum.monomial(mpmath.mpf(1), mpmath.mpf(-2), 0),
+                               precision=prec)
 
 
 def test_exact_reference_values():
@@ -43,7 +53,7 @@ def test_tail_closed_form_consistency():
 
 def test_calibration_identity():
     for s in (1.5, 2.0):
-        quad = integrate_signed_kernel(KernelSpec.make("Q", s), 1000.0, 1e-8)
+        quad = _signed(KernelSpec.make("Q", s), 1000.0)
         tail = exact_Q_l1_tail(s, 1000)
         ref = exact_Q_l1_reference(s)
         resid = abs(float(quad.value + tail.value - ref.value))
@@ -56,9 +66,6 @@ def test_radius_monotonicity():
     r_fine = integrate_abs_kernel(spec, 30.0, 5e-4)
     assert r_fine.radius <= r_coarse.radius
     assert abs(r_fine.value - r_coarse.value) <= r_fine.radius + r_coarse.radius
-    s_coarse = integrate_signed_kernel(spec, 100.0, 1e-6)
-    s_fine = integrate_signed_kernel(spec, 100.0, 5e-7)
-    assert s_fine.radius <= s_coarse.radius
 
 
 def test_abs_integral_empty_and_triangle():
@@ -66,8 +73,31 @@ def test_abs_integral_empty_and_triangle():
     z = integrate_abs_kernel(spec, 1.0, 1e-4)
     assert float(z.value) == 0.0
     a = integrate_abs_kernel(spec, 20.0, 1e-4)
-    sgn = integrate_signed_kernel(spec, 20.0, 1e-9)
+    sgn = _signed(spec, 20.0)
     assert abs(complex(sgn.value)) <= float(a.value) + a.radius + sgn.radius
+
+
+@pytest.mark.parametrize("variant,s", [("Q", 2.0), ("Q", complex(0.5, float(RHO1_IMAG_STR))),
+                                       ("R", complex(0.5, 3.0))])
+@pytest.mark.parametrize("T", [7.5, 20.0])
+def test_signed_walk_against_cell_closed_form(variant, s, T):
+    """The walk's signed integral of Q or R over [1, T], T non-integer, lies
+    within its radius of the per-cell closed form: on [K, b] the integrand
+    c_K t^(s-2) + beta/t + delta/t^2 integrates to c_K (b^(s-1) - K^(s-1))/(s-1)
+    + beta log(b/K) + delta (1/K - 1/b), with c_K, beta and delta from the mpf
+    cell of a 256-bit kernel (zeta at radius 1e-70)."""
+    spec = KernelSpec.make(variant, s)
+    got = _signed(spec, T)
+    ck = CellKernel(spec, 256, zeta_target=1e-70)
+    with mpmath.workprec(256):
+        sm1 = ck.sm - 1
+        ref = mpmath.mpf(0)
+        for K in range(1, math.ceil(T)):
+            c, beta, delta = mpcell.cell(ck, K)
+            a, b = mpmath.mpf(K), mpmath.mpf(min(K + 1, T))
+            ref += (c * (mpmath.power(b, sm1) - mpmath.power(a, sm1)) / sm1
+                    + beta * mpmath.log(b / a) + delta * (1 / a - 1 / b))
+        assert abs(got.value - ref) <= got.radius, (variant, s, T)
 
 
 def test_abs_integral_against_riemann_oracle():
