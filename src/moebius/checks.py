@@ -195,23 +195,26 @@ def _identity_cells(pairs, sides):
             for (s, x), (lhs, rhs, *_) in zip(pairs, sides)]
 
 
-def _grid_check(x_default, s_default=(2.0, 0.5 + 3j), *, each=None, batch=None):
-    """An identity over the s x x grid, with its sides from `each(s, x, prec)`
-    per cell or from `batch(pairs, T, prec)` for all cells at once."""
+def _grid_check(x_default, s_default, batch):
+    """An identity over the s x x grid, with the sides of all its cells from
+    one call batch(pairs, T, prec), T the grid's --T or None."""
     def run(grid, target, prec):
         g = {"_s_default": s_default, "_x_default": x_default, **grid}
         pairs = _grid_pairs(g)
-        sides = (batch(pairs, g.get("T"), prec) if batch is not None
-                 else [each(s, x, prec) for s, x in pairs])
-        return "identity", g, _identity_cells(pairs, sides)
+        return "identity", g, _identity_cells(pairs, batch(pairs, g.get("T"), prec))
     return run
+
+
+def _sides_check(sides, x_default, s_default=(2.0, 0.5 + 3j)):
+    """An (s, x) identity that reads no T, its sides from sides(pairs, prec)."""
+    return _grid_check(x_default, s_default, lambda pairs, T, prec: sides(pairs, prec))
 
 
 def _transform_check(identity, x_default):
     """A truncated-transform identity on the transform s grid, truncated at
     --T when given."""
     return _grid_check(x_default, (1 + 1e-4, 1.04, 1.5, 2.0, 3.0),
-                       batch=lambda pairs, T, prec: transform_sides(identity, pairs, T, prec))
+                       lambda pairs, T, prec: transform_sides(identity, pairs, T, prec))
 
 
 def _finish(name, t0, kind, grid, cells, payload=None, verdict=None):
@@ -250,7 +253,7 @@ def _run(name, check, *args) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 def _check_abel(grid, target, prec):
-    kind, g, cells = _grid_check([10.0, 100.0, 1e4], each=abel_s_sides)(grid, target, prec)
+    kind, g, cells = _sides_check(abel_s_sides, [10.0, 100.0, 1e4])(grid, target, prec)
     # s = 0 specialization on a fast sweep: integral_1^x m = x m(x) - M(x)
     sweep = prefix_sweep(int(g.get("xmax_fast", 1e5)))
     for x in (10.0, 1000.0, 99999.5, float(sweep.N)):
@@ -380,17 +383,16 @@ def _check_voyage(grid, target, prec):
 
 def _check_halfstep(grid, target, prec):
     g = {"_s_default": [2.0, 0.5 + 3j], "_x_default": [30.0, 100.0], **grid}
+    pairs = _grid_pairs(g)
     cells = []
     match_names = set()
-    for s in _slist(g, "s", g["_s_default"]):
-        for x in _slist(g, "x", g["_x_default"]):
-            value, cands = halfstep_candidates(s, x, prec)
-            resids = {k: float(mpmath.fabs(value.value - c.value)) for k, c in cands.items()}
-            best = min(resids, key=resids.get)
-            match_names.add(best)
-            cells.append({**_residual_cell({"s": str(s), "x": x, "matched": best}, resids[best],
-                                           radd(value.radius, cands[best].radius)),
-                          **{f"resid_{k}": v for k, v in resids.items()}})
+    for (s, x), (value, cands) in zip(pairs, halfstep_candidates(pairs, prec)):
+        resids = {k: float(mpmath.fabs(value.value - c.value)) for k, c in cands.items()}
+        best = min(resids, key=resids.get)
+        match_names.add(best)
+        cells.append({**_residual_cell({"s": str(s), "x": x, "matched": best}, resids[best],
+                                       radd(value.radius, cands[best].radius)),
+                      **{f"resid_{k}": v for k, v in resids.items()}})
     return "adjudication", g, cells, {"matching_bracketing": sorted(match_names)}
 
 
@@ -424,11 +426,11 @@ def _check_mdcheck_norm(grid, target, prec):
 # Inequality checks.
 # ---------------------------------------------------------------------------
 
-def _sup_window(sweep, x: float, kind: str, factor: float = 1000.0):
-    """Empirical sup over [x, min(factor x, N)] of |m|, |mcheck-1| or the
+def _sup_window(sweep, x: float, kind: str):
+    """Empirical sup over [x, min(1000 x, N)] of |m|, |mcheck-1| or the
     normalized double-smoothed sum.  Heuristic stand-in for sup_{t>=x}."""
     lo = max(math.floor(x), 1)
-    hi = min(int(factor * x), sweep.N)
+    hi = min(int(1000.0 * x), sweep.N)
     ns = np.arange(lo, hi + 1, dtype=np.float64)
     sl = slice(lo - 1, hi)
     logs = np.log(ns)
@@ -902,27 +904,26 @@ def _check_headline(grid, target, prec):
 
 REGISTRY = {
     "abel": _check_abel,
-    "int-check": _grid_check([10.0, 200.0], each=int_check_sides),
+    "int-check": _sides_check(int_check_sides, [10.0, 200.0]),
     "mtronq": _transform_check(MTRONQ, [1000.0, 10000.0]),
     "mtronqch": _transform_check(MTRONQCH, [1000.0, 10000.0]),
     "mtronqchch": _transform_check(MTRONQCHCH, [1000.0, 10000.0]),
     "derivK1": _transform_check(DERIVK1, [1000.0]),
     "derivK2": _transform_check(DERIVK2, [1000.0, 100000.0]),
     "derivK3": _transform_check(DERIVK3, [1000.0]),
-    "mieux-1": _grid_check([10.0, 100.0, 1000.0], (2.0, 3.0, 0.5 + 3j, 0.5 + 14.13j),
-                           each=mieux1_sides),
+    "mieux-1": _sides_check(mieux1_sides, [10.0, 100.0, 1000.0],
+                            (2.0, 3.0, 0.5 + 3j, 0.5 + 14.13j)),
     "mieux-2": _check_mieux2,
-    "poids": _grid_check([10.0, 100.0], (2.0, 0.5 + 3j, -0.5 + 5j, 0.5 + 14.13j),
-                         each=poids_sides),
-    "k1": _grid_check([10.0, 200.0], each=k1_sides),
-    "k2": _grid_check([50.0], each=kgen2_sides),
+    "poids": _sides_check(poids_sides, [10.0, 100.0], (2.0, 0.5 + 3j, -0.5 + 5j, 0.5 + 14.13j)),
+    "k1": _sides_check(k1_sides, [10.0, 200.0]),
+    "k2": _sides_check(kgen2_sides, [50.0]),
     "double-check-borne": _check_dcb,
     "formule-m": _check_formule_m,
     "exact-Q-l1": _check_exact_Q_l1,
     # har truncates at each x's default T and ignores --T
-    "har": _grid_check([20.5, 50.0],
-                       batch=lambda pairs, T, prec: transform_sides(HAR, pairs, None, prec)),
-    "ent": _grid_check([7.0, 33.3], (2.0, 0.5 + 10j), each=ent_residual),
+    "har": _sides_check(lambda pairs, prec: transform_sides(HAR, pairs, None, prec),
+                        [20.5, 50.0]),
+    "ent": _sides_check(ent_residual, [7.0, 33.3], (2.0, 0.5 + 10j)),
     "em-cross": _check_em_cross,
     "terre": _check_terre,
     "voyage": _check_voyage,
@@ -980,10 +981,10 @@ def run_check(check_id: str, grid: dict | None = None,
 #: about 0.1 s or more; run_suite submits the longest first, and an id not
 #: listed here counts 0
 _COST_S = {
-    "terre": 1.05, "mtronqchch": 0.9, "mtronqch": 0.81, "derivK2": 0.79, "em-cross": 0.72,
-    "headline": 0.69, "abel": 0.6, "mtronq": 0.51, "formule-m": 0.45, "parchm": 0.38,
-    "mieux-1": 0.28, "prop1-a": 0.28, "prop1-c": 0.16, "prop2-c": 0.16, "prop2-b": 0.11,
-    "q-l1": 0.11, "prop1-b": 0.11,
+    "terre": 0.99, "mtronqchch": 0.85, "derivK2": 0.81, "mtronqch": 0.72, "em-cross": 0.71,
+    "headline": 0.7, "mtronq": 0.49, "formule-m": 0.46, "abel": 0.43, "parchm": 0.33,
+    "prop1-a": 0.26, "mieux-1": 0.21, "prop1-c": 0.16, "prop2-c": 0.16, "q-l1": 0.11,
+    "prop2-b": 0.1, "prop1-b": 0.1,
 }
 
 

@@ -74,9 +74,10 @@ from mpmath import mpf
 from .approx import PRECISION, ApproxValue, RIGOROUS, radd
 from .constants import (HARMONIC_LOWER, LITTLE_M_OVER_LOG, gamma_const)
 from .errors import DomainError
-from .identities import mu_power_sum, _x_pows
+from .identities import _x1s, mu_power_sum
 from .kernels import Q, KernelSpec, frac_tail_integral
-from .piecewise import KernelFactor, integrate_m_kernel
+from .piecewise import (KernelFactor, PowLogSum, integrate_partition,
+                        mcheck_minus_one_factor)
 from .summatory import prefix_columns, summatory, work_buffers
 from .zeta import ComplexParam, partial_power_sum, zeta_em
 
@@ -493,9 +494,6 @@ class TransformIdentity:
         self.weight, self.mom_max, self.sigma_gt = weight, mom_max, sigma_gt
         self.what, self.sides, self.not_one = what, sides, not_one
 
-    def residual(self, s, x: float, T: float | None = None, precision: int = PRECISION):
-        return transform_sides(self, [(s, x)], T, precision)[0]
-
 
 def transform_sides(identity: TransformIdentity, cells, T: float | None = None,
                     precision: int = PRECISION) -> list[tuple]:
@@ -560,7 +558,7 @@ def _smoothed_sides(p: int, mom: int) -> Callable[[TruncatedTransform, int], tup
                 lhs = lead + top * _combine_moment(tt, 1)
                 head = (ApproxValue.exact(mpmath.log(mpf(x))) / z - zp / (z * z)
                         - tt.mu_logpower_x)
-            x1s, _ = _x_pows(sp, x)
+            x1s = _x1s(sp, x)
             vx = tt.values_at_x()
             rhs = smoothed_rhs(head, [vx[w] for w in SMOOTHED_WEIGHTS[:p + 1]], x1s, smc1, mom, p)
         return lhs.widened(tail), rhs
@@ -568,6 +566,9 @@ def _smoothed_sides(p: int, mom: int) -> Callable[[TruncatedTransform, int], tup
 
 
 def _har_sides(tt: TruncatedTransform, precision: int):
+    """(s-1) integral_t^inf (H - log - gamma) u^{-s} du
+    = zeta - sum_{n<=t} n^{-s} - t^{1-s}/(s-1) + (H(t)-log t-gamma)/t^{s-1},
+    at t = tt.x."""
     sp, t, T = tt.s, tt.x, tt.T
     tail = abs(complex(sp.sigma - 1, sp.tau)) * _HGAP_SUP * T ** (-sp.sigma) / sp.sigma
     with mpmath.mp.workprec(precision + 32):
@@ -599,66 +600,37 @@ HAR = TransformIdentity(WEIGHT_HGAP, 0, 0.0, "harmonic-gap transform", _har_side
                         not_one=True)
 
 
-def mtronq_residual(s, x: float, T: float | None = None, precision: int = PRECISION):
-    """(s-1) integral_x^inf m(t) t^(-s) dt = 1/zeta - sum mu/n^s + m(x)/x^{s-1}."""
-    return MTRONQ.residual(s, x, T, precision)
-
-
-def mtronqch_residual(s, x: float, T: float | None = None, precision: int = PRECISION):
-    """(s-1)^2 integral_x^inf (mcheck-1) t^(-s) dt
-    = 1/zeta - sum mu/n^s + m(x)/x^{s-1} + (s-1)(mcheck(x)-1)/x^{s-1}."""
-    return MTRONQCH.residual(s, x, T, precision)
-
-
-def mtronqchch_residual(s, x: float, T: float | None = None, precision: int = PRECISION):
-    """(s-1)^3/2 integral_x^inf (mdd - 2 log t + 2 gamma) t^(-s) dt
-    = mtronqch's right side + (s-1)^2/2 (mdd(x) - 2 log x + 2 gamma)/x^{s-1}."""
-    return MTRONQCHCH.residual(s, x, T, precision)
-
-
-def derivK1_residual(s, x: float, T: float | None = None, precision: int = PRECISION):
-    """integral_x^inf m t^{-s} + (s-1) integral_x^inf m t^{-s} log(x/t)
-    = log x / zeta - zeta'/zeta^2 - sum mu n^{-s} log(x/n)."""
-    return DERIVK1.residual(s, x, T, precision)
-
-
-def derivK2_residual(s, x: float, T: float | None = None, precision: int = PRECISION):
-    """2(s-1) integral (mcheck-1) t^{-s} + (s-1)^2 integral (mcheck-1) t^{-s} log(x/t)
-    = log x/zeta - zeta'/zeta^2 - sum mu n^{-s} log(x/n) + (mcheck(x)-1)/x^{s-1}."""
-    return DERIVK2.residual(s, x, T, precision)
-
-
-def derivK3_residual(s, x: float, T: float | None = None, precision: int = PRECISION):
-    """3/2 (s-1)^2 integral mdnorm t^{-s} + (s-1)^3/2 integral mdnorm t^{-s} log(x/t)
-    = derivK2's right side + (s-1)(mdd(x) - 2 log x + 2 gamma)/x^{s-1}."""
-    return DERIVK3.residual(s, x, T, precision)
-
-
-def har_residual(s, t: float, T: float | None = None, precision: int = PRECISION):
-    """(s-1) integral_t^inf (H - log - gamma) u^{-s} du
-    = zeta - sum_{n<=t} n^{-s} - t^{1-s}/(s-1) + (H(t)-log t-gamma)/t^{s-1}."""
-    return HAR.residual(s, t, T, precision)
-
-
-def ent_residual(s, t: float, precision: int = PRECISION):
-    """s integral_t^inf (floor(u)-u+1/2) u^{-s-1} du
+def ent_residual(cells, precision: int = PRECISION) -> list:
+    """Per (s, t): s integral_t^inf (floor(u)-u+1/2) u^{-s-1} du
     = zeta - sum_{n<=t} n^{-s} - t^{1-s}/(s-1) + (floor(t)-t+1/2)/t^s."""
-    sp = ComplexParam.coerce(s)
-    sp.require_sigma_gt(0.0, "floor-gap transform")
-    sp.require_not_one("floor-gap transform")
-    J = frac_tail_integral(sp, t, 1e-33, precision=precision)
-    with mpmath.mp.workprec(precision + 32):
-        smc = sp.as_mpc()
-        lhs = ApproxValue.exact(-smc) * J
-        z, _ = zeta_em(sp, 1e-33, precision=precision, want_derivative=False)
-        psum = partial_power_sum(sp, t, precision)
-        tm = mpf(t)
-        rhs = (z - psum - ApproxValue.exact(mpmath.power(tm, 1 - smc) / (smc - 1))
-               + ApproxValue.exact((mpmath.floor(tm) - tm + mpf(1) / 2) * mpmath.power(tm, -smc)))
-    return lhs, rhs
+    out = []
+    for s, t in cells:
+        sp = ComplexParam.coerce(s)
+        sp.require_sigma_gt(0.0, "floor-gap transform")
+        sp.require_not_one("floor-gap transform")
+        J = frac_tail_integral(sp, t, 1e-33, precision=precision)
+        with mpmath.mp.workprec(precision + 32):
+            smc = sp.as_mpc()
+            lhs = ApproxValue.exact(-smc) * J
+            z, _ = zeta_em(sp, 1e-33, precision=precision, want_derivative=False)
+            psum = partial_power_sum(sp, t, precision)
+            tm = mpf(t)
+            rhs = (z - psum - ApproxValue.exact(mpmath.power(tm, 1 - smc) / (smc - 1))
+                   + ApproxValue.exact((mpmath.floor(tm) - tm + mpf(1) / 2)
+                                       * mpmath.power(tm, -smc)))
+        out.append((lhs, rhs))
+    return out
 
 
 def _mieux2_sides(tt: TruncatedTransform, prec: int):
+    """zeta(s)(sum mu/n^s - m/x^{s-1} - (s-1)(mcheck-1)/x^{s-1}) - 1  vs
+    (s-1)/x^{s-1} (mdd/2 - log x + sign*gamma)
+      + (s-1)/x^{s-1} integral [mcheck(x/t)-1] Q_s dt/t^2
+      - (s-1)^2 integral_x^inf (log t - H + gamma) t^{-s} dt.
+
+    Returns (lhs, rhs with sign +1, rhs with sign -1), adjudicating the
+    printed-sign question: +1 closes the identity.
+    """
     sp, x, T = tt.s, tt.x, tt.T
     with mpmath.mp.workprec(prec + 32):
         smc = sp.as_mpc()
@@ -666,12 +638,13 @@ def _mieux2_sides(tt: TruncatedTransform, prec: int):
         z, _ = zeta_em(sp, 1e-33, precision=prec, want_derivative=False)
         snap = summatory(x, mode="mp", precision=prec)
         msum = mu_power_sum(x, sp, prec)
-        x1s, _ = _x_pows(sp, x)
+        x1s = _x1s(sp, x)
         x1s_a = ApproxValue.exact(x1s)
         lhs = z * (msum - snap.m * x1s_a
                    - ApproxValue.exact(smc - 1) * (snap.m_check - 1) * x1s_a) - 1
-        conv = integrate_m_kernel(x, KernelFactor(KernelSpec(Q, sp), prec, 1e-33), prec,
-                                  weight="mcheck1")
+        conv = integrate_partition(x, [mcheck_minus_one_factor(x, prec),
+                                       KernelFactor(KernelSpec(Q, sp), prec, 1e-33)],
+                                   PowLogSum.monomial(mpf(1), mpf(-2), 0), precision=prec)
         # integral_x^inf (log t - H + gamma) t^{-s} dt = -(hgap transform)
         hterm = -tt.basis[0]
         hterm = hterm.widened(_HGAP_SUP * T ** (-sp.sigma) / sp.sigma)
@@ -688,15 +661,3 @@ def _mieux2_sides(tt: TruncatedTransform, prec: int):
 
 MIEUX2 = TransformIdentity(WEIGHT_HGAP, 0, 0.0, "smoothed kernel identity", _mieux2_sides,
                            not_one=True)
-
-
-def mieux2_sides(s, x: float, T: float | None = None, precision: int = PRECISION):
-    """zeta(s)(sum mu/n^s - m/x^{s-1} - (s-1)(mcheck-1)/x^{s-1}) - 1  vs
-    (s-1)/x^{s-1} (mdd/2 - log x + sign*gamma)
-      + (s-1)/x^{s-1} integral [mcheck(x/t)-1] Q_s dt/t^2
-      - (s-1)^2 integral_x^inf (log t - H + gamma) t^{-s} dt.
-
-    Returns (lhs, rhs with sign +1, rhs with sign -1), adjudicating the
-    printed-sign question: +1 closes the identity.
-    """
-    return MIEUX2.residual(s, x, T, precision)

@@ -185,8 +185,7 @@ class FunctionSpec:
 class PowLogSum:
     """sum_i c_i t^{p_i} log(t)^{k_i}: a factor that is the same on every piece.
 
-    abs_values[i] dominates |values[i]| for the radius model, also through
-    cancellations in how the coefficient was built.
+    abs_values[i] = |values[i]|, as a float, for the radius model.
     """
 
     __slots__ = ("shape", "values", "abs_values")
@@ -197,19 +196,19 @@ class PowLogSum:
         self.shape, self.values, self.abs_values = [], [], []
 
     @classmethod
-    def monomial(cls, c, p, k: int, abs_c: float | None = None) -> "PowLogSum":
+    def monomial(cls, c, p, k: int) -> "PowLogSum":
         out = cls()
-        out.add_monomial(c, p, k, abs_c)
+        out.add_monomial(c, p, k)
         return out
 
     @classmethod
     def from_spec(cls, fs: FunctionSpec) -> "PowLogSum":
         return cls.monomial(mpmath.mpmathify(fs.c), fs.p, fs.k)
 
-    def add_monomial(self, c, p, k: int, abs_c: float | None = None) -> None:
+    def add_monomial(self, c, p, k: int) -> None:
         self.shape.append((mpmath.mpmathify(p), k))
         self.values.append(c)
-        self.abs_values.append(abs(complex(c)) if abs_c is None else abs_c)
+        self.abs_values.append(abs(complex(c)))
 
 
 def _antiderivative(p, j: int) -> list:
@@ -992,25 +991,16 @@ def mdcheck_normalized_factor(x: float, prec: int) -> SummatoryFactor:
                            prec + _GUARD, offset=offset)
 
 
-def integrate_m_kernel(x: float, g, precision: int = PRECISION,
-                       weight: str = "m") -> ApproxValue:
-    """integral over [1, x] of w(x/t) g(t) / t^2 dt, exactly piecewise.
+def integrate_m_kernel(x: float, g, precision: int = PRECISION) -> ApproxValue:
+    """integral over [1, x] of m(x/t) g(t) / t^2 dt, exactly piecewise.
 
-    w is m (default), m-check - 1 ("mcheck1"), or the normalized
-    m-double-check ("mdcheck"); g is a FunctionSpec, a PowLogSum, or a piece
-    factor built by the factories in this module (`KernelFactor` for the Q and
-    R kernels, truncated power sums, 1/2 - {t}, the harmonic weight).
+    g is a FunctionSpec, a PowLogSum, or a piece factor built by the
+    factories in this module (`KernelFactor` for the Q and R kernels,
+    truncated power sums, 1/2 - {t}, the harmonic weight).
     """
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
-    if weight == "m":
-        w = m_weight_factor(x, precision)
-    elif weight == "mcheck1":
-        w = mcheck_minus_one_factor(x, precision)
-    elif weight == "mdcheck":
-        w = mdcheck_normalized_factor(x, precision)
-    else:
-        raise DomainError(f"unknown weight {weight!r}")
+    w = m_weight_factor(x, precision)
     if isinstance(g, FunctionSpec):
         g = PowLogSum.from_spec(g)
     elif not isinstance(g, PowLogSum) and not hasattr(g, "exact"):

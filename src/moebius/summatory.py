@@ -389,7 +389,7 @@ def abs_m_integrals(x: float, sweep: PrefixSweep | None = None) -> tuple[ApproxV
     return sweep.I0_at(x), sweep.I1_at(x)
 
 
-def harmonic_gamma_margins(N: int, gamma_f: float | None = None):
+def harmonic_gamma_margins(N: int):
     """(d, rad): d[n-1] = n (H(n) - log n - gamma) for the integers n <= N and
     its radius, for the harmonic check's margins against the sandwich
     constants.  Streams the H column alone, so it never sieves.
@@ -398,7 +398,7 @@ def harmonic_gamma_margins(N: int, gamma_f: float | None = None):
     for seg in prefix_columns(N, ("H",)):
         H[seg.lo - 1:seg.hi], H_rad[seg.lo - 1:seg.hi] = seg.cols["H"]
     ns = np.arange(1, N + 1, dtype=np.float64)
-    g = gamma_f if gamma_f is not None else float(gamma_const(60))
+    g = float(gamma_const(60))
     d = ns * (H - np.log(ns) - g)
     rad = ns * (H_rad + _EPS * (np.abs(np.log(ns)) + g + 2 * np.abs(d) / np.maximum(ns, 1)))
     return d, rad

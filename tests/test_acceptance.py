@@ -102,13 +102,13 @@ def test_06_landau_lower_bound():
 
 def test_07_headline_composition():
     from moebius.checks import compose_headline
-    from moebius.mellin import derivK2_residual
+    from moebius.mellin import DERIVK2, transform_sides
     value = compose_headline(4, 8.55e-6)
     ok = value == pytest.approx(3.42e-5) and value <= 3.5e-5
     details = [f"4 x 8.55e-6 = {value:.3g} <= 3.5e-5"]
     for sig in (1.04, 2.0):
         for x in (1000.0, 100000.0):
-            lhs, rhs = derivK2_residual(sig, x)
+            lhs, rhs = transform_sides(DERIVK2, [(sig, x)])[0]
             resid = float(mpmath.fabs(lhs.value - rhs.value))
             tol = lhs.radius + rhs.radius
             ok &= resid <= tol

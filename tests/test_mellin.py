@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from moebius.errors import DomainError
-from moebius.mellin import (TruncatedTransform, default_T, derivK1_residual,
-                            derivK2_residual, derivK3_residual, ent_residual,
-                            har_residual, mtronq_residual, mtronqch_residual,
-                            mtronqchch_residual, power_log_tail, truncated_transforms)
+from moebius.mellin import (DERIVK1, DERIVK2, DERIVK3, HAR, MTRONQ, MTRONQCH, MTRONQCHCH,
+                            TruncatedTransform, default_T, ent_residual, power_log_tail,
+                            transform_sides, truncated_transforms)
 from moebius.summatory import prefix_columns
 from moebius.zeta import ComplexParam
 
@@ -21,32 +20,34 @@ def _agree(lhs, rhs):
     return float(mpmath.fabs(lhs.value - rhs.value)) <= lhs.radius + rhs.radius
 
 
-TRANSFORMS = [mtronq_residual, mtronqch_residual, mtronqchch_residual,
-              derivK1_residual, derivK2_residual, derivK3_residual]
+# each identity's residual, under the id the suite lists it by
+TRANSFORMS = {"mtronq_residual": MTRONQ, "mtronqch_residual": MTRONQCH,
+              "mtronqchch_residual": MTRONQCHCH, "derivK1_residual": DERIVK1,
+              "derivK2_residual": DERIVK2, "derivK3_residual": DERIVK3}
 
 
-@pytest.mark.parametrize("fn", TRANSFORMS)
+@pytest.mark.parametrize("name", list(TRANSFORMS))
 @pytest.mark.parametrize("sigma", [1.04, 2.0])
-def test_transform_identities(fn, sigma):
-    lhs, rhs = fn(sigma, 1000.0, T=100_000)
-    assert _agree(lhs, rhs), (fn.__name__, sigma)
+def test_transform_identities(name, sigma):
+    lhs, rhs = transform_sides(TRANSFORMS[name], [(sigma, 1000.0)], T=100_000)[0]
+    assert _agree(lhs, rhs), (name, sigma)
 
 
-@pytest.mark.parametrize("fn", [mtronq_residual, mtronqch_residual, mtronqchch_residual])
-def test_m_tail_transforms_need_no_summatory_snapshot(fn, monkeypatch):
+@pytest.mark.parametrize("name", list(TRANSFORMS)[:3])
+def test_m_tail_transforms_need_no_summatory_snapshot(name, monkeypatch):
     # the m-tail right-hand sides read m(x) from the streamed transform;
     # a separate mp summatory snapshot at x would be wasted work
     def refuse(*args, **kwargs):
         raise AssertionError("summatory snapshot computed")
 
     monkeypatch.setattr("moebius.mellin.summatory", refuse)
-    lhs, rhs = fn(2.0, 1000.0, T=100_000)
-    assert _agree(lhs, rhs), fn.__name__
+    lhs, rhs = transform_sides(TRANSFORMS[name], [(2.0, 1000.0)], T=100_000)[0]
+    assert _agree(lhs, rhs), name
 
 
 def test_transform_rejects_wrong_halfplane():
     with pytest.raises(DomainError):
-        mtronq_residual(0.9, 1000.0)
+        transform_sides(MTRONQ, [(0.9, 1000.0)])
 
 
 def test_default_T_policy():
@@ -128,10 +129,10 @@ def test_tail_coeffs_halved_fail(p):
 
 
 def test_har_and_ent():
-    assert _agree(*har_residual(2.0, 50.0, T=200_000))
-    assert _agree(*har_residual(0.5 + 3j, 20.5, T=200_000))
-    assert _agree(*ent_residual(2.0, 7.0))
-    assert _agree(*ent_residual(0.5 + 10j, 33.3))
+    assert _agree(*transform_sides(HAR, [(2.0, 50.0)], T=200_000)[0])
+    assert _agree(*transform_sides(HAR, [(0.5 + 3j, 20.5)], T=200_000)[0])
+    assert _agree(*ent_residual([(2.0, 7.0)])[0])
+    assert _agree(*ent_residual([(0.5 + 10j, 33.3)])[0])
 
 
 def test_transform_bad_range():
@@ -213,7 +214,7 @@ def test_hgap_transform_needs_no_sieve(monkeypatch):
 
     monkeypatch.setattr(sys.modules["moebius.summatory"], "iter_segments", refuse)
     monkeypatch.setattr(sys.modules["moebius.sieve"], "_sieve_segment", refuse)
-    assert _agree(*har_residual(2.0, 50.0, T=200_000))
+    assert _agree(*transform_sides(HAR, [(2.0, 50.0)], T=200_000)[0])
 
 
 LANE_T = 1_200_000  # two sieve segments

@@ -88,7 +88,7 @@ CASES = {
           FunctionSpec(0.7, 0.5, 1), FunctionSpec.power(complex(0.5, 3.0)))], 7.3),
     "integrate_abs_kernel": lambda: integrate_abs_kernel(
         KernelSpec.make("Q", complex(0.5, 14.13)), 5.0, 0.05),
-    "mieux1_sides": lambda: mieux1_sides(0.5 + 3j, 20.5),
+    "mieux1_sides": lambda: mieux1_sides([(0.5 + 3j, 20.5)])[0],
     "SummatoryFactor": _walk_of(lambda: SummatoryFactor(
         [_alt(n) for n in range(1, 8)], FunctionSpec(0.7, complex(0.5, 1.0), 1), 7.3, 128)),
     "InnerSumFactor": _walk_of(lambda: InnerSumFactor(
