@@ -26,6 +26,7 @@ HEURISTIC = "heuristic"
 
 _INFLATE = 1.0 + 2.0**-40
 PRECISION = 128  # the nominal bits of every entry point not given `precision`
+_MAX_DIGITS = 40  # render_value's most digits
 
 
 def _up(r: float) -> float:
@@ -127,21 +128,20 @@ class ApproxValue:
     def __abs__(self):
         return ApproxValue(mpmath.fabs(self.value), self.radius, self.rigor, self.precision_bits)
 
-    def widened(self, extra: float, rigor: str | None = None) -> "ApproxValue":
-        return ApproxValue(self.value, radd(self.radius, extra),
-                           rigor or self.rigor, self.precision_bits)
+    def widened(self, extra: float) -> "ApproxValue":
+        return ApproxValue(self.value, radd(self.radius, extra), self.rigor, self.precision_bits)
 
     def __repr__(self):
         return f"ApproxValue({render_value(self.value, self.radius)}, rigor={self.rigor})"
 
 
-def render_value(value, radius: float, max_digits: int = 40) -> str:
+def render_value(value, radius: float) -> str:
     """Render with only the digits the radius justifies, plus the radius."""
     if radius == 0.0:
-        return f"{mpmath.nstr(value, max_digits)} (exact)"
+        return f"{mpmath.nstr(value, _MAX_DIGITS)} (exact)"
     av = float(mpmath.fabs(value))
     if av == 0.0 or radius >= av:
         digits = 1
     else:
-        digits = max(1, min(max_digits, int(math.floor(math.log10(av / (2.0 * radius)))) + 1))
+        digits = max(1, min(_MAX_DIGITS, int(math.floor(math.log10(av / (2.0 * radius)))) + 1))
     return f"{mpmath.nstr(value, digits)} +- {radius:.2e}"

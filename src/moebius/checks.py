@@ -43,7 +43,7 @@ import numpy as np
 from mpmath import mpf
 
 from .approx import PRECISION, ApproxValue, HEURISTIC, RIGOROUS, combine_rigor, eps_for, radd
-from .constants import (HARMONIC_LOWER, HARMONIC_UPPER, MCHECK_OVER_LOG,
+from .constants import (GAMMA_F, HARMONIC_LOWER, HARMONIC_UPPER, MCHECK_OVER_LOG,
                         RHO1_IMAG_ROUNDED, RHO1_IMAG_STR, gamma_const)
 from .convolution import SequenceSpec, terre_batch, voyage_sides
 from .errors import DomainError, InapplicabilityError
@@ -53,17 +53,18 @@ from .identities import (abel_s_sides, double_check_borne_sides, formule_m_value
                          poids_sides)
 from .kernels import (IBP_R, KernelSpec, MID_Q, REAL_R, SUP_Q, hel_remainder_bound,
                       hel_sup_abs_Q, kernel_bound, kernel_eval, kernel_eval_em)
-from .mellin import (DERIVK1, DERIVK2, DERIVK3, HAR, MIEUX2, MTRONQ, MTRONQCH,
-                     MTRONQCHCH, SMOOTHED, SMOOTHED_WEIGHTS, ent_residual, smoothed_rhs,
-                     transform_sides)
+from .mellin import (DERIVK1, DERIVK2, DERIVK3, HAR, IDENTITY_TARGET, MIEUX2, MTRONQ,
+                     MTRONQCH, MTRONQCHCH, SMOOTHED, SMOOTHED_WEIGHTS, ent_residual,
+                     smoothed_rhs, transform_sides)
 from .piecewise import FunctionSpec, KernelFactor, PowLogSum, integrate_partition
-from .quadrature import (exact_Q_l1_reference, exact_Q_l1_tail,
+from .quadrature import (EXACT_Q_L1_ZETA, exact_Q_l1_reference, exact_Q_l1_tail,
                          integrate_abs_kernel_to_infinity, sup_abs_kernel)
 from .summatory import harmonic_gamma_margins, prefix_sweep, summatory
 from .zeta import ComplexParam, partial_power_sum, zeta_em
 
-_GAMMA_F = float(gamma_const(64))
 _RHO1 = complex(0.5, float(mpmath.mpf(RHO1_IMAG_STR)))
+#: landau-lower's constants c in integral_1^x |m| >= c (sqrt x - 1/x); the first decides
+LANDAU_CONSTANTS = (0.0024933, 0.0025)
 
 
 @dataclass
@@ -126,10 +127,10 @@ def improved_landau(rho, supQ_near: float, supQ_far: float, T_split: float) -> f
     return 1.0 / (1.0 + max(supQ_near, supQ_far))
 
 
-def landau_lower_check(x_max: float, constants=(0.0024933, 0.0025)) -> BoundReport:
+def landau_lower_check(x_max: float) -> BoundReport:
     """integral_1^x |m| >= c (sqrt x - 1/x) at every integer breakpoint <= x_max,
-    for each constant; the report carries the minimum ratio and margin."""
-    return _run("landau-lower", _landau_lower, x_max, constants)
+    for each of LANDAU_CONSTANTS; the report carries the minimum ratio and margin."""
+    return _run("landau-lower", _landau_lower, x_max, LANDAU_CONSTANTS)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +185,8 @@ def _scalar(grid, key, default):
     return v
 
 
-def _grid_pairs(grid):
-    return [(s, x) for s in _slist(grid, "s", grid["_s_default"])
-            for x in _slist(grid, "x", grid["_x_default"])]
+def _grid_pairs(grid, s_default, x_default):
+    return [(s, x) for s in _slist(grid, "s", s_default) for x in _slist(grid, "x", x_default)]
 
 
 def _identity_cells(pairs, sides):
@@ -199,9 +199,8 @@ def _grid_check(x_default, s_default, batch):
     """An identity over the s x x grid, with the sides of all its cells from
     one call batch(pairs, T, prec), T the grid's --T or None."""
     def run(grid, target, prec):
-        g = {"_s_default": s_default, "_x_default": x_default, **grid}
-        pairs = _grid_pairs(g)
-        return "identity", g, _identity_cells(pairs, batch(pairs, g.get("T"), prec))
+        pairs = _grid_pairs(grid, s_default, x_default)
+        return "identity", grid, _identity_cells(pairs, batch(pairs, grid.get("T"), prec))
     return run
 
 
@@ -220,7 +219,6 @@ def _transform_check(identity, x_default):
 def _finish(name, t0, kind, grid, cells, payload=None, verdict=None):
     """The report: `verdict` = (worst, location, passed) when the check
     decides it itself, else from the cells by kind."""
-    grid = {k: v for k, v in grid.items() if not k.startswith("_")}
     rigor = combine_rigor(*(c.get("rigor", RIGOROUS) for c in cells)) if cells else RIGOROUS
     if verdict is not None:
         worst, loc, passed = verdict
@@ -253,9 +251,9 @@ def _run(name, check, *args) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 def _check_abel(grid, target, prec):
-    kind, g, cells = _sides_check(abel_s_sides, [10.0, 100.0, 1e4])(grid, target, prec)
+    kind, _, cells = _sides_check(abel_s_sides, [10.0, 100.0, 1e4])(grid, target, prec)
     # s = 0 specialization on a fast sweep: integral_1^x m = x m(x) - M(x)
-    sweep = prefix_sweep(int(g.get("xmax_fast", 1e5)))
+    sweep = prefix_sweep(int(grid.get("xmax_fast", 1e5)))
     for x in (10.0, 1000.0, 99999.5, float(sweep.N)):
         if x > sweep.N:  # a fixed point beyond a short sweep (xmax_fast)
             continue
@@ -265,12 +263,11 @@ def _check_abel(grid, target, prec):
         tol = radd(im.radius, x * sweep.m_rad[n - 1] + 4e-16 * (abs(rhs) + abs(sweep.M[n - 1])))
         cells.append(_residual_cell({"s": "0 (step form)", "x": x},
                                     abs(float(im.value) - rhs), tol))
-    return kind, g, cells
+    return kind, grid, cells
 
 
 def _check_mieux2(grid, target, prec):
-    g = {"_s_default": [2.0, 0.5 + 3j, 1.04], "_x_default": [10.0, 100.0], **grid}
-    pairs = _grid_pairs(g)
+    pairs = _grid_pairs(grid, [2.0, 0.5 + 3j, 1.04], [10.0, 100.0])
     sides = transform_sides(MIEUX2, pairs, None, prec)
     cells = _identity_cells(pairs, sides)
     sign_report = {f"s={s} x={x}": {"plus_gamma": c["residual"],
@@ -280,46 +277,43 @@ def _check_mieux2(grid, target, prec):
                "closing parenthesis +gamma matches (with the vanishing tail "
                "bracket log t - H + gamma); -gamma residuals shown for contrast",
                "residuals": sign_report}
-    return "identity", g, cells, payload
+    return "identity", grid, cells, payload
 
 
 def _check_dcb(grid, target, prec):
-    g = {"_x_default": [10.0, 1000.0], **grid}
     cells = [_residual_cell({"x": x}, *double_check_borne_sides(x, prec))
-             for x in _slist(g, "x", g["_x_default"])]
-    return "identity", g, cells
+             for x in _slist(grid, "x", [10.0, 1000.0])]
+    return "identity", grid, cells
 
 
 def _check_formule_m(grid, target, prec):
-    g = {"_x_default": [1.0, 2.0, 10.0, 1000.0, 12345.6], **grid}
     cells = []
-    for x in _slist(g, "x", g["_x_default"]):
+    for x in _slist(grid, "x", [1.0, 2.0, 10.0, 1000.0, 12345.6]):
         if x == 1.0:
             cells.append(_residual_cell({"x": 1.0}, 0.0, 0.0))
             continue
         val, expect = formule_m_value(x, prec)
         cells.append(_residual_cell({"x": x}, mpmath.fabs(val.value - expect), val.radius))
-    return "identity", g, cells
+    return "identity", grid, cells
 
 
 def _check_exact_Q_l1(grid, target, prec):
     """Calibration: the exact piecewise integral of Q_s(t)/t^2 over [1, T]
     plus the closed-form tail must match 1/(s-1) - zeta + gamma within the
-    combined radii.  All three read zeta(s) at radius 1e-30."""
-    g = {"_s_default": [1.5, 2.0], "_x_default": [None], **grid}
-    T = int(g.get("T", 1000))
+    combined radii.  All three read zeta(s) at radius EXACT_Q_L1_ZETA."""
+    T = int(grid.get("T", 1000))
     over_t2 = PowLogSum.monomial(mpf(1), mpf(-2), 0)
     cells = []
-    for s in _slist(g, "s", g["_s_default"]):
-        head = integrate_partition(T, [KernelFactor(KernelSpec.make("Q", s), prec, 1e-30)],
-                                   over_t2, precision=prec)
+    for s in _slist(grid, "s", [1.5, 2.0]):
+        factor = KernelFactor(KernelSpec.make("Q", s), prec, EXACT_Q_L1_ZETA)
+        head = integrate_partition(T, [factor], over_t2, precision=prec)
         tail = exact_Q_l1_tail(s, T, precision=prec)
         ref = exact_Q_l1_reference(s, precision=prec)
         cells.append({**_residual_cell({"s": str(s), "T": T},
                                        mpmath.fabs(head.value + tail.value - ref.value),
                                        radd(head.radius, tail.radius, ref.radius)),
                       "reference": float(mpmath.re(ref.value))})
-    return "identity", g, cells
+    return "identity", grid, cells
 
 
 def _check_em_cross(grid, target, prec):
@@ -382,8 +376,7 @@ def _check_voyage(grid, target, prec):
 
 
 def _check_halfstep(grid, target, prec):
-    g = {"_s_default": [2.0, 0.5 + 3j], "_x_default": [30.0, 100.0], **grid}
-    pairs = _grid_pairs(g)
+    pairs = _grid_pairs(grid, [2.0, 0.5 + 3j], [30.0, 100.0])
     cells = []
     match_names = set()
     for (s, x), (value, cands) in zip(pairs, halfstep_candidates(pairs, prec)):
@@ -393,7 +386,7 @@ def _check_halfstep(grid, target, prec):
         cells.append({**_residual_cell({"s": str(s), "x": x, "matched": best}, resids[best],
                                        radd(value.radius, cands[best].radius)),
                       **{f"resid_{k}": v for k, v in resids.items()}})
-    return "adjudication", g, cells, {"matching_bracketing": sorted(match_names)}
+    return "adjudication", grid, cells, {"matching_bracketing": sorted(match_names)}
 
 
 def _check_mdcheck_norm(grid, target, prec):
@@ -403,11 +396,11 @@ def _check_mdcheck_norm(grid, target, prec):
     ns = np.arange(1, N + 1, dtype=np.float64)
     logs = np.log(ns)
     md = logs**2 * sweep.m - 2 * logs * sweep.Smlog + sweep.Smlog2
-    bound = 4 * _GAMMA_F + 2
+    bound = 4 * GAMMA_F + 2
     rad = logs**2 * sweep.m_rad + 2 * logs * sweep.Smlog_rad + sweep.Smlog2_rad + 1e-13
     cells, fits = [], []
-    for name, norm in (("2log t - 2gamma", np.abs(md - 2 * logs + 2 * _GAMMA_F)),
-                       ("log t - gamma", np.abs(md - logs + _GAMMA_F))):
+    for name, norm in (("2log t - 2gamma", np.abs(md - 2 * logs + 2 * GAMMA_F)),
+                       ("log t - gamma", np.abs(md - logs + GAMMA_F))):
         i = int(np.argmax(norm))
         fits.append(bool(norm[i] + rad[i] <= bound))
         # the adjudication passes when the sweep ran; the verdict says which
@@ -444,10 +437,10 @@ def _sup_window(sweep, x: float, kind: str):
         vals = np.maximum(vals, vals2)
     else:
         md = logs**2 * sweep.m[sl] - 2 * logs * sweep.Smlog[sl] + sweep.Smlog2[sl]
-        vals = np.abs(md - 2 * logs + 2 * _GAMMA_F)
+        vals = np.abs(md - 2 * logs + 2 * GAMMA_F)
         logs2 = np.log(ns + 1)
         md2 = logs2**2 * sweep.m[sl] - 2 * logs2 * sweep.Smlog[sl] + sweep.Smlog2[sl]
-        vals = np.maximum(vals, np.abs(md2 - 2 * logs2 + 2 * _GAMMA_F))
+        vals = np.maximum(vals, np.abs(md2 - 2 * logs2 + 2 * GAMMA_F))
     return float(np.max(vals))
 
 
@@ -465,7 +458,7 @@ def _prop_inequality_cells(which: str, letter: str, grid, prec):
         cells.append(_residual_cell({"form": "identity", "sigma": sig, "x": x}, lhs, rhs,
                                     in_inequality=True))
         # inequality with empirical sup; zeta at the identity's key, so one ladder per s
-        z, zp = zeta_em(sig, 1e-33, precision=prec)
+        z, zp = zeta_em(sig, IDENTITY_TARGET, precision=prec)
         snap = summatory(x, mode="mp", precision=prec)
         x1s = float(x) ** (1.0 - sig)
         sup = _sup_window(sweep, x, SMOOTHED_WEIGHTS[p])
@@ -663,7 +656,7 @@ def _check_harmonic(grid, target, prec):
     for off in (0.25, 0.5, 0.75, 0.999999):
         xs = np.arange(1, sweep.N) + off
         H = sweep.H[np.floor(xs).astype(int) - 1]
-        v = xs * (H - np.log(xs) - _GAMMA_F)
+        v = xs * (H - np.log(xs) - GAMMA_F)
         r = xs * (sweep.H_rad[np.floor(xs).astype(int) - 1] + 4e-16 * (np.abs(np.log(xs)) + 1))
         ok &= bool(np.all(v - r >= HARMONIC_LOWER) and np.all(v + r <= HARMONIC_UPPER))
         worst = min(worst, float(np.min(np.minimum(v - HARMONIC_LOWER, HARMONIC_UPPER - v))))
@@ -817,7 +810,7 @@ def _landau_lower(x_max, constants):
 
 def _check_landau_lower(grid, target, prec):
     return _landau_lower(float(grid.get("xmax", 1e6)),
-                         tuple(grid.get("constants", (0.0024933, 0.0025))))
+                         tuple(grid.get("constants", LANDAU_CONSTANTS)))
 
 
 # ---------------------------------------------------------------------------

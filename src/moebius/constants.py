@@ -33,6 +33,9 @@ def gamma_const(prec: int) -> mpf:
     return g
 
 
+#: gamma rounded to a double from 64 bits, for the float64 lanes
+GAMMA_F = float(gamma_const(64))
+
 # Explicit bounds imported from the literature; consumed, not re-derived.
 # Each is (coefficient c, threshold t0) for: quantity <= c / log t, t >= t0.
 M_OVER_LOG = (0.013, 97_067.0)            # |M(x)| <= 0.013 x / log x

@@ -242,7 +242,7 @@ class DirichletTable:
             self._mu = [0] * (N + 1)
             for n, v in nonzero_mu(N):
                 self._mu[n] = v
-        return self._mu
+        return self._mu[:N + 1]
 
     def terms(self, N: int, i: int = 0, mu: bool = False) -> list[list[int]]:
         """[Re] or [Re, Im] of w(n) n^-s log^i n for n = 0..N, in units u."""
@@ -296,7 +296,7 @@ class DirichletTable:
         if mu not in self._cum:
             w = np.ones(self.N + 1, dtype=np.int64)
             if mu:
-                w = np.abs(np.asarray(self.mu(self.N)[:self.N + 1], dtype=np.int64))
+                w = np.abs(np.asarray(self.mu(self.N), dtype=np.int64))
             w[0] = 0
             self._cum[mu] = (np.cumsum(np.asarray(self.om) * w), np.cumsum(w))
         omegas, count = self._cum[mu]

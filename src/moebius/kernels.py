@@ -22,8 +22,8 @@ and gives closed-form sup bounds for g and its derivatives; the rigorous
 quadrature and the piecewise integrator's kernel factor read it.
 
 Fractional parts use the right-continuous convention {k} = 0 at integers,
-matching sums over k <= t that include k = t; left limits are available
-explicitly for the continuity/jump checks.
+matching sums over k <= t that include k = t; left limits, for the
+continuity/jump checks, come only through `kernel_eval`.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ class FracTailEvaluator:
         self._ladders[key] = result
         return result
 
-    def _cum_to_anchor(self, n: int, target: float):
+    def _cum_to_anchor(self, n: int):
         """integral over [n, base_anchor] + ladder(base_anchor), cached per n."""
         hit = self._cum.get(n)
         if hit is not None:
@@ -292,29 +292,23 @@ class FracTailEvaluator:
         self._cum[n] = result
         return result
 
-    def eval(self, t: float, target_radius: float, left_limit: bool = False) -> ApproxValue:
+    def eval(self, t: float, target_radius: float) -> ApproxValue:
+        """J(t) = the partial piece [t, ceil t] + the unit pieces up to the
+        base anchor (none above it) + the ladder from max(ceil t, base anchor)."""
         if t < 1:
             raise DomainError(f"t must be >= 1, got {t}")
-        K, frac = _floor_frac(t, left_limit)
+        K = math.floor(t)
+        frac = t - K
         eps = eps_for(self.prec)
         with mpmath.mp.workprec(self.prec + _GUARD):
-            tm = mpf(t)
             ceil_t = K if frac == 0.0 else K + 1
-            if ceil_t <= self.base_anchor:
-                head, scale = ((mpc(0) if self.s.tau else mpf(0)), 0.0)
-                if frac != 0.0:
-                    head, scale = self._piece(K, tm, mpf(ceil_t))
-                cum, sc2 = self._cum_to_anchor(ceil_t, target_radius)
-                ladder, rem = self._ladder(self.base_anchor, target_radius)
-                J = head + cum + ladder
-                scale += sc2
-            else:
-                head, scale = ((mpc(0) if self.s.tau else mpf(0)), 0.0)
-                if frac != 0.0:
-                    head, scale = self._piece(K, tm, mpf(ceil_t))
-                ladder, rem = self._ladder(ceil_t, target_radius)
-                J = head + ladder
-            radius = radd(rem, eps * 16 * (scale + float(mpmath.fabs(J))))
+            head, scale = ((mpc(0) if self.s.tau else mpf(0)), 0.0)
+            if frac != 0.0:
+                head, scale = self._piece(K, mpf(t), mpf(ceil_t))
+            cum, sc2 = self._cum_to_anchor(ceil_t)
+            ladder, rem = self._ladder(max(ceil_t, self.base_anchor), target_radius)
+            J = head + cum + ladder
+            radius = radd(rem, eps * 16 * (scale + sc2 + float(mpmath.fabs(J))))
             return ApproxValue(+J, radius, RIGOROUS, self.prec)
 
 
@@ -324,9 +318,9 @@ def frac_tail_evaluator(sigma: float, tau: float, prec: int) -> FracTailEvaluato
 
 
 def frac_tail_integral(s, t: float, target_radius: float = 1e-30,
-                       precision: int = PRECISION, left_limit: bool = False) -> ApproxValue:
+                       precision: int = PRECISION) -> ApproxValue:
     sp = ComplexParam.coerce(s)
-    return frac_tail_evaluator(sp.sigma, sp.tau, precision).eval(t, target_radius, left_limit)
+    return frac_tail_evaluator(sp.sigma, sp.tau, precision).eval(t, target_radius)
 
 
 def kernel_eval(spec: KernelSpec, t: float, target_radius: float = 1e-30,
@@ -365,17 +359,16 @@ def kernel_eval(spec: KernelSpec, t: float, target_radius: float = 1e-30,
 
 
 def kernel_eval_em(spec: KernelSpec, t: float, target_radius: float = 1e-30,
-                   precision: int = PRECISION, left_limit: bool = False) -> ApproxValue:
+                   precision: int = PRECISION) -> ApproxValue:
     """Kernel value by the Euler-Maclaurin form (fractional-part tail integral);
     zeta never enters."""
     s = spec.s
     s.require_not_one("kernels")
     s.require_sigma_gt(-1.0, "kernel_eval_em")
     eps = eps_for(precision)
-    _, frac = _floor_frac(t, left_limit)
+    frac = t - math.floor(t)
     prefactor_abs = s.abs() * math.hypot(s.sigma - 1.0, s.tau) * t ** s.sigma
-    J = frac_tail_integral(s, t, target_radius / max(prefactor_abs, 1.0),
-                           precision=precision, left_limit=left_limit)
+    J = frac_tail_integral(s, t, target_radius / max(prefactor_abs, 1.0), precision=precision)
     with mpmath.mp.workprec(precision + _GUARD):
         sm = s.as_mpc()
         tm = mpf(t)

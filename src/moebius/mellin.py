@@ -72,7 +72,7 @@ import numpy as np
 from mpmath import mpf
 
 from .approx import PRECISION, ApproxValue, RIGOROUS, radd
-from .constants import (HARMONIC_LOWER, LITTLE_M_OVER_LOG, gamma_const)
+from .constants import GAMMA_F, HARMONIC_LOWER, LITTLE_M_OVER_LOG, gamma_const
 from .errors import DomainError
 from .identities import _x1s, mu_power_sum
 from .kernels import Q, KernelSpec, frac_tail_integral
@@ -88,10 +88,11 @@ _BLANKET_UNITS = 1024.0
 _FN_ULPS = 4
 #: the real lane keeps every term above exp(-_MIN_LOG_F), so nothing underflows
 _MIN_LOG_F = 600.0
-_GAMMA_F = float(gamma_const(64))
-#: a bound on |gamma - _GAMMA_F|: half an ulp of gamma, 2^-54, plus the 64-bit value's error
+#: a bound on |gamma - GAMMA_F|: half an ulp of gamma, 2^-54, plus the 64-bit value's error
 _GAMMA_GAP = 2.0**-53
 _HGAP_SUP = abs(HARMONIC_LOWER)  # |H(t) - log t - gamma| <= 0.5408 / t
+#: the target radius of the identities' zeta(s) and J(t); prop1/prop2 read zeta at this key
+IDENTITY_TARGET = 1e-33
 #: the most jumps the transform kernel holds at once: its work arrays stay in L2
 _BLOCK = 16384
 
@@ -162,7 +163,7 @@ class TruncatedTransform:
             out["mcheck1"] = av(mc, abs(logx) * m_r + sl_r + _EPS * 8 * (abs(logx * m) + abs(mc)))
         if "sl2" in store:
             sl2, sl2_r = store["sl2"]
-            md = logx ** 2 * m - 2 * logx * sl + sl2 - 2 * logx + 2 * _GAMMA_F
+            md = logx ** 2 * m - 2 * logx * sl + sl2 - 2 * logx + 2 * GAMMA_F
             out["mdnorm"] = av(md, logx ** 2 * m_r + 2 * abs(logx) * sl_r + sl2_r
                                + _EPS * 16 * (logx ** 2 * abs(m) + abs(logx * sl)
                                               + abs(md) + abs(logx)))
@@ -244,7 +245,7 @@ def _real_lane_units(s: ComplexParam, T: float, nterms: int, mom_max: int) -> fl
 
     Every interior term has the sign of -phi c_k, so on the real lane cond is
     sum |term| itself; the radius adds the prefix moments' radii times |F|
-    and |q_gamma| |gamma - _GAMMA_F| |F_j| at x and T, exactly as propagated.
+    and |q_gamma| |gamma - GAMMA_F| |F_j| at x and T, exactly as propagated.
     """
     sigma = s.sigma
     if s.tau != 0.0 or not sigma > 1.0:
@@ -316,7 +317,7 @@ class _Cell:
         """Set the transform's basis values and mu power sums, with radii."""
         tt = self.tt
         _, p, (q0, q_gamma, q1), reads = _WEIGHTS[tt.weight]
-        q0 += q_gamma * _GAMMA_F
+        q0 += q_gamma * GAMMA_F
         inv = 1.0 / self.a
         ends = [(1.0, tt.at_T, _antiderivatives(self.a, inv, tt.T, self.nterms)),
                 (-1.0, tt.at_x, _antiderivatives(self.a, inv, tt.x, self.nterms))]
@@ -545,7 +546,7 @@ def _smoothed_sides(p: int, mom: int) -> Callable[[TruncatedTransform, int], tup
             tail0 = D * pt(0) + E * pt(1)
             tail = b * tail0 if mom == 0 else \
                 a * tail0 + b * (D * (pt(1) + LTx * pt(0)) + E * (pt(2) + LTx * pt(1)))
-        z, zp = zeta_em(sp, 1e-33, precision=precision)
+        z, zp = zeta_em(sp, IDENTITY_TARGET, precision=precision)
         with mpmath.mp.workprec(precision + 32):
             smc1 = sp.as_mpc() - 1
             top = ApproxValue.exact(smc1 ** (p + 1) / math.factorial(p))
@@ -574,7 +575,7 @@ def _har_sides(tt: TruncatedTransform, precision: int):
     with mpmath.mp.workprec(precision + 32):
         smc = sp.as_mpc()
         lhs = ((ApproxValue.exact(smc) - 1) * tt.basis[0]).widened(tail)
-        z, _ = zeta_em(sp, 1e-33, precision=precision, want_derivative=False)
+        z, _ = zeta_em(sp, IDENTITY_TARGET, precision=precision, want_derivative=False)
         psum = partial_power_sum(sp, t, precision)
         tm = mpf(t)
         hgap = tt.values_at_x()["H"] - ApproxValue.exact(
@@ -608,11 +609,11 @@ def ent_residual(cells, precision: int = PRECISION) -> list:
         sp = ComplexParam.coerce(s)
         sp.require_sigma_gt(0.0, "floor-gap transform")
         sp.require_not_one("floor-gap transform")
-        J = frac_tail_integral(sp, t, 1e-33, precision=precision)
+        J = frac_tail_integral(sp, t, IDENTITY_TARGET, precision=precision)
         with mpmath.mp.workprec(precision + 32):
             smc = sp.as_mpc()
             lhs = ApproxValue.exact(-smc) * J
-            z, _ = zeta_em(sp, 1e-33, precision=precision, want_derivative=False)
+            z, _ = zeta_em(sp, IDENTITY_TARGET, precision=precision, want_derivative=False)
             psum = partial_power_sum(sp, t, precision)
             tm = mpf(t)
             rhs = (z - psum - ApproxValue.exact(mpmath.power(tm, 1 - smc) / (smc - 1))
@@ -635,7 +636,7 @@ def _mieux2_sides(tt: TruncatedTransform, prec: int):
     with mpmath.mp.workprec(prec + 32):
         smc = sp.as_mpc()
         g = gamma_const(prec)
-        z, _ = zeta_em(sp, 1e-33, precision=prec, want_derivative=False)
+        z, _ = zeta_em(sp, IDENTITY_TARGET, precision=prec, want_derivative=False)
         snap = summatory(x, mode="mp", precision=prec)
         msum = mu_power_sum(x, sp, prec)
         x1s = _x1s(sp, x)
@@ -643,7 +644,7 @@ def _mieux2_sides(tt: TruncatedTransform, prec: int):
         lhs = z * (msum - snap.m * x1s_a
                    - ApproxValue.exact(smc - 1) * (snap.m_check - 1) * x1s_a) - 1
         conv = integrate_partition(x, [mcheck_minus_one_factor(x, prec),
-                                       KernelFactor(KernelSpec(Q, sp), prec, 1e-33)],
+                                       KernelFactor(KernelSpec(Q, sp), prec, IDENTITY_TARGET)],
                                    PowLogSum.monomial(mpf(1), mpf(-2), 0), precision=prec)
         # integral_x^inf (log t - H + gamma) t^{-s} dt = -(hgap transform)
         hterm = -tt.basis[0]

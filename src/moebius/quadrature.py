@@ -135,6 +135,8 @@ _LOG_BITS = 80
 _LOG_ANCHOR = {(1, _LOG_BITS + _LOG_BITS.bit_length()): 0}  # _ln's one anchor, log 1 = 0
 EVAL_CAP = 1 << 20  # midpoint evaluations in sup_abs_kernel's branch-and-bound
 _T_CAP = 50_000  # integrate_abs_kernel_to_infinity's largest head [1, T]
+#: the zeta(s) radius of exact-Q-l1: its head, its tail and its reference read one value
+EXACT_Q_L1_ZETA = 1e-30
 
 
 def _midpoint(a: float, h: float) -> tuple[int, int]:
@@ -385,13 +387,12 @@ def integrate_abs_kernel_to_infinity(spec: KernelSpec, target_radius: float = 1e
                        head.precision_bits), T
 
 
-def exact_Q_l1_reference(s, precision: int = PRECISION,
-                         target_radius: float = 1e-30) -> ApproxValue:
+def exact_Q_l1_reference(s, precision: int = PRECISION) -> ApproxValue:
     """integral_1^inf Q_s(t)/t^2 dt = 1/(s-1) - zeta(s) + gamma, exactly."""
     sp = ComplexParam.coerce(s)
     sp.require_sigma_gt(0.0, "signed L1 reference")
     sp.require_not_one("signed L1 reference")
-    z, _ = zeta_em(sp, target_radius, precision=precision, want_derivative=False)
+    z, _ = zeta_em(sp, EXACT_Q_L1_ZETA, precision=precision, want_derivative=False)
     with mpmath.mp.workprec(precision + _GUARD):
         sm = sp.as_mpc()
         v = 1 / (sm - 1) - z.value + gamma_const(precision + _GUARD)
@@ -399,8 +400,7 @@ def exact_Q_l1_reference(s, precision: int = PRECISION,
                            RIGOROUS, precision)
 
 
-def exact_Q_l1_tail(s, T: int, precision: int = PRECISION,
-                    target_radius: float = 1e-30) -> ApproxValue:
+def exact_Q_l1_tail(s, T: int, precision: int = PRECISION) -> ApproxValue:
     """integral_T^inf Q_s(t)/t^2 dt (integer T), in closed form:
     1/(s-1) + gamma - (zeta(s) - P_T) T^{s-1} - (H_T - log T)."""
     sp = ComplexParam.coerce(s)
@@ -409,7 +409,7 @@ def exact_Q_l1_tail(s, T: int, precision: int = PRECISION,
     if T != int(T) or T < 1:
         raise DomainError("integer T >= 1 required")
     T = int(T)
-    z, _ = zeta_em(sp, target_radius, precision=precision, want_derivative=False)
+    z, _ = zeta_em(sp, EXACT_Q_L1_ZETA, precision=precision, want_derivative=False)
     table = power_prefix_table(sp.sigma, sp.tau, precision)
     with mpmath.mp.workprec(precision + _GUARD):
         sm = sp.as_mpc()

@@ -85,19 +85,17 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return mob
 
 
-def sieve_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) -> MobiusTable:
-    """Exact mu(n) for all n in [lo, hi]."""
+def sieve_range(lo: int, hi: int) -> MobiusTable:
+    """Exact mu(n) for all n in [lo, hi], one table filled from iter_segments."""
     if not (1 <= lo <= hi):
         raise DomainError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     if hi - lo + 1 > MAX_TABLE_VALUES:
         raise CapacityError(
             f"table of {hi - lo + 1} values exceeds the {MAX_TABLE_VALUES} budget; "
             "use iter_segments for streaming sweeps")
-    primes = base_primes(isqrt(hi))
     out = np.empty(hi - lo + 1, dtype=np.int8)
-    for seg_lo in range(lo, hi + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size - 1, hi)
-        out[seg_lo - lo: seg_hi - lo + 1] = _sieve_segment(seg_lo, seg_hi, primes)
+    for seg in iter_segments(lo, hi):
+        out[seg.lo - lo: seg.hi - lo + 1] = seg.values
     return MobiusTable(lo, hi, out)
 
 

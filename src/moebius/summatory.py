@@ -27,7 +27,7 @@ import numpy as np
 from mpmath import mpf
 
 from .approx import PRECISION, ApproxValue, RIGOROUS, eps_for, radd
-from .constants import gamma_const
+from .constants import GAMMA_F
 from .errors import DomainError
 from .dsum import DirichletTable
 from .sieve import DEFAULT_SEGMENT, iter_segments
@@ -398,7 +398,6 @@ def harmonic_gamma_margins(N: int):
     for seg in prefix_columns(N, ("H",)):
         H[seg.lo - 1:seg.hi], H_rad[seg.lo - 1:seg.hi] = seg.cols["H"]
     ns = np.arange(1, N + 1, dtype=np.float64)
-    g = float(gamma_const(60))
-    d = ns * (H - np.log(ns) - g)
-    rad = ns * (H_rad + _EPS * (np.abs(np.log(ns)) + g + 2 * np.abs(d) / np.maximum(ns, 1)))
+    d = ns * (H - np.log(ns) - GAMMA_F)
+    rad = ns * (H_rad + _EPS * (np.abs(np.log(ns)) + GAMMA_F + 2 * np.abs(d) / np.maximum(ns, 1)))
     return d, rad

@@ -34,13 +34,22 @@ def test_M_m_H_every_prefix_against_fractions():
         M += int(mu[K])
         m += Fraction(int(mu[K]), K)
         H += Fraction(1, K)
-        assert sum(table.mu(K)[:K + 1]) == M
+        assert sum(table.mu(K)) == M
         assert _inside(m_col[K], table.radius(K, mu=True), m), K
         assert _inside(H_col[K], table.radius(K), H), K
     snap = summatory(float(K_max), mode="mp")
     assert snap.M == M
     assert _inside(snap.m.value, snap.m.radius, m)
     assert _inside(snap.H.value, snap.H.radius, H)
+
+
+def test_mu_reads_only_through_N_after_a_larger_read():
+    """mu(N) is mu(0..N) even once the table has sieved further, so a
+    snapshot's M = sum(mu(N)) never counts terms beyond N."""
+    table = DirichletTable(1.0, 0.0, 64)
+    assert len(table.mu(1000)) == 1001
+    small = table.mu(10)
+    assert len(small) == 11 and sum(small) == -1
 
 
 @lru_cache(maxsize=None)

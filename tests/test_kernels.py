@@ -23,11 +23,13 @@ def test_Q_at_s2_t1():
     assert abs(float(q.value) + 0.3550660) < 1e-6
 
 
-def test_em_cross_check_spot():
-    for s in (2.0, 0.5 + 5j, -0.5 + 14.13j, 3.0):
+@pytest.mark.parametrize("variant", ["Q", "R", "q"])
+def test_em_cross_check_spot(variant):
+    for s in (2.0, 0.5 + 5j, -0.5 + 14.13j, 3.0, 0.0):
+        spec = KernelSpec.make(variant, s)
         for t in (1.0, 2.5, 41.77, 99.5):
-            d = kernel_eval(KernelSpec.make("Q", s), t, 1e-28)
-            e = kernel_eval_em(KernelSpec.make("Q", s), t, 1e-28)
+            d = kernel_eval(spec, t, 1e-28)
+            e = kernel_eval_em(spec, t, 1e-28)
             assert abs(d.value - e.value) <= d.radius + e.radius, (s, t)
 
 
@@ -125,6 +127,20 @@ def test_frac_tail_against_closed_form():
             ref = -(mpmath.zeta(sm) - psum - mpmath.power(tm, 1 - sm) / (sm - 1)
                     + (mpmath.mpf(1) / 2 - frac) * mpmath.power(tm, -sm)) / sm
             assert abs(J.value - ref) <= J.radius + 1e-25, (s, t)
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0])
+def test_frac_tail_differences_against_quadrature(s):
+    # s = 0 and s = 1 take the unit piece's log forms; J(a) - J(b) is the
+    # integral of ({u} - 1/2) u^(-s-1) over [a, b], summed cell by cell, with
+    # b on both sides of the base anchor 8
+    for a, b in ((1.5, 7.25), (2.0, 33.5), (1.0, 9.75)):
+        Ja, Jb = (frac_tail_integral(s, t, 1e-30) for t in (a, b))
+        with mpmath.workdps(80):
+            piece = lambda n: (lambda u: (u - n - mpmath.mpf(1) / 2) * u ** (-s - 1))
+            ref = sum(mpmath.quad(piece(n), [max(a, n), min(b, n + 1)])
+                      for n in range(math.floor(a), math.ceil(b)))
+            assert abs(Ja.value - Jb.value - ref) <= Ja.radius + Jb.radius, (s, a, b)
 
 
 CELL_S = [2.0, 0.5 + 3j, -0.5 + 5j, 0.5 + 14.13j]

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from moebius.constants import GAMMA_F
 from moebius.errors import DomainError
 from moebius.mellin import (DERIVK1, DERIVK2, DERIVK3, HAR, MTRONQ, MTRONQCH, MTRONQCHCH,
                             TruncatedTransform, default_T, ent_residual, power_log_tail,
@@ -105,7 +106,7 @@ def _tail_ratio(p: int, D: float, E: float) -> float:
         elif p == 1:
             terms, rad = [L * m, -s1, -1.0], L * m_r + s1_r
         else:
-            terms = [L**2 * m, -2 * L * s1, s2, -2 * L, 2 * mellin._GAMMA_F]
+            terms = [L**2 * m, -2 * L * s1, s2, -2 * L, 2 * GAMMA_F]
             rad = L**2 * m_r + 2 * L * s1_r + s2_r
         rad = rad + 16 * 2.0**-52 * sum(np.abs(term) for term in terms)
         ratio = (np.abs(sum(terms)) - rad) / (D + E * np.log(t / TAIL_T))
@@ -230,7 +231,7 @@ def _longdouble_basis(weight: str, tts) -> dict:
     at x and T carries its moment and Q coefficients together, as the kernel
     adds them; cond_j sums the terms' absolute values."""
     jump, p, (q0, q_gamma, q1), reads = mellin._WEIGHTS[weight]
-    q0 += q_gamma * mellin._GAMMA_F
+    q0 += q_gamma * GAMMA_F
     ld = np.longdouble
     ks = np.arange(2, LANE_T + 1, dtype=ld)
     c = 1 / ks
