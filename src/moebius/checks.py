@@ -34,6 +34,7 @@ landau-lower lets only its first constant decide.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -55,7 +56,8 @@ from .kernels import (IBP_R, KernelSpec, MID_Q, REAL_R, SUP_Q, hel_remainder_bou
                       hel_sup_abs_Q, kernel_bound, kernel_eval, kernel_eval_em)
 from .mellin import (DERIVK1, DERIVK2, DERIVK3, HAR, IDENTITY_TARGET, MIEUX2, MTRONQ,
                      MTRONQCH, MTRONQCHCH, SMOOTHED, SMOOTHED_WEIGHTS, ent_residual,
-                     smoothed_rhs, transform_sides)
+                     smoothed_rhs, stored_transforms, stream_of, transform_cells,
+                     transform_sides)
 from .piecewise import FunctionSpec, KernelFactor, PowLogSum, integrate_partition
 from .quadrature import (EXACT_Q_L1_ZETA, exact_Q_l1_reference, exact_Q_l1_tail,
                          integrate_abs_kernel_to_infinity, sup_abs_kernel)
@@ -81,6 +83,10 @@ class BoundReport:
     kind: str = "identity"
     cells: list = field(default_factory=list)
     payload: dict = field(default_factory=dict)
+    #: run_suite's store fill for this check's task (the transforms of the
+    #: task's checks), on the task's first report and 0 on the others;
+    #: elapsed_ms leaves it out
+    fill_ms: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -195,25 +201,49 @@ def _identity_cells(pairs, sides):
             for (s, x), (lhs, rhs, *_) in zip(pairs, sides)]
 
 
-def _grid_check(x_default, s_default, batch):
-    """An identity over the s x x grid, with the sides of all its cells from
-    one call batch(pairs, T, prec), T the grid's --T or None."""
+def _sides_check(sides, x_default, s_default=(2.0, 0.5 + 3j)):
+    """An (s, x) identity over the s x x grid that reads no T, with the sides
+    of all its cells from one call sides(pairs, prec)."""
     def run(grid, target, prec):
         pairs = _grid_pairs(grid, s_default, x_default)
-        return "identity", grid, _identity_cells(pairs, batch(pairs, grid.get("T"), prec))
+        return "identity", grid, _identity_cells(pairs, sides(pairs, prec))
     return run
 
 
-def _sides_check(sides, x_default, s_default=(2.0, 0.5 + 3j)):
-    """An (s, x) identity that reads no T, its sides from sides(pairs, prec)."""
-    return _grid_check(x_default, s_default, lambda pairs, T, prec: sides(pairs, prec))
+def _identity_report(grid, pairs, sides, prec):
+    return "identity", grid, _identity_cells(pairs, sides)
 
 
-def _transform_check(identity, x_default):
-    """A truncated-transform identity on the transform s grid, truncated at
-    --T when given."""
-    return _grid_check(x_default, (1 + 1e-4, 1.04, 1.5, 2.0, 3.0),
-                       lambda pairs, T, prec: transform_sides(identity, pairs, T, prec))
+class _TransformCheck:
+    """A check that reads `identity`'s truncated transforms over its grid's
+    (s, x) pairs, truncated at --T when at_T, else at each x's default_T, and
+    makes its report with finish(grid, pairs, sides, prec).  It runs on, and
+    run_suite declares (`cells`), the pairs of one grid parse."""
+
+    def __init__(self, identity, x_default, s_default=(1 + 1e-4, 1.04, 1.5, 2.0, 3.0),
+                 at_T=True, finish=_identity_report):
+        self.identity, self.x_default, self.s_default = identity, x_default, s_default
+        self.at_T, self.finish = at_T, finish
+
+    def _parse(self, grid):
+        return (_grid_pairs(grid, self.s_default, self.x_default),
+                grid.get("T") if self.at_T else None)
+
+    def cells(self, grid) -> list[tuple]:
+        """The (weight, T, s, x, mom) cells the check reads (transform_cells),
+        less those out of range: the check raises on them when it runs."""
+        pairs, T = self._parse(grid)
+        cells = []
+        for pair in pairs:
+            try:
+                cells += transform_cells(self.identity, [pair], T)
+            except (TypeError, ValueError):  # DomainError is a ValueError
+                pass
+        return cells
+
+    def __call__(self, grid, target, prec):
+        pairs, T = self._parse(grid)
+        return self.finish(grid, pairs, transform_sides(self.identity, pairs, T, prec), prec)
 
 
 def _finish(name, t0, kind, grid, cells, payload=None, verdict=None):
@@ -266,9 +296,7 @@ def _check_abel(grid, target, prec):
     return kind, grid, cells
 
 
-def _check_mieux2(grid, target, prec):
-    pairs = _grid_pairs(grid, [2.0, 0.5 + 3j, 1.04], [10.0, 100.0])
-    sides = transform_sides(MIEUX2, pairs, None, prec)
+def _mieux2_report(grid, pairs, sides, prec):
     cells = _identity_cells(pairs, sides)
     sign_report = {f"s={s} x={x}": {"plus_gamma": c["residual"],
                                     "minus_gamma": float(mpmath.fabs(lhs.value - minus.value))}
@@ -444,43 +472,39 @@ def _sup_window(sweep, x: float, kind: str):
     return float(np.max(vals))
 
 
-def _prop_inequality_cells(which: str, letter: str, grid, prec):
+def _prop_check(which: str, letter: str):
     """prop1/prop2 per-letter: the smoothed family's (p, mom) member, p the
     letter's index and mom = which - 1, and the inequality |order p - 1's
     right side| <= C x^(1-sigma) sup |w_p|, with the empirical window sup
     (heuristic)."""
     mom, p = int(which) - 1, "abc".index(letter)
-    pairs = [(sig, x) for sig in _slist(grid, "s", [1.04, 2.0])
-             for x in _slist(grid, "x", [1000.0])]
-    sweep = prefix_sweep(int(grid.get("sweep_N", 1e6)))
-    cells = []
-    for (sig, x), (lhs, rhs) in zip(pairs, transform_sides(SMOOTHED[mom][p], pairs, None, prec)):
-        cells.append(_residual_cell({"form": "identity", "sigma": sig, "x": x}, lhs, rhs,
-                                    in_inequality=True))
-        # inequality with empirical sup; zeta at the identity's key, so one ladder per s
-        z, zp = zeta_em(sig, IDENTITY_TARGET, precision=prec)
-        snap = summatory(x, mode="mp", precision=prec)
-        x1s = float(x) ** (1.0 - sig)
-        sup = _sup_window(sweep, x, SMOOTHED_WEIGHTS[p])
-        if mom == 0:
-            head = ApproxValue.exact(1) / z - mu_power_sum(x, sig, prec)
-        else:
-            head = (ApproxValue.exact(math.log(x)) / z - zp / (z * z)
-                    - mu_log_power_sum(x, sig, prec))
-        lhs_v = abs(complex(smoothed_rhs(head, [snap.m, snap.m_check - 1], x1s, sig - 1,
-                                         mom, p - 1).value))
-        d = sig - 1.0
-        bound = ((2.0, 2.0 * d, d ** 2), (2.0 / d, 4.0, 3.0 * d))[mom][p] * x1s * sup
-        cells.append({**_margin_cell({"form": "inequality", "sigma": sig, "x": x,
-                                      "residual": math.nan}, bound - lhs_v,
-                                     1e-12 + 1e-9 * abs(bound), rigor=HEURISTIC),
-                      "window_sup": sup})
-    return cells
 
-
-def _mk_prop_check(which: str, letter: str):
-    return lambda grid, target, prec: (
-        "inequality", grid, _prop_inequality_cells(which, letter, grid, prec))
+    def report(grid, pairs, sides, prec):
+        sweep = prefix_sweep(int(grid.get("sweep_N", 1e6)))
+        cells = []
+        for (sig, x), (lhs, rhs) in zip(pairs, sides):
+            cells.append(_residual_cell({"form": "identity", "sigma": sig, "x": x}, lhs, rhs,
+                                        in_inequality=True))
+            # inequality with empirical sup; zeta at the identity's key, so one ladder per s
+            z, zp = zeta_em(sig, IDENTITY_TARGET, precision=prec)
+            snap = summatory(x, mode="mp", precision=prec)
+            x1s = float(x) ** (1.0 - sig)
+            sup = _sup_window(sweep, x, SMOOTHED_WEIGHTS[p])
+            if mom == 0:
+                head = ApproxValue.exact(1) / z - mu_power_sum(x, sig, prec)
+            else:
+                head = (ApproxValue.exact(math.log(x)) / z - zp / (z * z)
+                        - mu_log_power_sum(x, sig, prec))
+            lhs_v = abs(complex(smoothed_rhs(head, [snap.m, snap.m_check - 1], x1s, sig - 1,
+                                             mom, p - 1).value))
+            d = sig - 1.0
+            bound = ((2.0, 2.0 * d, d ** 2), (2.0 / d, 4.0, 3.0 * d))[mom][p] * x1s * sup
+            cells.append({**_margin_cell({"form": "inequality", "sigma": sig, "x": x,
+                                          "residual": math.nan}, bound - lhs_v,
+                                         1e-12 + 1e-9 * abs(bound), rigor=HEURISTIC),
+                          "window_sup": sup})
+        return "inequality", grid, cells
+    return _TransformCheck(SMOOTHED[mom][p], [1000.0], (1.04, 2.0), at_T=False, finish=report)
 
 
 def _check_parm(grid, target, prec):
@@ -874,7 +898,7 @@ def _check_improved_landau(grid, target, prec):
                      "inputs (20.512, 9.4) give the quoted 0.047 order"})
 
 
-def _check_headline(grid, target, prec):
+def _headline_report(grid, pairs, sides, prec):
     C = float(grid.get("C", 4.0))
     c = float(grid.get("c", MCHECK_OVER_LOG[0]))
     value = compose_headline(C, c, x0=float(grid.get("x0", 1e12)),
@@ -883,11 +907,9 @@ def _check_headline(grid, target, prec):
     # decided on value <= claim; the cell reports a literal (ROADMAP item 5)
     cells = [_margin_cell({"C": C, "c": c, "value": value}, claim - value, 1e-20,
                           passed=value <= claim)]
-    pairs = [(sig, x) for sig in _slist(grid, "s", [1.04, 2.0])
-             for x in _slist(grid, "x", [1000.0, 100000.0])]
     cells += [_residual_cell({"form": "derivK2 identity", "sigma": sig, "x": x}, lhs, rhs,
                              in_inequality=True)
-              for (sig, x), (lhs, rhs) in zip(pairs, transform_sides(DERIVK2, pairs, None, prec))]
+              for (sig, x), (lhs, rhs) in zip(pairs, sides)]
     return "inequality", grid, cells, {"composed": value, "claim": claim}
 
 
@@ -898,15 +920,16 @@ def _check_headline(grid, target, prec):
 REGISTRY = {
     "abel": _check_abel,
     "int-check": _sides_check(int_check_sides, [10.0, 200.0]),
-    "mtronq": _transform_check(MTRONQ, [1000.0, 10000.0]),
-    "mtronqch": _transform_check(MTRONQCH, [1000.0, 10000.0]),
-    "mtronqchch": _transform_check(MTRONQCHCH, [1000.0, 10000.0]),
-    "derivK1": _transform_check(DERIVK1, [1000.0]),
-    "derivK2": _transform_check(DERIVK2, [1000.0, 100000.0]),
-    "derivK3": _transform_check(DERIVK3, [1000.0]),
+    "mtronq": _TransformCheck(MTRONQ, [1000.0, 10000.0]),
+    "mtronqch": _TransformCheck(MTRONQCH, [1000.0, 10000.0]),
+    "mtronqchch": _TransformCheck(MTRONQCHCH, [1000.0, 10000.0]),
+    "derivK1": _TransformCheck(DERIVK1, [1000.0]),
+    "derivK2": _TransformCheck(DERIVK2, [1000.0, 100000.0]),
+    "derivK3": _TransformCheck(DERIVK3, [1000.0]),
     "mieux-1": _sides_check(mieux1_sides, [10.0, 100.0, 1000.0],
                             (2.0, 3.0, 0.5 + 3j, 0.5 + 14.13j)),
-    "mieux-2": _check_mieux2,
+    "mieux-2": _TransformCheck(MIEUX2, [10.0, 100.0], (2.0, 0.5 + 3j, 1.04), at_T=False,
+                               finish=_mieux2_report),
     "poids": _sides_check(poids_sides, [10.0, 100.0], (2.0, 0.5 + 3j, -0.5 + 5j, 0.5 + 14.13j)),
     "k1": _sides_check(k1_sides, [10.0, 200.0]),
     "k2": _sides_check(kgen2_sides, [50.0]),
@@ -914,20 +937,19 @@ REGISTRY = {
     "formule-m": _check_formule_m,
     "exact-Q-l1": _check_exact_Q_l1,
     # har truncates at each x's default T and ignores --T
-    "har": _sides_check(lambda pairs, prec: transform_sides(HAR, pairs, None, prec),
-                        [20.5, 50.0]),
+    "har": _TransformCheck(HAR, [20.5, 50.0], (2.0, 0.5 + 3j), at_T=False),
     "ent": _sides_check(ent_residual, [7.0, 33.3], (2.0, 0.5 + 10j)),
     "em-cross": _check_em_cross,
     "terre": _check_terre,
     "voyage": _check_voyage,
     "halfstep": _check_halfstep,
     "mdcheck-norm": _check_mdcheck_norm,
-    "prop1-a": _mk_prop_check("1", "a"),
-    "prop1-b": _mk_prop_check("1", "b"),
-    "prop1-c": _mk_prop_check("1", "c"),
-    "prop2-a": _mk_prop_check("2", "a"),
-    "prop2-b": _mk_prop_check("2", "b"),
-    "prop2-c": _mk_prop_check("2", "c"),
+    "prop1-a": _prop_check("1", "a"),
+    "prop1-b": _prop_check("1", "b"),
+    "prop1-c": _prop_check("1", "c"),
+    "prop2-a": _prop_check("2", "a"),
+    "prop2-b": _prop_check("2", "b"),
+    "prop2-c": _prop_check("2", "c"),
     "parm": _check_parm,
     "parchm": _check_parchm,
     "poids-bound": _check_poids_bound,
@@ -942,7 +964,8 @@ REGISTRY = {
     "q-sup": _check_q_sup,
     "q-l1": _check_q_l1,
     "improved-landau": _check_improved_landau,
-    "headline": _check_headline,
+    "headline": _TransformCheck(DERIVK2, [1000.0, 100000.0], (1.04, 2.0), at_T=False,
+                                finish=_headline_report),
 }
 
 #: checks that finish in at most a few seconds each, for `verify --suite fast`
@@ -970,15 +993,77 @@ def run_check(check_id: str, grid: dict | None = None,
 
 
 #: seconds each check takes in `verify --suite all --threads 1` on the 2-core
-#: reference host (the median of three runs' elapsed_ms), for the checks of
-#: about 0.1 s or more; run_suite submits the longest first, and an id not
-#: listed here counts 0
+#: reference host (its elapsed_ms), for the checks of 0.05 s or more, and
+#: seconds each stream of that run takes, by its (jumps, T) (mellin.stream_of),
+#: both as tools/costs.py prints them.  run_suite submits the costliest task
+#: first (_task_cost); an id or stream not listed here counts 0
 _COST_S = {
-    "terre": 0.99, "mtronqchch": 0.85, "derivK2": 0.81, "mtronqch": 0.72, "em-cross": 0.71,
-    "headline": 0.7, "mtronq": 0.49, "formule-m": 0.46, "abel": 0.43, "parchm": 0.33,
-    "prop1-a": 0.26, "mieux-1": 0.21, "prop1-c": 0.16, "prop2-c": 0.16, "q-l1": 0.11,
-    "prop2-b": 0.1, "prop1-b": 0.1,
+    "terre": 0.88, "em-cross": 0.61, "formule-m": 0.4, "abel": 0.39, "parchm": 0.3,
+    "prop1-a": 0.21, "mieux-1": 0.2, "q-l1": 0.1, "hel-truncation": 0.08, "prop1-c": 0.07,
+    "prop2-c": 0.06, "parm": 0.06, "double-check-borne": 0.05, "exact-Q-l1": 0.05,
+    "harmonic": 0.05,
 }
+_FILL_S = {("mu", 10000000.0): 0.73, ("mu", 1000000.0): 0.08, ("one", 1000000.0): 0.05}
+
+
+@dataclass
+class _Task:
+    """Checks of a suite that run together: their request indices,
+    ascending, their ids, and the transform cells they declare."""
+
+    indices: list[int]
+    names: list[str]
+    cells: list
+
+    @property
+    def streams(self) -> set:
+        return {stream_of(cell) for cell in self.cells}
+
+    def __repr__(self):
+        return repr(self.names[0] if len(self.names) == 1 else tuple(self.names))
+
+
+def _tasks(names: list[str], grid: dict | None = None) -> list[_Task]:
+    """run_suite's tasks, in order of their first check.  Checks whose
+    declared cells share a stream (mellin.stream_of), directly or through
+    other checks, form one task; every other check is a task of its own."""
+    tasks: list[_Task] = []
+    for i, name in enumerate(names):
+        check = REGISTRY[name]
+        task = _Task([i], [name], check.cells(dict(grid or {}))
+                     if isinstance(check, _TransformCheck) else [])
+        for other in [t for t in tasks if t.streams & task.streams]:
+            tasks.remove(other)
+            indices = sorted(other.indices + task.indices)
+            task = _Task(indices, [names[j] for j in indices], other.cells + task.cells)
+        tasks.append(task)
+    return sorted(tasks, key=lambda task: task.indices[0])
+
+
+def _task_cost(task: _Task) -> float:
+    """The task's streams plus its checks, in seconds (_COST_S, _FILL_S)."""
+    return (sum(_FILL_S.get(stream, 0.0) for stream in task.streams)
+            + sum(_COST_S.get(name, 0.0) for name in task.names))
+
+
+def _run_tasks(tasks: list[_Task], names, grid, target_radius, precision) -> list[BoundReport]:
+    """The reports of the tasks' checks, run in request order once the store
+    holds every task's cells (mellin.stored_transforms); each task's fill
+    time goes on its first report."""
+    fill_ms = {}
+    with contextlib.ExitStack() as stack:
+        for task in tasks:
+            if task.cells:
+                t0 = time.perf_counter()
+                stack.enter_context(stored_transforms(task.cells))
+                fill_ms[task.indices[0]] = (time.perf_counter() - t0) * 1e3
+        reports = []
+        for i in sorted(i for task in tasks for i in task.indices):
+            report = run_check(names[i], grid, target_radius, precision)
+            if i in fill_ms:
+                report.fill_ms = fill_ms[i]
+            reports.append(report)
+    return reports
 
 
 def run_suite(names: list[str], grid: dict | None = None,
@@ -986,14 +1071,22 @@ def run_suite(names: list[str], grid: dict | None = None,
               threads: int = 1) -> list[BoundReport]:
     """Run several checks and return their reports in request order.
 
-    Every id is validated before anything runs.  With threads > 1 and more
-    than one check, the checks run on min(threads, len(names)) worker
-    processes forked from this one (runner.run_forked), each with its own
-    mpmath context, so no check sees another's precision; they start
-    longest first (_COST_S).  Otherwise they run one after another in this
-    process.  Either way the error raised is that of the first failing check
-    in request order, and no check after it in request order starts once it
-    has failed.
+    Every id is validated before anything runs.  The checks form tasks
+    (_tasks): the checks that read transforms from one stream of [1, T]
+    share a task, which streams them once, into a store that their
+    transform_sides calls read, and then runs its checks in request order.
+    With threads > 1 and more than one task, the tasks run on min(threads,
+    len(tasks)) worker processes forked from this one (runner.run_forked),
+    each with its own mpmath context, so no check sees another's precision;
+    the costliest task starts first (_task_cost).  Otherwise every check runs in
+    this process, in request order, after every task's stream.
+
+    In this process the error raised is that of the first failing check in
+    request order, and no check after it starts.  On the workers the unit is
+    the task: a task stops at its first failing check, the error raised is
+    that of the first failing task in order of first check, and no task after
+    it starts once it has failed.  The two agree unless checks of different
+    tasks that interleave in request order both fail.
 
     Fork, not spawn: a forked worker starts with numpy, mpmath and moebius
     already imported, where a spawned one would import them again (about
@@ -1001,9 +1094,15 @@ def run_suite(names: list[str], grid: dict | None = None,
     """
     for n in names:
         _require_known(n)
-    if threads <= 1 or len(names) <= 1:
-        return [run_check(n, grid, target_radius, precision) for n in names]
+    tasks = _tasks(names, grid)
+    if threads <= 1 or len(tasks) <= 1:
+        return _run_tasks(tasks, names, grid, target_radius, precision)
     from .runner import run_forked
-    order = sorted(range(len(names)), key=lambda i: -_COST_S.get(names[i], 0.0))
-    return run_forked(lambda name: run_check(name, grid, target_radius, precision),
-                      names, order, min(threads, len(names)))
+    order = sorted(range(len(tasks)), key=lambda t: -_task_cost(tasks[t]))
+    done = run_forked(lambda task: _run_tasks([task], names, grid, target_radius, precision),
+                      tasks, order, min(threads, len(tasks)))
+    reports = [None] * len(names)
+    for task, task_reports in zip(tasks, done):
+        for i, report in zip(task.indices, task_reports):
+            reports[i] = report
+    return reports

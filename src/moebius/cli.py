@@ -61,8 +61,9 @@ def _global_options() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=int,
                         help=f"working precision in bits (>= 53, default {PRECISION})")
     common.add_argument("--threads", type=int,
-                        help="worker processes for a suite's checks, forked, "
-                             "each with its own mpmath context (default: CPU count)")
+                        help="worker processes for a suite's tasks (checks that share a "
+                             "transform stream form one task), forked, each with its own "
+                             "mpmath context (default: CPU count)")
     common.add_argument("--format", choices=("json", "csv"))
     common.add_argument("--output", help="write reports here instead of stdout")
     common.add_argument("--config", help="key=value config file; flags win")

@@ -24,9 +24,11 @@ phi^p_jl = (-1)^(p+l) (p+l)!/l! j!/(j-l)! / a^(p+l+1) (_phi).  The interior
 is therefore sum_l phi^p_jl S_{j-l} over the Dirichlet moments
 S_r = sum_{x<k<=T} c_k k^(1-s) log^r k.
 
-A stream makes one pass per sieve segment.  The prefix columns come in
-slices of summatory._SWEEP_SEGMENT values, in reused buffers, and give the
-point data at x and T.  The segment's jumps k (mu(k) != 0 for the mu weights,
+A stream fills the transforms that share the jumps c_k and T, of one weight
+or several (the mu weights read the union of their prefix columns), in one
+pass per sieve segment.  The prefix columns come in slices of
+summatory._SWEEP_SEGMENT values, in reused buffers, and give the point data
+at x and T.  The segment's jumps k (mu(k) != 0 for the mu weights,
 every k for hgap) are cut into blocks of at most _BLOCK at fixed positions
 from its first jump; per block k, log k and c_k are computed once, then per
 distinct s c_k k^(1-s) log^r k in one numpy pass per step, in float64 when s
@@ -36,14 +38,17 @@ sums (r = 0, 1) the head plus the full blocks before it.  Its B_j is one
 math.fsum of its block sums times phi and the boundary terms (each F_{j+i} at
 x and at T once, its moment and Q coefficients added first), and each mu sum
 one math.fsum, so a cell built alone equals the same cell in a batch bit for
-bit.  The radius is eps K (cond + |B_j|), with
-cond the sum of the absolute terms (|c_k| |k^(1-s)| |phi| log^r k for the
-interior), K derived for the real lane (_real_lane_units) and a blanket for
-the complex lane, plus the prefix moments' radii times |F| at x and T and
-gamma's rounding (the mu sums count theirs in _Cell._mu_sums); the tail
-beyond T is bounded from the imported explicit estimates (|m(t)| <=
-0.0130073/log t for t >= 97063 and the step-function conversion lemma for
-the smoothed weights).
+bit, whatever the batch's other cells and weights.  transform_sides reads a
+cell from the store that stored_transforms fills, for a suite's checks that
+share a stream, and streams only the cells it lacks.
+
+The radius is eps K (cond + |B_j|), with cond the sum of the absolute terms
+(|c_k| |k^(1-s)| |phi| log^r k for the interior), K derived for the real
+lane (_real_lane_units) and a blanket for the complex lane, plus the prefix
+moments' radii times |F| at x and T and gamma's rounding (the mu sums count
+theirs in _Cell._mu_sums); the tail beyond T is bounded from the imported
+explicit estimates (|m(t)| <= 0.0130073/log t for t >= 97063 and the
+step-function conversion lemma for the smoothed weights).
 
 The smoothed family.  With w_0, w_1, w_2 = m, m-check - 1 and the normalized
 m-double-check (SMOOTHED_WEIGHTS), a = (p+1)(s-1)^p/p! and b = (s-1)^(p+1)/p!,
@@ -65,6 +70,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
 from typing import Callable
 
 import mpmath
@@ -76,8 +82,7 @@ from .constants import GAMMA_F, HARMONIC_LOWER, LITTLE_M_OVER_LOG, gamma_const
 from .errors import DomainError
 from .identities import _x1s, mu_power_sum
 from .kernels import Q, KernelSpec, frac_tail_integral
-from .piecewise import (KernelFactor, PowLogSum, integrate_partition,
-                        mcheck_minus_one_factor)
+from .piecewise import KernelFactor, PowLogSum, integrate_partitions, mcheck_minus_one_factor
 from .summatory import prefix_columns, summatory, work_buffers
 from .zeta import ComplexParam, partial_power_sum, zeta_em
 
@@ -119,6 +124,11 @@ def default_T(x: float) -> int:
     return int(min(max(1e6, 1e3 * x), 1e7))
 
 
+def _require_range(x: float, T: float) -> None:
+    if not (1 <= x <= T):
+        raise DomainError("need 1 <= x <= T")
+
+
 def power_log_tail(sigma: float, T: float, j: int) -> float:
     """integral_T^inf t^(-sigma) log^j(t/T) dt = j! T^(1-sigma)/(sigma-1)^(j+1)."""
     if sigma <= 1:
@@ -138,8 +148,7 @@ class TruncatedTransform:
     """
 
     def __init__(self, s, x: float, T: float, weight: str, mom_max: int = 0):
-        if not (1 <= x <= T):
-            raise DomainError("need 1 <= x <= T")
+        _require_range(x, T)
         self.s = ComplexParam.coerce(s)
         self.x = float(x)
         self.T = float(T)
@@ -205,6 +214,41 @@ def truncated_transforms(weight: str, T: float, cells) -> list[TruncatedTransfor
     if tts:
         _stream(tts)
     return tts
+
+
+def stream_of(cell: tuple) -> tuple:
+    """The stream that fills a (weight, T, s, x, mom) cell: its jumps c_k
+    ("mu" or "one", _WEIGHTS) and T."""
+    return _WEIGHTS[cell[0]][0], cell[1]
+
+
+#: finished transforms by cell (weight, T, s, x, mom), which transform_sides
+#: reads before it streams; only stored_transforms writes it
+_STORE: dict[tuple, TruncatedTransform] = {}
+
+
+@contextmanager
+def stored_transforms(cells):
+    """Stream the (weight, T, s, x, mom) cells of transform_cells that the
+    store lacks, one stream per jumps and T over all their weights, and keep
+    them in the store until the block ends.  Bits are those of each cell
+    streamed alone."""
+    streams: dict[tuple, dict] = {}  # stream_of -> {cell: its transform}
+    for cell in cells:
+        if cell not in _STORE:
+            weight, T, sp, x, mom = cell
+            group = streams.setdefault(stream_of(cell), {})
+            if cell not in group:
+                group[cell] = TruncatedTransform(sp, x, T, weight, mom)
+    try:
+        for group in streams.values():
+            _stream(list(group.values()))
+            _STORE.update(group)
+        yield
+    finally:
+        for group in streams.values():
+            for cell in group:
+                _STORE.pop(cell, None)
 
 
 def _nterms(weight: str, mom_max: int) -> int:
@@ -386,12 +430,15 @@ class _Cell:
 
 
 def _stream(tts: list[TruncatedTransform]) -> None:
-    """Fill transforms that share the weight and T from one prefix_columns
-    stream: the point data at x and T from the slices that hold them and, per
-    sieve segment, the block sums of its jumps (_segment_blocks)."""
-    weight, T = tts[0].weight, tts[0].T
-    jump, _, _, reads = _WEIGHTS[weight]
-    need_mu = jump == "mu"
+    """Fill transforms that share the jumps c_k and T, of one weight or
+    several, from one prefix_columns stream of the union of their columns:
+    the point data at x and T from the slices that hold them and, per sieve
+    segment, the block sums of its jumps (_segment_blocks).  prefix_columns
+    sums each column on its own, and a block's sums depend only on s, so each
+    transform equals its weight streamed alone bit for bit."""
+    T = tts[0].T
+    need_mu = _WEIGHTS[tts[0].weight][0] == "mu"
+    reads = list(dict.fromkeys(k for tt in tts for k in _WEIGHTS[tt.weight][3]))
     by_x: dict[float, list[_Cell]] = {}
     by_s: dict[tuple, list[_Cell]] = {}  # by lane and s
     for tt in tts:
@@ -411,7 +458,9 @@ def _stream(tts: list[TruncatedTransform]) -> None:
                              for k in reads}
     for x, group in by_x.items():
         for cell in group:
-            cell.tt.at_x, cell.tt.at_T = dict(points[math.floor(x)]), dict(points[NT])
+            own = _WEIGHTS[cell.tt.weight][3]
+            cell.tt.at_x = {k: points[math.floor(x)][k] for k in own}
+            cell.tt.at_T = {k: points[NT][k] for k in own}
             cell.finish(need_mu)
 
 
@@ -487,35 +536,56 @@ def _combine_moment(tt: TruncatedTransform, mom: int) -> ApproxValue:
 class TransformIdentity:
     """A truncated transform identity: the transform it reads (weight and
     moments), the half-plane it holds on (Re s > sigma_gt, and s != 1 with
-    not_one), and `sides(tt, precision)`, which finishes its (lhs, rhs) from
-    the streamed transform."""
+    not_one), and `sides(tts, precision)`, which finishes the (lhs, rhs) of
+    streamed transforms that share x."""
 
     def __init__(self, weight: str, mom_max: int, sigma_gt: float, what: str,
-                 sides: Callable[[TruncatedTransform, int], tuple], not_one: bool = False):
+                 sides: Callable[[list, int], list], not_one: bool = False):
         self.weight, self.mom_max, self.sigma_gt = weight, mom_max, sigma_gt
         self.what, self.sides, self.not_one = what, sides, not_one
 
 
-def transform_sides(identity: TransformIdentity, cells, T: float | None = None,
-                    precision: int = PRECISION) -> list[tuple]:
-    """identity.sides for every (s, x) cell, in cell order.  Cells with the
-    same truncation point, T or else default_T(x), share one stream; different
-    points are never merged into one longer stream, which would change the
-    radii of the shorter ones."""
-    groups: dict = {}
-    for i, (s, x) in enumerate(cells):
+def transform_cells(identity: TransformIdentity, pairs, T: float | None = None) -> list[tuple]:
+    """The (weight, T, s, x, mom) cell that transform_sides(identity, pairs,
+    T) reads for each (s, x) pair: truncated at T, or else at default_T(x).
+    Raises DomainError for a pair outside the identity's domain or x outside
+    [1, T]."""
+    cells = []
+    for s, x in pairs:
         sp = ComplexParam.coerce(s)
         sp.require_sigma_gt(identity.sigma_gt, identity.what)
         if identity.not_one:
             sp.require_not_one(identity.what)
-        groups.setdefault(T or default_T(x), []).append((i, sp, x))
+        T_cell = float(T or default_T(x))
+        _require_range(x, T_cell)
+        cells.append((identity.weight, T_cell, sp, float(x), identity.mom_max))
+    return cells
+
+
+def transform_sides(identity: TransformIdentity, pairs, T: float | None = None,
+                    precision: int = PRECISION) -> list[tuple]:
+    """The sides of every (s, x) pair, in pair order, from the cells of
+    transform_cells; the cells at one x share one identity.sides call.  A
+    cell the store holds is read from it; the others with the same
+    truncation point share one stream (stored_transforms).  Different points
+    are never merged into one longer stream, which would change the radii of
+    the shorter ones."""
+    cells = transform_cells(identity, pairs, T)
+    with stored_transforms(cells):
+        tts = [_STORE[cell] for cell in cells]
+    by_x: dict = {}
+    for i, cell in enumerate(cells):
+        by_x.setdefault(cell[3], []).append(i)
     out = [None] * len(cells)
-    for T_cell, members in groups.items():
-        tts = truncated_transforms(identity.weight, T_cell,
-                                   [(sp, x, identity.mom_max) for _, sp, x in members])
-        for (i, _, _), tt in zip(members, tts):
-            out[i] = identity.sides(tt, precision)
+    for members in by_x.values():
+        for i, sides in zip(members, identity.sides([tts[i] for i in members], precision)):
+            out[i] = sides
     return out
+
+
+def _each(sides: Callable[[TruncatedTransform, int], tuple]) -> Callable[[list, int], list]:
+    """An identity's batch sides that finish each transform on its own."""
+    return lambda tts, precision: [sides(tt, precision) for tt in tts]
 
 
 def smoothed_rhs(head: ApproxValue, v, x1s, sm1, mom: int, p: int) -> ApproxValue:
@@ -585,19 +655,20 @@ def _har_sides(tt: TruncatedTransform, precision: int):
     return lhs, rhs
 
 
-MTRONQ = TransformIdentity(WEIGHT_M, 0, 1.0, "m-tail transform", _smoothed_sides(0, 0))
+MTRONQ = TransformIdentity(WEIGHT_M, 0, 1.0, "m-tail transform", _each(_smoothed_sides(0, 0)))
 MTRONQCH = TransformIdentity(WEIGHT_MCHECK1, 0, 1.0, "m-check tail transform",
-                             _smoothed_sides(1, 0))
+                             _each(_smoothed_sides(1, 0)))
 MTRONQCHCH = TransformIdentity(WEIGHT_MDNORM, 0, 1.0, "m-double-check tail transform",
-                               _smoothed_sides(2, 0))
-DERIVK1 = TransformIdentity(WEIGHT_M, 1, 1.0, "derived m transform", _smoothed_sides(0, 1))
+                               _each(_smoothed_sides(2, 0)))
+DERIVK1 = TransformIdentity(WEIGHT_M, 1, 1.0, "derived m transform",
+                            _each(_smoothed_sides(0, 1)))
 DERIVK2 = TransformIdentity(WEIGHT_MCHECK1, 1, 1.0, "derived m-check transform",
-                            _smoothed_sides(1, 1))
+                            _each(_smoothed_sides(1, 1)))
 DERIVK3 = TransformIdentity(WEIGHT_MDNORM, 1, 1.0, "derived m-double-check transform",
-                            _smoothed_sides(2, 1))
+                            _each(_smoothed_sides(2, 1)))
 #: the family's members by (mom, p)
 SMOOTHED = ((MTRONQ, MTRONQCH, MTRONQCHCH), (DERIVK1, DERIVK2, DERIVK3))
-HAR = TransformIdentity(WEIGHT_HGAP, 0, 0.0, "harmonic-gap transform", _har_sides,
+HAR = TransformIdentity(WEIGHT_HGAP, 0, 0.0, "harmonic-gap transform", _each(_har_sides),
                         not_one=True)
 
 
@@ -623,41 +694,48 @@ def ent_residual(cells, precision: int = PRECISION) -> list:
     return out
 
 
-def _mieux2_sides(tt: TruncatedTransform, prec: int):
-    """zeta(s)(sum mu/n^s - m/x^{s-1} - (s-1)(mcheck-1)/x^{s-1}) - 1  vs
+def _mieux2_sides(tts: list[TruncatedTransform], prec: int) -> list[tuple]:
+    """Per transform, at the x all of `tts` share:
+    zeta(s)(sum mu/n^s - m/x^{s-1} - (s-1)(mcheck-1)/x^{s-1}) - 1  vs
     (s-1)/x^{s-1} (mdd/2 - log x + sign*gamma)
       + (s-1)/x^{s-1} integral [mcheck(x/t)-1] Q_s dt/t^2
       - (s-1)^2 integral_x^inf (log t - H + gamma) t^{-s} dt.
 
-    Returns (lhs, rhs with sign +1, rhs with sign -1), adjudicating the
-    printed-sign question: +1 closes the identity.
+    Each is (lhs, rhs with sign +1, rhs with sign -1), adjudicating the
+    printed-sign question: +1 closes the identity.  The cells share one
+    snapshot, one m-check factor and one walk.
     """
-    sp, x, T = tt.s, tt.x, tt.T
+    x = tts[0].x
+    out = []
     with mpmath.mp.workprec(prec + 32):
-        smc = sp.as_mpc()
         g = gamma_const(prec)
-        z, _ = zeta_em(sp, IDENTITY_TARGET, precision=prec, want_derivative=False)
         snap = summatory(x, mode="mp", precision=prec)
-        msum = mu_power_sum(x, sp, prec)
-        x1s = _x1s(sp, x)
-        x1s_a = ApproxValue.exact(x1s)
-        lhs = z * (msum - snap.m * x1s_a
-                   - ApproxValue.exact(smc - 1) * (snap.m_check - 1) * x1s_a) - 1
-        conv = integrate_partition(x, [mcheck_minus_one_factor(x, prec),
-                                       KernelFactor(KernelSpec(Q, sp), prec, IDENTITY_TARGET)],
-                                   PowLogSum.monomial(mpf(1), mpf(-2), 0), precision=prec)
-        # integral_x^inf (log t - H + gamma) t^{-s} dt = -(hgap transform)
-        hterm = -tt.basis[0]
-        hterm = hterm.widened(_HGAP_SUP * T ** (-sp.sigma) / sp.sigma)
+        mcheck1 = mcheck_minus_one_factor(x, prec)
+        over_t2 = PowLogSum.monomial(mpf(1), mpf(-2), 0)
+        convs = integrate_partitions(
+            x, [[mcheck1, KernelFactor(KernelSpec(Q, tt.s), prec, IDENTITY_TARGET), over_t2]
+                for tt in tts], precision=prec)
         logx = mpmath.log(mpf(x))
-        rhs = []
-        for gamma_sign in (+1, -1):
-            paren = (snap.m_dcheck * ApproxValue.exact(mpf(1) / 2)
-                     - ApproxValue.exact(logx) + ApproxValue.exact(gamma_sign * g))
-            rhs.append(ApproxValue.exact(smc - 1) * x1s_a * paren
-                       + ApproxValue.exact(smc - 1) * x1s_a * conv
-                       - ApproxValue.exact((smc - 1) ** 2) * hterm)
-    return lhs, *rhs
+        for tt, conv in zip(tts, convs):
+            sp, T = tt.s, tt.T
+            smc = sp.as_mpc()
+            z, _ = zeta_em(sp, IDENTITY_TARGET, precision=prec, want_derivative=False)
+            msum = mu_power_sum(x, sp, prec)
+            x1s_a = ApproxValue.exact(_x1s(sp, x))
+            lhs = z * (msum - snap.m * x1s_a
+                       - ApproxValue.exact(smc - 1) * (snap.m_check - 1) * x1s_a) - 1
+            # integral_x^inf (log t - H + gamma) t^{-s} dt = -(hgap transform)
+            hterm = -tt.basis[0]
+            hterm = hterm.widened(_HGAP_SUP * T ** (-sp.sigma) / sp.sigma)
+            rhs = []
+            for gamma_sign in (+1, -1):
+                paren = (snap.m_dcheck * ApproxValue.exact(mpf(1) / 2)
+                         - ApproxValue.exact(logx) + ApproxValue.exact(gamma_sign * g))
+                rhs.append(ApproxValue.exact(smc - 1) * x1s_a * paren
+                           + ApproxValue.exact(smc - 1) * x1s_a * conv
+                           - ApproxValue.exact((smc - 1) ** 2) * hterm)
+            out.append((lhs, *rhs))
+    return out
 
 
 MIEUX2 = TransformIdentity(WEIGHT_HGAP, 0, 0.0, "smoothed kernel identity", _mieux2_sides,

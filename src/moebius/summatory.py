@@ -36,7 +36,7 @@ _EPS = 2.0**-52  # one-op float64 bound (2 ulp at 0.5-scale, deliberately lax)
 _CHUNK = 4096
 # prefix_columns computes its columns in slices of this many values (a multiple
 # of _CHUNK, which keeps the sums bit for bit), never a whole sieve segment
-_SWEEP_SEGMENT = 16 * _CHUNK
+_SWEEP_SEGMENT = 4 * _CHUNK
 MP_MODE_LIMIT = 400_000
 _TINY = 1 << 1074  # every finite float64 is an integer multiple of 1 / _TINY
 

@@ -342,3 +342,90 @@ def test_run_check_and_main_leave_mp_prec_alone(capsys):
     # the check works at precision + 16 bits whatever the caller's context holds
     assert reports[80] == reports[400]
     assert json.loads(capsys.readouterr().out)[0]["check"] == "alpha"
+
+
+def _count_streams(monkeypatch) -> list:
+    mellin = sys.modules["moebius.mellin"]
+    streams, stream = [], mellin._stream
+
+    def counting(tts):
+        streams.append(len(tts))
+        return stream(tts)
+
+    monkeypatch.setattr(mellin, "_stream", counting)
+    return streams
+
+
+@pytest.mark.slow
+def test_suite_all_streams_once_per_jump_and_T(monkeypatch):
+    # mu at 1e6 and 1e7 and hgap at 1e6: one stream each, where each check
+    # streamed its own cells (20 streams) before checks shared them
+    streams = _count_streams(monkeypatch)
+    reports = run_suite(registry_names(), threads=1)
+    assert all(r.passed for r in reports)
+    assert len(streams) == 3, streams
+    assert not sys.modules["moebius.mellin"]._STORE
+
+
+def test_stream_workload_is_one_task_in_this_process(monkeypatch, capsys):
+    sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+    import workloads
+    from moebius import cli, runner
+
+    def refuse(*args):
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(runner, "run_forked", refuse)
+    streams = _count_streams(monkeypatch)
+    argv, expected = workloads.make("stream", 7)
+    assert cli.main([*argv, "--threads", "2"]) == 0
+    assert [o["check"] for o in json.loads(capsys.readouterr().out)] == list(expected)
+    assert streams == [20]
+
+
+GROUPED = ["mtronq", "alpha", "derivK2", "headline", "prop1-b", "har", "mieux-2"]
+GROUPED_GRID = {"s": [2.0], "x": [1000.0], "sweep_N": 100_000, "tmax": 500}
+
+
+def test_grouped_checks_report_as_alone(deadline):
+    alone = [run_check(name, GROUPED_GRID) for name in GROUPED]
+    assert all(r.passed for r in alone)
+    # two tasks share streams: the mu checks at 1e6, har and mieux-2 (hgap at 1e6)
+    assert [task.indices for task in checks._tasks(GROUPED, GROUPED_GRID) if task.cells] == \
+        [[0, 2, 3, 4], [5, 6]]
+    for threads in (1, 2):
+        grouped = run_suite(GROUPED, GROUPED_GRID, threads=threads)
+        assert [r.check for r in grouped] == GROUPED
+        for a, g in zip(alone, grouped):  # repr: prop1-b's cells hold nan
+            assert repr((a.passed, a.worst, a.cells, a.payload)) == \
+                repr((g.passed, g.worst, g.cells, g.payload))
+        # each task's stream time is on its first report, outside elapsed_ms
+        assert [r.check for r in grouped if r.fill_ms > 0] == ["mtronq", "har"]
+    assert not sys.modules["moebius.mellin"]._STORE
+
+
+def test_grouped_domain_error_is_raised_by_its_own_check(monkeypatch, tmp_path, deadline):
+    # x = 1e6 lies beyond T = 4e5: the shared stream holds only the x = 1000
+    # cells, and mtronq, the first to read x = 1e6, raises; derivK2, in its
+    # task after it, never starts
+    names = ["alpha", "mtronq", "k2", "derivK2"]
+    grid = {"s": [2.0], "x": [1000.0, 1e6], "T": 4e5}
+    log = tmp_path / "started"
+    real = checks.run_check
+
+    def run_check(name, *args):
+        with open(log, "a") as f:
+            f.write(name + "\n")
+        return name if name in ("alpha", "k2") else real(name, *args)
+
+    monkeypatch.setattr(checks, "run_check", run_check)
+    for threads in (1, 2):
+        with pytest.raises(DomainError, match="need 1 <= x <= T"):
+            run_suite(names, grid, threads=threads)
+        started = log.read_text().split()
+        log.unlink()
+        assert "mtronq" in started and "derivK2" not in started
+        if threads == 1:
+            assert started == ["alpha", "mtronq"]
+    assert not sys.modules["moebius.mellin"]._STORE
+    _no_child_left()

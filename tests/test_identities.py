@@ -111,7 +111,8 @@ def test_batch_equals_one_cell_identities(sides):
 
 #: walks at each check's default grid: one per x and need_inverse_points flag
 #: (k1 and k2 integrate an m(x/t) weight and a floor(t)-only right side)
-WALKS = {"abel": 3, "int-check": 2, "mieux-1": 3, "poids": 2, "k1": 4, "k2": 2, "halfstep": 2}
+WALKS = {"abel": 3, "int-check": 2, "mieux-1": 3, "poids": 2, "k1": 4, "k2": 2, "halfstep": 2,
+         "mieux-2": 2}
 
 
 @pytest.mark.parametrize("check", list(WALKS))

@@ -174,21 +174,40 @@ def test_transform_sums_only_the_columns_its_weight_reads(weight, columns, monke
 
 
 @pytest.mark.parametrize("weight", ["m", "mcheck1", "mdnorm", "hgap"])
-def test_batch_equals_one_cell_transforms(weight):
+def test_batch_equals_one_cell_transforms(weight, monkeypatch):
     # one shared stream of two sieve segments; x = 1 100 000.5 lies in the second
     T = 1_200_000
     cells = [(2.0, 1000.0, 0), (0.5 + 3j, 1000.0, 1),
              (1.5, 1_100_000.5, 1), (2.0, 1_100_000.5, 0)]
     batch = truncated_transforms(weight, T, cells)
-    for (s, x, mom), got in zip(cells, batch):
-        want = truncated_transforms(weight, T, [(s, x, mom)])[0]
-        assert [(b.value, b.radius) for b in got.basis] == \
-            [(b.value, b.radius) for b in want.basis], (s, x, mom)
-        assert (got.at_x, got.at_T) == (want.at_x, want.at_T)
-        if weight != "hgap":
-            for name in ("mu_power_x", "mu_logpower_x"):
-                g, w = getattr(got, name), getattr(want, name)
-                assert (g.value, g.radius) == (w.value, w.radius), name
+    alone = [truncated_transforms(weight, T, [cell])[0] for cell in cells]
+    for cell, got, want in zip(cells, batch, alone):
+        _assert_same_transform(got, want, cell)
+    if weight == "hgap":
+        return
+    # one stream over the cells of all three mu weights fills each as alone
+    stream = mellin._stream
+    merged = [(w, float(T), ComplexParam.coerce(s), x, mom)
+              for w in ("m", "mcheck1", "mdnorm") for s, x, mom in cells]
+    streams = []
+    with monkeypatch.context() as patch:
+        patch.setattr(mellin, "_stream", lambda tts: streams.append(len(tts)) or stream(tts))
+        with mellin.stored_transforms(merged):
+            got = [mellin._STORE[cell] for cell in merged if cell[0] == weight]
+    assert streams == [len(merged)] and not mellin._STORE
+    for cell, g, want in zip(cells, got, alone):
+        _assert_same_transform(g, want, cell)
+
+
+def _assert_same_transform(got, want, cell):
+    """Basis, radii, point data at x and T and mu sums, bit for bit."""
+    assert [(b.value, b.radius) for b in got.basis] == \
+        [(b.value, b.radius) for b in want.basis], cell
+    assert (got.at_x, got.at_T) == (want.at_x, want.at_T)
+    if got.weight != "hgap":
+        for name in ("mu_power_x", "mu_logpower_x"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert (g.value, g.radius) == (w.value, w.radius), name
 
 
 def test_transform_check_streams_once(monkeypatch, capsys):

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from moebius.constants import M_OVER_LOG, gamma_const
 from moebius.errors import DomainError
-from moebius.summatory import (TERMS, CumsumState, PrefixSweep, abs_m_integrals,
+from moebius.sieve import sieve_range
+from moebius.summatory import (TERMS, CumsumState, PrefixSegment, PrefixSweep, abs_m_integrals,
                                compensated_cumsum, harmonic_gamma_margins,
                                prefix_columns, prefix_sweep, summatory)
 from oracles import FROZEN, m_exact_fraction, mpf_fraction
@@ -189,7 +190,7 @@ def test_cumsum_is_sequential_in_float64():
 def test_streamed_columns_equal_one_shot_cumsum():
     # segments of k * 4096 chain the chunk state exactly
     N = 50_000
-    whole = next(prefix_columns(N, (), segment_size=N))
+    whole = PrefixSegment(1, N, (1, N, sieve_range(1, N).values))  # one slice of [1, N]
     want = {name: compensated_cumsum(term(whole), ulps) for name, (term, ulps) in TERMS.items()}
     # a slice's arrays are overwritten by the next slice: copy them as they come
     segs = [{name: np.copy(col) for name, col in seg.cols.items()}

@@ -39,10 +39,14 @@ checkout's src:
   times it (so interpreter start, import and compile, about 0.3 s that
   spreads widely, stay out): `verify --suite fast`, `verify --suite terre
   --threads 1`, `verify --suite q-l1 --threads 1`, `verify --suite all
-  --threads 1` and `verify --suite alpha,balazard-m` (two short checks, so
-  almost all of its wall is forking and collecting run_suite's workers), all
-  with --stable-output, and the exact, stream and verify-fast workloads'
-  argvs at seed 7 (`perfbench/workloads.make(name, 7)`), default workers.
+  --threads 1`, `verify --suite all` and `verify --suite alpha,balazard-m`
+  (two short checks, so almost all of its wall is forking and collecting
+  run_suite's workers), all with --stable-output, and the exact, stream and
+  verify-fast workloads' argvs at seed 7 (`perfbench/workloads.make(name,
+  7)`), default workers.  A `--threads 1` row whose runs stream also records,
+  as a row of its own (lower is better), its `mellin._stream` calls per run
+  (one call is one stream of [1, T]; worker processes' calls go uncounted,
+  hence only in-process rows).
 
 The JSON written to FILE (default: stdout) holds, per row, every run's value,
 each side's median and quartiles (Q1, Q3), change/parent of the medians,
@@ -139,15 +143,23 @@ print(json.dumps({"seconds": spent[0], "units": units[0], **extra}))
 
 CLI = r"""
 import contextlib, io, json, sys, time
-from moebius import cli
+from moebius import cli, mellin
+streams, stream = [0], mellin._stream
+
+def counted(tts):
+    streams[0] += 1
+    return stream(tts)
+
+mellin._stream = counted
 t = time.perf_counter()
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(sys.argv[1:])
-print(json.dumps({"seconds": time.perf_counter() - t}))
+print(json.dumps({"seconds": time.perf_counter() - t, "streams": streams[0]}))
 sys.exit(rc)
 """
 
 WALK = "integrate_partitions pieces/s"
+STREAMS = "mellin._stream calls per run"
 LAYER_ROWS = [(WALK, "terre batch, x = 24.99", "terre", 24.99),
               (WALK, "mieux-1 integrand, x = 50", "mieux-1", 50.0),
               (WALK, "mieux-1 integrand, x = 1000", "mieux-1", 1000.0),
@@ -163,6 +175,7 @@ E2E_ROWS = [("verify --suite fast", ["--suite", "fast"]),
             ("verify --suite terre --threads 1", ["--suite", "terre", "--threads", "1"]),
             ("verify --suite q-l1 --threads 1", ["--suite", "q-l1", "--threads", "1"]),
             ("verify --suite all --threads 1", ["--suite", "all", "--threads", "1"]),
+            ("verify --suite all", ["--suite", "all"]),
             ("verify --suite alpha,balazard-m", ["--suite", "alpha,balazard-m"])]
 
 
@@ -225,11 +238,15 @@ def bench(parent: Path, rounds: int) -> dict:
                      for name in ("exact", "stream", "verify-fast")]
     for label, argv in [*E2E_ROWS, *workload_rows]:
         runs = {"parent": [], "change": []}
+        streams = {"parent": [], "change": []}
         for r in range(rounds):
             for side, tree in _sides(trees, r):
-                out = _run(tree, ["-c", CLI, "verify", *argv, "--stable-output"])
-                runs[side].append(json.loads(out)["seconds"])
+                got = json.loads(_run(tree, ["-c", CLI, "verify", *argv, "--stable-output"]))
+                runs[side].append(got["seconds"])
+                streams[side].append(got["streams"])
         rows.append(_row(label, "end_to_end", "s", runs))
+        if argv[-2:] == ["--threads", "1"] and any(streams["parent"] + streams["change"]):
+            rows.append(_row(f"{STREAMS}: {label}", "end_to_end", "count", streams))
     return {"rounds": rounds, "order": "the parent runs first in rounds 1, 3, ..., the change "
                                        "in rounds 2, 4, ...",
             "machine": {side: _environment(tree) for side, tree in trees.items()},

@@ -4,15 +4,18 @@
 
 Writes PARENT_REV's committed files to a temporary directory with `git
 archive` (removed afterwards, also on failure; the repository's own worktree
-list is left alone).  Then, for `verify --suite all --threads 1 --stable-output
---payload` and for each benchmark workload's argv at seed 7
-(`perfbench/workloads.make(name, 7)`) with `--threads 1` appended, it runs
+list is left alone).  Then, for `verify --suite all --stable-output --payload`
+and for each benchmark workload's argv at seed 7
+(`perfbench/workloads.make(name, 7)`), with `--threads 1` appended, it runs
 `tools/cellparity.py dump` once on PARENT_REV and once on this checkout, each
 with PYTHONPATH at that checkout's src, and prints `tools/cellparity.py
 compare` of the two dumps, after one line saying whether the two runs' stdout
-is byte-identical.  First it prints the line count of src/moebius/*.py at
-PARENT_REV and in this checkout.  The exit status is 1 if any compare exits
-non-zero (or a dump wrote nothing), else 0.
+is byte-identical.  It also runs each argv as given, on the default workers,
+in both checkouts, and prints whether each run's stdout is byte-identical to
+PARENT_REV's `--threads 1` run.  First it prints the line count of
+src/moebius/*.py at PARENT_REV and in this checkout.  The exit status is 1 if
+any compare exits non-zero, a dump wrote nothing or a default-worker run's
+stdout differs, else 0.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CELLPARITY = ROOT / "tools" / "cellparity.py"
-SUITE = ["verify", "--suite", "all", "--threads", "1", "--stable-output", "--payload"]
+SUITE = ["verify", "--suite", "all", "--stable-output", "--payload"]
 SEED = 7
 
 
@@ -37,7 +40,7 @@ def _argvs() -> list[tuple[str, list[str]]]:
     runs = [("suite all", SUITE)]
     for name in workloads.WORKLOADS:
         argv, _ = workloads.make(name, SEED)
-        runs.append((name, [*argv, "--threads", "1"]))
+        runs.append((name, argv))
     return runs
 
 
@@ -70,9 +73,16 @@ def parity(parent_rev: str, tmp: Path) -> int:
     bad = False
     for i, (name, argv) in enumerate(_argvs()):
         old, new = tmp / f"old{i}.json", tmp / f"new{i}.json"
-        print(f"== {name}: {' '.join(argv)}", flush=True)
-        same = _dump(parent, old, argv) == _dump(ROOT, new, argv)
+        serial = [*argv, "--threads", "1"]
+        print(f"== {name}: {' '.join(serial)}", flush=True)
+        want = _dump(parent, old, serial)
+        same = want == _dump(ROOT, new, serial)
         print(f"stdout {'byte-identical' if same else 'DIFFERS'}", flush=True)
+        for side, tree in (("parent", parent), ("here", ROOT)):
+            pooled = _dump(tree, tmp / f"pool{i}.json", argv) == want
+            print(f"default workers ({side}): stdout {'byte-identical' if pooled else 'DIFFERS'}",
+                  flush=True)
+            bad |= not pooled
         if not (old.exists() and new.exists()):
             print("a dump wrote nothing", flush=True)
             bad = True
