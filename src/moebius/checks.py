@@ -67,6 +67,8 @@ from .zeta import ComplexParam, partial_power_sum, zeta_em
 _RHO1 = complex(0.5, float(mpmath.mpf(RHO1_IMAG_STR)))
 #: landau-lower's constants c in integral_1^x |m| >= c (sqrt x - 1/x); the first decides
 LANDAU_CONSTANTS = (0.0024933, 0.0025)
+#: prop2-b's C in |order 0's right side| <= C x^(1-sigma) sup |w_1|, which headline composes
+PROP2_B_C = 4.0
 
 
 @dataclass
@@ -481,13 +483,15 @@ def _prop_check(which: str, letter: str):
 
     def report(grid, pairs, sides, prec):
         sweep = prefix_sweep(int(grid.get("sweep_N", 1e6)))
+        xs = dict.fromkeys(x for _, x in pairs)
+        snaps = {x: summatory(x, mode="mp", precision=prec) for x in xs}
         cells = []
         for (sig, x), (lhs, rhs) in zip(pairs, sides):
             cells.append(_residual_cell({"form": "identity", "sigma": sig, "x": x}, lhs, rhs,
                                         in_inequality=True))
             # inequality with empirical sup; zeta at the identity's key, so one ladder per s
             z, zp = zeta_em(sig, IDENTITY_TARGET, precision=prec)
-            snap = summatory(x, mode="mp", precision=prec)
+            snap = snaps[x]
             x1s = float(x) ** (1.0 - sig)
             sup = _sup_window(sweep, x, SMOOTHED_WEIGHTS[p])
             if mom == 0:
@@ -498,7 +502,7 @@ def _prop_check(which: str, letter: str):
             lhs_v = abs(complex(smoothed_rhs(head, [snap.m, snap.m_check - 1], x1s, sig - 1,
                                              mom, p - 1).value))
             d = sig - 1.0
-            bound = ((2.0, 2.0 * d, d ** 2), (2.0 / d, 4.0, 3.0 * d))[mom][p] * x1s * sup
+            bound = ((2.0, 2.0 * d, d ** 2), (2.0 / d, PROP2_B_C, 3.0 * d))[mom][p] * x1s * sup
             cells.append({**_margin_cell({"form": "inequality", "sigma": sig, "x": x,
                                           "residual": math.nan}, bound - lhs_v,
                                          1e-12 + 1e-9 * abs(bound), rigor=HEURISTIC),
@@ -593,13 +597,14 @@ def _check_poids_bound(grid, target, prec):
     svals = _slist(grid, "s", [-0.5, 0.5, 2.0])
     xs = _slist(grid, "x", [10.0, 1000.0])
     sweep = prefix_sweep(int(max(xs)))
+    snaps = {x: summatory(x, mode="mp", precision=prec) for x in dict.fromkeys(xs)}
     cells = []
     for sig in svals:
         sp = ComplexParam.coerce(float(sig))
         z, _ = zeta_em(sp, 1e-30, precision=prec, want_derivative=False)
         z_abs = float(mpmath.fabs(z.value))
         for x in xs:
-            snap = summatory(x, mode="mp", precision=prec)
+            snap = snaps[x]
             with mpmath.mp.workprec(prec + 32):
                 sm = sp.as_mpc()
                 msum = mu_power_sum(x, sp, prec)
@@ -899,7 +904,7 @@ def _check_improved_landau(grid, target, prec):
 
 
 def _headline_report(grid, pairs, sides, prec):
-    C = float(grid.get("C", 4.0))
+    C = float(grid.get("C", PROP2_B_C))
     c = float(grid.get("c", MCHECK_OVER_LOG[0]))
     value = compose_headline(C, c, x0=float(grid.get("x0", 1e12)),
                              t0=float(grid.get("t0", MCHECK_OVER_LOG[1])))
@@ -992,20 +997,6 @@ def run_check(check_id: str, grid: dict | None = None,
         return _run(check_id, REGISTRY[check_id], dict(grid or {}), target_radius, precision)
 
 
-#: seconds each check takes in `verify --suite all --threads 1` on the 2-core
-#: reference host (its elapsed_ms), for the checks of 0.05 s or more, and
-#: seconds each stream of that run takes, by its (jumps, T) (mellin.stream_of),
-#: both as tools/costs.py prints them.  run_suite submits the costliest task
-#: first (_task_cost); an id or stream not listed here counts 0
-_COST_S = {
-    "terre": 0.88, "em-cross": 0.61, "formule-m": 0.4, "abel": 0.39, "parchm": 0.3,
-    "prop1-a": 0.21, "mieux-1": 0.2, "q-l1": 0.1, "hel-truncation": 0.08, "prop1-c": 0.07,
-    "prop2-c": 0.06, "parm": 0.06, "double-check-borne": 0.05, "exact-Q-l1": 0.05,
-    "harmonic": 0.05,
-}
-_FILL_S = {("mu", 10000000.0): 0.73, ("mu", 1000000.0): 0.08, ("one", 1000000.0): 0.05}
-
-
 @dataclass
 class _Task:
     """Checks of a suite that run together: their request indices,
@@ -1041,9 +1032,9 @@ def _tasks(names: list[str], grid: dict | None = None) -> list[_Task]:
 
 
 def _task_cost(task: _Task) -> float:
-    """The task's streams plus its checks, in seconds (_COST_S, _FILL_S)."""
-    return (sum(_FILL_S.get(stream, 0.0) for stream in task.streams)
-            + sum(_COST_S.get(name, 0.0) for name in task.names))
+    """The values the task's declared streams cover, the sum of their T (0
+    for a task with no stream): run_suite's rank for submitting tasks."""
+    return sum(T for _, T in task.streams)
 
 
 def _run_tasks(tasks: list[_Task], names, grid, target_radius, precision) -> list[BoundReport]:
@@ -1078,8 +1069,9 @@ def run_suite(names: list[str], grid: dict | None = None,
     With threads > 1 and more than one task, the tasks run on min(threads,
     len(tasks)) worker processes forked from this one (runner.run_forked),
     each with its own mpmath context, so no check sees another's precision;
-    the costliest task starts first (_task_cost).  Otherwise every check runs in
-    this process, in request order, after every task's stream.
+    the tasks that stream start first, longest stream first (_task_cost), and
+    the others follow in request order.  Otherwise every check runs in this
+    process, in request order, after every task's stream.
 
     In this process the error raised is that of the first failing check in
     request order, and no check after it starts.  On the workers the unit is

@@ -18,6 +18,7 @@ from moebius.checks import (BoundReport, compose_headline, improved_landau,
                             run_check, run_suite)
 from moebius.errors import DomainError, InapplicabilityError
 from moebius.report import reports_to_csv, reports_to_json
+from moebius.summatory import summatory
 
 
 def test_landau_constant_values():
@@ -153,10 +154,12 @@ def test_run_suite_threads_deterministic():
 
 
 def test_run_suite_returns_reports_in_request_order():
-    # terre is costed above alpha, so it is submitted first
-    assert checks._COST_S["terre"] > checks._COST_S.get("alpha", 0.0)
-    reps = run_suite(["alpha", "terre"], {"x": [10.0]}, threads=2)
-    assert [r.check for r in reps] == ["alpha", "terre"]
+    # mtronq streams and alpha does not, so mtronq is submitted first
+    names, grid = ["alpha", "mtronq"], {"x": [10.0], "tmax": 500}
+    tasks = checks._tasks(names, grid)
+    assert checks._task_cost(tasks[1]) > checks._task_cost(tasks[0]) == 0
+    reps = run_suite(names, grid, threads=2)
+    assert [r.check for r in reps] == names
     assert all(r.passed for r in reps)
 
 
@@ -205,7 +208,8 @@ def test_run_suite_raises_serials_error_and_starts_nothing_after_it(
             raise DomainError(f"{name} failed")
         return name
     monkeypatch.setattr(checks, "run_check", run_check)
-    monkeypatch.setattr(checks, "_COST_S", {"voyage": 2.0, "q-bounds": 1.0})
+    monkeypatch.setattr(checks, "_task_cost",
+                        lambda task: {"voyage": 2.0, "q-bounds": 1.0}.get(task.names[0], 0.0))
     errors = []
     for threads in (1, 2):
         with pytest.raises(DomainError) as exc:
@@ -240,8 +244,30 @@ def test_pooled_run_suite_imports_no_multiprocessing():
     assert done.stdout.strip() == "[]"
 
 
-def test_cost_table_names_registry_checks():
-    assert set(checks._COST_S) <= set(registry_names())
+def _submitted(monkeypatch, names: list[str]) -> list:
+    """The tasks of run_suite(names) on 2 workers, in the order it hands
+    them to runner.run_forked, which is stopped before it forks."""
+    from moebius import runner
+    submitted = []
+
+    def capture(work, tasks, order, workers):
+        submitted.extend(tasks[t].names for t in order)
+        raise InterruptedError
+
+    monkeypatch.setattr(runner, "run_forked", capture)
+    with pytest.raises(InterruptedError):
+        run_suite(names, threads=2)
+    return submitted
+
+
+def test_tasks_that_stream_go_out_first_longest_stream_first(monkeypatch):
+    # headline streams mu at 1e7 and 1e6; the others keep request order
+    assert _submitted(monkeypatch, checks.FAST_SUITE)[0] == ["headline"]
+    order = _submitted(monkeypatch, registry_names())
+    assert len(order[0]) == 13 and "headline" in order[0]
+    assert order[1] == ["mieux-2", "har"]
+    streamed = set(order[0] + order[1])
+    assert order[2:] == [[n] for n in registry_names() if n not in streamed]
 
 
 def test_report_serialization_roundtrip():
@@ -429,3 +455,16 @@ def test_grouped_domain_error_is_raised_by_its_own_check(monkeypatch, tmp_path, 
             assert started == ["alpha", "mtronq"]
     assert not sys.modules["moebius.mellin"]._STORE
     _no_child_left()
+
+
+@pytest.mark.parametrize("name, xs", [("prop1-a", [1000.0]), ("poids-bound", [10.0, 1000.0])])
+def test_inequality_check_makes_one_snapshot_per_x(monkeypatch, name, xs):
+    made = []
+
+    def counting(x, *args, **kwargs):
+        made.append(x)
+        return summatory(x, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "summatory", counting)
+    assert run_check(name).passed
+    assert made == xs

@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 import mpcell
 
-from moebius import piecewise
+from moebius import kernels, piecewise
 from moebius.dsum import fixed_to_mp_exact
-from moebius.errors import DomainError, UnsupportedKernelError
-from moebius.kernels import (IBP_R, CellKernel, KernelSpec, MID_Q, REAL_R, SUP_Q,
-                             frac_tail_integral, hel_remainder_bound,
+from moebius.errors import DomainError, PrecisionError, UnsupportedKernelError
+from moebius.kernels import (IBP_R, CellKernel, FracTailEvaluator, KernelSpec, MID_Q, REAL_R,
+                             SUP_Q, frac_tail_integral, hel_remainder_bound,
                              hel_sup_abs_Q, kernel_bound, kernel_eval,
                              kernel_eval_em)
 from moebius.piecewise import KernelFactor
+from moebius.zeta import ComplexParam
 
 
 def test_Q_at_s2_t1():
@@ -141,6 +142,16 @@ def test_frac_tail_differences_against_quadrature(s):
             ref = sum(mpmath.quad(piece(n), [max(a, n), min(b, n + 1)])
                       for n in range(math.floor(a), math.ceil(b)))
             assert abs(Ja.value - Jb.value - ref) <= Ja.radius + Jb.radius, (s, a, b)
+
+
+def test_frac_tail_ladder_past_its_anchor_cap_raises(monkeypatch):
+    # a remainder that never reaches the target doubles the ladder's anchor
+    # from ceil t = 40 001 to 80 002, past the 2^16 cap, after one stub pass
+    monkeypatch.setattr(FracTailEvaluator, "_piece", lambda self, n, a, b: (mpmath.mpf(0), 0.0))
+    monkeypatch.setattr(kernels, "bernoulli_ladder_tail", lambda s, T, target: (mpmath.mpf(0), 1.0))
+    evaluator = FracTailEvaluator(ComplexParam(2.0, 0.0), 64)
+    with pytest.raises(PrecisionError, match="cannot reach"):
+        evaluator.eval(40000.5, 1e-30)
 
 
 CELL_S = [2.0, 0.5 + 3j, -0.5 + 5j, 0.5 + 14.13j]

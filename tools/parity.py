@@ -12,10 +12,10 @@ with PYTHONPATH at that checkout's src, and prints `tools/cellparity.py
 compare` of the two dumps, after one line saying whether the two runs' stdout
 is byte-identical.  It also runs each argv as given, on the default workers,
 in both checkouts, and prints whether each run's stdout is byte-identical to
-PARENT_REV's `--threads 1` run.  First it prints the line count of
-src/moebius/*.py at PARENT_REV and in this checkout.  The exit status is 1 if
-any compare exits non-zero, a dump wrote nothing or a default-worker run's
-stdout differs, else 0.
+PARENT_REV's `--threads 1` run.  First it prints the line counts of
+src/moebius/*.py and of tools/*.py at PARENT_REV and in this checkout.  The
+exit status is 1 if any compare exits non-zero, a dump wrote nothing or a
+default-worker run's stdout differs, else 0.
 """
 
 from __future__ import annotations
@@ -60,16 +60,17 @@ def checkout(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def source_lines(checkout: Path) -> int:
-    """The lines of checkout's src/moebius/*.py."""
-    return sum(len(f.read_text().splitlines()) for f in (checkout / "src" / "moebius").glob("*.py"))
+def source_lines(checkout: Path, subdir: str) -> int:
+    """The lines of checkout's subdir/*.py."""
+    return sum(len(f.read_text().splitlines()) for f in (checkout / subdir).glob("*.py"))
 
 
 def parity(parent_rev: str, tmp: Path) -> int:
     parent = tmp / "parent"
     checkout(parent_rev, parent)
-    old, new = source_lines(parent), source_lines(ROOT)
-    print(f"src/moebius lines: {old} at {parent_rev}, {new} here ({new - old:+d})", flush=True)
+    for subdir in ("src/moebius", "tools"):
+        old, new = source_lines(parent, subdir), source_lines(ROOT, subdir)
+        print(f"{subdir} lines: {old} at {parent_rev}, {new} here ({new - old:+d})", flush=True)
     bad = False
     for i, (name, argv) in enumerate(_argvs()):
         old, new = tmp / f"old{i}.json", tmp / f"new{i}.json"
