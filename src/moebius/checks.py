@@ -54,13 +54,12 @@ from .identities import (abel_s_sides, double_check_borne_sides, formule_m_value
                          poids_sides)
 from .kernels import (IBP_R, KernelSpec, MID_Q, REAL_R, SUP_Q, hel_remainder_bound,
                       hel_sup_abs_Q, kernel_bound, kernel_eval, kernel_eval_em)
-from .mellin import (DERIVK1, DERIVK2, DERIVK3, HAR, IDENTITY_TARGET, MIEUX2, MTRONQ,
-                     MTRONQCH, MTRONQCHCH, SMOOTHED, SMOOTHED_WEIGHTS, ent_residual,
-                     smoothed_rhs, stored_transforms, stream_of, transform_cells,
-                     transform_sides)
+from .mellin import (DERIVK1, DERIVK2, DERIVK3, HAR, MIEUX2, MTRONQ, MTRONQCH, MTRONQCHCH,
+                     SMOOTHED, SMOOTHED_WEIGHTS, ent_residual, smoothed_rhs, stored_transforms,
+                     stream_of, transform_cells, transform_sides)
 from .piecewise import FunctionSpec, KernelFactor, PowLogSum, integrate_partition
-from .quadrature import (EXACT_Q_L1_ZETA, exact_Q_l1_reference, exact_Q_l1_tail,
-                         integrate_abs_kernel_to_infinity, sup_abs_kernel)
+from .quadrature import (exact_Q_l1_reference, exact_Q_l1_tail, integrate_abs_kernel_to_infinity,
+                         sup_abs_kernel)
 from .summatory import harmonic_gamma_margins, prefix_sweep, summatory
 from .zeta import ComplexParam, partial_power_sum, zeta_em
 
@@ -330,12 +329,12 @@ def _check_formule_m(grid, target, prec):
 def _check_exact_Q_l1(grid, target, prec):
     """Calibration: the exact piecewise integral of Q_s(t)/t^2 over [1, T]
     plus the closed-form tail must match 1/(s-1) - zeta + gamma within the
-    combined radii.  All three read zeta(s) at radius EXACT_Q_L1_ZETA."""
+    combined radii.  All three read zeta(s) at radius `zeta.ZETA_RADIUS`."""
     T = int(grid.get("T", 1000))
     over_t2 = PowLogSum.monomial(mpf(1), mpf(-2), 0)
     cells = []
     for s in _slist(grid, "s", [1.5, 2.0]):
-        factor = KernelFactor(KernelSpec.make("Q", s), prec, EXACT_Q_L1_ZETA)
+        factor = KernelFactor(KernelSpec.make("Q", s), prec)
         head = integrate_partition(T, [factor], over_t2, precision=prec)
         tail = exact_Q_l1_tail(s, T, precision=prec)
         ref = exact_Q_l1_reference(s, precision=prec)
@@ -489,8 +488,8 @@ def _prop_check(which: str, letter: str):
         for (sig, x), (lhs, rhs) in zip(pairs, sides):
             cells.append(_residual_cell({"form": "identity", "sigma": sig, "x": x}, lhs, rhs,
                                         in_inequality=True))
-            # inequality with empirical sup; zeta at the identity's key, so one ladder per s
-            z, zp = zeta_em(sig, IDENTITY_TARGET, precision=prec)
+            # inequality with empirical sup; zeta at ZETA_RADIUS, as the identity reads it
+            z, zp = zeta_em(sig, precision=prec)
             snap = snaps[x]
             x1s = float(x) ** (1.0 - sig)
             sup = _sup_window(sweep, x, SMOOTHED_WEIGHTS[p])
@@ -519,7 +518,7 @@ def _check_parm(grid, target, prec):
     for s in svals:
         sp = ComplexParam.coerce(s)
         sp.require_sigma_gt(0.0, "parm")
-        z, _ = zeta_em(sp, 1e-30, precision=prec, want_derivative=False)
+        z, _ = zeta_em(sp, precision=prec, want_derivative=False)
         z_abs = float(mpmath.fabs(z.value))
         for x in xs:
             snap = summatory(x, mode="mp", precision=prec) if x <= 20000 else None
@@ -552,7 +551,7 @@ def _check_parchm(grid, target, prec):
     for s in svals:
         sp = ComplexParam.coerce(s)
         sp.require_sigma_gt(0.0, "parchm")
-        z, _ = zeta_em(sp, 1e-30, precision=prec, want_derivative=False)
+        z, _ = zeta_em(sp, precision=prec, want_derivative=False)
         z_abs = float(mpmath.fabs(z.value))
         sm1 = abs(complex(sp.sigma - 1, sp.tau))
         for x in xs:
@@ -601,7 +600,7 @@ def _check_poids_bound(grid, target, prec):
     cells = []
     for sig in svals:
         sp = ComplexParam.coerce(float(sig))
-        z, _ = zeta_em(sp, 1e-30, precision=prec, want_derivative=False)
+        z, _ = zeta_em(sp, precision=prec, want_derivative=False)
         z_abs = float(mpmath.fabs(z.value))
         for x in xs:
             snap = snaps[x]
@@ -784,7 +783,7 @@ def _check_hel_truncation(grid, target, prec):
     n_t = int(grid.get("n_t", 200))
     t_lo, t_hi = grid.get("trange", (10.0, 1e4))
     sp = ComplexParam.coerce(s)
-    z, _ = zeta_em(sp, 1e-13 * 1e-2, precision=prec, want_derivative=False)
+    z, _ = zeta_em(sp, precision=prec, want_derivative=False)
     ts = np.geomspace(t_lo, t_hi, n_t)
     worst = math.inf
     worst_t = None

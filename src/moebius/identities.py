@@ -12,7 +12,7 @@ log t - H(t), the harmonic step polynomial, 1/2 - {t}) and one
 `integrate_partitions` call, so one walk per x and need_inverse_points flag.
 The walk gives every integrand of a batch the value and radius of the same
 integrand walked alone, bit for bit, so each cell's sides are those of its
-batch of one.
+batch of one.  Both sides read zeta(s) at `zeta.ZETA_RADIUS`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .summatory import summatory
 from .zeta import ComplexParam, zeta_em
 
 _GUARD = 96
-_ZETA_TARGET = 1e-36  # zeta(s) for mieux-1 and poids: one ladder per s, read by both sides
 
 
 def mu_power_sum(x: float, s, precision: int = PRECISION) -> ApproxValue:
@@ -89,10 +88,10 @@ def _kernel_sides(cells, kernel: str, require, rhs, precision: int) -> list:
             snap = summatory(x, mode="mp", precision=precision)
             w, over_t2 = m_weight_factor(x, precision), PowLogSum.monomial(mpf(1), mpf(-2), 0)
             integs = integrate_partitions(
-                x, [[w, KernelFactor(KernelSpec(kernel, sp), precision, _ZETA_TARGET), over_t2]
+                x, [[w, KernelFactor(KernelSpec(kernel, sp), precision), over_t2]
                     for _, sp in members], precision)
             for (i, sp), integ in zip(members, integs):
-                z, _ = zeta_em(sp, _ZETA_TARGET, precision=precision, want_derivative=False)
+                z, _ = zeta_em(sp, precision=precision, want_derivative=False)
                 x1s = ApproxValue.exact(_x1s(sp, x), precision)
                 lhs = z * (mu_power_sum(x, sp, precision) - snap.m * x1s) - 1
                 out[i] = lhs, rhs(sp, x, snap, x1s, integ)

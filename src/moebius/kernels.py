@@ -19,7 +19,8 @@ with c = (s-1)(zeta(s) - P_K): beta = -1, delta = 0 for Q, beta = -s,
 delta = (s-1)(K + 1/2) for R, and q is (s-1) times Q's cell.  `CellKernel`
 forms that cell exactly in ints, evaluates g at an exact t in fixed point,
 and gives closed-form sup bounds for g and its derivatives; the rigorous
-quadrature and the piecewise integrator's kernel factor read it.
+quadrature and the piecewise integrator's kernel factor read it.  It reads
+zeta(s), and `frac_tail_integral` J(t), at `zeta.ZETA_RADIUS` by default.
 
 Fractional parts use the right-continuous convention {k} = 0 at integers,
 matching sums over k <= t that include k = t; left limits, for the
@@ -38,7 +39,7 @@ from mpmath import mpf, mpc
 from .approx import PRECISION, ApproxValue, RIGOROUS, eps_for, radd
 from .dsum import exact_ratio, fixed_magnitude, log_fixed, powers_fixed
 from .errors import DomainError, PrecisionError
-from .zeta import ComplexParam, bernoulli_ladder_tail, power_prefix_table, zeta_em
+from .zeta import ZETA_RADIUS, ComplexParam, bernoulli_ladder_tail, power_prefix_table, zeta_em
 
 _GUARD = 48
 _EXTRA = 32  # CellKernel.g's spare bits over bits(|s| (2 lt + 6))
@@ -99,7 +100,7 @@ class CellKernel:
     by 2^-(prec+63) (|s|/t + 1) M.
     """
 
-    def __init__(self, spec: KernelSpec, prec: int, zeta_target: float = 1e-35):
+    def __init__(self, spec: KernelSpec, prec: int, zeta_target: float = ZETA_RADIUS):
         self.spec = spec
         self.s = spec.s
         self.s.require_not_one("kernel")
@@ -205,18 +206,6 @@ class CellKernel:
         return self.zeta.radius * amp * max(a ** self.s.sigma, b ** self.s.sigma)
 
 
-def _floor_frac(t: float, left_limit: bool):
-    """(K, frac) with K = floor(t) and frac = {t}; at integer t the left limit
-    takes K = t - 1 and frac -> 1."""
-    K = math.floor(t)
-    frac = t - K
-    if left_limit and frac == 0.0:
-        if K < 2:
-            raise DomainError("left limit needs t > 1")
-        return K - 1, 1.0
-    return K, frac
-
-
 class FracTailEvaluator:
     """J(t) = integral_t^inf ({u}-1/2) u^(-s-1) du for one s, cached per process.
 
@@ -250,47 +239,42 @@ class FracTailEvaluator:
         scale = float(mpmath.fabs(fa)) + float(mpmath.fabs(fb))
         return fb - fa, scale
 
+    def _units(self, a: int, b: int):
+        """(the unit pieces over [a, b], the sum of their abs scales)."""
+        with mpmath.mp.workprec(self.prec + _GUARD):
+            total, scale = (mpc(0) if self.s.tau else mpf(0)), 0.0
+            for n in range(a, b):
+                v, sc = self._piece(n, mpf(n), mpf(n + 1))
+                total += v
+                scale += sc
+        return total, scale
+
     def _ladder(self, T: int, target: float):
-        key = T
-        hit = self._ladders.get(key)
+        """(J(T), remainder <= target, the scale of the unit pieces from T to
+        the ladder's start); a cached ladder at T serves any target it meets."""
+        hit = self._ladders.get(T)
         if hit is not None and hit[1] <= target:
             return hit
-        with mpmath.mp.workprec(self.prec + _GUARD):
-            J, rem = bernoulli_ladder_tail(self.s, T, target)
         anchor = T
-        while rem > target:
-            anchor *= 2
+        while True:
+            segs, scale = self._units(T, anchor)
             with mpmath.mp.workprec(self.prec + _GUARD):
-                segs = mpc(0) if self.s.tau else mpf(0)
-                scale = 0.0
-                for n in range(T, anchor):
-                    v, sc = self._piece(n, mpf(n), mpf(n + 1))
-                    segs += v
-                    scale += sc
-                J2, rem = bernoulli_ladder_tail(self.s, anchor, target)
-                J = segs + J2
+                J, rem = bernoulli_ladder_tail(self.s, anchor, target)
+                J = segs + J
+            if rem <= target:
+                break
+            anchor *= 2
             if anchor > 1 << 16:
                 raise PrecisionError(
                     f"tail integral at s={self.s} cannot reach radius {target}")
-        result = (J, rem)
-        self._ladders[key] = result
+        self._ladders[T] = result = (J, rem, scale)
         return result
 
     def _cum_to_anchor(self, n: int):
-        """integral over [n, base_anchor] + ladder(base_anchor), cached per n."""
-        hit = self._cum.get(n)
-        if hit is not None:
-            return hit
-        with mpmath.mp.workprec(self.prec + _GUARD):
-            total = mpc(0) if self.s.tau else mpf(0)
-            scale = 0.0
-            for k in range(n, self.base_anchor):
-                v, sc = self._piece(k, mpf(k), mpf(k + 1))
-                total += v
-                scale += sc
-        result = (total, scale)
-        self._cum[n] = result
-        return result
+        """The unit pieces over [n, base_anchor] and their scale, cached per n."""
+        if n not in self._cum:
+            self._cum[n] = self._units(n, self.base_anchor)
+        return self._cum[n]
 
     def eval(self, t: float, target_radius: float) -> ApproxValue:
         """J(t) = the partial piece [t, ceil t] + the unit pieces up to the
@@ -306,9 +290,9 @@ class FracTailEvaluator:
             if frac != 0.0:
                 head, scale = self._piece(K, mpf(t), mpf(ceil_t))
             cum, sc2 = self._cum_to_anchor(ceil_t)
-            ladder, rem = self._ladder(max(ceil_t, self.base_anchor), target_radius)
+            ladder, rem, sc3 = self._ladder(max(ceil_t, self.base_anchor), target_radius)
             J = head + cum + ladder
-            radius = radd(rem, eps * 16 * (scale + sc2 + float(mpmath.fabs(J))))
+            radius = radd(rem, eps * 16 * (scale + sc2 + sc3 + float(mpmath.fabs(J))))
             return ApproxValue(+J, radius, RIGOROUS, self.prec)
 
 
@@ -317,7 +301,7 @@ def frac_tail_evaluator(sigma: float, tau: float, prec: int) -> FracTailEvaluato
     return FracTailEvaluator(ComplexParam(sigma, tau), prec)
 
 
-def frac_tail_integral(s, t: float, target_radius: float = 1e-30,
+def frac_tail_integral(s, t: float, target_radius: float = ZETA_RADIUS,
                        precision: int = PRECISION) -> ApproxValue:
     sp = ComplexParam.coerce(s)
     return frac_tail_evaluator(sp.sigma, sp.tau, precision).eval(t, target_radius)
@@ -326,14 +310,22 @@ def frac_tail_integral(s, t: float, target_radius: float = 1e-30,
 def kernel_eval(spec: KernelSpec, t: float, target_radius: float = 1e-30,
                 precision: int = PRECISION, left_limit: bool = False) -> ApproxValue:
     """Kernel value by the definitional formula, not the cell form, with the
-    domain, zeta(s) and P_K of a `CellKernel`; radius combining the zeta
-    radius and summation rounding."""
+    domain, zeta(s) and P_K a `CellKernel` reads; radius combining the zeta
+    radius and summation rounding.  zeta is read at the caller's radius / 4:
+    em-cross picks each cell's worst t by residual - radius."""
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
-    ck = CellKernel(spec, precision, zeta_target=target_radius / 4)
-    table, zeta_val = ck.table, ck.zeta
+    spec.s.require_not_one("kernel")
+    spec.s.require_sigma_gt(-1.0, "kernel")
+    zeta_val, _ = zeta_em(spec.s, target_radius / 4, precision=precision, want_derivative=False)
+    table = power_prefix_table(spec.s.sigma, spec.s.tau, precision)
     eps = eps_for(precision)
-    K, frac = _floor_frac(t, left_limit)
+    K = math.floor(t)
+    frac = t - K
+    if left_limit and frac == 0.0:  # the left limit at integer t: K = t - 1, {t} -> 1
+        if K < 2:
+            raise DomainError("left limit needs t > 1")
+        K, frac = K - 1, 1.0
     with mpmath.mp.workprec(precision + _GUARD):
         sm = spec.s.as_mpc()
         tm = mpf(t)
@@ -361,7 +353,7 @@ def kernel_eval(spec: KernelSpec, t: float, target_radius: float = 1e-30,
 def kernel_eval_em(spec: KernelSpec, t: float, target_radius: float = 1e-30,
                    precision: int = PRECISION) -> ApproxValue:
     """Kernel value by the Euler-Maclaurin form (fractional-part tail integral);
-    zeta never enters."""
+    zeta never enters; J at the caller's radius, as `kernel_eval` says."""
     s = spec.s
     s.require_not_one("kernels")
     s.require_sigma_gt(-1.0, "kernel_eval_em")

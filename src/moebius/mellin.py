@@ -64,6 +64,7 @@ log x/zeta - zeta'/zeta^2 - sum_{n<=x} mu(n) n^(-s) log(x/n).  MTRONQ,
 MTRONQCH and MTRONQCHCH are (0, 0), (1, 0), (2, 0); DERIVK1, DERIVK2 and
 DERIVK3 are (0, 1), (1, 1), (2, 1).  Beyond T, |w_p(t)| <= D + E log(t/T)
 (TruncatedTransform.tail_coeffs) bounds what the truncated integrals leave out.
+The closed forms read zeta(s), zeta'(s) and J(t) at `zeta.ZETA_RADIUS`.
 """
 
 from __future__ import annotations
@@ -96,8 +97,6 @@ _MIN_LOG_F = 600.0
 #: a bound on |gamma - GAMMA_F|: half an ulp of gamma, 2^-54, plus the 64-bit value's error
 _GAMMA_GAP = 2.0**-53
 _HGAP_SUP = abs(HARMONIC_LOWER)  # |H(t) - log t - gamma| <= 0.5408 / t
-#: the target radius of the identities' zeta(s) and J(t); prop1/prop2 read zeta at this key
-IDENTITY_TARGET = 1e-33
 #: the most jumps the transform kernel holds at once: its work arrays stay in L2
 _BLOCK = 16384
 
@@ -616,7 +615,7 @@ def _smoothed_sides(p: int, mom: int) -> Callable[[TruncatedTransform, int], tup
             tail0 = D * pt(0) + E * pt(1)
             tail = b * tail0 if mom == 0 else \
                 a * tail0 + b * (D * (pt(1) + LTx * pt(0)) + E * (pt(2) + LTx * pt(1)))
-        z, zp = zeta_em(sp, IDENTITY_TARGET, precision=precision)
+        z, zp = zeta_em(sp, precision=precision)
         with mpmath.mp.workprec(precision + 32):
             smc1 = sp.as_mpc() - 1
             top = ApproxValue.exact(smc1 ** (p + 1) / math.factorial(p))
@@ -645,7 +644,7 @@ def _har_sides(tt: TruncatedTransform, precision: int):
     with mpmath.mp.workprec(precision + 32):
         smc = sp.as_mpc()
         lhs = ((ApproxValue.exact(smc) - 1) * tt.basis[0]).widened(tail)
-        z, _ = zeta_em(sp, IDENTITY_TARGET, precision=precision, want_derivative=False)
+        z, _ = zeta_em(sp, precision=precision, want_derivative=False)
         psum = partial_power_sum(sp, t, precision)
         tm = mpf(t)
         hgap = tt.values_at_x()["H"] - ApproxValue.exact(
@@ -680,11 +679,11 @@ def ent_residual(cells, precision: int = PRECISION) -> list:
         sp = ComplexParam.coerce(s)
         sp.require_sigma_gt(0.0, "floor-gap transform")
         sp.require_not_one("floor-gap transform")
-        J = frac_tail_integral(sp, t, IDENTITY_TARGET, precision=precision)
+        J = frac_tail_integral(sp, t, precision=precision)
         with mpmath.mp.workprec(precision + 32):
             smc = sp.as_mpc()
             lhs = ApproxValue.exact(-smc) * J
-            z, _ = zeta_em(sp, IDENTITY_TARGET, precision=precision, want_derivative=False)
+            z, _ = zeta_em(sp, precision=precision, want_derivative=False)
             psum = partial_power_sum(sp, t, precision)
             tm = mpf(t)
             rhs = (z - psum - ApproxValue.exact(mpmath.power(tm, 1 - smc) / (smc - 1))
@@ -713,13 +712,13 @@ def _mieux2_sides(tts: list[TruncatedTransform], prec: int) -> list[tuple]:
         mcheck1 = mcheck_minus_one_factor(x, prec)
         over_t2 = PowLogSum.monomial(mpf(1), mpf(-2), 0)
         convs = integrate_partitions(
-            x, [[mcheck1, KernelFactor(KernelSpec(Q, tt.s), prec, IDENTITY_TARGET), over_t2]
+            x, [[mcheck1, KernelFactor(KernelSpec(Q, tt.s), prec), over_t2]
                 for tt in tts], precision=prec)
         logx = mpmath.log(mpf(x))
         for tt, conv in zip(tts, convs):
             sp, T = tt.s, tt.T
             smc = sp.as_mpc()
-            z, _ = zeta_em(sp, IDENTITY_TARGET, precision=prec, want_derivative=False)
+            z, _ = zeta_em(sp, precision=prec, want_derivative=False)
             msum = mu_power_sum(x, sp, prec)
             x1s_a = ApproxValue.exact(_x1s(sp, x))
             lhs = z * (msum - snap.m * x1s_a

@@ -130,7 +130,7 @@ from .dsum import (DirichletTable, exact_ratio, fixed_abs, fixed_magnitude, fixe
                    fixed_to_mp)
 from .errors import CapacityError, DomainError, PrecisionError, UnsupportedKernelError
 from .kernels import LITTLE_Q, R, CellKernel, KernelSpec
-from .zeta import ComplexParam, power_prefix_table
+from .zeta import ZETA_RADIUS, ComplexParam, power_prefix_table
 
 _GUARD = 96
 MAX_PARTITION_X = 10_000_000
@@ -466,7 +466,7 @@ class KernelFactor:
 
     index = "K"
 
-    def __init__(self, spec: KernelSpec, prec: int, target_radius: float = 1e-35):
+    def __init__(self, spec: KernelSpec, prec: int, target_radius: float = ZETA_RADIUS):
         if spec.variant == LITTLE_Q:
             raise UnsupportedKernelError("no kernel identity integrates q")
         self.prec = prec

@@ -22,7 +22,8 @@ radius r with T ~ sqrt(C/r) cells, where the one-sided sup|Q|/T bound
 (`tail_bound_abs_Q`, kept for `quad`) needs T ~ sup/r.
 
 Error radii here are computed bounds from these inequalities; nothing is an
-inflated estimate.
+inflated estimate.  zeta(s) is read at `zeta.ZETA_RADIUS`, and in
+`integrate_abs_kernel` at min(ZETA_RADIUS, target / (8 T)).
 
 Fixed point.  `CellKernel.g` evaluates g at an exact t = u/v (a double's
 ratio, or a Taylor step's midpoint) in Python ints, a unit being 2^-W with
@@ -122,7 +123,7 @@ from .constants import gamma_const
 from .dsum import DirichletTable, fixed_to_float, fixed_to_mp, log_fixed
 from .errors import DomainError, PrecisionError
 from .kernels import IBP_R, CellKernel, KernelSpec, hel_sup_abs_Q, kernel_bound, SUP_Q
-from .zeta import ComplexParam, power_prefix_table, zeta_em
+from .zeta import ZETA_RADIUS, ComplexParam, power_prefix_table, zeta_em
 
 _GUARD = 48
 _U = 2.0 ** -53  # the unit roundoff of a float op
@@ -135,8 +136,6 @@ _LOG_BITS = 80
 _LOG_ANCHOR = {(1, _LOG_BITS + _LOG_BITS.bit_length()): 0}  # _ln's one anchor, log 1 = 0
 EVAL_CAP = 1 << 20  # midpoint evaluations in sup_abs_kernel's branch-and-bound
 _T_CAP = 50_000  # integrate_abs_kernel_to_infinity's largest head [1, T]
-#: the zeta(s) radius of exact-Q-l1: its head, its tail and its reference read one value
-EXACT_Q_L1_ZETA = 1e-30
 
 
 def _midpoint(a: float, h: float) -> tuple[int, int]:
@@ -209,7 +208,7 @@ def integrate_abs_kernel(spec: KernelSpec, T: float, target_radius: float = 1e-2
     """
     if T < 1:
         raise DomainError("T >= 1 required")
-    ck = CellKernel(spec, precision, zeta_target=min(1e-30, target_radius / (8 * max(T, 2.0))))
+    ck = CellKernel(spec, precision, min(ZETA_RADIUS, target_radius / (8 * max(T, 2.0))))
     W = ck.W
     fixed, s_abs = 2.0 ** -(precision + 62), ck.s.abs()
     total, S = 0, 0  # the exact sum total 2^-S of the steps' values
@@ -392,7 +391,7 @@ def exact_Q_l1_reference(s, precision: int = PRECISION) -> ApproxValue:
     sp = ComplexParam.coerce(s)
     sp.require_sigma_gt(0.0, "signed L1 reference")
     sp.require_not_one("signed L1 reference")
-    z, _ = zeta_em(sp, EXACT_Q_L1_ZETA, precision=precision, want_derivative=False)
+    z, _ = zeta_em(sp, precision=precision, want_derivative=False)
     with mpmath.mp.workprec(precision + _GUARD):
         sm = sp.as_mpc()
         v = 1 / (sm - 1) - z.value + gamma_const(precision + _GUARD)
@@ -409,7 +408,7 @@ def exact_Q_l1_tail(s, T: int, precision: int = PRECISION) -> ApproxValue:
     if T != int(T) or T < 1:
         raise DomainError("integer T >= 1 required")
     T = int(T)
-    z, _ = zeta_em(sp, EXACT_Q_L1_ZETA, precision=precision, want_derivative=False)
+    z, _ = zeta_em(sp, precision=precision, want_derivative=False)
     table = power_prefix_table(sp.sigma, sp.tau, precision)
     with mpmath.mp.workprec(precision + _GUARD):
         sm = sp.as_mpc()

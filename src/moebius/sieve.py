@@ -23,6 +23,9 @@ import numpy as np
 from .errors import CapacityError, DomainError
 
 DEFAULT_SEGMENT = 1 << 20
+#: a segment's prime loop runs over blocks of at least _BLOCK values (an int32
+#: product of 512 KiB) and _PER_PRIME per prime, so its overhead stays below its work
+_BLOCK, _PER_PRIME = 1 << 17, 1024
 #: refuse to materialize tables larger than this many values (int8 + temporaries)
 MAX_TABLE_VALUES = 1 << 28
 
@@ -64,24 +67,24 @@ class MobiusTable:
 
 
 def _sieve_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    n = hi - lo + 1
+    """mu on [lo, hi], block by block (_BLOCK)."""
+    primes = primes[:np.searchsorted(primes, isqrt(hi), side="right")].tolist()
+    step = max(_BLOCK, _PER_PRIME * len(primes))
     dtype = np.int32 if hi < 2**31 else np.int64
-    mob = np.ones(n, dtype=np.int8)
-    prod = np.ones(n, dtype=dtype)
-    for p in primes:
-        p = int(p)
-        if p * p > hi:
-            break
-        start = ((lo + p - 1) // p) * p
-        sl = slice(start - lo, None, p)
-        mob[sl] = -mob[sl]
-        prod[sl] *= p
-        p2 = p * p
-        start2 = ((lo + p2 - 1) // p2) * p2
-        if start2 <= hi:
-            mob[start2 - lo:: p2] = 0
-    # a product below n leaves one extra prime factor > sqrt(hi)
-    np.negative(mob, where=prod < np.arange(lo, hi + 1, dtype=dtype), out=mob)
+    mob = np.ones(hi - lo + 1, dtype=np.int8)
+    for b_lo in range(lo, hi + 1, step):
+        b_hi = min(b_lo + step - 1, hi)
+        block = mob[b_lo - lo: b_hi - lo + 1]
+        prod = np.ones(len(block), dtype=dtype)
+        for p in primes:
+            if p * p > b_hi:
+                break
+            sl = slice(-b_lo % p, None, p)
+            block[sl] = -block[sl]
+            prod[sl] *= p
+            block[-b_lo % (p * p):: p * p] = 0
+        # a product below n leaves one extra prime factor > sqrt(b_hi)
+        np.negative(block, where=prod < np.arange(b_lo, b_hi + 1, dtype=dtype), out=block)
     return mob
 
 

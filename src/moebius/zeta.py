@@ -30,6 +30,8 @@ from .dsum import DirichletTable
 from .errors import DomainError, PrecisionError
 
 _GUARD = 48
+#: the one radius of the library's zeta(s) and J(t) reads: one cached value per s
+ZETA_RADIUS = 1e-36
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,7 @@ def _ladder_falls_short(s: ComplexParam, N: int, target_radius: float,
     return s_abs * rem > half or (want_derivative and rem + s_abs * rem_p > half)
 
 
-def zeta_em(s, target_radius: float = 1e-30, precision: int = PRECISION,
+def zeta_em(s, target_radius: float = ZETA_RADIUS, precision: int = PRECISION,
             want_derivative: bool = True):
     """(zeta(s), zeta'(s)) as ApproxValues with rigorous radii <= target_radius.
 

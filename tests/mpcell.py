@@ -24,6 +24,7 @@ from moebius.approx import ApproxValue, RIGOROUS, eps_for, radd
 from moebius.kernels import LITTLE_Q, R, CellKernel
 from moebius import quadrature
 from moebius.quadrature import _two_sided_tail
+from moebius.zeta import ZETA_RADIUS
 
 GUARD = 48
 
@@ -63,7 +64,7 @@ def integrate_abs(spec, T: float, target_radius: float, prec: int) -> ApproxValu
     rounded to float parts; the float closed form and the constants are the
     library's (`quadrature._abs_line_integral`, checked against mpmath.quad
     in tests/test_quadrature.py)."""
-    ck = CellKernel(spec, prec, zeta_target=min(1e-30, target_radius / (8 * max(T, 2.0))))
+    ck = CellKernel(spec, prec, min(ZETA_RADIUS, target_radius / (8 * max(T, 2.0))))
     fixed, s_abs = 2.0 ** -(prec + 62), ck.s.abs()
     with mpmath.mp.workprec(prec + GUARD):
         vals = []

@@ -12,11 +12,13 @@ import mpmath
 import pytest
 
 import moebius.checks as checks
+from moebius import zeta
 from moebius.approx import HEURISTIC, RIGOROUS
 from moebius.checks import (BoundReport, compose_headline, improved_landau,
                             landau_constant, landau_lower_check, registry_names,
                             run_check, run_suite)
 from moebius.errors import DomainError, InapplicabilityError
+from moebius.kernels import frac_tail_evaluator
 from moebius.report import reports_to_csv, reports_to_json
 from moebius.summatory import summatory
 
@@ -468,3 +470,25 @@ def test_inequality_check_makes_one_snapshot_per_x(monkeypatch, name, xs):
     monkeypatch.setattr(checks, "summatory", counting)
     assert run_check(name).passed
     assert made == xs
+
+
+def test_every_check_reads_zeta_at_the_one_radius(monkeypatch):
+    monkeypatch.setattr(zeta, "_zeta_cache", {})
+    names = ["ent", "mieux-1", "poids", "har", "headline", "parm"]
+    assert all(r.passed for r in run_suite(names, {"s": [2.0], "x": [1000.0]}, threads=1))
+    assert zeta._zeta_cache
+    assert {key[2] for key in zeta._zeta_cache} == {zeta.ZETA_RADIUS}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 22: FracTailEvaluator._ladder serves "
+                   "any cached ladder that meets the target, so J(t) reads the tighter "
+                   "ladders an earlier check built")
+def test_em_cross_cells_do_not_depend_on_earlier_checks():
+    grid = {"sigma": [2.0], "tau": [0.0]}
+    frac_tail_evaluator.cache_clear()
+    alone = run_check("em-cross", grid).cells
+    frac_tail_evaluator.cache_clear()
+    run_check("ent", {"s": [2.0]})
+    after = run_check("em-cross", grid).cells
+    frac_tail_evaluator.cache_clear()
+    assert after == alone

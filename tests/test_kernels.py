@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import mpcell
 
 from moebius import kernels, piecewise
+from moebius.approx import eps_for
 from moebius.dsum import fixed_to_mp_exact
 from moebius.errors import DomainError, PrecisionError, UnsupportedKernelError
 from moebius.kernels import (IBP_R, CellKernel, FracTailEvaluator, KernelSpec, MID_Q, REAL_R,
@@ -146,12 +147,33 @@ def test_frac_tail_differences_against_quadrature(s):
 
 def test_frac_tail_ladder_past_its_anchor_cap_raises(monkeypatch):
     # a remainder that never reaches the target doubles the ladder's anchor
-    # from ceil t = 40 001 to 80 002, past the 2^16 cap, after one stub pass
+    # from ceil t = 40 001 to 80 002, past the 2^16 cap
     monkeypatch.setattr(FracTailEvaluator, "_piece", lambda self, n, a, b: (mpmath.mpf(0), 0.0))
     monkeypatch.setattr(kernels, "bernoulli_ladder_tail", lambda s, T, target: (mpmath.mpf(0), 1.0))
     evaluator = FracTailEvaluator(ComplexParam(2.0, 0.0), 64)
     with pytest.raises(PrecisionError, match="cannot reach"):
         evaluator.eval(40000.5, 1e-30)
+
+
+def test_frac_tail_radius_counts_the_ladders_unit_pieces(monkeypatch):
+    # the first remainder at T = 9 misses the target, so the ladder starts
+    # again at 18 past the unit pieces [9, 18): their rounding, 16 eps times
+    # their scale, is in J's radius
+    real, starts = kernels.bernoulli_ladder_tail, []
+
+    def first_misses(s, T, target):
+        starts.append(T)
+        J, rem = real(s, T, target)
+        return (J, 2 * target) if len(starts) == 1 else (J, rem)
+
+    monkeypatch.setattr(kernels, "bernoulli_ladder_tail", first_misses)
+    prec = 128
+    evaluator = FracTailEvaluator(ComplexParam(2.0, 0.0), prec)
+    J = evaluator.eval(8.5, 1e-40)
+    assert starts == [9, 18]
+    with mpmath.workprec(prec + 48):
+        scale = sum(evaluator._piece(n, mpmath.mpf(n), mpmath.mpf(n + 1))[1] for n in range(9, 18))
+    assert J.radius >= 16 * eps_for(prec) * scale
 
 
 CELL_S = [2.0, 0.5 + 3j, -0.5 + 5j, 0.5 + 14.13j]

@@ -1,7 +1,10 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from moebius import sieve
 from moebius.errors import CapacityError, DomainError
 from moebius.sieve import MobiusTable, iter_segments, nonzero_mu, sieve_range
 from oracles import FROZEN, mobius_dirichlet_inverse, mu_trial_division
@@ -88,3 +91,15 @@ def test_domain_and_capacity_errors():
 def test_windows_at_the_int32_product_limit(lo, hi):
     window = sieve_range(lo, hi)
     assert window.values.tolist() == [mu_trial_division(n) for n in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 1 << 20), (10**9 - 12345, 10**9 - 12345 + (1 << 20) - 1)])
+@pytest.mark.parametrize("per_prime", [None, 1])
+def test_blocked_segment_equals_one_pass(monkeypatch, lo, hi, per_prime):
+    # per_prime = 1 cuts the segment near 1e9 into 2^17-value blocks too
+    primes = sieve.base_primes(isqrt(hi))
+    if per_prime is not None:
+        monkeypatch.setattr(sieve, "_PER_PRIME", per_prime)
+    blocked = sieve._sieve_segment(lo, hi, primes)
+    monkeypatch.setattr(sieve, "_BLOCK", 1 << 20)
+    assert np.array_equal(blocked, sieve._sieve_segment(lo, hi, primes))

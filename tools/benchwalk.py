@@ -46,7 +46,14 @@ checkout's src:
   7)`), default workers.  A `--threads 1` row whose runs stream also records,
   as a row of its own (lower is better), its `mellin._stream` calls per run
   (one call is one stream of [1, T]; worker processes' calls go uncounted,
-  hence only in-process rows).
+  hence only in-process rows).  Every `--threads 1` row also records its
+  Python calls (`calls`, lower is better): one more run per side, outside
+  the timed runs, with `cli.main` under cProfile, counts `total_calls`.  The
+  count does not drift with the host, so it resolves a change that wall time
+  cannot.  It supports a claim only in the direction its wall row agrees
+  with, or where the wall row is flat within the parent's quartiles; a numpy
+  call is one call however much it does, so stream-bound rows keep their
+  wall-time claims.
 
 The JSON written to FILE (default: stdout) holds, per row, every run's value,
 each side's median and quartiles (Q1, Q3), change/parent of the medians,
@@ -158,8 +165,18 @@ print(json.dumps({"seconds": time.perf_counter() - t, "streams": streams[0]}))
 sys.exit(rc)
 """
 
+CALLS = r"""
+import cProfile, contextlib, io, json, pstats, sys
+from moebius import cli
+profile = cProfile.Profile()
+with contextlib.redirect_stdout(io.StringIO()):
+    profile.runcall(cli.main, sys.argv[1:])
+print(json.dumps({"calls": pstats.Stats(profile).total_calls}))
+"""
+
 WALK = "integrate_partitions pieces/s"
 STREAMS = "mellin._stream calls per run"
+CALLS_ROW = "Python calls per run (cProfile)"
 LAYER_ROWS = [(WALK, "terre batch, x = 24.99", "terre", 24.99),
               (WALK, "mieux-1 integrand, x = 50", "mieux-1", 50.0),
               (WALK, "mieux-1 integrand, x = 1000", "mieux-1", 1000.0),
@@ -184,6 +201,12 @@ def _run(tree: Path, args: list[str]) -> str:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.run([sys.executable, *args], cwd=tree, env=env, check=True,
                           stdout=subprocess.PIPE, text=True).stdout
+
+
+def calls(tree: Path, argv: list[str]) -> int:
+    """The Python calls of `cli.main(argv)` in one process with PYTHONPATH at
+    tree/src, counted by cProfile (import and interpreter start left out)."""
+    return json.loads(_run(tree, ["-c", CALLS, *argv]))["calls"]
 
 
 def _environment(tree: Path) -> dict:
@@ -245,8 +268,12 @@ def bench(parent: Path, rounds: int) -> dict:
                 runs[side].append(got["seconds"])
                 streams[side].append(got["streams"])
         rows.append(_row(label, "end_to_end", "s", runs))
-        if argv[-2:] == ["--threads", "1"] and any(streams["parent"] + streams["change"]):
-            rows.append(_row(f"{STREAMS}: {label}", "end_to_end", "count", streams))
+        if argv[-2:] == ["--threads", "1"]:
+            if any(streams["parent"] + streams["change"]):
+                rows.append(_row(f"{STREAMS}: {label}", "end_to_end", "count", streams))
+            counted = {side: [calls(tree, ["verify", *argv, "--stable-output"])]
+                       for side, tree in trees.items()}
+            rows.append(_row(f"{CALLS_ROW}: {label}", "end_to_end", "count", counted))
     return {"rounds": rounds, "order": "the parent runs first in rounds 1, 3, ..., the change "
                                        "in rounds 2, 4, ...",
             "machine": {side: _environment(tree) for side, tree in trees.items()},
